@@ -26,8 +26,11 @@ def _load_json_arg(value):
     """Inline JSON if the argument looks like JSON, else a file path."""
     text = value
     if not value.lstrip().startswith(("{", "[")):
-        with open(value, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(value, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InvalidInput(f"cannot read input file {value!r}: {exc.strerror}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

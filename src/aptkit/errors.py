@@ -77,3 +77,9 @@ class NotAdjacent(AptError):
 
 class NotInDualCone(AptError):
     code = "not-in-dual-cone"
+
+
+class InternalCheckFailed(AptError):
+    """A self-check of the library failed: a fault of the library, not of the input."""
+
+    code = "internal-check-failed"

@@ -1,17 +1,29 @@
 """Exact rational polyhedral cones and fans.
 
 A :class:`Cone` carries both representations at all times: the canonical
-V-representation (extreme rays plus a lineality basis) and the canonical
-minimal H-representation (facet normals plus span equalities), computed
-eagerly at construction so values are immutable and safely shareable.
+V-representation (primitive extreme rays in sorted order plus a
+sign-normalized lineality basis) and the canonical minimal H-representation
+(facet normals plus span equalities), computed eagerly at construction so
+values are immutable and safely shareable.
 
-The conversion engine enumerates extreme rays of an H-cone by brute-force
-kernel enumeration over (rank-1)-subsets of the normals, after splitting
-off the lineality space.  At desk scale (dimension <= 4, a handful of
-normals) this is exact, simple and fast; duplicates collapse to canonical
-primitive integral rays.
+One routine converts H to V: after splitting off the lineality space, it
+takes the kernel line of every (rank-1)-subset of the normals, as the
+integer vector of signed maximal minors, and keeps the lines on which no
+normal changes sign.  V to H is the same routine applied to the generators
+as normals of the dual.  ``Cone(dim, generators)`` converts twice, since its
+generators need not be extreme.  A derived cone whose V-data is already
+canonical (a face, an intersection, a dual) is built by the private
+``Cone._canonical``, which converts once.  Both keep the self-check that the
+H-representation contains every generator, and a failed self-check raises
+:class:`InternalCheckFailed`, also under ``python -O``.
 
-Module-level caches memoize the conversion, duals and face lists keyed by
+Faces come from the ray-facet incidence: the ray sets of the faces of a
+proper cone are the intersections of the facets' zero sets, so a face list
+costs one conversion per face.  ``validate_fan`` builds the face relation
+first and then intersects only pairs of maximal cones; faces inherit the
+common-face property from the maximal cones above them.
+
+Module-level caches memoize conversions, duals and face lists keyed by
 canonical content, so concurrent use can at worst recompute and overwrite
 an entry with an equal value; no cone is ever mutated after construction.
 """
@@ -22,10 +34,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import fm
-from .errors import BadIntersection, ImproperCone, InvalidInput, MissingFace, NotSeparable
-from .linalg import kernel_basis, rank, row_space_basis
+from .errors import (
+    BadIntersection,
+    ImproperCone,
+    InternalCheckFailed,
+    InvalidInput,
+    MissingFace,
+    NotSeparable,
+)
+from .linalg import kernel_basis, kernel_line, rank, row_space_basis
 from .rational import (
     QVec,
+    denominator_lcm,
     dot,
     is_zero_vec,
     primitive,
@@ -40,47 +60,64 @@ from .rational import (
 _HREP_CACHE: dict = {}
 
 
+def _normalized(vectors):
+    """Distinct primitive forms of the nonzero vectors, sorted: the canonical
+    input of :func:`_rays_from_halfspaces`."""
+    return tuple(sorted({primitive(v) for v in vectors if not is_zero_vec(v)}))
+
+
+def _with_lines(rays, lines):
+    """Rays plus both directions of each line, in canonical input form."""
+    return tuple(sorted(set(rays).union(lines, (vneg(e) for e in lines))))
+
+
+def _integral(v):
+    m = denominator_lcm(v)
+    return tuple(int(a * m) for a in v)
+
+
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _rays_from_halfspaces(normals, dim):
     """Extreme rays and lineality of {x : <n, x> >= 0 for all n}.
 
-    Returns ``(lineality_basis, rays)``, both canonical: the lineality basis
-    is the sign-normalized kernel basis, rays are primitive and sorted.
-    Results are memoized on the normalized input; cones are immutable, so
+    ``normals`` must be in canonical input form (see :func:`_normalized`).
+    Returns ``(lineality_basis, rays)`` as tuples, both canonical: the
+    lineality basis is the sign-normalized kernel basis, rays are primitive
+    and sorted.  Results are memoized on the input; cones are immutable, so
     the cache is shareable.
     """
-    normals = [primitive(n) for n in normals if not is_zero_vec(n)]
-    normals = sorted(set(normals))
-    cache_key = (dim, tuple(normals))
+    cache_key = (dim, normals)
     cached = _HREP_CACHE.get(cache_key)
     if cached is not None:
-        return list(cached[0]), list(cached[1])
-    lin = kernel_basis(normals, dim)
-    if not normals:
-        return lin, []
+        return cached
+    lin = tuple(kernel_basis(normals, dim))
     basis = row_space_basis(normals, dim)
     r = len(basis)
-    if r == 0:
-        return lin, []
-    reduced = [tuple(dot(n, w) for w in basis) for n in normals]
     found = set()
-    for subset in combinations(range(len(reduced)), r - 1):
-        ker = kernel_basis([reduced[i] for i in subset], r)
-        if len(ker) != 1:
-            continue
-        v = ker[0]
-        if all(dot(row, v) >= 0 for row in reduced):
-            found.add(primitive(v))
-        elif all(dot(row, v) <= 0 for row in reduced):
-            found.add(primitive(vneg(v)))
+    if r:
+        # coordinates in the basis, scaled to integers: positive scaling
+        # keeps every kernel and every sign
+        reduced = [_integral(tuple(dot(n, w) for w in basis)) for n in normals]
+        for subset in combinations(reduced, r - 1):
+            v = kernel_line(subset, r)
+            if v is None:
+                continue
+            if all(_idot(row, v) >= 0 for row in reduced):
+                found.add(primitive(v))
+            elif all(_idot(row, v) <= 0 for row in reduced):
+                found.add(primitive(vneg(v)))
     rays = set()
     for v in found:
         ray = zero_vec(dim)
         for coef, w in zip(v, basis):
             ray = vadd(ray, vscale(coef, w))
         rays.add(primitive(ray))
-    rays = sorted(rays)
-    _HREP_CACHE[cache_key] = (tuple(lin), tuple(rays))
-    return lin, rays
+    result = (lin, tuple(sorted(rays)))
+    _HREP_CACHE[cache_key] = result
+    return result
 
 
 class Cone:
@@ -96,34 +133,44 @@ class Cone:
                 raise InvalidInput(f"generator {g} has wrong dimension (expected {dim})")
             if not is_zero_vec(g):
                 gens.append(primitive(g))
-        gens = sorted(set(gens))
+        gens = tuple(sorted(set(gens)))
         # H-representation: the dual cone {v : <v, g> >= 0} has the generators
         # as normals; its rays are our facet normals, its lineality our span
         # equalities.
         span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
-        halfspaces = list(facet_normals)
-        for e in span_normals:
-            halfspaces.append(e)
-            halfspaces.append(vneg(e))
-        lin, rays = _rays_from_halfspaces(halfspaces, dim)
+        lin, rays = _rays_from_halfspaces(_with_lines(facet_normals, span_normals), dim)
+        self._fill(dim, rays, lin, facet_normals, span_normals, gens)
+
+    @classmethod
+    def _canonical(cls, dim: int, rays, lineality) -> "Cone":
+        """The cone over V-data that is already canonical: primitive extreme
+        rays in sorted order and a lineality basis as ``kernel_basis`` returns
+        it.  Converts V to H once; converting back would only recompute
+        ``rays``."""
+        gens = _with_lines(rays, lineality)
+        span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
+        cone = cls.__new__(cls)
+        cone._fill(dim, rays, lineality, facet_normals, span_normals, gens)
+        return cone
+
+    def _fill(self, dim, rays, lineality, facet_normals, span_normals, gens):
+        self.dim = dim
+        self.rays = rays
+        self.lineality = lineality
+        self.facet_normals = facet_normals
+        self.span_normals = span_normals
+        self._key = (dim, rays, lineality)
+        halfspaces = self.halfspaces
         for g in gens:
             if not all(dot(h, g) >= 0 for h in halfspaces):
-                raise AssertionError("H-representation does not contain a generator")
-        self.dim = dim
-        self.rays = tuple(rays)
-        self.lineality = tuple(lin)
-        self.facet_normals = tuple(facet_normals)
-        self.span_normals = tuple(span_normals)
-        self._key = (dim, self.rays, self.lineality)
+                raise InternalCheckFailed(
+                    "H-representation does not contain a generator", check="cone-hrep"
+                )
 
     @classmethod
     def from_halfspaces(cls, dim: int, normals) -> "Cone":
-        lin, rays = _rays_from_halfspaces([qvec(n) for n in normals], dim)
-        gens = list(rays)
-        for e in lin:
-            gens.append(e)
-            gens.append(vneg(e))
-        return cls(dim, gens)
+        lin, rays = _rays_from_halfspaces(_normalized(qvec(n) for n in normals), dim)
+        return cls._canonical(dim, rays, lin)
 
     @property
     def generators(self):
@@ -204,7 +251,9 @@ def dual_cone(c: Cone) -> Cone:
     """Polar dual {v : <v, w> >= 0 for all w in c}."""
     cached = _DUAL_CACHE.get(c._key)
     if cached is None:
-        cached = Cone(c.dim, c.halfspaces)
+        # the dual's extreme rays and lines are c's facet normals and span
+        # equalities, already canonical
+        cached = Cone._canonical(c.dim, c.facet_normals, c.span_normals)
         _DUAL_CACHE[c._key] = cached
     return cached
 
@@ -225,40 +274,49 @@ def cone_sum(c1: Cone, c2: Cone) -> Cone:
 def is_proper(c: Cone) -> bool:
     """True iff c meets -c only in the origin.
 
-    Both characterizations are evaluated and cross-asserted: triviality of
+    Both characterizations are evaluated and cross-checked: triviality of
     the lineality space, and full-dimensionality of the dual certified by an
-    exact interior point (the sum of the dual's extreme rays).
+    exact interior point (the sum of the dual's extreme rays).  A
+    disagreement raises InternalCheckFailed.
     """
     no_lines = not c.lineality
-    dual_full_dim = rank(dual_cone(c).generators, c.dim) == c.dim
+    dual = dual_cone(c)
+    dual_full_dim = rank(dual.generators, c.dim) == c.dim
     # interior-point construction: sum of dual rays is strict on every facet
     # of the dual (the extreme rays of c) iff the dual is full-dimensional
-    p = dual_cone(c).interior_point()
+    p = dual.interior_point()
     interior_ok = no_lines and all(dot(p, g) > 0 for g in c.rays)
-    assert no_lines == dual_full_dim == interior_ok
+    if not no_lines == dual_full_dim == interior_ok:
+        raise InternalCheckFailed(
+            "properness characterizations disagree", check="is-proper"
+        )
     return no_lines
 
 
 def faces_of(c: Cone):
     """All faces of a proper cone, from {0} up to the cone itself.
 
-    Every face of a polyhedral cone is the intersection with the supporting
-    hyperplanes of a subset of facets, so we enumerate facet subsets and
-    deduplicate canonically.
+    The rays of a face are the rays of c on which a set of facet normals
+    vanishes, and every such intersection of the facets' zero sets is the
+    ray set of a face.  So the closure of the full ray set under
+    intersection with each facet's zero set lists the faces, each built once
+    from its (already canonical) rays.
     """
-    if not is_proper(c):
-        raise ImproperCone("faces are only enumerated for proper cones")
     cached = _FACES_CACHE.get(c._key)
     if cached is not None:
         return list(cached)
-    seen = {}
-    normals = list(c.halfspaces)
-    for k in range(len(c.facet_normals) + 1):
-        for subset in combinations(c.facet_normals, k):
-            extra = [vneg(n) for n in subset]
-            face = Cone.from_halfspaces(c.dim, normals + extra)
-            seen.setdefault(face._key, face)
-    faces = sorted(seen.values(), key=lambda f: (f.cone_dim, f._key))
+    if not is_proper(c):
+        raise ImproperCone("faces are only enumerated for proper cones")
+    rays = c.rays
+    closed = {frozenset(range(len(rays)))}
+    for normal in c.facet_normals:
+        zeros = frozenset(i for i, r in enumerate(rays) if dot(normal, r) == 0)
+        closed |= {zeros & s for s in closed}
+    faces = [
+        c if len(s) == len(rays) else Cone._canonical(c.dim, tuple(rays[i] for i in sorted(s)), ())
+        for s in closed
+    ]
+    faces.sort(key=lambda f: (f.cone_dim, f._key))
     _FACES_CACHE[c._key] = tuple(faces)
     return faces
 
@@ -266,7 +324,7 @@ def faces_of(c: Cone):
 class Fan:
     """Validated fan: cones, ids, and the face relation."""
 
-    __slots__ = ("dim", "cones", "ids", "face_rel", "_index")
+    __slots__ = ("dim", "cones", "ids", "face_rel", "_index", "_complete")
 
     def __init__(self, dim, cones, ids, face_rel):
         self.dim = dim
@@ -274,6 +332,7 @@ class Fan:
         self.ids = tuple(ids)
         self.face_rel = frozenset(face_rel)
         self._index = {c._key: i for i, c in enumerate(self.cones)}
+        self._complete = None
 
     def index_of(self, cone: Cone):
         return self._index.get(cone._key)
@@ -301,7 +360,14 @@ class Fan:
         return any(c.contains(x) for c in self.cones)
 
     def is_complete(self) -> bool:
-        """Exact combinatorial completeness: facet pairing plus connectivity."""
+        """Exact combinatorial completeness: facet pairing plus connectivity.
+
+        Computed on the first call and kept: a fan never changes."""
+        if self._complete is None:
+            self._complete = self._facets_paired_and_connected()
+        return self._complete
+
+    def _facets_paired_and_connected(self) -> bool:
         n = self.dim
         full = [i for i, c in enumerate(self.cones) if c.cone_dim == n]
         if not full:
@@ -339,7 +405,11 @@ def validate_fan(cones, ids=None) -> Fan:
     """Check the fan axioms and return a Fan, or raise a structured violation.
 
     Raises ImproperCone, MissingFace or BadIntersection, each carrying the
-    offending cone ids in ``details``.
+    offending cone ids in ``details``.  The face relation is checked first;
+    with every face a member, it suffices to intersect pairs of maximal
+    cones (if s <= s' and t <= t', then s n t is a face of the common face
+    s' n t', hence of both s and t), so BadIntersection's ``pair`` names two
+    maximal cones.
     """
     cones = list(cones)
     if not cones:
@@ -373,16 +443,18 @@ def validate_fan(cones, ids=None) -> Fan:
                     face_rays=[[str(x) for x in ray] for ray in face.rays],
                 )
             face_rel.add((j, i))
+    fan = Fan(dim, cones, ids, face_rel)
     face_sets = [{f._key for f in faces} for faces in all_faces]
-    for i in range(len(cones)):
-        for j in range(i + 1, len(cones)):
+    maximal = fan.maximal_indices()
+    for a, i in enumerate(maximal):
+        for j in maximal[a + 1:]:
             tau = intersect(cones[i], cones[j])
             if tau._key not in face_sets[i] or tau._key not in face_sets[j]:
                 raise BadIntersection(
                     f"intersection of {ids[i]!r} and {ids[j]!r} is not a common face",
                     pair=[ids[i], ids[j]],
                 )
-    return Fan(dim, cones, ids, face_rel)
+    return fan
 
 
 def separating_vector(s1: Cone, s2: Cone) -> QVec:

@@ -98,6 +98,8 @@ def parse_barcode_json(data) -> Barcode:
     _require(isinstance(data, dict) and "bars" in data, "barcode needs a 'bars' list")
     bars = []
     for entry in data["bars"]:
+        _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,
+                 "each bar needs 'birth' and 'death'")
         birth = parse_grade(entry["birth"])
         death = parse_grade(entry["death"])
         bars.append(

@@ -2,15 +2,18 @@
 
 Matrices are lists/tuples of equal-length rows.  Everything here is sized
 for desk-scale inputs (dimensions in the single digits, a few dozen rows),
-so plain fraction-free-less Gaussian elimination with ``Fraction`` entries
-is both simplest and fast enough.
+so row reduction is plain Gaussian elimination with ``Fraction`` entries.
+Determinants, and the kernel lines of the cone conversion built from them,
+use fraction-free (Bareiss) elimination on integer rows, since the cone
+conversion computes them by the thousand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import QVec, q, sign_normalized, zero_vec
+from .errors import InvalidInput
+from .rational import QVec, denominator_lcm, q, sign_normalized, zero_vec
 
 
 def rref(rows, ncols: int):
@@ -87,29 +90,44 @@ def coords_in_basis(basis, v: QVec):
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square matrix over Q by elimination."""
-    n = len(rows)
-    mat = [list(q(x) for x in row) for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
+    """Determinant of a square matrix over Q: each row scaled to integers,
+    then fraction-free elimination."""
+    ints, scale = [], 1
+    for row in rows:
+        row = [q(x) for x in row]
+        m = denominator_lcm(row)
+        ints.append([int(x * m) for x in row])
+        scale *= m
+    return Fraction(_int_det(ints), scale)
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: every
+    division is exact, so entries stay integers of bounded size."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        result *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for i in range(col + 1, n):
-            if mat[i][col] != 0:
-                f = mat[i][col] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    return result * sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def kernel_line(rows, ncols: int):
+    """A vector spanning the kernel of ``ncols - 1`` integer rows, or None when
+    the kernel is not a line: the vector of signed maximal minors, integral."""
+    v = tuple(
+        (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in rows]) for j in range(ncols)
+    )
+    return v if any(v) else None
 
 
 class PrimeField:
@@ -119,13 +137,13 @@ class PrimeField:
 
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
+            raise InvalidInput(f"{p} is not prime")
         self.p = p
 
     def from_fraction(self, x: Fraction) -> int:
         x = q(x)
         if x.denominator % self.p == 0:
-            raise ValueError(f"denominator of {x} not invertible mod {self.p}")
+            raise InvalidInput(f"denominator of {x} not invertible mod {self.p}")
         return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def __repr__(self):

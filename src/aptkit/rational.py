@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvalidInput
+
 INF = math.inf
 NEG_INF = -math.inf
 
@@ -30,7 +32,10 @@ def q(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"not an exact rational: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -237,3 +237,27 @@ def test_cli_dist_infinite():
     assert code == 0
     payload = json.loads(out)
     assert payload == {"distance": "inf"}
+
+
+MALFORMED_PRESENTATION = (
+    '{"gamma":{"dim":1,"generators":[["1"]]},"generators":[["0"]],'
+    '"relations":[{"degree":["1"],"coeffs":["1/2"]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["module", "barcode", "--catalog", "interval01", "--field", "f4"],
+        ["module", "barcode", "--field", "f2", "--input", MALFORMED_PRESENTATION],
+        ["barcode", "k0", "--input", '{"bars":[{"death":"2"}]}'],
+        ["barcode", "eval", "--catalog", "basic", "--at", "abc"],
+        ["barcode", "k0", "--input", "no-such-dir/missing.json"],
+    ],
+    ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
+         "missing-input-file"],
+)
+def test_cli_malformed_input_is_structured(argv):
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "bad-input"

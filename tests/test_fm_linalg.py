@@ -11,6 +11,7 @@ from aptkit.linalg import (
     coords_in_basis,
     det,
     kernel_basis,
+    kernel_line,
     rank,
     rank_over,
     row_space_basis,
@@ -144,9 +145,9 @@ def test_det_by_permutation_expansion():
     rng = random.Random(65)
     from itertools import permutations
 
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         expected = Fraction(0)
         for perm in permutations(range(n)):
             sign = 1
@@ -171,3 +172,16 @@ def test_prime_field_rank_matches_q_on_unimodular():
         rng.shuffle(perm)
         rows = [[Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
         assert rank(rows, n) == rank_over(rows, n, f5) == n
+
+
+def test_kernel_line_matches_kernel_basis():
+    rng = random.Random(17)
+    for _ in range(300):
+        r = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r - 1)]
+        ker = kernel_basis(rows, r)
+        line = kernel_line(rows, r)
+        if len(ker) != 1:
+            assert line is None, rows
+        else:
+            assert line is not None and rank([ker[0], line], r) == 1, rows

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from aptkit import catalog
+from aptkit import catalog, geometry
 from aptkit.errors import BadIntersection, ImproperCone, MissingFace, NotSeparable
 from aptkit.geometry import (
     Cone,
@@ -19,6 +23,7 @@ from aptkit.geometry import (
     separating_vector,
     validate_fan,
 )
+from aptkit.linalg import rank
 from aptkit.rational import vadd, vneg, vscale, zero_vec
 
 from oracles import faces_by_supporting_hyperplanes, fm_dual_generators
@@ -65,13 +70,68 @@ def test_faces_examples():
     assert len(faces_of(zero)) == 1
 
 
+def _simplicial_cone(rng, k, d):
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
+        if rank(gens, d) == k:
+            return Cone(d, gens)
+
+
+def oracle_cones():
+    """Proper cones beyond the catalog: cubes, polygons, seeded simplicial
+    cones and cones that are not full-dimensional."""
+    rng = random.Random(5)
+    out = [(name, cone) for name, cone in catalog.catalog_cones() if is_proper(cone)]
+    out.append(("cube3", Cone(4, [(1,) + p for p in product((-1, 1), repeat=3)])))
+    out.append(("cube4", Cone(5, [(1,) + p for p in product((-1, 1), repeat=4)])))
+    out.append(("pentagon", Cone(3, [(1, t, t * t) for t in (-2, -1, 0, 1, 2)])))
+    out.append(("hexagon", Cone(3, [(1, 2, 0), (1, 1, 2), (1, -1, 2), (1, -2, 0), (1, -1, -2),
+                                    (1, 1, -2)])))
+    for i, d in enumerate((3, 3, 4, 4)):
+        out.append((f"simplicial{d}-{i}", _simplicial_cone(rng, d, d)))
+    out.append(("plane-wedge", Cone(3, [(1, 2, 0), (2, -1, 0)])))
+    out.append(("plane-wedge-tilted", Cone(3, [(1, 0, 1), (0, 1, 1)])))
+    out.append(("square-in-4d", Cone(4, [(1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0)])))
+    out.append(("ray-in-3d", Cone(3, [(2, -1, 3)])))
+    return out
+
+
 def test_faces_against_supporting_hyperplane_oracle():
-    for name, cone in catalog.catalog_cones():
-        if not is_proper(cone):
-            continue
+    for name, cone in oracle_cones():
         got = [f._key for f in faces_of(cone)]
         want = [f._key for f in faces_by_supporting_hyperplanes(cone)]
         assert got == want, name
+
+
+def _same_cone(built, reference):
+    assert built.rays == reference.rays
+    assert built.lineality == reference.lineality
+    assert built.facet_normals == reference.facet_normals
+    assert built.span_normals == reference.span_normals
+
+
+def test_canonical_constructor_matches_generator_constructor():
+    """Cone._canonical, behind faces, duals, intersections and
+    from_halfspaces, agrees with the two-conversion Cone(dim, generators)."""
+    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
+    built = []
+    for cone in cones:
+        built.append(dual_cone(cone))
+        if is_proper(cone):
+            built.extend(faces_of(cone))
+        built.append(Cone.from_halfspaces(cone.dim, cone.halfspaces))
+    rng = random.Random(13)
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        normals = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 5))]
+        built.append(Cone.from_halfspaces(d, normals))
+        a, b = rng.sample(cones, 2)
+        if a.dim == b.dim:
+            built.append(intersect(a, b))
+    for cone in built:
+        _same_cone(cone, Cone(cone.dim, cone.generators))
+    for cone in cones:
+        _same_cone(Cone._canonical(cone.dim, cone.rays, cone.lineality), cone)
 
 
 def test_fan_faces_closed_under_intersection():
@@ -97,6 +157,20 @@ def test_validate_fan_violations():
         validate_fan(members)
     with pytest.raises(ImproperCone):
         validate_fan([Cone(1, [(1,), (-1,)])])
+
+
+def test_bad_intersection_names_maximal_cones_of_different_dimension():
+    # the 2-cone tau = cone((1,1,1), (-1,0,0)) cuts into the octant; every face
+    # of both is a member, so only the maximal pair (octant, tau) can be named
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    faces = [Cone(3, [octant[i] for i in subset]) for k in range(4)
+             for subset in combinations(range(3), k)]
+    members = faces + [Cone(3, [(1, 1, 1)]), Cone(3, [(-1, 0, 0)]), Cone(3, [(1, 1, 1), (-1, 0, 0)])]
+    ids = [f"c{i}" for i in range(len(members))]
+    with pytest.raises(BadIntersection) as exc:
+        validate_fan(members, ids)
+    maximal = {ids[faces.index(Cone(3, octant))], ids[-1]}
+    assert set(exc.value.details["pair"]) == maximal
 
 
 def test_support_contains():
@@ -200,3 +274,40 @@ def test_cone_sum_and_double_dual():
         # duality swaps intersection and sum on the catalog
         d = dual_cone(cone)
         assert dual_cone(d) == cone
+
+
+SELF_CHECK_UNDER_O = """
+import aptkit.geometry as g
+from aptkit.errors import InternalCheckFailed
+assert_stripped = True
+assert not assert_stripped  # stripped under -O: the test needs -O to mean something
+{patch}
+try:
+    {call}
+except InternalCheckFailed as exc:
+    print(exc.code)
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        ("g.rank = lambda rows, ncols: -1", "g.is_proper(g.Cone(2, [(1, 0), (0, 1)]))"),
+        (
+            "convert = g._rays_from_halfspaces\n"
+            "g._rays_from_halfspaces = lambda normals, dim: "
+            "(convert(normals, dim)[0], tuple(g.vneg(r) for r in convert(normals, dim)[1]))",
+            "g.Cone(2, [(1, 0), (1, 2)])",
+        ),
+    ],
+    ids=["is-proper-cross-check", "cone-hrep-containment"],
+)
+def test_self_checks_survive_python_O(patch, call):
+    script = SELF_CHECK_UNDER_O.format(patch=patch, call=call)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "internal-check-failed"
