@@ -21,11 +21,6 @@ from .k0 import K0Class, e
 from .rational import INF, NEG_INF, is_finite, parse_grade, q
 
 
-def _as_grade(x):
-    g = parse_grade(x)
-    return g
-
-
 @dataclass(frozen=True)
 class DecoratedInterval:
     left: object
@@ -34,8 +29,8 @@ class DecoratedInterval:
     right_closed: bool = False
 
     def __post_init__(self):
-        left = _as_grade(self.left)
-        right = _as_grade(self.right)
+        left = parse_grade(self.left)
+        right = parse_grade(self.right)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         if left == INF or right == NEG_INF:
@@ -278,8 +273,6 @@ def _hom_dim_intervals(iv1: DecoratedInterval, iv2: DecoratedInterval) -> int:
 
     Nonzero exactly when target_left <= source_left < target_right <= source_right.
     """
-    classify_shape(iv1)
-    classify_shape(iv2)
     if iv2.left == NEG_INF:
         left_ok = True
     else:
@@ -296,6 +289,8 @@ def hom_dim(b1: Barcode, b2: Barcode) -> int:
         for y in b2.bars:
             if y.hdegree != 0:
                 raise UnsupportedShape("hom computation expects degree-0 barcodes")
+            classify_shape(x.interval)
+            classify_shape(y.interval)
             total += x.multiplicity * y.multiplicity * _hom_dim_intervals(x.interval, y.interval)
     return total
 

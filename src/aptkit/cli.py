@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import modules as md
 from .errors import AptError, InvalidInput
 from .modules import parse_field
-from .rational import format_grade, parse_grade, qvec
+from .rational import INF, format_grade, parse_grade, qvec
 
 
 def _load_json_arg(value):
@@ -188,7 +188,7 @@ def _cmd_dist_compute(args, field):
     y = _load_barcode(args, 2)
     d = interleaving.interleaving_distance(x, y)
     out = {"distance": format_grade(d)}
-    if d != float("inf"):
+    if d != INF:
         cert = interleaving.certificate_for(x, y, d)
         out["certificate"] = io.certificate_to_json(cert)
     return out

@@ -26,7 +26,7 @@ from .errors import (
     PointNotInSet,
 )
 from .geometry import Cone, Fan, dual_cone, faces_of
-from .linalg import coords_in_basis, det, rank_over, row_space_basis
+from .linalg import coords_in_basis, det, rank, row_space_basis
 from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 from .rational import INF, dot, l1norm, q, qvec, vadd, vscale, vsub, zero_vec
 
@@ -228,19 +228,13 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
     betti = {}
     for deg, cones in by_degree.items():
         dim_d = len(cones)
-        rank_out = _matrix_rank(boundary.get(deg, []), dim_d, field)
+        rank_out = rank(boundary.get(deg, []), dim_d, field)
         above = by_degree.get(deg + 1, [])
-        rank_in = _matrix_rank(boundary.get(deg + 1, []), len(above), field)
+        rank_in = rank(boundary.get(deg + 1, []), len(above), field)
         b = dim_d - rank_out - rank_in
         if b:
             betti[deg] = b
     return StalkReport(point, betti)
-
-
-def _matrix_rank(matrix, ncols, field):
-    if not matrix or ncols == 0:
-        return 0
-    return rank_over(matrix, ncols, field)
 
 
 def _assert_chain_complex(by_degree, boundary):
@@ -263,15 +257,7 @@ def _assert_chain_complex(by_degree, boundary):
 def stratum_points(sigma_fan: Fan):
     """One canonical relative-interior point per cone, plus one extra
     generically weighted point per maximal cone."""
-    points = []
-    for c in sigma_fan.cones:
-        if c.is_zero():
-            points.append(zero_vec(sigma_fan.dim))
-        else:
-            p = zero_vec(sigma_fan.dim)
-            for r in c.rays:
-                p = vadd(p, r)
-            points.append(p)
+    points = [c.interior_point() for c in sigma_fan.cones]
     for i in sigma_fan.maximal_indices():
         c = sigma_fan.cones[i]
         if c.is_zero():

@@ -10,9 +10,9 @@ positive/negative pairing, which keeps the blowup negligible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .rational import q
+from .errors import InternalCheckFailed
+from .rational import primitive, q
 
 GE = ">="
 GT = ">"
@@ -23,21 +23,6 @@ _FALSE = "infeasible"
 
 def constraint(coeffs, const, rel):
     return (tuple(q(c) for c in coeffs), q(const), rel)
-
-
-def _content_normalize(con):
-    """Scale by a positive rational so entries are integral with content 1."""
-    coeffs, const, rel = con
-    m = 1
-    for a in (*coeffs, const):
-        m = m * a.denominator // gcd(m, a.denominator)
-    ints = [int(a * m) for a in (*coeffs, const)]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    if g == 0:
-        return con
-    return (tuple(Fraction(a, g) for a in ints[:-1]), Fraction(ints[-1], g), rel)
 
 
 def _holds(const: Fraction, rel: str) -> bool:
@@ -57,7 +42,8 @@ def _simplify(cons):
             if not _holds(const, rel):
                 return _FALSE
             continue
-        coeffs, const, rel = _content_normalize((coeffs, const, rel))
+        v = primitive((*coeffs, const))
+        coeffs, const = v[:-1], v[-1]
         key = coeffs
         if rel == EQ:
             # store equalities under a distinct key space
@@ -135,7 +121,8 @@ def project(cons, nvars: int, keep):
         return _FALSE
     out = []
     for coeffs, const, rel in res:
-        assert all(coeffs[j] == 0 for j in drop)
+        if any(coeffs[j] != 0 for j in drop):
+            raise InternalCheckFailed("projection left an eliminated variable")
         out.append((tuple(coeffs[j] for j in keep), const, rel))
     return out
 

@@ -45,8 +45,8 @@ from .errors import (
 from .linalg import kernel_basis, kernel_line, rank, row_space_basis
 from .rational import (
     QVec,
-    denominator_lcm,
     dot,
+    integral,
     is_zero_vec,
     primitive,
     qvec,
@@ -69,11 +69,6 @@ def _normalized(vectors):
 def _with_lines(rays, lines):
     """Rays plus both directions of each line, in canonical input form."""
     return tuple(sorted(set(rays).union(lines, (vneg(e) for e in lines))))
-
-
-def _integral(v):
-    m = denominator_lcm(v)
-    return tuple(int(a * m) for a in v)
 
 
 def _idot(u, v):
@@ -100,7 +95,7 @@ def _rays_from_halfspaces(normals, dim):
     if r:
         # coordinates in the basis, scaled to integers: positive scaling
         # keeps every kernel and every sign
-        reduced = [_integral(tuple(dot(n, w) for w in basis)) for n in normals]
+        reduced = [integral([dot(n, w) for w in basis])[0] for n in normals]
         for subset in combinations(reduced, r - 1):
             v = kernel_line(subset, r)
             if v is None:
@@ -476,9 +471,7 @@ def separating_vector(s1: Cone, s2: Cone) -> QVec:
     # face, so no separate face enumeration is needed.
     normals = list(s1.generators) + [vneg(g) for g in s2.generators]
     k_cone = Cone.from_halfspaces(s1.dim, normals)
-    m = zero_vec(s1.dim)
-    for r in k_cone.rays:
-        m = vadd(m, r)
+    m = k_cone.interior_point()
     if not is_zero_vec(m):
         m = primitive(m)
     if not k_cone.relint_contains(m):

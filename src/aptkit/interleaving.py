@@ -19,16 +19,18 @@ from fractions import Fraction
 from .barcodes import (
     Barcode,
     DecoratedInterval,
+    _hom_dim_intervals,
     almostize,
     classify_shape,
     interval,
 )
 from .errors import InvalidInput, UnsupportedShape
-from .rational import INF, NEG_INF, q
+from .rational import INF, q
 
 
-def _normal_bars(b: Barcode):
-    """Almostize, check degree-0 and shapes; split (lines, rays, finite bars).
+def _expand(b: Barcode):
+    """Almostize, check degree-0 and shapes; return (number of lines, bars)
+    with the rays before the finite bars.
 
     Bars are expanded to unit multiplicity so matchings index single bars.
     """
@@ -45,7 +47,7 @@ def _normal_bars(b: Barcode):
             rays.extend([item.interval] * item.multiplicity)
         else:
             finite.extend([item.interval] * item.multiplicity)
-    return lines, rays, finite
+    return lines, rays + finite
 
 
 def _pair_cost(iv1: DecoratedInterval, iv2: DecoratedInterval):
@@ -65,11 +67,6 @@ def _kill_cost(iv: DecoratedInterval):
     if iv.right == INF:
         return INF
     return iv.length() / 2
-
-
-def _expand(b: Barcode):
-    lines, rays, finite = _normal_bars(b)
-    return lines, rays + finite
 
 
 def _perfect_matching(allowed, n_left, n_right):
@@ -203,20 +200,18 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
         value = interleaving_distance(x, y)
     if value == INF:
         raise InvalidInput("no finite interleaving exists")
-    bars_x = _expanded_intervals(x)
-    bars_y = _expanded_intervals(y)
-    real_x = [iv for iv in bars_x if classify_shape(iv) != "line"]
-    real_y = [iv for iv in bars_y if classify_shape(iv) != "line"]
+    lines_x, real_x = _expand(x)
+    lines_y, real_y = _expand(y)
     matching = _feasible(real_x, real_y, value)
     assert matching is not None
     forward = []
-    backward = [None] * len(bars_y)
-    for i in range(len(bars_x)):
+    backward = [None] * (len(real_y) + lines_y)
+    for i in range(len(real_x) + lines_x):
         if i < len(real_x):
             j = matching[i]
             if j is not None and not (
-                _canonical_map_exists(real_x[i], real_y[j], value)
-                and _canonical_map_exists(real_y[j], real_x[i], value)
+                _hom_dim_intervals(real_x[i], real_y[j].translate(value))
+                and _hom_dim_intervals(real_y[j], real_x[i].translate(value))
             ):
                 # both bars are 2*value-torsion in this case: kill instead
                 j = None
@@ -228,13 +223,6 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
             forward.append(j)
             backward[j] = i
     return InterleavingCertificate(value, value, tuple(forward), tuple(backward))
-
-
-def _canonical_map_exists(src: DecoratedInterval, dst: DecoratedInterval, shift_by) -> bool:
-    """Nonzero module map src -> T_shift(dst)?"""
-    moved = dst.translate(q(shift_by))
-    left_ok = moved.left == NEG_INF or moved.left <= src.left
-    return bool(left_ok and src.left < moved.right and moved.right <= src.right)
 
 
 def _tau_support(iv: DecoratedInterval, s):
@@ -268,7 +256,7 @@ def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -
             if j < 0 or j >= len(bars_dst):
                 return False
             ivj = bars_dst[j]
-            if not _canonical_map_exists(iv, ivj, first_shift):
+            if not _hom_dim_intervals(iv, ivj.translate(first_shift)):
                 return False
             i2 = bwd[j]
             if i2 is None:

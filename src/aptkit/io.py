@@ -17,7 +17,7 @@ from .interleaving import InterleavingCertificate
 from .k0 import K0Class
 from .modules import PresentationND
 from .polyhedra import OpenPolyhedron
-from .rational import format_grade, parse_grade, q, qvec
+from .rational import NEG_INF, format_grade, parse_grade, q, qvec
 
 
 def _require(cond, message):
@@ -107,7 +107,7 @@ def parse_barcode_json(data) -> Barcode:
                 DecoratedInterval(
                     birth,
                     death,
-                    bool(entry.get("birth_closed", birth != float("-inf"))),
+                    bool(entry.get("birth_closed", birth != NEG_INF)),
                     bool(entry.get("death_closed", False)),
                 ),
                 int(entry.get("degree", 0)),

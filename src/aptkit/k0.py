@@ -8,7 +8,7 @@ the group-ring convolution e_a . e_b = e_{a+b}.
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .rational import is_finite, q
+from .rational import INF, is_finite, q
 
 
 class K0Class:
@@ -67,6 +67,6 @@ class K0Class:
 
 def e(grade) -> K0Class:
     """The basis class e_a; e_{+inf} is the zero class by convention."""
-    if grade == float("inf"):
+    if grade == INF:
         return K0Class.zero()
     return K0Class.generator(grade)

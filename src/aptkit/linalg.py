@@ -1,11 +1,13 @@
-"""Small exact linear algebra: row reduction over Q and over prime fields.
+"""Small exact linear algebra over Q and over prime fields.
 
 Matrices are lists/tuples of equal-length rows.  Everything here is sized
-for desk-scale inputs (dimensions in the single digits, a few dozen rows),
-so row reduction is plain Gaussian elimination with ``Fraction`` entries.
-Determinants, and the kernel lines of the cone conversion built from them,
-use fraction-free (Bareiss) elimination on integer rows, since the cone
-conversion computes them by the thousand.
+for desk-scale inputs (dimensions in the single digits, a few dozen rows).
+Row reduction is one Gauss-Jordan elimination, :func:`rref`, over Q with
+``Fraction`` entries or over F_p with ints in ``range(p)``; ranks, bases,
+kernels and solutions all come from it.  Determinants, and the kernel lines
+of the cone conversion built from them, use fraction-free (Bareiss)
+elimination on integer rows, since the cone conversion computes them by the
+thousand.
 """
 
 from __future__ import annotations
@@ -13,12 +15,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .rational import QVec, denominator_lcm, q, sign_normalized, zero_vec
+from .rational import QVec, integral, q, sign_normalized, zero_vec
 
 
-def rref(rows, ncols: int):
-    """Reduced row echelon form over Q.  Returns (reduced nonzero rows, pivot columns)."""
-    mat = [list(q(x) for x in row) for row in rows]
+def _mod(row, p):
+    """The row reduced mod p; unchanged over Q (``p is None``)."""
+    return row if p is None else [x % p for x in row]
+
+
+def rref(rows, ncols: int, field=None):
+    """Reduced row echelon form over Q, or over F_p when ``field`` is a
+    :class:`PrimeField` (entries then come back as ints in ``range(p)``).
+    Returns (reduced nonzero rows, pivot columns)."""
+    p = None if field is None else field.p
+    coerce = q if p is None else field.from_fraction
+    mat = [[coerce(x) for x in row] for row in rows]
     for row in mat:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
@@ -33,12 +44,12 @@ def rref(rows, ncols: int):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
+        inv = 1 / mat[r][col] if p is None else pow(mat[r][col], -1, p)
+        mat[r] = _mod([x * inv for x in mat[r]], p)
         for i in range(len(mat)):
             if i != r and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = _mod([a - f * b for a, b in zip(mat[i], mat[r])], p)
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -46,8 +57,9 @@ def rref(rows, ncols: int):
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+def rank(rows, ncols: int, field=None) -> int:
+    """Rank over Q (``field=None``) or over F_p."""
+    return len(rref(rows, ncols, field)[0])
 
 
 def row_space_basis(rows, ncols: int):
@@ -94,9 +106,8 @@ def det(rows) -> Fraction:
     then fraction-free elimination."""
     ints, scale = [], 1
     for row in rows:
-        row = [q(x) for x in row]
-        m = denominator_lcm(row)
-        ints.append([int(x * m) for x in row])
+        row, m = integral([q(x) for x in row])
+        ints.append(row)
         scale *= m
     return Fraction(_int_det(ints), scale)
 
@@ -130,13 +141,44 @@ def kernel_line(rows, ncols: int):
     return v if any(v) else None
 
 
+# Miller-Rabin with these twelve bases is exact below _MR_LIMIT, the least
+# strong pseudoprime to all of them (399165290221 * 798330580441).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Arithmetic tags for F_p; elements are ints in range(p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise InvalidInput(f"prime fields need p < {_MR_LIMIT}")
+        if not _is_prime(p):
             raise InvalidInput(f"{p} is not prime")
         self.p = p
 
@@ -155,30 +197,3 @@ class PrimeField:
     def __hash__(self):
         return hash(("PrimeField", self.p))
 
-
-def rank_over(rows, ncols: int, field=None) -> int:
-    """Rank of a matrix of Fractions over Q (field=None) or over F_p."""
-    if field is None:
-        return rank(rows, ncols)
-    p = field.p
-    mat = [[field.from_fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] % p != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] % p != 0:
-                f = mat[i][col]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r

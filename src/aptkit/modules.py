@@ -15,7 +15,7 @@ from .barcodes import Bar, Barcode, interval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone
 from .k0 import K0Class, e
-from .linalg import PrimeField, rank_over
+from .linalg import PrimeField, rank
 from .rational import INF, is_finite, q, qvec, vadd, vsub
 
 
@@ -31,10 +31,6 @@ def parse_field(tag):
     if s.startswith("f") and s[1:].isdigit():
         return PrimeField(int(s[1:]))
     raise InvalidInput(f"unknown field tag {tag!r} (use 'q' or 'f<p>')")
-
-
-def field_name(field) -> str:
-    return "q" if field is None else f"f{field.p}"
 
 
 HALFLINE = Cone(1, [(1,)])
@@ -109,7 +105,7 @@ def eval_at(p: PresentationND, a) -> int:
     for degree, coeffs in p.relations:
         if p.gamma.contains(vsub(a, degree)):
             rows.append([coeffs[i] for i in active_gens])
-    return len(active_gens) - rank_over(rows, len(active_gens), p.field)
+    return len(active_gens) - rank(rows, len(active_gens), p.field)
 
 
 def shift(p: PresentationND, b) -> PresentationND:
@@ -157,60 +153,52 @@ def _require_one_dimensional(p: PresentationND):
 def barcode_of_presentation(p: PresentationND) -> Barcode:
     """Barcode of a 1-dimensional presentation by column reduction.
 
-    Relation columns are processed in increasing degree (ties by index);
-    the pivot of a column is its generator of latest birth (ties by
-    generator index).  A paired (generator, relation) yields the bar
+    Relation columns are processed in increasing degree (ties by index).
+    Rows are keyed by their position in (birth, index) order, so the pivot
+    of a column, its generator of latest birth (ties by generator index),
+    is its largest key.  Each pivot column is stored scaled to pivot entry
+    1, so a column is reduced by subtracting it times its own pivot entry.
+    Entries are Fractions over Q (``p.field is None``) and ints modulo the
+    prime over F_p.  A paired (generator, relation) yields the bar
     [birth, degree), dropped when empty; unpaired generators are infinite.
     """
     _require_one_dimensional(p)
     field = p.field
+    mod = 0 if field is None else field.p
     births = [g[0] for g in p.generators]
-    # row order: by birth, then original index; pivot = maximal in this order
     row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     position = {gen: pos for pos, gen in enumerate(row_order)}
-
-    def col_of(coeffs):
-        if field is None:
-            return {i: c for i, c in enumerate(coeffs) if c != 0}
-        return {
-            i: v for i, v in ((i, field.from_fraction(c)) for i, c in enumerate(coeffs)) if v != 0
-        }
-
-    paired = {}  # pivot row position -> (column dict, degree)
+    paired = {}  # pivot position -> its column, scaled to pivot entry 1
     bars = []
     order = sorted(range(len(p.relations)), key=lambda r: (p.relations[r][0][0], r))
     for r in order:
         degree, coeffs = p.relations[r]
-        col = col_of(coeffs)
+        if mod:
+            coeffs = [field.from_fraction(c) for c in coeffs]
+        col = {position[i]: c for i, c in enumerate(coeffs) if c != 0}
         while col:
-            pivot = max(col, key=lambda i: position[i])
-            if pivot not in paired:
+            low = max(col)
+            other = paired.get(low)
+            if other is None:
                 break
-            other, _ = paired[pivot]
-            if field is None:
-                factor = col[pivot] / other[pivot]
-                for i, v in other.items():
-                    new = col.get(i, Fraction(0)) - factor * v
-                    if new == 0:
-                        col.pop(i, None)
-                    else:
-                        col[i] = new
-            else:
-                pp = field.p
-                factor = col[pivot] * pow(other[pivot], -1, pp) % pp
-                for i, v in other.items():
-                    new = (col.get(i, 0) - factor * v) % pp
-                    if new == 0:
-                        col.pop(i, None)
-                    else:
-                        col[i] = new
+            f = col[low]
+            for i, v in other.items():
+                new = col.get(i, 0) - f * v
+                if mod:
+                    new %= mod
+                if new:
+                    col[i] = new
+                else:
+                    del col[i]
         if col:
-            pivot = max(col, key=lambda i: position[i])
-            paired[pivot] = (col, degree[0])
-            if births[pivot] < degree[0]:
-                bars.append(Bar(interval(births[pivot], degree[0])))
+            low = max(col)
+            inv = pow(col[low], -1, mod) if mod else 1 / col[low]
+            paired[low] = {i: v * inv % mod if mod else v * inv for i, v in col.items()}
+            birth = births[row_order[low]]
+            if birth < degree[0]:
+                bars.append(Bar(interval(birth, degree[0])))
     for i in range(len(births)):
-        if i not in paired:
+        if position[i] not in paired:
             bars.append(Bar(interval(births[i], INF)))
     return Barcode(bars)
 

@@ -12,23 +12,11 @@ empty polyhedra collapse to one canonical empty value.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from . import fm
-from .errors import InvalidInput
+from .errors import InternalCheckFailed, InvalidInput
 from .geometry import Cone
-from .rational import QVec, dot, is_zero_vec, q, qvec, vneg, zero_vec
-
-
-def _normalize_constraint(normal, offset):
-    m = 1
-    for a in (*normal, offset):
-        m = m * a.denominator // gcd(m, a.denominator)
-    ints = [int(a * m) for a in (*normal, offset)]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a, g) for a in ints[:-1]), Fraction(ints[-1], g)
+from .rational import dot, is_zero_vec, primitive, q, qvec, vneg, zero_vec
 
 
 class OpenPolyhedron:
@@ -46,7 +34,8 @@ class OpenPolyhedron:
                 if offset <= 0:
                     empty = True
                 continue
-            cons.append(_normalize_constraint(normal, offset))
+            v = primitive((*normal, offset))
+            cons.append((v[:-1], v[-1]))
         cons = sorted(set(cons))
         system = [(n, d, fm.GT) for n, d in cons]
         if not empty and not fm.feasible(system, dim):
@@ -207,7 +196,7 @@ def _sum_with_system(p: OpenPolyhedron, summand_system) -> OpenPolyhedron:
     out = []
     for coeffs, const, rel in projected:
         if rel == fm.EQ:
-            raise AssertionError("Minkowski sum of a nonempty open set left an equality")
+            raise InternalCheckFailed("Minkowski sum of a nonempty open set left an equality")
         # weak constraints cannot survive: the sum of an open set is open
         out.append((coeffs, const))
     return OpenPolyhedron(n, out)

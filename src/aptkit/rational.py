@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvalidInput
 
@@ -28,7 +27,7 @@ def q(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
-        raise TypeError("bool is not a rational scalar")
+        raise InvalidInput("bool is not a rational scalar")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -36,7 +35,7 @@ def q(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"not an exact rational: {x!r}") from None
-    raise TypeError(f"not an exact rational: {x!r}")
+    raise InvalidInput(f"not an exact rational: {x!r}")
 
 
 def parse_grade(x):
@@ -107,24 +106,21 @@ def l1norm(u: QVec) -> Fraction:
     return sum((abs(a) for a in u), Fraction(0))
 
 
-def denominator_lcm(u: QVec) -> int:
-    m = 1
-    for a in u:
-        d = q(a).denominator
-        m = m * d // gcd(m, d)
-    return m
+def integral(u: QVec):
+    """``(ints, m)``: the least positive integer m that makes m*u integral,
+    and the integer list m*u."""
+    m = math.lcm(*(a.denominator for a in u))
+    return [a.numerator * (m // a.denominator) for a in u], m
 
 
 def primitive(u: QVec) -> QVec:
-    """Positive rescaling of a nonzero vector to integral entries with content 1."""
-    if is_zero_vec(u):
+    """Positive rescaling of a nonzero vector to integral entries with content 1:
+    :func:`integral`, then exact division by the gcd of the integers."""
+    ints, _ = integral(u)
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    m = denominator_lcm(u)
-    ints = [int(a * m) for a in u]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a, g) for a in ints)
+    return tuple(Fraction(a // g) for a in ints)
 
 
 def sign_normalized(u: QVec) -> QVec:

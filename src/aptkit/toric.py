@@ -9,11 +9,20 @@ equalities plus a unit-monomial comparison on the triple overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
-from .errors import EmptyInterior, ImproperCone, InvalidInput, NotAdjacent, NotInDualCone
+from .errors import (
+    EmptyInterior,
+    ImproperCone,
+    InternalCheckFailed,
+    InvalidInput,
+    NotAdjacent,
+    NotInDualCone,
+    NotSeparable,
+)
 from .geometry import Cone, cone_sum, dual_cone, intersect, is_proper, separating_vector
 from .polyhedra import OpenPolyhedron, minkowski_sum
-from .rational import QVec, denominator_lcm, is_zero_vec, qvec, vneg
+from .rational import QVec, integral, is_zero_vec, qvec, vneg
 
 
 GRADING_RATIONAL = "Q"
@@ -69,7 +78,7 @@ def transition_data(c1: Chart, c2: Chart) -> Transition:
     """
     try:
         m = separating_vector(c1.cone, c2.cone)
-    except Exception as exc:
+    except NotSeparable as exc:
         raise NotAdjacent(f"charts do not glue: {exc}") from exc
     tau = intersect(c1.cone, c2.cone)
     overlap = dual_cone(tau)
@@ -145,19 +154,13 @@ def root_ladder_level(chart: Chart, grade) -> int:
     grade = qvec(grade)
     if not chart.dual.contains(grade):
         raise NotInDualCone("grade lies outside the chart's dual cone")
-    level = denominator_lcm(grade)
+    _, level = integral(grade)
     for multiple in (level, 2 * level, 3 * level):
-        assert all((x * multiple).denominator == 1 for x in grade)
-    # minimality: any admissible k is a common multiple of the coordinate
-    # denominators, so maximal proper divisors of the lcm must fail
-    n = level
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            assert not all((x * (level // p)).denominator == 1 for x in grade)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        assert not all((x * (level // n)).denominator == 1 for x in grade)
+        if not all((x * multiple).denominator == 1 for x in grade):
+            raise InternalCheckFailed("a multiple of the level is off the ladder")
+    # minimality: a proper divisor k of the level is admissible iff level/k
+    # divides every level/d_i, so no such k exists iff those are coprime
+    # (the level, a multiple of each, is included for grades of dimension 0)
+    if gcd(level, *(level // x.denominator for x in grade)) != 1:
+        raise InternalCheckFailed("the level is not minimal")
     return level

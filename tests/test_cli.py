@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io as std_io
 import json
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -164,6 +165,18 @@ def test_cli_toric_commands():
     assert {t["source"] for t in atlas["transitions"]} == {"0", "neg", "pos"}
 
 
+def test_cli_large_prime_inputs_return_quickly():
+    big = 2**61 - 1
+    start = time.perf_counter()
+    code, out = run_cli(["module", "barcode", "--catalog", "interval01", "--field", f"f{big}"])
+    assert code == 0 and len(json.loads(out)["bars"]) == 1
+    code, out = run_cli(
+        ["toric", "root-level", "--catalog", "p2", "--cone", "s12", "--point", f"1/{big},1/3"]
+    )
+    assert code == 0 and json.loads(out) == {"level": 3 * big}
+    assert time.perf_counter() - start < 1
+
+
 def test_cli_module_commands():
     code, out = run_cli(["module", "eval", "--catalog", "quadrant-origin", "--at", "1/2,1/2"])
     assert json.loads(out) == {"dim": 1}
@@ -253,9 +266,11 @@ MALFORMED_PRESENTATION = (
         ["barcode", "k0", "--input", '{"bars":[{"death":"2"}]}'],
         ["barcode", "eval", "--catalog", "basic", "--at", "abc"],
         ["barcode", "k0", "--input", "no-such-dir/missing.json"],
+        ["barcode", "eval", "--input", '{"bars":[{"birth":1.5,"death":3}]}', "--at", "2"],
+        ["barcode", "eval", "--input", '{"bars":[{"birth":true,"death":3}]}', "--at", "2"],
     ],
     ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
-         "missing-input-file"],
+         "missing-input-file", "float-grade", "bool-grade"],
 )
 def test_cli_malformed_input_is_structured(argv):
     code, out = run_cli(argv)

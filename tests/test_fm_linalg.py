@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
+
+import pytest
 
 from aptkit import fm
+from aptkit.errors import InvalidInput
 from aptkit.linalg import (
     PrimeField,
     coords_in_basis,
@@ -13,11 +19,11 @@ from aptkit.linalg import (
     kernel_basis,
     kernel_line,
     rank,
-    rank_over,
+    rref,
     row_space_basis,
     solve_linear,
 )
-from aptkit.rational import dot
+from aptkit.rational import dot, integral, primitive
 
 
 def random_system(rng, nvars, ncons):
@@ -171,7 +177,7 @@ def test_prime_field_rank_matches_q_on_unimodular():
         perm = list(range(n))
         rng.shuffle(perm)
         rows = [[Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
-        assert rank(rows, n) == rank_over(rows, n, f5) == n
+        assert rank(rows, n) == rank(rows, n, f5) == n
 
 
 def test_kernel_line_matches_kernel_basis():
@@ -185,3 +191,67 @@ def test_kernel_line_matches_kernel_basis():
             assert line is None, rows
         else:
             assert line is not None and rank([ker[0], line], r) == 1, rows
+
+
+def test_prime_field_rank_by_minors():
+    # independent route: the rank is the largest k with a k x k minor whose
+    # (Bareiss) determinant is nonzero mod p
+    rng = random.Random(67)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        for _ in range(80):
+            nrows, ncols = rng.randint(1, 4), rng.randint(1, 5)
+            rows = [[Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(nrows)]
+            expected = max(
+                (
+                    k
+                    for k in range(1, min(nrows, ncols) + 1)
+                    for rs in combinations(rows, k)
+                    for cs in combinations(range(ncols), k)
+                    if det([[row[c] for c in cs] for row in rs]) % p != 0
+                ),
+                default=0,
+            )
+            assert rank(rows, ncols, field) == expected, (p, rows)
+            reduced, pivots = rref(rows, ncols, field)
+            assert all(0 <= x < p for row in reduced for x in row)
+            assert all(row[c] == 1 for row, c in zip(reduced, pivots))
+
+
+def test_prime_field_primality():
+    small = [n for n in range(-3, 400) if n >= 2 and all(n % d for d in range(2, n))]
+    for n in range(-3, 400):
+        if n in small:
+            assert PrimeField(n).p == n
+        else:
+            with pytest.raises(InvalidInput):
+                PrimeField(n)
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(InvalidInput):
+            PrimeField(n)
+    start = time.perf_counter()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 1
+    # the least strong pseudoprime to all twelve bases of the test, and a
+    # prime beyond the range where the test is exact
+    for n in (399165290221 * 798330580441, 2**89 - 1):
+        with pytest.raises(InvalidInput):
+            PrimeField(n)
+
+
+def test_integral_and_primitive():
+    rng = random.Random(68)
+    for _ in range(200):
+        u = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(rng.randint(1, 4)))
+        ints, m = integral(u)
+        assert ints == [a * m for a in u]
+        assert m == next(k for k in range(1, 10**6) if all((a * k).denominator == 1 for a in u))
+        if any(u):
+            v = primitive(u)
+            i = next(i for i, a in enumerate(u) if a)
+            c = v[i] / u[i]
+            assert c > 0 and v == tuple(c * a for a in u)
+            assert all(x.denominator == 1 for x in v) and gcd(*(int(x) for x in v)) == 1
+    with pytest.raises(ValueError):
+        primitive((Fraction(0), Fraction(0)))

@@ -299,8 +299,22 @@ except InternalCheckFailed as exc:
             "(convert(normals, dim)[0], tuple(g.vneg(r) for r in convert(normals, dim)[1]))",
             "g.Cone(2, [(1, 0), (1, 2)])",
         ),
+        (
+            "import aptkit.fm as fm\nfm.eliminate = lambda cons, nvars, drop: cons",
+            "fm.project([((1, 1), 0, fm.GT)], 2, [0])",
+        ),
+        (
+            "import aptkit.fm as fm, aptkit.polyhedra as P\n"
+            "fm.project = lambda cons, nvars, keep: [((1, 0), 0, fm.EQ)]",
+            "P.minkowski_sum(P.OpenPolyhedron.whole_space(2), P.OpenPolyhedron.whole_space(2))",
+        ),
+        (
+            "import aptkit.toric as t\nt.integral = lambda grade: ([], 4)",
+            "t.root_ladder_level(t.chart_of_cone(g.Cone(2, [(1, 0), (0, 1)])), ('1/2', 0))",
+        ),
     ],
-    ids=["is-proper-cross-check", "cone-hrep-containment"],
+    ids=["is-proper-cross-check", "cone-hrep-containment", "fm-projection", "minkowski-sum-open",
+         "root-ladder-minimality"],
 )
 def test_self_checks_survive_python_O(patch, call):
     script = SELF_CHECK_UNDER_O.format(patch=patch, call=call)

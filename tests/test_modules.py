@@ -135,16 +135,17 @@ def test_presentation_rejects_bad_decorations():
 
 
 def test_rees_round_trip_random():
-    rng = random.Random(12)
-    for _ in range(100):
-        p = random_presentation(rng)
-        b = barcode_of_presentation(p)
-        p2 = presentation_of_barcode(b)
-        assert barcode_of_presentation(p2) == b
-        for _ in range(10):
-            a = half_grade(rng, 0, 25)
-            dims = barcode_eval(b, a)
-            assert dims.get(0, 0) == eval_at(p, (a,))
+    for field in (None, PrimeField(2), PrimeField(3)):
+        rng = random.Random(12)
+        for _ in range(100):
+            p = random_presentation(rng, field=field)
+            b = barcode_of_presentation(p)
+            p2 = presentation_of_barcode(b, field)
+            assert barcode_of_presentation(p2) == b
+            for _ in range(10):
+                a = half_grade(rng, 0, 25)
+                dims = barcode_eval(b, a)
+                assert dims.get(0, 0) == eval_at(p, (a,))
 
 
 def test_k0_of_presentation():
@@ -215,3 +216,13 @@ def test_prime_field_reduction():
     assert eval_at(p, (Fraction(3, 2),)) == 1
     b = barcode_of_presentation(p)
     assert barcode_eval(b, Fraction(3, 2)) == {0: 1}
+    # relations [1, 1] at 1 and [1, -1] at 2 differ by 2 * (0, 1): over a
+    # field of characteristic 2 the second one adds nothing
+    rels = [((1,), [1, 1]), ((2,), [1, -1])]
+    two_finite = barcode(bar(0, 1), bar(0, 2))
+    for field, expected in [(None, two_finite), (PrimeField(3), two_finite),
+                            (PrimeField(2), barcode(bar(0, 1), bar(0, "inf")))]:
+        p = PresentationND(HALFLINE, [(0,), (0,)], rels, field)
+        assert barcode_of_presentation(p) == expected
+        for a in (Fraction(1, 2), Fraction(3, 2), 3):
+            assert eval_at(p, (a,)) == barcode_eval(expected, a).get(0, 0)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from aptkit import catalog
-from aptkit.errors import ImproperCone, NotInDualCone
+from aptkit import catalog, geometry
+from aptkit.errors import ImproperCone, InternalCheckFailed, NotAdjacent, NotInDualCone
 from aptkit.geometry import Cone, cone_sum, dual_cone, intersect
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import vneg
@@ -115,8 +116,25 @@ def test_root_ladder_examples():
     quad = chart_of_cone(Cone(2, [(1, 0), (0, 1)]))
     assert root_ladder_level(quad, (Fraction(1, 2), Fraction(1, 3))) == 6
     assert root_ladder_level(quad, (3, 7)) == 1
+    start = time.perf_counter()
+    assert root_ladder_level(quad, (Fraction(1, 2**61 - 1), 0)) == 2**61 - 1
+    assert time.perf_counter() - start < 1
     with pytest.raises(NotInDualCone):
         root_ladder_level(quad, (-1, 0))
+
+
+def test_transition_data_reports_a_failed_self_check(monkeypatch):
+    quad = chart_of_cone(Cone(2, [(1, 0), (0, 1)]))
+    other = chart_of_cone(Cone(2, [(0, 1), (-1, 0)]))
+    overlapping = chart_of_cone(Cone(2, [(1, 0), (1, 1)]))
+    assert transition_data(quad, other).m == (Fraction(1), Fraction(0))
+    with pytest.raises(NotAdjacent):
+        transition_data(overlapping, quad)
+    # a failed self-check inside separating_vector is a fault of the
+    # library, not a sign that the charts do not glue
+    monkeypatch.setattr(geometry, "rank", lambda rows, ncols, field=None: -1)
+    with pytest.raises(InternalCheckFailed):
+        transition_data(quad, other)
 
 
 def test_root_ladder_membership_chain():
