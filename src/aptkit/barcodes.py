@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidInput, UnsupportedShape
+from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
 from .k0 import K0Class, e
 from .rational import INF, NEG_INF, is_finite, parse_grade, q
 
@@ -316,7 +316,8 @@ def torsionfree_hom_dim(b1: Barcode, b2: Barcode) -> int:
     c_star = max(thresholds) + 1
     d1 = hom_dim(b1, shift(b2, c_star))
     d2 = hom_dim(b1, shift(b2, c_star + 1))
-    assert d1 == d2, "colimit failed to stabilize past the endpoint thresholds"
+    if d1 != d2:
+        raise InternalCheckFailed("colimit failed to stabilize", check="torsionfree-stabilization")
     return d1
 
 

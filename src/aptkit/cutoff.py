@@ -9,7 +9,7 @@ polyhedral decomposition a complete fan puts on the ambient space: one
 cell per cone, cell degree = cone dimension, incidence signs read off
 from fixed span orientations with an inward transversal.  Restricting to
 the cones containing the query point realizes the relative pair of the
-closed star against its boundary; d.d = 0 is asserted exactly per run.
+closed star against its boundary; d.d = 0 is checked exactly per run.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fm
 from .errors import (
+    EmptyInput,
     EmptyInterior,
     IncompleteFan,
+    InternalCheckFailed,
     InvalidInput,
     NotGammaOpen,
     PointNotInSet,
@@ -78,8 +79,8 @@ def gamma_basis_witness(u: OpenPolyhedron, x, gamma: Cone):
     shifted_interior = OpenPolyhedron.cone_interior(gamma).translate(
         tuple(-c for c in a)
     )
-    assert shifted_interior.contains(x)
-    assert shifted_interior.is_subset_of(u)
+    if not (shifted_interior.contains(x) and shifted_interior.is_subset_of(u)):
+        raise InternalCheckFailed("basis witness failed its verification", check="gamma-basis-witness")
     return a
 
 
@@ -125,19 +126,7 @@ def tighten_offsets(theta: Fan, offsets) -> dict:
     base = delta_polytope(theta, offsets)
     if base.is_empty:
         return dict(offsets)
-    out = {}
-    system = base.system()
-    n = theta.dim
-    for rid, generator in theta.rays():
-        # range of <m, u_rho> over the set: one fresh variable t
-        cons = [(coeffs + (Fraction(0),), const, rel) for coeffs, const, rel in system]
-        cons.append((tuple(-x for x in generator) + (Fraction(1),), Fraction(0), fm.EQ))
-        rng = fm.interval_of_var(cons, n + 1, n)
-        assert rng != fm._FALSE
-        lo = rng[0]
-        if lo is not None:
-            out[rid] = -lo
-    return out
+    return {rid: -lo for rid, g in theta.rays() if (lo := base.infimum(g)) is not None}
 
 
 def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
@@ -146,11 +135,9 @@ def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
     For the dual cone of a fan member and a support-tight Delta(d) this
     drops exactly the constraints whose normals are not rays of the
     member (the cut-off Minkowski identity); the computation itself is an
-    exact FM projection, so the identity is a theorem the tests verify,
+    exact cone conversion, so the identity is a theorem the tests verify,
     not an assumption baked in.
     """
-    from .errors import EmptyInput
-
     if u.is_empty:
         raise EmptyInput("Minkowski sum with an empty set")
     return minkowski_with_relint_cone(u, cone)
@@ -185,10 +172,12 @@ def _incidence_sign(cone: Cone, facet: Cone) -> int:
     rows = []
     for v in basis_f + [inward]:
         coords = coords_in_basis(basis_c, v)
-        assert coords is not None
+        if coords is None:
+            raise InternalCheckFailed("facet outside the cone's span", check="incidence-sign")
         rows.append(coords)
     d = det(rows)
-    assert d != 0
+    if d == 0:
+        raise InternalCheckFailed("inward vector in the facet's span", check="incidence-sign")
     return 1 if d > 0 else -1
 
 
@@ -251,7 +240,8 @@ def _assert_chain_complex(by_degree, boundary):
         for i in range(rows):
             for j in range(cols):
                 s = sum((lower[i][k] * upper[k][j] for k in range(mid)), Fraction(0))
-                assert s == 0, "incidence signs failed d.d = 0"
+                if s != 0:
+                    raise InternalCheckFailed("incidence signs failed d.d = 0", check="chain-complex")
 
 
 def stratum_points(sigma_fan: Fan):

@@ -1,10 +1,12 @@
 """Exact Fourier-Motzkin elimination for small linear constraint systems.
 
 A constraint is ``(coeffs, const, rel)`` meaning ``coeffs . x + const REL 0``
-with ``rel`` one of ``">="``, ``">"``, ``"="``.  Systems stay tiny here
-(dimension <= 4, a dozen constraints), so plain FM with duplicate pruning is
-exact and fast.  Equalities are eliminated by substitution before any
-positive/negative pairing, which keeps the blowup negligible.
+with ``rel`` one of ``">="``, ``">"``, ``"="``.  Equalities are eliminated by
+substitution before any positive/negative pairing.  Plain FM is exact but
+its systems can grow doubly exponentially in the eliminated variables, so
+the library decides feasibility of open polyhedra on the cone kernel
+instead; this module remains the test suite's independent reference and
+backs :meth:`aptkit.geometry.Cone.contains_vrep`.
 """
 
 from __future__ import annotations
@@ -12,17 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalCheckFailed
-from .rational import primitive, q
+from .rational import primitive
 
 GE = ">="
 GT = ">"
 EQ = "="
 
 _FALSE = "infeasible"
-
-
-def constraint(coeffs, const, rel):
-    return (tuple(q(c) for c in coeffs), q(const), rel)
 
 
 def _holds(const: Fraction, rel: str) -> bool:

@@ -6,16 +6,17 @@ sign-normalized lineality basis) and the canonical minimal H-representation
 (facet normals plus span equalities), computed eagerly at construction so
 values are immutable and safely shareable.
 
-One routine converts H to V: after splitting off the lineality space, it
-takes the kernel line of every (rank-1)-subset of the normals, as the
-integer vector of signed maximal minors, and keeps the lines on which no
-normal changes sign.  V to H is the same routine applied to the generators
-as normals of the dual.  ``Cone(dim, generators)`` converts twice, since its
-generators need not be extreme.  A derived cone whose V-data is already
-canonical (a face, an intersection, a dual) is built by the private
-``Cone._canonical``, which converts once.  Both keep the self-check that the
-H-representation contains every generator, and a failed self-check raises
-:class:`InternalCheckFailed`, also under ``python -O``.
+One routine converts H to V: after splitting off the lineality space, the
+double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996) on
+integer rows, from the simplicial cone of independent rows, whose rays are
+kernel lines (signed maximal minors).  V to H is the same routine applied
+to the generators as normals of the dual.  ``Cone(dim, generators)``
+converts twice, since its generators need not be extreme.  A derived cone
+whose V-data is already canonical (a face, an intersection, a dual) is
+built by the private ``Cone._canonical``, which converts once.  Both keep
+the self-check that the H-representation contains every generator, and a
+failed self-check raises :class:`InternalCheckFailed`, also under
+``python -O``.
 
 Faces come from the ray-facet incidence: the ray sets of the faces of a
 proper cone are the intersections of the facets' zero sets, so a face list
@@ -31,7 +32,8 @@ an entry with an equal value; no cone is ever mutated after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import product
+from math import gcd
 
 from . import fm
 from .errors import (
@@ -42,17 +44,15 @@ from .errors import (
     MissingFace,
     NotSeparable,
 )
-from .linalg import kernel_basis, kernel_line, rank, row_space_basis
+from .linalg import kernel_basis, kernel_line, rank
 from .rational import (
     QVec,
     dot,
-    integral,
     is_zero_vec,
     primitive,
     qvec,
     vadd,
     vneg,
-    vscale,
     zero_vec,
 )
 
@@ -89,30 +89,60 @@ def _rays_from_halfspaces(normals, dim):
     if cached is not None:
         return cached
     lin = tuple(kernel_basis(normals, dim))
-    basis = row_space_basis(normals, dim)
-    r = len(basis)
-    found = set()
-    if r:
-        # coordinates in the basis, scaled to integers: positive scaling
-        # keeps every kernel and every sign
-        reduced = [integral([dot(n, w) for w in basis])[0] for n in normals]
-        for subset in combinations(reduced, r - 1):
-            v = kernel_line(subset, r)
-            if v is None:
-                continue
-            if all(_idot(row, v) >= 0 for row in reduced):
-                found.add(primitive(v))
-            elif all(_idot(row, v) <= 0 for row in reduced):
-                found.add(primitive(vneg(v)))
-    rays = set()
-    for v in found:
-        ray = zero_vec(dim)
-        for coef, w in zip(v, basis):
-            ray = vadd(ray, vscale(coef, w))
-        rays.add(primitive(ray))
-    result = (lin, tuple(sorted(rays)))
+    # rays lie in the orthogonal complement of the lineality space: with
+    # <l, x> = 0 for each line l the cone is pointed, of rank dim.  Lines
+    # and normals are primitive, so their numerators are the integer rows.
+    rows = [tuple(x.numerator for x in v) for v in lin]
+    rows += [tuple(-x for x in v) for v in rows] + [tuple(x.numerator for x in n) for n in normals]
+    rays = _dd_rays(rows, dim) if len(lin) < dim else ()
+    result = (lin, tuple(sorted(tuple(map(Fraction, v)) for v in rays)))
     _HREP_CACHE[cache_key] = result
     return result
+
+
+def _dd_rays(rows, r):
+    """Primitive extreme rays of the pointed cone {v : <a, v> >= 0} of integer
+    rows of rank r: the simplicial cone of r independent rows, then one row
+    at a time, joining adjacent rays across it.  A ray carries the rows on
+    which it vanishes as a bit mask; two rays are adjacent iff no third one
+    vanishes on all rows on which both vanish (at least r - 2 rows)."""
+    start = _independent_rows(rows, r)
+    rays = []
+    for i in start:
+        v = kernel_line([rows[j] for j in start if j != i], r)
+        g = gcd(*v) if _idot(rows[i], v) > 0 else -gcd(*v)
+        rays.append((tuple(x // g for x in v), sum(1 << j for j in start if j != i)))
+    for i, row in enumerate(rows):
+        if i in start:
+            continue
+        signed = [(v, zeros, _idot(row, v)) for v, zeros in rays]
+        kept = [(v, zeros if s else zeros | 1 << i) for v, zeros, s in signed if s >= 0]
+        masks = [zeros for _, zeros in rays]
+        pos = [ray for ray in signed if ray[2] > 0]
+        neg = [ray for ray in signed if ray[2] < 0]
+        for (v, zv, sv), (w, zw, sw) in product(pos, neg):
+            common = zv & zw
+            if common.bit_count() >= r - 2 and sum(z & common == common for z in masks) == 2:
+                u = [sv * b - sw * a for a, b in zip(v, w)]
+                g = gcd(*u)
+                kept.append((tuple(x // g for x in u), common | 1 << i))
+        rays = kept
+    return [v for v, _ in rays]
+
+
+def _independent_rows(rows, r):
+    """The first r independent rows of a rank-r integer matrix, by index."""
+    echelon, chosen = [], []
+    for i, row in enumerate(rows):
+        for col, e in echelon:
+            if row[col]:
+                row = [e[col] * a - row[col] * b for a, b in zip(row, e)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            echelon.append((col, row))
+            chosen.append(i)
+            if len(chosen) == r:
+                return chosen
 
 
 class Cone:

@@ -24,7 +24,7 @@ from .barcodes import (
     classify_shape,
     interval,
 )
-from .errors import InvalidInput, UnsupportedShape
+from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
 from .rational import INF, q
 
 
@@ -203,7 +203,8 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
     lines_x, real_x = _expand(x)
     lines_y, real_y = _expand(y)
     matching = _feasible(real_x, real_y, value)
-    assert matching is not None
+    if matching is None:
+        raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
     forward = []
     backward = [None] * (len(real_y) + lines_y)
     for i in range(len(real_x) + lines_x):

@@ -9,6 +9,7 @@ entries in library order, so identical values print identically.
 from __future__ import annotations
 
 import json
+import re
 
 from .barcodes import Bar, Barcode, DecoratedInterval
 from .errors import InvalidInput
@@ -23,6 +24,18 @@ from .rational import NEG_INF, format_grade, parse_grade, q, qvec
 def _require(cond, message):
     if not cond:
         raise InvalidInput(message)
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(value, what) -> int:
+    """A JSON integer or a string of digits; never a bool, float or other string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
 def grade_to_json(g):
@@ -51,7 +64,7 @@ def cone_to_json(c: Cone, cid=None) -> dict:
 def parse_cone_json(data) -> Cone:
     _require(isinstance(data, dict), "cone must be an object")
     _require("dim" in data and "generators" in data, "cone needs 'dim' and 'generators'")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     gens = [parse_qvec_json(g, dim) for g in data["generators"]]
     return Cone(dim, gens)
 
@@ -66,7 +79,7 @@ def fan_to_json(f: Fan) -> dict:
 def parse_fan_json(data) -> Fan:
     _require(isinstance(data, dict), "fan must be an object")
     _require("dim" in data and "cones" in data, "fan needs 'dim' and 'cones'")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     cones = []
     ids = []
     for i, entry in enumerate(data["cones"]):
@@ -110,8 +123,8 @@ def parse_barcode_json(data) -> Barcode:
                     bool(entry.get("birth_closed", birth != NEG_INF)),
                     bool(entry.get("death_closed", False)),
                 ),
-                int(entry.get("degree", 0)),
-                int(entry.get("multiplicity", 1)),
+                _integer(entry.get("degree", 0), "degree"),
+                _integer(entry.get("multiplicity", 1), "multiplicity"),
             )
         )
     return Barcode(bars)
@@ -135,6 +148,8 @@ def parse_presentation_json(data, field=None) -> PresentationND:
     gens = [parse_qvec_json(g, gamma.dim) for g in data["generators"]]
     rels = []
     for entry in data.get("relations", []):
+        _require(isinstance(entry, dict) and "degree" in entry and "coeffs" in entry,
+                 "each relation needs 'degree' and 'coeffs'")
         degree = parse_qvec_json(entry["degree"], gamma.dim)
         coeffs = [q(c) for c in entry["coeffs"]]
         rels.append((degree, coeffs))
@@ -155,11 +170,13 @@ def polyhedron_to_json(p: OpenPolyhedron) -> dict:
 
 def parse_polyhedron_json(data) -> OpenPolyhedron:
     _require(isinstance(data, dict) and "dim" in data, "polyhedron needs 'dim'")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     if data.get("empty"):
         return OpenPolyhedron.empty(dim)
     cons = []
     for entry in data.get("constraints", []):
+        _require(isinstance(entry, dict) and "normal" in entry and "offset" in entry,
+                 "each constraint needs 'normal' and 'offset'")
         cons.append((parse_qvec_json(entry["normal"], dim), q(entry["offset"])))
     return OpenPolyhedron(dim, cons)
 
@@ -170,7 +187,10 @@ def k0_to_json(k: K0Class) -> list:
 
 def parse_k0_json(data) -> K0Class:
     _require(isinstance(data, list), "K0 classes are lists of {grade, coef} terms")
-    return K0Class([(q(entry["grade"]), int(entry["coef"])) for entry in data])
+    for entry in data:
+        _require(isinstance(entry, dict) and "grade" in entry and "coef" in entry,
+                 "each K0 term needs 'grade' and 'coef'")
+    return K0Class([(q(entry["grade"]), _integer(entry["coef"], "coef")) for entry in data])
 
 
 def parse_offsets_json(data) -> dict:
@@ -192,9 +212,10 @@ def certificate_to_json(cert: InterleavingCertificate) -> dict:
 
 
 def parse_certificate_json(data) -> InterleavingCertificate:
-    _require(isinstance(data, dict), "certificate must be an object")
-    fwd = tuple(None if j is None else int(j) for j in data.get("forward", []))
-    bwd = tuple(None if j is None else int(j) for j in data.get("backward", []))
+    _require(isinstance(data, dict) and "a" in data and "b" in data,
+             "certificate needs 'a' and 'b'")
+    fwd = tuple(None if j is None else _integer(j, "certificate index") for j in data.get("forward", []))
+    bwd = tuple(None if j is None else _integer(j, "certificate index") for j in data.get("backward", []))
     return InterleavingCertificate(parse_grade(data["a"]), parse_grade(data["b"]), fwd, bwd)
 
 

@@ -1,11 +1,10 @@
 """Open polyhedra: finite intersections of strict rational halfspaces.
 
-An :class:`OpenPolyhedron` stores constraints ``<x, normal> + offset > 0``.
-Construction normalizes to a canonical form: constraints are scaled to
-primitive integral data, deduplicated, redundancy-eliminated by exact
-Fourier-Motzkin feasibility tests, and sorted.  A nonempty intersection of
-open halfspaces is open and hence full-dimensional, so its irredundant
-description is unique and canonical equality is structural equality; all
+An :class:`OpenPolyhedron` stores constraints ``<x, normal> + offset > 0``
+and its homogenisation C = {(x, t) : <normal, x> + offset * t >= 0, t >= 0},
+a :class:`Cone`.  It is nonempty iff C is full-dimensional; being open, it
+then has a unique irredundant description: C's facets other than t >= 0,
+primitive and sorted.  Canonical equality is structural equality; all
 empty polyhedra collapse to one canonical empty value.
 """
 
@@ -13,17 +12,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import fm
-from .errors import InternalCheckFailed, InvalidInput
+from .errors import EmptyInput, InternalCheckFailed, InvalidInput
 from .geometry import Cone
-from .rational import dot, is_zero_vec, primitive, q, qvec, vneg, zero_vec
+from .rational import dot, is_zero_vec, q, qvec, vadd, vscale, zero_vec
 
 
 class OpenPolyhedron:
-    __slots__ = ("dim", "constraints", "is_empty", "_key")
+    __slots__ = ("dim", "constraints", "is_empty", "_key", "_cone")
 
     def __init__(self, dim: int, constraints):
-        cons = []
+        rows = [zero_vec(dim) + (Fraction(1),)]
         empty = False
         for normal, offset in constraints:
             normal = qvec(normal)
@@ -34,33 +32,18 @@ class OpenPolyhedron:
                 if offset <= 0:
                     empty = True
                 continue
-            v = primitive((*normal, offset))
-            cons.append((v[:-1], v[-1]))
-        cons = sorted(set(cons))
-        system = [(n, d, fm.GT) for n, d in cons]
-        if not empty and not fm.feasible(system, dim):
-            empty = True
-        if empty:
-            self.dim = dim
-            self.constraints = ((zero_vec(dim), Fraction(-1)),)
-            self.is_empty = True
-            self._key = (dim, "empty")
-            return
-        # drop constraints implied by the rest
-        kept = list(cons)
-        i = 0
-        while i < len(kept):
-            others = [(n, d, fm.GT) for j, (n, d) in enumerate(kept) if j != i]
-            n_i, d_i = kept[i]
-            negated = (vneg(n_i), -d_i, fm.GE)
-            if not fm.feasible(others + [negated], dim):
-                kept.pop(i)
-            else:
-                i += 1
+            rows.append(normal + (offset,))
+        self._fill(dim, None if empty else Cone.from_halfspaces(dim + 1, rows))
+
+    def _fill(self, dim, cone):
         self.dim = dim
-        self.constraints = tuple(sorted(kept))
-        self.is_empty = False
-        self._key = (dim, self.constraints)
+        self.is_empty = cone is None or not cone.is_full_dim()
+        self._cone = None if self.is_empty else cone
+        if self.is_empty:
+            self.constraints = ((zero_vec(dim), Fraction(-1)),)
+        else:
+            self.constraints = tuple((f[:-1], f[-1]) for f in cone.facet_normals if any(f[:-1]))
+        self._key = (dim, "empty" if self.is_empty else self.constraints)
 
     @classmethod
     def whole_space(cls, dim: int) -> "OpenPolyhedron":
@@ -77,11 +60,6 @@ class OpenPolyhedron:
             return cls.empty(cone.dim)
         return cls(cone.dim, [(n, Fraction(0)) for n in cone.facet_normals])
 
-    def system(self):
-        if self.is_empty:
-            return [(zero_vec(self.dim), Fraction(-1), fm.GT)]
-        return [(n, d, fm.GT) for n, d in self.constraints]
-
     def contains(self, x) -> bool:
         if self.is_empty:
             return False
@@ -95,17 +73,24 @@ class OpenPolyhedron:
         return all(dot(n, x) + d >= 0 for n, d in self.constraints)
 
     def is_subset_of(self, other: "OpenPolyhedron") -> bool:
-        """Exact inclusion test via FM infeasibility of self minus each constraint."""
+        """Exact inclusion: self's homogenisation lies in other's."""
         if self.is_empty:
             return True
         if other.is_empty:
             return False
-        base = self.system()
-        for n, d in other.constraints:
-            violated = (vneg(n), -d, fm.GE)
-            if fm.feasible(base + [violated], self.dim):
-                return False
-        return True
+        return all(other._cone.contains(g) for g in self._cone.generators)
+
+    def infimum(self, u):
+        """Exact infimum of <u, x> over a nonempty polyhedron, None when it is
+        unbounded below: the least <u, x> / t over C's rays (x, t) with t > 0,
+        unless <u, x> falls along a ray with t = 0 or varies along a line."""
+        if self.is_empty:
+            raise EmptyInput("the empty polyhedron has no infimum")
+        u = qvec(u) + (Fraction(0),)
+        rays, lines = self._cone.rays, self._cone.lineality
+        if any(dot(u, r) < 0 for r in rays if r[-1] == 0) or any(dot(u, e) for e in lines):
+            return None
+        return min(dot(u, r) / r[-1] for r in rays if r[-1] > 0)
 
     def translate(self, a) -> "OpenPolyhedron":
         """The set self + a."""
@@ -117,30 +102,14 @@ class OpenPolyhedron:
         )
 
     def sample_point(self):
-        """Some exact rational point of the polyhedron, or None if empty."""
+        """Some exact rational point of the polyhedron, or None if empty: an
+        interior point (x, t) of the homogenisation, scaled to t = 1."""
         if self.is_empty:
             return None
-        system = self.system()
-        values = {}
-        point = []
-        for j in range(self.dim):
-            current = fm.substitute(system, values)
-            rng = fm.interval_of_var(current, self.dim, j)
-            if rng == fm._FALSE:
-                return None
-            lo, lo_strict, hi, hi_strict = rng
-            if lo is None and hi is None:
-                v = Fraction(0)
-            elif lo is None:
-                v = hi - 1
-            elif hi is None:
-                v = lo + 1
-            else:
-                v = (lo + hi) / 2
-            values[j] = v
-            point.append(v)
-        point = tuple(point)
-        assert self.contains(point)
+        *x, t = self._cone.interior_point()
+        point = tuple(c / t for c in x)
+        if not self.contains(point):
+            raise InternalCheckFailed("sample point is not in the polyhedron", check="sample-point")
         return point
 
     def __eq__(self, other):
@@ -156,47 +125,35 @@ class OpenPolyhedron:
 
 
 def minkowski_sum(p: OpenPolyhedron, other: OpenPolyhedron) -> OpenPolyhedron:
-    """Exact Minkowski sum of two open polyhedra by FM projection."""
+    """Exact Minkowski sum of two open polyhedra: its homogenisation is
+    spanned by (v + w, 1) for the rays (v, 1), (w, 1) of both cones scaled to
+    t = 1, and by their rays and lines with t = 0."""
     if p.dim != other.dim:
         raise InvalidInput("ambient dimension mismatch")
     if p.is_empty or other.is_empty:
         return OpenPolyhedron.empty(p.dim)
-    return _sum_with_system(p, [(n, d, fm.GT) for n, d in other.constraints])
+    gens_p, gens_q = p._cone.generators, other._cone.generators
+    points_p, points_q = ([vscale(1 / g[-1], g[:-1]) for g in gens if g[-1]] for gens in (gens_p, gens_q))
+    gens = [g for g in gens_p + gens_q if not g[-1]]
+    gens += [vadd(v, w) + (Fraction(1),) for v in points_p for w in points_q]
+    return _sum(p.dim, gens)
 
 
 def minkowski_with_relint_cone(p: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
-    """The set p + relint(cone), exactly.
-
-    The relative interior is cut out by equalities on the cone's span and
-    strict inequalities on its facets, so the summand system may mix
-    relations; the projection handles that uniformly.
-    """
+    """The set p + relint(cone), exactly.  For open p it is p + cone, as
+    p + k = (p - e*k0) + (k + e*k0) for k0 in relint(cone) and small e > 0."""
     if p.dim != cone.dim:
         raise InvalidInput("ambient dimension mismatch")
     if p.is_empty:
         return p
-    system = [(n, Fraction(0), fm.GT) for n in cone.facet_normals]
-    system += [(e, Fraction(0), fm.EQ) for e in cone.span_normals]
-    return _sum_with_system(p, system)
+    return _sum(p.dim, p._cone.generators + tuple(g + (Fraction(0),) for g in cone.generators))
 
 
-def _sum_with_system(p: OpenPolyhedron, summand_system) -> OpenPolyhedron:
-    """Project {(z, x) : x in p, z - x in summand} onto z."""
-    n = p.dim
-    cons = []
-    for normal, offset in p.constraints:
-        coeffs = (Fraction(0),) * n + normal
-        cons.append((coeffs, offset, fm.GT))
-    for normal, offset, rel in summand_system:
-        coeffs = normal + vneg(normal)
-        cons.append((coeffs, offset, rel))
-    projected = fm.project(cons, 2 * n, list(range(n)))
-    if projected == fm._FALSE:
-        return OpenPolyhedron.empty(n)
-    out = []
-    for coeffs, const, rel in projected:
-        if rel == fm.EQ:
-            raise InternalCheckFailed("Minkowski sum of a nonempty open set left an equality")
-        # weak constraints cannot survive: the sum of an open set is open
-        out.append((coeffs, const))
-    return OpenPolyhedron(n, out)
+def _sum(dim, gens) -> OpenPolyhedron:
+    """The sum of nonempty open sets whose homogenisation ``gens`` span."""
+    cone = Cone(dim + 1, gens)
+    if not cone.is_full_dim():
+        raise InternalCheckFailed("sum of open sets has empty interior", check="minkowski-sum-open")
+    p = OpenPolyhedron.__new__(OpenPolyhedron)
+    p._fill(dim, cone)
+    return p

@@ -78,3 +78,22 @@ def random_presentation(rng, max_gens=5, max_rels=4, field=None) -> Presentation
             row[i] = Fraction(c)
         rels.append(((degree,), row))
     return PresentationND(HALFLINE, gens, rels, field)
+
+
+def random_open_constraints(rng, dim, count):
+    """Constraints (normal, offset) of an open polyhedron with mixed
+    redundancy: fresh random ones (zero normals included), looser scaled
+    copies and loosened positive combinations of earlier ones."""
+    cons = []
+    for _ in range(count):
+        r = rng.random()
+        if cons and r < 0.2:
+            n, d = rng.choice(cons)
+            cons.append((tuple(2 * x for x in n), 2 * d + rng.randint(0, 3)))
+        elif len(cons) >= 2 and r < 0.4:
+            (n1, d1), (n2, d2) = rng.sample(cons, 2)
+            a, b = rng.randint(1, 2), rng.randint(1, 2)
+            cons.append((tuple(a * x + b * y for x, y in zip(n1, n2)), a * d1 + b * d2 + rng.randint(0, 2)))
+        else:
+            cons.append((tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-2, 3)))
+    return cons

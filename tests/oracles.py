@@ -1,10 +1,12 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity along a different algorithmic route than
-the library: Fourier-Motzkin V-to-H conversion for duals, supporting
-hyperplane sweeps for faces, brute-force matchings for the bottleneck
-value, the order-complex derived limit for stalk ranks, point sampling
-for Minkowski sums.  Expected values in the tests were produced (or are
+the library: Fourier-Motzkin V-to-H conversion for duals, kernel lines of
+all (rank-1)-subsets of the normals for H-to-V conversion, supporting
+hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
+irredundant form, inclusion and support values of open polyhedra,
+brute-force matchings for the bottleneck value, the order-complex derived
+limit for stalk ranks, point sampling for Minkowski sums.  Expected values in the tests were produced (or are
 recomputed live) by these, never by the code under test.
 """
 
@@ -17,9 +19,102 @@ from aptkit import fm
 from aptkit.barcodes import Barcode
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand, _kill_cost, _pair_cost
-from aptkit.linalg import rank
+from aptkit.linalg import kernel_basis, kernel_line, rank, row_space_basis
 from aptkit.polyhedra import OpenPolyhedron
-from aptkit.rational import INF, dot, qvec, vadd, vneg, vscale, zero_vec
+from aptkit.rational import (
+    INF,
+    dot,
+    integral,
+    is_zero_vec,
+    primitive,
+    q,
+    qvec,
+    vadd,
+    vneg,
+    vscale,
+    zero_vec,
+)
+
+
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def rays_by_subset_enumeration(normals, dim):
+    """Lineality basis and extreme rays of {x : <n, x> >= 0 for all n}, as
+    ``geometry._rays_from_halfspaces`` returns them, from the kernel line of
+    every (rank-1)-subset of the normals (taken in the row-space basis)
+    that no normal changes sign on.  ``normals`` in canonical input form."""
+    lin = tuple(kernel_basis(normals, dim))
+    basis = row_space_basis(normals, dim)
+    r = len(basis)
+    found = set()
+    if r:
+        reduced = [integral([dot(n, w) for w in basis])[0] for n in normals]
+        for subset in combinations(reduced, r - 1):
+            v = kernel_line(subset, r)
+            if v is None:
+                continue
+            if all(_idot(row, v) >= 0 for row in reduced):
+                found.add(primitive(v))
+            elif all(_idot(row, v) <= 0 for row in reduced):
+                found.add(primitive(vneg(v)))
+    rays = set()
+    for v in found:
+        ray = zero_vec(dim)
+        for coef, w in zip(v, basis):
+            ray = vadd(ray, vscale(coef, w))
+        rays.add(primitive(ray))
+    return lin, tuple(sorted(rays))
+
+
+def fm_irredundant_constraints(dim, constraints):
+    """Canonical constraints of the open polyhedron {<n, x> + d > 0}, or None
+    when it is empty: each constraint scaled to primitive integers, then
+    dropped when FM finds the rest strict with it violated infeasible."""
+    cons = []
+    for normal, offset in constraints:
+        normal = qvec(normal)
+        offset = q(offset)
+        if is_zero_vec(normal):
+            if offset <= 0:
+                return None
+            continue
+        v = primitive((*normal, offset))
+        cons.append((v[:-1], v[-1]))
+    cons = sorted(set(cons))
+    if not fm.feasible([(n, d, fm.GT) for n, d in cons], dim):
+        return None
+    kept = list(cons)
+    i = 0
+    while i < len(kept):
+        others = [(n, d, fm.GT) for j, (n, d) in enumerate(kept) if j != i]
+        n_i, d_i = kept[i]
+        negated = (vneg(n_i), -d_i, fm.GE)
+        if not fm.feasible(others + [negated], dim):
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(sorted(kept))
+
+
+def fm_is_subset(dim, cons_p, cons_q) -> bool:
+    """Whether {<n, x> + d > 0 for cons_p} lies in {... for cons_q}: FM
+    infeasibility of cons_p with each constraint of cons_q violated."""
+    base = [(qvec(n), q(d), fm.GT) for n, d in cons_p]
+    return not any(
+        fm.feasible(base + [(vneg(qvec(n)), -q(d), fm.GE)], dim) for n, d in cons_q
+    )
+
+
+def fm_infimum(dim, cons, u):
+    """Infimum of <u, x> over the nonempty open polyhedron {<n, x> + d > 0},
+    None if unbounded below: FM range of a fresh variable t = <u, x>."""
+    system = [(qvec(n) + (Fraction(0),), q(d), fm.GT) for n, d in cons]
+    system.append((tuple(-x for x in qvec(u)) + (Fraction(1),), Fraction(0), fm.EQ))
+    rng = fm.interval_of_var(system, dim + 1, dim)
+    assert rng != fm._FALSE
+    return rng[0]
 
 
 def fm_dual_generators(cone: Cone):

@@ -13,6 +13,7 @@ import pytest
 from aptkit import catalog, io
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.cli import main
+from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone
 from aptkit.interleaving import InterleavingCertificate
 from aptkit.modules import HALFLINE, PresentationND
@@ -256,6 +257,9 @@ MALFORMED_PRESENTATION = (
     '{"gamma":{"dim":1,"generators":[["1"]]},"generators":[["0"]],'
     '"relations":[{"degree":["1"],"coeffs":["1/2"]}]}'
 )
+RELATION_WITHOUT_DEGREE = (
+    '{"gamma":{"dim":1,"generators":[["1"]]},"generators":[["0"]],"relations":[{"coeffs":["1"]}]}'
+)
 
 
 @pytest.mark.parametrize(
@@ -268,11 +272,32 @@ MALFORMED_PRESENTATION = (
         ["barcode", "k0", "--input", "no-such-dir/missing.json"],
         ["barcode", "eval", "--input", '{"bars":[{"birth":1.5,"death":3}]}', "--at", "2"],
         ["barcode", "eval", "--input", '{"bars":[{"birth":true,"death":3}]}', "--at", "2"],
+        ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1","degree":1.5}]}'],
+        ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1","multiplicity":"x"}]}'],
+        ["cone", "dual", "--input", '{"dim":2.5,"generators":[["1","0"]]}'],
+        ["module", "barcode", "--input", RELATION_WITHOUT_DEGREE],
+        ["cutoff", "indicator-convolve", "--poly", '{"dim":1,"constraints":[{"offset":"1"}]}',
+         "--poly2", '{"dim":1,"constraints":[]}'],
+        ["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
+         "--cert", '{"b":"0","forward":[],"backward":[]}'],
+        ["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
+         "--cert", '{"a":"0","b":"0","forward":[true],"backward":[]}'],
     ],
     ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
-         "missing-input-file", "float-grade", "bool-grade"],
+         "missing-input-file", "float-grade", "bool-grade", "float-degree", "non-integer-multiplicity",
+         "float-dim", "relation-without-degree", "constraint-without-normal", "certificate-without-a",
+         "bool-certificate-index"],
 )
 def test_cli_malformed_input_is_structured(argv):
     code, out = run_cli(argv)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "bad-input"
+
+
+def test_k0_terms_need_grade_and_integer_coef():
+    assert io.parse_k0_json([{"grade": "1/2", "coef": "-3"}]) == io.parse_k0_json(
+        [{"grade": "1/2", "coef": -3}]
+    )
+    for bad in ([{"grade": "0"}], [{"coef": 1}], [{"grade": "0", "coef": 1.5}], [{"grade": "0", "coef": False}]):
+        with pytest.raises(InvalidInput):
+            io.parse_k0_json(bad)

@@ -27,7 +27,7 @@ from aptkit.linalg import PrimeField
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import INF, vneg
 
-from oracles import check_minkowski_by_sampling, order_complex_stalk_ranks, perturbed_point
+from oracles import check_minkowski_by_sampling, fm_infimum, order_complex_stalk_ranks, perturbed_point
 
 
 def random_offsets(fan, rng, lo=1, hi=8):
@@ -119,6 +119,29 @@ def test_delta_polytope_examples():
     assert interval.contains((0,)) and not interval.contains((1,))
     half = delta_polytope(p1, {"pos": 1, "neg": INF})
     assert half.contains((100,)) and not half.contains((-1,))
+
+
+def test_tighten_offsets_against_fm_oracle():
+    rng = random.Random(35)
+    unbounded = 0
+    for name in catalog.fan_names():
+        fan = catalog.fan(name)
+        for _ in range(4):
+            raw = random_offsets(fan, rng, lo=-2)
+            if rng.random() < 0.3:
+                raw[rng.choice(fan.rays())[0]] = INF
+            cons = [(g, raw[rid]) for rid, g in fan.rays() if raw[rid] != INF]
+            if delta_polytope(fan, raw).is_empty:
+                assert tighten_offsets(fan, raw) == raw
+                continue
+            expected = {}
+            for rid, g in fan.rays():
+                lo = fm_infimum(fan.dim, cons, g)
+                if lo is not None:
+                    expected[rid] = -lo
+            unbounded += len(expected) < len(fan.rays())
+            assert tighten_offsets(fan, raw) == expected, (name, raw)
+    assert unbounded >= 5
 
 
 def test_minkowski_identity_catalog():

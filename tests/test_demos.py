@@ -1,0 +1,30 @@
+"""The demos print exactly the output recorded in ``demos/expected``."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
+NAMES = sorted(f[:-3] for f in os.listdir(DEMOS) if f.endswith(".py"))
+
+
+def test_every_demo_has_expected_output():
+    assert len(NAMES) == 6
+    assert sorted(f[:-4] for f in os.listdir(os.path.join(DEMOS, "expected"))) == NAMES
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_demo_output_is_unchanged(name):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, f"{name}.py")], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    with open(os.path.join(DEMOS, "expected", f"{name}.txt"), encoding="utf-8") as fh:
+        assert result.stdout == fh.read()

@@ -26,7 +26,7 @@ from aptkit.geometry import (
 from aptkit.linalg import rank
 from aptkit.rational import vadd, vneg, vscale, zero_vec
 
-from oracles import faces_by_supporting_hyperplanes, fm_dual_generators
+from oracles import faces_by_supporting_hyperplanes, fm_dual_generators, rays_by_subset_enumeration
 
 
 def test_dual_quadrant_is_self_dual():
@@ -276,6 +276,35 @@ def test_cone_sum_and_double_dual():
         assert dual_cone(d) == cone
 
 
+def _conversion_inputs():
+    """Seeded normal sets in dims 1-5, some with lines (a normal and its
+    negation), plus the non-simple cones over cubes and cross-polytopes."""
+    rng = random.Random(17)
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        normals = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 9))]
+        if normals and rng.random() < 0.3:
+            normals.append(vneg(normals[0]))
+        yield dim, normals
+    for d in range(1, 5):
+        cube = [v + (1,) for v in product((-1, 1), repeat=d)]
+        cross = [tuple(s if j == i else 0 for j in range(d)) + (1,) for i in range(d) for s in (1, -1)]
+        yield d + 1, cube
+        yield d + 1, cross
+        yield d + 1, cube + [tuple(-x for x in cube[0])]
+
+
+def test_double_description_against_subset_enumeration():
+    lines = 0
+    for dim, normals in _conversion_inputs():
+        normals = geometry._normalized(tuple(Fraction(x) for x in n) for n in normals)
+        geometry._HREP_CACHE.pop((dim, normals), None)
+        got = geometry._rays_from_halfspaces(normals, dim)
+        assert got == rays_by_subset_enumeration(normals, dim), (dim, normals)
+        lines += bool(got[0]) and len(got[0]) < dim
+    assert lines >= 30
+
+
 SELF_CHECK_UNDER_O = """
 import aptkit.geometry as g
 from aptkit.errors import InternalCheckFailed
@@ -304,17 +333,44 @@ except InternalCheckFailed as exc:
             "fm.project([((1, 1), 0, fm.GT)], 2, [0])",
         ),
         (
-            "import aptkit.fm as fm, aptkit.polyhedra as P\n"
-            "fm.project = lambda cons, nvars, keep: [((1, 0), 0, fm.EQ)]",
-            "P.minkowski_sum(P.OpenPolyhedron.whole_space(2), P.OpenPolyhedron.whole_space(2))",
+            "import aptkit.polyhedra as P\nW = P.OpenPolyhedron.whole_space(2)\n"
+            "P.Cone = lambda dim, gens: g.Cone(dim, [])",
+            "P.minkowski_sum(W, W)",
         ),
         (
             "import aptkit.toric as t\nt.integral = lambda grade: ([], 4)",
             "t.root_ladder_level(t.chart_of_cone(g.Cone(2, [(1, 0), (0, 1)])), ('1/2', 0))",
         ),
+        (
+            "import aptkit.polyhedra as P\nP.OpenPolyhedron.contains = lambda self, x: False",
+            "P.OpenPolyhedron.whole_space(2).sample_point()",
+        ),
+        (
+            "import aptkit.barcodes as b\ndims = iter([1, 2])\nb.hom_dim = lambda x, y: next(dims)",
+            "b.torsionfree_hom_dim(b.barcode(b.bar(0, 2)), b.barcode(b.bar(0, 3)))",
+        ),
+        (
+            "import aptkit.cutoff as c\nc.OpenPolyhedron.is_subset_of = lambda self, other: False",
+            "c.gamma_basis_witness(c.OpenPolyhedron(1, [((1,), 2)]), (0,), g.Cone(1, [(1,)]))",
+        ),
+        (
+            "import aptkit.cutoff as c\nfrom aptkit import catalog\nc.det = lambda rows: 0",
+            "c.star_stalk_homology(catalog.fan('p2'), (0, 0))",
+        ),
+        (
+            "import aptkit.cutoff as c\nfrom aptkit import catalog\n"
+            "c._incidence_sign = lambda cone, facet: 1",
+            "c.star_stalk_homology(catalog.fan('p2'), (0, 0))",
+        ),
+        (
+            "import aptkit.interleaving as i\nfrom aptkit.barcodes import bar, barcode\n"
+            "i._feasible = lambda x, y, value: None",
+            "i.certificate_for(barcode(bar(0, 2)), barcode(bar(0, 3)), 1)",
+        ),
     ],
     ids=["is-proper-cross-check", "cone-hrep-containment", "fm-projection", "minkowski-sum-open",
-         "root-ladder-minimality"],
+         "root-ladder-minimality", "sample-point", "torsionfree-stabilization", "gamma-basis-witness",
+         "incidence-sign", "chain-complex", "certificate-matching"],
 )
 def test_self_checks_survive_python_O(patch, call):
     script = SELF_CHECK_UNDER_O.format(patch=patch, call=call)

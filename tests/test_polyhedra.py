@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from aptkit.geometry import Cone, dual_cone
 from aptkit.polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 
-from oracles import check_minkowski_by_sampling, perturbed_point
+from generators import random_open_constraints
+from oracles import (
+    check_minkowski_by_sampling,
+    fm_infimum,
+    fm_irredundant_constraints,
+    fm_is_subset,
+    perturbed_point,
+)
 
 
 def box(dim, radius=1):
@@ -114,3 +122,88 @@ def test_minkowski_with_full_dual_of_origin_gives_whole_space():
     everything = dual_cone(Cone(2, []))
     # quadrant-interior style input + R^n = whole space
     assert minkowski_with_relint_cone(b, everything) == OpenPolyhedron.whole_space(2)
+
+
+def test_constraints_and_emptiness_against_fm_oracle():
+    rng = random.Random(41)
+    empties = redundant = 0
+    for _ in range(150):
+        dim = rng.randint(1, 3)
+        cons = random_open_constraints(rng, dim, rng.randint(0, 7))
+        p = OpenPolyhedron(dim, cons)
+        expected = fm_irredundant_constraints(dim, cons)
+        if expected is None:
+            empties += 1
+            assert p.is_empty and p == OpenPolyhedron.empty(dim), cons
+        else:
+            redundant += len(expected) < len({tuple(n) for n, _ in cons})
+            assert not p.is_empty and p.constraints == expected, cons
+    assert empties >= 10 and redundant >= 30
+
+
+def test_inclusion_against_fm_oracle():
+    rng = random.Random(42)
+    agree = {True: 0, False: 0}
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        a = random_open_constraints(rng, dim, rng.randint(0, 5))
+        if rng.random() < 0.5:
+            # a subset of a's constraints, some loosened: often a superset of a
+            b = [(n, d + rng.randint(0, 2)) for n, d in a if rng.random() < 0.6]
+        else:
+            b = random_open_constraints(rng, dim, rng.randint(0, 5))
+        got = OpenPolyhedron(dim, a).is_subset_of(OpenPolyhedron(dim, b))
+        assert got == fm_is_subset(dim, a, b), (a, b)
+        agree[got] += 1
+    assert min(agree.values()) >= 20
+
+
+def test_infimum_against_fm_oracle():
+    rng = random.Random(43)
+    bounded = 0
+    for _ in range(120):
+        dim = rng.randint(1, 3)
+        cons = random_open_constraints(rng, dim, rng.randint(0, 6))
+        p = OpenPolyhedron(dim, cons)
+        if p.is_empty:
+            continue
+        u = tuple(rng.randint(-2, 2) for _ in range(dim))
+        expected = fm_infimum(dim, cons, u)
+        assert p.infimum(u) == expected, (cons, u)
+        bounded += expected is not None
+    assert bounded >= 20
+
+
+def _doubled(dim, cons):
+    return OpenPolyhedron(dim, [(n, 2 * d) for n, d in cons])
+
+
+def test_octagon_sum_no_longer_hangs():
+    cons = [((-3, -3), 4), ((-3, -1), 3), ((-3, 2), 5), ((-1, 0), 1),
+            ((1, -3), 5), ((1, 3), 5), ((2, 0), 5), ((2, 2), 5)]
+    start = time.perf_counter()
+    p = OpenPolyhedron(2, cons)
+    s = minkowski_sum(p, p)
+    assert time.perf_counter() - start < 1
+    assert len(p.constraints) == 8 and s == _doubled(2, cons)
+    check_minkowski_by_sampling(p, p, s, random.Random(8))
+
+
+def test_3d_sum_no_longer_hangs():
+    cons = [((3, 3, -3), 1), ((-3, -1, 3), 2), ((2, 3, 2), 3), ((-1, 1, -2), 5), ((-3, 1, 2), 2)]
+    start = time.perf_counter()
+    p = OpenPolyhedron(3, cons)
+    assert minkowski_sum(p, p) == _doubled(3, cons)
+    assert time.perf_counter() - start < 1
+
+
+def test_4d_build_from_12_constraints_no_longer_hangs():
+    rng = random.Random(2)
+    cons = [(tuple(rng.randint(-3, 3) for _ in range(4)), rng.randint(1, 5)) for _ in range(12)]
+    start = time.perf_counter()
+    p = OpenPolyhedron(4, cons)
+    x = p.sample_point()
+    assert time.perf_counter() - start < 1
+    # 9 irredundant constraints, as fm_irredundant_constraints finds (in ~20 s)
+    assert len(p.constraints) == 9
+    assert p.contains(x)
