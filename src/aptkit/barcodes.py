@@ -118,9 +118,6 @@ class Barcode:
     def is_empty(self) -> bool:
         return not self.bars
 
-    def total_multiplicity(self) -> int:
-        return sum(b.multiplicity for b in self.bars)
-
     def __eq__(self, other):
         return isinstance(other, Barcode) and other.bars == self.bars
 

@@ -5,8 +5,7 @@ with ``rel`` one of ``">="``, ``">"``, ``"="``.  Equalities are eliminated by
 substitution before any positive/negative pairing.  Plain FM is exact but
 its systems can grow doubly exponentially in the eliminated variables, so
 the library decides feasibility of open polyhedra on the cone kernel
-instead; this module remains the test suite's independent reference and
-backs :meth:`aptkit.geometry.Cone.contains_vrep`.
+instead; this module remains the test suite's independent reference.
 """
 
 from __future__ import annotations

@@ -4,19 +4,20 @@ A :class:`Cone` carries both representations at all times: the canonical
 V-representation (primitive extreme rays in sorted order plus a
 sign-normalized lineality basis) and the canonical minimal H-representation
 (facet normals plus span equalities), computed eagerly at construction so
-values are immutable and safely shareable.
+values are immutable and safely shareable.  The kernel keeps both as
+primitive ``int`` tuples; the public attributes hold them as ``Fraction``s.
 
-One routine converts H to V: after splitting off the lineality space, the
-double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996) on
-integer rows, from the simplicial cone of independent rows, whose rays are
-kernel lines (signed maximal minors).  V to H is the same routine applied
-to the generators as normals of the dual.  ``Cone(dim, generators)``
-converts twice, since its generators need not be extreme.  A derived cone
-whose V-data is already canonical (a face, an intersection, a dual) is
-built by the private ``Cone._canonical``, which converts once.  Both keep
-the self-check that the H-representation contains every generator, and a
-failed self-check raises :class:`InternalCheckFailed`, also under
-``python -O``.
+One routine converts H to V on integer rows: the lineality space from a
+fraction-free echelon form, then the double-description method (Motzkin et
+al. 1953; Fukuda & Prodon 1996) from the simplicial cone of independent
+rows, whose rays are kernel lines (signed maximal minors).  V to H is the
+same routine applied to the generators as normals of the dual.
+``Cone(dim, generators)`` converts twice, since its generators need not be
+extreme; a face, whose V-data is already canonical, is built by the private
+``Cone._canonical``, which converts once; the dual swaps the two
+representations and converts not at all.  Each keeps the self-check that
+the H-representation contains every generator, and a failed self-check
+raises :class:`InternalCheckFailed`, also under ``python -O``.
 
 Faces come from the ray-facet incidence: the ray sets of the faces of a
 proper cone are the intersections of the facets' zero sets, so a face list
@@ -24,9 +25,9 @@ costs one conversion per face.  ``validate_fan`` builds the face relation
 first and then intersects only pairs of maximal cones; faces inherit the
 common-face property from the maximal cones above them.
 
-Module-level caches memoize conversions, duals and face lists keyed by
-canonical content, so concurrent use can at worst recompute and overwrite
-an entry with an equal value; no cone is ever mutated after construction.
+Module-level caches memoize conversions and face lists keyed by canonical
+content, so concurrent use can at worst recompute and overwrite an entry
+with an equal value; no cone is ever mutated after construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from . import fm
 from .errors import (
     BadIntersection,
     ImproperCone,
@@ -44,10 +44,11 @@ from .errors import (
     MissingFace,
     NotSeparable,
 )
-from .linalg import kernel_basis, kernel_line, rank
+from .linalg import kernel_line, rank
 from .rational import (
     QVec,
     dot,
+    integral,
     is_zero_vec,
     primitive,
     qvec,
@@ -60,10 +61,16 @@ from .rational import (
 _HREP_CACHE: dict = {}
 
 
-def _normalized(vectors):
-    """Distinct primitive forms of the nonzero vectors, sorted: the canonical
-    input of :func:`_rays_from_halfspaces`."""
-    return tuple(sorted({primitive(v) for v in vectors if not is_zero_vec(v)}))
+def _scaled(v, positive):
+    """The integer vector v divided by its content, negated unless ``positive``."""
+    g = gcd(*v) if positive else -gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _primitive_rows(vectors):
+    """Distinct primitive integer forms of the nonzero rational vectors,
+    sorted: the canonical input of :func:`_rays_from_halfspaces`."""
+    return tuple(sorted({_scaled(integral(v)[0], True) for v in vectors if any(v)}))
 
 
 def _with_lines(rays, lines):
@@ -75,29 +82,49 @@ def _idot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _fractions(vectors):
+    return tuple(tuple(map(Fraction, v)) for v in vectors)
+
+
 def _rays_from_halfspaces(normals, dim):
     """Extreme rays and lineality of {x : <n, x> >= 0 for all n}.
 
-    ``normals`` must be in canonical input form (see :func:`_normalized`).
-    Returns ``(lineality_basis, rays)`` as tuples, both canonical: the
-    lineality basis is the sign-normalized kernel basis, rays are primitive
-    and sorted.  Results are memoized on the input; cones are immutable, so
-    the cache is shareable.
+    ``normals`` must be in canonical input form (see :func:`_primitive_rows`).
+    Returns ``(lineality_basis, rays)`` as tuples of primitive ``int``
+    tuples, both canonical: each line has its first nonzero entry positive,
+    rays are sorted.  Results are memoized on the input; cones are
+    immutable, so the cache is shareable.
     """
     cache_key = (dim, normals)
     cached = _HREP_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    lin = tuple(kernel_basis(normals, dim))
+    lin = _lineality(normals, dim)
     # rays lie in the orthogonal complement of the lineality space: with
-    # <l, x> = 0 for each line l the cone is pointed, of rank dim.  Lines
-    # and normals are primitive, so their numerators are the integer rows.
-    rows = [tuple(x.numerator for x in v) for v in lin]
-    rows += [tuple(-x for x in v) for v in rows] + [tuple(x.numerator for x in n) for n in normals]
+    # <l, x> = 0 for each line l the cone is pointed, of rank dim
+    rows = list(lin) + [vneg(e) for e in lin] + list(normals)
     rays = _dd_rays(rows, dim) if len(lin) < dim else ()
-    result = (lin, tuple(sorted(tuple(map(Fraction, v)) for v in rays)))
+    result = (lin, tuple(sorted(rays)))
     _HREP_CACHE[cache_key] = result
     return result
+
+
+def _lineality(normals, dim):
+    """Basis of {x : <n, x> = 0 for all n}: for each free column f of the
+    echelon form, the kernel vector that vanishes on the other free
+    columns, primitive with its first nonzero entry positive.  Both
+    eliminations have the same pivot columns, so this is the basis that
+    Gauss-Jordan elimination over Q yields."""
+    echelon, _ = _echelon(normals, dim)
+    pivots = {col for col, _ in echelon}
+    free = [j for j in range(dim) if j not in pivots]
+    rows = [e for _, e in echelon]
+    units = {j: tuple(int(i == j) for i in range(dim)) for j in free}
+    basis = []
+    for f in free:
+        v = kernel_line(rows + [units[j] for j in free if j != f], dim)
+        basis.append(_scaled(v, next(x for x in v if x) > 0))
+    return tuple(basis)
 
 
 def _dd_rays(rows, r):
@@ -106,12 +133,11 @@ def _dd_rays(rows, r):
     at a time, joining adjacent rays across it.  A ray carries the rows on
     which it vanishes as a bit mask; two rays are adjacent iff no third one
     vanishes on all rows on which both vanish (at least r - 2 rows)."""
-    start = _independent_rows(rows, r)
+    _, start = _echelon(rows, r)
     rays = []
     for i in start:
         v = kernel_line([rows[j] for j in start if j != i], r)
-        g = gcd(*v) if _idot(rows[i], v) > 0 else -gcd(*v)
-        rays.append((tuple(x // g for x in v), sum(1 << j for j in start if j != i)))
+        rays.append((_scaled(v, _idot(rows[i], v) > 0), sum(1 << j for j in start if j != i)))
     for i, row in enumerate(rows):
         if i in start:
             continue
@@ -124,14 +150,16 @@ def _dd_rays(rows, r):
             common = zv & zw
             if common.bit_count() >= r - 2 and sum(z & common == common for z in masks) == 2:
                 u = [sv * b - sw * a for a, b in zip(v, w)]
-                g = gcd(*u)
-                kept.append((tuple(x // g for x in u), common | 1 << i))
+                kept.append((_scaled(u, True), common | 1 << i))
         rays = kept
     return [v for v, _ in rays]
 
 
-def _independent_rows(rows, r):
-    """The first r independent rows of a rank-r integer matrix, by index."""
+def _echelon(rows, r):
+    """Fraction-free row echelon form of integer rows, up to rank r:
+    ``(echelon, chosen)``, the reduced rows as (pivot column, row) pairs
+    and the indices of the independent rows they come from.  Each reduced
+    row vanishes on the pivot columns of the rows before it."""
     echelon, chosen = [], []
     for i, row in enumerate(rows):
         for col, e in echelon:
@@ -142,13 +170,14 @@ def _independent_rows(rows, r):
             echelon.append((col, row))
             chosen.append(i)
             if len(chosen) == r:
-                return chosen
+                break
+    return echelon, chosen
 
 
 class Cone:
     """Finitely generated rational convex cone with cached dual data."""
 
-    __slots__ = ("dim", "rays", "lineality", "facet_normals", "span_normals", "_key")
+    __slots__ = ("dim", "rays", "lineality", "facet_normals", "span_normals", "_key", "_hrep")
 
     def __init__(self, dim: int, generators):
         gens = []
@@ -156,46 +185,47 @@ class Cone:
             g = qvec(g)
             if len(g) != dim:
                 raise InvalidInput(f"generator {g} has wrong dimension (expected {dim})")
-            if not is_zero_vec(g):
-                gens.append(primitive(g))
-        gens = tuple(sorted(set(gens)))
+            gens.append(g)
+        gens = _primitive_rows(gens)
         # H-representation: the dual cone {v : <v, g> >= 0} has the generators
         # as normals; its rays are our facet normals, its lineality our span
         # equalities.
         span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
         lin, rays = _rays_from_halfspaces(_with_lines(facet_normals, span_normals), dim)
-        self._fill(dim, rays, lin, facet_normals, span_normals, gens)
+        self._fill(dim, (rays, lin), (facet_normals, span_normals), gens)
 
     @classmethod
     def _canonical(cls, dim: int, rays, lineality) -> "Cone":
-        """The cone over V-data that is already canonical: primitive extreme
-        rays in sorted order and a lineality basis as ``kernel_basis`` returns
-        it.  Converts V to H once; converting back would only recompute
-        ``rays``."""
+        """The cone over V-data that is already canonical, as ``int`` tuples:
+        primitive extreme rays in sorted order and a lineality basis as
+        :func:`_lineality` returns it.  Converts V to H once; converting back
+        would only recompute ``rays``."""
         gens = _with_lines(rays, lineality)
         span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
         cone = cls.__new__(cls)
-        cone._fill(dim, rays, lineality, facet_normals, span_normals, gens)
+        cone._fill(dim, (rays, lineality), (facet_normals, span_normals), gens)
         return cone
 
-    def _fill(self, dim, rays, lineality, facet_normals, span_normals, gens):
+    def _fill(self, dim, vrep, hrep, gens):
+        """Set the V-representation (rays, lineality) and H-representation
+        (facet normals, span equalities), once the H-representation is
+        checked to contain every generator."""
+        halfspaces = _with_lines(*hrep)
+        if any(_idot(h, g) < 0 for g in gens for h in halfspaces):
+            raise InternalCheckFailed(
+                "H-representation does not contain a generator", check="cone-hrep"
+            )
         self.dim = dim
-        self.rays = rays
-        self.lineality = lineality
-        self.facet_normals = facet_normals
-        self.span_normals = span_normals
-        self._key = (dim, rays, lineality)
-        halfspaces = self.halfspaces
-        for g in gens:
-            if not all(dot(h, g) >= 0 for h in halfspaces):
-                raise InternalCheckFailed(
-                    "H-representation does not contain a generator", check="cone-hrep"
-                )
+        self._key = (dim, *vrep)
+        self._hrep = hrep
+        self.rays, self.lineality = map(_fractions, vrep)
+        self.facet_normals, self.span_normals = map(_fractions, hrep)
 
     @classmethod
     def from_halfspaces(cls, dim: int, normals) -> "Cone":
-        lin, rays = _rays_from_halfspaces(_normalized(qvec(n) for n in normals), dim)
-        return cls._canonical(dim, rays, lin)
+        """The cone {x : <n, x> >= 0 for all n}: the dual of the cone that
+        the normals generate."""
+        return dual_cone(cls(dim, normals))
 
     @property
     def generators(self):
@@ -230,20 +260,6 @@ class Cone:
         x = qvec(x)
         return all(dot(h, x) >= 0 for h in self.halfspaces)
 
-    def contains_vrep(self, x) -> bool:
-        """V-representation membership: LP feasibility of nonnegative combinations."""
-        x = qvec(x)
-        gens = self.generators
-        k = len(gens)
-        cons = []
-        for j in range(self.dim):
-            cons.append((tuple(g[j] for g in gens), -x[j], fm.EQ))
-        for i in range(k):
-            coeffs = [Fraction(0)] * k
-            coeffs[i] = Fraction(1)
-            cons.append((tuple(coeffs), Fraction(0), fm.GE))
-        return fm.feasible(cons, k)
-
     def relint_contains(self, x) -> bool:
         """Relative interior membership: equalities on the span, strict on facets."""
         x = qvec(x)
@@ -268,19 +284,15 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={len(self.rays)}, lineality={len(self.lineality)})"
 
 
-_DUAL_CACHE: dict = {}
 _FACES_CACHE: dict = {}
 
 
 def dual_cone(c: Cone) -> Cone:
-    """Polar dual {v : <v, w> >= 0 for all w in c}."""
-    cached = _DUAL_CACHE.get(c._key)
-    if cached is None:
-        # the dual's extreme rays and lines are c's facet normals and span
-        # equalities, already canonical
-        cached = Cone._canonical(c.dim, c.facet_normals, c.span_normals)
-        _DUAL_CACHE[c._key] = cached
-    return cached
+    """Polar dual {v : <v, w> >= 0 for all w in c}: c's two representations
+    swapped, rays with facet normals and lineality with span equalities."""
+    dual = Cone.__new__(Cone)
+    dual._fill(c.dim, c._hrep, c._key[1:], _with_lines(*c._hrep))
+    return dual
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
@@ -305,12 +317,12 @@ def is_proper(c: Cone) -> bool:
     disagreement raises InternalCheckFailed.
     """
     no_lines = not c.lineality
-    dual = dual_cone(c)
-    dual_full_dim = rank(dual.generators, c.dim) == c.dim
-    # interior-point construction: sum of dual rays is strict on every facet
-    # of the dual (the extreme rays of c) iff the dual is full-dimensional
-    p = dual.interior_point()
-    interior_ok = no_lines and all(dot(p, g) > 0 for g in c.rays)
+    # the dual's generators are c's halfspaces and its rays c's facet
+    # normals, whose sum is strict on every facet of the dual (a ray of c)
+    # iff the dual is full-dimensional
+    dual_full_dim = rank(c.halfspaces, c.dim) == c.dim
+    p = [sum(col) for col in zip(*c._hrep[0])]
+    interior_ok = no_lines and all(_idot(p, r) > 0 for r in c._key[1])
     if not no_lines == dual_full_dim == interior_ok:
         raise InternalCheckFailed(
             "properness characterizations disagree", check="is-proper"
@@ -332,10 +344,10 @@ def faces_of(c: Cone):
         return list(cached)
     if not is_proper(c):
         raise ImproperCone("faces are only enumerated for proper cones")
-    rays = c.rays
+    _, rays, _ = c._key
     closed = {frozenset(range(len(rays)))}
-    for normal in c.facet_normals:
-        zeros = frozenset(i for i, r in enumerate(rays) if dot(normal, r) == 0)
+    for normal in c._hrep[0]:
+        zeros = frozenset(i for i, r in enumerate(rays) if not _idot(normal, r))
         closed |= {zeros & s for s in closed}
     faces = [
         c if len(s) == len(rays) else Cone._canonical(c.dim, tuple(rays[i] for i in sorted(s)), ())
@@ -349,18 +361,14 @@ def faces_of(c: Cone):
 class Fan:
     """Validated fan: cones, ids, and the face relation."""
 
-    __slots__ = ("dim", "cones", "ids", "face_rel", "_index", "_complete")
+    __slots__ = ("dim", "cones", "ids", "face_rel", "_complete")
 
     def __init__(self, dim, cones, ids, face_rel):
         self.dim = dim
         self.cones = tuple(cones)
         self.ids = tuple(ids)
         self.face_rel = frozenset(face_rel)
-        self._index = {c._key: i for i, c in enumerate(self.cones)}
         self._complete = None
-
-    def index_of(self, cone: Cone):
-        return self._index.get(cone._key)
 
     def cone_by_id(self, cid: str) -> Cone:
         for i, name in enumerate(self.ids):

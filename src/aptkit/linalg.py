@@ -3,11 +3,10 @@
 Matrices are lists/tuples of equal-length rows.  Everything here is sized
 for desk-scale inputs (dimensions in the single digits, a few dozen rows).
 Row reduction is one Gauss-Jordan elimination, :func:`rref`, over Q with
-``Fraction`` entries or over F_p with ints in ``range(p)``; ranks, bases,
-kernels and solutions all come from it.  Determinants, and the kernel lines
-of the cone conversion built from them, use fraction-free (Bareiss)
-elimination on integer rows, since the cone conversion computes them by the
-thousand.
+``Fraction`` entries or over F_p with ints in ``range(p)``; ranks, bases
+and solutions come from it.  Determinants, and the kernel lines of the
+cone conversion built from them, use fraction-free (Bareiss) elimination on
+integer rows, since the cone conversion computes them by the thousand.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .rational import QVec, integral, q, sign_normalized, zero_vec
+from .rational import QVec, integral, q, zero_vec
 
 
 def _mod(row, p):
@@ -65,20 +64,6 @@ def rank(rows, ncols: int, field=None) -> int:
 def row_space_basis(rows, ncols: int):
     """Canonical basis of the row space (nonzero rref rows)."""
     return rref(rows, ncols)[0]
-
-
-def kernel_basis(rows, ncols: int):
-    """Canonical basis of {x : row . x = 0 for every row}, sign-normalized."""
-    red, pivots = rref(rows, ncols)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = list(zero_vec(ncols))
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(sign_normalized(tuple(v)))
-    return basis
 
 
 def solve_linear(rows, ncols: int, rhs):

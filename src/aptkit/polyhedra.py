@@ -66,12 +66,6 @@ class OpenPolyhedron:
         x = qvec(x)
         return all(dot(n, x) + d > 0 for n, d in self.constraints)
 
-    def closure_contains(self, x) -> bool:
-        if self.is_empty:
-            return False
-        x = qvec(x)
-        return all(dot(n, x) + d >= 0 for n, d in self.constraints)
-
     def is_subset_of(self, other: "OpenPolyhedron") -> bool:
         """Exact inclusion: self's homogenisation lies in other's."""
         if self.is_empty:

@@ -67,17 +67,13 @@ def qvec(xs) -> QVec:
     return tuple(q(x) for x in xs)
 
 
-def format_qvec(v) -> list:
-    return [str(x) for x in v]
-
-
 def zero_vec(n: int) -> QVec:
     return (Fraction(0),) * n
 
 
 def dot(u: QVec, v: QVec) -> Fraction:
     if len(u) != len(v):
-        raise ValueError("dimension mismatch")
+        raise InvalidInput("dimension mismatch")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
@@ -121,12 +117,3 @@ def primitive(u: QVec) -> QVec:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(Fraction(a // g) for a in ints)
-
-
-def sign_normalized(u: QVec) -> QVec:
-    """Primitive form with the first nonzero entry positive (for line directions)."""
-    p = primitive(u)
-    for a in p:
-        if a != 0:
-            return p if a > 0 else vneg(p)
-    raise ValueError("zero vector")

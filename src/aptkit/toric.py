@@ -22,7 +22,7 @@ from .errors import (
 )
 from .geometry import Cone, cone_sum, dual_cone, intersect, is_proper, separating_vector
 from .polyhedra import OpenPolyhedron, minkowski_sum
-from .rational import QVec, integral, is_zero_vec, qvec, vneg
+from .rational import QVec, integral, qvec, vneg
 
 
 GRADING_RATIONAL = "Q"
@@ -82,11 +82,8 @@ def transition_data(c1: Chart, c2: Chart) -> Transition:
         raise NotAdjacent(f"charts do not glue: {exc}") from exc
     tau = intersect(c1.cone, c2.cone)
     overlap = dual_cone(tau)
-    if is_zero_vec(m):
-        localized = c1.dual
-    else:
-        localized = cone_sum(c1.dual, Cone(c1.cone.dim, [vneg(m)]))
-    if localized != overlap:
+    # for m = 0 the zero generator is dropped and the sum is dual1 itself
+    if cone_sum(c1.dual, Cone(c1.cone.dim, [vneg(m)])) != overlap:
         raise NotAdjacent("overlap dual is not the expected localization")
     if cone_sum(c1.dual, c2.dual) != overlap:
         raise NotAdjacent("overlap dual is not the sum of the chart duals")
@@ -107,9 +104,7 @@ def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
         t12 = transition_data(first, second)
         mid = chart_of_cone(intersect(first.cone, second.cone), first.grading)
         t3 = transition_data(mid, third)
-        cone_out = cone_sum(mid.dual, Cone(mid.cone.dim, [vneg(t3.m)])) if not is_zero_vec(
-            t3.m
-        ) else mid.dual
+        cone_out = cone_sum(mid.dual, Cone(mid.cone.dim, [vneg(t3.m)]))
         total_m = tuple(a + b for a, b in zip(t12.m, t3.m))
         return cone_out, total_m
 

@@ -2,12 +2,15 @@
 
 Each oracle recomputes a quantity along a different algorithmic route than
 the library: Fourier-Motzkin V-to-H conversion for duals, kernel lines of
-all (rank-1)-subsets of the normals for H-to-V conversion, supporting
-hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
+all (rank-1)-subsets of the normals for H-to-V conversion, with the
+lineality from a Gauss-Jordan kernel basis over Q, Fourier-Motzkin
+feasibility of nonnegative combinations for V-representation membership,
+supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, the order-complex derived
-limit for stalk ranks, point sampling for Minkowski sums.  Expected values in the tests were produced (or are
-recomputed live) by these, never by the code under test.
+limit for stalk ranks, point sampling for Minkowski sums.  Expected values
+in the tests were produced (or are recomputed live) by these, never by the
+code under test.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from aptkit import fm
 from aptkit.barcodes import Barcode
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand, _kill_cost, _pair_cost
-from aptkit.linalg import kernel_basis, kernel_line, rank, row_space_basis
+from aptkit.linalg import kernel_line, rank, row_space_basis, rref
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import (
     INF,
@@ -40,11 +43,47 @@ def _idot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def sign_normalized(u):
+    """Primitive form with the first nonzero entry positive (for line directions)."""
+    p = primitive(u)
+    return p if next(a for a in p if a) > 0 else vneg(p)
+
+
+def kernel_basis(rows, ncols: int):
+    """Canonical basis of {x : row . x = 0 for every row} from Gauss-Jordan
+    elimination over Q: one vector per free column f, with entry 1 at f and
+    0 at the other free columns, sign-normalized."""
+    red, pivots = rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = list(zero_vec(ncols))
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(sign_normalized(tuple(v)))
+    return basis
+
+
+def contains_by_vrep(cone: Cone, x) -> bool:
+    """V-representation membership: FM feasibility of x as a nonnegative
+    combination of the cone's generators."""
+    x = qvec(x)
+    gens = cone.generators
+    k = len(gens)
+    cons = [(tuple(g[j] for g in gens), -x[j], fm.EQ) for j in range(cone.dim)]
+    for i in range(k):
+        coeffs = [Fraction(0)] * k
+        coeffs[i] = Fraction(1)
+        cons.append((tuple(coeffs), Fraction(0), fm.GE))
+    return fm.feasible(cons, k)
+
+
 def rays_by_subset_enumeration(normals, dim):
     """Lineality basis and extreme rays of {x : <n, x> >= 0 for all n}, as
-    ``geometry._rays_from_halfspaces`` returns them, from the kernel line of
-    every (rank-1)-subset of the normals (taken in the row-space basis)
-    that no normal changes sign on.  ``normals`` in canonical input form."""
+    ``geometry._rays_from_halfspaces`` returns them but with ``Fraction``
+    entries, from the kernel line of every (rank-1)-subset of the normals
+    (taken in the row-space basis) that no normal changes sign on, and the
+    lineality from :func:`kernel_basis`.  ``normals`` in canonical input form."""
     lin = tuple(kernel_basis(normals, dim))
     basis = row_space_basis(normals, dim)
     r = len(basis)

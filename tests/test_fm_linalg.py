@@ -16,7 +16,6 @@ from aptkit.linalg import (
     PrimeField,
     coords_in_basis,
     det,
-    kernel_basis,
     kernel_line,
     rank,
     rref,
@@ -24,6 +23,8 @@ from aptkit.linalg import (
     solve_linear,
 )
 from aptkit.rational import dot, integral, primitive
+
+from oracles import kernel_basis
 
 
 def random_system(rng, nvars, ncons):

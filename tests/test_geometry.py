@@ -12,7 +12,7 @@ from itertools import combinations, product
 import pytest
 
 from aptkit import catalog, geometry
-from aptkit.errors import BadIntersection, ImproperCone, MissingFace, NotSeparable
+from aptkit.errors import BadIntersection, ImproperCone, InvalidInput, MissingFace, NotSeparable
 from aptkit.geometry import (
     Cone,
     cone_sum,
@@ -24,9 +24,15 @@ from aptkit.geometry import (
     validate_fan,
 )
 from aptkit.linalg import rank
+from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import vadd, vneg, vscale, zero_vec
 
-from oracles import faces_by_supporting_hyperplanes, fm_dual_generators, rays_by_subset_enumeration
+from oracles import (
+    contains_by_vrep,
+    faces_by_supporting_hyperplanes,
+    fm_dual_generators,
+    rays_by_subset_enumeration,
+)
 
 
 def test_dual_quadrant_is_self_dual():
@@ -50,6 +56,37 @@ def test_dual_involution_and_fm_oracle():
         assert dual_cone(dual_cone(cone)) == cone, name
         oracle = Cone(cone.dim, fm_dual_generators(cone))
         assert oracle == dual_cone(cone), name
+
+
+def test_dual_runs_no_conversion(monkeypatch):
+    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
+    duals = [Cone(cone.dim, fm_dual_generators(cone)) for cone in cones]
+
+    def convert(normals, dim):
+        raise AssertionError("dual_cone converted")
+
+    monkeypatch.setattr(geometry, "_rays_from_halfspaces", convert)
+    for cone, dual in zip(cones, duals):
+        _same_cone(dual_cone(cone), dual)
+        _same_cone(dual_cone(dual_cone(cone)), cone)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Cone(2, [(1, 0)]).contains((1, 0, 0)),
+        lambda: Cone(2, [(1, 0)]).relint_contains((1,)),
+        lambda: OpenPolyhedron(2, [((1, 0), 1)]).contains((0, 0, 0)),
+        lambda: OpenPolyhedron(2, [((1, 0), 1)]).infimum((1,)),
+        lambda: OpenPolyhedron(2, [((1, 0), 1)]).translate((1, 2, 3)),
+        lambda: Cone.from_halfspaces(2, [(1, 0, 0)]),
+    ],
+    ids=["Cone.contains", "Cone.relint_contains", "OpenPolyhedron.contains",
+         "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces"],
+)
+def test_wrong_length_vectors_are_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 def test_is_proper_examples():
@@ -263,7 +300,7 @@ def test_membership_consistency_vrep_hrep():
                 point = tuple(
                     Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cone.dim)
                 )
-            assert cone.contains(point) == cone.contains_vrep(point), (name, point)
+            assert cone.contains(point) == contains_by_vrep(cone, point), (name, point)
 
 
 def test_cone_sum_and_double_dual():
@@ -297,7 +334,7 @@ def _conversion_inputs():
 def test_double_description_against_subset_enumeration():
     lines = 0
     for dim, normals in _conversion_inputs():
-        normals = geometry._normalized(tuple(Fraction(x) for x in n) for n in normals)
+        normals = geometry._primitive_rows(tuple(Fraction(x) for x in n) for n in normals)
         geometry._HREP_CACHE.pop((dim, normals), None)
         got = geometry._rays_from_halfspaces(normals, dim)
         assert got == rays_by_subset_enumeration(normals, dim), (dim, normals)
@@ -327,6 +364,11 @@ except InternalCheckFailed as exc:
             "g._rays_from_halfspaces = lambda normals, dim: "
             "(convert(normals, dim)[0], tuple(g.vneg(r) for r in convert(normals, dim)[1]))",
             "g.Cone(2, [(1, 0), (1, 2)])",
+        ),
+        (
+            "c = g.Cone(2, [(1, 0), (1, 2)])\n"
+            "c._key = (2, tuple(g.vneg(r) for r in c._key[1]), c._key[2])",
+            "g.dual_cone(c)",
         ),
         (
             "import aptkit.fm as fm\nfm.eliminate = lambda cons, nvars, drop: cons",
@@ -368,7 +410,7 @@ except InternalCheckFailed as exc:
             "i.certificate_for(barcode(bar(0, 2)), barcode(bar(0, 3)), 1)",
         ),
     ],
-    ids=["is-proper-cross-check", "cone-hrep-containment", "fm-projection", "minkowski-sum-open",
+    ids=["is-proper-cross-check", "cone-hrep-containment", "dual-swap-containment", "fm-projection", "minkowski-sum-open",
          "root-ladder-minimality", "sample-point", "torsionfree-stabilization", "gamma-basis-witness",
          "incidence-sign", "chain-complex", "certificate-matching"],
 )
