@@ -257,12 +257,12 @@ class Cone:
 
     def contains(self, x) -> bool:
         """H-representation membership: every halfspace inequality holds."""
-        x = qvec(x)
+        x = qvec(x, self.dim)
         return all(dot(h, x) >= 0 for h in self.halfspaces)
 
     def relint_contains(self, x) -> bool:
         """Relative interior membership: equalities on the span, strict on facets."""
-        x = qvec(x)
+        x = qvec(x, self.dim)
         return all(dot(e, x) == 0 for e in self.span_normals) and all(
             dot(f, x) > 0 for f in self.facet_normals
         )

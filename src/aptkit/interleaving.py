@@ -93,50 +93,43 @@ def _perfect_matching(allowed, n_left, n_right):
     return match_l
 
 
-def _feasible(bars_x, bars_y, eps):
+def _cost_table(bars_x, bars_y):
+    """The pair costs (one list per X-bar) and the kill costs of the X- and
+    the Y-bars."""
+    pair = [[_pair_cost(ivx, ivy) for ivy in bars_y] for ivx in bars_x]
+    return pair, [_kill_cost(iv) for iv in bars_x], [_kill_cost(iv) for iv in bars_y]
+
+
+def _feasible(costs, eps):
     """Is there an interleaving of the multisets at scale eps?
 
-    Classical square construction: left = X-bars plus one diagonal slot per
-    Y-bar, right = Y-bars plus one diagonal slot per X-bar.  Returns the
-    matching (x index -> y index or None) or None.
+    Classical square construction on the bars' cost table: left = X-bars
+    plus one diagonal slot per Y-bar, right = Y-bars plus one diagonal slot
+    per X-bar.  Any monotone relabelling of the costs and eps gives the same
+    answer.  Returns the matching (x index -> y index or None) or None.
     """
-    nx, ny = len(bars_x), len(bars_y)
+    pair, kill_x, kill_y = costs
+    nx, ny = len(kill_x), len(kill_y)
     size = nx + ny
-    allowed = [[] for _ in range(size)]
-    for i, ivx in enumerate(bars_x):
-        for j, ivy in enumerate(bars_y):
-            if _pair_cost(ivx, ivy) <= eps:
-                allowed[i].append(j)
-        if _kill_cost(ivx) <= eps:
-            allowed[i].append(ny + i)
-    for j in range(ny):
-        diag = nx + j
-        if _kill_cost(bars_y[j]) <= eps:
-            allowed[diag].append(j)
-        for i in range(nx):
-            allowed[diag].append(ny + i)
+    allowed = [
+        [j for j, c in enumerate(row) if c <= eps] + ([ny + i] if kill_x[i] <= eps else [])
+        for i, row in enumerate(pair)
+    ]
+    diagonal = list(range(ny, size))
+    allowed += [([j] if c <= eps else []) + diagonal for j, c in enumerate(kill_y)]
     matching = _perfect_matching(allowed, size, size)
     if matching is None:
         return None
     return {i: (matching[i] if matching[i] < ny else None) for i in range(nx)}
 
 
-def _candidates(bars_x, bars_y):
-    values = {Fraction(0)}
-    for ivx in bars_x:
-        for ivy in bars_y:
-            c = _pair_cost(ivx, ivy)
-            if c != INF:
-                values.add(c)
-    for iv in bars_x + bars_y:
-        c = _kill_cost(iv)
-        if c != INF:
-            values.add(c)
-    return sorted(values)
-
-
 def interleaving_distance(x: Barcode, y: Barcode):
-    """Exact inf over max(a, b) of (a, b)-isomorphisms; +inf when none exists."""
+    """Exact inf over max(a, b) of (a, b)-isomorphisms; +inf when none exists.
+
+    The costs are computed once and replaced by their ranks among the
+    candidate values (0 and every finite cost), so each binary-search step
+    compares ints.
+    """
     lines_x, bars_x = _expand(x)
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:
@@ -145,15 +138,23 @@ def interleaving_distance(x: Barcode, y: Barcode):
     ny_rays = sum(1 for iv in bars_y if iv.right == INF)
     if nx_rays != ny_rays:
         return INF
-    candidates = _candidates(bars_x, bars_y)
+    pair, kill_x, kill_y = _cost_table(bars_x, bars_y)
+    candidates = sorted({Fraction(0), *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
+    rank = {c: k for k, c in enumerate(candidates)}
+    rank[INF] = len(candidates)
+    costs = (
+        [[rank[c] for c in row] for row in pair],
+        [rank[c] for c in kill_x],
+        [rank[c] for c in kill_y],
+    )
     lo, hi = 0, len(candidates) - 1
-    if _feasible(bars_x, bars_y, candidates[lo]) is not None:
+    if _feasible(costs, lo) is not None:
         return candidates[lo]
-    if _feasible(bars_x, bars_y, candidates[hi]) is None:
+    if _feasible(costs, hi) is None:
         return INF
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _feasible(bars_x, bars_y, candidates[mid]) is not None:
+        if _feasible(costs, mid) is not None:
             hi = mid
         else:
             lo = mid
@@ -202,7 +203,7 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
         raise InvalidInput("no finite interleaving exists")
     lines_x, real_x = _expand(x)
     lines_y, real_y = _expand(y)
-    matching = _feasible(real_x, real_y, value)
+    matching = _feasible(_cost_table(real_x, real_y), value)
     if matching is None:
         raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
     forward = []

@@ -4,19 +4,22 @@ A presentation lists generator grades and homogeneous relation rows over a
 full-dimensional grading cone gamma.  Degree-wise evaluation is plain exact
 linear algebra: the dimension at grade a is the number of active generators
 minus the rank of the active relation rows.  The one-dimensional case
-bridges to barcodes through the classical persistence column reduction.
+bridges to barcodes through the classical persistence column reduction, on
+sparse columns of ints modulo p over F_p and, over Q, of primitive ints
+that are divided by their content after every column operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .barcodes import Bar, Barcode, interval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone
 from .k0 import K0Class, e
 from .linalg import PrimeField, rank
-from .rational import INF, is_finite, q, qvec, vadd, vsub
+from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
 
 def parse_field(tag):
@@ -156,44 +159,38 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     Relation columns are processed in increasing degree (ties by index).
     Rows are keyed by their position in (birth, index) order, so the pivot
     of a column, its generator of latest birth (ties by generator index),
-    is its largest key.  Each pivot column is stored scaled to pivot entry
-    1, so a column is reduced by subtracting it times its own pivot entry.
-    Entries are Fractions over Q (``p.field is None``) and ints modulo the
-    prime over F_p.  A paired (generator, relation) yields the bar
-    [birth, degree), dropped when empty; unpaired generators are infinite.
+    is its largest key.  A column is reduced by the stored column with the
+    same pivot until its pivot is new or it vanishes.  Over F_p entries are
+    ints modulo the prime, and each stored column is scaled to pivot entry
+    1.  Over Q a column is a primitive int dict: a relation row enters
+    through ``integral``, a reduction step is ``col <- (b/g)*col -
+    (f/g)*other`` with b the pivot entry of ``other``, f that of ``col`` and
+    g = gcd(b, f), and after every step ``col`` is divided by its content,
+    so no common factor of the scalings builds up.  Each int column is a
+    nonzero rational multiple of the column a reduction over Fractions
+    holds, so the pivots and the pairing are the same.  A paired
+    (generator, relation) yields the bar [birth, degree), dropped when
+    empty; unpaired generators are infinite.
     """
     _require_one_dimensional(p)
     field = p.field
-    mod = 0 if field is None else field.p
     births = [g[0] for g in p.generators]
     row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     position = {gen: pos for pos, gen in enumerate(row_order)}
-    paired = {}  # pivot position -> its column, scaled to pivot entry 1
+    paired = {}  # pivot position -> its reduced column
     bars = []
     order = sorted(range(len(p.relations)), key=lambda r: (p.relations[r][0][0], r))
     for r in order:
         degree, coeffs = p.relations[r]
-        if mod:
-            coeffs = [field.from_fraction(c) for c in coeffs]
-        col = {position[i]: c for i, c in enumerate(coeffs) if c != 0}
-        while col:
-            low = max(col)
-            other = paired.get(low)
-            if other is None:
-                break
-            f = col[low]
-            for i, v in other.items():
-                new = col.get(i, 0) - f * v
-                if mod:
-                    new %= mod
-                if new:
-                    col[i] = new
-                else:
-                    del col[i]
+        col = {position[i]: c for i, c in enumerate(coeffs) if c}
+        if field is None:
+            col = _reduce_q(dict(zip(col, integral(col.values())[0])), paired)
+        else:
+            col = {i: v for i, c in col.items() if (v := field.from_fraction(c))}
+            col = _reduce_fp(col, paired, field.p)
         if col:
             low = max(col)
-            inv = pow(col[low], -1, mod) if mod else 1 / col[low]
-            paired[low] = {i: v * inv % mod if mod else v * inv for i, v in col.items()}
+            paired[low] = col
             birth = births[row_order[low]]
             if birth < degree[0]:
                 bars.append(Bar(interval(birth, degree[0])))
@@ -201,6 +198,51 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
         if position[i] not in paired:
             bars.append(Bar(interval(births[i], INF)))
     return Barcode(bars)
+
+
+def _reduce_q(col, paired):
+    """Reduce an int column by the stored ones, dividing it by its content
+    before every step; returns it primitive with a positive pivot entry, so
+    that b > 0 and b/g = 1 whenever b divides f."""
+    while col:
+        g = gcd(*col.values())
+        if g > 1:
+            col = {i: v // g for i, v in col.items()}
+        low = max(col)
+        other = paired.get(low)
+        if other is None:
+            return col if col[low] > 0 else {i: -v for i, v in col.items()}
+        f, b = col[low], other[low]
+        g = gcd(f, b)
+        scale, factor = b // g, f // g
+        if scale != 1:
+            col = {i: scale * v for i, v in col.items()}
+        for i, v in other.items():
+            new = col.get(i, 0) - factor * v
+            if new:
+                col[i] = new
+            else:
+                del col[i]
+    return col
+
+
+def _reduce_fp(col, paired, mod):
+    """Reduce a column of ints mod p by the stored ones; returns it scaled to
+    pivot entry 1."""
+    while col:
+        low = max(col)
+        other = paired.get(low)
+        if other is None:
+            inv = pow(col[low], -1, mod)
+            return {i: v * inv % mod for i, v in col.items()}
+        f = col[low]
+        for i, v in other.items():
+            new = (col.get(i, 0) - f * v) % mod
+            if new:
+                col[i] = new
+            else:
+                del col[i]
+    return col
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

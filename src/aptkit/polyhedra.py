@@ -61,9 +61,9 @@ class OpenPolyhedron:
         return cls(cone.dim, [(n, Fraction(0)) for n in cone.facet_normals])
 
     def contains(self, x) -> bool:
+        x = qvec(x, self.dim)
         if self.is_empty:
             return False
-        x = qvec(x)
         return all(dot(n, x) + d > 0 for n, d in self.constraints)
 
     def is_subset_of(self, other: "OpenPolyhedron") -> bool:
@@ -80,7 +80,7 @@ class OpenPolyhedron:
         unless <u, x> falls along a ray with t = 0 or varies along a line."""
         if self.is_empty:
             raise EmptyInput("the empty polyhedron has no infimum")
-        u = qvec(u) + (Fraction(0),)
+        u = qvec(u, self.dim) + (Fraction(0),)
         rays, lines = self._cone.rays, self._cone.lineality
         if any(dot(u, r) < 0 for r in rays if r[-1] == 0) or any(dot(u, e) for e in lines):
             return None
@@ -88,7 +88,7 @@ class OpenPolyhedron:
 
     def translate(self, a) -> "OpenPolyhedron":
         """The set self + a."""
-        a = qvec(a)
+        a = qvec(a, self.dim)
         if self.is_empty:
             return self
         return OpenPolyhedron(

@@ -63,8 +63,12 @@ def is_finite(g) -> bool:
     return g != INF and g != NEG_INF
 
 
-def qvec(xs) -> QVec:
-    return tuple(q(x) for x in xs)
+def qvec(xs, dim=None) -> QVec:
+    """Coerce to a tuple of Fractions; with ``dim``, require that length."""
+    v = tuple(q(x) for x in xs)
+    if dim is not None and len(v) != dim:
+        raise InvalidInput(f"vector of length {len(v)} where dimension {dim} is expected")
+    return v
 
 
 def zero_vec(n: int) -> QVec:

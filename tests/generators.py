@@ -80,6 +80,23 @@ def random_presentation(rng, max_gens=5, max_rels=4, field=None) -> Presentation
     return PresentationND(HALFLINE, gens, rels, field)
 
 
+def sparse_presentation(rng, n, m, coefficients=(-3, -2, -1, 1, 2, 3)) -> PresentationND:
+    """n generators with grades in {0,...,20}/2 and m relations with three
+    nonzero coefficients each, drawn from ``coefficients``, at degrees at or
+    after their latest generator; m > n makes relations dependent."""
+    gens = [(half_grade(rng),) for _ in range(n)]
+    zero = Fraction(0)
+    rels = []
+    for _ in range(m):
+        support = rng.sample(range(n), 3)
+        row = [zero] * n
+        for i in support:
+            row[i] = Fraction(rng.choice(coefficients))
+        degree = max(gens[i][0] for i in support) + half_grade(rng, 0, 5)
+        rels.append(((degree,), row))
+    return PresentationND(HALFLINE, gens, rels)
+
+
 def random_open_constraints(rng, dim, count):
     """Constraints (normal, offset) of an open polyhedron with mixed
     redundancy: fresh random ones (zero normals included), looser scaled

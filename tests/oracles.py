@@ -7,8 +7,9 @@ lineality from a Gauss-Jordan kernel basis over Q, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
-brute-force matchings for the bottleneck value, the order-complex derived
-limit for stalk ranks, point sampling for Minkowski sums.  Expected values
+brute-force matchings for the bottleneck value, the column reduction on
+``Fraction`` entries for barcodes over Q, the order-complex derived limit
+for stalk ranks, point sampling for Minkowski sums.  Expected values
 in the tests were produced (or are recomputed live) by these, never by the
 code under test.
 """
@@ -19,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from aptkit import fm
-from aptkit.barcodes import Barcode
+from aptkit.barcodes import Bar, Barcode, interval
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand, _kill_cost, _pair_cost
 from aptkit.linalg import kernel_line, rank, row_space_basis, rref
@@ -243,6 +244,42 @@ def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
 
     assign(0, frozenset(), Fraction(0))
     return best[0]
+
+
+def barcode_by_fraction_reduction(p) -> Barcode:
+    """Barcode of a 1-dimensional presentation over Q by the persistence
+    column reduction on ``Fraction`` entries: relation columns in increasing
+    degree, rows in (birth, index) order, each stored column scaled to pivot
+    entry 1 and subtracted times the pivot entry of the column it reduces."""
+    births = [g[0] for g in p.generators]
+    row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
+    position = {gen: pos for pos, gen in enumerate(row_order)}
+    paired = {}
+    bars = []
+    for r in sorted(range(len(p.relations)), key=lambda r: (p.relations[r][0][0], r)):
+        degree, coeffs = p.relations[r]
+        col = {position[i]: c for i, c in enumerate(coeffs) if c != 0}
+        while col:
+            low = max(col)
+            if low not in paired:
+                break
+            f = col[low]
+            for i, v in paired[low].items():
+                new = col.get(i, 0) - f * v
+                if new:
+                    col[i] = new
+                else:
+                    del col[i]
+        if col:
+            low = max(col)
+            paired[low] = {i: v / col[low] for i, v in col.items()}
+            birth = births[row_order[low]]
+            if birth < degree[0]:
+                bars.append(Bar(interval(birth, degree[0])))
+    for i, birth in enumerate(births):
+        if position[i] not in paired:
+            bars.append(Bar(interval(birth, INF)))
+    return Barcode(bars)
 
 
 def order_complex_stalk_ranks(fan: Fan, point) -> dict:

@@ -80,9 +80,15 @@ def test_dual_runs_no_conversion(monkeypatch):
         lambda: OpenPolyhedron(2, [((1, 0), 1)]).infimum((1,)),
         lambda: OpenPolyhedron(2, [((1, 0), 1)]).translate((1, 2, 3)),
         lambda: Cone.from_halfspaces(2, [(1, 0, 0)]),
+        lambda: Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]).contains((1, 2, 3)),
+        lambda: Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]).relint_contains((1, 2, 3)),
+        lambda: OpenPolyhedron.whole_space(2).contains((1, 2, 3)),
+        lambda: OpenPolyhedron.whole_space(2).translate((1, 2, 3)),
     ],
     ids=["Cone.contains", "Cone.relint_contains", "OpenPolyhedron.contains",
-         "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces"],
+         "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces",
+         "whole-plane-Cone.contains", "whole-plane-Cone.relint_contains",
+         "whole-space-OpenPolyhedron.contains", "whole-space-OpenPolyhedron.translate"],
 )
 def test_wrong_length_vectors_are_invalid_input(call):
     with pytest.raises(InvalidInput):
@@ -406,7 +412,7 @@ except InternalCheckFailed as exc:
         ),
         (
             "import aptkit.interleaving as i\nfrom aptkit.barcodes import bar, barcode\n"
-            "i._feasible = lambda x, y, value: None",
+            "i._feasible = lambda costs, value: None",
             "i.certificate_for(barcode(bar(0, 2)), barcode(bar(0, 3)), 1)",
         ),
     ],
