@@ -6,10 +6,11 @@ star-complex stalk homology of complete fans, and indicator convolution.
 
 Stalk homology builds the cellular (Borel-Moore) chain complex of the
 polyhedral decomposition a complete fan puts on the ambient space: one
-cell per cone, cell degree = cone dimension, incidence signs read off
-from fixed span orientations with an inward transversal.  Restricting to
-the cones containing the query point realizes the relative pair of the
-closed star against its boundary; d.d = 0 is checked exactly per run.
+cell per cone, cell degree = cone dimension, each cell oriented by the
+echelon form of its integer rays, incidence signs read off with an inward
+transversal.  Restricting to the cones containing the query point realizes
+the relative pair of the closed star against its boundary; d.d = 0 is
+checked exactly per run, on integer boundary matrices.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .errors import (
     NotGammaOpen,
     PointNotInSet,
 )
-from .geometry import Cone, Fan, dual_cone, faces_of
-from .linalg import coords_in_basis, det, rank, row_space_basis
+from .geometry import Cone, Fan, _idot, dual_cone, faces_of
+from .linalg import _int_det, echelon, rank
 from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 from .rational import INF, dot, l1norm, q, qvec, vadd, vscale, vsub, zero_vec
 
@@ -152,33 +153,31 @@ class StalkReport:
         return sum(self.betti.values())
 
 
-def _orientation_basis(cone: Cone):
-    """Ordered basis of the cone's span: canonical rref rows."""
-    return list(row_space_basis(list(cone.rays), cone.dim))
-
-
 def _incidence_sign(cone: Cone, facet: Cone) -> int:
     """Sign comparing (facet basis, inward vector) with the cone's basis.
 
-    The inward transversal is the sum of the cone's rays outside the facet,
-    which lies in the cone strictly off the facet's span.
+    A cell is oriented by the echelon form of its integer rays.  With B_c
+    the cone's basis, P its pivot columns and M the facet's basis plus the
+    inward vector, M = C B_c for the change of basis C, so the sign of
+    det C is sign det M[:, P] * sign det B_c[:, P].  The inward transversal
+    is the sum of the cone's rays outside the facet, which lies in the cone
+    strictly off the facet's span.
     """
-    basis_c = _orientation_basis(cone)
-    basis_f = _orientation_basis(facet)
-    inward = zero_vec(cone.dim)
-    for r in cone.rays:
-        if not facet.contains(r):
-            inward = vadd(inward, r)
-    rows = []
-    for v in basis_f + [inward]:
-        coords = coords_in_basis(basis_c, v)
-        if coords is None:
-            raise InternalCheckFailed("facet outside the cone's span", check="incidence-sign")
-        rows.append(coords)
-    d = det(rows)
+    rays, facet_rays = cone._key[1], facet._key[1]
+    if any(_idot(e, r) for e in cone._hrep[1] for r in facet_rays):
+        raise InternalCheckFailed("facet outside the cone's span", check="incidence-sign")
+    inward = [sum(r[j] for r in rays if r not in facet_rays) for j in range(cone.dim)]
+    basis_c, _ = echelon(rays, cone.dim)
+    basis_f, _ = echelon(facet_rays, cone.dim)
+    pivots = [col for col, _ in basis_c]
+
+    def minor(rows):
+        return _int_det([[row[j] for j in pivots] for row in rows])
+
+    d = minor([e for _, e in basis_f] + [inward])
     if d == 0:
         raise InternalCheckFailed("inward vector in the facet's span", check="incidence-sign")
-    return 1 if d > 0 else -1
+    return 1 if (d > 0) == (minor([e for _, e in basis_c]) > 0) else -1
 
 
 def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
@@ -206,12 +205,12 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
     boundary = {}
     for deg, cones in sorted(by_degree.items()):
         lower = by_degree.get(deg - 1, [])
-        matrix = [[Fraction(0)] * len(cones) for _ in lower]
+        matrix = [[0] * len(cones) for _ in lower]
         for col, cone in enumerate(cones):
             for face in faces_of(cone):
                 if face.cone_dim == cone.cone_dim - 1 and face._key in index:
                     sign = _incidence_sign(cone, face)
-                    matrix[index[face._key][1]][col] = Fraction(sign)
+                    matrix[index[face._key][1]][col] = sign
         boundary[deg] = matrix
     _assert_chain_complex(by_degree, boundary)
     betti = {}
@@ -239,7 +238,7 @@ def _assert_chain_complex(by_degree, boundary):
         cols = len(by_degree[deg + 1])
         for i in range(rows):
             for j in range(cols):
-                s = sum((lower[i][k] * upper[k][j] for k in range(mid)), Fraction(0))
+                s = sum(lower[i][k] * upper[k][j] for k in range(mid))
                 if s != 0:
                     raise InternalCheckFailed("incidence signs failed d.d = 0", check="chain-complex")
 

@@ -44,10 +44,9 @@ from .errors import (
     MissingFace,
     NotSeparable,
 )
-from .linalg import kernel_line, rank
+from .linalg import echelon, kernel_line, rank
 from .rational import (
     QVec,
-    dot,
     integral,
     is_zero_vec,
     primitive,
@@ -112,13 +111,13 @@ def _rays_from_halfspaces(normals, dim):
 def _lineality(normals, dim):
     """Basis of {x : <n, x> = 0 for all n}: for each free column f of the
     echelon form, the kernel vector that vanishes on the other free
-    columns, primitive with its first nonzero entry positive.  Both
-    eliminations have the same pivot columns, so this is the basis that
-    Gauss-Jordan elimination over Q yields."""
-    echelon, _ = _echelon(normals, dim)
-    pivots = {col for col, _ in echelon}
+    columns, primitive with its first nonzero entry positive.  The pivot
+    columns are those of Gauss-Jordan elimination over Q, so this is the
+    basis that elimination yields."""
+    reduced, _ = echelon(normals, dim)
+    pivots = {col for col, _ in reduced}
     free = [j for j in range(dim) if j not in pivots]
-    rows = [e for _, e in echelon]
+    rows = [e for _, e in reduced]
     units = {j: tuple(int(i == j) for i in range(dim)) for j in free}
     basis = []
     for f in free:
@@ -133,7 +132,7 @@ def _dd_rays(rows, r):
     at a time, joining adjacent rays across it.  A ray carries the rows on
     which it vanishes as a bit mask; two rays are adjacent iff no third one
     vanishes on all rows on which both vanish (at least r - 2 rows)."""
-    _, start = _echelon(rows, r)
+    _, start = echelon(rows, r)
     rays = []
     for i in start:
         v = kernel_line([rows[j] for j in start if j != i], r)
@@ -153,25 +152,6 @@ def _dd_rays(rows, r):
                 kept.append((_scaled(u, True), common | 1 << i))
         rays = kept
     return [v for v, _ in rays]
-
-
-def _echelon(rows, r):
-    """Fraction-free row echelon form of integer rows, up to rank r:
-    ``(echelon, chosen)``, the reduced rows as (pivot column, row) pairs
-    and the indices of the independent rows they come from.  Each reduced
-    row vanishes on the pivot columns of the rows before it."""
-    echelon, chosen = [], []
-    for i, row in enumerate(rows):
-        for col, e in echelon:
-            if row[col]:
-                row = [e[col] * a - row[col] * b for a, b in zip(row, e)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is not None:
-            echelon.append((col, row))
-            chosen.append(i)
-            if len(chosen) == r:
-                break
-    return echelon, chosen
 
 
 class Cone:
@@ -257,15 +237,15 @@ class Cone:
 
     def contains(self, x) -> bool:
         """H-representation membership: every halfspace inequality holds."""
-        x = qvec(x, self.dim)
-        return all(dot(h, x) >= 0 for h in self.halfspaces)
+        x, _ = integral(qvec(x, self.dim))
+        facets, span = self._hrep
+        return all(_idot(e, x) == 0 for e in span) and all(_idot(f, x) >= 0 for f in facets)
 
     def relint_contains(self, x) -> bool:
         """Relative interior membership: equalities on the span, strict on facets."""
-        x = qvec(x, self.dim)
-        return all(dot(e, x) == 0 for e in self.span_normals) and all(
-            dot(f, x) > 0 for f in self.facet_normals
-        )
+        x, _ = integral(qvec(x, self.dim))
+        facets, span = self._hrep
+        return all(_idot(e, x) == 0 for e in span) and all(_idot(f, x) > 0 for f in facets)
 
     def interior_point(self):
         """Sum of extreme rays: interior point iff the cone is full-dimensional."""
@@ -320,7 +300,7 @@ def is_proper(c: Cone) -> bool:
     # the dual's generators are c's halfspaces and its rays c's facet
     # normals, whose sum is strict on every facet of the dual (a ray of c)
     # iff the dual is full-dimensional
-    dual_full_dim = rank(c.halfspaces, c.dim) == c.dim
+    dual_full_dim = rank(c._hrep[0] + c._hrep[1], c.dim) == c.dim
     p = [sum(col) for col in zip(*c._hrep[0])]
     interior_ok = no_lines and all(_idot(p, r) > 0 for r in c._key[1])
     if not no_lines == dual_full_dim == interior_ok:

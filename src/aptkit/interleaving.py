@@ -243,7 +243,12 @@ def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -
         raise InvalidInput("certificate shifts must be nonnegative")
     bars_x = _expanded_intervals(x)
     bars_y = _expanded_intervals(y)
-    if len(cert.forward) != len(bars_x) or len(cert.backward) != len(bars_y):
+    if (
+        len(cert.forward) != len(bars_x)
+        or len(cert.backward) != len(bars_y)
+        or any(j is not None and j not in range(len(bars_y)) for j in cert.forward)
+        or any(i is not None and i not in range(len(bars_x)) for i in cert.backward)
+    ):
         return False
     s = a + b
 
@@ -255,8 +260,6 @@ def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -
                 if tau is not None:
                     return False
                 continue
-            if j < 0 or j >= len(bars_dst):
-                return False
             ivj = bars_dst[j]
             if not _hom_dim_intervals(iv, ivj.translate(first_shift)):
                 return False

@@ -26,6 +26,12 @@ def _require(cond, message):
         raise InvalidInput(message)
 
 
+def _expect(value, kind, what):
+    """The JSON value when it is of the type ``kind`` (``list`` or ``bool``)."""
+    _require(isinstance(value, kind), f"{what} must be a JSON {kind.__name__}")
+    return value
+
+
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -65,7 +71,7 @@ def parse_cone_json(data) -> Cone:
     _require(isinstance(data, dict), "cone must be an object")
     _require("dim" in data and "generators" in data, "cone needs 'dim' and 'generators'")
     dim = _integer(data["dim"], "dim")
-    gens = [parse_qvec_json(g, dim) for g in data["generators"]]
+    gens = [parse_qvec_json(g, dim) for g in _expect(data["generators"], list, "generators")]
     return Cone(dim, gens)
 
 
@@ -82,9 +88,9 @@ def parse_fan_json(data) -> Fan:
     dim = _integer(data["dim"], "dim")
     cones = []
     ids = []
-    for i, entry in enumerate(data["cones"]):
+    for i, entry in enumerate(_expect(data["cones"], list, "cones")):
         _require(isinstance(entry, dict), "fan cones must be objects")
-        gens = [parse_qvec_json(g, dim) for g in entry.get("generators", [])]
+        gens = [parse_qvec_json(g, dim) for g in _expect(entry.get("generators", []), list, "generators")]
         cones.append(Cone(dim, gens))
         ids.append(str(entry.get("id", f"c{i}")))
     return validate_fan(cones, ids)
@@ -110,7 +116,7 @@ def barcode_to_json(b: Barcode) -> dict:
 def parse_barcode_json(data) -> Barcode:
     _require(isinstance(data, dict) and "bars" in data, "barcode needs a 'bars' list")
     bars = []
-    for entry in data["bars"]:
+    for entry in _expect(data["bars"], list, "bars"):
         _require(isinstance(entry, dict) and "birth" in entry and "death" in entry,
                  "each bar needs 'birth' and 'death'")
         birth = parse_grade(entry["birth"])
@@ -120,8 +126,8 @@ def parse_barcode_json(data) -> Barcode:
                 DecoratedInterval(
                     birth,
                     death,
-                    bool(entry.get("birth_closed", birth != NEG_INF)),
-                    bool(entry.get("death_closed", False)),
+                    _expect(entry.get("birth_closed", birth != NEG_INF), bool, "birth_closed"),
+                    _expect(entry.get("death_closed", False), bool, "death_closed"),
                 ),
                 _integer(entry.get("degree", 0), "degree"),
                 _integer(entry.get("multiplicity", 1), "multiplicity"),
@@ -145,13 +151,13 @@ def parse_presentation_json(data, field=None) -> PresentationND:
     _require(isinstance(data, dict), "presentation must be an object")
     _require("gamma" in data and "generators" in data, "presentation needs 'gamma' and 'generators'")
     gamma = parse_cone_json(data["gamma"])
-    gens = [parse_qvec_json(g, gamma.dim) for g in data["generators"]]
+    gens = [parse_qvec_json(g, gamma.dim) for g in _expect(data["generators"], list, "generators")]
     rels = []
-    for entry in data.get("relations", []):
+    for entry in _expect(data.get("relations", []), list, "relations"):
         _require(isinstance(entry, dict) and "degree" in entry and "coeffs" in entry,
                  "each relation needs 'degree' and 'coeffs'")
         degree = parse_qvec_json(entry["degree"], gamma.dim)
-        coeffs = [q(c) for c in entry["coeffs"]]
+        coeffs = [q(c) for c in _expect(entry["coeffs"], list, "coeffs")]
         rels.append((degree, coeffs))
     return PresentationND(gamma, gens, rels, field)
 
@@ -174,7 +180,7 @@ def parse_polyhedron_json(data) -> OpenPolyhedron:
     if data.get("empty"):
         return OpenPolyhedron.empty(dim)
     cons = []
-    for entry in data.get("constraints", []):
+    for entry in _expect(data.get("constraints", []), list, "constraints"):
         _require(isinstance(entry, dict) and "normal" in entry and "offset" in entry,
                  "each constraint needs 'normal' and 'offset'")
         cons.append((parse_qvec_json(entry["normal"], dim), q(entry["offset"])))
@@ -214,8 +220,11 @@ def certificate_to_json(cert: InterleavingCertificate) -> dict:
 def parse_certificate_json(data) -> InterleavingCertificate:
     _require(isinstance(data, dict) and "a" in data and "b" in data,
              "certificate needs 'a' and 'b'")
-    fwd = tuple(None if j is None else _integer(j, "certificate index") for j in data.get("forward", []))
-    bwd = tuple(None if j is None else _integer(j, "certificate index") for j in data.get("backward", []))
+    fwd, bwd = (
+        tuple(None if j is None else _integer(j, "certificate index")
+              for j in _expect(data.get(key, []), list, key))
+        for key in ("forward", "backward")
+    )
     return InterleavingCertificate(parse_grade(data["a"]), parse_grade(data["b"]), fwd, bwd)
 
 

@@ -2,99 +2,59 @@
 
 Matrices are lists/tuples of equal-length rows.  Everything here is sized
 for desk-scale inputs (dimensions in the single digits, a few dozen rows).
-Row reduction is one Gauss-Jordan elimination, :func:`rref`, over Q with
-``Fraction`` entries or over F_p with ints in ``range(p)``; ranks, bases
-and solutions come from it.  Determinants, and the kernel lines of the
-cone conversion built from them, use fraction-free (Bareiss) elimination on
-integer rows, since the cone conversion computes them by the thousand.
+The one row reduction is :func:`echelon`, fraction-free elimination
+(Bareiss 1968) on integer rows, or on rows mod p; ranks over Q and F_p are
+the lengths of its echelon forms, and the cone conversion and the stalk
+complex read pivots and reduced rows from it.  Determinants, and the kernel
+lines of the cone conversion built from them, use Bareiss elimination on
+square integer matrices, since the cone conversion computes them by the
+thousand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import InvalidInput
-from .rational import QVec, integral, q, zero_vec
+from .rational import integral, q
 
 
-def _mod(row, p):
-    """The row reduced mod p; unchanged over Q (``p is None``)."""
-    return row if p is None else [x % p for x in row]
-
-
-def rref(rows, ncols: int, field=None):
-    """Reduced row echelon form over Q, or over F_p when ``field`` is a
-    :class:`PrimeField` (entries then come back as ints in ``range(p)``).
-    Returns (reduced nonzero rows, pivot columns)."""
-    p = None if field is None else field.p
-    coerce = q if p is None else field.from_fraction
-    mat = [[coerce(x) for x in row] for row in rows]
-    for row in mat:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
+def echelon(rows, ncols: int, p=None):
+    """Fraction-free row echelon form of integer rows, or of rows mod p,
+    up to ``ncols`` independent rows: ``(reduced, chosen)``, the reduced
+    rows as (pivot column, row) pairs and the indices of the independent
+    rows they come from.  Each reduced row vanishes on the pivot columns of
+    the rows before it.  Over Z each reduced row is divided by its content:
+    it is then the primitive vector of its line, with entries bounded by
+    minors of the input, where without the division they would double in
+    size with every pivot."""
+    reduced, chosen = [], []
+    for i, row in enumerate(rows):
+        for col, e in reduced:
+            if row[col]:
+                row = [e[col] * a - row[col] * b for a, b in zip(row, e)]
+                if p is not None:
+                    row = [x % p for x in row]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is not None:
+            if p is None:
+                g = gcd(*row)
+                row = [a // g for a in row]
+            reduced.append((col, row))
+            chosen.append(i)
+            if len(chosen) == ncols:
                 break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col] if p is None else pow(mat[r][col], -1, p)
-        mat[r] = _mod([x * inv for x in mat[r]], p)
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = _mod([a - f * b for a, b in zip(mat[i], mat[r])], p)
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    return reduced, chosen
 
 
 def rank(rows, ncols: int, field=None) -> int:
-    """Rank over Q (``field=None``) or over F_p."""
-    return len(rref(rows, ncols, field)[0])
-
-
-def row_space_basis(rows, ncols: int):
-    """Canonical basis of the row space (nonzero rref rows)."""
-    return rref(rows, ncols)[0]
-
-
-def solve_linear(rows, ncols: int, rhs):
-    """One solution of rows . x = rhs, or None if inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
-        return None
-    x = list(zero_vec(ncols))
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return tuple(x)
-
-
-def coords_in_basis(basis, v: QVec):
-    """Coordinates of v in the given basis (rows), or None if v is outside the span."""
-    ncols = len(v)
-    # Solve basis^T . alpha = v.
-    rows = [[basis[k][j] for k in range(len(basis))] for j in range(ncols)]
-    return solve_linear(rows, len(basis), list(v))
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix over Q: each row scaled to integers,
-    then fraction-free elimination."""
-    ints, scale = [], 1
-    for row in rows:
-        row, m = integral([q(x) for x in row])
-        ints.append(row)
-        scale *= m
-    return Fraction(_int_det(ints), scale)
+    """Rank over Q (``field=None``) or over F_p of rows of rationals: the
+    length of the echelon form of the rows scaled to integers, or mapped
+    into F_p."""
+    if field is None:
+        return len(echelon([integral(row)[0] for row in rows], ncols)[0])
+    return len(echelon([[field.from_fraction(x) for x in row] for row in rows], ncols, field.p)[0])
 
 
 def _int_det(rows) -> int:

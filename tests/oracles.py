@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
 Each oracle recomputes a quantity along a different algorithmic route than
-the library: Fourier-Motzkin V-to-H conversion for duals, kernel lines of
-all (rank-1)-subsets of the normals for H-to-V conversion, with the
-lineality from a Gauss-Jordan kernel basis over Q, Fourier-Motzkin
+the library: Gauss-Jordan elimination over Q on ``Fraction`` entries
+(the reference for the library's one fraction-free echelon) for ranks, row
+spaces and kernel bases, Fourier-Motzkin V-to-H conversion for duals,
+kernel lines of all (rank-1)-subsets of the normals for H-to-V conversion,
+with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
@@ -23,7 +25,7 @@ from aptkit import fm
 from aptkit.barcodes import Bar, Barcode, interval
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand, _kill_cost, _pair_cost
-from aptkit.linalg import kernel_line, rank, row_space_basis, rref
+from aptkit.linalg import kernel_line
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import (
     INF,
@@ -48,6 +50,32 @@ def sign_normalized(u):
     """Primitive form with the first nonzero entry positive (for line directions)."""
     p = primitive(u)
     return p if next(a for a in p if a) > 0 else vneg(p)
+
+
+def rref(rows, ncols: int):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination on
+    ``Fraction`` entries: (reduced nonzero rows, pivot columns).  The
+    library reduces fraction-free on integers; this is the reference."""
+    mat = [[q(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [x / mat[r][col] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return [tuple(row) for row in mat[: len(pivots)]], pivots
+
+
+def row_space_basis(rows, ncols: int):
+    """Canonical basis of the row space: the nonzero rows of :func:`rref`."""
+    return rref(rows, ncols)[0]
 
 
 def kernel_basis(rows, ncols: int):
@@ -323,7 +351,7 @@ def order_complex_stalk_ranks(fan: Fan, point) -> dict:
                 sub = ch[:drop] + ch[drop + 1 :]
                 row[index[sub]] += Fraction(-1) ** drop
             rows.append(row)
-        ranks[d + 1] = rank(rows, len(chains[d]))
+        ranks[d + 1] = len(rref(rows, len(chains[d]))[0])
     ranks[max_p + 1] = 0
     betti = {}
     for d in range(max_p + 1):

@@ -260,6 +260,7 @@ MALFORMED_PRESENTATION = (
 RELATION_WITHOUT_DEGREE = (
     '{"gamma":{"dim":1,"generators":[["1"]]},"generators":[["0"]],"relations":[{"coeffs":["1"]}]}'
 )
+HALFLINE_JSON = '"gamma":{"dim":1,"generators":[["1"]]}'
 
 
 @pytest.mark.parametrize(
@@ -282,16 +283,43 @@ RELATION_WITHOUT_DEGREE = (
          "--cert", '{"b":"0","forward":[],"backward":[]}'],
         ["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
          "--cert", '{"a":"0","b":"0","forward":[true],"backward":[]}'],
+        ["cone", "dual", "--input", '{"dim":2,"generators":5}'],
+        ["fan", "validate", "--input", '{"dim":1,"cones":5}'],
+        ["fan", "validate", "--input", '{"dim":1,"cones":[{"generators":5}]}'],
+        ["barcode", "eval", "--input", '{"bars":5}', "--at", "0"],
+        ["module", "eval", "--input", "{" + HALFLINE_JSON + ',"generators":5}', "--at", "0"],
+        ["module", "eval", "--input", "{" + HALFLINE_JSON + ',"generators":[["0"]],"relations":5}',
+         "--at", "0"],
+        ["module", "eval", "--input",
+         "{" + HALFLINE_JSON + ',"generators":[["0"]],"relations":[{"degree":["1"],"coeffs":5}]}',
+         "--at", "0"],
+        ["cutoff", "indicator-convolve", "--poly", '{"dim":1,"constraints":5}',
+         "--poly2", '{"dim":1,"constraints":[]}'],
+        ["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
+         "--cert", '{"a":"0","b":"0","forward":5,"backward":[0]}'],
+        ["barcode", "eval", "--input", '{"bars":[{"birth":"0","death":"1","birth_closed":"no"}]}',
+         "--at", "0"],
+        ["barcode", "eval", "--input", '{"bars":[{"birth":"0","death":"1","death_closed":1}]}',
+         "--at", "1"],
     ],
     ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
          "missing-input-file", "float-grade", "bool-grade", "float-degree", "non-integer-multiplicity",
          "float-dim", "relation-without-degree", "constraint-without-normal", "certificate-without-a",
-         "bool-certificate-index"],
+         "bool-certificate-index", "generators-not-a-list", "fan-cones-not-a-list",
+         "fan-generators-not-a-list", "bars-not-a-list", "module-generators-not-a-list",
+         "relations-not-a-list", "coeffs-not-a-list", "constraints-not-a-list", "forward-not-a-list",
+         "birth-closed-string", "death-closed-integer"],
 )
 def test_cli_malformed_input_is_structured(argv):
     code, out = run_cli(argv)
     assert code == 1
     assert json.loads(out)["error"]["code"] == "bad-input"
+
+
+def test_cli_verify_out_of_range_index_is_invalid():
+    code, out = run_cli(["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
+                         "--cert", '{"a":"0","b":"0","forward":[0],"backward":[5]}'])
+    assert code == 0 and json.loads(out) == {"valid": False}
 
 
 def test_k0_terms_need_grade_and_integer_coef():

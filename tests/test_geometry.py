@@ -294,9 +294,11 @@ def test_separating_vector_rejects_non_face_intersections():
 
 
 def test_membership_consistency_vrep_hrep():
+    # relative interior: in the cone and in none of its proper faces
     rng = random.Random(11)
     for name, cone in catalog.catalog_cones():
         gens = cone.generators
+        proper_faces = [f for f in faces_by_supporting_hyperplanes(cone) if f != cone]
         for _ in range(1000):
             if gens and rng.random() < 0.5:
                 point = zero_vec(cone.dim)
@@ -306,7 +308,10 @@ def test_membership_consistency_vrep_hrep():
                 point = tuple(
                     Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(cone.dim)
                 )
-            assert cone.contains(point) == contains_by_vrep(cone, point), (name, point)
+            inside = contains_by_vrep(cone, point)
+            assert cone.contains(point) == inside, (name, point)
+            relint = inside and not any(contains_by_vrep(f, point) for f in proper_faces)
+            assert cone.relint_contains(point) == relint, (name, point)
 
 
 def test_cone_sum_and_double_dual():
@@ -402,8 +407,12 @@ except InternalCheckFailed as exc:
             "c.gamma_basis_witness(c.OpenPolyhedron(1, [((1,), 2)]), (0,), g.Cone(1, [(1,)]))",
         ),
         (
-            "import aptkit.cutoff as c\nfrom aptkit import catalog\nc.det = lambda rows: 0",
+            "import aptkit.cutoff as c\nfrom aptkit import catalog\nc._int_det = lambda rows: 0",
             "c.star_stalk_homology(catalog.fan('p2'), (0, 0))",
+        ),
+        (
+            "import aptkit.cutoff as c",
+            "c._incidence_sign(g.Cone(3, [(1, 0, 0), (0, 1, 0)]), g.Cone(3, [(0, 1, 1)]))",
         ),
         (
             "import aptkit.cutoff as c\nfrom aptkit import catalog\n"
@@ -418,7 +427,7 @@ except InternalCheckFailed as exc:
     ],
     ids=["is-proper-cross-check", "cone-hrep-containment", "dual-swap-containment", "fm-projection", "minkowski-sum-open",
          "root-ladder-minimality", "sample-point", "torsionfree-stabilization", "gamma-basis-witness",
-         "incidence-sign", "chain-complex", "certificate-matching"],
+         "incidence-sign", "facet-outside-span", "chain-complex", "certificate-matching"],
 )
 def test_self_checks_survive_python_O(patch, call):
     script = SELF_CHECK_UNDER_O.format(patch=patch, call=call)

@@ -146,6 +146,13 @@ def test_verify_identity_matching():
     assert not verify_interleaving(x, x, swapped)
 
 
+def test_verify_rejects_out_of_range_indices():
+    x = barcode(bar(0, 1))
+    assert verify_interleaving(x, x, InterleavingCertificate(0, 0, (0,), (0,)))
+    for fwd, bwd in (((0,), (5,)), ((0,), (-1,)), ((5,), (0,)), ((-1,), (0,)), ((0,), (1,))):
+        assert not verify_interleaving(x, x, InterleavingCertificate(0, 0, fwd, bwd)), (fwd, bwd)
+
+
 def test_verify_rejects_mismatched_composite():
     x = barcode(bar(0, 4))
     y = barcode(bar(1, 5))
