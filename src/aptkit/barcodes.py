@@ -33,16 +33,17 @@ class DecoratedInterval:
         right = parse_grade(self.right)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        if left == INF or right == NEG_INF:
+        left_finite, right_finite = is_finite(left), is_finite(right)
+        if (not left_finite and left == INF) or (not right_finite and right == NEG_INF):
             raise InvalidInput("interval endpoints out of order")
-        if not is_finite(left) and self.left_closed:
+        if (not left_finite and self.left_closed) or (not right_finite and self.right_closed):
             raise InvalidInput("infinite endpoints must be open")
-        if not is_finite(right) and self.right_closed:
-            raise InvalidInput("infinite endpoints must be open")
-        if left > right:
-            raise InvalidInput("interval endpoints out of order")
-        if left == right and not (self.left_closed and self.right_closed):
-            raise InvalidInput("a singleton interval must be closed on both ends")
+        # with an infinite end the order is settled above
+        if left_finite and right_finite:
+            if left > right:
+                raise InvalidInput("interval endpoints out of order")
+            if left == right and not (self.left_closed and self.right_closed):
+                raise InvalidInput("a singleton interval must be closed on both ends")
 
     def contains(self, a) -> bool:
         if a > self.left and a < self.right:
@@ -100,20 +101,21 @@ class Bar:
 
 
 class Barcode:
-    """Canonically sorted multiset of bars with aggregated multiplicities."""
+    """Canonically sorted multiset of bars, equal neighbours merged."""
 
     __slots__ = ("bars",)
 
     def __init__(self, bars=()):
-        acc = {}
-        for bar in bars:
-            key = (bar.interval.sort_key(), bar.hdegree)
-            if key in acc:
-                prev = acc[key]
-                acc[key] = Bar(prev.interval, prev.hdegree, prev.multiplicity + bar.multiplicity)
+        out, last = [], None
+        keyed = [((b.interval.sort_key(), b.hdegree), b) for b in bars]
+        for key, bar in sorted(keyed, key=lambda kb: kb[0]):
+            if key == last:
+                prev = out[-1]
+                out[-1] = Bar(prev.interval, prev.hdegree, prev.multiplicity + bar.multiplicity)
             else:
-                acc[key] = bar
-        self.bars = tuple(acc[k] for k in sorted(acc))
+                out.append(bar)
+                last = key
+        self.bars = tuple(out)
 
     def is_empty(self) -> bool:
         return not self.bars

@@ -92,7 +92,9 @@ def parse_fan_json(data) -> Fan:
         _require(isinstance(entry, dict), "fan cones must be objects")
         gens = [parse_qvec_json(g, dim) for g in _expect(entry.get("generators", []), list, "generators")]
         cones.append(Cone(dim, gens))
-        ids.append(str(entry.get("id", f"c{i}")))
+        cid = entry.get("id", f"c{i}")
+        _require(isinstance(cid, str), f"cone id must be a JSON string, got {cid!r}")
+        ids.append(cid)
     return validate_fan(cones, ids)
 
 

@@ -1,12 +1,14 @@
 """Finitely presented Q^n-graded modules over the polynomial Novikov ring k[gamma].
 
 A presentation lists generator grades and homogeneous relation rows over a
-full-dimensional grading cone gamma.  Degree-wise evaluation is plain exact
-linear algebra: the dimension at grade a is the number of active generators
-minus the rank of the active relation rows.  The one-dimensional case
-bridges to barcodes through the classical persistence column reduction, on
-sparse columns of ints modulo p over F_p and, over Q, of primitive ints
-that are divided by their content after every column operation.
+full-dimensional grading cone gamma; each relation is stored once, sparse.
+Degree-wise evaluation is plain exact linear algebra: the dimension at
+grade a is the number of active generators minus the rank of the active
+relation rows.  The one-dimensional case bridges to barcodes through the
+classical persistence column reduction, on grades scaled to ints over a
+common denominator and on sparse columns of ints modulo p over F_p and,
+over Q, of primitive ints that are divided by their content after every
+column operation.
 """
 
 from __future__ import annotations
@@ -40,9 +42,14 @@ HALFLINE = Cone(1, [(1,)])
 
 
 class PresentationND:
-    """Generators, homogeneous relations, and the grading cone gamma."""
+    """Generators, homogeneous relations, and the grading cone gamma.
 
-    __slots__ = ("gamma", "generators", "relations", "field")
+    Relations come in as dense ``(degree, coeffs)`` rows and are stored only
+    as ``rows``: ``(degree, support, values)``, ``support`` the ascending
+    indices of the nonzero coefficients.  ``relations`` is a dense view.
+    """
+
+    __slots__ = ("gamma", "generators", "rows", "field")
 
     def __init__(self, gamma: Cone, generators, relations=(), field=None):
         if not gamma.is_full_dim():
@@ -53,39 +60,54 @@ class PresentationND:
         for g in gens:
             if len(g) != gamma.dim:
                 raise InvalidInput("generator grade has wrong dimension")
-        rels = []
+        rows = []
         for degree, coeffs in relations:
             degree = qvec(degree)
             coeffs = tuple(q(c) for c in coeffs)
             if len(coeffs) != len(gens):
                 raise InvalidInput("relation row length must match generator count")
-            for g, c in zip(gens, coeffs):
-                if c != 0 and not gamma.contains(vsub(degree, g)):
-                    raise InvalidInput(
-                        "inhomogeneous relation: coefficient on a generator "
-                        "outside its degree cone"
-                    )
-            rels.append((degree, coeffs))
+            support = []
+            for i, c in enumerate(coeffs):
+                if c:
+                    if not gamma.contains(vsub(degree, gens[i])):
+                        raise InvalidInput(
+                            "inhomogeneous relation: coefficient on a generator "
+                            "outside its degree cone"
+                        )
+                    support.append(i)
+            rows.append((degree, tuple(support), tuple(coeffs[i] for i in support)))
         self.generators = gens
-        self.relations = tuple(rels)
+        self.rows = tuple(rows)
 
     @property
     def dim(self) -> int:
         return self.gamma.dim
+
+    @property
+    def relations(self):
+        """The dense ``(degree, coeffs)`` rows, built from ``rows``."""
+        zero = Fraction(0)
+        dense = []
+        for degree, support, values in self.rows:
+            coeffs = [zero] * len(self.generators)
+            for i, c in zip(support, values):
+                coeffs[i] = c
+            dense.append((degree, tuple(coeffs)))
+        return tuple(dense)
 
     def __eq__(self, other):
         return (
             isinstance(other, PresentationND)
             and other.gamma == self.gamma
             and other.generators == self.generators
-            and other.relations == self.relations
+            and other.rows == self.rows
             and other.field == self.field
         )
 
     def __repr__(self):
         return (
             f"PresentationND(dim={self.dim}, generators={len(self.generators)}, "
-            f"relations={len(self.relations)})"
+            f"relations={len(self.rows)})"
         )
 
 
@@ -104,16 +126,22 @@ def eval_at(p: PresentationND, a) -> int:
     active_gens = [i for i, g in enumerate(p.generators) if p.gamma.contains(vsub(a, g))]
     if not active_gens:
         return 0
+    # an active relation's support is active: a - g = (a - degree) + (degree - g)
+    column = {i: k for k, i in enumerate(active_gens)}
+    zero = Fraction(0)
     rows = []
-    for degree, coeffs in p.relations:
+    for degree, support, values in p.rows:
         if p.gamma.contains(vsub(a, degree)):
-            rows.append([coeffs[i] for i in active_gens])
+            row = [zero] * len(active_gens)
+            for i, c in zip(support, values):
+                row[column[i]] = c
+            rows.append(row)
     return len(active_gens) - rank(rows, len(active_gens), p.field)
 
 
 def shift(p: PresentationND, b) -> PresentationND:
     """T_b: all degrees translated so eval_at(shift(p, b), a) = eval_at(p, a + b)."""
-    b = qvec(b)
+    b = qvec(b, p.dim)
     gens = [vsub(g, b) for g in p.generators]
     rels = [(vsub(d, b), coeffs) for d, coeffs in p.relations]
     return PresentationND(p.gamma, gens, rels, p.field)
@@ -125,25 +153,22 @@ def h0_tensor(p: PresentationND, other: PresentationND) -> PresentationND:
         raise InvalidInput("tensor factors must share the grading cone")
     if p.field != other.field:
         raise InvalidInput("tensor factors must share the coefficient field")
-    gens = []
-    index = {}
-    for i, g in enumerate(p.generators):
-        for j, h in enumerate(other.generators):
-            index[(i, j)] = len(gens)
-            gens.append(vadd(g, h))
-    rels = []
+    # generator (i, j) is g_i + h_j at index i * n + j
+    n = len(other.generators)
+    gens = [vadd(g, h) for g in p.generators for h in other.generators]
     zero = Fraction(0)
-    for degree, coeffs in p.relations:
+    rels = []
+    for degree, support, values in p.rows:
         for j, h in enumerate(other.generators):
             row = [zero] * len(gens)
-            for i in range(len(p.generators)):
-                row[index[(i, j)]] = coeffs[i]
+            for i, c in zip(support, values):
+                row[i * n + j] = c
             rels.append((vadd(degree, h), row))
-    for degree, coeffs in other.relations:
+    for degree, support, values in other.rows:
         for i, g in enumerate(p.generators):
             row = [zero] * len(gens)
-            for j in range(len(other.generators)):
-                row[index[(i, j)]] = coeffs[j]
+            for j, c in zip(support, values):
+                row[i * n + j] = c
             rels.append((vadd(degree, g), row))
     return PresentationND(p.gamma, gens, rels, p.field)
 
@@ -156,7 +181,9 @@ def _require_one_dimensional(p: PresentationND):
 def barcode_of_presentation(p: PresentationND) -> Barcode:
     """Barcode of a 1-dimensional presentation by column reduction.
 
-    Relation columns are processed in increasing degree (ties by index).
+    Births and degrees enter as ints over their common denominator (one
+    ``integral``), and stable sorts on those keys order the relation
+    columns by degree and the generators by birth, ties by index.
     Rows are keyed by their position in (birth, index) order, so the pivot
     of a column, its generator of latest birth (ties by generator index),
     is its largest key.  A column is reduced by the stored column with the
@@ -170,34 +197,41 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     nonzero rational multiple of the column a reduction over Fractions
     holds, so the pivots and the pairing are the same.  A paired
     (generator, relation) yields the bar [birth, degree), dropped when
-    empty; unpaired generators are infinite.
+    empty; unpaired generators are infinite.  Bars are counted per (birth
+    key, death key), ``INF`` the key of an infinite death, and built once
+    per distinct pair in key order, which is the canonical order.
     """
     _require_one_dimensional(p)
     field = p.field
-    births = [g[0] for g in p.generators]
-    row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
+    n = len(p.generators)
+    grades = [g[0] for g in p.generators] + [row[0][0] for row in p.rows]
+    keys = integral(grades)[0]
+    births = keys[:n]
+    row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
     paired = {}  # pivot position -> its reduced column
-    bars = []
-    order = sorted(range(len(p.relations)), key=lambda r: (p.relations[r][0][0], r))
-    for r in order:
-        degree, coeffs = p.relations[r]
-        col = {position[i]: c for i, c in enumerate(coeffs) if c}
+    counts = {}  # (birth key, death key) -> multiplicity
+    for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
+        _, support, values = p.rows[r]
         if field is None:
-            col = _reduce_q(dict(zip(col, integral(col.values())[0])), paired)
+            col = _reduce_q(dict(zip([position[i] for i in support], integral(values)[0])), paired)
         else:
-            col = {i: v for i, c in col.items() if (v := field.from_fraction(c))}
+            col = {position[i]: v for i, c in zip(support, values) if (v := field.from_fraction(c))}
             col = _reduce_fp(col, paired, field.p)
         if col:
             low = max(col)
             paired[low] = col
-            birth = births[row_order[low]]
-            if birth < degree[0]:
-                bars.append(Bar(interval(birth, degree[0])))
-    for i in range(len(births)):
-        if position[i] not in paired:
-            bars.append(Bar(interval(births[i], INF)))
-    return Barcode(bars)
+            pair = (births[row_order[low]], keys[n + r])
+            if pair[0] < pair[1]:
+                counts[pair] = counts.get(pair, 0) + 1
+    for pos, gen in enumerate(row_order):
+        if pos not in paired:
+            pair = (births[gen], INF)
+            counts[pair] = counts.get(pair, 0) + 1
+    grade = dict(zip(keys, grades))
+    grade[INF] = INF
+    return Barcode(Bar(interval(grade[b], grade[d]), multiplicity=k)
+                   for (b, d), k in sorted(counts.items()))
 
 
 def _reduce_q(col, paired):
@@ -276,6 +310,6 @@ def k0_of_presentation(p: PresentationND) -> K0Class:
     total = K0Class.zero()
     for g in p.generators:
         total = total + e(g[0])
-    for degree, _ in p.relations:
+    for degree, _, _ in p.rows:
         total = total - e(degree[0])
     return total

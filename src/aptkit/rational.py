@@ -40,6 +40,8 @@ def q(x) -> Fraction:
 
 def parse_grade(x):
     """Parse a grade: rational, or the strings ``"inf"`` / ``"-inf"``."""
+    if isinstance(x, Fraction):
+        return x
     if x == INF or x == NEG_INF:
         return x
     if isinstance(x, str):
@@ -60,7 +62,8 @@ def format_grade(g) -> str:
 
 
 def is_finite(g) -> bool:
-    return g != INF and g != NEG_INF
+    """False only for the float sentinels, so a Fraction meets no float."""
+    return type(g) is not float or (g != INF and g != NEG_INF)
 
 
 def qvec(xs, dim=None) -> QVec:

@@ -10,7 +10,8 @@ feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, the column reduction on
-``Fraction`` entries for barcodes over Q, the order-complex derived limit
+``Fraction`` entries for barcodes over Q, the rank invariant by dense
+elimination for barcodes over Q and F_p, the order-complex derived limit
 for stalk ranks, point sampling for Minkowski sums.  Expected values
 in the tests were produced (or are recomputed live) by these, never by the
 code under test.
@@ -19,6 +20,7 @@ code under test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from aptkit import fm
@@ -282,10 +284,11 @@ def barcode_by_fraction_reduction(p) -> Barcode:
     births = [g[0] for g in p.generators]
     row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     position = {gen: pos for pos, gen in enumerate(row_order)}
+    relations = p.relations  # a view built on every read
     paired = {}
     bars = []
-    for r in sorted(range(len(p.relations)), key=lambda r: (p.relations[r][0][0], r)):
-        degree, coeffs = p.relations[r]
+    for r in sorted(range(len(relations)), key=lambda r: (relations[r][0][0], r)):
+        degree, coeffs = relations[r]
         col = {position[i]: c for i, c in enumerate(coeffs) if c != 0}
         while col:
             low = max(col)
@@ -307,6 +310,66 @@ def barcode_by_fraction_reduction(p) -> Barcode:
     for i, birth in enumerate(births):
         if position[i] not in paired:
             bars.append(Bar(interval(birth, INF)))
+    return Barcode(bars)
+
+
+def dense_rank(rows, ncols: int, p=None) -> int:
+    """Rank of rows of rationals over Q (``p`` None, by :func:`rref`) or over
+    F_p, by Gauss-Jordan elimination on dense rows of residues."""
+    if p is None:
+        return len(rref(rows, ncols)[1])
+    mat = [[x.numerator * pow(x.denominator, -1, p) % p for x in map(q, row)] for row in rows]
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][col], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(r + 1, len(mat)):
+            f = mat[i][col]
+            mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def barcode_by_rank_invariant(p) -> Barcode:
+    """Barcode of a 1-dimensional presentation from its rank invariant, with
+    no column reduction.  In the coordinates of all generators, the image of
+    M_a in M_b (a <= b) is spanned by the generators born by a modulo the
+    relations of degree at most b, so its rank r(a, b) is a difference of two
+    dense ranks.  With the distinct grades t_0 < ... < t_k, the bar
+    [t_i, t_j) has multiplicity r(t_i, t_j-1) - r(t_i-1, t_j-1) - r(t_i, t_j)
+    + r(t_i-1, t_j), r(t_-1, .) = 0, and [t_i, inf) has r(t_i, t_k) -
+    r(t_i-1, t_k)."""
+    prime = None if p.field is None else p.field.p
+    births = [g[0] for g in p.generators]
+    relations = p.relations
+    n = len(births)
+    grades = sorted(set(births) | {d[0] for d, _ in relations})
+
+    rels = [[row for d, row in relations if d[0] <= t] for t in grades]
+    rel_ranks = [dense_rank(rows, n, prime) for rows in rels]
+
+    @cache
+    def r(i, j):
+        if i < 0:
+            return 0
+        units = [[Fraction(int(c == g)) for c in range(n)] for g in range(n) if births[g] <= grades[i]]
+        return dense_rank(rels[j] + units, n, prime) - rel_ranks[j]
+
+    bars = []
+    for i in range(len(grades)):
+        for j in range(i + 1, len(grades) + 1):
+            if j == len(grades):
+                mult = r(i, j - 1) - r(i - 1, j - 1)
+                death = INF
+            else:
+                mult = r(i, j - 1) - r(i - 1, j - 1) - r(i, j) + r(i - 1, j)
+                death = grades[j]
+            assert mult >= 0, "a rank invariant of a module has no negative multiplicity"
+            bars += [Bar(interval(grades[i], death))] * mult
     return Barcode(bars)
 
 

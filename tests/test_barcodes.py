@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from aptkit.barcodes import (
+    Bar,
     Barcode,
+    DecoratedInterval,
     almost_iso,
     almostize,
     bar,
@@ -25,6 +27,7 @@ from aptkit.barcodes import (
 )
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.k0 import K0Class, e
+from aptkit.rational import INF, NEG_INF, is_finite, parse_grade
 
 from generators import random_barcode, random_decorated_barcode
 
@@ -54,6 +57,94 @@ def test_invalid_intervals_rejected():
         bar(0, 0, True, False)
     with pytest.raises(InvalidInput):
         bar("-inf", 0, True, False)
+
+
+ORDER = "interval endpoints out of order"
+OPEN = "infinite endpoints must be open"
+SINGLETON = "a singleton interval must be closed on both ends"
+
+# (left, right) -> the error for closed/closed, closed/open, open/closed and
+# open/open ends, None where the interval is valid.
+INTERVAL_ERRORS = {
+    (NEG_INF, NEG_INF): (ORDER, ORDER, ORDER, ORDER),
+    (NEG_INF, 0): (OPEN, OPEN, None, None),
+    (NEG_INF, 1): (OPEN, OPEN, None, None),
+    (NEG_INF, INF): (OPEN, OPEN, OPEN, None),
+    (0, NEG_INF): (ORDER, ORDER, ORDER, ORDER),
+    (0, 0): (None, SINGLETON, SINGLETON, SINGLETON),
+    (0, 1): (None, None, None, None),
+    (0, INF): (OPEN, None, OPEN, None),
+    (1, NEG_INF): (ORDER, ORDER, ORDER, ORDER),
+    (1, 0): (ORDER, ORDER, ORDER, ORDER),
+    (1, 1): (None, SINGLETON, SINGLETON, SINGLETON),
+    (1, INF): (OPEN, None, OPEN, None),
+    (INF, NEG_INF): (ORDER, ORDER, ORDER, ORDER),
+    (INF, 0): (ORDER, ORDER, ORDER, ORDER),
+    (INF, 1): (ORDER, ORDER, ORDER, ORDER),
+    (INF, INF): (ORDER, ORDER, ORDER, ORDER),
+}
+CLOSEDNESS = ((True, True), (True, False), (False, True), (False, False))
+
+
+@pytest.mark.parametrize("ends", list(INTERVAL_ERRORS), ids=str)
+def test_interval_errors_pinned(ends):
+    for (left_closed, right_closed), message in zip(CLOSEDNESS, INTERVAL_ERRORS[ends]):
+        if message is None:
+            DecoratedInterval(*ends, left_closed, right_closed)
+        else:
+            with pytest.raises(InvalidInput, match=f"^{message}$"):
+                DecoratedInterval(*ends, left_closed, right_closed)
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ("x", 1, "not an exact rational: 'x'"),
+    (0, "x", "not an exact rational: 'x'"),
+    (True, 1, "bool is not a rational scalar"),
+    (0, False, "bool is not a rational scalar"),
+    (1.5, 2, "not an exact rational: 1.5"),
+    (0, 2.5, "not an exact rational: 2.5"),
+    ("x", NEG_INF, "not an exact rational: 'x'"),
+    (INF, "x", "not an exact rational: 'x'"),
+])
+def test_interval_end_parse_errors_pinned(left, right, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        DecoratedInterval(left, right)
+
+
+@pytest.mark.parametrize("raw, parsed, finite", [
+    (Fraction(-3, 4), Fraction(-3, 4), True),
+    (2, Fraction(2), True),
+    ("5/6", Fraction(5, 6), True),
+    (INF, INF, False),
+    (NEG_INF, NEG_INF, False),
+    ("inf", INF, False),
+    (" -inf ", NEG_INF, False),
+])
+def test_parse_grade_and_is_finite(raw, parsed, finite):
+    grade = parse_grade(raw)
+    assert grade == parsed and type(grade) is type(parsed)
+    assert is_finite(grade) is finite
+    if isinstance(raw, Fraction):
+        assert grade is raw
+
+
+@pytest.mark.parametrize("raw", [True, False, 1.5])
+def test_parse_grade_rejects_bools_and_floats(raw):
+    with pytest.raises(InvalidInput):
+        parse_grade(raw)
+
+
+def test_barcode_merges_equal_bars_in_any_order():
+    rng = random.Random(31)
+    bars = [Bar(iv, deg) for iv in (DecoratedInterval(0, 1), DecoratedInterval(0, INF),
+                                    DecoratedInterval(Fraction(-1, 3), Fraction(1, 2), False, True))
+            for deg in (0, 1) for _ in range(3)]
+    expected = Barcode(bars).bars
+    assert len(expected) == 6 and all(b.multiplicity == 3 for b in expected)
+    assert [b.interval.sort_key() for b in expected] == sorted(b.interval.sort_key() for b in expected)
+    for _ in range(10):
+        rng.shuffle(bars)
+        assert Barcode(bars).bars == expected
 
 
 def test_torsion_examples():

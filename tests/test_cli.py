@@ -301,6 +301,9 @@ HALFLINE_JSON = '"gamma":{"dim":1,"generators":[["1"]]}'
          "--at", "0"],
         ["barcode", "eval", "--input", '{"bars":[{"birth":"0","death":"1","death_closed":1}]}',
          "--at", "1"],
+        ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":null,"generators":[["1"]]}]}'],
+        ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":[1],"generators":[["-1"]]}]}'],
+        ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":{"a":1},"generators":[]}]}'],
     ],
     ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
          "missing-input-file", "float-grade", "bool-grade", "float-degree", "non-integer-multiplicity",
@@ -308,7 +311,8 @@ HALFLINE_JSON = '"gamma":{"dim":1,"generators":[["1"]]}'
          "bool-certificate-index", "generators-not-a-list", "fan-cones-not-a-list",
          "fan-generators-not-a-list", "bars-not-a-list", "module-generators-not-a-list",
          "relations-not-a-list", "coeffs-not-a-list", "constraints-not-a-list", "forward-not-a-list",
-         "birth-closed-string", "death-closed-integer"],
+         "birth-closed-string", "death-closed-integer", "null-cone-id", "list-cone-id",
+         "object-cone-id"],
 )
 def test_cli_malformed_input_is_structured(argv):
     code, out = run_cli(argv)

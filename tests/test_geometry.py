@@ -24,6 +24,7 @@ from aptkit.geometry import (
     validate_fan,
 )
 from aptkit.linalg import rank
+from aptkit.modules import HALFLINE, PresentationND, shift
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import vadd, vneg, vscale, zero_vec
 
@@ -84,11 +85,14 @@ def test_dual_runs_no_conversion(monkeypatch):
         lambda: Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]).relint_contains((1, 2, 3)),
         lambda: OpenPolyhedron.whole_space(2).contains((1, 2, 3)),
         lambda: OpenPolyhedron.whole_space(2).translate((1, 2, 3)),
+        lambda: shift(PresentationND(HALFLINE, [(0,)]), ()),
+        lambda: shift(PresentationND(HALFLINE, [(0,)], [((1,), (1,))]), (1, 2)),
     ],
     ids=["Cone.contains", "Cone.relint_contains", "OpenPolyhedron.contains",
          "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces",
          "whole-plane-Cone.contains", "whole-plane-Cone.relint_contains",
-         "whole-space-OpenPolyhedron.contains", "whole-space-OpenPolyhedron.translate"],
+         "whole-space-OpenPolyhedron.contains", "whole-space-OpenPolyhedron.translate",
+         "shift-short", "shift-long"],
 )
 def test_wrong_length_vectors_are_invalid_input(call):
     with pytest.raises(InvalidInput):

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from aptkit.barcodes import bar, barcode
+from aptkit import catalog, io
+from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from aptkit.geometry import Cone
-from aptkit.k0 import e
+from aptkit.k0 import K0Class, e
 from aptkit.linalg import PrimeField
 from aptkit.modules import (
     HALFLINE,
@@ -26,8 +28,10 @@ from aptkit.modules import (
     shift,
 )
 
-from generators import half_grade, random_presentation, sparse_presentation
-from oracles import barcode_by_fraction_reduction
+from aptkit.rational import vadd, vsub
+
+from generators import edge_presentation, half_grade, random_presentation, sparse_presentation
+from oracles import barcode_by_fraction_reduction, barcode_by_rank_invariant
 
 QUADRANT = Cone(2, [(1, 0), (0, 1)])
 
@@ -262,3 +266,118 @@ def test_q_reduction_outpaces_fraction_reduction():
             reduce(p)
             best[reduce] = min(best[reduce], time.perf_counter() - start)
     assert best[barcode_of_presentation] <= best[barcode_by_fraction_reduction] / 2
+
+
+FIELDS = (None, PrimeField(2), PrimeField(3))
+
+
+def test_reduction_matches_oracles_on_edge_cases():
+    seen = dict.fromkeys(["thirds and halves", "negative grade", "relation at its generator's grade",
+                          "repeated bar", "all-zero row", "no relations", "no generators"], 0)
+    for seed in range(80):
+        rng = random.Random(seed)
+        for field in FIELDS:
+            p = edge_presentation(rng, field)
+            got = barcode_of_presentation(p)
+            assert got == barcode_by_rank_invariant(p)
+            if field is None:
+                assert got == barcode_by_fraction_reduction(p)
+            assert got.bars == Barcode(reversed(got.bars)).bars
+            grades = [g[0] for g in p.generators] + [d[0] for d, _, _ in p.rows]
+            seen["thirds and halves"] += {2, 3} <= {g.denominator for g in grades}
+            seen["negative grade"] += any(g < 0 for g in grades)
+            seen["relation at its generator's grade"] += any(
+                support and d[0] == max(p.generators[i][0] for i in support) for d, support, _ in p.rows)
+            seen["repeated bar"] += any(b.multiplicity > 1 for b in got.bars)
+            seen["all-zero row"] += any(not support for _, support, _ in p.rows)
+            seen["no relations"] += not p.rows
+            seen["no generators"] += not p.generators
+    assert all(seen.values()), seen
+
+
+def _stored_form_cases():
+    rng = random.Random(21)
+    for field in FIELDS:
+        for _ in range(15):
+            yield edge_presentation(rng, field)
+            yield random_presentation(rng, field=field)
+            yield _quadrant_presentation(rng, field)
+    for name in catalog.presentation_names():
+        yield catalog.presentation(name)
+
+
+def _quadrant_presentation(rng, field=None):
+    gens = [(half_grade(rng, -2, 4), half_grade(rng, -2, 4)) for _ in range(rng.randint(0, 4))]
+    rels = []
+    for _ in range(rng.randint(0, 5) if gens else 0):
+        support = rng.sample(range(len(gens)), rng.randint(1, min(2, len(gens))))
+        corner = [max(gens[i][k] for i in support) + half_grade(rng, 0, 2) for k in range(2)]
+        rels.append((corner, [Fraction(rng.choice((1, -1, 2))) if i in support else 0 for i in range(len(gens))]))
+    return PresentationND(QUADRANT, gens, rels, field)
+
+
+def test_dense_view_round_trips():
+    for p in _stored_form_cases():
+        assert PresentationND(p.gamma, p.generators, p.relations, p.field) == p
+        wire = json.loads(io.dumps(io.presentation_to_json(p)))
+        assert io.parse_presentation_json(wire, p.field) == p
+        for _, coeffs in p.relations:
+            assert len(coeffs) == len(p.generators) and all(type(c) is Fraction for c in coeffs)
+
+
+def test_only_sparse_rows_are_stored():
+    p = sparse_presentation(random.Random(5), 30, 40)
+    assert not hasattr(p, "__dict__") and "relations" not in PresentationND.__slots__
+    dense = p.relations
+    assert all(getattr(p, name) != dense for name in PresentationND.__slots__)
+    for (degree, support, values), (dense_degree, coeffs) in zip(p.rows, dense):
+        assert degree == dense_degree and len(support) == len(values) == 3
+        assert list(support) == sorted(set(support)) and all(values)
+        assert [coeffs[i] for i in support] == list(values)
+        assert sum(1 for c in coeffs if c) == 3
+
+
+def _dense_shift(p, b):
+    return PresentationND(p.gamma, [vsub(g, b) for g in p.generators],
+                          [(vsub(d, b), coeffs) for d, coeffs in p.relations], p.field)
+
+
+def _dense_tensor(p, other):
+    n = len(other.generators)
+    gens = [vadd(g, h) for g in p.generators for h in other.generators]
+    rels = []
+    for degree, coeffs in p.relations:
+        for j, h in enumerate(other.generators):
+            row = [0] * len(gens)
+            for i, c in enumerate(coeffs):
+                row[i * n + j] = c
+            rels.append((vadd(degree, h), row))
+    for degree, coeffs in other.relations:
+        for i, g in enumerate(p.generators):
+            row = [0] * len(gens)
+            for j, c in enumerate(coeffs):
+                row[i * n + j] = c
+            rels.append((vadd(degree, g), row))
+    return PresentationND(p.gamma, gens, rels, p.field)
+
+
+def _dense_k0(p):
+    total = K0Class.zero()
+    for g in p.generators:
+        total = total + e(g[0])
+    for degree, _ in p.relations:
+        total = total - e(degree[0])
+    return total
+
+
+def test_shift_tensor_and_k0_match_dense_formulas():
+    rng = random.Random(22)
+    cases = list(_stored_form_cases())
+    for p in cases:
+        b = tuple(half_grade(rng, -3, 3) for _ in range(p.dim))
+        assert shift(p, b) == _dense_shift(p, b)
+        same = [o for o in cases if o.gamma == p.gamma and o.field == p.field]
+        other = same[rng.randrange(len(same))]
+        assert h0_tensor(p, other) == _dense_tensor(p, other)
+        if p.dim == 1:
+            assert k0_of_presentation(p) == _dense_k0(p)
