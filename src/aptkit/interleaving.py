@@ -5,7 +5,8 @@ for barcodes coincides with the classical bottleneck value; that
 identification is classical persistence theory, so it is cross-validated
 in the tests by an exhaustive matching oracle rather than assumed.  The
 computation runs the standard route: binary search over the finite set of
-candidate values with exact bipartite matching feasibility.
+candidate values with exact bipartite matching feasibility, on costs that
+are ints at one scale (twice the common denominator of the endpoints).
 
 Decorations are ignored by the distance: inputs are almostized first,
 consistent with almost-isomorphic barcodes being at distance zero.
@@ -25,7 +26,7 @@ from .barcodes import (
     interval,
 )
 from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
-from .rational import INF, q
+from .rational import INF, integral, is_finite, q
 
 
 def _expand(b: Barcode):
@@ -48,18 +49,6 @@ def _expand(b: Barcode):
         else:
             finite.extend([item.interval] * item.multiplicity)
     return lines, rays + finite
-
-
-def _pair_cost(iv1: DecoratedInterval, iv2: DecoratedInterval):
-    """Bottleneck cost of matching two bars: max endpoint displacement."""
-    left = abs(iv1.left - iv2.left)
-    if iv1.right == INF and iv2.right == INF:
-        right = Fraction(0)
-    elif iv1.right == INF or iv2.right == INF:
-        return INF
-    else:
-        right = abs(iv1.right - iv2.right)
-    return max(left, right)
 
 
 def _kill_cost(iv: DecoratedInterval):
@@ -94,10 +83,25 @@ def _perfect_matching(allowed, n_left, n_right):
 
 
 def _cost_table(bars_x, bars_y):
-    """The pair costs (one list per X-bar) and the kill costs of the X- and
-    the Y-bars."""
-    pair = [[_pair_cost(ivx, ivy) for ivy in bars_y] for ivx in bars_x]
-    return pair, [_kill_cost(iv) for iv in bars_x], [_kill_cost(iv) for iv in bars_y]
+    """((pair costs, one list per X-bar; kill costs of the X- and of the
+    Y-bars), scale) in ints: the finite endpoints enter over one common
+    denominator m (one ``integral``), and each finite cost is its value times
+    the scale 2m, so that a kill cost, half a length, is an int too."""
+    bars = bars_x + bars_y
+    finite = [is_finite(iv.right) for iv in bars]
+    ints, m = integral([e for iv, f in zip(bars, finite) for e in (iv.left, iv.right if f else iv.left)])
+    ends = [(ints[2 * k], ints[2 * k + 1] if f else INF) for k, f in enumerate(finite)]
+    kill = [INF if right == INF else right - left for left, right in ends]
+    pair = []
+    for lx, rx in ends[: len(bars_x)]:
+        row = []
+        for ly, ry in ends[len(bars_x):]:
+            if rx == INF or ry == INF:
+                row.append(2 * abs(lx - ly) if rx == ry else INF)
+            else:
+                row.append(2 * max(abs(lx - ly), abs(rx - ry)))
+        pair.append(row)
+    return (pair, kill[: len(bars_x)], kill[len(bars_x):]), 2 * m
 
 
 def _feasible(costs, eps):
@@ -126,39 +130,32 @@ def _feasible(costs, eps):
 def interleaving_distance(x: Barcode, y: Barcode):
     """Exact inf over max(a, b) of (a, b)-isomorphisms; +inf when none exists.
 
-    The costs are computed once and replaced by their ranks among the
-    candidate values (0 and every finite cost), so each binary-search step
-    compares ints.
+    The costs are computed once, as ints at the scale of :func:`_cost_table`,
+    so each binary-search step over the candidate values (0 and every finite
+    cost) compares ints; the distance is the least feasible candidate over
+    the scale.
     """
     lines_x, bars_x = _expand(x)
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:
         return INF
-    nx_rays = sum(1 for iv in bars_x if iv.right == INF)
-    ny_rays = sum(1 for iv in bars_y if iv.right == INF)
-    if nx_rays != ny_rays:
-        return INF
-    pair, kill_x, kill_y = _cost_table(bars_x, bars_y)
-    candidates = sorted({Fraction(0), *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
-    rank = {c: k for k, c in enumerate(candidates)}
-    rank[INF] = len(candidates)
-    costs = (
-        [[rank[c] for c in row] for row in pair],
-        [rank[c] for c in kill_x],
-        [rank[c] for c in kill_y],
-    )
+    if sum(not is_finite(iv.right) for iv in bars_x) != sum(not is_finite(iv.right) for iv in bars_y):
+        return INF  # unequal numbers of rays
+    costs, scale = _cost_table(bars_x, bars_y)
+    pair, kill_x, kill_y = costs
+    candidates = sorted({0, *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
     lo, hi = 0, len(candidates) - 1
-    if _feasible(costs, lo) is not None:
-        return candidates[lo]
-    if _feasible(costs, hi) is None:
+    if _feasible(costs, candidates[lo]) is not None:
+        return Fraction(candidates[lo], scale)
+    if _feasible(costs, candidates[hi]) is None:
         return INF
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _feasible(costs, mid) is not None:
+        if _feasible(costs, candidates[mid]) is not None:
             hi = mid
         else:
             lo = mid
-    return candidates[hi]
+    return Fraction(candidates[hi], scale)
 
 
 def distance_to_zero(x: Barcode):
@@ -196,14 +193,20 @@ def _expanded_intervals(b: Barcode):
 
 
 def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertificate:
-    """Build a certificate at (d, d) for d = interleaving_distance(x, y)."""
+    """Build a certificate at (value, value), by default at the distance
+    d = interleaving_distance(x, y); a value below d has no matching."""
     if value is None:
         value = interleaving_distance(x, y)
-    if value == INF:
-        raise InvalidInput("no finite interleaving exists")
     lines_x, real_x = _expand(x)
     lines_y, real_y = _expand(y)
-    matching = _feasible(_cost_table(real_x, real_y), value)
+    if value == INF or lines_x != lines_y:
+        raise InvalidInput("no finite interleaving exists")
+    value = q(value)
+    if value < 0:
+        raise InvalidInput("an interleaving value must be nonnegative")
+    costs, scale = _cost_table(real_x, real_y)
+    # the costs are ints: c <= value * scale iff c <= its floor
+    matching = _feasible(costs, value.numerator * scale // value.denominator)
     if matching is None:
         raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
     forward = []

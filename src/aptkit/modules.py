@@ -8,7 +8,8 @@ relation rows.  The one-dimensional case bridges to barcodes through the
 classical persistence column reduction, on grades scaled to ints over a
 common denominator and on sparse columns of ints modulo p over F_p and,
 over Q, of primitive ints that are divided by their content after every
-column operation.
+column operation.  A relation whose rows the stored columns already span
+is skipped unreduced, as in clearing (Chen & Kerber 2011).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd
 
 from .barcodes import Bar, Barcode, interval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
-from .geometry import Cone
+from .geometry import Cone, _idot
 from .k0 import K0Class, e
 from .linalg import PrimeField, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
@@ -119,19 +120,28 @@ def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
 
 
 def eval_at(p: PresentationND, a) -> int:
-    """dim_k of the degree-a piece."""
+    """dim_k of the degree-a piece.  A grade g is active when f.g <= f.a for
+    every facet normal f of gamma, with a, the generator grades and the
+    relation degrees as ints over one common denominator (one ``integral``)."""
     a = qvec(a)
     if len(a) != p.dim:
         raise InvalidInput("grade has wrong dimension")
-    active_gens = [i for i, g in enumerate(p.generators) if p.gamma.contains(vsub(a, g))]
+    dim, n = p.dim, len(p.generators)
+    grades = [a, *p.generators, *(row[0] for row in p.rows)]
+    ints = integral([x for g in grades for x in g])[0]
+    facets = p.gamma._hrep[0]  # gamma is full-dimensional: no span equalities
+    top = [_idot(f, ints[:dim]) for f in facets]
+    active = [all(_idot(f, ints[k * dim:(k + 1) * dim]) <= t for f, t in zip(facets, top))
+              for k in range(1, len(grades))]
+    active_gens = [i for i in range(n) if active[i]]
     if not active_gens:
         return 0
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
     column = {i: k for k, i in enumerate(active_gens)}
     zero = Fraction(0)
     rows = []
-    for degree, support, values in p.rows:
-        if p.gamma.contains(vsub(a, degree)):
+    for (_, support, values), on in zip(p.rows, active[n:]):
+        if on:
             row = [zero] * len(active_gens)
             for i, c in zip(support, values):
                 row[column[i]] = c
@@ -195,11 +205,16 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     g = gcd(b, f), and after every step ``col`` is divided by its content,
     so no common factor of the scalings builds up.  Each int column is a
     nonzero rational multiple of the column a reduction over Fractions
-    holds, so the pivots and the pairing are the same.  A paired
-    (generator, relation) yields the bar [birth, degree), dropped when
-    empty; unpaired generators are infinite.  Bars are counted per (birth
-    key, death key), ``INF`` the key of an infinite death, and built once
-    per distinct pair in key order, which is the canonical order.
+    holds, so the pivots and the pairing are the same.  A row is closed
+    when it holds a stored pivot and every other row of that column is
+    closed: the columns of the closed rows are triangular with distinct
+    pivots, so they span every vector on those rows, and a relation on
+    closed rows, which would reduce to zero, is skipped before any
+    arithmetic (see ``_close``).  A paired (generator, relation) yields the
+    bar [birth, degree), dropped when empty; unpaired generators are
+    infinite.  Bars are counted per (birth key, death key), ``INF`` the key
+    of an infinite death, and built once per distinct pair in key order,
+    which is the canonical order.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -210,17 +225,24 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
     paired = {}  # pivot position -> its reduced column
+    closed = set()  # positions on which the stored columns span every vector
+    open_rows = {}  # pivot position -> rows of its column not yet closed
+    waiting = {}  # open row -> pivot positions whose columns hold it
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
         _, support, values = p.rows[r]
+        rows = [position[i] for i in support]
+        if closed.issuperset(rows):
+            continue  # it would reduce to zero
         if field is None:
-            col = _reduce_q(dict(zip([position[i] for i in support], integral(values)[0])), paired)
+            col = _reduce_q(dict(zip(rows, integral(values)[0])), paired)
         else:
-            col = {position[i]: v for i, c in zip(support, values) if (v := field.from_fraction(c))}
+            col = {i: v for i, c in zip(rows, values) if (v := field.from_fraction(c))}
             col = _reduce_fp(col, paired, field.p)
         if col:
             low = max(col)
             paired[low] = col
+            _close(low, col, closed, open_rows, waiting)
             pair = (births[row_order[low]], keys[n + r])
             if pair[0] < pair[1]:
                 counts[pair] = counts.get(pair, 0) + 1
@@ -232,6 +254,24 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     grade[INF] = INF
     return Barcode(Bar(interval(grade[b], grade[d]), multiplicity=k)
                    for (b, d), k in sorted(counts.items()))
+
+
+def _close(low, col, closed, open_rows, waiting):
+    """Record the new pivot ``low`` of the stored column ``col``: it closes
+    once every other row of ``col`` is closed, and closing a row counts down
+    the pivots waiting on it, which may close in turn; amortised O(support)."""
+    pending = [i for i in col if i != low and i not in closed]
+    for i in pending:
+        waiting.setdefault(i, []).append(low)
+    open_rows[low] = len(pending)
+    stack = [] if pending else [low]
+    while stack:
+        row = stack.pop()
+        closed.add(row)
+        for pivot in waiting.pop(row, ()):
+            open_rows[pivot] -= 1
+            if not open_rows[pivot]:
+                stack.append(pivot)
 
 
 def _reduce_q(col, paired):

@@ -26,7 +26,7 @@ from itertools import combinations
 from aptkit import fm
 from aptkit.barcodes import Bar, Barcode, interval
 from aptkit.geometry import Cone, Fan, dual_cone
-from aptkit.interleaving import _expand, _kill_cost, _pair_cost
+from aptkit.interleaving import _expand
 from aptkit.linalg import kernel_line
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import (
@@ -240,8 +240,23 @@ def faces_by_supporting_hyperplanes(cone: Cone):
     return sorted(faces.values(), key=lambda f: (f.cone_dim, f._key))
 
 
+def _pair_cost(iv1, iv2):
+    """Cost of matching two bars, on their ``Fraction`` endpoints: the larger
+    endpoint displacement, inf when exactly one of them is a ray."""
+    if (iv1.right == INF) != (iv2.right == INF):
+        return INF
+    right = Fraction(0) if iv1.right == INF else abs(iv1.right - iv2.right)
+    return max(abs(iv1.left - iv2.left), right)
+
+
+def _kill_cost(iv):
+    """Cost of matching a bar with zero: half its length, inf for a ray."""
+    return INF if iv.right == INF else (iv.right - iv.left) / 2
+
+
 def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
-    """Bottleneck value by exhaustive enumeration of partial matchings."""
+    """Bottleneck value by exhaustive enumeration of partial matchings, on
+    ``Fraction`` costs of its own."""
     lines_x, bars_x = _expand(x)
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:

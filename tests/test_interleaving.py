@@ -5,9 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
+
+import pytest
 
 from aptkit import catalog
 from aptkit.barcodes import Barcode, almost_iso, bar, barcode, shift
+from aptkit.errors import InternalCheckFailed, InvalidInput
 from aptkit.interleaving import (
     InterleavingCertificate,
     certificate_for,
@@ -18,6 +22,7 @@ from aptkit.interleaving import (
 from aptkit.rational import INF
 
 from generators import random_barcode, random_decorated_barcode
+from oracles import bottleneck_by_matching_enumeration
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 SMALL_GRID = [Fraction(n, 2) for n in range(0, 7)]  # half-integer endpoints up to 3
@@ -90,8 +95,6 @@ def test_almost_iso_implies_distance_zero():
 
 
 def test_oracle_agreement_small_instances():
-    from oracles import bottleneck_by_matching_enumeration
-
     shapes = []
     for a in SMALL_GRID:
         for b in SMALL_GRID:
@@ -253,3 +256,63 @@ def test_nonzero_degree_rejected():
 
     with pytest.raises(UnsupportedShape):
         interleaving_distance(barcode(bar(0, 1, hdegree=1)), Barcode())
+
+
+# halves, thirds and sevenths, negative and positive: the scale 2m of the
+# integer costs divides 84, so d + 1/5 is never a multiple of 1/(2m)
+MIXED_GRID = sorted({Fraction(a, b) for a in range(-5, 6) for b in (2, 3, 7)})
+LINE = bar("-inf", "inf", False, False)
+
+
+def _mixed_barcode(rng):
+    x = random_barcode(rng, MIXED_GRID, max_bars=3, ray_chance=0.25)
+    if rng.random() < 0.2:
+        x = Barcode([*x.bars, LINE])
+    return x
+
+
+def _endpoints(*barcodes):
+    return [e for b in barcodes for item in b.bars
+            for e in (item.interval.left, item.interval.right) if e not in (INF, -INF)]
+
+
+def test_integer_costs_match_oracle_on_mixed_denominators():
+    seen = dict.fromkeys(["sevenths", "thirds", "halves", "negative", "tied", "ray", "line", "finite"], 0)
+    rng = random.Random(28)
+    for _ in range(150):
+        x, y = _mixed_barcode(rng), _mixed_barcode(rng)
+        d = interleaving_distance(x, y)
+        assert d == bottleneck_by_matching_enumeration(x, y)
+        ends = _endpoints(x, y)
+        for name, den in (("halves", 2), ("thirds", 3), ("sevenths", 7)):
+            seen[name] += any(e.denominator == den for e in ends)
+        seen["negative"] += any(e < 0 for e in ends)
+        seen["tied"] += len(set(ends)) < len(ends)
+        seen["ray"] += any(item.interval.right == INF and item.interval.left != -INF
+                           for b in (x, y) for item in b.bars)
+        seen["line"] += LINE in x.bars or LINE in y.bars
+        if d == INF:
+            continue
+        seen["finite"] += 1
+        scale = 2 * lcm(*(e.denominator for e in ends))
+        for value in (d, d + Fraction(1, 5)):
+            assert (value * scale).denominator == (1 if value == d else 5)
+            cert = certificate_for(x, y, value)
+            assert cert.a == cert.b == value
+            assert verify_interleaving(x, y, cert)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_certificate_value_is_read_exactly():
+    x, y = barcode(bar(0, 2)), barcode(bar(0, 3))
+    for bad in (2.5, "abc", -1, Fraction(-1, 3)):
+        with pytest.raises(InvalidInput):
+            certificate_for(x, y, bad)
+    cert = certificate_for(x, y, "5/2")
+    assert cert.a == cert.b == Fraction(5, 2) and verify_interleaving(x, y, cert)
+    with pytest.raises(InternalCheckFailed):  # below the distance 1/2
+        certificate_for(x, y, Fraction(1, 3))
+    for x, y, value in ((barcode(bar(0, "inf")), Barcode(), None), (Barcode([LINE]), Barcode(), None),
+                        (Barcode([LINE]), Barcode(), 1), (Barcode(), Barcode([LINE]), 1)):
+        with pytest.raises(InvalidInput):  # no finite interleaving exists
+            certificate_for(x, y, value)

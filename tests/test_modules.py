@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, io
+from aptkit import catalog, io, modules
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
@@ -31,7 +31,7 @@ from aptkit.modules import (
 from aptkit.rational import vadd, vsub
 
 from generators import edge_presentation, half_grade, random_presentation, sparse_presentation
-from oracles import barcode_by_fraction_reduction, barcode_by_rank_invariant
+from oracles import barcode_by_fraction_reduction, barcode_by_rank_invariant, dense_rank
 
 QUADRANT = Cone(2, [(1, 0), (0, 1)])
 
@@ -381,3 +381,95 @@ def test_shift_tensor_and_k0_match_dense_formulas():
         assert h0_tensor(p, other) == _dense_tensor(p, other)
         if p.dim == 1:
             assert k0_of_presentation(p) == _dense_k0(p)
+
+
+def _count_reductions(monkeypatch):
+    """Patch both column reductions to record every column they are given."""
+    calls = []
+    for name in ("_reduce_q", "_reduce_fp"):
+        reduce = getattr(modules, name)
+        monkeypatch.setattr(modules, name, lambda col, *args, reduce=reduce: calls.append(col) or reduce(col, *args))
+    return calls
+
+
+def test_a_pivot_row_is_not_closed_before_its_column():
+    # e2 holds the pivot of e0 + e2, but that column does not span e2: the
+    # relation e2 still reduces, to -e0, and pairs row 0
+    rels = [((1,), [1, 0, 1]), ((2,), [0, 0, 1])]
+    for field in FIELDS:
+        got = barcode_of_presentation(PresentationND(HALFLINE, [(0,)] * 3, rels, field))
+        assert got == barcode(bar(0, 1), bar(0, 2), bar(0, "inf"))
+
+
+def test_closing_propagates_and_skips_exactly(monkeypatch):
+    # e0 + e1 leaves row 1 open on row 0; e0 closes row 0 and with it row 1,
+    # so e1 + 2e0 lies on closed rows and is never reduced
+    calls = _count_reductions(monkeypatch)
+    rels = [((1,), [1, 1]), ((2,), [1, 0]), ((3,), [2, 1])]
+    for field in FIELDS:
+        calls.clear()
+        p = PresentationND(HALFLINE, [(0,), (0,)], rels, field)
+        assert barcode_of_presentation(p) == barcode(bar(0, 1), bar(0, 2))
+        assert len(calls) == 2, field
+
+
+def _direct_sum(p, other):
+    n, k = len(p.generators), len(other.generators)
+    rels = [(d, list(c) + [0] * k) for d, c in p.relations]
+    rels += [(d, [0] * n + list(c)) for d, c in other.relations]
+    return PresentationND(HALFLINE, p.generators + other.generators, rels, p.field)
+
+
+def _dependent_cases():
+    rng = random.Random(30)
+    for field in FIELDS:
+        for n in (3, 5, 7):
+            for m in (n, 2 * n, 3 * n):
+                p = sparse_presentation(rng, n, m, coefficients=(-2, -1, 1, 3))
+                yield PresentationND(HALFLINE, p.generators, p.relations, field)
+        for _ in range(3):
+            a, b = (sparse_presentation(rng, n, 3 * n) for n in (rng.randint(3, 5), rng.randint(3, 5)))
+            yield _direct_sum(PresentationND(HALFLINE, a.generators, a.relations, field), b)
+
+
+def test_clearing_matches_oracles_on_dependent_presentations(monkeypatch):
+    reduced = _count_reductions(monkeypatch)
+    relations = 0
+    for p in _dependent_cases():
+        got = barcode_of_presentation(p)
+        assert got == barcode_by_rank_invariant(p)
+        if p.field is None:
+            assert got == barcode_by_fraction_reduction(p)
+        relations += len(p.rows)
+    assert len(reduced) < relations * 3 // 4, (len(reduced), relations)
+
+
+SKEWED = Cone(2, [(1, 0), (1, 3)])
+
+
+def test_eval_matches_cone_membership_and_dense_rank():
+    # the reference reads activity off Cone.contains on Fraction differences
+    rng = random.Random(31)
+    thirds = [Fraction(a, 3) for a in range(-6, 13)]
+    seen = 0
+    for field in FIELDS:
+        for _ in range(15):
+            gens = [(rng.choice(thirds), rng.choice(thirds)) for _ in range(rng.randint(1, 4))]
+            rels = []
+            for _ in range(rng.randint(0, 4)):
+                support = rng.sample(range(len(gens)), rng.randint(1, len(gens)))
+                # an upper bound of the support in the order of SKEWED, where
+                # g <= d iff d_1 >= g_1 and 3 (d_0 - g_0) >= d_1 - g_1
+                top = max(gens[i][1] for i in support) + Fraction(rng.randint(0, 3), 2)
+                left = max(gens[i][0] + (top - gens[i][1]) / 3 for i in support) + Fraction(rng.randint(0, 3), 2)
+                rels.append(((left, top), [rng.choice((1, -2, 3)) if i in support else 0 for i in range(len(gens))]))
+            p = PresentationND(SKEWED, gens, rels, field)
+            grades = [*p.generators, *(d for d, _ in p.relations)]
+            for _ in range(8):
+                a = vadd(rng.choice(grades), (rng.choice(thirds) / 4, rng.choice(thirds) / 4))
+                active = [i for i, g in enumerate(p.generators) if SKEWED.contains(vsub(a, g))]
+                rows = [[c[i] for i in active] for d, c in p.relations if SKEWED.contains(vsub(a, d))]
+                prime = None if field is None else field.p
+                assert eval_at(p, a) == len(active) - dense_rank(rows, len(active), prime)
+                seen += bool(rows)
+    assert seen >= 50, seen
