@@ -35,6 +35,8 @@ def _load_json_arg(value):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"malformed JSON input: {exc}") from exc
+    except RecursionError:
+        raise InvalidInput("JSON input is nested too deeply") from None
 
 
 def _load_fan(args):

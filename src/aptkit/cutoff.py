@@ -8,9 +8,11 @@ Stalk homology builds the cellular (Borel-Moore) chain complex of the
 polyhedral decomposition a complete fan puts on the ambient space: one
 cell per cone, cell degree = cone dimension, each cell oriented by the
 echelon form of its integer rays, incidence signs read off with an inward
-transversal.  Restricting to the cones containing the query point realizes
-the relative pair of the closed star against its boundary; d.d = 0 is
-checked exactly per run, on integer boundary matrices.
+transversal.  Restricting to the cones containing the query point (tested
+on the cones' integer H-rows) realizes the relative pair of the closed star
+against its boundary; d.d = 0 is checked exactly per run, on integer
+boundary matrices.  A cone's facet signs are computed once per call, and
+``convolution_unit_check`` shares them across all its stratum points.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
 from .geometry import Cone, Fan, _idot, dual_cone, faces_of
 from .linalg import _int_det, echelon, rank
 from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
-from .rational import INF, dot, l1norm, q, qvec, vadd, vscale, vsub, zero_vec
+from .rational import INF, dot, integral, l1norm, q, qvec, vadd, vscale, vsub, zero_vec
 
 
 def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
@@ -187,12 +189,24 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
     star-complex property this routine exercises.  Reported
     degrees follow the cell dimensions (cone dimensions) of the complex.
     """
+    return _stalk_homology(sigma_fan, point, field, {})
+
+
+def _facet_signs(cone: Cone):
+    """The cone's facets, as (key, incidence sign) pairs."""
+    return [(f._key, _incidence_sign(cone, f)) for f in faces_of(cone) if f.cone_dim == cone.cone_dim - 1]
+
+
+def _stalk_homology(sigma_fan: Fan, point, field, incidences) -> StalkReport:
+    """:func:`star_stalk_homology`, reading and filling ``incidences``: a
+    cone's key to its :func:`_facet_signs`, shared by calls on one fan."""
     if sigma_fan.dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
     if not sigma_fan.is_complete():
         raise IncompleteFan("stalk homology is computed for complete fans")
-    point = qvec(point)
-    cells = [c for c in sigma_fan.cones if c.contains(point)]
+    point = qvec(point, sigma_fan.dim)
+    x, _ = integral(point)
+    cells = [c for c in sigma_fan.cones if c._holds(x)]
     by_degree: dict = {}
     for c in cells:
         by_degree.setdefault(c.cone_dim, []).append(c)
@@ -207,10 +221,12 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
         lower = by_degree.get(deg - 1, [])
         matrix = [[0] * len(cones) for _ in lower]
         for col, cone in enumerate(cones):
-            for face in faces_of(cone):
-                if face.cone_dim == cone.cone_dim - 1 and face._key in index:
-                    sign = _incidence_sign(cone, face)
-                    matrix[index[face._key][1]][col] = sign
+            facets = incidences.get(cone._key)
+            if facets is None:
+                facets = incidences[cone._key] = _facet_signs(cone)
+            for key, sign in facets:
+                if key in index:
+                    matrix[index[key][1]][col] = sign
         boundary[deg] = matrix
     _assert_chain_complex(by_degree, boundary)
     betti = {}
@@ -271,8 +287,9 @@ def convolution_unit_check(sigma_fan: Fan, field=None):
     Returns (ok, strata_checked).
     """
     points = stratum_points(sigma_fan)
+    incidences = {}
     for p in points:
-        report = star_stalk_homology(sigma_fan, p, field)
+        report = _stalk_homology(sigma_fan, p, field, incidences)
         if report.total_rank() != 1:
             return False, len(points)
     return True, len(points)

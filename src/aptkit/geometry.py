@@ -1,23 +1,27 @@
 """Exact rational polyhedral cones and fans.
 
-A :class:`Cone` carries both representations at all times: the canonical
-V-representation (primitive extreme rays in sorted order plus a
-sign-normalized lineality basis) and the canonical minimal H-representation
-(facet normals plus span equalities), computed eagerly at construction so
-values are immutable and safely shareable.  The kernel keeps both as
-primitive ``int`` tuples; the public attributes hold them as ``Fraction``s.
+A :class:`Cone` carries both representations at all times, as primitive
+``int`` tuples: the canonical V-representation (extreme rays in sorted order
+plus a sign-normalized lineality basis) in ``_key`` and the canonical
+minimal H-representation (facet normals plus span equalities) in ``_hrep``.
+The kernel works on these rows only.  The public ``Fraction`` views
+``rays``, ``lineality``, ``facet_normals`` and ``span_normals`` are built
+from them on first read and then kept.
 
 One routine converts H to V on integer rows: the lineality space from a
 fraction-free echelon form, then the double-description method (Motzkin et
 al. 1953; Fukuda & Prodon 1996) from the simplicial cone of independent
 rows, whose rays are kernel lines (signed maximal minors).  V to H is the
-same routine applied to the generators as normals of the dual.
-``Cone(dim, generators)`` converts twice, since its generators need not be
-extreme; a face, whose V-data is already canonical, is built by the private
-``Cone._canonical``, which converts once; the dual swaps the two
-representations and converts not at all.  Each keeps the self-check that
-the H-representation contains every generator, and a failed self-check
-raises :class:`InternalCheckFailed`, also under ``python -O``.
+same routine applied to the generators as normals of the dual.  A cone
+built from generators converts twice, since they need not be extreme:
+``Cone(dim, generators)`` checks its rational input and hands primitive
+rows to the private ``Cone._from_rows``, through which sums, intersections
+and separating vectors build from their operands' rows.  A face, whose
+V-data is already canonical, converts once (``Cone._canonical``); the dual
+swaps the two representations and converts not at all.  Each keeps the
+self-check that the H-representation contains every generator, and a
+failed self-check raises :class:`InternalCheckFailed`, also under
+``python -O``.
 
 Faces come from the ray-facet incidence: the ray sets of the faces of a
 proper cone are the intersections of the facets' zero sets, so a face list
@@ -27,7 +31,7 @@ common-face property from the maximal cones above them.
 
 Module-level caches memoize conversions and face lists keyed by canonical
 content, so concurrent use can at worst recompute and overwrite an entry
-with an equal value; no cone is ever mutated after construction.
+with an equal value; a cone's rows never change after construction.
 """
 
 from __future__ import annotations
@@ -48,10 +52,7 @@ from .linalg import echelon, kernel_line, rank
 from .rational import (
     QVec,
     integral,
-    is_zero_vec,
-    primitive,
     qvec,
-    vadd,
     vneg,
     zero_vec,
 )
@@ -154,10 +155,25 @@ def _dd_rays(rows, r):
     return [v for v, _ in rays]
 
 
+def _view(slot, rows):
+    """A public ``Fraction`` view of one of a cone's ``int`` row tuples,
+    built on its first read and then kept in ``slot``."""
+
+    def read(cone):
+        try:
+            return getattr(cone, slot)
+        except AttributeError:
+            value = _fractions(rows(cone))
+            setattr(cone, slot, value)
+            return value
+
+    return property(read)
+
+
 class Cone:
     """Finitely generated rational convex cone with cached dual data."""
 
-    __slots__ = ("dim", "rays", "lineality", "facet_normals", "span_normals", "_key", "_hrep")
+    __slots__ = ("dim", "_key", "_hrep", "_rays", "_lineality", "_facet_normals", "_span_normals")
 
     def __init__(self, dim: int, generators):
         gens = []
@@ -166,10 +182,21 @@ class Cone:
             if len(g) != dim:
                 raise InvalidInput(f"generator {g} has wrong dimension (expected {dim})")
             gens.append(g)
-        gens = _primitive_rows(gens)
-        # H-representation: the dual cone {v : <v, g> >= 0} has the generators
-        # as normals; its rays are our facet normals, its lineality our span
-        # equalities.
+        self._generate(dim, _primitive_rows(gens))
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows) -> "Cone":
+        """The cone generated by primitive ``int`` rows, such as other cones'
+        ``_key`` and ``_hrep`` rows; repeated and zero rows are dropped."""
+        cone = cls.__new__(cls)
+        cone._generate(dim, tuple(sorted({r for r in rows if any(r)})))
+        return cone
+
+    def _generate(self, dim, gens):
+        """Convert the generators, in canonical input form, twice, since they
+        need not be extreme.  H-representation: the dual cone
+        {v : <v, g> >= 0} has the generators as normals; its rays are our
+        facet normals, its lineality our span equalities."""
         span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
         lin, rays = _rays_from_halfspaces(_with_lines(facet_normals, span_normals), dim)
         self._fill(dim, (rays, lin), (facet_normals, span_normals), gens)
@@ -198,8 +225,11 @@ class Cone:
         self.dim = dim
         self._key = (dim, *vrep)
         self._hrep = hrep
-        self.rays, self.lineality = map(_fractions, vrep)
-        self.facet_normals, self.span_normals = map(_fractions, hrep)
+
+    rays = _view("_rays", lambda c: c._key[1])
+    lineality = _view("_lineality", lambda c: c._key[2])
+    facet_normals = _view("_facet_normals", lambda c: c._hrep[0])
+    span_normals = _view("_span_normals", lambda c: c._hrep[1])
 
     @classmethod
     def from_halfspaces(cls, dim: int, normals) -> "Cone":
@@ -209,50 +239,40 @@ class Cone:
 
     @property
     def generators(self):
-        gens = list(self.rays)
-        for e in self.lineality:
-            gens.append(e)
-            gens.append(vneg(e))
-        if not gens:
-            gens.append(zero_vec(self.dim))
-        return tuple(gens)
+        gens = self.rays + tuple(v for e in self.lineality for v in (e, vneg(e)))
+        return gens or (zero_vec(self.dim),)
 
     @property
     def halfspaces(self):
-        hs = list(self.facet_normals)
-        for e in self.span_normals:
-            hs.append(e)
-            hs.append(vneg(e))
-        return tuple(hs)
+        return self.facet_normals + tuple(v for e in self.span_normals for v in (e, vneg(e)))
 
     @property
     def cone_dim(self) -> int:
-        return self.dim - len(self.span_normals)
+        return self.dim - len(self._hrep[1])
 
     def is_full_dim(self) -> bool:
-        return not self.span_normals
+        return not self._hrep[1]
 
     def is_zero(self) -> bool:
-        return not self.rays and not self.lineality
+        return not self._key[1] and not self._key[2]
 
     def contains(self, x) -> bool:
         """H-representation membership: every halfspace inequality holds."""
-        x, _ = integral(qvec(x, self.dim))
-        facets, span = self._hrep
-        return all(_idot(e, x) == 0 for e in span) and all(_idot(f, x) >= 0 for f in facets)
+        return self._holds(integral(qvec(x, self.dim))[0])
 
     def relint_contains(self, x) -> bool:
         """Relative interior membership: equalities on the span, strict on facets."""
-        x, _ = integral(qvec(x, self.dim))
+        return self._holds(integral(qvec(x, self.dim))[0], strict=True)
+
+    def _holds(self, x, strict=False) -> bool:
+        """Membership of an ``int`` vector: every span equality, and every
+        facet inequality, strict (>= 1 on integers) for the relative interior."""
         facets, span = self._hrep
-        return all(_idot(e, x) == 0 for e in span) and all(_idot(f, x) > 0 for f in facets)
+        return all(_idot(e, x) == 0 for e in span) and all(_idot(f, x) >= strict for f in facets)
 
     def interior_point(self):
         """Sum of extreme rays: interior point iff the cone is full-dimensional."""
-        p = zero_vec(self.dim)
-        for r in self.rays:
-            p = vadd(p, r)
-        return p
+        return tuple(Fraction(sum(r[j] for r in self._key[1])) for j in range(self.dim))
 
     def __eq__(self, other):
         return isinstance(other, Cone) and other._key == self._key
@@ -278,14 +298,14 @@ def dual_cone(c: Cone) -> Cone:
 def intersect(c1: Cone, c2: Cone) -> Cone:
     if c1.dim != c2.dim:
         raise InvalidInput("ambient dimension mismatch")
-    return Cone.from_halfspaces(c1.dim, c1.halfspaces + c2.halfspaces)
+    return dual_cone(Cone._from_rows(c1.dim, _with_lines(*c1._hrep) + _with_lines(*c2._hrep)))
 
 
 def cone_sum(c1: Cone, c2: Cone) -> Cone:
     """Minkowski sum of cones (join): generated by both generator sets."""
     if c1.dim != c2.dim:
         raise InvalidInput("ambient dimension mismatch")
-    return Cone(c1.dim, c1.generators + c2.generators)
+    return Cone._from_rows(c1.dim, _with_lines(*c1._key[1:]) + _with_lines(*c2._key[1:]))
 
 
 def is_proper(c: Cone) -> bool:
@@ -358,19 +378,15 @@ class Fan:
 
     def rays(self):
         """The 1-dimensional cones, as (id, primitive generator), in fan order."""
-        out = []
-        for cid, cone in zip(self.ids, self.cones):
-            if cone.cone_dim == 1 and not cone.lineality:
-                out.append((cid, cone.rays[0]))
-        return out
+        return [(cid, c.rays[0]) for cid, c in zip(self.ids, self.cones) if c.cone_dim == 1 and not c._key[2]]
 
     def maximal_indices(self):
         below = {i for (i, j) in self.face_rel if i != j}
         return [i for i in range(len(self.cones)) if i not in below]
 
     def support_contains(self, x) -> bool:
-        x = qvec(x)
-        return any(c.contains(x) for c in self.cones)
+        x, _ = integral(qvec(x, self.dim))
+        return any(c._holds(x) for c in self.cones)
 
     def is_complete(self) -> bool:
         """Exact combinatorial completeness: facet pairing plus connectivity.
@@ -479,6 +495,12 @@ def separating_vector(s1: Cone, s2: Cone) -> QVec:
     the intersection cone is pure lineality, e.g. s1 = s2).  Both hyperplane
     identities are verified exactly before returning.
     """
+    return tuple(map(Fraction, _separation(s1, s2)[0]))
+
+
+def _separation(s1: Cone, s2: Cone):
+    """:func:`separating_vector` as an ``int`` tuple, built and verified on
+    the cones' integer rows, and the common face s1 n s2."""
     if s1.dim != s2.dim:
         raise InvalidInput("ambient dimension mismatch")
     tau = intersect(s1, s2)
@@ -487,16 +509,14 @@ def separating_vector(s1: Cone, s2: Cone) -> QVec:
     # K = s1^dual n (-s2^dual) = {v : <v, g1> >= 0, <v, g2> <= 0}.  The
     # verified hyperplane identities below certify that tau is a common
     # face, so no separate face enumeration is needed.
-    normals = list(s1.generators) + [vneg(g) for g in s2.generators]
-    k_cone = Cone.from_halfspaces(s1.dim, normals)
-    m = k_cone.interior_point()
-    if not is_zero_vec(m):
-        m = primitive(m)
-    if not k_cone.relint_contains(m):
+    neg2 = tuple(vneg(g) for g in _with_lines(*s2._key[1:]))
+    k_cone = dual_cone(Cone._from_rows(s1.dim, _with_lines(*s1._key[1:]) + neg2))
+    m = [sum(r[j] for r in k_cone._key[1]) for j in range(s1.dim)]
+    m = _scaled(m, True) if any(m) else tuple(m)
+    if not k_cone._holds(m, strict=True):
         raise NotSeparable("constructed vector is not in the relative interior")
-    hyperplane = [m, vneg(m)]
-    cut1 = Cone.from_halfspaces(s1.dim, list(s1.halfspaces) + hyperplane)
-    cut2 = Cone.from_halfspaces(s2.dim, list(s2.halfspaces) + hyperplane)
-    if cut1 != tau or cut2 != tau:
-        raise NotSeparable("hyperplane identities failed")
-    return m
+    hyperplane = (m, vneg(m))
+    for s in (s1, s2):
+        if dual_cone(Cone._from_rows(s.dim, _with_lines(*s._hrep) + hyperplane)) != tau:
+            raise NotSeparable("hyperplane identities failed")
+    return m, tau

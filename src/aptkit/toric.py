@@ -9,6 +9,7 @@ equalities plus a unit-monomial comparison on the triple overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     NotInDualCone,
     NotSeparable,
 )
-from .geometry import Cone, cone_sum, dual_cone, intersect, is_proper, separating_vector
+from .geometry import Cone, _separation, _with_lines, cone_sum, dual_cone, intersect, is_proper
 from .polyhedra import OpenPolyhedron, minkowski_sum
 from .rational import QVec, integral, qvec, vneg
 
@@ -77,17 +78,16 @@ def transition_data(c1: Chart, c2: Chart) -> Transition:
     overlap = dual1 + dual2 before returning.
     """
     try:
-        m = separating_vector(c1.cone, c2.cone)
+        m, tau = _separation(c1.cone, c2.cone)
     except NotSeparable as exc:
         raise NotAdjacent(f"charts do not glue: {exc}") from exc
-    tau = intersect(c1.cone, c2.cone)
     overlap = dual_cone(tau)
-    # for m = 0 the zero generator is dropped and the sum is dual1 itself
-    if cone_sum(c1.dual, Cone(c1.cone.dim, [vneg(m)])) != overlap:
+    # for m = 0 the zero row is dropped and the sum is dual1 itself
+    if Cone._from_rows(tau.dim, _with_lines(*c1.dual._key[1:]) + (vneg(m),)) != overlap:
         raise NotAdjacent("overlap dual is not the expected localization")
     if cone_sum(c1.dual, c2.dual) != overlap:
         raise NotAdjacent("overlap dual is not the sum of the chart duals")
-    return Transition(c1, c2, m, overlap)
+    return Transition(c1, c2, tuple(map(Fraction, m)), overlap)
 
 
 def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
@@ -104,9 +104,9 @@ def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
         t12 = transition_data(first, second)
         mid = chart_of_cone(intersect(first.cone, second.cone), first.grading)
         t3 = transition_data(mid, third)
-        cone_out = cone_sum(mid.dual, Cone(mid.cone.dim, [vneg(t3.m)]))
+        # transition_data has verified t3.overlap = mid.dual + ray(-t3.m)
         total_m = tuple(a + b for a, b in zip(t12.m, t3.m))
-        return cone_out, total_m
+        return t3.overlap, total_m
 
     cone_a, m_a = route(c1, c2, c3)
     cone_b, m_b = route(c1, c3, c2)

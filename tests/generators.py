@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 from aptkit.barcodes import Bar, Barcode, DecoratedInterval
+from aptkit.geometry import Cone, validate_fan
 from aptkit.modules import HALFLINE, PresentationND
 from aptkit.rational import INF, NEG_INF
 
@@ -146,3 +149,29 @@ def random_open_constraints(rng, dim, count):
         else:
             cons.append((tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(-2, 3)))
     return cons
+
+
+def stellar_fan(rng, steps):
+    """A complete simplicial 3-D fan: the fan of the simplex, with rays
+    e1, e2, e3 and -(e1+e2+e3), after ``steps`` seeded stellar
+    subdivisions, each at a positive combination of the rays of a maximal
+    cone or of one of its edges.  Generators are entered in halves and
+    thirds of the primitive rays."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    maximal = [frozenset(s) for s in combinations(range(4), 3)]
+    for _ in range(steps):
+        sigma = sorted(rng.choice(maximal))
+        face = sigma if rng.random() < 0.5 else rng.sample(sigma, 2)
+        coef = {i: rng.randint(1, 3) for i in face}
+        v = [sum(c * rays[i][j] for i, c in coef.items()) for j in range(3)]
+        g = gcd(*v)
+        rays.append(tuple(x // g for x in v))
+        new = len(rays) - 1
+        maximal = [s for s in maximal if not s >= set(face)] + [
+            (s - {i}) | {new} for s in maximal if s >= set(face) for i in face
+        ]
+    faces = sorted({frozenset(t) for s in maximal for k in range(4) for t in combinations(sorted(s), k)},
+                   key=lambda t: (len(t), sorted(t)))
+    scaled = [tuple(Fraction(x, k) for x in r) for r, k in zip(rays, (rng.choice((1, 2, 3)) for _ in rays))]
+    cones = [Cone(3, [scaled[i] for i in sorted(t)]) for t in faces]
+    return validate_fan(cones)

@@ -320,6 +320,18 @@ def test_cli_malformed_input_is_structured(argv):
     assert json.loads(out)["error"]["code"] == "bad-input"
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+def test_cli_deeply_nested_json_is_bad_input(tmp_path, from_file):
+    text = "[" * 100_000 + "]" * 100_000
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        text = str(path)
+    code, out = run_cli(["fan", "validate", "--input", text])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "bad-input"
+
+
 def test_cli_verify_out_of_range_index_is_invalid():
     code, out = run_cli(["dist", "verify", "--catalog", "basic", "--catalog2", "basic",
                          "--cert", '{"a":"0","b":"0","forward":[0],"backward":[5]}'])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog
+from aptkit import catalog, cutoff
 from aptkit.cutoff import (
     tighten_offsets,
     convolution_unit_check,
@@ -27,6 +27,7 @@ from aptkit.linalg import PrimeField
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import INF, vneg
 
+from generators import stellar_fan
 from oracles import check_minkowski_by_sampling, fm_infimum, order_complex_stalk_ranks, perturbed_point
 
 
@@ -241,6 +242,23 @@ def test_star_stalk_against_order_complex_oracle():
             cellular = star_stalk_homology(fan, p)
             oracle = order_complex_stalk_ranks(fan, p)
             assert cellular.total_rank() == sum(oracle.values()) == 1, (name, p)
+
+
+def test_shared_incidences_against_single_stalks_and_order_complex():
+    """One incidence map, shared by every stratum point and both fields,
+    gives the reports of independent star_stalk_homology calls, and their
+    total rank is that of the order complex oracle."""
+    fans = [catalog.fan(name) for name in catalog.COMPLETE_FANS]
+    fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((0, 1), (1, 2))]
+    for fan in fans:
+        incidences = {}
+        for p in stratum_points(fan):
+            ranks = sum(order_complex_stalk_ranks(fan, p).values())
+            for field in (None, PrimeField(2)):
+                shared = cutoff._stalk_homology(fan, p, field, incidences)
+                assert shared == star_stalk_homology(fan, p, field), (fan, p)
+                assert shared.total_rank() == ranks == 1, (fan, p)
+        assert len(incidences) == len(fan.cones)
 
 
 def test_convolution_unit_check_catalog():

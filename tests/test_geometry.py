@@ -26,8 +26,10 @@ from aptkit.geometry import (
 from aptkit.linalg import rank
 from aptkit.modules import HALFLINE, PresentationND, shift
 from aptkit.polyhedra import OpenPolyhedron
-from aptkit.rational import vadd, vneg, vscale, zero_vec
+from aptkit.rational import dot, primitive, vadd, vneg, vscale, zero_vec
+from aptkit.toric import chart_of_cone, transition_data
 
+from generators import stellar_fan
 from oracles import (
     contains_by_vrep,
     faces_by_supporting_hyperplanes,
@@ -87,12 +89,14 @@ def test_dual_runs_no_conversion(monkeypatch):
         lambda: OpenPolyhedron.whole_space(2).translate((1, 2, 3)),
         lambda: shift(PresentationND(HALFLINE, [(0,)]), ()),
         lambda: shift(PresentationND(HALFLINE, [(0,)], [((1,), (1,))]), (1, 2)),
+        lambda: catalog.fan("p2").support_contains((1, 2, 3)),
+        lambda: catalog.fan("quadrant").support_contains((1,)),
     ],
     ids=["Cone.contains", "Cone.relint_contains", "OpenPolyhedron.contains",
          "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces",
          "whole-plane-Cone.contains", "whole-plane-Cone.relint_contains",
          "whole-space-OpenPolyhedron.contains", "whole-space-OpenPolyhedron.translate",
-         "shift-short", "shift-long"],
+         "shift-short", "shift-long", "Fan.support_contains-long", "Fan.support_contains-short"],
 )
 def test_wrong_length_vectors_are_invalid_input(call):
     with pytest.raises(InvalidInput):
@@ -227,6 +231,12 @@ def test_support_contains():
     quadrant = catalog.fan("quadrant")
     assert not quadrant.support_contains((-1, 0))
     assert quadrant.support_contains((0, 0))
+    rng = random.Random(31)
+    for name in catalog.fan_names():
+        fan = catalog.fan(name)
+        for _ in range(40):
+            x = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(fan.dim))
+            assert fan.support_contains(x) == any(contains_by_vrep(c, x) for c in fan.cones), (name, x)
 
 
 def test_completeness_flags():
@@ -355,6 +365,134 @@ def test_double_description_against_subset_enumeration():
         assert got == rays_by_subset_enumeration(normals, dim), (dim, normals)
         lines += bool(got[0]) and len(got[0]) < dim
     assert lines >= 30
+
+
+def _canonical_rows(vectors):
+    """Sorted distinct primitive integer forms of nonzero rational vectors,
+    the input form of ``rays_by_subset_enumeration``."""
+    return tuple(sorted({tuple(int(x) for x in primitive(v)) for v in vectors if any(v)}))
+
+
+def _oracle_halfspaces(gens, dim):
+    """The halfspaces of the cone the generators span, from the oracle's
+    rays and lineality of its dual."""
+    lines, rays = rays_by_subset_enumeration(_canonical_rows(gens), dim)
+    return list(rays) + list(lines) + [vneg(e) for e in lines]
+
+
+def _seeded_cone_pairs():
+    """Pairs of cones in dims 1-5, generators in halves and thirds, some
+    with a line (a generator and its negation)."""
+    rng = random.Random(23)
+
+    def gens(dim):
+        out = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(dim))
+               for _ in range(rng.randint(0, 4))]
+        if out and rng.random() < 0.3:
+            out.append(vneg(out[0]))
+        return out
+
+    for _ in range(120):
+        dim = rng.randint(1, 5)
+        yield dim, gens(dim), gens(dim)
+
+
+def test_integer_constructions_against_public_constructor_and_oracle():
+    lines = 0
+    for dim, gens_a, gens_b in _seeded_cone_pairs():
+        a, b = Cone(dim, gens_a), Cone(dim, gens_b)
+        tau = intersect(a, b)
+        _same_cone(tau, Cone.from_halfspaces(dim, a.halfspaces + b.halfspaces))
+        normals = _oracle_halfspaces(gens_a, dim) + _oracle_halfspaces(gens_b, dim)
+        assert (tau.lineality, tau.rays) == rays_by_subset_enumeration(_canonical_rows(normals), dim)
+        total = cone_sum(a, b)
+        _same_cone(total, Cone(dim, a.generators + b.generators))
+        assert (total.span_normals, total.facet_normals) == rays_by_subset_enumeration(
+            _canonical_rows(gens_a + gens_b), dim)
+        cut = Cone.from_halfspaces(dim, gens_a)
+        _same_cone(cut, dual_cone(Cone(dim, gens_a)))
+        assert (cut.lineality, cut.rays) == rays_by_subset_enumeration(_canonical_rows(gens_a), dim)
+        lines += bool(tau.lineality) + bool(total.lineality)
+    assert lines >= 20
+
+
+def _fan_pairs():
+    """Every pair of cones of the catalog fans, and 200 seeded pairs from
+    each of three 3-D stellar subdivisions."""
+    for name in catalog.fan_names():
+        fan = catalog.fan(name)
+        for s1 in fan.cones:
+            for s2 in fan.cones:
+                yield fan.dim, s1, s2
+    rng = random.Random(29)
+    for seed in range(3):
+        fan = stellar_fan(random.Random(seed), 4)
+        for _ in range(200):
+            yield fan.dim, rng.choice(fan.cones), rng.choice(fan.cones)
+
+
+def test_separating_vector_against_oracle_and_sign_identities():
+    for dim, s1, s2 in _fan_pairs():
+        m = separating_vector(s1, s2)
+        # m is the primitive sum of the rays of s1^dual n (-s2^dual)
+        normals = list(s1.generators) + [vneg(g) for g in s2.generators]
+        _, rays = rays_by_subset_enumeration(_canonical_rows(normals), dim)
+        total = zero_vec(dim)
+        for r in rays:
+            total = vadd(total, r)
+        assert m == (primitive(total) if any(total) else total)
+        assert all(type(x) is Fraction for x in m)
+        for r in s1.rays:
+            assert dot(m, r) > 0 or (dot(m, r) == 0 and r in s2.rays)
+        for r in s2.rays:
+            assert dot(m, r) < 0 or (dot(m, r) == 0 and r in s1.rays)
+        hyperplane = [m, vneg(m)]
+        tau = intersect(s1, s2)
+        assert Cone.from_halfspaces(dim, list(s1.halfspaces) + hyperplane) == tau
+        assert Cone.from_halfspaces(dim, list(s2.halfspaces) + hyperplane) == tau
+
+
+def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch):
+    """Cones built from other cones' rows reach the double description, and
+    its memo, as sorted, distinct, nonzero rows, however often a row
+    repeats among the operands."""
+    seen = []
+    convert = geometry._rays_from_halfspaces
+
+    def spy(normals, dim):
+        seen.append(normals)
+        return convert(normals, dim)
+
+    monkeypatch.setattr(geometry, "_rays_from_halfspaces", spy)
+    fan = catalog.fan("p2")
+    for s1 in fan.cones:
+        for s2 in fan.cones:
+            intersect(s1, s2)
+            cone_sum(s1, s2)
+            separating_vector(s1, s2)
+    assert seen
+    for normals in seen:
+        assert list(normals) == sorted(set(normals)) and all(any(r) for r in normals), normals
+
+
+def test_integer_constructions_build_no_fraction_view(monkeypatch):
+    """intersect, separating_vector and transition_data work on the cones'
+    int rows: no public Fraction view is built, of the operands or of the
+    cones made on the way."""
+    fans = [catalog.fan(name) for name in ("p2", "hirzebruch-1")] + [stellar_fan(random.Random(1), 3)]
+    charts = [[chart_of_cone(c) for c in fan.cones] for fan in fans]
+
+    def no_view(rows):
+        raise AssertionError("a Fraction view was built")
+
+    monkeypatch.setattr(geometry, "_fractions", no_view)
+    for fan, fan_charts in zip(fans, charts):
+        for c1, s1 in zip(fan_charts, fan.cones):
+            for c2, s2 in zip(fan_charts, fan.cones):
+                separating_vector(s1, s2)
+                for cone in (intersect(s1, s2), transition_data(c1, c2).overlap):
+                    assert not any(hasattr(cone, slot) for slot in
+                                   ("_rays", "_lineality", "_facet_normals", "_span_normals"))
 
 
 SELF_CHECK_UNDER_O = """
