@@ -32,7 +32,7 @@ from .errors import (
 from .geometry import Cone, Fan, _idot, dual_cone, faces_of
 from .linalg import _int_det, echelon, rank
 from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
-from .rational import INF, dot, integral, l1norm, q, qvec, vadd, vscale, vsub, zero_vec
+from .rational import INF, dot, integral, l1norm, q, qvec, vadd, vneg, vscale, vsub, zero_vec
 
 
 def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
@@ -41,9 +41,8 @@ def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
         raise InvalidInput("ambient dimension mismatch")
     if u.is_empty:
         return True
-    return all(
-        all(dot(n, g) >= 0 for g in gamma.generators) for n, _ in u.constraints
-    )
+    dual = dual_cone(gamma)
+    return all(dual._holds(f[:-1]) for f in u._key[1])
 
 
 def is_theta_dual_open(u: OpenPolyhedron, theta: Cone) -> bool:
@@ -67,21 +66,11 @@ def gamma_basis_witness(u: OpenPolyhedron, x, gamma: Cone):
         raise PointNotInSet("witness point is not in the set")
     if not is_gamma_open(u, gamma):
         raise NotGammaOpen("the set is not gamma-open")
-    if u.constraints:
-        slacks = [(dot(n, x) + d) / l1norm(n) for n, d in u.constraints]
-        radius = min(slacks)
-    else:
-        radius = Fraction(1)
-    interior = gamma.interior_point()
-    if all(c == 0 for c in interior):
-        d_point = zero_vec(u.dim)
-    else:
-        d_point = vscale(radius / (2 * l1norm(interior)), interior)
-    a = vsub(d_point, x)
+    radius = min(((dot(n, x) + d) / l1norm(n) for n, d in u.constraints), default=Fraction(1))
+    interior = gamma.interior_point()  # zero when gamma is the whole space
+    a = vsub(vscale(radius / (2 * l1norm(interior)) if any(interior) else 0, interior), x)
     # exact verification of both memberships
-    shifted_interior = OpenPolyhedron.cone_interior(gamma).translate(
-        tuple(-c for c in a)
-    )
+    shifted_interior = OpenPolyhedron.cone_interior(gamma).translate(vneg(a))
     if not (shifted_interior.contains(x) and shifted_interior.is_subset_of(u)):
         raise InternalCheckFailed("basis witness failed its verification", check="gamma-basis-witness")
     return a
@@ -271,14 +260,7 @@ def stratum_points(sigma_fan: Fan):
         for k, r in enumerate(c.rays):
             p = vadd(p, vscale(k + 1, r))
         points.append(p)
-    # dedupe, preserving order
-    seen = set()
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    return list(dict.fromkeys(points))  # dedupe, preserving order
 
 
 def convolution_unit_check(sigma_fan: Fan, field=None):

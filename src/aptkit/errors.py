@@ -79,6 +79,12 @@ class NotInDualCone(AptError):
     code = "not-in-dual-cone"
 
 
+class ComputationTooLarge(AptError):
+    """An exact computation grew past a fixed size cap of the library."""
+
+    code = "too-large"
+
+
 class InternalCheckFailed(AptError):
     """A self-check of the library failed: a fault of the library, not of the input."""
 

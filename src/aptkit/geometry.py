@@ -39,9 +39,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 from .errors import (
     BadIntersection,
+    ComputationTooLarge,
     ImproperCone,
     InternalCheckFailed,
     InvalidInput,
@@ -59,6 +61,10 @@ from .rational import (
 
 
 _HREP_CACHE: dict = {}
+
+# Most intermediate rays one double-description run may hold; past it the
+# conversion stops with ComputationTooLarge instead of running on.
+_DD_RAY_CAP = 10000
 
 
 def _scaled(v, positive):
@@ -79,7 +85,7 @@ def _with_lines(rays, lines):
 
 
 def _idot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _fractions(vectors):
@@ -132,7 +138,8 @@ def _dd_rays(rows, r):
     rows of rank r: the simplicial cone of r independent rows, then one row
     at a time, joining adjacent rays across it.  A ray carries the rows on
     which it vanishes as a bit mask; two rays are adjacent iff no third one
-    vanishes on all rows on which both vanish (at least r - 2 rows)."""
+    vanishes on all rows on which both vanish (at least r - 2 rows).  Raises
+    ComputationTooLarge once more than ``_DD_RAY_CAP`` rays are kept."""
     _, start = echelon(rows, r)
     rays = []
     for i in start:
@@ -152,6 +159,8 @@ def _dd_rays(rows, r):
                 u = [sv * b - sw * a for a, b in zip(v, w)]
                 kept.append((_scaled(u, True), common | 1 << i))
         rays = kept
+        if len(rays) > _DD_RAY_CAP:
+            raise ComputationTooLarge("cone conversion passed its ray cap", rays=len(rays), cap=_DD_RAY_CAP)
     return [v for v, _ in rays]
 
 

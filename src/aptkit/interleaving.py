@@ -59,25 +59,37 @@ def _kill_cost(iv: DecoratedInterval):
 
 
 def _perfect_matching(allowed, n_left, n_right):
-    """Kuhn's augmenting paths; returns matching dict left->right or None."""
+    """Kuhn's augmenting paths; returns matching dict left->right or None.
+
+    Each search is a depth-first search on an explicit stack of (left node,
+    its unvisited neighbours), visiting neighbours in ``allowed`` order, so
+    no path length meets the recursion limit.  Each left node above the
+    root was reached through its own match; on reaching a free right node,
+    the top node takes it and each node below takes the former match of the
+    node above it."""
     if n_left != n_right:
         return None
     match_l = {}
     match_r = {}
-
-    def augment(u, seen):
-        for v in allowed[u]:
-            if v in seen:
+    for root in range(n_left):
+        seen, stack = set(), [(root, iter(allowed[root]))]
+        while stack:
+            for v in stack[-1][1]:
+                if v not in seen:
+                    break
+            else:
+                stack.pop()
                 continue
             seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        return False
-
-    for u in range(n_left):
-        if not augment(u, set()):
+            w = match_r.get(v)
+            if w is not None:
+                stack.append((w, iter(allowed[w])))
+                continue
+            for u, _ in reversed(stack):
+                match_l[u], v = v, match_l.get(u)
+                match_r[match_l[u]] = u
+            break
+        else:
             return None
     return match_l
 

@@ -6,6 +6,12 @@ a :class:`Cone`.  It is nonempty iff C is full-dimensional; being open, it
 then has a unique irredundant description: C's facets other than t >= 0,
 primitive and sorted.  Canonical equality is structural equality; all
 empty polyhedra collapse to one canonical empty value.
+
+Polyhedra build and test on C's primitive ``int`` rows: each constraint
+becomes one int row (normal, offset) with a single ``integral``, C is built
+from such rows by ``Cone._from_rows``, a Minkowski sum joins the operands'
+int rays, and membership, inclusion, translation and infima read C's int
+H- and V-rows.  Only the public ``constraints`` are ``Fraction`` tuples.
 """
 
 from __future__ import annotations
@@ -13,15 +19,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyInput, InternalCheckFailed, InvalidInput
-from .geometry import Cone
-from .rational import dot, is_zero_vec, q, qvec, vadd, vscale, zero_vec
+from .geometry import Cone, _idot, _primitive_rows, _scaled, _with_lines, dual_cone
+from .rational import integral, is_zero_vec, q, qvec, zero_vec
 
 
 class OpenPolyhedron:
     __slots__ = ("dim", "constraints", "is_empty", "_key", "_cone")
 
     def __init__(self, dim: int, constraints):
-        rows = [zero_vec(dim) + (Fraction(1),)]
+        rows = []
         empty = False
         for normal, offset in constraints:
             normal = qvec(normal)
@@ -33,17 +39,21 @@ class OpenPolyhedron:
                     empty = True
                 continue
             rows.append(normal + (offset,))
-        self._fill(dim, None if empty else Cone.from_halfspaces(dim + 1, rows))
+        self._fill(dim, None if empty else _homogenisation(dim, _primitive_rows(rows)))
 
     def _fill(self, dim, cone):
+        """Set the canonical data from C: its facet rows other than t >= 0,
+        as ints in ``_key`` and as ``Fraction`` pairs in ``constraints``."""
         self.dim = dim
         self.is_empty = cone is None or not cone.is_full_dim()
         self._cone = None if self.is_empty else cone
         if self.is_empty:
+            rows = "empty"
             self.constraints = ((zero_vec(dim), Fraction(-1)),)
         else:
-            self.constraints = tuple((f[:-1], f[-1]) for f in cone.facet_normals if any(f[:-1]))
-        self._key = (dim, "empty" if self.is_empty else self.constraints)
+            rows = tuple(f for f in cone._hrep[0] if any(f[:-1]))
+            self.constraints = tuple((tuple(map(Fraction, f[:-1])), Fraction(f[-1])) for f in rows)
+        self._key = (dim, rows)
 
     @classmethod
     def whole_space(cls, dim: int) -> "OpenPolyhedron":
@@ -58,13 +68,14 @@ class OpenPolyhedron:
         """Interior of a cone; empty unless the cone is full-dimensional."""
         if not cone.is_full_dim():
             return cls.empty(cone.dim)
-        return cls(cone.dim, [(n, Fraction(0)) for n in cone.facet_normals])
+        return _polyhedron(cone.dim, _homogenisation(cone.dim, [f + (0,) for f in cone._hrep[0]]))
 
     def contains(self, x) -> bool:
         x = qvec(x, self.dim)
         if self.is_empty:
             return False
-        return all(dot(n, x) + d > 0 for n, d in self.constraints)
+        ints, m = integral(x)
+        return self._cone._holds((*ints, m), strict=True)
 
     def is_subset_of(self, other: "OpenPolyhedron") -> bool:
         """Exact inclusion: self's homogenisation lies in other's."""
@@ -72,7 +83,7 @@ class OpenPolyhedron:
             return True
         if other.is_empty:
             return False
-        return all(other._cone.contains(g) for g in self._cone.generators)
+        return all(map(other._cone._holds, _with_lines(*self._cone._key[1:])))
 
     def infimum(self, u):
         """Exact infimum of <u, x> over a nonempty polyhedron, None when it is
@@ -80,28 +91,29 @@ class OpenPolyhedron:
         unless <u, x> falls along a ray with t = 0 or varies along a line."""
         if self.is_empty:
             raise EmptyInput("the empty polyhedron has no infimum")
-        u = qvec(u, self.dim) + (Fraction(0),)
-        rays, lines = self._cone.rays, self._cone.lineality
-        if any(dot(u, r) < 0 for r in rays if r[-1] == 0) or any(dot(u, e) for e in lines):
+        u, m = integral(qvec(u, self.dim))
+        _, rays, lines = self._cone._key
+        # u is one entry shorter than C's rows, so _idot reads <u, x> only
+        if any(_idot(u, r) < 0 for r in rays if not r[-1]) or any(_idot(u, e) for e in lines):
             return None
-        return min(dot(u, r) / r[-1] for r in rays if r[-1] > 0)
+        return min(Fraction(_idot(u, r), r[-1]) for r in rays if r[-1]) / m
 
     def translate(self, a) -> "OpenPolyhedron":
-        """The set self + a."""
-        a = qvec(a, self.dim)
+        """The set self + a: each row (n, d) becomes (n, d - <n, a>), times
+        a's common denominator."""
+        a, m = integral(qvec(a, self.dim))
         if self.is_empty:
             return self
-        return OpenPolyhedron(
-            self.dim, [(n, d - dot(n, a)) for n, d in self.constraints]
-        )
+        rows = [_scaled([m * c for c in f[:-1]] + [m * f[-1] - _idot(f[:-1], a)], True) for f in self._key[1]]
+        return _polyhedron(self.dim, _homogenisation(self.dim, rows))
 
     def sample_point(self):
         """Some exact rational point of the polyhedron, or None if empty: an
         interior point (x, t) of the homogenisation, scaled to t = 1."""
         if self.is_empty:
             return None
-        *x, t = self._cone.interior_point()
-        point = tuple(c / t for c in x)
+        *x, t = map(sum, zip(*self._cone._key[1]))
+        point = tuple(Fraction(c, t) for c in x)
         if not self.contains(point):
             raise InternalCheckFailed("sample point is not in the polyhedron", check="sample-point")
         return point
@@ -118,19 +130,34 @@ class OpenPolyhedron:
         return f"OpenPolyhedron(dim={self.dim}, constraints={len(self.constraints)})"
 
 
+def _homogenisation(dim, rows):
+    """C = {(x, t) : <n, x> + d * t >= 0 for the int rows (n, d), t >= 0}."""
+    return dual_cone(Cone._from_rows(dim + 1, [(0,) * dim + (1,), *rows]))
+
+
+def _polyhedron(dim, cone) -> OpenPolyhedron:
+    """The open polyhedron whose homogenisation is ``cone``."""
+    p = OpenPolyhedron.__new__(OpenPolyhedron)
+    p._fill(dim, cone)
+    return p
+
+
 def minkowski_sum(p: OpenPolyhedron, other: OpenPolyhedron) -> OpenPolyhedron:
     """Exact Minkowski sum of two open polyhedra: its homogenisation is
-    spanned by (v + w, 1) for the rays (v, 1), (w, 1) of both cones scaled to
-    t = 1, and by their rays and lines with t = 0."""
+    spanned by the point sums v/t_v + w/t_w, as the int rows
+    (t_w * v + t_v * w, t_v * t_w), of the rays (v, t_v), (w, t_w) of both
+    cones with t > 0, and by their rays and lines with t = 0."""
     if p.dim != other.dim:
         raise InvalidInput("ambient dimension mismatch")
     if p.is_empty or other.is_empty:
         return OpenPolyhedron.empty(p.dim)
-    gens_p, gens_q = p._cone.generators, other._cone.generators
-    points_p, points_q = ([vscale(1 / g[-1], g[:-1]) for g in gens if g[-1]] for gens in (gens_p, gens_q))
-    gens = [g for g in gens_p + gens_q if not g[-1]]
-    gens += [vadd(v, w) + (Fraction(1),) for v in points_p for w in points_q]
-    return _sum(p.dim, gens)
+    gens_p, gens_q = (_with_lines(*s._cone._key[1:]) for s in (p, other))
+    rows = [g for g in gens_p + gens_q if not g[-1]]
+    rows += [
+        _scaled([w[-1] * a + v[-1] * b for a, b in zip(v[:-1], w[:-1])] + [v[-1] * w[-1]], True)
+        for v in gens_p if v[-1] for w in gens_q if w[-1]
+    ]
+    return _sum(p.dim, rows)
 
 
 def minkowski_with_relint_cone(p: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
@@ -140,14 +167,12 @@ def minkowski_with_relint_cone(p: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
         raise InvalidInput("ambient dimension mismatch")
     if p.is_empty:
         return p
-    return _sum(p.dim, p._cone.generators + tuple(g + (Fraction(0),) for g in cone.generators))
+    return _sum(p.dim, _with_lines(*p._cone._key[1:]) + tuple(g + (0,) for g in _with_lines(*cone._key[1:])))
 
 
-def _sum(dim, gens) -> OpenPolyhedron:
-    """The sum of nonempty open sets whose homogenisation ``gens`` span."""
-    cone = Cone(dim + 1, gens)
+def _sum(dim, rows) -> OpenPolyhedron:
+    """The sum of nonempty open sets whose homogenisation the int ``rows`` span."""
+    cone = Cone._from_rows(dim + 1, rows)
     if not cone.is_full_dim():
         raise InternalCheckFailed("sum of open sets has empty interior", check="minkowski-sum-open")
-    p = OpenPolyhedron.__new__(OpenPolyhedron)
-    p._fill(dim, cone)
-    return p
+    return _polyhedron(dim, cone)

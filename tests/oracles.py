@@ -9,12 +9,12 @@ with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
-brute-force matchings for the bottleneck value, the column reduction on
-``Fraction`` entries for barcodes over Q, the rank invariant by dense
-elimination for barcodes over Q and F_p, the order-complex derived limit
-for stalk ranks, point sampling for Minkowski sums.  Expected values
-in the tests were produced (or are recomputed live) by these, never by the
-code under test.
+brute-force matchings for the bottleneck value, a recursive Kuhn search
+for perfect matchings, the column reduction on ``Fraction`` entries for
+barcodes over Q, the rank invariant by dense elimination for barcodes over
+Q and F_p, the order-complex derived limit for stalk ranks, point sampling
+for Minkowski sums.  Expected values in the tests were produced (or are
+recomputed live) by these, never by the code under test.
 """
 
 from __future__ import annotations
@@ -289,6 +289,33 @@ def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
 
     assign(0, frozenset(), Fraction(0))
     return best[0]
+
+
+def kuhn_matching_recursive(allowed, n_left, n_right):
+    """Kuhn's augmenting paths with a recursive search, the library's
+    former matching: a matching dict left -> right, or None when there is
+    no perfect matching.  A search recurses once per edge of its augmenting
+    path, so long paths need a raised recursion limit."""
+    if n_left != n_right:
+        return None
+    match_l = {}
+    match_r = {}
+
+    def augment(u, seen):
+        for v in allowed[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_r or augment(match_r[v], seen):
+                match_l[u] = v
+                match_r[v] = u
+                return True
+        return False
+
+    for u in range(n_left):
+        if not augment(u, set()):
+            return None
+    return match_l
 
 
 def barcode_by_fraction_reduction(p) -> Barcode:

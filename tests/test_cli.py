@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, io
+from aptkit import catalog, geometry, io
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.cli import main
 from aptkit.errors import InvalidInput
@@ -345,3 +345,13 @@ def test_k0_terms_need_grade_and_integer_coef():
     for bad in ([{"grade": "0"}], [{"coef": 1}], [{"grade": "0", "coef": 1.5}], [{"grade": "0", "coef": False}]):
         with pytest.raises(InvalidInput):
             io.parse_k0_json(bad)
+
+
+def test_cli_conversion_past_the_ray_cap_is_structured(monkeypatch, capsys):
+    monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+    monkeypatch.setattr(geometry, "_DD_RAY_CAP", 2)
+    square = '{"dim":3,"generators":[["1","1","1"],["1","-1","1"],["-1","-1","1"],["-1","1","1"]]}'
+    code, out = run_cli(["cone", "dual", "--input", square])
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "too-large"
+    assert capsys.readouterr().err == ""

@@ -25,7 +25,7 @@ from aptkit.geometry import (
 )
 from aptkit.linalg import rank
 from aptkit.modules import HALFLINE, PresentationND, shift
-from aptkit.polyhedra import OpenPolyhedron
+from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 from aptkit.rational import dot, primitive, vadd, vneg, vscale, zero_vec
 from aptkit.toric import chart_of_cone, transition_data
 
@@ -529,7 +529,7 @@ except InternalCheckFailed as exc:
         ),
         (
             "import aptkit.polyhedra as P\nW = P.OpenPolyhedron.whole_space(2)\n"
-            "P.Cone = lambda dim, gens: g.Cone(dim, [])",
+            "P.Cone._from_rows = classmethod(lambda cls, dim, rows: g.Cone(dim, []))",
             "P.minkowski_sum(W, W)",
         ),
         (
@@ -580,3 +580,77 @@ def test_self_checks_survive_python_O(patch, call):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "internal-check-failed"
+
+
+class _PeakRays:
+    """Stands in for ``geometry._DD_RAY_CAP``: the cap test
+    ``len(rays) > cap`` asks ``cap < len(rays)``, which records the count."""
+
+    def __init__(self):
+        self.peak = 0
+
+    def __lt__(self, count):
+        self.peak = max(self.peak, count)
+        return False
+
+
+# normals of the polygons whose Minkowski sums the benchmark's workload pins
+WORKLOAD_POLYGONS = (
+    [(5, 0), (-3, 4), (-3, -4)],
+    [(4, 3), (-3, 4), (-4, -3), (3, -4)],
+    [(4, 3), (-3, 4), (-5, 0), (0, -5), (4, -3)],
+    [(5, 0), (0, 5), (-4, 3), (-3, -4), (3, -4)],
+    [(4, 3), (0, 5), (-4, 3), (-4, -3), (0, -5), (4, -3)],
+    [(5, 0), (3, 4), (-3, 4), (-5, 0), (-3, -4), (3, -4)],
+)
+
+
+def _homothetic(cons, lam, t):
+    """lam * P + t for P = {<n, x> + d > 0}."""
+    return [(n, lam * d - dot(n, t)) for n, d in cons]
+
+
+def test_dd_intermediate_rays_stay_far_below_the_cap(monkeypatch):
+    rng = random.Random(67)
+    cap = geometry._DD_RAY_CAP
+    peaks = {}
+
+    def record(label, build):
+        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+        counter = _PeakRays()
+        monkeypatch.setattr(geometry, "_DD_RAY_CAP", counter)
+        build()
+        peaks[label] = counter.peak
+
+    def units(d):
+        return [tuple(s * (i == j) for j in range(d)) for i in range(d) for s in (1, -1)]
+
+    def point(d):
+        return tuple(Fraction(rng.randint(-4, 4), 2) for _ in range(d))
+
+    for d in range(1, 6):
+        record(("cube cone", d), lambda: Cone(d + 1, [s + (1,) for s in product((1, -1), repeat=d)]))
+        record(("cross-polytope cone", d), lambda: Cone(d + 1, [u + (1,) for u in units(d)]))
+        box = [(u, rng.randint(1, 3)) for u in units(d)]
+        cross = [(s, rng.randint(1, 3)) for s in product((1, -1), repeat=d)]
+        for shape, cons in (("box", box), ("cross-polytope", cross)):
+            record((shape, d), lambda: OpenPolyhedron(d, cons))
+            if d >= 3:
+                other = _homothetic(cons, rng.choice((Fraction(1, 2), 2)), point(d))
+                record((shape + " sum", d), lambda: minkowski_sum(OpenPolyhedron(d, cons), OpenPolyhedron(d, other)))
+    for d in range(2, 7):
+        for n in (d + 1, 2 * d, 14):
+            ts = rng.sample(range(-7, 8), n)
+            record(("moment curve", d, n), lambda: dual_cone(Cone(d, [tuple(t ** k for k in range(d)) for t in ts])))
+    for k, normals in enumerate(WORKLOAD_POLYGONS):
+        cons = [(n, rng.randint(1, 4)) for n in normals]
+        other = _homothetic(cons, Fraction(rng.randint(1, 4), 2), point(2))
+        record(("polygon sum", k), lambda: minkowski_sum(OpenPolyhedron(2, cons), OpenPolyhedron(2, other)))
+    simplex = [((1, 0, 0), 1), ((0, 1, 0), 2), ((0, 0, 1), 3), ((-1, -1, -1), 1)]
+    for shear in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, -1, 1]]):
+        cons = [(tuple(sum(shear[i][j] * n[i] for i in range(3)) for j in range(3)), off) for n, off in simplex]
+        other = _homothetic(cons, Fraction(3, 2), point(3))
+        record(("simplex sum", tuple(map(tuple, shear))), lambda: minkowski_sum(OpenPolyhedron(3, cons), OpenPolyhedron(3, other)))
+    # the largest: the 5-D cross-polytope sum (298) and the 6-D moment-curve cone over 14 points (110)
+    peak = max(peaks.values())
+    assert peak >= 100 and 20 * peak <= cap, peaks

@@ -9,11 +9,12 @@ from math import lcm
 
 import pytest
 
-from aptkit import catalog
+from aptkit import catalog, interleaving
 from aptkit.barcodes import Barcode, almost_iso, bar, barcode, shift
 from aptkit.errors import InternalCheckFailed, InvalidInput
 from aptkit.interleaving import (
     InterleavingCertificate,
+    _perfect_matching,
     certificate_for,
     distance_to_zero,
     interleaving_distance,
@@ -22,7 +23,7 @@ from aptkit.interleaving import (
 from aptkit.rational import INF
 
 from generators import random_barcode, random_decorated_barcode
-from oracles import bottleneck_by_matching_enumeration
+from oracles import bottleneck_by_matching_enumeration, kuhn_matching_recursive
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 SMALL_GRID = [Fraction(n, 2) for n in range(0, 7)]  # half-integer endpoints up to 3
@@ -316,3 +317,43 @@ def test_certificate_value_is_read_exactly():
                         (Barcode([LINE]), Barcode(), 1), (Barcode(), Barcode([LINE]), 1)):
         with pytest.raises(InvalidInput):  # no finite interleaving exists
             certificate_for(x, y, value)
+
+
+def _ordered(matching):
+    return None if matching is None else list(matching.items())
+
+
+def test_matching_equals_recursive_kuhn_on_seeded_graphs():
+    rng = random.Random(61)
+    perfect = 0
+    for _ in range(400):
+        n = rng.randint(0, 30)
+        density = rng.choice((0.1, 0.2, 0.4, 0.8))
+        allowed = [[v for v in rng.sample(range(n), n) if rng.random() < density] for _ in range(n)]
+        got = _perfect_matching(allowed, n, n)
+        assert _ordered(got) == _ordered(kuhn_matching_recursive(allowed, n, n)), allowed
+        perfect += got is not None
+    assert perfect >= 50
+    assert _perfect_matching([[0]], 1, 2) is None
+
+
+def test_certificates_equal_those_of_the_recursive_search(monkeypatch):
+    rng = random.Random(62)
+    pairs = [tuple(random_barcode(rng, GRID, 6, ray_chance=0.05) for _ in range(2)) for _ in range(60)]
+    values = [interleaving_distance(x, y) for x, y in pairs]
+    certs = [certificate_for(x, y, d) for (x, y), d in zip(pairs, values) if d != INF]
+    monkeypatch.setattr(interleaving, "_perfect_matching", kuhn_matching_recursive)
+    assert values == [interleaving_distance(x, y) for x, y in pairs]
+    assert certs == [certificate_for(x, y, d) for (x, y), d in zip(pairs, values) if d != INF]
+    assert len(certs) >= 40
+
+
+def test_augmenting_path_of_5000_edges_needs_no_recursion():
+    # left i < n - 1 sees rights i, i + 1; the last left node sees right 0
+    # only, so its augmenting path shifts every earlier match by one
+    n = 5000
+    allowed = [[i, i + 1] for i in range(n - 1)] + [[0]]
+    with pytest.raises(RecursionError):
+        kuhn_matching_recursive(allowed, n, n)
+    matching = _perfect_matching(allowed, n, n)
+    assert matching == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}

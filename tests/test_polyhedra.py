@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction
 
+from aptkit import geometry
 from aptkit.geometry import Cone, dual_cone
 from aptkit.polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 
@@ -207,3 +208,105 @@ def test_4d_build_from_12_constraints_no_longer_hangs():
     # 9 irredundant constraints, as fm_irredundant_constraints finds (in ~20 s)
     assert len(p.constraints) == 9
     assert p.contains(x)
+
+
+def _ladder(rng):
+    """Seeded (dim, constraints) cases in dims 1-4: mixed redundancy with
+    implied and zero-normal constraints, sets with a line (every normal
+    orthogonal to the last axis) and unbounded sets of few constraints."""
+    for dim in range(1, 5):
+        most = 6 if dim < 4 else 5
+        for _ in range(40 if dim < 4 else 25):
+            cons = random_open_constraints(rng, dim, rng.randint(1, most))
+            shape = rng.choice(("mixed", "line", "few"))
+            if shape == "line" and dim > 1:
+                cons = [(tuple(n[:-1]) + (0,), d) for n, d in cons]
+            elif shape == "few":
+                cons = cons[:dim]
+            yield dim, cons
+
+
+def test_int_row_paths_against_fm_oracles_on_a_ladder():
+    rng = random.Random(44)
+    cases = list(_ladder(rng))
+    seen = dict.fromkeys(("empty", "implied", "zero-normal", "line", "unbounded", "bounded", "subset", "not-subset"), 0)
+    for (dim, cons), (_, other) in zip(cases, cases[1:] + cases[:1]):
+        p = OpenPolyhedron(dim, cons)
+        expected = fm_irredundant_constraints(dim, cons)
+        seen["zero-normal"] += any(not any(n) for n, _ in cons)
+        if expected is None:
+            seen["empty"] += 1
+            assert p.is_empty and p == OpenPolyhedron.empty(dim), cons
+            continue
+        assert p.constraints == expected, cons
+        seen["implied"] += len(expected) < len({tuple(n) for n, _ in cons if any(n)})
+        seen["line"] += bool(p._cone.lineality)
+        u = tuple(rng.randint(-2, 2) for _ in range(dim))
+        low = p.infimum(u)
+        assert low == fm_infimum(dim, cons, u), (cons, u)
+        seen["bounded" if low is not None else "unbounded"] += 1
+        if len(other[0][0]) == dim:
+            looser = [(n, d + rng.randint(0, 1)) for n, d in cons if rng.random() < 0.7]
+            for b in (other, looser):
+                got = p.is_subset_of(OpenPolyhedron(dim, b))
+                assert got == fm_is_subset(dim, cons, b), (cons, b)
+                seen["subset" if got else "not-subset"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_minkowski_sum_of_homothetic_pairs_is_the_scaled_set():
+    rng = random.Random(45)
+    checked = 0
+    for dim, cons in _ladder(rng):
+        p = OpenPolyhedron(dim, cons)
+        lam = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+        t = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim))
+
+        def scaled(c):
+            return [(n, c * d - sum(a * b for a, b in zip(n, t))) for n, d in cons]
+
+        expected = OpenPolyhedron(dim, scaled(1 + lam))
+        assert minkowski_sum(p, OpenPolyhedron(dim, scaled(lam))) == expected, (cons, lam, t)
+        checked += not p.is_empty
+    assert checked >= 100
+
+
+def test_minkowski_sum_of_general_pairs_against_sampling_oracle():
+    rng = random.Random(46)
+    checked = 0
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        p = OpenPolyhedron(dim, random_open_constraints(rng, dim, rng.randint(1, 5)))
+        q = OpenPolyhedron(dim, random_open_constraints(rng, dim, rng.randint(1, 5)))
+        s = minkowski_sum(p, q)
+        check_minkowski_by_sampling(p, q, s, rng)
+        checked += not s.is_empty
+    assert checked >= 15
+
+
+def test_sums_and_inclusion_stay_on_int_rows(monkeypatch):
+    """The sums and the inclusion test build no public Fraction view of a
+    cone, of the operands or of the results, and never enter Cone()."""
+    rng = random.Random(47)
+    views = ("_rays", "_lineality", "_facet_normals", "_span_normals")
+    operands = []
+    for _ in range(20):
+        dim = rng.randint(1, 3)
+        pair = [OpenPolyhedron(dim, random_open_constraints(rng, dim, rng.randint(1, 5))) for _ in range(2)]
+        cone = dual_cone(Cone(dim, [tuple(rng.randint(-1, 2) for _ in range(dim)) for _ in range(2)]))
+        operands.append((pair, cone))
+
+    def refuse(*args):
+        raise AssertionError("public Cone() or a Fraction view was used")
+
+    monkeypatch.setattr(Cone, "__init__", refuse)
+    monkeypatch.setattr(geometry, "_fractions", refuse)
+    nonempty = 0
+    for (p, q), cone in operands:
+        results = [minkowski_sum(p, q), p.is_subset_of(q), q.is_subset_of(p)]
+        if not p.is_empty:
+            results.append(minkowski_with_relint_cone(p, cone))
+        nonempty += not results[0].is_empty
+        cones = [cone] + [s._cone for s in (p, q, results[0], results[-1]) if not s.is_empty]
+        assert not any(hasattr(c, view) for c in cones for view in views)
+    assert nonempty >= 10

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from pathlib import Path
 
+import aptkit
 from aptkit.barcodes import Barcode, bar, barcode, convolve
 from aptkit.barcodes import eval_at as bc_eval
 from aptkit.cutoff import convolution_unit_check, star_stalk_homology, stratum_points
@@ -184,3 +187,30 @@ def test_minkowski_identity_3d():
             lhs = delta_polytope(fan, restrict_offsets(fan, d, cone))
             rhs = minkowski_with_cone(base, dual_cone(cone))
             assert lhs == rhs
+
+
+def _self_calls(tree):
+    """Names of functions (and methods, through ``self``/``cls``) that call themselves."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            if (isinstance(f, ast.Name) and f.id == node.name) or (
+                isinstance(f, ast.Attribute) and f.attr == node.name
+                and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_no_function_in_the_package_calls_itself():
+    # a self-recursive function fails with RecursionError on deep enough input
+    assert _self_calls(ast.parse("def f(n):\n    return f(n - 1)\n")) == ["f"]
+    package = Path(aptkit.__file__).parent
+    recursive = {path.name: _self_calls(ast.parse(path.read_text())) for path in sorted(package.glob("*.py"))}
+    assert len(recursive) >= 10
+    assert not any(recursive.values()), recursive
