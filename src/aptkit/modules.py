@@ -2,20 +2,29 @@
 
 A presentation lists generator grades and homogeneous relation rows over a
 full-dimensional grading cone gamma; each relation is stored once, sparse.
-Degree-wise evaluation is plain exact linear algebra: the dimension at
-grade a is the number of active generators minus the rank of the active
-relation rows.  The one-dimensional case bridges to barcodes through the
-classical persistence column reduction, on grades scaled to ints over a
-common denominator and on sparse columns of ints modulo p over F_p and,
-over Q, of primitive ints that are divided by their content after every
-column operation.  A relation whose rows the stored columns already span
-is skipped unreduced, as in clearing (Chen & Kerber 2011).
+Every construction ends in one check of the sparse rows, in time linear in
+their nonzeros: homogeneity compares int heights of the grades over
+gamma's facets, all grades scaled by one common denominator, and over F_p
+every coefficient must be invertible.  The public constructor parses dense
+rows in one pass; shift, tensor products, Rees presentations and free
+modules build sparse rows directly.  Degree-wise evaluation is plain exact
+linear algebra: the dimension at grade a is the number of active
+generators minus the rank of the active relation rows.  The
+one-dimensional case bridges to barcodes through the classical
+persistence column reduction, on grades scaled to ints over a common
+denominator and on sparse columns of ints modulo p over F_p and, over Q,
+of primitive ints that are divided by their content after every column
+operation.  A relation whose rows the stored columns already span is
+skipped unreduced, as in clearing (Chen & Kerber 2011); over F_p the rows
+are those of its nonzero residues.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
+from operator import ge, is_not, le, lt
 
 from .barcodes import Bar, Barcode, interval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
@@ -48,37 +57,69 @@ class PresentationND:
     Relations come in as dense ``(degree, coeffs)`` rows and are stored only
     as ``rows``: ``(degree, support, values)``, ``support`` the ascending
     indices of the nonzero coefficients.  ``relations`` is a dense view.
+    Each dense row is parsed in one pass, and the sparse rows are then
+    checked by :meth:`_check`, the one validation of every construction:
+    the transforms (``shift``, ``h0_tensor``, ``presentation_of_barcode``,
+    ``free_module``) build sparse rows themselves and enter it through
+    :meth:`_from_rows`, with no dense row on the way.
     """
 
     __slots__ = ("gamma", "generators", "rows", "field")
 
     def __init__(self, gamma: Cone, generators, relations=(), field=None):
-        if not gamma.is_full_dim():
-            raise InvalidInput("grading cone must have nonempty interior")
-        self.gamma = gamma
-        self.field = parse_field(field)
         gens = tuple(qvec(g) for g in generators)
-        for g in gens:
-            if len(g) != gamma.dim:
-                raise InvalidInput("generator grade has wrong dimension")
         rows = []
         for degree, coeffs in relations:
-            degree = qvec(degree)
-            coeffs = tuple(q(c) for c in coeffs)
+            coeffs = tuple(coeffs)
             if len(coeffs) != len(gens):
                 raise InvalidInput("relation row length must match generator count")
-            support = []
-            for i, c in enumerate(coeffs):
-                if c:
-                    if not gamma.contains(vsub(degree, gens[i])):
-                        raise InvalidInput(
-                            "inhomogeneous relation: coefficient on a generator "
-                            "outside its degree cone"
-                        )
-                    support.append(i)
-            rows.append((degree, tuple(support), tuple(coeffs[i] for i in support)))
+            rows.append((qvec(degree), *_sparse(coeffs)))
+        self._check(gamma, gens, rows, field)
+
+    @classmethod
+    def _from_rows(cls, gamma: Cone, generators, rows, field=None) -> "PresentationND":
+        """The presentation with these generator grades and sparse rows, as
+        tuples of ``Fraction``s, checked as the public constructor checks its
+        parsed rows."""
+        p = cls.__new__(cls)
+        p._check(gamma, tuple(generators), rows, field)
+        return p
+
+    def _check(self, gamma, gens, rows, field):
+        """Check and store: grade dimensions, ascending in-range supports,
+        nonzero values (invertible mod p over F_p), and homogeneity, that is
+        degree - g in gamma for every generator g in a row's support, read
+        off the heights of the grades over gamma's facets (:func:`_heights`)."""
+        if not gamma.is_full_dim():
+            raise InvalidInput("grading cone must have nonempty interior")
+        field = parse_field(field)
+        dim, n = gamma.dim, len(gens)
+        if any(len(g) != dim for g in gens):
+            raise InvalidInput("generator grade has wrong dimension")
+        rows = tuple(rows)
+        for degree, support, values in rows:
+            if len(degree) != dim:
+                raise InvalidInput("relation degree has wrong dimension")
+            if len(values) != len(support) or not all(values):
+                raise InvalidInput("a sparse row needs one nonzero value per support index")
+            if support and not (0 <= support[0] and support[-1] < n
+                                and all(map(lt, support, support[1:]))):
+                raise InvalidInput("a sparse row needs ascending generator indices")
+            if field is not None:
+                for c in values:
+                    field.from_fraction(c)
+        heights = _heights(gamma, [*gens, *(row[0] for row in rows)])
+        for (_, support, _), top in zip(rows, heights[n:]):
+            for i in support:
+                if not all(map(ge, top, heights[i])):
+                    raise InvalidInput(
+                        "inhomogeneous relation: coefficient on a generator "
+                        "outside its degree cone"
+                    )
+        self.gamma = gamma
+        self.field = field
         self.generators = gens
-        self.rows = tuple(rows)
+        self.rows = rows
 
     @property
     def dim(self) -> int:
@@ -112,27 +153,51 @@ class PresentationND:
         )
 
 
+def _sparse(coeffs):
+    """``(support, values)`` of a dense tuple of rationals in one pass.  A
+    dense row usually repeats one zero object: entries that are the row's
+    first ``Fraction`` zero are passed over by identity, and only the
+    others go through ``q`` (when not a ``Fraction`` already) and a truth
+    test."""
+    zero = next((c for c in coeffs if type(c) is Fraction and not c), None)
+    support, values = [], []
+    for i in compress(range(len(coeffs)), map(is_not, coeffs, repeat(zero))):
+        c = coeffs[i]
+        if type(c) is not Fraction:
+            c = q(c)
+        if c:
+            support.append(i)
+            values.append(c)
+    return tuple(support), tuple(values)
+
+
+def _heights(gamma: Cone, grades):
+    """For each grade g, the tuple of f.g over the facet normals f of the
+    full-dimensional cone gamma, with all grades scaled to ints over one
+    common denominator (one ``integral``): g <= h in gamma's order, that is
+    h - g in gamma, iff every height of g is at most that of h."""
+    dim = gamma.dim
+    ints = integral([x for g in grades for x in g])[0]
+    facets = gamma._hrep[0]  # full-dimensional: no span equalities
+    return [tuple(_idot(f, ints[k * dim:(k + 1) * dim]) for f in facets) for k in range(len(grades))]
+
+
 def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
     """The rank-one free module k[gamma], optionally shifted to a grade."""
-    if grade is None:
-        grade = (Fraction(0),) * gamma.dim
-    return PresentationND(gamma, [grade], [], field)
+    grade = (Fraction(0),) * gamma.dim if grade is None else qvec(grade)
+    return PresentationND._from_rows(gamma, [grade], (), field)
 
 
 def eval_at(p: PresentationND, a) -> int:
-    """dim_k of the degree-a piece.  A grade g is active when f.g <= f.a for
-    every facet normal f of gamma, with a, the generator grades and the
-    relation degrees as ints over one common denominator (one ``integral``)."""
+    """dim_k of the degree-a piece.  A grade g is active when it lies below
+    a in gamma's order, read off the heights of a, the generator grades and
+    the relation degrees (:func:`_heights`)."""
     a = qvec(a)
     if len(a) != p.dim:
         raise InvalidInput("grade has wrong dimension")
-    dim, n = p.dim, len(p.generators)
-    grades = [a, *p.generators, *(row[0] for row in p.rows)]
-    ints = integral([x for g in grades for x in g])[0]
-    facets = p.gamma._hrep[0]  # gamma is full-dimensional: no span equalities
-    top = [_idot(f, ints[:dim]) for f in facets]
-    active = [all(_idot(f, ints[k * dim:(k + 1) * dim]) <= t for f, t in zip(facets, top))
-              for k in range(1, len(grades))]
+    n = len(p.generators)
+    top, *heights = _heights(p.gamma, [a, *p.generators, *(row[0] for row in p.rows)])
+    active = [all(map(le, h, top)) for h in heights]
     active_gens = [i for i in range(n) if active[i]]
     if not active_gens:
         return 0
@@ -153,8 +218,8 @@ def shift(p: PresentationND, b) -> PresentationND:
     """T_b: all degrees translated so eval_at(shift(p, b), a) = eval_at(p, a + b)."""
     b = qvec(b, p.dim)
     gens = [vsub(g, b) for g in p.generators]
-    rels = [(vsub(d, b), coeffs) for d, coeffs in p.relations]
-    return PresentationND(p.gamma, gens, rels, p.field)
+    rows = [(vsub(d, b), support, values) for d, support, values in p.rows]
+    return PresentationND._from_rows(p.gamma, gens, rows, p.field)
 
 
 def h0_tensor(p: PresentationND, other: PresentationND) -> PresentationND:
@@ -166,21 +231,13 @@ def h0_tensor(p: PresentationND, other: PresentationND) -> PresentationND:
     # generator (i, j) is g_i + h_j at index i * n + j
     n = len(other.generators)
     gens = [vadd(g, h) for g in p.generators for h in other.generators]
-    zero = Fraction(0)
-    rels = []
-    for degree, support, values in p.rows:
-        for j, h in enumerate(other.generators):
-            row = [zero] * len(gens)
-            for i, c in zip(support, values):
-                row[i * n + j] = c
-            rels.append((vadd(degree, h), row))
-    for degree, support, values in other.rows:
-        for i, g in enumerate(p.generators):
-            row = [zero] * len(gens)
-            for j, c in zip(support, values):
-                row[i * n + j] = c
-            rels.append((vadd(degree, g), row))
-    return PresentationND(p.gamma, gens, rels, p.field)
+    rows = [(vadd(degree, h), tuple(i * n + j for i in support), values)
+            for degree, support, values in p.rows
+            for j, h in enumerate(other.generators)]
+    rows += [(vadd(degree, g), tuple(i * n + j for j in support), values)
+             for degree, support, values in other.rows
+             for i, g in enumerate(p.generators)]
+    return PresentationND._from_rows(p.gamma, gens, rows, p.field)
 
 
 def _require_one_dimensional(p: PresentationND):
@@ -209,12 +266,13 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     when it holds a stored pivot and every other row of that column is
     closed: the columns of the closed rows are triangular with distinct
     pivots, so they span every vector on those rows, and a relation on
-    closed rows, which would reduce to zero, is skipped before any
-    arithmetic (see ``_close``).  A paired (generator, relation) yields the
-    bar [birth, degree), dropped when empty; unpaired generators are
-    infinite.  Bars are counted per (birth key, death key), ``INF`` the key
-    of an infinite death, and built once per distinct pair in key order,
-    which is the canonical order.
+    closed rows, which would reduce to zero, is skipped before any column
+    operation (see ``_close``).  Over F_p its rows are those of its nonzero
+    residues: a coefficient that vanishes mod p holds no row.  A paired
+    (generator, relation) yields the bar [birth, degree), dropped when
+    empty; unpaired generators are infinite.  Bars are counted per (birth
+    key, death key), ``INF`` the key of an infinite death, and built once
+    per distinct pair in key order, which is the canonical order.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -232,12 +290,15 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
         _, support, values = p.rows[r]
         rows = [position[i] for i in support]
+        if field is not None and not closed.issuperset(rows):
+            # the rows of the nonzero residues: a coefficient that vanishes mod p holds none
+            col = {i: v for i, c in zip(rows, values) if (v := field.from_fraction(c))}
+            rows = col.keys()
         if closed.issuperset(rows):
             continue  # it would reduce to zero
         if field is None:
             col = _reduce_q(dict(zip(rows, integral(values)[0])), paired)
         else:
-            col = {i: v for i, c in zip(rows, values) if (v := field.from_fraction(c))}
             col = _reduce_fp(col, paired, field.p)
         if col:
             low = max(col)
@@ -320,9 +381,10 @@ def _reduce_fp(col, paired, mod):
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:
-    """Rees presentation of a degree-0 barcode of [a,b) / [a,inf) bars."""
-    gens = []
-    finite_bars = []
+    """Rees presentation of a degree-0 barcode of [a,b) / [a,inf) bars: one
+    generator at a per bar, and the relation of degree b on it, if finite."""
+    gens, rows = [], []
+    one = Fraction(1)
     for item in b.bars:
         if item.hdegree != 0:
             raise UnsupportedDecoration("only homological degree 0 is presentable")
@@ -332,15 +394,10 @@ def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:
                 "only [a,b) and [a,inf) bars admit finite presentations"
             )
         for _ in range(item.multiplicity):
-            gens.append((iv.left,))
             if is_finite(iv.right):
-                finite_bars.append((len(gens) - 1, iv.right))
-    rels = []
-    for gen_index, death in finite_bars:
-        row = [Fraction(0)] * len(gens)
-        row[gen_index] = Fraction(1)
-        rels.append(((death,), row))
-    return PresentationND(HALFLINE, gens, rels, field)
+                rows.append(((iv.right,), (len(gens),), (one,)))
+            gens.append((iv.left,))
+    return PresentationND._from_rows(HALFLINE, gens, rows, field)
 
 
 def k0_of_presentation(p: PresentationND) -> K0Class:

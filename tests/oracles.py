@@ -12,8 +12,9 @@ irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, a recursive Kuhn search
 for perfect matchings, the column reduction on ``Fraction`` entries for
 barcodes over Q, the rank invariant by dense elimination for barcodes over
-Q and F_p, the order-complex derived limit for stalk ranks, point sampling
-for Minkowski sums.  Expected values in the tests were produced (or are
+Q and F_p, a dense scan with one ``Cone.contains`` per nonzero coefficient
+for the stored rows of a presentation, the order-complex derived limit for
+stalk ranks, point sampling for Minkowski sums.  Expected values in the tests were produced (or are
 recomputed live) by these, never by the code under test.
 """
 
@@ -25,9 +26,11 @@ from itertools import combinations
 
 from aptkit import fm
 from aptkit.barcodes import Bar, Barcode, interval
+from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
 from aptkit.linalg import kernel_line
+from aptkit.modules import parse_field
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import (
     INF,
@@ -40,6 +43,7 @@ from aptkit.rational import (
     vadd,
     vneg,
     vscale,
+    vsub,
     zero_vec,
 )
 
@@ -316,6 +320,39 @@ def kuhn_matching_recursive(allowed, n_left, n_right):
         if not augment(u, set()):
             return None
     return match_l
+
+
+def presentation_rows_by_dense_scan(gamma: Cone, generators, relations=(), field=None):
+    """``(generators, rows)`` as ``PresentationND`` stores them, by a scan
+    of the dense rows: every coefficient through ``q``, the support read off
+    the parsed row, and homogeneity tested per nonzero coefficient by
+    ``gamma.contains`` on the ``Fraction`` difference degree - g.  Raises
+    ``InvalidInput`` where the constructor must, including on a relation
+    degree of the wrong length and, over F_p, on a coefficient whose
+    denominator p divides."""
+    if not gamma.is_full_dim():
+        raise InvalidInput("grading cone must have nonempty interior")
+    field = parse_field(field)
+    gens = tuple(qvec(g) for g in generators)
+    for g in gens:
+        if len(g) != gamma.dim:
+            raise InvalidInput("generator grade has wrong dimension")
+    rows = []
+    for degree, coeffs in relations:
+        degree = qvec(degree, gamma.dim)
+        coeffs = tuple(q(c) for c in coeffs)
+        if len(coeffs) != len(gens):
+            raise InvalidInput("relation row length must match generator count")
+        support = []
+        for i, c in enumerate(coeffs):
+            if c:
+                if field is not None:
+                    field.from_fraction(c)
+                if not gamma.contains(vsub(degree, gens[i])):
+                    raise InvalidInput("inhomogeneous relation")
+                support.append(i)
+        rows.append((degree, tuple(support), tuple(coeffs[i] for i in support)))
+    return gens, tuple(rows)
 
 
 def barcode_by_fraction_reduction(p) -> Barcode:

@@ -28,10 +28,15 @@ from aptkit.modules import (
     shift,
 )
 
-from aptkit.rational import vadd, vsub
+from aptkit.rational import INF, vadd, vsub
 
-from generators import edge_presentation, half_grade, random_presentation, sparse_presentation
-from oracles import barcode_by_fraction_reduction, barcode_by_rank_invariant, dense_rank
+from generators import edge_presentation, half_grade, random_barcode, random_presentation, sparse_presentation
+from oracles import (
+    barcode_by_fraction_reduction,
+    barcode_by_rank_invariant,
+    dense_rank,
+    presentation_rows_by_dense_scan,
+)
 
 QUADRANT = Cone(2, [(1, 0), (0, 1)])
 
@@ -473,3 +478,214 @@ def test_eval_matches_cone_membership_and_dense_rank():
                 assert eval_at(p, a) == len(active) - dense_rank(rows, len(active), prime)
                 seen += bool(rows)
     assert seen >= 50, seen
+
+
+def test_relation_degree_of_wrong_length_is_rejected():
+    # accepted once, when eval_at then read its grades from misaligned slices
+    with pytest.raises(InvalidInput, match="degree has wrong dimension"):
+        PresentationND(HALFLINE, [(0,), (0,)], [((1, 5), [0, 0]), ((2,), [1, 0])])
+    with pytest.raises(InvalidInput, match="degree has wrong dimension"):
+        PresentationND(QUADRANT, [(0, 0)], [((1,), [1])])
+
+
+def test_fp_coefficients_are_checked_at_construction():
+    # the second relation used to be skipped by clearing, so a barcode came
+    # out while eval_at raised; now every such coefficient is rejected
+    rels = [((1,), [1]), ((2,), [Fraction(1, 2)])]
+    with pytest.raises(InvalidInput, match="denominator of 1/2 not invertible mod 2"):
+        PresentationND(HALFLINE, [(0,)], rels, PrimeField(2))
+    with pytest.raises(InvalidInput, match="denominator of 1/3 not invertible mod 3"):
+        PresentationND(HALFLINE, [(0,)], [((1,), ["1/3"])], "f3")
+    for field in (None, PrimeField(3)):
+        p = PresentationND(HALFLINE, [(0,)], rels, field)
+        assert barcode_of_presentation(p) == barcode(bar(0, 1))
+        assert eval_at(p, (3,)) == 0
+
+
+def test_fp_clearing_reads_the_residue_support(monkeypatch):
+    # e0 at 1 closes row 0; e0 + 2e1 at 2 lies on row 0 alone mod 2, so it
+    # is skipped unreduced over F_2, and pairs row 1 over Q and F_3
+    calls = _count_reductions(monkeypatch)
+    rels = [((1,), [1, 0]), ((2,), [1, 2])]
+    for field, reduced, expected in [(None, 2, barcode(bar(0, 1), bar(0, 2))),
+                                     (PrimeField(3), 2, barcode(bar(0, 1), bar(0, 2))),
+                                     (PrimeField(2), 1, barcode(bar(0, 1), bar(0, "inf")))]:
+        calls.clear()
+        p = PresentationND(HALFLINE, [(0,), (0,)], rels, field)
+        assert barcode_of_presentation(p) == expected == barcode_by_rank_invariant(p)
+        assert len(calls) == reduced, field
+
+
+def test_from_rows_checks_its_sparse_rows():
+    gens = [(Fraction(0),), (Fraction(1),)]
+    one, half = Fraction(1), Fraction(1, 2)
+    good = ((Fraction(2),), (0, 1), (one, -one))
+    expected = PresentationND(HALFLINE, gens, [((2,), [1, -1])])
+    assert PresentationND._from_rows(HALFLINE, gens, [good]) == expected
+    for bad, field in [(((Fraction(2),), (1, 0), (one, -one)), None),  # descending support
+                       (((Fraction(2),), (0, 0), (one, -one)), None),  # repeated index
+                       (((Fraction(2),), (0, 2), (one, -one)), None),  # index out of range
+                       (((Fraction(2),), (-1, 0), (one, -one)), None),
+                       (((Fraction(2),), (0, 1), (one, Fraction(0))), None),  # stored zero
+                       (((Fraction(2),), (0, 1), (one,)), None),  # one value short
+                       (((Fraction(2), Fraction(0)), (0,), (one,)), None),  # degree of length 2
+                       (((Fraction(0),), (1,), (one,)), None),  # inhomogeneous
+                       (((Fraction(2),), (0,), (half,)), PrimeField(2))]:
+        with pytest.raises(InvalidInput):
+            PresentationND._from_rows(HALFLINE, gens, [bad], field)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the error type is compared, whatever it is
+        return type(exc)
+
+
+def _stored(p):
+    return p.generators, p.rows
+
+
+def _ladder_coefficient(rng, c):
+    """c as an int, a string or a Fraction, and, rarely, as a value the
+    constructor rejects: a float, a bool, or a half (not invertible mod 2)."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.choice((float(c), 0.0, 1.5))
+    if roll < 0.06:
+        return rng.choice((True, False))
+    if roll < 0.09:
+        return Fraction(c, 2)
+    return rng.choice((int(c), str(Fraction(c)), Fraction(c), f"{2 * c}/2"))
+
+
+def _constructor_ladder():
+    rng = random.Random(41)
+    thirds = [Fraction(a, 3) for a in range(-6, 10)]
+    for gamma in (HALFLINE, QUADRANT):
+        for field in FIELDS:
+            for n in (0, 1, 2, 4, 8, 16):
+                for _ in range(6):
+                    gens = [tuple(rng.choice(thirds) for _ in range(gamma.dim)) for _ in range(n)]
+                    rels = []
+                    for _ in range(rng.randint(0, n + 2)):
+                        support = rng.sample(range(n), rng.randint(0, min(3, n)))
+                        coeffs = [rng.choice((0, Fraction(0), "0")) for _ in range(n)]
+                        for i in support:
+                            coeffs[i] = _ladder_coefficient(rng, rng.choice((-3, -1, 1, 2, 5)))
+                        top = [max((gens[i][k] for i in support), default=rng.choice(thirds))
+                               for k in range(gamma.dim)]
+                        degree = [t + Fraction(rng.randint(0, 3), 2) for t in top]
+                        roll = rng.random()
+                        if support and roll < 0.05:
+                            degree[rng.randrange(gamma.dim)] -= Fraction(1, 3)  # inhomogeneous
+                        elif roll < 0.08:
+                            degree.append(Fraction(0))  # wrong length
+                        elif n and roll < 0.1:
+                            coeffs.pop()  # wrong row length
+                        rels.append((degree, coeffs))
+                    yield gamma, gens, rels, field
+
+
+def test_constructor_matches_dense_scan_oracle():
+    seen = dict.fromkeys(["accepted", "rejected", "zero row", "f_p accepted", "quadrant accepted"], 0)
+    for gamma, gens, rels, field in _constructor_ladder():
+        got = _outcome(lambda: _stored(PresentationND(gamma, gens, rels, field)))
+        expected = _outcome(presentation_rows_by_dense_scan, gamma, gens, rels, field)
+        assert got == expected
+        if isinstance(got, tuple):
+            seen["accepted"] += 1
+            seen["zero row"] += any(not support for _, support, _ in got[1])
+            seen["f_p accepted"] += field is not None and bool(got[1])
+            seen["quadrant accepted"] += gamma == QUADRANT and bool(got[1])
+            assert all(type(c) is Fraction for _, _, values in got[1] for c in values)
+        else:
+            assert got is InvalidInput
+            seen["rejected"] += 1
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+def _rees_by_dense_rows(b, field):
+    gens, rels = [], []
+    for item in b.bars:
+        for _ in range(item.multiplicity):
+            gens.append((item.interval.left,))
+            if item.interval.right != INF:
+                rels.append(((item.interval.right,), len(gens) - 1))
+    dense = [(d, [int(i == k) for i in range(len(gens))]) for d, k in rels]
+    return PresentationND(HALFLINE, gens, dense, field)
+
+
+def _transform_cases():
+    rng = random.Random(42)
+    cases = list(_stored_form_cases())
+    grid = [Fraction(k, 3) for k in range(0, 20)]
+    for p in cases:
+        same = [o for o in cases if o.gamma == p.gamma and o.field == p.field]
+        b = tuple(half_grade(rng, -3, 3) for _ in range(p.dim))
+        yield "shift", (p, b), lambda p=p, b=b: _dense_shift(p, b)
+        other = same[rng.randrange(len(same))]
+        yield "h0_tensor", (p, other), lambda p=p, other=other: _dense_tensor(p, other)
+        yield "free_module", (p.gamma, b, p.field), lambda p=p, b=b: PresentationND(p.gamma, [b], [], p.field)
+    for field in FIELDS:
+        for _ in range(10):
+            bc = random_barcode(rng, grid, max_bars=6, ray_chance=0.3)
+            yield ("presentation_of_barcode", (bc, field),
+                   lambda bc=bc, field=field: _rees_by_dense_rows(bc, field))
+
+
+TRANSFORMS = {"shift": shift, "h0_tensor": h0_tensor, "free_module": free_module,
+              "presentation_of_barcode": presentation_of_barcode}
+
+
+def test_transforms_build_sparse_rows_equal_to_the_dense_formulas(monkeypatch):
+    cases = list(_transform_cases())
+
+    def forbidden(*args):
+        raise AssertionError("a transform went through the dense rows")
+
+    monkeypatch.setattr(PresentationND, "__init__", forbidden)
+    monkeypatch.setattr(PresentationND, "relations", property(forbidden))
+    built = [(name, TRANSFORMS[name](*args), dense) for name, args, dense in cases]
+    monkeypatch.undo()
+    assert {name for name, _, _ in built} == set(TRANSFORMS)
+    for name, got, dense in built:
+        assert got == dense(), name
+        assert PresentationND(got.gamma, got.generators, got.relations, got.field) == got, name
+        assert repr(got) == repr(dense()), name
+
+
+def test_construction_scales_linearly_in_nonzeros():
+    # A ratio of timings on one machine: a presentation of 4n generators
+    # and 4n relations has 16 times the dense entries but 4 times the
+    # nonzeros of one with n, and the transforms, which never see a dense
+    # row, should take about 4 times as long; a quadratic Rees presentation
+    # took 16 times as long, and the tensor product of two 30-generator
+    # presentations took 0.4 s.
+    rng = random.Random(43)
+
+    def bars(k):
+        out = []
+        for _ in range(k):
+            b = half_grade(rng, 0, 20)
+            out.append(bar(b, b + half_grade(rng, 1, 6)))
+        return Barcode(out)
+
+    def best(build):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            build()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = bars(400), bars(1600)
+    ratio = best(lambda: presentation_of_barcode(large)) / best(lambda: presentation_of_barcode(small))
+    assert ratio < 8, ratio
+    a, c = presentation_of_barcode(bars(30)), presentation_of_barcode(bars(30))
+    t = h0_tensor(a, c)
+    assert len(t.generators) == 900 and len(t.rows) == 1800
+    tensor = best(lambda: h0_tensor(a, c))
+    moved = best(lambda: shift(t, (Fraction(1, 3),)))
+    dense = best(lambda: PresentationND(t.gamma, t.generators, t.relations, t.field))
+    assert tensor < dense and moved < dense, (tensor, moved, dense)
