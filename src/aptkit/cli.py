@@ -248,23 +248,19 @@ def _cmd_cutoff_indicator_convolve(args, field):
 
 def _cmd_toric_charts(args, field):
     fan = _load_fan(args)
-    charts = []
-    transitions = []
-    boundary = []
+    charts, built, boundary = [], [], []
     for cid, cone in zip(fan.ids, fan.cones):
         chart = toric.chart_of_cone(cone)
+        built.append(chart)
         charts.append({"id": cid, "cone": io.cone_to_json(cone), "dual": io.cone_to_json(chart.dual)})
         content = toric.almost_content(chart)
         boundary.append({"id": cid, "idempotent": toric.boundary_idempotent_check(content)})
-    for i, cid1 in enumerate(fan.ids):
-        for cid2 in fan.ids:
-            if cid1 == cid2:
-                continue
-            t = toric.transition_data(
-                toric.chart_of_cone(fan.cone_by_id(cid1)),
-                toric.chart_of_cone(fan.cone_by_id(cid2)),
-            )
-            transitions.append({"source": cid1, "target": cid2, "m": io.qvec_to_json(t.m)})
+    transitions = [
+        {"source": cid1, "target": cid2, "m": io.qvec_to_json(toric.transition_data(c1, c2).m)}
+        for cid1, c1 in zip(fan.ids, built)
+        for cid2, c2 in zip(fan.ids, built)
+        if cid1 != cid2
+    ]
     return {"charts": charts, "transitions": transitions, "boundary": boundary}
 
 

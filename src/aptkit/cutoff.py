@@ -10,9 +10,13 @@ cell per cone, cell degree = cone dimension, each cell oriented by the
 echelon form of its integer rays, incidence signs read off with an inward
 transversal.  Restricting to the cones containing the query point (tested
 on the cones' integer H-rows) realizes the relative pair of the closed star
-against its boundary; d.d = 0 is checked exactly per run, on integer
-boundary matrices.  A cone's facet signs are computed once per call, and
-``convolution_unit_check`` shares them across all its stratum points.
+against its boundary.  Each boundary map is a list of sparse int columns,
+one per cell, holding the signs of its facets; d.d = 0 is checked exactly
+per run by composing those columns, and the Betti numbers come from one
+rank of each boundary, taken by the sparse column reduction of
+:func:`aptkit.linalg.rank`.  A cone's facet signs are computed once per
+call, and ``convolution_unit_check`` shares them across all its stratum
+points.
 """
 
 from __future__ import annotations
@@ -201,51 +205,41 @@ def _stalk_homology(sigma_fan: Fan, point, field, incidences) -> StalkReport:
         by_degree.setdefault(c.cone_dim, []).append(c)
     for deg in by_degree:
         by_degree[deg].sort(key=lambda c: c._key)
-    index = {
-        c._key: (deg, i) for deg, cones in by_degree.items() for i, c in enumerate(cones)
-    }
-    # boundary matrices: rows = degree d-1 cells, cols = degree d cells
+    index = {c._key: i for cones in by_degree.values() for i, c in enumerate(cones)}
+    # boundary[d]: per degree-d cell, its facets' positions among the
+    # degree d-1 cells, with their incidence signs
     boundary = {}
-    for deg, cones in sorted(by_degree.items()):
-        lower = by_degree.get(deg - 1, [])
-        matrix = [[0] * len(cones) for _ in lower]
-        for col, cone in enumerate(cones):
+    for deg, cones in by_degree.items():
+        columns = boundary[deg] = []
+        for cone in cones:
             facets = incidences.get(cone._key)
             if facets is None:
                 facets = incidences[cone._key] = _facet_signs(cone)
-            for key, sign in facets:
-                if key in index:
-                    matrix[index[key][1]][col] = sign
-        boundary[deg] = matrix
-    _assert_chain_complex(by_degree, boundary)
+            columns.append({index[key]: sign for key, sign in facets if key in index})
+    _assert_chain_complex(boundary)
+    ranks = {deg: rank(columns, field) for deg, columns in boundary.items()}
     betti = {}
     for deg, cones in by_degree.items():
-        dim_d = len(cones)
-        rank_out = rank(boundary.get(deg, []), dim_d, field)
-        above = by_degree.get(deg + 1, [])
-        rank_in = rank(boundary.get(deg + 1, []), len(above), field)
-        b = dim_d - rank_out - rank_in
+        b = len(cones) - ranks[deg] - ranks.get(deg + 1, 0)
         if b:
             betti[deg] = b
     return StalkReport(point, betti)
 
 
-def _assert_chain_complex(by_degree, boundary):
-    for deg in sorted(by_degree):
-        if deg - 1 not in by_degree or deg + 1 not in by_degree:
+def _assert_chain_complex(boundary):
+    """d.d = 0: the boundary of each cell's boundary, composed on the sparse
+    columns, vanishes."""
+    for deg, columns in boundary.items():
+        lower = boundary.get(deg - 1)
+        if lower is None:
             continue
-        lower = boundary.get(deg, [])
-        upper = boundary.get(deg + 1, [])
-        if not lower or not upper:
-            continue
-        rows = len(lower)
-        mid = len(by_degree[deg])
-        cols = len(by_degree[deg + 1])
-        for i in range(rows):
-            for j in range(cols):
-                s = sum(lower[i][k] * upper[k][j] for k in range(mid))
-                if s != 0:
-                    raise InternalCheckFailed("incidence signs failed d.d = 0", check="chain-complex")
+        for column in columns:
+            total = {}
+            for k, sign in column.items():
+                for i, t in lower[k].items():
+                    total[i] = total.get(i, 0) + sign * t
+            if any(total.values()):
+                raise InternalCheckFailed("incidence signs failed d.d = 0", check="chain-complex")
 
 
 def stratum_points(sigma_fan: Fan):

@@ -50,7 +50,7 @@ from .errors import (
     MissingFace,
     NotSeparable,
 )
-from .linalg import echelon, kernel_line, rank
+from .linalg import echelon, kernel_line
 from .rational import (
     QVec,
     integral,
@@ -329,7 +329,7 @@ def is_proper(c: Cone) -> bool:
     # the dual's generators are c's halfspaces and its rays c's facet
     # normals, whose sum is strict on every facet of the dual (a ray of c)
     # iff the dual is full-dimensional
-    dual_full_dim = rank(c._hrep[0] + c._hrep[1], c.dim) == c.dim
+    dual_full_dim = len(echelon(c._hrep[0] + c._hrep[1], c.dim)[0]) == c.dim
     p = [sum(col) for col in zip(*c._hrep[0])]
     interior_ok = no_lines and all(_idot(p, r) > 0 for r in c._key[1])
     if not no_lines == dual_full_dim == interior_ok:

@@ -51,13 +51,6 @@ def _expand(b: Barcode):
     return lines, rays + finite
 
 
-def _kill_cost(iv: DecoratedInterval):
-    """Cost of interleaving a bar with zero: half its length (inf for rays)."""
-    if iv.right == INF:
-        return INF
-    return iv.length() / 2
-
-
 def _perfect_matching(allowed, n_left, n_right):
     """Kuhn's augmenting paths; returns matching dict left->right or None.
 
@@ -171,17 +164,14 @@ def interleaving_distance(x: Barcode, y: Barcode):
 
 
 def distance_to_zero(x: Barcode):
-    """d(x, 0): half the maximal bar length, +inf for any infinite bar."""
+    """d(x, 0): half the maximal bar length, +inf for any infinite bar; the
+    largest kill cost of :func:`_cost_table` over its scale."""
     lines, bars = _expand(x)
     if lines:
         return INF
-    worst = Fraction(0)
-    for iv in bars:
-        c = _kill_cost(iv)
-        if c == INF:
-            return INF
-        worst = max(worst, c)
-    return worst
+    (_, kill, _), scale = _cost_table(bars, [])
+    worst = max(kill, default=0)
+    return INF if worst == INF else Fraction(worst, scale)
 
 
 @dataclass(frozen=True)

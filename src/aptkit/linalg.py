@@ -1,14 +1,19 @@
-"""Small exact linear algebra over Q and over prime fields.
+"""Exact linear algebra over Q and over prime fields.
 
-Matrices are lists/tuples of equal-length rows.  Everything here is sized
-for desk-scale inputs (dimensions in the single digits, a few dozen rows).
-The one row reduction is :func:`echelon`, fraction-free elimination
-(Bareiss 1968) on integer rows, or on rows mod p; ranks over Q and F_p are
-the lengths of its echelon forms, and the cone conversion and the stalk
-complex read pivots and reduced rows from it.  Determinants, and the kernel
-lines of the cone conversion built from them, use Bareiss elimination on
-square integer matrices, since the cone conversion computes them by the
-thousand.
+Every rank has one kernel, the sparse column reduction of persistence
+(Zomorodian & Carlsson 2005).  A vector is a sparse int dict ``{index:
+value}`` with its largest index as pivot, and it is reduced by the stored
+vector with the same pivot until its pivot is new or it vanishes.  Over F_p
+entries are ints modulo p; over Q a vector is divided by its content before
+every step, so no common factor of the scalings builds up.  :func:`rank`
+counts the vectors left nonzero; the barcode pairing of
+:mod:`aptkit.modules` runs the same reduction and reads its bars off the
+pivots.  The integer geometry (cone conversion, lineality spaces and the
+orientation of the cells of the stalk complex) reads pivots and reduced rows
+from :func:`echelon`, fraction-free elimination (Bareiss 1968) on dense
+integer rows of a few coordinates.  Determinants, and the kernel lines of
+the cone conversion built from them, use Bareiss elimination on square
+integer matrices, since the cone conversion computes them by the thousand.
 """
 
 from __future__ import annotations
@@ -17,44 +22,90 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidInput
-from .rational import integral, q
+from .rational import q
 
 
-def echelon(rows, ncols: int, p=None):
-    """Fraction-free row echelon form of integer rows, or of rows mod p,
-    up to ``ncols`` independent rows: ``(reduced, chosen)``, the reduced
-    rows as (pivot column, row) pairs and the indices of the independent
-    rows they come from.  Each reduced row vanishes on the pivot columns of
-    the rows before it.  Over Z each reduced row is divided by its content:
-    it is then the primitive vector of its line, with entries bounded by
-    minors of the input, where without the division they would double in
-    size with every pivot."""
+def echelon(rows, ncols: int):
+    """Fraction-free row echelon form of integer rows, up to ``ncols``
+    independent rows: ``(reduced, chosen)``, the reduced rows as (pivot
+    column, row) pairs and the indices of the independent rows they come
+    from.  Each reduced row vanishes on the pivot columns of the rows before
+    it and is divided by its content: it is then the primitive vector of its
+    line, with entries bounded by minors of the input, where without the
+    division they would double in size with every pivot."""
     reduced, chosen = [], []
     for i, row in enumerate(rows):
         for col, e in reduced:
             if row[col]:
                 row = [e[col] * a - row[col] * b for a, b in zip(row, e)]
-                if p is not None:
-                    row = [x % p for x in row]
         col = next((j for j, a in enumerate(row) if a), None)
         if col is not None:
-            if p is None:
-                g = gcd(*row)
-                row = [a // g for a in row]
-            reduced.append((col, row))
+            g = gcd(*row)
+            reduced.append((col, [a // g for a in row]))
             chosen.append(i)
             if len(chosen) == ncols:
                 break
     return reduced, chosen
 
 
-def rank(rows, ncols: int, field=None) -> int:
-    """Rank over Q (``field=None``) or over F_p of rows of rationals: the
-    length of the echelon form of the rows scaled to integers, or mapped
-    into F_p."""
-    if field is None:
-        return len(echelon([integral(row)[0] for row in rows], ncols)[0])
-    return len(echelon([[field.from_fraction(x) for x in row] for row in rows], ncols, field.p)[0])
+def rank(vectors, field=None) -> int:
+    """Rank over Q (``field=None``) or over F_p of sparse int vectors
+    ``{index: value}``: the number that the column reduction leaves nonzero,
+    after zero entries, and over F_p entries divisible by p, are dropped."""
+    paired = {}
+    for v in vectors:
+        if field is None:
+            col = _reduce_q({i: x for i, x in v.items() if x}, paired)
+        else:
+            col = _reduce_fp({i: r for i, x in v.items() if (r := x % field.p)}, paired, field.p)
+        if col:
+            paired[max(col)] = col
+    return len(paired)
+
+
+def _reduce_q(col, paired):
+    """Reduce an int column by the stored ones, dividing it by its content
+    before every step; returns it primitive with a positive pivot entry, so
+    that b > 0 and b/g = 1 whenever b divides f."""
+    while col:
+        g = gcd(*col.values())
+        if g > 1:
+            col = {i: v // g for i, v in col.items()}
+        low = max(col)
+        other = paired.get(low)
+        if other is None:
+            return col if col[low] > 0 else {i: -v for i, v in col.items()}
+        f, b = col[low], other[low]
+        g = gcd(f, b)
+        scale, factor = b // g, f // g
+        if scale != 1:
+            col = {i: scale * v for i, v in col.items()}
+        for i, v in other.items():
+            new = col.get(i, 0) - factor * v
+            if new:
+                col[i] = new
+            else:
+                del col[i]
+    return col
+
+
+def _reduce_fp(col, paired, mod):
+    """Reduce a column of ints mod p by the stored ones; returns it scaled to
+    pivot entry 1."""
+    while col:
+        low = max(col)
+        other = paired.get(low)
+        if other is None:
+            inv = pow(col[low], -1, mod)
+            return {i: v * inv % mod for i, v in col.items()}
+        f = col[low]
+        for i, v in other.items():
+            new = (col.get(i, 0) - f * v) % mod
+            if new:
+                col[i] = new
+            else:
+                del col[i]
+    return col
 
 
 def _int_det(rows) -> int:

@@ -7,30 +7,29 @@ their nonzeros: homogeneity compares int heights of the grades over
 gamma's facets, all grades scaled by one common denominator, and over F_p
 every coefficient must be invertible.  The public constructor parses dense
 rows in one pass; shift, tensor products, Rees presentations and free
-modules build sparse rows directly.  Degree-wise evaluation is plain exact
-linear algebra: the dimension at grade a is the number of active
-generators minus the rank of the active relation rows.  The
-one-dimensional case bridges to barcodes through the classical
-persistence column reduction, on grades scaled to ints over a common
-denominator and on sparse columns of ints modulo p over F_p and, over Q,
-of primitive ints that are divided by their content after every column
-operation.  A relation whose rows the stored columns already span is
-skipped unreduced, as in clearing (Chen & Kerber 2011); over F_p the rows
-are those of its nonzero residues.
+modules build sparse rows directly.  Every rank is one sparse column
+reduction, that of :mod:`aptkit.linalg`, on relations turned into int
+columns by one helper (:func:`_column`): over Q their values scaled to
+primitive ints, over F_p their nonzero residues.  Degree-wise evaluation
+gives the dimension at grade a as the number of active generators minus
+the rank of the active relations.  The one-dimensional case bridges to
+barcodes through the same reduction in the classical persistence order,
+on grades scaled to ints over a common denominator.  A relation whose
+rows the stored columns already span is skipped unreduced, as in clearing
+(Chen & Kerber 2011); over F_p the rows are those of its nonzero residues.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd
 from operator import ge, is_not, le, lt
 
 from .barcodes import Bar, Barcode, interval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class, e
-from .linalg import PrimeField, rank
+from .linalg import PrimeField, _reduce_fp, _reduce_q, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
 
@@ -189,29 +188,30 @@ def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
 
 
 def eval_at(p: PresentationND, a) -> int:
-    """dim_k of the degree-a piece.  A grade g is active when it lies below
-    a in gamma's order, read off the heights of a, the generator grades and
-    the relation degrees (:func:`_heights`)."""
+    """dim_k of the degree-a piece: the number of active generators minus the
+    rank of the active relations as sparse int columns (:func:`_column`).  A
+    grade g is active when it lies below a in gamma's order, read off the
+    heights of a, the generator grades and the relation degrees
+    (:func:`_heights`)."""
     a = qvec(a)
     if len(a) != p.dim:
         raise InvalidInput("grade has wrong dimension")
     n = len(p.generators)
     top, *heights = _heights(p.gamma, [a, *p.generators, *(row[0] for row in p.rows)])
     active = [all(map(le, h, top)) for h in heights]
-    active_gens = [i for i in range(n) if active[i]]
-    if not active_gens:
-        return 0
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
-    column = {i: k for k, i in enumerate(active_gens)}
-    zero = Fraction(0)
-    rows = []
-    for (_, support, values), on in zip(p.rows, active[n:]):
-        if on:
-            row = [zero] * len(active_gens)
-            for i, c in zip(support, values):
-                row[column[i]] = c
-            rows.append(row)
-    return len(active_gens) - rank(rows, len(active_gens), p.field)
+    columns = (_column(support, values, p.field)
+               for (_, support, values), on in zip(p.rows, active[n:]) if on)
+    return sum(active[:n]) - rank(columns, p.field)
+
+
+def _column(keys, values, field):
+    """A sparse relation row as an int column ``{key: value}``: over Q its
+    values scaled to primitive ints (one ``integral``), over F_p their
+    nonzero residues."""
+    if field is None:
+        return dict(zip(keys, integral(values)[0]))
+    return {i: v for i, c in zip(keys, values) if (v := field.from_fraction(c))}
 
 
 def shift(p: PresentationND, b) -> PresentationND:
@@ -292,12 +292,12 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
         rows = [position[i] for i in support]
         if field is not None and not closed.issuperset(rows):
             # the rows of the nonzero residues: a coefficient that vanishes mod p holds none
-            col = {i: v for i, c in zip(rows, values) if (v := field.from_fraction(c))}
+            col = _column(rows, values, field)
             rows = col.keys()
         if closed.issuperset(rows):
             continue  # it would reduce to zero
         if field is None:
-            col = _reduce_q(dict(zip(rows, integral(values)[0])), paired)
+            col = _reduce_q(_column(rows, values, None), paired)
         else:
             col = _reduce_fp(col, paired, field.p)
         if col:
@@ -333,51 +333,6 @@ def _close(low, col, closed, open_rows, waiting):
             open_rows[pivot] -= 1
             if not open_rows[pivot]:
                 stack.append(pivot)
-
-
-def _reduce_q(col, paired):
-    """Reduce an int column by the stored ones, dividing it by its content
-    before every step; returns it primitive with a positive pivot entry, so
-    that b > 0 and b/g = 1 whenever b divides f."""
-    while col:
-        g = gcd(*col.values())
-        if g > 1:
-            col = {i: v // g for i, v in col.items()}
-        low = max(col)
-        other = paired.get(low)
-        if other is None:
-            return col if col[low] > 0 else {i: -v for i, v in col.items()}
-        f, b = col[low], other[low]
-        g = gcd(f, b)
-        scale, factor = b // g, f // g
-        if scale != 1:
-            col = {i: scale * v for i, v in col.items()}
-        for i, v in other.items():
-            new = col.get(i, 0) - factor * v
-            if new:
-                col[i] = new
-            else:
-                del col[i]
-    return col
-
-
-def _reduce_fp(col, paired, mod):
-    """Reduce a column of ints mod p by the stored ones; returns it scaled to
-    pivot entry 1."""
-    while col:
-        low = max(col)
-        other = paired.get(low)
-        if other is None:
-            inv = pow(col[low], -1, mod)
-            return {i: v * inv % mod for i, v in col.items()}
-        f = col[low]
-        for i, v in other.items():
-            new = (col.get(i, 0) - f * v) % mod
-            if new:
-                col[i] = new
-            else:
-                del col[i]
-    return col
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

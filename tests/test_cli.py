@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, geometry, io
+from aptkit import catalog, geometry, io, toric
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.cli import main
 from aptkit.errors import InvalidInput
@@ -66,6 +66,15 @@ def test_cli_determinism():
     out1 = run_cli(argv)
     out2 = run_cli(argv)
     assert out1 == out2
+
+
+def test_cli_toric_charts_builds_each_chart_once(monkeypatch):
+    calls = []
+    build = toric.chart_of_cone
+    monkeypatch.setattr(toric, "chart_of_cone", lambda cone: calls.append(cone) or build(cone))
+    code, _ = run_cli(["toric", "charts", "--catalog", "p2"])
+    assert code == 0
+    assert len(calls) == len(catalog.fan("p2").cones) == 7
 
 
 def test_cli_barcode_pipeline():

@@ -28,7 +28,7 @@ from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import INF, vneg
 
 from generators import stellar_fan
-from oracles import check_minkowski_by_sampling, fm_infimum, order_complex_stalk_ranks, perturbed_point
+from oracles import check_minkowski_by_sampling, dense_rank, fm_infimum, order_complex_stalk_ranks, perturbed_point
 
 
 def random_offsets(fan, rng, lo=1, hi=8):
@@ -242,6 +242,45 @@ def test_star_stalk_against_order_complex_oracle():
             cellular = star_stalk_homology(fan, p)
             oracle = order_complex_stalk_ranks(fan, p)
             assert cellular.total_rank() == sum(oracle.values()) == 1, (name, p)
+
+
+def _dense_stalk_betti(fan, point, prime):
+    """Betti numbers of the stalk complex from dense boundary matrices of
+    the library's incidence signs, ranked by Gauss-Jordan elimination."""
+    x = tuple(map(Fraction, point))
+    by_degree = {}
+    for c in sorted((c for c in fan.cones if c.contains(x)), key=lambda c: c._key):
+        by_degree.setdefault(c.cone_dim, []).append(c)
+    ranks = {}
+    for deg, cones in by_degree.items():
+        lower = [c._key for c in by_degree.get(deg - 1, [])]
+        signs = [dict(cutoff._facet_signs(c)) for c in cones]
+        rows = [[Fraction(s.get(key, 0)) for s in signs] for key in lower]
+        ranks[deg] = dense_rank(rows, len(cones), prime)
+    betti = {deg: len(cones) - ranks[deg] - ranks.get(deg + 1, 0) for deg, cones in by_degree.items()}
+    return {deg: b for deg, b in betti.items() if b}
+
+
+def test_stalk_betti_numbers_match_dense_ranks():
+    fans = [catalog.fan(name) for name in catalog.COMPLETE_FANS]
+    fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((0, 1), (1, 2))]
+    for fan in fans:
+        for p in stratum_points(fan):
+            for field in (None, PrimeField(2), PrimeField(3)):
+                expected = _dense_stalk_betti(fan, p, None if field is None else field.p)
+                assert star_stalk_homology(fan, p, field).betti == expected, (fan, p, field)
+
+
+def test_stalk_homology_takes_one_rank_per_degree(monkeypatch):
+    calls = []
+    rank = cutoff.rank
+    monkeypatch.setattr(cutoff, "rank", lambda columns, field=None: calls.append(field) or rank(columns, field))
+    p2 = catalog.fan("p2")
+    for point, degrees in (((0, 0), 3), ((1, 0), 2), ((2, 1), 1)):
+        for field in (None, PrimeField(2), PrimeField(3)):
+            calls.clear()
+            assert cutoff._stalk_homology(p2, point, field, {}).total_rank() == 1
+            assert len(calls) == degrees, (point, field)
 
 
 def test_shared_incidences_against_single_stalks_and_order_complex():

@@ -15,7 +15,18 @@ from aptkit.errors import InvalidInput
 from aptkit.linalg import PrimeField, _int_det, kernel_line, rank
 from aptkit.rational import dot, integral, primitive
 
-from oracles import kernel_basis, row_space_basis, rref
+from oracles import dense_rank, kernel_basis, row_space_basis, rref
+
+
+def dense_rows_rank(rows, field=None):
+    """``rank`` of dense rows of rationals, each handed over as a sparse int
+    vector with its zero entries kept: over Q the row scaled to ints, over
+    F_p its residues."""
+    if field is None:
+        vectors = [integral(row)[0] for row in rows]
+    else:
+        vectors = [[field.from_fraction(x) for x in row] for row in rows]
+    return rank([dict(enumerate(v)) for v in vectors], field)
 
 
 def random_system(rng, nvars, ncons):
@@ -107,7 +118,7 @@ def test_rank_nullity_and_solve():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        r = rank(rows, ncols)
+        r = dense_rows_rank(rows)
         kernel = kernel_basis(rows, ncols)
         assert r + len(kernel) == ncols
         for v in kernel:
@@ -118,7 +129,7 @@ def test_rank_nullity_and_solve():
         for row in rows:
             c = Fraction(rng.randint(-2, 2))
             combo = [a + c * b for a, b in zip(combo, row)]
-        assert rank(rows + [combo], ncols) == r
+        assert dense_rows_rank(rows + [combo]) == r
 
 
 def test_rank_matches_gauss_jordan():
@@ -138,7 +149,7 @@ def test_rank_matches_gauss_jordan():
                     rows.append([x + c * y for x, y in zip(a, b)])
                 else:
                     rows.append([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(ncols)])
-            assert rank(rows, ncols) == len(rref(rows, ncols)[0]), (nrows, ncols)
+            assert dense_rows_rank(rows) == len(rref(rows, ncols)[0]), (nrows, ncols)
 
 
 def test_dense_integer_rank_is_fast():
@@ -147,7 +158,7 @@ def test_dense_integer_rank_is_fast():
     rng = random.Random(70)
     rows = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
     start = time.perf_counter()
-    r = rank(rows, 40)
+    r = dense_rows_rank(rows)
     assert time.perf_counter() - start < 0.5
     assert r == len(rref(rows, 40)[0])
 
@@ -179,7 +190,7 @@ def test_prime_field_rank_matches_q_on_unimodular():
         perm = list(range(n))
         rng.shuffle(perm)
         rows = [[Fraction(1) if j == perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
-        assert rank(rows, n) == rank(rows, n, f5) == n
+        assert dense_rows_rank(rows) == dense_rows_rank(rows, f5) == n
 
 
 def test_kernel_line_matches_kernel_basis():
@@ -192,7 +203,7 @@ def test_kernel_line_matches_kernel_basis():
         if len(ker) != 1:
             assert line is None, rows
         else:
-            assert line is not None and rank([ker[0], line], r) == 1, rows
+            assert line is not None and dense_rows_rank([ker[0], line]) == 1, rows
 
 
 def test_prime_field_rank_by_minors():
@@ -215,7 +226,31 @@ def test_prime_field_rank_by_minors():
                 ),
                 default=0,
             )
-            assert rank(rows, ncols, field) == expected, (p, rows)
+            assert dense_rows_rank(rows, field) == expected, (p, rows)
+
+
+def test_sparse_rank_matches_dense_rank():
+    # seeded sparse int vectors, with explicit zero entries and multiples of
+    # 2 and 3, against Gauss-Jordan on their dense rows
+    rng = random.Random(71)
+    for field in (None, PrimeField(2), PrimeField(3)):
+        prime = None if field is None else field.p
+        for _ in range(300):
+            ncols = rng.randint(1, 8)
+            vectors = []
+            for _ in range(rng.randint(0, 9)):
+                keys = rng.sample(range(ncols), rng.randint(0, ncols))
+                vectors.append({i: rng.choice((0, 2, 3, 6, -6, rng.randint(-9, 9))) for i in keys})
+            dense = [[Fraction(v.get(i, 0)) for i in range(ncols)] for v in vectors]
+            assert rank(vectors, field) == dense_rank(dense, ncols, prime), (prime, vectors)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])
+def test_a_zero_entry_is_no_pivot(field):
+    # a zero entry at the largest index must not be taken for the pivot
+    assert rank([{3: 0}], field) == 0
+    assert rank([{0: 1, 3: 0}, {0: 2}], field) == 1
+    assert rank([{0: 1, 3: 6}, {0: 5}], field) == (2 if field is None else 1)
 
 
 def test_prime_field_primality():

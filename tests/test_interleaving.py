@@ -43,10 +43,14 @@ def test_distance_to_zero_examples():
 
 
 def test_distance_to_zero_matches_distance():
+    # rays and multiplicities, then lines, singletons and open ends
     rng = random.Random(20)
     for _ in range(50):
         x = random_barcode(rng, GRID, ray_chance=0.15)
         assert distance_to_zero(x) == interleaving_distance(x, Barcode())
+    for _ in range(80):
+        x = random_decorated_barcode(rng, GRID)
+        assert distance_to_zero(x) == interleaving_distance(x, Barcode()), x
 
 
 def test_line_multiplicity_mismatch_is_infinite():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, io, modules
+from aptkit import catalog, geometry, io, linalg, modules
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
@@ -478,6 +478,24 @@ def test_eval_matches_cone_membership_and_dense_rank():
                 assert eval_at(p, a) == len(active) - dense_rank(rows, len(active), prime)
                 seen += bool(rows)
     assert seen >= 50, seen
+
+
+def test_eval_is_one_sparse_rank_with_no_echelon(monkeypatch):
+    # coefficients of +-3 vanish mod 3, and the grades pass every relation
+    base = sparse_presentation(random.Random(40), 40, 40)
+    cases = [PresentationND(HALFLINE, base.generators, base.relations, field) for field in FIELDS]
+
+    def no_echelon(rows, ncols):
+        raise AssertionError("eval_at reached the dense echelon")
+
+    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    monkeypatch.setattr(geometry, "echelon", no_echelon)
+    for p in cases:
+        prime = None if p.field is None else p.field.p
+        for a in range(0, 32, 2):
+            active = [i for i, g in enumerate(p.generators) if g[0] <= a]
+            rows = [[c[i] for i in active] for d, c in p.relations if d[0] <= a]
+            assert eval_at(p, (a,)) == len(active) - dense_rank(rows, len(active), prime), (prime, a)
 
 
 def test_relation_degree_of_wrong_length_is_rejected():

@@ -132,7 +132,7 @@ def test_transition_data_reports_a_failed_self_check(monkeypatch):
         transition_data(overlapping, quad)
     # a failed self-check inside separating_vector is a fault of the
     # library, not a sign that the charts do not glue
-    monkeypatch.setattr(geometry, "rank", lambda rows, ncols, field=None: -1)
+    monkeypatch.setattr(geometry, "echelon", lambda rows, ncols: ([], []))
     with pytest.raises(InternalCheckFailed):
         transition_data(quad, other)
 
