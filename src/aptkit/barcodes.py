@@ -13,37 +13,35 @@ convolution is implemented in closed form on the shape calculus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
 from .k0 import K0Class, e
 from .rational import INF, NEG_INF, is_finite, parse_grade, q
 
 
-@dataclass(frozen=True)
-class DecoratedInterval:
-    left: object
-    right: object
-    left_closed: bool = True
-    right_closed: bool = False
+class DecoratedInterval(Record):
+    __slots__ = ("left", "right", "left_closed", "right_closed")
 
-    def __post_init__(self):
-        left = parse_grade(self.left)
-        right = parse_grade(self.right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    def __init__(self, left, right, left_closed=True, right_closed=False):
+        left = parse_grade(left)
+        right = parse_grade(right)
         left_finite, right_finite = is_finite(left), is_finite(right)
         if (not left_finite and left == INF) or (not right_finite and right == NEG_INF):
             raise InvalidInput("interval endpoints out of order")
-        if (not left_finite and self.left_closed) or (not right_finite and self.right_closed):
+        if (not left_finite and left_closed) or (not right_finite and right_closed):
             raise InvalidInput("infinite endpoints must be open")
         # with an infinite end the order is settled above
         if left_finite and right_finite:
             if left > right:
                 raise InvalidInput("interval endpoints out of order")
-            if left == right and not (self.left_closed and self.right_closed):
+            if left == right and not (left_closed and right_closed):
                 raise InvalidInput("a singleton interval must be closed on both ends")
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "left_closed", left_closed)
+        set_field(self, "right_closed", right_closed)
 
     def contains(self, a) -> bool:
         if a > self.left and a < self.right:
@@ -89,15 +87,15 @@ class DecoratedInterval:
         return (self.left, not self.left_closed, self.right, self.right_closed)
 
 
-@dataclass(frozen=True)
-class Bar:
-    interval: DecoratedInterval
-    hdegree: int = 0
-    multiplicity: int = 1
+class Bar(Record):
+    __slots__ = ("interval", "hdegree", "multiplicity")
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
+    def __init__(self, interval, hdegree=0, multiplicity=1):
+        if multiplicity < 1:
             raise InvalidInput("bar multiplicity must be positive")
+        set_field(self, "interval", interval)
+        set_field(self, "hdegree", hdegree)
+        set_field(self, "multiplicity", multiplicity)
 
 
 class Barcode:

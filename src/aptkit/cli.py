@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import modules as md
 from .errors import AptError, InvalidInput
 from .modules import parse_field
-from .rational import INF, format_grade, parse_grade, qvec
+from .rational import INF, format_grade, parse_grade, q, qvec
 
 
 def _load_json_arg(value):
@@ -32,7 +32,7 @@ def _load_json_arg(value):
         except OSError as exc:
             raise InvalidInput(f"cannot read input file {value!r}: {exc.strerror}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=lambda digits: int(q(digits)))
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"malformed JSON input: {exc}") from exc
     except RecursionError:
@@ -344,116 +344,103 @@ def _add_common(p, *, second=False, poly=False, poly2=False, cert=False):
         p.add_argument("--cert", required=True, help="certificate JSON (inline or file)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command(commands, name, handler, *required, **common):
+    """Add one command: the common flags, then ``--<flag>`` for each required name."""
+    p = commands.add_parser(name)
+    _add_common(p, **common)
+    for flag in required:
+        p.add_argument(f"--{flag}", required=True)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _cone_commands(cmds):
+    for name, fn in [("dual", _cmd_cone_dual), ("proper", _cmd_cone_proper), ("faces", _cmd_cone_faces)]:
+        _command(cmds, name, fn).add_argument("--cone", help="cone id within a fan input")
+
+
+def _fan_commands(cmds):
+    _command(cmds, "validate", _cmd_fan_validate)
+    _command(cmds, "complete", _cmd_fan_complete)
+    _command(cmds, "separate", _cmd_fan_separate, "cone1", "cone2")
+    _command(cmds, "support", _cmd_fan_support, "point")
+
+
+def _barcode_commands(cmds):
+    _command(cmds, "eval", _cmd_barcode_eval, "at")
+    _command(cmds, "shift", _cmd_barcode_shift, "by")
+    _command(cmds, "convolve", _cmd_barcode_convolve, second=True)
+    _command(cmds, "almostize", _cmd_barcode_almostize)
+    _command(cmds, "k0", _cmd_barcode_k0)
+    _command(cmds, "torsion", _cmd_barcode_torsion, "scale")
+    _command(cmds, "quotient-loc", _cmd_barcode_quotient_loc)
+    _command(cmds, "homdim", _cmd_barcode_homdim, second=True)
+
+
+def _dist_commands(cmds):
+    _command(cmds, "compute", _cmd_dist_compute, second=True)
+    _command(cmds, "verify", _cmd_dist_verify, second=True, cert=True)
+
+
+def _cutoff_commands(cmds):
+    p = _command(cmds, "delta", _cmd_cutoff_delta)
+    p.add_argument("--offsets", required=True, help="ray-id to offset map (JSON)")
+    p = _command(cmds, "mink", _cmd_cutoff_mink, poly=True)
+    p.add_argument("--cone", required=True, help="fan cone id; its dual interior is added")
+    p = _command(cmds, "basis-witness", _cmd_cutoff_basis_witness, poly=True)
+    p.add_argument("--gamma", help="cone id of gamma within the fan input")
+    p.add_argument("--point", required=True)
+    _command(cmds, "star-homology", _cmd_cutoff_star_homology, "point")
+    _command(cmds, "unit-check", _cmd_cutoff_unit_check)
+    _command(cmds, "indicator-convolve", _cmd_cutoff_indicator_convolve, poly=True, poly2=True)
+
+
+def _toric_commands(cmds):
+    _command(cmds, "charts", _cmd_toric_charts)
+    _command(cmds, "transition", _cmd_toric_transition, "cone1", "cone2")
+    _command(cmds, "cocycle", _cmd_toric_cocycle, "cone1", "cone2", "cone3")
+    _command(cmds, "boundary", _cmd_toric_boundary).add_argument("--cone", help="restrict to one cone id")
+    _command(cmds, "root-level", _cmd_toric_root_level, "cone", "point")
+
+
+def _module_commands(cmds):
+    p = _command(cmds, "eval", _cmd_module_eval)
+    p.add_argument("--at", required=True, help="comma-separated grade vector")
+    _command(cmds, "tensor", _cmd_module_tensor, second=True)
+    _command(cmds, "barcode", _cmd_module_barcode)
+    _command(cmds, "present", _cmd_module_present)
+
+
+_GROUPS = {
+    "cone": _cone_commands,
+    "fan": _fan_commands,
+    "barcode": _barcode_commands,
+    "dist": _dist_commands,
+    "cutoff": _cutoff_commands,
+    "toric": _toric_commands,
+    "module": _module_commands,
+}
+
+
+def build_parser(group=None) -> argparse.ArgumentParser:
+    """The CLI's parser.  With ``group``, every group is registered but only
+    that group's commands are built: all that a run of it parses."""
     parser = argparse.ArgumentParser(
         prog="aptkit",
         description="Exact barcode / Novikov-module / fan toolkit",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    cone = groups.add_parser("cone").add_subparsers(dest="command", required=True)
-    for name, fn in [("dual", _cmd_cone_dual), ("proper", _cmd_cone_proper), ("faces", _cmd_cone_faces)]:
-        p = cone.add_parser(name)
-        _add_common(p)
-        p.add_argument("--cone", help="cone id within a fan input")
-        p.set_defaults(handler=fn)
-
-    fan = groups.add_parser("fan").add_subparsers(dest="command", required=True)
-    for name, fn, extra in [
-        ("validate", _cmd_fan_validate, ()),
-        ("complete", _cmd_fan_complete, ()),
-        ("separate", _cmd_fan_separate, ("cone1", "cone2")),
-        ("support", _cmd_fan_support, ("point",)),
-    ]:
-        p = fan.add_parser(name)
-        _add_common(p)
-        for flag in extra:
-            p.add_argument(f"--{flag}", required=True)
-        p.set_defaults(handler=fn)
-
-    barcode = groups.add_parser("barcode").add_subparsers(dest="command", required=True)
-    for name, fn, extra, second in [
-        ("eval", _cmd_barcode_eval, ("at",), False),
-        ("shift", _cmd_barcode_shift, ("by",), False),
-        ("convolve", _cmd_barcode_convolve, (), True),
-        ("almostize", _cmd_barcode_almostize, (), False),
-        ("k0", _cmd_barcode_k0, (), False),
-        ("torsion", _cmd_barcode_torsion, ("scale",), False),
-        ("quotient-loc", _cmd_barcode_quotient_loc, (), False),
-        ("homdim", _cmd_barcode_homdim, (), True),
-    ]:
-        p = barcode.add_parser(name)
-        _add_common(p, second=second)
-        for flag in extra:
-            p.add_argument(f"--{flag}", required=True)
-        p.set_defaults(handler=fn)
-
-    dist = groups.add_parser("dist").add_subparsers(dest="command", required=True)
-    p = dist.add_parser("compute")
-    _add_common(p, second=True)
-    p.set_defaults(handler=_cmd_dist_compute)
-    p = dist.add_parser("verify")
-    _add_common(p, second=True, cert=True)
-    p.set_defaults(handler=_cmd_dist_verify)
-
-    cut = groups.add_parser("cutoff").add_subparsers(dest="command", required=True)
-    p = cut.add_parser("delta")
-    _add_common(p)
-    p.add_argument("--offsets", required=True, help="ray-id to offset map (JSON)")
-    p.set_defaults(handler=_cmd_cutoff_delta)
-    p = cut.add_parser("mink")
-    _add_common(p, poly=True)
-    p.add_argument("--cone", required=True, help="fan cone id; its dual interior is added")
-    p.set_defaults(handler=_cmd_cutoff_mink)
-    p = cut.add_parser("basis-witness")
-    _add_common(p, poly=True)
-    p.add_argument("--gamma", help="cone id of gamma within the fan input")
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=_cmd_cutoff_basis_witness)
-    p = cut.add_parser("star-homology")
-    _add_common(p)
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=_cmd_cutoff_star_homology)
-    p = cut.add_parser("unit-check")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_cutoff_unit_check)
-    p = cut.add_parser("indicator-convolve")
-    _add_common(p, poly=True, poly2=True)
-    p.set_defaults(handler=_cmd_cutoff_indicator_convolve)
-
-    tor = groups.add_parser("toric").add_subparsers(dest="command", required=True)
-    for name, fn, extra in [
-        ("charts", _cmd_toric_charts, ()),
-        ("transition", _cmd_toric_transition, ("cone1", "cone2")),
-        ("cocycle", _cmd_toric_cocycle, ("cone1", "cone2", "cone3")),
-        ("boundary", _cmd_toric_boundary, ()),
-        ("root-level", _cmd_toric_root_level, ("cone", "point")),
-    ]:
-        p = tor.add_parser(name)
-        _add_common(p)
-        for flag in extra:
-            p.add_argument(f"--{flag}", required=True)
-        if name == "boundary":
-            p.add_argument("--cone", help="restrict to one cone id")
-        p.set_defaults(handler=fn)
-
-    mod = groups.add_parser("module").add_subparsers(dest="command", required=True)
-    for name, fn, extra, second in [
-        ("eval", _cmd_module_eval, ("at",), False),
-        ("tensor", _cmd_module_tensor, (), True),
-        ("barcode", _cmd_module_barcode, (), False),
-        ("present", _cmd_module_present, (), False),
-    ]:
-        p = mod.add_parser(name)
-        _add_common(p, second=second)
-        if name == "eval":
-            p.add_argument("--at", required=True, help="comma-separated grade vector")
-        p.set_defaults(handler=fn)
+    for name, add_commands in _GROUPS.items():
+        commands = groups.add_parser(name)
+        if group in (None, name):
+            add_commands(commands.add_subparsers(dest="command", required=True))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a first token that names no group (--help, a typo) gets the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
     args = parser.parse_args(argv)
     field_tag = args.field or os.environ.get("APTKIT_FIELD") or "q"
     try:

@@ -21,9 +21,9 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .errors import (
     EmptyInput,
     EmptyInterior,
@@ -139,10 +139,12 @@ def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
     return minkowski_with_relint_cone(u, cone)
 
 
-@dataclass(frozen=True)
-class StalkReport:
-    point: tuple
-    betti: dict
+class StalkReport(Record):
+    __slots__ = ("point", "betti")
+
+    def __init__(self, point, betti):
+        set_field(self, "point", point)
+        set_field(self, "betti", betti)
 
     def total_rank(self) -> int:
         return sum(self.betti.values())

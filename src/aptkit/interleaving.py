@@ -14,9 +14,9 @@ consistent with almost-isomorphic barcodes being at distance zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .barcodes import (
     Barcode,
     DecoratedInterval,
@@ -49,6 +49,11 @@ def _expand(b: Barcode):
         else:
             finite.extend([item.interval] * item.multiplicity)
     return lines, rays + finite
+
+
+def _rays(bars):
+    """How many of the bars of :func:`_expand` are rays."""
+    return sum(not is_finite(iv.right) for iv in bars)
 
 
 def _perfect_matching(allowed, n_left, n_right):
@@ -144,8 +149,8 @@ def interleaving_distance(x: Barcode, y: Barcode):
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:
         return INF
-    if sum(not is_finite(iv.right) for iv in bars_x) != sum(not is_finite(iv.right) for iv in bars_y):
-        return INF  # unequal numbers of rays
+    if _rays(bars_x) != _rays(bars_y):
+        return INF
     costs, scale = _cost_table(bars_x, bars_y)
     pair, kill_x, kill_y = costs
     candidates = sorted({0, *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
@@ -174,8 +179,7 @@ def distance_to_zero(x: Barcode):
     return INF if worst == INF else Fraction(worst, scale)
 
 
-@dataclass(frozen=True)
-class InterleavingCertificate:
+class InterleavingCertificate(Record):
     """Bar matchings realizing an (a, b)-isomorphism.
 
     ``forward`` maps expanded X-bar indices to Y-bar indices (None = killed),
@@ -183,10 +187,13 @@ class InterleavingCertificate:
     barcode order; lines are listed after rays and finite bars.
     """
 
-    a: object
-    b: object
-    forward: tuple
-    backward: tuple
+    __slots__ = ("a", "b", "forward", "backward")
+
+    def __init__(self, a, b, forward, backward):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "forward", forward)
+        set_field(self, "backward", backward)
 
 
 def _expanded_intervals(b: Barcode):
@@ -196,7 +203,7 @@ def _expanded_intervals(b: Barcode):
 
 def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertificate:
     """Build a certificate at (value, value), by default at the distance
-    d = interleaving_distance(x, y); a value below d has no matching."""
+    d = interleaving_distance(x, y); a value below d is InvalidInput."""
     if value is None:
         value = interleaving_distance(x, y)
     lines_x, real_x = _expand(x)
@@ -210,6 +217,10 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
     # the costs are ints: c <= value * scale iff c <= its floor
     matching = _feasible(costs, value.numerator * scale // value.denominator)
     if matching is None:
+        # a caller's value below a finite distance, or rays that cannot pair
+        # up; with equal rays the distance is finite, so INF is a fault here
+        if _rays(real_x) != _rays(real_y) or value < interleaving_distance(x, y) < INF:
+            raise InvalidInput("no interleaving at this value: it is below the distance")
         raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
     forward = []
     backward = [None] * (len(real_y) + lines_y)

@@ -21,6 +21,18 @@ NEG_INF = -math.inf
 
 QVec = tuple  # tuple[Fraction, ...]
 
+# Digits a written rational may have, its exponent included: fewer than 640,
+# the least limit ``sys.set_int_max_str_digits`` accepts, so that whether an
+# input parses, and whether it prints again, does not depend on that limit.
+_MAX_DIGITS = 600
+
+
+def _written_digits(s: str) -> int:
+    if len(s) > _MAX_DIGITS:
+        return len(s)
+    mantissa, e, exponent = s.lower().partition("e")
+    return len(mantissa) + (abs(int(exponent)) if e else 0)
+
 
 def q(x) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
@@ -32,6 +44,8 @@ def q(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if _written_digits(x) > _MAX_DIGITS:
+                raise InvalidInput(f"a rational may have at most {_MAX_DIGITS} digits")
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"not an exact rational: {x!r}") from None

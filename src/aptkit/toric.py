@@ -8,10 +8,10 @@ equalities plus a unit-monomial comparison on the triple overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record, set_field
 from .errors import (
     EmptyInterior,
     ImproperCone,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import Cone, _separation, _with_lines, cone_sum, dual_cone, intersect, is_proper
 from .polyhedra import OpenPolyhedron, minkowski_sum
-from .rational import QVec, integral, qvec, vneg
+from .rational import integral, qvec, vneg
 
 
 GRADING_RATIONAL = "Q"
@@ -37,13 +37,15 @@ def _check_grading(tag):
     raise InvalidInput("grading tag must be 'Q' or a positive integer k for (1/k)Z^n")
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """Monoid-algebra chart attached to the dual of a proper cone."""
 
-    cone: Cone
-    dual: Cone
-    grading: object = GRADING_RATIONAL
+    __slots__ = ("cone", "dual", "grading")
+
+    def __init__(self, cone, dual, grading=GRADING_RATIONAL):
+        set_field(self, "cone", cone)
+        set_field(self, "dual", dual)
+        set_field(self, "grading", grading)
 
     def monoid_contains(self, grade) -> bool:
         """Membership of a grade in dual-cone intersect grading group."""
@@ -61,14 +63,16 @@ def chart_of_cone(cone: Cone, grading=GRADING_RATIONAL) -> Chart:
     return Chart(cone, dual_cone(cone), _check_grading(grading))
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """Localization datum gluing two charts over their common face."""
 
-    source: Chart
-    target: Chart
-    m: QVec
-    overlap: Cone
+    __slots__ = ("source", "target", "m", "overlap")
+
+    def __init__(self, source, target, m, overlap):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "m", m)
+        set_field(self, "overlap", overlap)
 
 
 def transition_data(c1: Chart, c2: Chart) -> Transition:
@@ -117,14 +121,14 @@ def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
     return expected.contains(diff) and expected.contains(vneg(diff))
 
 
-@dataclass(frozen=True)
-class AlmostContent:
+class AlmostContent(Record):
     """Chart with its idempotent boundary ideal: the dual-cone interior."""
 
-    chart: Chart
-    interior_ideal_cone: OpenPolyhedron
+    __slots__ = ("chart", "interior_ideal_cone")
 
-    def __post_init__(self):
+    def __init__(self, chart, interior_ideal_cone):
+        set_field(self, "chart", chart)
+        set_field(self, "interior_ideal_cone", interior_ideal_cone)
         if not boundary_idempotent_check(self):
             raise InvalidInput("interior ideal is not idempotent")
 

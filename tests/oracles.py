@@ -14,12 +14,15 @@ for perfect matchings, the column reduction on ``Fraction`` entries for
 barcodes over Q, the rank invariant by dense elimination for barcodes over
 Q and F_p, a dense scan with one ``Cone.contains`` per nonzero coefficient
 for the stored rows of a presentation, the order-complex derived limit for
-stalk ranks, point sampling for Minkowski sums.  Expected values in the tests were produced (or are
-recomputed live) by these, never by the code under test.
+stalk ranks, point sampling for Minkowski sums, and frozen dataclass twins
+of the library's records for their equality, hashing, repr and validation.
+Expected values in the tests were produced (or are recomputed live) by
+these, never by the code under test.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -31,12 +34,15 @@ from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
 from aptkit.linalg import kernel_line
 from aptkit.modules import parse_field
-from aptkit.polyhedra import OpenPolyhedron
+from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 from aptkit.rational import (
     INF,
+    NEG_INF,
     dot,
     integral,
+    is_finite,
     is_zero_vec,
+    parse_grade,
     primitive,
     q,
     qvec,
@@ -537,3 +543,91 @@ def perturbed_point(poly: OpenPolyhedron, rng):
         if poly.contains(candidate):
             return candidate
     return base
+
+
+# ------------------------------------------------------- dataclass twins
+# Each twin is the frozen dataclass its record was, named like the record
+# (``__qualname__``) so that the reprs compare byte for byte.
+
+
+@dataclass(frozen=True)
+class IntervalTwin:
+    __qualname__ = "DecoratedInterval"
+    left: object
+    right: object
+    left_closed: bool = True
+    right_closed: bool = False
+
+    def __post_init__(self):
+        left = parse_grade(self.left)
+        right = parse_grade(self.right)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        left_finite, right_finite = is_finite(left), is_finite(right)
+        if (not left_finite and left == INF) or (not right_finite and right == NEG_INF):
+            raise InvalidInput("interval endpoints out of order")
+        if (not left_finite and self.left_closed) or (not right_finite and self.right_closed):
+            raise InvalidInput("infinite endpoints must be open")
+        if left_finite and right_finite:
+            if left > right:
+                raise InvalidInput("interval endpoints out of order")
+            if left == right and not (self.left_closed and self.right_closed):
+                raise InvalidInput("a singleton interval must be closed on both ends")
+
+
+@dataclass(frozen=True)
+class BarTwin:
+    __qualname__ = "Bar"
+    interval: object
+    hdegree: int = 0
+    multiplicity: int = 1
+
+    def __post_init__(self):
+        if self.multiplicity < 1:
+            raise InvalidInput("bar multiplicity must be positive")
+
+
+@dataclass(frozen=True)
+class StalkReportTwin:
+    __qualname__ = "StalkReport"
+    point: tuple
+    betti: dict
+
+
+@dataclass(frozen=True)
+class CertificateTwin:
+    __qualname__ = "InterleavingCertificate"
+    a: object
+    b: object
+    forward: tuple
+    backward: tuple
+
+
+@dataclass(frozen=True)
+class ChartTwin:
+    __qualname__ = "Chart"
+    cone: object
+    dual: object
+    grading: object = "Q"
+
+
+@dataclass(frozen=True)
+class TransitionTwin:
+    __qualname__ = "Transition"
+    source: object
+    target: object
+    m: tuple
+    overlap: object
+
+
+@dataclass(frozen=True)
+class AlmostContentTwin:
+    __qualname__ = "AlmostContent"
+    chart: object
+    interior_ideal_cone: object
+
+    def __post_init__(self):
+        # int + int = int, as toric.boundary_idempotent_check asks
+        ideal = self.interior_ideal_cone
+        if minkowski_sum(ideal, ideal) != ideal:
+            raise InvalidInput("interior ideal is not idempotent")

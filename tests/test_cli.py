@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import io as std_io
 import json
+import os
+import subprocess
+import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, geometry, io, toric
+from aptkit import catalog, cli, geometry, io, toric
 from aptkit.barcodes import Barcode, bar, barcode
-from aptkit.cli import main
+from aptkit.cli import build_parser, main
 from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone
 from aptkit.interleaving import InterleavingCertificate
@@ -242,9 +245,6 @@ def test_cli_invalid_fan_report():
 
 
 def test_cli_subprocess_console_script():
-    import subprocess
-    import sys
-
     result = subprocess.run(
         [sys.executable, "-m", "aptkit.cli", "fan", "validate", "--catalog", "p1xp1"],
         capture_output=True,
@@ -364,3 +364,79 @@ def test_cli_conversion_past_the_ray_cap_is_structured(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out)["error"]["code"] == "too-large"
     assert capsys.readouterr().err == ""
+
+
+def _choices(parser):
+    """The subcommand parsers of a parser, by name."""
+    return parser._subparsers._group_actions[0].choices
+
+
+FULL_PARSER = build_parser()
+COMMANDS = [(group, command, command_parser)
+            for group, group_parser in _choices(FULL_PARSER).items()
+            for command, command_parser in _choices(group_parser).items()]
+
+
+@pytest.mark.parametrize("group, command, command_parser", COMMANDS,
+                         ids=[f"{group}-{command}" for group, command, _ in COMMANDS])
+def test_single_group_parser_agrees_with_the_full_parser(group, command, command_parser):
+    parser = build_parser(group)
+    assert list(_choices(parser)) == list(_choices(FULL_PARSER))
+    options = [action for action in command_parser._actions if action.option_strings[0] != "-h"]
+    every_flag = [word for action in options for word in (action.option_strings[0], "1")]
+    required = [word for action in options if action.required for word in (action.option_strings[0], "1")]
+    for argv in ([group, command, *every_flag], [group, command, *required]):
+        assert vars(parser.parse_args(argv)) == vars(FULL_PARSER.parse_args(argv))
+
+
+def _usage(argv):
+    out, err = std_io.StringIO(), std_io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+USAGE_ARGVS = [["--help"], ["cone"], ["no-such-group"], ["cone", "no-such-command"],
+               ["cone", "dual", "--no-such-flag"]] + [[group, "--help"] for group in _choices(FULL_PARSER)]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=[" ".join(argv) for argv in USAGE_ARGVS])
+def test_usage_output_is_the_full_parsers(argv, monkeypatch):
+    single = _usage(argv)
+    assert single[0] in (0, 2)
+    monkeypatch.setattr(cli, "build_parser", lambda group=None: build_parser())
+    assert _usage(argv) == single
+    if argv == ["--help"]:  # every single-group parser lists every group
+        for group in _choices(FULL_PARSER):
+            monkeypatch.setattr(cli, "build_parser", lambda _=None, group=group: build_parser(group))
+            assert _usage(argv) == single
+
+
+HUGE_GRADES = [
+    ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1e5000"}]}'],
+    ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1e-5000"}]}'],
+    ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"%s"}]}' % ("7" * 5000)],
+    ["barcode", "k0", "--input", '{"bars":[{"birth":0,"death":%s}]}' % ("7" * 5000)],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_GRADES, ids=["exponent", "negative-exponent", "string", "json-int"])
+def test_cli_huge_grade_is_bad_input(argv):
+    code, out = run_cli(argv)
+    assert code == 1 and json.loads(out)["error"]["code"] == "bad-input"
+
+
+def test_cli_grade_of_600_digits_prints_exactly():
+    code, out = run_cli(["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1e599"}]}'])
+    assert code == 0 and json.loads(out)["k0"][1]["grade"] == "1" + "0" * 599
+
+
+@pytest.mark.parametrize("limit", [None, "0"], ids=["default-limit", "no-limit"])
+def test_cli_huge_grade_answer_ignores_the_int_digit_limit(limit):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    flags = [] if limit is None else ["-X", f"int_max_str_digits={limit}"]
+    for argv in HUGE_GRADES:
+        result = subprocess.run([sys.executable, *flags, "-m", "aptkit.cli", *argv],
+                                capture_output=True, text=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (1, run_cli(argv)[1], "")

@@ -4,16 +4,19 @@ vectors of cones and polyhedra stay ``Fraction`` tuples."""
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
+import pytest
+
 from aptkit import cutoff, geometry, polyhedra, toric
+from aptkit._record import Record
 from aptkit.geometry import Cone, Fan
+from aptkit.interleaving import InterleavingCertificate
 from aptkit.polyhedra import OpenPolyhedron
 
 
 def _floats(value, path):
-    """Paths of the floats in value, walking containers, dataclasses, cones,
+    """Paths of the floats in value, walking containers, records, cones,
     polyhedra and fans; a non-Fraction entry of a cone or polyhedron vector
     counts as well."""
     if isinstance(value, float):
@@ -31,8 +34,8 @@ def _floats(value, path):
         return [path] if any(type(x) is not Fraction for v in vectors for x in v) else []
     if isinstance(value, Fan):
         return _floats(value.cones, f"{path}.cones")
-    if is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Record):
+        value = {name: getattr(value, name) for name in value.__slots__}
     if isinstance(value, dict):
         return [p for k, v in value.items() for p in _floats(k, path) + _floats(v, f"{path}[{k!r}]")]
     if isinstance(value, (tuple, list, set, frozenset)):
@@ -103,3 +106,23 @@ def test_integer_inputs_give_exact_results():
         "root_ladder_level": toric.root_ladder_level(charts[0], (1, 2)),
     }
     assert [p for name, value in results.items() for p in _floats(value, name)] == []
+
+
+QUAD = Cone(2, [(1, 0), (0, 1)])
+CHART = toric.chart_of_cone(QUAD)
+
+
+@pytest.mark.parametrize(
+    "record, path",
+    [
+        (toric.Chart(QUAD, CHART.dual, 0.5), "x['grading']"),
+        (toric.Transition(CHART, CHART, (Fraction(0), 0.5), CHART.dual), "x['m'][1]"),
+        (toric.AlmostContent(toric.Chart(QUAD, CHART.dual, 0.5), OpenPolyhedron.cone_interior(CHART.dual)),
+         "x['chart']['grading']"),
+        (cutoff.StalkReport((Fraction(0), Fraction(0)), {0: 0.5}), "x['betti'][0]"),
+        (InterleavingCertificate(Fraction(1), 0.5, (0,), (0,)), "x['b']"),
+    ],
+    ids=["Chart", "Transition", "AlmostContent", "StalkReport", "InterleavingCertificate"],
+)
+def test_float_walker_reaches_into_records(record, path):
+    assert _floats(record, "x") == [path]

@@ -315,12 +315,19 @@ def test_certificate_value_is_read_exactly():
             certificate_for(x, y, bad)
     cert = certificate_for(x, y, "5/2")
     assert cert.a == cert.b == Fraction(5, 2) and verify_interleaving(x, y, cert)
-    with pytest.raises(InternalCheckFailed):  # below the distance 1/2
+    with pytest.raises(InvalidInput):  # below the distance 1/2: the caller's error
         certificate_for(x, y, Fraction(1, 3))
-    for x, y, value in ((barcode(bar(0, "inf")), Barcode(), None), (Barcode([LINE]), Barcode(), None),
+    for x, y, value in ((barcode(bar(0, "inf")), Barcode(), None), (barcode(bar(0, "inf")), Barcode(), 1),
+                        (Barcode([LINE]), Barcode(), None),
                         (Barcode([LINE]), Barcode(), 1), (Barcode(), Barcode([LINE]), 1)):
         with pytest.raises(InvalidInput):  # no finite interleaving exists
             certificate_for(x, y, value)
+
+
+def test_certificate_without_a_matching_at_the_distance_is_a_fault(monkeypatch):
+    monkeypatch.setattr(interleaving, "_feasible", lambda costs, value: None)
+    with pytest.raises(InternalCheckFailed):  # the value 1 is above the distance 1/2
+        certificate_for(barcode(bar(0, 2)), barcode(bar(0, 3)), 1)
 
 
 def _ordered(matching):
