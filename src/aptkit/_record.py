@@ -21,6 +21,14 @@ class Record:
         cls._values = attrgetter(*cls.__slots__)
         cls.__match_args__ = cls.__slots__
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of these field values, in slot order, left unchecked."""
+        record = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            set_field(record, name, value)
+        return record
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values(self) == other._values(other)

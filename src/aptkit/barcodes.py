@@ -115,6 +115,13 @@ class Barcode:
                 last = key
         self.bars = tuple(out)
 
+    @classmethod
+    def _canonical(cls, bars) -> "Barcode":
+        """The barcode of bars in canonical order, equal neighbours merged."""
+        b = cls.__new__(cls)
+        b.bars = tuple(bars)
+        return b
+
     def is_empty(self) -> bool:
         return not self.bars
 

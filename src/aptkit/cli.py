@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import modules as md
 from .errors import AptError, InvalidInput
 from .modules import parse_field
-from .rational import INF, format_grade, parse_grade, q, qvec
+from .rational import INF, parse_grade, q, qvec
 
 
 def _load_json_arg(value):
@@ -189,7 +189,7 @@ def _cmd_dist_compute(args, field):
     x = _load_barcode(args, 1)
     y = _load_barcode(args, 2)
     d = interleaving.interleaving_distance(x, y)
-    out = {"distance": format_grade(d)}
+    out = {"distance": io.grade_to_json(d)}
     if d != INF:
         cert = interleaving.certificate_for(x, y, d)
         out["certificate"] = io.certificate_to_json(cert)
@@ -445,16 +445,17 @@ def main(argv=None) -> int:
     field_tag = args.field or os.environ.get("APTKIT_FIELD") or "q"
     try:
         field = parse_field(field_tag)
-        result = args.handler(args, field)
+        text = io.dumps(args.handler(args, field))
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise InvalidInput(f"cannot write output file {args.output!r}: {exc.strerror}") from exc
     except AptError as exc:
-        payload = io.dumps({"error": exc.as_report()})
-        print(payload)
+        print(io.dumps({"error": exc.as_report()}))
         return 1
-    text = io.dumps(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not args.output:
         print(text)
     return 0
 

@@ -18,7 +18,7 @@ from .interleaving import InterleavingCertificate
 from .k0 import K0Class
 from .modules import PresentationND
 from .polyhedra import OpenPolyhedron
-from .rational import NEG_INF, format_grade, parse_grade, q, qvec
+from .rational import NEG_INF, is_finite, parse_grade, q, qvec
 
 
 def _require(cond, message):
@@ -44,12 +44,30 @@ def _integer(value, what) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
+_CHUNK = 10**600  # 600 digits print under any int digit limit: the least is 640
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` under any int digit limit: 600 digits at a time, by ``divmod``."""
+    chunks, rest = [], abs(n)
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(str(low).zfill(600))
+    return "-" * (n < 0) + str(rest) + "".join(reversed(chunks))
+
+
+def _rational(x) -> str:
+    """``str`` of an int or ``Fraction`` at any size: ``"p/q"``, or ``"p"``."""
+    text = _decimal(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_decimal(x.denominator)}"
+
+
 def grade_to_json(g):
-    return format_grade(g)
+    return _rational(g) if is_finite(g) else ("inf" if g > 0 else "-inf")
 
 
 def qvec_to_json(v):
-    return [str(x) for x in v]
+    return [_rational(x) for x in v]
 
 
 def parse_qvec_json(data, dim=None):
@@ -143,7 +161,7 @@ def presentation_to_json(p: PresentationND) -> dict:
         "gamma": cone_to_json(p.gamma),
         "generators": [qvec_to_json(g) for g in p.generators],
         "relations": [
-            {"degree": qvec_to_json(d), "coeffs": [str(c) for c in coeffs]}
+            {"degree": qvec_to_json(d), "coeffs": qvec_to_json(coeffs)}
             for d, coeffs in p.relations
         ],
     }
@@ -171,7 +189,7 @@ def polyhedron_to_json(p: OpenPolyhedron) -> dict:
         "dim": p.dim,
         "empty": False,
         "constraints": [
-            {"normal": qvec_to_json(n), "offset": str(d)} for n, d in p.constraints
+            {"normal": qvec_to_json(n), "offset": _rational(d)} for n, d in p.constraints
         ],
     }
 
@@ -190,7 +208,7 @@ def parse_polyhedron_json(data) -> OpenPolyhedron:
 
 
 def k0_to_json(k: K0Class) -> list:
-    return [{"grade": str(g), "coef": c} for g, c in k.terms]
+    return [{"grade": _rational(g), "coef": c} for g, c in k.terms]
 
 
 def parse_k0_json(data) -> K0Class:
@@ -207,7 +225,7 @@ def parse_offsets_json(data) -> dict:
 
 
 def offsets_to_json(offsets) -> dict:
-    return {str(k): format_grade(v) for k, v in offsets.items()}
+    return {str(k): grade_to_json(v) for k, v in offsets.items()}
 
 
 def certificate_to_json(cert: InterleavingCertificate) -> dict:

@@ -9,23 +9,24 @@ every coefficient must be invertible.  The public constructor parses dense
 rows in one pass; shift, tensor products, Rees presentations and free
 modules build sparse rows directly.  Every rank is one sparse column
 reduction, that of :mod:`aptkit.linalg`, on relations turned into int
-columns by one helper (:func:`_column`): over Q their values scaled to
-primitive ints, over F_p their nonzero residues.  Degree-wise evaluation
-gives the dimension at grade a as the number of active generators minus
-the rank of the active relations.  The one-dimensional case bridges to
-barcodes through the same reduction in the classical persistence order,
-on grades scaled to ints over a common denominator.  A relation whose
-rows the stored columns already span is skipped unreduced, as in clearing
-(Chen & Kerber 2011); over F_p the rows are those of its nonzero residues.
+columns by one ``integral`` over all their values, mod p over F_p
+(:func:`_columns`).  Degree-wise evaluation gives the dimension at grade a
+as the number of active generators minus the rank of the active relations.
+The one-dimensional case bridges to barcodes through the same reduction in
+the classical persistence order, on grades scaled to ints over a common
+denominator, and stores its bars, built in canonical order, unchecked.  A
+relation on rows the stored columns already span is skipped unreduced, as
+in clearing (Chen & Kerber 2011); over F_p, on its nonzero residues' rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
+from math import lcm
 from operator import ge, is_not, le, lt
 
-from .barcodes import Bar, Barcode, interval
+from .barcodes import Bar, Barcode, DecoratedInterval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class, e
@@ -86,7 +87,7 @@ class PresentationND:
 
     def _check(self, gamma, gens, rows, field):
         """Check and store: grade dimensions, ascending in-range supports,
-        nonzero values (invertible mod p over F_p), and homogeneity, that is
+        nonzero values (over F_p, p divides no denominator), and homogeneity,
         degree - g in gamma for every generator g in a row's support, read
         off the heights of the grades over gamma's facets (:func:`_heights`)."""
         if not gamma.is_full_dim():
@@ -104,9 +105,9 @@ class PresentationND:
             if support and not (0 <= support[0] and support[-1] < n
                                 and all(map(lt, support, support[1:]))):
                 raise InvalidInput("a sparse row needs ascending generator indices")
-            if field is not None:
-                for c in values:
-                    field.from_fraction(c)
+        # p divides the lcm iff it divides a denominator; from_fraction raises on the first
+        if field is not None and lcm(*(c.denominator for row in rows for c in row[2])) % field.p == 0:
+            field.from_fraction(next(c for row in rows for c in row[2] if c.denominator % field.p == 0))
         heights = _heights(gamma, [*gens, *(row[0] for row in rows)])
         for (_, support, _), top in zip(rows, heights[n:]):
             for i in support:
@@ -189,7 +190,7 @@ def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
 
 def eval_at(p: PresentationND, a) -> int:
     """dim_k of the degree-a piece: the number of active generators minus the
-    rank of the active relations as sparse int columns (:func:`_column`).  A
+    rank of the active relations as sparse int columns (:func:`_columns`).  A
     grade g is active when it lies below a in gamma's order, read off the
     heights of a, the generator grades and the relation degrees
     (:func:`_heights`)."""
@@ -200,18 +201,21 @@ def eval_at(p: PresentationND, a) -> int:
     top, *heights = _heights(p.gamma, [a, *p.generators, *(row[0] for row in p.rows)])
     active = [all(map(le, h, top)) for h in heights]
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
-    columns = (_column(support, values, p.field)
-               for (_, support, values), on in zip(p.rows, active[n:]) if on)
-    return sum(active[:n]) - rank(columns, p.field)
+    return sum(active[:n]) - rank(_columns(list(compress(p.rows, active[n:])), p.field, range(n)), p.field)
 
 
-def _column(keys, values, field):
-    """A sparse relation row as an int column ``{key: value}``: over Q its
-    values scaled to primitive ints (one ``integral``), over F_p their
-    nonzero residues."""
+def _columns(rows, field, key):
+    """The sparse rows as int columns ``{key[i]: value}``: every value times
+    the common denominator D of all of them (one ``integral``), over F_p
+    mod p.  Construction rejects a denominator that p divides, so D is a
+    unit mod p: each column is a unit multiple of its row, over F_p with
+    the same support, and over Q the reduction divides it by its content."""
+    ints = iter(integral([c for row in rows for c in row[2]])[0])
+    # zip draws from ``ints`` only while the support lasts: len(support) values
     if field is None:
-        return dict(zip(keys, integral(values)[0]))
-    return {i: v for i, c in zip(keys, values) if (v := field.from_fraction(c))}
+        return [dict(zip(map(key.__getitem__, support), ints)) for _, support, _ in rows]
+    p = field.p
+    return [{key[i]: r for i, v in zip(support, ints) if (r := v % p)} for _, support, _ in rows]
 
 
 def shift(p: PresentationND, b) -> PresentationND:
@@ -253,16 +257,16 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     columns by degree and the generators by birth, ties by index.
     Rows are keyed by their position in (birth, index) order, so the pivot
     of a column, its generator of latest birth (ties by generator index),
-    is its largest key.  A column is reduced by the stored column with the
-    same pivot until its pivot is new or it vanishes.  Over F_p entries are
-    ints modulo the prime, and each stored column is scaled to pivot entry
-    1.  Over Q a column is a primitive int dict: a relation row enters
-    through ``integral``, a reduction step is ``col <- (b/g)*col -
-    (f/g)*other`` with b the pivot entry of ``other``, f that of ``col`` and
-    g = gcd(b, f), and after every step ``col`` is divided by its content,
-    so no common factor of the scalings builds up.  Each int column is a
-    nonzero rational multiple of the column a reduction over Fractions
-    holds, so the pivots and the pairing are the same.  A row is closed
+    is its largest key.  A column (:func:`_columns`) is reduced by the
+    stored column with the same pivot until its pivot is new or it
+    vanishes.  Over F_p entries are ints modulo the prime, and each stored
+    column is scaled to pivot entry 1.  Over Q a column is an int dict, a
+    reduction step is ``col <- (b/g)*col - (f/g)*other`` with b the pivot
+    entry of ``other``, f that of ``col`` and g = gcd(b, f), and before
+    every step ``col`` is divided by its content, so no common factor of
+    the scalings builds up.  Each int column is a nonzero rational multiple
+    of the column a reduction over Fractions holds, so the pivots and the
+    pairing are the same.  A row is closed
     when it holds a stored pivot and every other row of that column is
     closed: the columns of the closed rows are triangular with distinct
     pivots, so they span every vector on those rows, and a relation on
@@ -272,7 +276,7 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     (generator, relation) yields the bar [birth, degree), dropped when
     empty; unpaired generators are infinite.  Bars are counted per (birth
     key, death key), ``INF`` the key of an infinite death, and built once
-    per distinct pair in key order, which is the canonical order.
+    per distinct pair in key order, the canonical order, and stored unchecked.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -282,22 +286,17 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     births = keys[:n]
     row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
+    columns = _columns(p.rows, field, position)
     paired = {}  # pivot position -> its reduced column
     closed = set()  # positions on which the stored columns span every vector
     open_rows = {}  # pivot position -> rows of its column not yet closed
     waiting = {}  # open row -> pivot positions whose columns hold it
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
-        _, support, values = p.rows[r]
-        rows = [position[i] for i in support]
-        if field is not None and not closed.issuperset(rows):
-            # the rows of the nonzero residues: a coefficient that vanishes mod p holds none
-            col = _column(rows, values, field)
-            rows = col.keys()
-        if closed.issuperset(rows):
+        if closed.issuperset(col := columns[r]):
             continue  # it would reduce to zero
         if field is None:
-            col = _reduce_q(_column(rows, values, None), paired)
+            col = _reduce_q(col, paired)
         else:
             col = _reduce_fp(col, paired, field.p)
         if col:
@@ -313,8 +312,8 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
             counts[pair] = counts.get(pair, 0) + 1
     grade = dict(zip(keys, grades))
     grade[INF] = INF
-    return Barcode(Bar(interval(grade[b], grade[d]), multiplicity=k)
-                   for (b, d), k in sorted(counts.items()))
+    return Barcode._canonical(Bar._trusted(DecoratedInterval._trusted(grade[b], grade[d], True, False), 0, k)
+                              for (b, d), k in sorted(counts.items()))
 
 
 def _close(low, col, closed, open_rows, waiting):

@@ -67,14 +67,6 @@ def parse_grade(x):
     return q(x)
 
 
-def format_grade(g) -> str:
-    if g == INF:
-        return "inf"
-    if g == NEG_INF:
-        return "-inf"
-    return str(q(g))
-
-
 def is_finite(g) -> bool:
     """False only for the float sentinels, so a Fraction meets no float."""
     return type(g) is not float or (g != INF and g != NEG_INF)

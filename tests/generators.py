@@ -103,13 +103,17 @@ def sparse_presentation(rng, n, m, coefficients=(-3, -2, -1, 1, 2, 3)) -> Presen
 EDGE_GRADES = tuple(Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3))
 
 
-def edge_presentation(rng, field=None) -> PresentationND:
+EDGE_COEFFICIENTS = (-2, -1, 1, 2, 3, 6, Fraction(1, 5))
+
+
+def edge_presentation(rng, field=None, coefficients=EDGE_COEFFICIENTS) -> PresentationND:
     """A small 1-D presentation with the awkward cases of the persistence
     reduction: grades in thirds and halves, negative and tied; relations at
     the latest grade of their support (empty bars); blocks of equal unit
     relations on equal generators (repeated bars); all-zero rows, at any
-    degree; and possibly no relations or no generators at all.  The
-    coefficients are units mod 2 and 3, or 3 and 6, which vanish mod 3."""
+    degree; and possibly no relations or no generators at all.  The other
+    relations draw their coefficients from ``coefficients``; by default
+    units mod 2 and 3, or 3 and 6, which vanish mod 3."""
     gens = [(rng.choice(EDGE_GRADES),) for _ in range(rng.choice((0, 1, 3, 5, 7)))]
     rels = []
     for _ in range(rng.randint(0, 2)):  # c copies of the bar [birth, death)
@@ -126,7 +130,7 @@ def edge_presentation(rng, field=None) -> PresentationND:
         support = rng.sample(range(n), rng.randint(1, min(3, n)))
         floor = max(gens[i][0] for i in support)
         degree = floor + rng.choice((0, 0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(5, 2)))
-        rels.append(((degree,), {i: rng.choice((-2, -1, 1, 2, 3, 6, Fraction(1, 5))) for i in support}))
+        rels.append(((degree,), {i: rng.choice(coefficients) for i in support}))
     rng.shuffle(rels)
     dense = [(d, [Fraction(row.get(i, 0)) for i in range(n)]) for d, row in rels]
     return PresentationND(HALFLINE, gens, dense, field)

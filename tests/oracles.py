@@ -10,12 +10,13 @@ feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, a recursive Kuhn search
-for perfect matchings, the column reduction on ``Fraction`` entries for
-barcodes over Q, the rank invariant by dense elimination for barcodes over
-Q and F_p, a dense scan with one ``Cone.contains`` per nonzero coefficient
-for the stored rows of a presentation, the order-complex derived limit for
-stalk ranks, point sampling for Minkowski sums, and frozen dataclass twins
-of the library's records for their equality, hashing, repr and validation.
+for perfect matchings, the column reduction on ``Fraction`` entries (over
+F_p on each entry's own residue) and the rank invariant by dense
+elimination for barcodes over Q and F_p, a dense scan with one
+``Cone.contains`` per nonzero coefficient for the stored rows of a
+presentation, the order-complex derived limit for stalk ranks, point
+sampling for Minkowski sums, and frozen dataclass twins of the library's
+records for their equality, hashing, repr and validation.
 Expected values in the tests were produced (or are recomputed live) by
 these, never by the code under test.
 """
@@ -362,10 +363,20 @@ def presentation_rows_by_dense_scan(gamma: Cone, generators, relations=(), field
 
 
 def barcode_by_fraction_reduction(p) -> Barcode:
-    """Barcode of a 1-dimensional presentation over Q by the persistence
-    column reduction on ``Fraction`` entries: relation columns in increasing
+    """Barcode of a 1-dimensional presentation by the persistence column
+    reduction on ``Fraction`` entries: relation columns in increasing
     degree, rows in (birth, index) order, each stored column scaled to pivot
-    entry 1 and subtracted times the pivot entry of the column it reduces."""
+    entry 1 and subtracted times the pivot entry of the column it reduces.
+    Over F_p every entry is the residue of its own coefficient, numerator
+    times the inverse of its denominator, and the same steps run mod p."""
+    if p.field is None:
+        entry = reduce = lambda x: x
+        inverse = lambda x: 1 / x
+    else:
+        prime = p.field.p
+        entry = lambda c: c.numerator * pow(c.denominator, -1, prime) % prime
+        reduce = lambda x: x % prime
+        inverse = lambda x: pow(x, -1, prime)
     births = [g[0] for g in p.generators]
     row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     position = {gen: pos for pos, gen in enumerate(row_order)}
@@ -374,21 +385,21 @@ def barcode_by_fraction_reduction(p) -> Barcode:
     bars = []
     for r in sorted(range(len(relations)), key=lambda r: (relations[r][0][0], r)):
         degree, coeffs = relations[r]
-        col = {position[i]: c for i, c in enumerate(coeffs) if c != 0}
+        col = {position[i]: e for i, c in enumerate(coeffs) if (e := entry(c)) != 0}
         while col:
             low = max(col)
             if low not in paired:
                 break
             f = col[low]
             for i, v in paired[low].items():
-                new = col.get(i, 0) - f * v
+                new = reduce(col.get(i, 0) - f * v)
                 if new:
                     col[i] = new
                 else:
                     del col[i]
         if col:
             low = max(col)
-            paired[low] = {i: v / col[low] for i, v in col.items()}
+            paired[low] = {i: reduce(v * inverse(col[low])) for i, v in col.items()}
             birth = births[row_order[low]]
             if birth < degree[0]:
                 bars.append(Bar(interval(birth, degree[0])))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io as std_io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -235,6 +236,14 @@ def test_cli_output_file(tmp_path):
     assert json.loads(target.read_text()) == {"valid": True, "complete": True}
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."], ids=["missing-directory", "directory"])
+def test_cli_unwritable_output_is_structured(tmp_path, target):
+    # the file was once opened outside the error handling: a traceback
+    code, out = run_cli(["fan", "validate", "--catalog", "p1", "--output", str(tmp_path / target)])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["code"] == "bad-input" and "cannot write output file" in error["message"]
+
+
 def test_cli_invalid_fan_report():
     fanjson = '{"dim":2,"cones":[{"id":"a","generators":[["1","0"],["0","1"]]}]}'
     code, out = run_cli(["fan", "validate", "--input", fanjson])
@@ -431,12 +440,42 @@ def test_cli_grade_of_600_digits_prints_exactly():
     assert code == 0 and json.loads(out)["k0"][1]["grade"] == "1" + "0" * 599
 
 
-@pytest.mark.parametrize("limit", [None, "0"], ids=["default-limit", "no-limit"])
-def test_cli_huge_grade_answer_ignores_the_int_digit_limit(limit):
+def _run_cli_process(argv, limit=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     flags = [] if limit is None else ["-X", f"int_max_str_digits={limit}"]
+    result = subprocess.run([sys.executable, *flags, "-m", "aptkit.cli", *argv],
+                            capture_output=True, text=True, env=env)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("limit", [None, "0"], ids=["default-limit", "no-limit"])
+def test_cli_huge_grade_answer_ignores_the_int_digit_limit(limit):
     for argv in HUGE_GRADES:
-        result = subprocess.run([sys.executable, *flags, "-m", "aptkit.cli", *argv],
-                                capture_output=True, text=True, env=env)
-        assert (result.returncode, result.stdout, result.stderr) == (1, run_cli(argv)[1], "")
+        assert _run_cli_process(argv, limit) == (1, run_cli(argv)[1], "")
+
+
+def test_cli_long_computed_rationals_print_whatever_the_int_digit_limit(tmp_path):
+    # within the input cap, 1/d off the diagonal with d odd of 589 digits
+    # gives a dual whose primitive generators have entries of over 4300
+    # digits, which str() refuses under the default limit
+    rng = random.Random(5)
+    gens = [["1" if i == j else f"1/{rng.randrange(10**588, 10**589) | 1}" for j in range(4)] for i in range(4)]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"dim": 4, "generators": gens}))
+    argv = ["cone", "dual", "--input", str(path)]
+    code, out, err = _run_cli_process(argv)
+    assert (code, err) == (0, "")
+    assert _run_cli_process(argv, "0") == (0, out, "") and run_cli(argv) == (0, out)
+    dual = geometry.dual_cone(io.parse_cone_json(json.loads(path.read_text())))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [[str(x) for x in g] for g in dual.generators]
+        for k in (0, 599, 600, 601, 1200, 1201, 9000):  # chunk edges, and chunks of zeros
+            for n in (10**k - 1, 10**k, 10**k + 1, 7 * 10**k // 3, -10**k):
+                assert io._decimal(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert json.loads(out)["generators"] == expected
+    assert max(len(x) for g in expected for x in g) > 4300

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from aptkit import catalog, geometry, io, linalg, modules
-from aptkit.barcodes import Barcode, bar, barcode
+from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from aptkit.geometry import Cone
@@ -28,7 +30,7 @@ from aptkit.modules import (
     shift,
 )
 
-from aptkit.rational import INF, vadd, vsub
+from aptkit.rational import INF, integral, vadd, vsub
 
 from generators import edge_presentation, half_grade, random_barcode, random_presentation, sparse_presentation
 from oracles import (
@@ -284,9 +286,7 @@ def test_reduction_matches_oracles_on_edge_cases():
         for field in FIELDS:
             p = edge_presentation(rng, field)
             got = barcode_of_presentation(p)
-            assert got == barcode_by_rank_invariant(p)
-            if field is None:
-                assert got == barcode_by_fraction_reduction(p)
+            assert got == barcode_by_rank_invariant(p) == barcode_by_fraction_reduction(p)
             assert got.bars == Barcode(reversed(got.bars)).bars
             grades = [g[0] for g in p.generators] + [d[0] for d, _, _ in p.rows]
             seen["thirds and halves"] += {2, 3} <= {g.denominator for g in grades}
@@ -298,6 +298,79 @@ def test_reduction_matches_oracles_on_edge_cases():
             seen["no relations"] += not p.rows
             seen["no generators"] += not p.generators
     assert all(seen.values()), seen
+
+
+P61 = PrimeField(2**61 - 1)
+# over mixed denominators, units mod 2, 3 and 2**61 - 1 and multiples of each
+MIXED_COEFFICIENTS = (-1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(2, 35), Fraction(9, 11),
+                      2, Fraction(4, 5), 3, Fraction(-6, 7), 2**61 - 1, Fraction(2**61 - 1, 13))
+
+
+def _eval_per_relation(p, a):
+    """eval_at with one conversion per active relation: the relation's own
+    ``integral`` over Q, one ``from_fraction`` per value over F_p."""
+    n = len(p.generators)
+    top, *heights = modules._heights(p.gamma, [a, *p.generators, *(d for d, _, _ in p.rows)])
+    active = [all(x <= t for x, t in zip(h, top)) for h in heights]
+    columns = []
+    for (_, support, values), on in zip(p.rows, active[n:]):
+        if on and p.field is None:
+            columns.append(dict(zip(support, integral(values)[0])))
+        elif on:
+            columns.append({i: v for i, c in zip(support, values) if (v := p.field.from_fraction(c))})
+    return sum(active[:n]) - linalg.rank(columns, p.field)
+
+
+def test_one_conversion_matches_oracles_in_four_fields():
+    seen = dict.fromkeys(["mixed denominators", "vanishes mod p", "empty row", "repeated bar"], 0)
+    for seed in range(60):
+        rng = random.Random(seed)
+        for field in (None, PrimeField(2), PrimeField(3), P61):
+            p = edge_presentation(rng, field, MIXED_COEFFICIENTS)
+            got = barcode_of_presentation(p)
+            assert got == barcode_by_fraction_reduction(p) == barcode_by_rank_invariant(p)
+            # the bars built unchecked are those the checking constructors build
+            for rebuilt in (Barcode(list(got.bars)), pickle.loads(pickle.dumps(got)),
+                            Barcode([bar(b.interval.left, b.interval.right, multiplicity=b.multiplicity)
+                                     for b in got.bars])):
+                assert rebuilt.bars == got.bars and hash(rebuilt) == hash(got) and repr(rebuilt) == repr(got)
+            grades = sorted({g[0] for g in p.generators} | {d[0] for d, _, _ in p.rows})
+            for a in grades + [g + Fraction(1, 7) for g in grades]:
+                assert eval_at(p, (a,)) == _eval_per_relation(p, (a,))
+            values = [c for _, _, row in p.rows for c in row]
+            seen["mixed denominators"] += len({c.denominator for c in values} - {1}) >= 2
+            seen["vanishes mod p"] += field is not None and any(c.numerator % field.p == 0 for c in values)
+            seen["empty row"] += any(not support for _, support, _ in p.rows)
+            seen["repeated bar"] += any(b.multiplicity > 1 for b in got.bars)
+    assert all(v >= 10 for v in seen.values()), seen
+
+
+def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
+    # A count, not a clock: one integral for the grades and one for all the
+    # coefficients at every size, no per-coefficient residue, and no bar
+    # checked or sorted again; construction over F_p takes no residue either.
+    calls = Counter()
+
+    def spy(owner, name):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or method(*args))
+
+    spy(modules, "integral")
+    for owner, name in [(PrimeField, "from_fraction"), (Barcode, "__init__"), (Bar, "__init__"),
+                        (DecoratedInterval, "__init__")]:
+        spy(owner, name)
+    coefficients = (-2, -1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(9, 11))
+    per_call = set()
+    for m in (10, 100, 1000):
+        base = sparse_presentation(random.Random(m), 3 * m // 2, m, coefficients)
+        for field in (None, PrimeField(2)):
+            p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
+            assert calls["from_fraction"] == 0
+            calls.clear()
+            barcode_of_presentation(p)
+            per_call.add(calls.pop("integral"))
+            assert not +calls, (m, field, calls)
+    assert len(per_call) == 1 and per_call.pop() <= 2
 
 
 def _stored_form_cases():
@@ -442,9 +515,7 @@ def test_clearing_matches_oracles_on_dependent_presentations(monkeypatch):
     relations = 0
     for p in _dependent_cases():
         got = barcode_of_presentation(p)
-        assert got == barcode_by_rank_invariant(p)
-        if p.field is None:
-            assert got == barcode_by_fraction_reduction(p)
+        assert got == barcode_by_rank_invariant(p) == barcode_by_fraction_reduction(p)
         relations += len(p.rows)
     assert len(reduced) < relations * 3 // 4, (len(reduced), relations)
 
