@@ -11,9 +11,12 @@ from them on first read and then kept.
 One routine converts H to V on integer rows: the lineality space from a
 fraction-free echelon form, then the double-description method (Motzkin et
 al. 1953; Fukuda & Prodon 1996) from the simplicial cone of independent
-rows, whose rays are kernel lines (signed maximal minors).  V to H is the
-same routine applied to the generators as normals of the dual.  A cone
-built from generators converts twice, since they need not be extreme:
+rows, whose rays are the columns of one fraction-free inverse
+(``linalg._adjugate``).  V to H is the same routine applied to the
+generators as normals of the dual.  A cone built from generators converts
+once and reads its V-data off the generators, which need not be extreme:
+projected onto the complement of the lineality, a generator spans an
+extreme ray iff no other lies on every facet it lies on.
 ``Cone(dim, generators)`` checks its rational input and hands primitive
 rows to the private ``Cone._from_rows``, through which sums, intersections
 and separating vectors build from their operands' rows.  A face, whose
@@ -25,9 +28,10 @@ failed self-check raises :class:`InternalCheckFailed`, also under
 
 Faces come from the ray-facet incidence: the ray sets of the faces of a
 proper cone are the intersections of the facets' zero sets, so a face list
-costs one conversion per face.  ``validate_fan`` builds the face relation
-first and then intersects only pairs of maximal cones; faces inherit the
-common-face property from the maximal cones above them.
+costs one conversion per face.  ``validate_fan`` looks each cone's apex and
+rays up by key, with no conversion, then builds the face relation, and
+then intersects only pairs of maximal cones; faces inherit the common-face
+property from the maximal cones above them.
 
 Module-level caches memoize conversions and face lists keyed by canonical
 content, so concurrent use can at worst recompute and overwrite an entry
@@ -50,7 +54,7 @@ from .errors import (
     MissingFace,
     NotSeparable,
 )
-from .linalg import echelon, kernel_line
+from .linalg import _adjugate, echelon
 from .rational import (
     QVec,
     integral,
@@ -101,34 +105,36 @@ def _rays_from_halfspaces(normals, dim):
     rays are sorted.  Results are memoized on the input; cones are
     immutable, so the cache is shareable.
     """
-    cache_key = (dim, normals)
-    cached = _HREP_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
+    if (dim, normals) in _HREP_CACHE:
+        return _HREP_CACHE[dim, normals]
     lin = _lineality(normals, dim)
     # rays lie in the orthogonal complement of the lineality space: with
     # <l, x> = 0 for each line l the cone is pointed, of rank dim
     rows = list(lin) + [vneg(e) for e in lin] + list(normals)
     rays = _dd_rays(rows, dim) if len(lin) < dim else ()
-    result = (lin, tuple(sorted(rays)))
-    _HREP_CACHE[cache_key] = result
+    result = _HREP_CACHE[dim, normals] = (lin, tuple(sorted(rays)))
     return result
 
 
 def _lineality(normals, dim):
     """Basis of {x : <n, x> = 0 for all n}: for each free column f of the
-    echelon form, the kernel vector that vanishes on the other free
-    columns, primitive with its first nonzero entry positive.  The pivot
-    columns are those of Gauss-Jordan elimination over Q, so this is the
-    basis that elimination yields."""
+    echelon form, the kernel vector that vanishes on the other free columns,
+    primitive with its first nonzero entry positive.  The pivot columns are
+    those of Gauss-Jordan elimination over Q, so this is the basis that
+    elimination yields.  With (d, adj) the adjugate pair of the pivot columns,
+    the vector is d at f and -adj * (column f) on them."""
     reduced, _ = echelon(normals, dim)
-    pivots = {col for col, _ in reduced}
+    pivots = [col for col, _ in reduced]
     free = [j for j in range(dim) if j not in pivots]
-    rows = [e for _, e in reduced]
-    units = {j: tuple(int(i == j) for i in range(dim)) for j in free}
+    if not free:
+        return ()
+    d, adj = _adjugate([[e[j] for j in pivots] for _, e in reduced])
     basis = []
     for f in free:
-        v = kernel_line(rows + [units[j] for j in free if j != f], dim)
+        column = [e[f] for _, e in reduced]
+        v = [d * (j == f) for j in range(dim)]
+        for j, a in zip(pivots, adj):
+            v[j] = -_idot(a, column)
         basis.append(_scaled(v, next(x for x in v if x) > 0))
     return tuple(basis)
 
@@ -138,13 +144,12 @@ def _dd_rays(rows, r):
     rows of rank r: the simplicial cone of r independent rows, then one row
     at a time, joining adjacent rays across it.  A ray carries the rows on
     which it vanishes as a bit mask; two rays are adjacent iff no third one
-    vanishes on all rows on which both vanish (at least r - 2 rows).  Raises
-    ComputationTooLarge once more than ``_DD_RAY_CAP`` rays are kept."""
+    vanishes on all rows on which both vanish (at least r - 2 rows); the
+    first rays are the columns of the adjugate of the r rows, signed by d.
+    Raises ComputationTooLarge once more than ``_DD_RAY_CAP`` rays are kept."""
     _, start = echelon(rows, r)
-    rays = []
-    for i in start:
-        v = kernel_line([rows[j] for j in start if j != i], r)
-        rays.append((_scaled(v, _idot(rows[i], v) > 0), sum(1 << j for j in start if j != i)))
+    d, adj = _adjugate([rows[j] for j in start])
+    rays = [(_scaled(v, d > 0), sum(1 << j for j in start if j != i)) for i, v in zip(start, zip(*adj))]
     for i, row in enumerate(rows):
         if i in start:
             continue
@@ -162,6 +167,27 @@ def _dd_rays(rows, r):
         if len(rays) > _DD_RAY_CAP:
             raise ComputationTooLarge("cone conversion passed its ray cap", rays=len(rays), cap=_DD_RAY_CAP)
     return [v for v, _ in rays]
+
+
+def _generated_vrep(gens, hrep, dim):
+    """Lineality and extreme rays of the cone that the generators span and
+    ``hrep`` bounds, as :func:`_rays_from_halfspaces` gives and memoizes them
+    for its halfspaces, read off the generators: their projections
+    d*g - L^T adj L g, with (d, adj) the adjugate pair of L L^T for the
+    lineality L, span the pointed part."""
+    halfspaces = _with_lines(*hrep)
+    if (dim, halfspaces) in _HREP_CACHE:
+        return _HREP_CACHE[dim, halfspaces]
+    lin = _lineality(halfspaces, dim)
+    if lin:
+        d, adj = _adjugate([[_idot(a, b) for b in lin] for a in lin])
+        coords = [[_idot(row, lg) for row in adj] for lg in ([_idot(e, g) for e in lin] for g in gens)]
+        gens = [[d * x - _idot(c, col) for x, col in zip(g, zip(*lin))] for g, c in zip(gens, coords)]
+        gens = {_scaled(v, d > 0) for v in gens if any(v)}
+    tight = [(v, sum(1 << k for k, f in enumerate(hrep[0]) if not _idot(f, v))) for v in gens]
+    rays = tuple(sorted(v for v, m in tight if sum(n & m == m for _, n in tight) == 1))
+    result = _HREP_CACHE[dim, halfspaces] = (lin, rays)
+    return result
 
 
 def _view(slot, rows):
@@ -202,13 +228,12 @@ class Cone:
         return cone
 
     def _generate(self, dim, gens):
-        """Convert the generators, in canonical input form, twice, since they
-        need not be extreme.  H-representation: the dual cone
-        {v : <v, g> >= 0} has the generators as normals; its rays are our
-        facet normals, its lineality our span equalities."""
-        span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
-        lin, rays = _rays_from_halfspaces(_with_lines(facet_normals, span_normals), dim)
-        self._fill(dim, (rays, lin), (facet_normals, span_normals), gens)
+        """Convert the generators, in canonical input form, once.
+        H-representation: the dual cone {v : <v, g> >= 0} has the generators
+        as normals; its rays are our facet normals, its lineality our span
+        equalities.  V-data: :func:`_generated_vrep`."""
+        hrep = _rays_from_halfspaces(gens, dim)[::-1]
+        self._fill(dim, _generated_vrep(gens, hrep, dim)[::-1], hrep, gens)
 
     @classmethod
     def _canonical(cls, dim: int, rays, lineality) -> "Cone":
@@ -443,7 +468,8 @@ def validate_fan(cones, ids=None) -> Fan:
     """Check the fan axioms and return a Fan, or raise a structured violation.
 
     Raises ImproperCone, MissingFace or BadIntersection, each carrying the
-    offending cone ids in ``details``.  The face relation is checked first;
+    offending cone ids in ``details``.  The face relation is checked first,
+    each cone's apex and rays by key before its face list is built;
     with every face a member, it suffices to intersect pairs of maximal
     cones (if s <= s' and t <= t', then s n t is a face of the common face
     s' n t', hence of both s and t), so BadIntersection's ``pair`` names two
@@ -460,27 +486,21 @@ def validate_fan(cones, ids=None) -> Fan:
     ids = [str(s) for s in ids]
     if len(ids) != len(cones) or len(set(ids)) != len(ids):
         raise InvalidInput("cone ids must be unique and match the cone list")
-    keys = {}
-    for cid, c in zip(ids, cones):
-        if c._key in keys:
-            raise InvalidInput(f"duplicate cone: {cid!r} equals {keys[c._key]!r}")
-        keys[c._key] = cid
+    member = {}
+    for i, c in enumerate(cones):
+        if c._key in member:
+            raise InvalidInput(f"duplicate cone: {ids[i]!r} equals {ids[member[c._key]]!r}")
+        member[c._key] = i
     for cid, c in zip(ids, cones):
         if not is_proper(c):
             raise ImproperCone(f"cone {cid!r} is not proper", cone=cid)
-    member = {c._key: i for i, c in enumerate(cones)}
-    all_faces = [faces_of(c) for c in cones]
-    face_rel = set()
-    for i, faces in enumerate(all_faces):
-        for face in faces:
-            j = member.get(face._key)
-            if j is None:
-                raise MissingFace(
-                    f"face of cone {ids[i]!r} is not a member of the fan",
-                    cone=ids[i],
-                    face_rays=[[str(x) for x in ray] for ray in face.rays],
-                )
-            face_rel.add((j, i))
+    all_faces, face_rel = [], set()
+    for i, c in enumerate(cones):
+        # the apex and the rays lead faces_of's order and need no conversion
+        for key in [(dim, (), ())] + [(dim, (r,), ()) for r in c._key[1]]:
+            _member_index(member, key, ids[i])
+        all_faces.append(faces_of(c))
+        face_rel.update((_member_index(member, f._key, ids[i]), i) for f in all_faces[-1])
     fan = Fan(dim, cones, ids, face_rel)
     face_sets = [{f._key for f in faces} for faces in all_faces]
     maximal = fan.maximal_indices()
@@ -493,6 +513,14 @@ def validate_fan(cones, ids=None) -> Fan:
                     pair=[ids[i], ids[j]],
                 )
     return fan
+
+
+def _member_index(member, key, cid):
+    """The fan's index of the face with key ``key`` of cone ``cid``."""
+    if key not in member:
+        raise MissingFace(f"face of cone {cid!r} is not a member of the fan", cone=cid,
+                          face_rays=[[str(x) for x in ray] for ray in key[1]])
+    return member[key]
 
 
 def separating_vector(s1: Cone, s2: Cone) -> QVec:

@@ -11,9 +11,9 @@ counts the vectors left nonzero; the barcode pairing of
 pivots.  The integer geometry (cone conversion, lineality spaces and the
 orientation of the cells of the stalk complex) reads pivots and reduced rows
 from :func:`echelon`, fraction-free elimination (Bareiss 1968) on dense
-integer rows of a few coordinates.  Determinants, and the kernel lines of
-the cone conversion built from them, use Bareiss elimination on square
-integer matrices, since the cone conversion computes them by the thousand.
+integer rows of a few coordinates.  Determinants, and the adjugates from
+which the cone conversion reads its kernel vectors, use Bareiss elimination
+on square integer matrices, since the conversion needs them by the thousand.
 """
 
 from __future__ import annotations
@@ -128,13 +128,23 @@ def _int_det(rows) -> int:
     return sign * m[-1][-1] if n else 1
 
 
-def kernel_line(rows, ncols: int):
-    """A vector spanning the kernel of ``ncols - 1`` integer rows, or None when
-    the kernel is not a line: the vector of signed maximal minors, integral."""
-    v = tuple(
-        (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in rows]) for j in range(ncols)
-    )
-    return v if any(v) else None
+def _adjugate(rows):
+    """``(d, d * A^-1)`` for a nonsingular square integer matrix A: fraction-free
+    Gauss-Jordan elimination on [A | I] (Bareiss 1968), d is det A up to sign."""
+    n = len(rows)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            swap = next(i for i in range(k + 1, n) if m[i][k])
+            m[k], m[swap] = m[swap], m[k]
+        pivot, p = m[k], m[k][k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot)]
+        prev = p
+    return prev, [row[n:] for row in m]
 
 
 # Miller-Rabin with these twelve bases is exact below _MR_LIMIT, the least

@@ -4,7 +4,7 @@ Each oracle recomputes a quantity along a different algorithmic route than
 the library: Gauss-Jordan elimination over Q on ``Fraction`` entries
 (the reference for the library's one fraction-free echelon) for ranks, row
 spaces and kernel bases, Fourier-Motzkin V-to-H conversion for duals,
-kernel lines of all (rank-1)-subsets of the normals for H-to-V conversion,
+kernel lines (signed maximal minors) of all (rank-1)-subsets of the normals for H-to-V conversion,
 with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
@@ -33,7 +33,7 @@ from aptkit.barcodes import Bar, Barcode, interval
 from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
-from aptkit.linalg import kernel_line
+from aptkit.linalg import _int_det
 from aptkit.modules import parse_field
 from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 from aptkit.rational import (
@@ -118,6 +118,15 @@ def contains_by_vrep(cone: Cone, x) -> bool:
         coeffs[i] = Fraction(1)
         cons.append((tuple(coeffs), Fraction(0), fm.GE))
     return fm.feasible(cons, k)
+
+
+def kernel_line(rows, ncols):
+    """A vector spanning the kernel of ``ncols - 1`` integer rows, or None when
+    the kernel is not a line: the vector of signed maximal minors."""
+    v = tuple(
+        (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in rows]) for j in range(ncols)
+    )
+    return v if any(v) else None
 
 
 def rays_by_subset_enumeration(normals, dim):

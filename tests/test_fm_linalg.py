@@ -12,7 +12,7 @@ import pytest
 
 from aptkit import fm
 from aptkit.errors import InvalidInput
-from aptkit.linalg import PrimeField, _int_det, kernel_line, rank
+from aptkit.linalg import PrimeField, _adjugate, _int_det, rank
 from aptkit.rational import dot, integral, primitive
 
 from oracles import dense_rank, kernel_basis, row_space_basis, rref
@@ -193,17 +193,26 @@ def test_prime_field_rank_matches_q_on_unimodular():
         assert dense_rows_rank(rows) == dense_rows_rank(rows, f5) == n
 
 
-def test_kernel_line_matches_kernel_basis():
+def test_adjugate_inverts_nonsingular_matrices():
+    # A * adj = d * I with |d| = |det A|, on seeded nonsingular matrices of
+    # sizes 1-6; a zero leading entry, sometimes also below it, forces swaps
     rng = random.Random(17)
-    for _ in range(300):
-        r = rng.randint(1, 5)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(r - 1)]
-        ker = kernel_basis(rows, r)
-        line = kernel_line(rows, r)
-        if len(ker) != 1:
-            assert line is None, rows
-        else:
-            assert line is not None and dense_rows_rank([ker[0], line]) == 1, rows
+    swaps = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            for row in a[:rng.randint(1, n - 1)]:
+                row[0] = 0
+        if _int_det(a) == 0:
+            continue
+        swaps += a[0][0] == 0
+        d, adj = _adjugate(a)
+        assert abs(d) == abs(_int_det(a)), a
+        for i in range(n):
+            for j in range(n):
+                assert sum(a[i][k] * adj[k][j] for k in range(n)) == d * (i == j), a
+    assert swaps >= 40
 
 
 def test_prime_field_rank_by_minors():

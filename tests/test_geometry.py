@@ -163,7 +163,7 @@ def _same_cone(built, reference):
 
 def test_canonical_constructor_matches_generator_constructor():
     """Cone._canonical, behind faces, duals, intersections and
-    from_halfspaces, agrees with the two-conversion Cone(dim, generators)."""
+    from_halfspaces, agrees with the generator constructor Cone(dim, generators)."""
     cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
     built = []
     for cone in cones:
@@ -208,6 +208,78 @@ def test_validate_fan_violations():
         validate_fan(members)
     with pytest.raises(ImproperCone):
         validate_fan([Cone(1, [(1,), (-1,)])])
+
+
+def _first_missing_face(members, faces):
+    """The (member index, face) that validate_fan reports as missing, for
+    members among ``faces``, the oracle's face list of a proper cone: the
+    first face, in the oracle's order, of the first member that has one.
+    The faces of a member are the cone's faces within its rays."""
+    keys = {c._key for c in members}
+    for i, c in enumerate(members):
+        for face in faces:
+            if face._key not in keys and set(face._key[1]) <= set(c._key[1]):
+                return i, face
+    return None
+
+
+def test_validate_fan_reports_the_first_missing_face(monkeypatch):
+    """Fans of a proper cone and a seeded part of its faces: validate_fan
+    names the face that the oracle's face order finds first, and it builds
+    the faces of no member after the one it names, nor of that member when
+    the missing face is its apex or a ray."""
+    rng = random.Random(31)
+    cases = []
+    for name, cone in oracle_cones():
+        faces = faces_by_supporting_hyperplanes(cone)
+        for _ in range(6):
+            members = [f for f in faces[:-1] if rng.random() < 0.75] + [cone]
+            cases.append((name, members, _first_missing_face(members, faces)))
+    assert sum(found is None for _, _, found in cases) >= 5
+    assert sum(found is not None and found[1].cone_dim <= 1 for _, _, found in cases) >= 20
+    assert sum(found is not None and found[1].cone_dim >= 2 for _, _, found in cases) >= 5
+    built = []
+    build = geometry.faces_of
+
+    def spy(c):
+        built.append(c)
+        return build(c)
+
+    monkeypatch.setattr(geometry, "faces_of", spy)
+    for name, members, found in cases:
+        built.clear()
+        if found is None:
+            validate_fan(members)
+            continue
+        with pytest.raises(MissingFace) as exc:
+            validate_fan(members)
+        i, face = found
+        assert exc.value.details == {
+            "cone": f"c{i}", "face_rays": [[str(x) for x in ray] for ray in face.rays]}, name
+        assert built == members[:i + (face.cone_dim >= 2)], name
+
+
+def test_validate_fan_finds_a_missing_apex_or_ray_without_conversion(monkeypatch):
+    """A simplicial cone with 100-digit denominators in its generators: the
+    missing apex, and with the apex a member the missing first ray, are
+    found before any face list is built or any conversion runs."""
+    rng = random.Random(37)
+    dim = 8
+    skew = (Fraction(1),) + tuple(Fraction(1, rng.randrange(10 ** 99, 10 ** 100) | 1) for _ in range(dim - 1))
+    cone = Cone(dim, [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(1, dim)] + [skew])
+    apex = Cone(dim, [])
+
+    def forbidden(*args):
+        raise AssertionError("a face list was built or a conversion ran")
+
+    monkeypatch.setattr(geometry, "faces_of", forbidden)
+    monkeypatch.setattr(geometry, "_dd_rays", forbidden)
+    with pytest.raises(MissingFace) as exc:
+        validate_fan([cone])
+    assert exc.value.details == {"cone": "c0", "face_rays": []}
+    with pytest.raises(MissingFace) as exc:
+        validate_fan([cone, apex])
+    assert exc.value.details == {"cone": "c0", "face_rays": [[str(x) for x in cone.rays[0]]]}
 
 
 def test_bad_intersection_names_maximal_cones_of_different_dimension():
@@ -378,6 +450,91 @@ def _oracle_halfspaces(gens, dim):
     rays and lineality of its dual."""
     lines, rays = rays_by_subset_enumeration(_canonical_rows(gens), dim)
     return list(rays) + list(lines) + [vneg(e) for e in lines]
+
+
+def _generator_ladder():
+    """Seeded generator sets in dims 1-5: lines, opposite pairs, parallel
+    multiples, interior generators (sums of others), generators in a
+    hyperplane or a plane (cones that are not full-dimensional), and the
+    zero cone, given as no generators and as the zero vector."""
+    rng = random.Random(41)
+    for dim in range(1, 6):
+        yield dim, []
+        yield dim, [zero_vec(dim)]
+        for _ in range(60):
+            gens = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
+                    for _ in range(rng.randint(1, 6))]
+            shape = rng.randrange(5)
+            if shape == 0:
+                gens.append(vneg(gens[0]))
+            elif shape == 1:
+                gens += [vscale(Fraction(rng.randint(2, 5), 3), g) for g in gens[:2]]
+            elif shape == 2:
+                gens += [vadd(gens[0], g) for g in gens[1:3]]
+            elif shape == 3:
+                flat = rng.randrange(1, dim + 1)
+                gens = [g[:dim - flat] + (Fraction(0),) * flat for g in gens]
+            else:
+                gens += [vneg(g) for g in gens[:rng.randint(1, 2)]] + [vadd(gens[0], gens[-1])]
+            yield dim, gens
+
+
+def test_generated_v_data_against_subset_enumeration():
+    """Cone(dim, gens) reads its rays and lineality off the generators; the
+    oracle converts the oracle's halfspaces of the same generators.  A
+    second generating set of a cone already in the memo gives the same key."""
+    rng = random.Random(43)
+    shapes = {"lines": 0, "pointed": 0, "flat": 0}
+    for dim, gens in _generator_ladder():
+        halfspaces = _oracle_halfspaces(gens, dim)
+        lin, rays = rays_by_subset_enumeration(_canonical_rows(halfspaces), dim)
+        cone = Cone(dim, gens)
+        assert cone._key[1:] == (_ints(rays), _ints(lin)), (dim, gens)
+        assert _canonical_rows(cone.halfspaces) == _canonical_rows(halfspaces), (dim, gens)
+        shapes["lines" if lin else "pointed"] += 1
+        shapes["flat"] += not cone.is_full_dim()
+        others = [vscale(Fraction(rng.randint(1, 3)), r) for r in cone.rays]
+        others += [vscale(Fraction(rng.choice((-2, -1, 1, 2))), e) for e in cone.lineality for _ in range(2)]
+        others += [vadd(a, b) for a, b in zip(others, others[1:])] + list(cone.lineality)
+        others += [vneg(e) for e in cone.lineality]
+        rng.shuffle(others)
+        assert Cone(dim, others)._key == cone._key, (dim, gens, others)
+    assert min(shapes.values()) >= 40, shapes
+
+
+def _ints(vectors):
+    return tuple(tuple(int(x) for x in v) for v in vectors)
+
+
+def test_conversion_counts_per_construction(monkeypatch):
+    """On an empty memo, Cone(dim, gens) and Cone._canonical run the double
+    description at most once and dual_cone not at all; faces_of on the cone
+    over the 4-cube runs it at most once per face."""
+    runs = []
+    convert = geometry._dd_rays
+
+    def count(rows, r):
+        runs.append(r)
+        return convert(rows, r)
+
+    monkeypatch.setattr(geometry, "_dd_rays", count)
+    for dim, gens in _generator_ladder():
+        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+        runs.clear()
+        cone = Cone(dim, gens)
+        assert len(runs) <= 1, (dim, gens)
+        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+        runs.clear()
+        _same_cone(Cone._canonical(dim, cone._key[1], cone._key[2]), cone)
+        assert len(runs) <= 1, (dim, gens)
+        dual_cone(cone)
+        assert len(runs) <= 1, (dim, gens)
+    cube = Cone(5, [(1,) + p for p in product((-1, 1), repeat=4)])
+    monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+    monkeypatch.setattr(geometry, "_FACES_CACHE", {})
+    runs.clear()
+    faces = faces_of(cube)
+    assert len(faces) == 82 and len(runs) <= len(faces)
 
 
 def _seeded_cone_pairs():
