@@ -1,14 +1,14 @@
 """Exact linear algebra over Q and over prime fields.
 
-Every rank has one kernel, the sparse column reduction of persistence
-(Zomorodian & Carlsson 2005).  A vector is a sparse int dict ``{index:
-value}`` with its largest index as pivot, and it is reduced by the stored
-vector with the same pivot until its pivot is new or it vanishes.  Over F_p
-entries are ints modulo p; over Q a vector is divided by its content before
-every step, so no common factor of the scalings builds up.  :func:`rank`
-counts the vectors left nonzero; the barcode pairing of
-:mod:`aptkit.modules` runs the same reduction and reads its bars off the
-pivots.  The integer geometry (cone conversion, lineality spaces and the
+Every rank is the sparse column reduction of persistence (Zomorodian &
+Carlsson 2005): a column is reduced by the stored column with the same
+pivot, its largest row, until its pivot is new or it vanishes.  Over F_2 a
+column is an int bit mask, bit k for row k, as in PHAT (Bauer, Kerber,
+Reininghaus & Wagner 2017), a step one XOR; else a sparse int dict, over F_p
+of ints modulo p, over Q divided by its content before every step, so no
+common factor of the scalings builds up.  :func:`rank` counts the columns
+left nonzero; the barcode pairing of :mod:`aptkit.modules` runs the same
+reductions.  The integer geometry (cone conversion, lineality spaces and the
 orientation of the cells of the stalk complex) reads pivots and reduced rows
 from :func:`echelon`, fraction-free elimination (Bareiss 1968) on dense
 integer rows of a few coordinates.  Determinants, and the adjugates from
@@ -51,16 +51,41 @@ def echelon(rows, ncols: int):
 def rank(vectors, field=None) -> int:
     """Rank over Q (``field=None``) or over F_p of sparse int vectors
     ``{index: value}``: the number that the column reduction leaves nonzero,
-    after zero entries, and over F_p entries divisible by p, are dropped."""
+    after zero entries, and over F_p entries divisible by p, are dropped.
+    Over F_2 a vector may also be given as a mask, bit k for index k; a
+    dict enters as the mask of its odd entries."""
+    if field is None:
+        vectors = ({i: x for i, x in v.items() if x} for v in vectors)
+    elif field.p == 2:
+        vectors = (v if type(v) is int else sum(1 << i for i, x in v.items() if x & 1) for v in vectors)
+    else:
+        vectors = ({i: r for i, x in v.items() if (r := x % field.p)} for v in vectors)
+    reduce, low = _kernel(field)
     paired = {}
-    for v in vectors:
-        if field is None:
-            col = _reduce_q({i: x for i, x in v.items() if x}, paired)
-        else:
-            col = _reduce_fp({i: r for i, x in v.items() if (r := x % field.p)}, paired, field.p)
-        if col:
-            paired[max(col)] = col
+    for col in vectors:
+        if col := reduce(col, paired):
+            paired[low(col)] = col
     return len(paired)
+
+
+def _kernel(field):
+    """``(reduce, low)``: the column reduction of a field and the pivot of a
+    reduced column, over F_2 a mask, else an int dict with no zero entry."""
+    if field is None:
+        return _reduce_q, max
+    if field.p == 2:
+        return _reduce_f2, lambda col: col.bit_length() - 1
+    return (lambda col, paired: _reduce_fp(col, paired, field.p)), max
+
+
+def _rows(mask):
+    """The rows of the set bits of a mask."""
+    rows = []
+    while mask:
+        bit = mask & -mask
+        rows.append(bit.bit_length() - 1)
+        mask ^= bit
+    return rows
 
 
 def _reduce_q(col, paired):
@@ -105,6 +130,13 @@ def _reduce_fp(col, paired, mod):
                 col[i] = new
             else:
                 del col[i]
+    return col
+
+
+def _reduce_f2(col, paired):
+    """Reduce a mask over F_2 by XOR with the stored mask of the same low."""
+    while col and (other := paired.get(col.bit_length() - 1)):
+        col ^= other
     return col
 
 

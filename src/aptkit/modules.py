@@ -8,10 +8,10 @@ gamma's facets, all grades scaled by one common denominator, and over F_p
 every coefficient must be invertible.  The public constructor parses dense
 rows in one pass; shift, tensor products, Rees presentations and free
 modules build sparse rows directly.  Every rank is one sparse column
-reduction, that of :mod:`aptkit.linalg`, on relations turned into int
-columns by one ``integral`` over all their values, mod p over F_p
-(:func:`_columns`).  Degree-wise evaluation gives the dimension at grade a
-as the number of active generators minus the rank of the active relations.
+reduction, that of :mod:`aptkit.linalg`, on relations turned into columns
+in one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
+gives the dimension at grade a as the number of active generators minus
+the rank of the active relations.
 The one-dimensional case bridges to barcodes through the same reduction in
 the classical persistence order, on grades scaled to ints over a common
 denominator, and stores its bars, built in canonical order, unchecked.  A
@@ -30,7 +30,7 @@ from .barcodes import Bar, Barcode, DecoratedInterval
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class, e
-from .linalg import PrimeField, _reduce_fp, _reduce_q, rank
+from .linalg import PrimeField, _kernel, _rows, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
 
@@ -205,13 +205,19 @@ def eval_at(p: PresentationND, a) -> int:
 
 
 def _columns(rows, field, key):
-    """The sparse rows as int columns ``{key[i]: value}``: every value times
-    the common denominator D of all of them (one ``integral``), over F_p
-    mod p.  Construction rejects a denominator that p divides, so D is a
-    unit mod p: each column is a unit multiple of its row, over F_p with
-    the same support, and over Q the reduction divides it by its content."""
+    """The sparse rows as columns on rows ``key[i]``: over F_2 the mask of
+    the odd numerators, since construction rejects an even denominator.
+    Else ``{key[i]: value}``, every value times the common denominator D of
+    all of them (one ``integral``), over F_p mod p.  D is a unit mod p, as p
+    divides no denominator: each column is a unit multiple of its row, over
+    F_p with the same support, and over Q the reduction divides it by its
+    content."""
+    # compress and zip draw from ``odd`` and ``ints`` only while the support lasts
+    if field is not None and field.p == 2:
+        bits = [1 << key[i] for i in range(len(key))]
+        odd = iter([c.numerator & 1 for row in rows for c in row[2]])
+        return [sum(compress(map(bits.__getitem__, support), odd)) for _, support, _ in rows]
     ints = iter(integral([c for row in rows for c in row[2]])[0])
-    # zip draws from ``ints`` only while the support lasts: len(support) values
     if field is None:
         return [dict(zip(map(key.__getitem__, support), ints)) for _, support, _ in rows]
     p = field.p
@@ -253,30 +259,30 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     """Barcode of a 1-dimensional presentation by column reduction.
 
     Births and degrees enter as ints over their common denominator (one
-    ``integral``), and stable sorts on those keys order the relation
-    columns by degree and the generators by birth, ties by index.
-    Rows are keyed by their position in (birth, index) order, so the pivot
-    of a column, its generator of latest birth (ties by generator index),
-    is its largest key.  A column (:func:`_columns`) is reduced by the
-    stored column with the same pivot until its pivot is new or it
-    vanishes.  Over F_p entries are ints modulo the prime, and each stored
-    column is scaled to pivot entry 1.  Over Q a column is an int dict, a
-    reduction step is ``col <- (b/g)*col - (f/g)*other`` with b the pivot
-    entry of ``other``, f that of ``col`` and g = gcd(b, f), and before
-    every step ``col`` is divided by its content, so no common factor of
-    the scalings builds up.  Each int column is a nonzero rational multiple
-    of the column a reduction over Fractions holds, so the pivots and the
-    pairing are the same.  A row is closed
-    when it holds a stored pivot and every other row of that column is
-    closed: the columns of the closed rows are triangular with distinct
-    pivots, so they span every vector on those rows, and a relation on
-    closed rows, which would reduce to zero, is skipped before any column
-    operation (see ``_close``).  Over F_p its rows are those of its nonzero
-    residues: a coefficient that vanishes mod p holds no row.  A paired
-    (generator, relation) yields the bar [birth, degree), dropped when
-    empty; unpaired generators are infinite.  Bars are counted per (birth
-    key, death key), ``INF`` the key of an infinite death, and built once
-    per distinct pair in key order, the canonical order, and stored unchecked.
+    ``integral``), and stable sorts on those keys order the relation columns
+    by degree and the generators by birth, ties by index.  Rows are keyed by
+    their position in (birth, index) order, so the pivot of a column, its
+    generator of latest birth (ties by generator index), is its largest key.
+    A column (:func:`_columns`) is reduced by the stored column with the
+    same pivot until its pivot is new or it vanishes.  Over F_2 a step is
+    one XOR of bit masks.  Over odd p entries are ints modulo the prime, and
+    each stored column is scaled to pivot entry 1.  Over Q a column is an
+    int dict, a reduction step is ``col <- (b/g)*col - (f/g)*other`` with b
+    the pivot entry of ``other``, f that of ``col`` and g = gcd(b, f), and
+    before every step ``col`` is divided by its content, so no common factor
+    of the scalings builds up.  Each int column is a nonzero rational
+    multiple of the column a reduction over Fractions holds, so the pivots
+    and the pairing are the same.  A row is closed when it holds a stored
+    pivot and every other row of that column is closed: the columns of the
+    closed rows are triangular with distinct pivots, so they span every
+    vector on those rows, and a relation on closed rows, which would reduce
+    to zero, is skipped before any column operation (see ``_close``).  Over
+    F_p its rows are those of its nonzero residues: a coefficient that
+    vanishes mod p holds no row.  A paired (generator, relation) yields the
+    bar [birth, degree), dropped when empty; unpaired generators are
+    infinite.  Bars are counted per (birth key, death key), ``INF`` the key
+    of an infinite death, and built once per distinct pair in key order, the
+    canonical order, and stored unchecked.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -287,22 +293,24 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
     columns = _columns(p.rows, field, position)
+    reduce, lowest = _kernel(field)
+    f2 = field is not None and field.p == 2
     paired = {}  # pivot position -> its reduced column
-    closed = set()  # positions on which the stored columns span every vector
+    closed = 0 if f2 else set()  # positions on which the stored columns span every vector
     open_rows = {}  # pivot position -> rows of its column not yet closed
     waiting = {}  # open row -> pivot positions whose columns hold it
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
-        if closed.issuperset(col := columns[r]):
+        if not columns[r] & ~closed if f2 else closed.issuperset(columns[r]):
             continue  # it would reduce to zero
-        if field is None:
-            col = _reduce_q(col, paired)
-        else:
-            col = _reduce_fp(col, paired, field.p)
-        if col:
-            low = max(col)
+        if col := reduce(columns[r], paired):
+            low = lowest(col)
             paired[low] = col
-            _close(low, col, closed, open_rows, waiting)
+            if f2:
+                for row in _close(low, _rows(col & ~(closed | 1 << low)), open_rows, waiting):
+                    closed |= 1 << row
+            else:
+                closed.update(_close(low, [i for i in col if i != low and i not in closed], open_rows, waiting))
             pair = (births[row_order[low]], keys[n + r])
             if pair[0] < pair[1]:
                 counts[pair] = counts.get(pair, 0) + 1
@@ -316,22 +324,22 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
                               for (b, d), k in sorted(counts.items()))
 
 
-def _close(low, col, closed, open_rows, waiting):
-    """Record the new pivot ``low`` of the stored column ``col``: it closes
-    once every other row of ``col`` is closed, and closing a row counts down
-    the pivots waiting on it, which may close in turn; amortised O(support)."""
-    pending = [i for i in col if i != low and i not in closed]
+def _close(low, pending, open_rows, waiting):
+    """Record the new pivot ``low`` of a stored column whose other open rows
+    are ``pending``, and return the rows that close: the pivot closes once
+    each of them is closed, and closing a row counts down the pivots waiting
+    on it, which may close in turn; amortised O(support)."""
     for i in pending:
         waiting.setdefault(i, []).append(low)
     open_rows[low] = len(pending)
-    stack = [] if pending else [low]
+    stack, closing = [] if pending else [low], []
     while stack:
-        row = stack.pop()
-        closed.add(row)
+        closing.append(row := stack.pop())
         for pivot in waiting.pop(row, ()):
             open_rows[pivot] -= 1
             if not open_rows[pivot]:
                 stack.append(pivot)
+    return closing
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

@@ -12,7 +12,7 @@ import pytest
 
 from aptkit import fm
 from aptkit.errors import InvalidInput
-from aptkit.linalg import PrimeField, _adjugate, _int_det, rank
+from aptkit.linalg import PrimeField, _adjugate, _int_det, _kernel, _reduce_fp, rank
 from aptkit.rational import dot, integral, primitive
 
 from oracles import dense_rank, kernel_basis, row_space_basis, rref
@@ -252,6 +252,74 @@ def test_sparse_rank_matches_dense_rank():
                 vectors.append({i: rng.choice((0, 2, 3, 6, -6, rng.randint(-9, 9))) for i in keys})
             dense = [[Fraction(v.get(i, 0)) for i in range(ncols)] for v in vectors]
             assert rank(vectors, field) == dense_rank(dense, ncols, prime), (prime, vectors)
+
+
+def _rank_by_dict_reduction(vectors, p):
+    """The number of residue columns that the dict reduction over F_p leaves
+    nonzero."""
+    paired = {}
+    for v in vectors:
+        if col := _reduce_fp({i: r for i, x in v.items() if (r := x % p)}, paired, p):
+            paired[max(col)] = col
+    return len(paired)
+
+
+def _f2_vectors(rng):
+    """Seeded sparse int vectors on a window of rows, which may lie past bit
+    4000: entries even, negative or zero, empty vectors, and sums of two
+    earlier vectors, so that ranks fall short of the count."""
+    start, width = rng.choice((0, 60, 3990, 4090)), rng.randint(1, 12)
+    vectors = []
+    for _ in range(rng.randint(0, 14)):
+        if len(vectors) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(vectors, 2)
+            vectors.append({i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()})
+            continue
+        rows = rng.sample(range(start, start + width), rng.randint(0, min(width, 5)))
+        vectors.append({i: rng.choice((0, 2, -4, -1, 1, 3, -7, rng.randint(-9, 9))) for i in rows})
+    return vectors
+
+
+def test_f2_rank_matches_the_dict_reduction():
+    rng = random.Random(18)
+    seen = dict.fromkeys(["even", "negative", "zero", "empty", "past bit 4000", "dependent"], 0)
+    for _ in range(400):
+        vectors = _f2_vectors(rng)
+        assert rank(vectors, PrimeField(2)) == _rank_by_dict_reduction(vectors, 2), vectors
+        values = [x for v in vectors for x in v.values()]
+        seen["even"] += any(x and x % 2 == 0 for x in values)
+        seen["negative"] += any(x < 0 for x in values)
+        seen["zero"] += 0 in values
+        seen["empty"] += any(not v for v in vectors)
+        seen["past bit 4000"] += any(i > 4000 for v in vectors for i in v)
+        seen["dependent"] += _rank_by_dict_reduction(vectors, 2) < sum(1 for v in vectors if any(x % 2 for x in v.values()))
+    assert all(v >= 20 for v in seen.values()), seen
+
+
+class _DescendingLookups(dict):
+    """Stored columns that fail when the reduction asks for a low no lower
+    than the one it asked for last."""
+
+    def get(self, low, default=None):
+        assert low < self.last, f"a reduction step did not lower the low {low}"
+        self.last = low
+        return super().get(low, default)
+
+
+def test_an_f2_step_clears_the_low():
+    # a stored mask is keyed by its highest bit, and XOR with the stored
+    # mask of the same low clears that bit, so every lookup asks for a
+    # lower row and the reduction ends
+    rng = random.Random(19)
+    reduce, low = _kernel(PrimeField(2))
+    paired = _DescendingLookups()
+    for _ in range(300):
+        paired.last = float("inf")
+        col = sum(1 << i for i in rng.sample(range(4000, 4024), rng.randint(0, 6)))
+        if col := reduce(col, paired):
+            paired[low(col)] = col
+    assert sorted(paired) == list(range(4000, 4024))
+    assert all(col.bit_length() - 1 == k for k, col in paired.items())
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(2), PrimeField(3)], ids=["Q", "F2", "F3"])

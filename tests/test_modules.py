@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, geometry, io, linalg, modules
+from aptkit import catalog, cutoff, geometry, io, linalg, modules
 from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
@@ -346,9 +346,10 @@ def test_one_conversion_matches_oracles_in_four_fields():
 
 
 def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
-    # A count, not a clock: one integral for the grades and one for all the
-    # coefficients at every size, no per-coefficient residue, and no bar
-    # checked or sorted again; construction over F_p takes no residue either.
+    # A count, not a clock: one integral for the grades and, over Q, one for
+    # all the coefficients at every size (over F_2 they enter by numerator
+    # parity), no per-coefficient residue, and no bar checked or sorted
+    # again; construction over F_p takes no residue either.
     calls = Counter()
 
     def spy(owner, name):
@@ -360,7 +361,7 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
                         (DecoratedInterval, "__init__")]:
         spy(owner, name)
     coefficients = (-2, -1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(9, 11))
-    per_call = set()
+    per_call = {None: set(), PrimeField(2): set()}
     for m in (10, 100, 1000):
         base = sparse_presentation(random.Random(m), 3 * m // 2, m, coefficients)
         for field in (None, PrimeField(2)):
@@ -368,9 +369,9 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
             assert calls["from_fraction"] == 0
             calls.clear()
             barcode_of_presentation(p)
-            per_call.add(calls.pop("integral"))
+            per_call[field].add(calls.pop("integral"))
             assert not +calls, (m, field, calls)
-    assert len(per_call) == 1 and per_call.pop() <= 2
+    assert per_call == {None: {2}, PrimeField(2): {1}}, per_call
 
 
 def _stored_form_cases():
@@ -462,11 +463,11 @@ def test_shift_tensor_and_k0_match_dense_formulas():
 
 
 def _count_reductions(monkeypatch):
-    """Patch both column reductions to record every column they are given."""
+    """Patch the three column reductions to record every column they are given."""
     calls = []
-    for name in ("_reduce_q", "_reduce_fp"):
-        reduce = getattr(modules, name)
-        monkeypatch.setattr(modules, name, lambda col, *args, reduce=reduce: calls.append(col) or reduce(col, *args))
+    for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"):
+        reduce = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda col, *args, reduce=reduce: calls.append(col) or reduce(col, *args))
     return calls
 
 
@@ -518,6 +519,70 @@ def test_clearing_matches_oracles_on_dependent_presentations(monkeypatch):
         assert got == barcode_by_rank_invariant(p) == barcode_by_fraction_reduction(p)
         relations += len(p.rows)
     assert len(reduced) < relations * 3 // 4, (len(reduced), relations)
+
+
+def _f2_cases():
+    """The edge and dependent cases over F_2, direct sums among them, and
+    one presentation on 150 rows, whose masks span several machine words."""
+    f2 = PrimeField(2)
+    for seed in range(80):
+        yield edge_presentation(random.Random(seed), f2)
+    yield from (p for p in _dependent_cases() if p.field == f2)
+    wide = sparse_presentation(random.Random(150), 150, 220)
+    yield PresentationND._from_rows(HALFLINE, wide.generators, wide.rows, f2)
+
+
+def test_f2_pairing_and_eval_match_the_oracles(monkeypatch):
+    # the masks take their bits from the odd numerators (coefficients 2 and
+    # 6 hold no row), and the clearing of the masks still skips columns
+    reduced = _count_reductions(monkeypatch)
+    relations = pairing_reductions = 0
+    for p in _f2_cases():
+        reduced.clear()
+        got = barcode_of_presentation(p)
+        relations += len(p.rows)
+        pairing_reductions += len(reduced)
+        if len(p.generators) < 150:
+            assert got == barcode_by_rank_invariant(p)
+        assert got == barcode_by_fraction_reduction(p)
+        grades = sorted({g[0] for g in p.generators} | {d[0] for d, _, _ in p.rows}) or [Fraction(0)]
+        grades = grades[::max(1, len(grades) // 4)]
+        for a in grades + [g - Fraction(1, 7) for g in grades]:
+            active = [i for i, g in enumerate(p.generators) if g[0] <= a]
+            rows = [[c[i] for i in active] for d, c in p.relations if d[0] <= a]
+            dim = len(active) - dense_rank(rows, len(active), 2)
+            assert eval_at(p, (a,)) == dim == barcode_eval(got, a).get(0, 0), a
+    assert pairing_reductions < relations * 3 // 4, (pairing_reductions, relations)
+
+
+def test_no_f2_column_reaches_the_dict_reduction(monkeypatch):
+    # A count, not a clock: over F_2 the pairing, eval_at and the stalk ranks
+    # run the mask kernel alone, and the pairing's one integral is that of
+    # the grades; F_3 still takes the dict reduction, so the spy sees calls.
+    reached = Counter()
+    for name in ("_reduce_fp", "_reduce_f2"):
+        reduce = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda col, *args, name=name, reduce=reduce:
+                            reached.update([name]) or reduce(col, *args))
+    converted = []
+    convert = modules.integral
+    monkeypatch.setattr(modules, "integral", lambda values: converted.append(values) or convert(values))
+    f2, f3 = PrimeField(2), PrimeField(3)
+    base = sparse_presentation(random.Random(18), 60, 90, coefficients=(-2, -1, 1, Fraction(3, 5), 6))
+    for field in (f2, f3):
+        p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
+        converted.clear()
+        bars = barcode_of_presentation(p)
+        if field == f2:
+            assert converted == [[g[0] for g in p.generators] + [d[0] for d, _, _ in p.rows]]
+        for a in (3, 7, 11):
+            assert eval_at(p, (a,)) == barcode_eval(bars, a).get(0, 0)
+        assert cutoff.convolution_unit_check(catalog.fan("p2"), field)[0]
+        if field == f2:
+            assert reached["_reduce_f2"] and not reached["_reduce_fp"], reached
+        else:
+            assert reached["_reduce_fp"] and not reached["_reduce_f2"], reached
+        reached.clear()
 
 
 SKEWED = Cone(2, [(1, 0), (1, 3)])
