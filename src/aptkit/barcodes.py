@@ -27,6 +27,8 @@ class DecoratedInterval(Record):
     def __init__(self, left, right, left_closed=True, right_closed=False):
         left = parse_grade(left)
         right = parse_grade(right)
+        if type(left_closed) is not bool or type(right_closed) is not bool:
+            raise InvalidInput("interval closed flags must be bools")
         left_finite, right_finite = is_finite(left), is_finite(right)
         if (not left_finite and left == INF) or (not right_finite and right == NEG_INF):
             raise InvalidInput("interval endpoints out of order")
@@ -91,6 +93,8 @@ class Bar(Record):
     __slots__ = ("interval", "hdegree", "multiplicity")
 
     def __init__(self, interval, hdegree=0, multiplicity=1):
+        if type(hdegree) is not int or type(multiplicity) is not int:
+            raise InvalidInput("bar degree and multiplicity must be ints")
         if multiplicity < 1:
             raise InvalidInput("bar multiplicity must be positive")
         set_field(self, "interval", interval)

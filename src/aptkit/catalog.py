@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .barcodes import Barcode, bar
+from .errors import InvalidInput
 from .geometry import Cone, Fan, validate_fan
 from .modules import HALFLINE, PresentationND
 
@@ -111,13 +112,16 @@ def fan_names():
     return sorted(_FAN_BUILDERS)
 
 
-def fan(name: str) -> Fan:
-    try:
-        return _FAN_BUILDERS[name]()
-    except KeyError:
-        from .errors import InvalidInput
+def _lookup(table, kind, name):
+    """The builder of the catalog entry ``name``; InvalidInput listing the
+    names of ``table`` when there is none."""
+    if name not in table:
+        raise InvalidInput(f"unknown catalog {kind} {name!r}", available=sorted(table))
+    return table[name]
 
-        raise InvalidInput(f"unknown catalog fan {name!r}", available=fan_names()) from None
+
+def fan(name: str) -> Fan:
+    return _lookup(_FAN_BUILDERS, "fan", name)()
 
 
 def catalog_cones():
@@ -151,14 +155,7 @@ def barcode_names():
 
 
 def barcode(name: str) -> Barcode:
-    try:
-        return _BARCODES[name]()
-    except KeyError:
-        from .errors import InvalidInput
-
-        raise InvalidInput(
-            f"unknown catalog barcode {name!r}", available=barcode_names()
-        ) from None
+    return _lookup(_BARCODES, "barcode", name)()
 
 
 def _pres_interval01(field=None):
@@ -186,14 +183,7 @@ def presentation_names():
 
 
 def presentation(name: str, field=None) -> PresentationND:
-    try:
-        return _PRESENTATIONS[name](field)
-    except KeyError:
-        from .errors import InvalidInput
-
-        raise InvalidInput(
-            f"unknown catalog presentation {name!r}", available=presentation_names()
-        ) from None
+    return _lookup(_PRESENTATIONS, "presentation", name)(field)
 
 
 def exact_triples(field=None):

@@ -5,8 +5,10 @@ for barcodes coincides with the classical bottleneck value; that
 identification is classical persistence theory, so it is cross-validated
 in the tests by an exhaustive matching oracle rather than assumed.  The
 computation runs the standard route: binary search over the finite set of
-candidate values with exact bipartite matching feasibility, on costs that
-are ints at one scale (twice the common denominator of the endpoints).
+candidate values, on costs that are ints at one scale (twice the common
+denominator of the endpoints).  A value is feasible when one matching of the
+bars alone, at pair cost <= value, covers every bar whose kill cost exceeds
+it; no diagonal nodes are built.
 
 Decorations are ignored by the distance: inputs are almostized first,
 consistent with almost-isomorphic barcodes being at distance zero.
@@ -56,20 +58,20 @@ def _rays(bars):
     return sum(not is_finite(iv.right) for iv in bars)
 
 
-def _perfect_matching(allowed, n_left, n_right):
-    """Kuhn's augmenting paths; returns matching dict left->right or None.
+def _cover(roots, allowed, match, back, light):
+    """Extend a matching (``match`` left -> right, ``back`` its inverse) on
+    the edges ``allowed[left]`` to cover every root that is not light;
+    returns ``match``, or None when such a root cannot be covered.
 
-    Each search is a depth-first search on an explicit stack of (left node,
-    its unvisited neighbours), visiting neighbours in ``allowed`` order, so
-    no path length meets the recursion limit.  Each left node above the
-    root was reached through its own match; on reaching a free right node,
-    the top node takes it and each node below takes the former match of the
-    node above it."""
-    if n_left != n_right:
-        return None
-    match_l = {}
-    match_r = {}
-    for root in range(n_left):
+    Each search is Kuhn's, depth first on an explicit stack of (left node,
+    its unvisited neighbours) in ``allowed`` order, so no path length meets
+    the recursion limit.  It ends at a right node that is free or matched to
+    a light left node, which loses its match; no other node ever does.  Each
+    left node above the root was reached through its own match: the top node
+    takes the end, and each node below the former match of the node above."""
+    for root in roots:
+        if light[root] or root in match:
+            continue
         seen, stack = set(), [(root, iter(allowed[root]))]
         while stack:
             for v in stack[-1][1]:
@@ -79,17 +81,18 @@ def _perfect_matching(allowed, n_left, n_right):
                 stack.pop()
                 continue
             seen.add(v)
-            w = match_r.get(v)
-            if w is not None:
+            w = back.get(v)
+            if w is not None and not light[w]:
                 stack.append((w, iter(allowed[w])))
                 continue
+            match.pop(w, None)
             for u, _ in reversed(stack):
-                match_l[u], v = v, match_l.get(u)
-                match_r[match_l[u]] = u
+                match[u], v = v, match.get(u)
+                back[match[u]] = u
             break
         else:
             return None
-    return match_l
+    return match
 
 
 def _cost_table(bars_x, bars_y):
@@ -115,26 +118,22 @@ def _cost_table(bars_x, bars_y):
 
 
 def _feasible(costs, eps):
-    """Is there an interleaving of the multisets at scale eps?
-
-    Classical square construction on the bars' cost table: left = X-bars
-    plus one diagonal slot per Y-bar, right = Y-bars plus one diagonal slot
-    per X-bar.  Any monotone relabelling of the costs and eps gives the same
-    answer.  Returns the matching (x index -> y index or None) or None.
-    """
+    """Is there an interleaving of the multisets at scale eps?  Yes when one
+    matching of the bars at pair cost <= eps covers every heavy bar (kill cost
+    > eps): :func:`_cover` covers the heavy X-bars, then the heavy Y-bars on
+    the same matching, which by Mendelsohn-Dulmage fails only if one side
+    alone cannot be covered.  Any monotone relabelling of the costs and eps
+    gives the same answer.  Returns the matching (x index -> y index or None)
+    or None."""
     pair, kill_x, kill_y = costs
-    nx, ny = len(kill_x), len(kill_y)
-    size = nx + ny
-    allowed = [
-        [j for j, c in enumerate(row) if c <= eps] + ([ny + i] if kill_x[i] <= eps else [])
-        for i, row in enumerate(pair)
-    ]
-    diagonal = list(range(ny, size))
-    allowed += [([j] if c <= eps else []) + diagonal for j, c in enumerate(kill_y)]
-    matching = _perfect_matching(allowed, size, size)
-    if matching is None:
+    to_y = [[j for j, c in enumerate(row) if c <= eps] for row in pair]
+    columns = zip(*pair) if pair else [()] * len(kill_y)
+    to_x = [[i for i, c in enumerate(col) if c <= eps] for col in columns]
+    match, back = {}, {}
+    if (_cover(range(len(kill_x)), to_y, match, back, [c <= eps for c in kill_x]) is None
+            or _cover(range(len(kill_y)), to_x, back, match, [c <= eps for c in kill_y]) is None):
         return None
-    return {i: (matching[i] if matching[i] < ny else None) for i in range(nx)}
+    return {i: match.get(i) for i in range(len(kill_x))}
 
 
 def interleaving_distance(x: Barcode, y: Barcode):

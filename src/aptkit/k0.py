@@ -20,8 +20,9 @@ class K0Class:
         for grade, coef in items:
             if not is_finite(grade):
                 raise InvalidInput("K0 classes have finite rational support")
+            if type(coef) is not int:
+                raise InvalidInput("K0 coefficients must be ints")
             grade = q(grade)
-            coef = int(coef)
             acc[grade] = acc.get(grade, 0) + coef
         self.terms = tuple(sorted((g, c) for g, c in acc.items() if c != 0))
 

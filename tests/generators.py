@@ -41,6 +41,13 @@ def random_barcode(rng, grid, max_bars=4, ray_chance=0.2, degree_choices=(0,)):
     return Barcode(bars)
 
 
+def ladder_barcode(rng, n):
+    """n bars with births in quarters on [0, 100] and lengths in quarters
+    up to 50: the size ladder of the interleaving distance."""
+    births = [rng.randint(0, 400) for _ in range(n)]
+    return Barcode([Bar(DecoratedInterval(Fraction(b, 4), Fraction(b + rng.randint(1, 200), 4))) for b in births])
+
+
 def random_decorated_barcode(rng, grid, max_bars=4):
     """Barcodes with arbitrary decorations (incl. singletons and open ends)."""
     bars = []

@@ -10,8 +10,9 @@ feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, a recursive Kuhn search
-for perfect matchings, the column reduction on ``Fraction`` entries (over
-F_p on each entry's own residue) and the rank invariant by dense
+for perfect matchings and, on it, the square graph with its diagonal block
+for interleaving feasibility, the column reduction on ``Fraction`` entries
+(over F_p on each entry's own residue) and the rank invariant by dense
 elimination for barcodes over Q and F_p, a dense scan with one
 ``Cone.contains`` per nonzero coefficient for the stored rows of a
 presentation, the order-complex derived limit for stalk ranks, point
@@ -336,6 +337,29 @@ def kuhn_matching_recursive(allowed, n_left, n_right):
         if not augment(u, set()):
             return None
     return match_l
+
+
+def feasible_by_square_graph(costs, eps):
+    """The library's former feasibility test at scale eps, on the cost table
+    of ``interleaving._cost_table``: a perfect matching, by
+    :func:`kuhn_matching_recursive`, of the classical square graph, whose
+    left side holds the X-bars plus one diagonal slot per Y-bar and whose
+    right side the Y-bars plus one slot per X-bar; every pair of diagonal
+    slots is joined.  Returns the matching (x index -> y index or None) or
+    None."""
+    pair, kill_x, kill_y = costs
+    nx, ny = len(kill_x), len(kill_y)
+    size = nx + ny
+    allowed = [
+        [j for j, c in enumerate(row) if c <= eps] + ([ny + i] if kill_x[i] <= eps else [])
+        for i, row in enumerate(pair)
+    ]
+    diagonal = list(range(ny, size))
+    allowed += [([j] if c <= eps else []) + diagonal for j, c in enumerate(kill_y)]
+    matching = kuhn_matching_recursive(allowed, size, size)
+    if matching is None:
+        return None
+    return {i: (matching[i] if matching[i] < ny else None) for i in range(nx)}
 
 
 def presentation_rows_by_dense_scan(gamma: Cone, generators, relations=(), field=None):

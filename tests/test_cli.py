@@ -479,3 +479,23 @@ def test_cli_long_computed_rationals_print_whatever_the_int_digit_limit(tmp_path
         sys.set_int_max_str_digits(limit)
     assert json.loads(out)["generators"] == expected
     assert max(len(x) for g in expected for x in g) > 4300
+
+
+def test_unknown_catalog_names_are_reported_with_the_known_ones(monkeypatch):
+    known = {
+        catalog.fan: ["halffan", "hirzebruch-1", "hirzebruch-2", "p1", "p1xp1", "p2", "quadrant"],
+        catalog.barcode: ["basic", "free", "local", "mixed", "pair"],
+        catalog.presentation: ["free1d", "interval01", "quadrant-origin"],
+    }
+    for lookup, names in known.items():
+        with pytest.raises(InvalidInput) as caught:
+            lookup("nope")
+        assert caught.value.as_report() == {
+            "code": "bad-input",
+            "message": f"unknown catalog {lookup.__name__} 'nope'",
+            "details": {"available": names},
+        }
+    # a KeyError inside a builder is the builder's fault, not an unknown name
+    monkeypatch.setitem(catalog._BARCODES, "broken", lambda: {}["missing"])
+    with pytest.raises(KeyError):
+        catalog.barcode("broken")

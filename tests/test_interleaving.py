@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
+from math import ceil, lcm, log2
 
 import pytest
 
@@ -14,7 +14,10 @@ from aptkit.barcodes import Barcode, almost_iso, bar, barcode, shift
 from aptkit.errors import InternalCheckFailed, InvalidInput
 from aptkit.interleaving import (
     InterleavingCertificate,
-    _perfect_matching,
+    _cost_table,
+    _cover,
+    _expand,
+    _feasible,
     certificate_for,
     distance_to_zero,
     interleaving_distance,
@@ -23,7 +26,7 @@ from aptkit.interleaving import (
 from aptkit.rational import INF
 
 from generators import random_barcode, random_decorated_barcode
-from oracles import bottleneck_by_matching_enumeration, kuhn_matching_recursive
+from oracles import bottleneck_by_matching_enumeration, feasible_by_square_graph, kuhn_matching_recursive
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 SMALL_GRID = [Fraction(n, 2) for n in range(0, 7)]  # half-integer endpoints up to 3
@@ -341,22 +344,73 @@ def test_matching_equals_recursive_kuhn_on_seeded_graphs():
         n = rng.randint(0, 30)
         density = rng.choice((0.1, 0.2, 0.4, 0.8))
         allowed = [[v for v in rng.sample(range(n), n) if rng.random() < density] for _ in range(n)]
-        got = _perfect_matching(allowed, n, n)
+        got = _cover(range(n), allowed, {}, {}, [False] * n)
         assert _ordered(got) == _ordered(kuhn_matching_recursive(allowed, n, n)), allowed
         perfect += got is not None
     assert perfect >= 50
-    assert _perfect_matching([[0]], 1, 2) is None
+    # a light left node gives up its right node and is skipped as a root
+    match, back = {1: 0}, {0: 1}
+    assert _cover(range(2), [[0], [0]], match, back, [False, True]) == {0: 0} and back == {0: 0}
 
 
-def test_certificates_equal_those_of_the_recursive_search(monkeypatch):
+def _check_matching(matching, costs, eps):
+    """A matching of :func:`_feasible` read directly: each pair within eps,
+    no Y-bar used twice, and every bar left out killable within eps."""
+    pair, kill_x, kill_y = costs
+    assert sorted(matching) == list(range(len(kill_x)))
+    used = [j for j in matching.values() if j is not None]
+    assert len(used) == len(set(used))
+    assert all(kill_x[i] <= eps if j is None else pair[i][j] <= eps for i, j in matching.items())
+    assert all(kill_y[j] <= eps for j in set(range(len(kill_y))) - set(used))
+
+
+def _candidates(costs):
+    pair, kill_x, kill_y = costs
+    return sorted({0, *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
+
+
+def test_feasibility_equals_the_square_graph():
     rng = random.Random(62)
-    pairs = [tuple(random_barcode(rng, GRID, 6, ray_chance=0.05) for _ in range(2)) for _ in range(60)]
-    values = [interleaving_distance(x, y) for x, y in pairs]
-    certs = [certificate_for(x, y, d) for (x, y), d in zip(pairs, values) if d != INF]
-    monkeypatch.setattr(interleaving, "_perfect_matching", kuhn_matching_recursive)
-    assert values == [interleaving_distance(x, y) for x, y in pairs]
-    assert certs == [certificate_for(x, y, d) for (x, y), d in zip(pairs, values) if d != INF]
-    assert len(certs) >= 40
+    grids = (GRID, [Fraction(n, 4) for n in range(0, 81)])
+    feasible = infeasible = certified = 0
+    for _ in range(120):
+        x, y = (random_barcode(rng, rng.choice(grids), rng.randint(0, 20), ray_chance=0.1) for _ in range(2))
+        if rng.random() < 0.2:
+            x, y = Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE])
+        costs, _ = _cost_table(_expand(x)[1], _expand(y)[1])
+        for eps in _candidates(costs):
+            got = _feasible(costs, eps)
+            assert (got is None) == (feasible_by_square_graph(costs, eps) is None), (x, y, eps)
+            if got is None:
+                infeasible += 1
+            else:
+                _check_matching(got, costs, eps)
+                feasible += 1
+        d = interleaving_distance(x, y)
+        if d != INF:
+            assert verify_interleaving(x, y, certificate_for(x, y, d))
+            certified += 1
+    assert feasible >= 300 and infeasible >= 300 and certified >= 50, (feasible, infeasible, certified)
+
+
+def test_distance_is_a_binary_search(monkeypatch):
+    # a scan up the candidates would make one call per candidate up to the
+    # distance; a binary search makes at most log2 of their number + 2
+    feasible, calls = interleaving._feasible, []
+    monkeypatch.setattr(interleaving, "_feasible", lambda costs, eps: calls.append(eps) or feasible(costs, eps))
+    rng = random.Random(63)
+    quarters = [Fraction(n, 4) for n in range(0, 81)]
+    deep = 0
+    for _ in range(60):
+        x, y = (random_barcode(rng, quarters, 12, ray_chance=0) for _ in range(2))
+        calls.clear()
+        d = interleaving_distance(x, y)
+        costs, scale = _cost_table(_expand(x)[1], _expand(y)[1])
+        candidates = _candidates(costs)
+        bound = ceil(log2(len(candidates))) + 2
+        assert len(calls) <= bound, (len(calls), len(candidates))
+        deep += candidates.index(d * scale) + 1 > bound
+    assert deep >= 30, deep
 
 
 def test_augmenting_path_of_5000_edges_needs_no_recursion():
@@ -366,5 +420,5 @@ def test_augmenting_path_of_5000_edges_needs_no_recursion():
     allowed = [[i, i + 1] for i in range(n - 1)] + [[0]]
     with pytest.raises(RecursionError):
         kuhn_matching_recursive(allowed, n, n)
-    matching = _perfect_matching(allowed, n, n)
+    matching = _cover(range(n), allowed, {}, {}, [False] * n)
     assert matching == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
