@@ -14,9 +14,9 @@ against its boundary.  Each boundary map is a list of sparse int columns,
 one per cell, holding the signs of its facets; d.d = 0 is checked exactly
 per run by composing those columns, and the Betti numbers come from one
 rank of each boundary, taken by the sparse column reduction of
-:func:`aptkit.linalg.rank`.  A cone's facet signs are computed once per
-call, and ``convolution_unit_check`` shares them across all its stratum
-points.
+:func:`aptkit.linalg.rank`.  A cone's facet signs are computed once and
+memoized in the cone table of :mod:`aptkit.geometry`, keyed by the cone, so
+every stratum point and every call on the fan shares them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotGammaOpen,
     PointNotInSet,
 )
-from .geometry import Cone, Fan, _idot, dual_cone, faces_of
+from .geometry import Cone, Fan, _idot, _memo, dual_cone, faces_of
 from .linalg import _int_det, echelon, rank
 from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 from .rational import INF, dot, integral, l1norm, q, qvec, vadd, vneg, vscale, vsub, zero_vec
@@ -184,17 +184,6 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
     star-complex property this routine exercises.  Reported
     degrees follow the cell dimensions (cone dimensions) of the complex.
     """
-    return _stalk_homology(sigma_fan, point, field, {})
-
-
-def _facet_signs(cone: Cone):
-    """The cone's facets, as (key, incidence sign) pairs."""
-    return [(f._key, _incidence_sign(cone, f)) for f in faces_of(cone) if f.cone_dim == cone.cone_dim - 1]
-
-
-def _stalk_homology(sigma_fan: Fan, point, field, incidences) -> StalkReport:
-    """:func:`star_stalk_homology`, reading and filling ``incidences``: a
-    cone's key to its :func:`_facet_signs`, shared by calls on one fan."""
     if sigma_fan.dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
     if not sigma_fan.is_complete():
@@ -210,14 +199,8 @@ def _stalk_homology(sigma_fan: Fan, point, field, incidences) -> StalkReport:
     index = {c._key: i for cones in by_degree.values() for i, c in enumerate(cones)}
     # boundary[d]: per degree-d cell, its facets' positions among the
     # degree d-1 cells, with their incidence signs
-    boundary = {}
-    for deg, cones in by_degree.items():
-        columns = boundary[deg] = []
-        for cone in cones:
-            facets = incidences.get(cone._key)
-            if facets is None:
-                facets = incidences[cone._key] = _facet_signs(cone)
-            columns.append({index[key]: sign for key, sign in facets if key in index})
+    boundary = {deg: [{index[key]: sign for key, sign in _facet_signs(cone) if key in index} for cone in cones]
+                for deg, cones in by_degree.items()}
     _assert_chain_complex(boundary)
     ranks = {deg: rank(columns, field) for deg, columns in boundary.items()}
     betti = {}
@@ -226,6 +209,15 @@ def _stalk_homology(sigma_fan: Fan, point, field, incidences) -> StalkReport:
         if b:
             betti[deg] = b
     return StalkReport(point, betti)
+
+
+def _facet_signs(cone: Cone):
+    """The cone's facets, as (key, incidence sign) pairs, memoized on the cone."""
+    return _memo(("facet signs", cone._key), _signs, cone)
+
+
+def _signs(cone: Cone):
+    return tuple((f._key, _incidence_sign(cone, f)) for f in faces_of(cone) if f.cone_dim == cone.cone_dim - 1)
 
 
 def _assert_chain_complex(boundary):
@@ -265,9 +257,8 @@ def convolution_unit_check(sigma_fan: Fan, field=None):
     Returns (ok, strata_checked).
     """
     points = stratum_points(sigma_fan)
-    incidences = {}
     for p in points:
-        report = _stalk_homology(sigma_fan, p, field, incidences)
+        report = star_stalk_homology(sigma_fan, p, field)
         if report.total_rank() != 1:
             return False, len(points)
     return True, len(points)

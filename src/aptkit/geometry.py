@@ -24,7 +24,7 @@ V-data is already canonical, converts once (``Cone._canonical``); the dual
 swaps the two representations and converts not at all.  Each keeps the
 self-check that the H-representation contains every generator, and a
 failed self-check raises :class:`InternalCheckFailed`, also under
-``python -O``.
+``python -O``, and stores nothing.
 
 Faces come from the ray-facet incidence: the ray sets of the faces of a
 proper cone are the intersections of the facets' zero sets, so a face list
@@ -33,13 +33,18 @@ rays up by key, with no conversion, then builds the face relation, and
 then intersects only pairs of maximal cones; faces inherit the common-face
 property from the maximal cones above them.
 
-Module-level caches memoize conversions and face lists keyed by canonical
-content, so concurrent use can at worst recompute and overwrite an entry
-with an equal value; a cone's rows never change after construction.
+The one cache is a table of at most ``_TABLE_BOUND`` entries, least
+recently used out first.  It interns each cone under ``(dim, rows)``, rows a
+canonical generating set (the dual: the cone's halfspaces), and memoizes
+separating vectors by the pair of cone keys and other layers' per-cone
+results (:func:`_memo`).  A cone keeps its dual, properness and faces in
+slots.  Rows never change, so concurrent use can at worst intern two equal
+cones.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -55,20 +60,42 @@ from .errors import (
     NotSeparable,
 )
 from .linalg import _adjugate, echelon
-from .rational import (
-    QVec,
-    integral,
-    qvec,
-    vneg,
-    zero_vec,
-)
+from .rational import QVec, integral, qvec, vneg, zero_vec
 
 
-_HREP_CACHE: dict = {}
+# Most entries the intern table holds; past it the least recently used goes.
+_TABLE_BOUND = 4096
+_TABLE: OrderedDict = OrderedDict()
 
 # Most intermediate rays one double-description run may hold; past it the
 # conversion stops with ComputationTooLarge instead of running on.
 _DD_RAY_CAP = 10000
+
+
+def _lookup(key):
+    """The table's entry under ``key``, marked as just used, or None."""
+    try:
+        _TABLE.move_to_end(key)
+        return _TABLE[key]
+    except KeyError:  # not there, or evicted meanwhile by another thread
+        return None
+
+
+def _store(key, value):
+    """``value``, entered under ``key``; past the bound the least recently used goes."""
+    _TABLE[key] = value
+    if len(_TABLE) > _TABLE_BOUND:
+        _TABLE.popitem(last=False)
+    return value
+
+
+def _memo(key, compute, *args):
+    """The table's entry under ``key``, a tuple led by the name of what it
+    holds; on a miss ``compute(*args)``, stored unless it raises."""
+    value = _lookup(key)
+    if value is None:
+        value = _store(key, compute(*args))
+    return value
 
 
 def _scaled(v, positive):
@@ -102,18 +129,14 @@ def _rays_from_halfspaces(normals, dim):
     ``normals`` must be in canonical input form (see :func:`_primitive_rows`).
     Returns ``(lineality_basis, rays)`` as tuples of primitive ``int``
     tuples, both canonical: each line has its first nonzero entry positive,
-    rays are sorted.  Results are memoized on the input; cones are
-    immutable, so the cache is shareable.
+    rays are sorted.
     """
-    if (dim, normals) in _HREP_CACHE:
-        return _HREP_CACHE[dim, normals]
     lin = _lineality(normals, dim)
     # rays lie in the orthogonal complement of the lineality space: with
     # <l, x> = 0 for each line l the cone is pointed, of rank dim
     rows = list(lin) + [vneg(e) for e in lin] + list(normals)
     rays = _dd_rays(rows, dim) if len(lin) < dim else ()
-    result = _HREP_CACHE[dim, normals] = (lin, tuple(sorted(rays)))
-    return result
+    return lin, tuple(sorted(rays))
 
 
 def _lineality(normals, dim):
@@ -171,14 +194,11 @@ def _dd_rays(rows, r):
 
 def _generated_vrep(gens, hrep, dim):
     """Lineality and extreme rays of the cone that the generators span and
-    ``hrep`` bounds, as :func:`_rays_from_halfspaces` gives and memoizes them
-    for its halfspaces, read off the generators: their projections
+    ``hrep`` bounds, as :func:`_rays_from_halfspaces` gives them for its
+    halfspaces, read off the generators: their projections
     d*g - L^T adj L g, with (d, adj) the adjugate pair of L L^T for the
     lineality L, span the pointed part."""
-    halfspaces = _with_lines(*hrep)
-    if (dim, halfspaces) in _HREP_CACHE:
-        return _HREP_CACHE[dim, halfspaces]
-    lin = _lineality(halfspaces, dim)
+    lin = _lineality(_with_lines(*hrep), dim)
     if lin:
         d, adj = _adjugate([[_idot(a, b) for b in lin] for a in lin])
         coords = [[_idot(row, lg) for row in adj] for lg in ([_idot(e, g) for e in lin] for g in gens)]
@@ -186,8 +206,7 @@ def _generated_vrep(gens, hrep, dim):
         gens = {_scaled(v, d > 0) for v in gens if any(v)}
     tight = [(v, sum(1 << k for k, f in enumerate(hrep[0]) if not _idot(f, v))) for v in gens]
     rays = tuple(sorted(v for v, m in tight if sum(n & m == m for _, n in tight) == 1))
-    result = _HREP_CACHE[dim, halfspaces] = (lin, rays)
-    return result
+    return lin, rays
 
 
 def _view(slot, rows):
@@ -205,35 +224,46 @@ def _view(slot, rows):
     return property(read)
 
 
+def _intern(dim, gens, vrep=None):
+    """The interned cone that rows in canonical input form generate.  A miss
+    converts once: H-data from {v : <v, g> >= 0}, whose rays are our facet
+    normals and lineality our span equalities; V-data ``vrep`` if canonical,
+    else the interned dual's H-data, else :func:`_generated_vrep`.  Checked,
+    it is stored under ``gens`` and its own generators, an equal one kept."""
+    cone = _lookup((dim, gens))
+    if cone is None:
+        hrep = _rays_from_halfspaces(gens, dim)[::-1]
+        if vrep is None:
+            dual = _lookup((dim, _with_lines(*hrep)))
+            vrep = _generated_vrep(gens, hrep, dim)[::-1] if dual is None else dual._hrep
+        cone = Cone._fill(dim, vrep, hrep, gens)
+        own = _with_lines(*vrep)
+        if own != gens:
+            cone = _lookup((dim, own)) or _store((dim, own), cone)
+        _store((dim, gens), cone)
+    return cone
+
+
 class Cone:
-    """Finitely generated rational convex cone with cached dual data."""
+    """Finitely generated rational convex cone, interned, with cached dual data."""
 
-    __slots__ = ("dim", "_key", "_hrep", "_rays", "_lineality", "_facet_normals", "_span_normals")
+    __slots__ = ("dim", "_key", "_hrep", "_dual", "_proper", "_faces",
+                 "_rays", "_lineality", "_facet_normals", "_span_normals")
 
-    def __init__(self, dim: int, generators):
+    def __new__(cls, dim: int, generators):
         gens = []
         for g in generators:
             g = qvec(g)
             if len(g) != dim:
                 raise InvalidInput(f"generator {g} has wrong dimension (expected {dim})")
             gens.append(g)
-        self._generate(dim, _primitive_rows(gens))
+        return _intern(dim, _primitive_rows(gens))
 
     @classmethod
     def _from_rows(cls, dim: int, rows) -> "Cone":
         """The cone generated by primitive ``int`` rows, such as other cones'
         ``_key`` and ``_hrep`` rows; repeated and zero rows are dropped."""
-        cone = cls.__new__(cls)
-        cone._generate(dim, tuple(sorted({r for r in rows if any(r)})))
-        return cone
-
-    def _generate(self, dim, gens):
-        """Convert the generators, in canonical input form, once.
-        H-representation: the dual cone {v : <v, g> >= 0} has the generators
-        as normals; its rays are our facet normals, its lineality our span
-        equalities.  V-data: :func:`_generated_vrep`."""
-        hrep = _rays_from_halfspaces(gens, dim)[::-1]
-        self._fill(dim, _generated_vrep(gens, hrep, dim)[::-1], hrep, gens)
+        return _intern(dim, tuple(sorted({r for r in rows if any(r)})))
 
     @classmethod
     def _canonical(cls, dim: int, rays, lineality) -> "Cone":
@@ -241,24 +271,27 @@ class Cone:
         primitive extreme rays in sorted order and a lineality basis as
         :func:`_lineality` returns it.  Converts V to H once; converting back
         would only recompute ``rays``."""
-        gens = _with_lines(rays, lineality)
-        span_normals, facet_normals = _rays_from_halfspaces(gens, dim)
-        cone = cls.__new__(cls)
-        cone._fill(dim, (rays, lineality), (facet_normals, span_normals), gens)
-        return cone
+        return _intern(dim, _with_lines(rays, lineality), (rays, lineality))
 
-    def _fill(self, dim, vrep, hrep, gens):
-        """Set the V-representation (rays, lineality) and H-representation
-        (facet normals, span equalities), once the H-representation is
-        checked to contain every generator."""
+    @classmethod
+    def _fill(cls, dim, vrep, hrep, gens) -> "Cone":
+        """A new cone of V-representation (rays, lineality) and
+        H-representation (facet normals, span equalities), once the
+        H-representation is checked to contain every generator."""
         halfspaces = _with_lines(*hrep)
         if any(_idot(h, g) < 0 for g in gens for h in halfspaces):
             raise InternalCheckFailed(
                 "H-representation does not contain a generator", check="cone-hrep"
             )
-        self.dim = dim
-        self._key = (dim, *vrep)
-        self._hrep = hrep
+        cone = object.__new__(cls)
+        cone.dim = dim
+        cone._key = (dim, *vrep)
+        cone._hrep = hrep
+        cone._dual = cone._proper = cone._faces = None
+        return cone
+
+    def __reduce__(self):
+        return Cone._canonical, self._key
 
     rays = _view("_rays", lambda c: c._key[1])
     lineality = _view("_lineality", lambda c: c._key[2])
@@ -318,14 +351,15 @@ class Cone:
         return f"Cone(dim={self.dim}, rays={len(self.rays)}, lineality={len(self.lineality)})"
 
 
-_FACES_CACHE: dict = {}
-
-
 def dual_cone(c: Cone) -> Cone:
     """Polar dual {v : <v, w> >= 0 for all w in c}: c's two representations
-    swapped, rays with facet normals and lineality with span equalities."""
-    dual = Cone.__new__(Cone)
-    dual._fill(c.dim, c._hrep, c._key[1:], _with_lines(*c._hrep))
+    swapped, rays with facet normals and lineality with span equalities,
+    interned under c's halfspaces, its generators, and kept on both cones."""
+    dual = c._dual
+    if dual is None:
+        key = (c.dim, _with_lines(*c._hrep))
+        dual = _lookup(key) or _store(key, Cone._fill(c.dim, c._hrep, c._key[1:], key[1]))
+        c._dual, dual._dual = dual, c
     return dual
 
 
@@ -348,9 +382,11 @@ def is_proper(c: Cone) -> bool:
     Both characterizations are evaluated and cross-checked: triviality of
     the lineality space, and full-dimensionality of the dual certified by an
     exact interior point (the sum of the dual's extreme rays).  A
-    disagreement raises InternalCheckFailed.
+    disagreement raises InternalCheckFailed.  The verdict is kept on c.
     """
-    no_lines = not c.lineality
+    if c._proper is not None:
+        return c._proper
+    no_lines = not c._key[2]
     # the dual's generators are c's halfspaces and its rays c's facet
     # normals, whose sum is strict on every facet of the dual (a ray of c)
     # iff the dual is full-dimensional
@@ -361,6 +397,7 @@ def is_proper(c: Cone) -> bool:
         raise InternalCheckFailed(
             "properness characterizations disagree", check="is-proper"
         )
+    c._proper = no_lines
     return no_lines
 
 
@@ -371,11 +408,10 @@ def faces_of(c: Cone):
     vanishes, and every such intersection of the facets' zero sets is the
     ray set of a face.  So the closure of the full ray set under
     intersection with each facet's zero set lists the faces, each built once
-    from its (already canonical) rays.
+    from its (already canonical) rays.  The list is kept on c.
     """
-    cached = _FACES_CACHE.get(c._key)
-    if cached is not None:
-        return list(cached)
+    if c._faces is not None:
+        return list(c._faces)
     if not is_proper(c):
         raise ImproperCone("faces are only enumerated for proper cones")
     _, rays, _ = c._key
@@ -388,7 +424,7 @@ def faces_of(c: Cone):
         for s in closed
     ]
     faces.sort(key=lambda f: (f.cone_dim, f._key))
-    _FACES_CACHE[c._key] = tuple(faces)
+    c._faces = tuple(faces)
     return faces
 
 
@@ -537,7 +573,12 @@ def separating_vector(s1: Cone, s2: Cone) -> QVec:
 
 def _separation(s1: Cone, s2: Cone):
     """:func:`separating_vector` as an ``int`` tuple, built and verified on
-    the cones' integer rows, and the common face s1 n s2."""
+    the cones' integer rows, and the common face s1 n s2; memoized on the
+    pair of cone keys."""
+    return _memo(("separation", s1._key, s2._key), _separate, s1, s2)
+
+
+def _separate(s1: Cone, s2: Cone):
     if s1.dim != s2.dim:
         raise InvalidInput("ambient dimension mismatch")
     tau = intersect(s1, s2)

@@ -64,7 +64,7 @@ class PresentationND:
     :meth:`_from_rows`, with no dense row on the way.
     """
 
-    __slots__ = ("gamma", "generators", "rows", "field")
+    __slots__ = ("gamma", "generators", "rows", "field", "_heights", "_scale")
 
     def __init__(self, gamma: Cone, generators, relations=(), field=None):
         gens = tuple(qvec(g) for g in generators)
@@ -89,7 +89,8 @@ class PresentationND:
         """Check and store: grade dimensions, ascending in-range supports,
         nonzero values (over F_p, p divides no denominator), and homogeneity,
         degree - g in gamma for every generator g in a row's support, read
-        off the heights of the grades over gamma's facets (:func:`_heights`)."""
+        off the heights of the grades over gamma's facets (:func:`_heights`),
+        which are kept with their common denominator."""
         if not gamma.is_full_dim():
             raise InvalidInput("grading cone must have nonempty interior")
         field = parse_field(field)
@@ -108,7 +109,7 @@ class PresentationND:
         # p divides the lcm iff it divides a denominator; from_fraction raises on the first
         if field is not None and lcm(*(c.denominator for row in rows for c in row[2])) % field.p == 0:
             field.from_fraction(next(c for row in rows for c in row[2] if c.denominator % field.p == 0))
-        heights = _heights(gamma, [*gens, *(row[0] for row in rows)])
+        heights, scale = _heights(gamma, [*gens, *(row[0] for row in rows)])
         for (_, support, _), top in zip(rows, heights[n:]):
             for i in support:
                 if not all(map(ge, top, heights[i])):
@@ -120,6 +121,7 @@ class PresentationND:
         self.field = field
         self.generators = gens
         self.rows = rows
+        self._heights, self._scale = heights, scale
 
     @property
     def dim(self) -> int:
@@ -174,12 +176,13 @@ def _sparse(coeffs):
 def _heights(gamma: Cone, grades):
     """For each grade g, the tuple of f.g over the facet normals f of the
     full-dimensional cone gamma, with all grades scaled to ints over one
-    common denominator (one ``integral``): g <= h in gamma's order, that is
-    h - g in gamma, iff every height of g is at most that of h."""
+    common denominator (one ``integral``), and that denominator: g <= h in
+    gamma's order, that is h - g in gamma, iff every height of g is at most
+    that of h."""
     dim = gamma.dim
-    ints = integral([x for g in grades for x in g])[0]
+    ints, scale = integral([x for g in grades for x in g])
     facets = gamma._hrep[0]  # full-dimensional: no span equalities
-    return [tuple(_idot(f, ints[k * dim:(k + 1) * dim]) for f in facets) for k in range(len(grades))]
+    return [tuple(_idot(f, ints[k * dim:(k + 1) * dim]) for f in facets) for k in range(len(grades))], scale
 
 
 def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
@@ -191,15 +194,16 @@ def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
 def eval_at(p: PresentationND, a) -> int:
     """dim_k of the degree-a piece: the number of active generators minus the
     rank of the active relations as sparse int columns (:func:`_columns`).  A
-    grade g is active when it lies below a in gamma's order, read off the
-    heights of a, the generator grades and the relation degrees
-    (:func:`_heights`)."""
+    grade g is active when it lies below a in gamma's order: each of its
+    heights h over D, as the presentation keeps them (:func:`_heights`), is
+    at most a's height t/m (one ``integral``), that is h <= floor(t*D/m)."""
     a = qvec(a)
     if len(a) != p.dim:
         raise InvalidInput("grade has wrong dimension")
     n = len(p.generators)
-    top, *heights = _heights(p.gamma, [a, *p.generators, *(row[0] for row in p.rows)])
-    active = [all(map(le, h, top)) for h in heights]
+    ints, m = integral(a)
+    top = [_idot(f, ints) * p._scale // m for f in p.gamma._hrep[0]]
+    active = [all(map(le, h, top)) for h in p._heights]
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
     return sum(active[:n]) - rank(_columns(list(compress(p.rows, active[n:])), p.field, range(n)), p.field)
 

@@ -365,8 +365,7 @@ def test_k0_terms_need_grade_and_integer_coef():
             io.parse_k0_json(bad)
 
 
-def test_cli_conversion_past_the_ray_cap_is_structured(monkeypatch, capsys):
-    monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+def test_cli_conversion_past_the_ray_cap_is_structured(monkeypatch, capsys, empty_table):
     monkeypatch.setattr(geometry, "_DD_RAY_CAP", 2)
     square = '{"dim":3,"generators":[["1","1","1"],["1","-1","1"],["-1","-1","1"],["-1","1","1"]]}'
     code, out = run_cli(["cone", "dual", "--input", square])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, cutoff
+from aptkit import catalog, cutoff, geometry
 from aptkit.cutoff import (
     tighten_offsets,
     convolution_unit_check,
@@ -279,25 +279,26 @@ def test_stalk_homology_takes_one_rank_per_degree(monkeypatch):
     for point, degrees in (((0, 0), 3), ((1, 0), 2), ((2, 1), 1)):
         for field in (None, PrimeField(2), PrimeField(3)):
             calls.clear()
-            assert cutoff._stalk_homology(p2, point, field, {}).total_rank() == 1
+            assert star_stalk_homology(p2, point, field).total_rank() == 1
             assert len(calls) == degrees, (point, field)
 
 
-def test_shared_incidences_against_single_stalks_and_order_complex():
-    """One incidence map, shared by every stratum point and both fields,
-    gives the reports of independent star_stalk_homology calls, and their
-    total rank is that of the order complex oracle."""
+def test_shared_incidences_against_single_stalks_and_order_complex(empty_table):
+    """The facet signs memoized in the cone table, one entry per cone of
+    the fan and shared by every stratum point and both fields, give the
+    reports of star_stalk_homology calls on an empty table, and their total
+    rank is that of the order complex oracle."""
     fans = [catalog.fan(name) for name in catalog.COMPLETE_FANS]
     fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((0, 1), (1, 2))]
     for fan in fans:
-        incidences = {}
-        for p in stratum_points(fan):
-            ranks = sum(order_complex_stalk_ranks(fan, p).values())
-            for field in (None, PrimeField(2)):
-                shared = cutoff._stalk_homology(fan, p, field, incidences)
-                assert shared == star_stalk_homology(fan, p, field), (fan, p)
-                assert shared.total_rank() == ranks == 1, (fan, p)
-        assert len(incidences) == len(fan.cones)
+        empty_table()
+        shared = {(p, field): star_stalk_homology(fan, p, field)
+                  for p in stratum_points(fan) for field in (None, PrimeField(2))}
+        assert sum(("facet signs", c._key) in geometry._TABLE for c in fan.cones) == len(fan.cones)
+        for (p, field), report in shared.items():
+            empty_table()
+            assert report == star_stalk_homology(fan, p, field), (fan, p)
+            assert report.total_rank() == sum(order_complex_stalk_ranks(fan, p).values()) == 1, (fan, p)
 
 
 def test_convolution_unit_check_catalog():

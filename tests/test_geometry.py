@@ -6,13 +6,15 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from aptkit import catalog, geometry
-from aptkit.errors import BadIntersection, ImproperCone, InvalidInput, MissingFace, NotSeparable
+from aptkit import catalog, cutoff, geometry
+from aptkit.cutoff import convolution_unit_check, stratum_points
+from aptkit.errors import BadIntersection, ImproperCone, InternalCheckFailed, InvalidInput, MissingFace, NotSeparable
 from aptkit.geometry import (
     Cone,
     cone_sum,
@@ -432,7 +434,6 @@ def test_double_description_against_subset_enumeration():
     lines = 0
     for dim, normals in _conversion_inputs():
         normals = geometry._primitive_rows(tuple(Fraction(x) for x in n) for n in normals)
-        geometry._HREP_CACHE.pop((dim, normals), None)
         got = geometry._rays_from_halfspaces(normals, dim)
         assert got == rays_by_subset_enumeration(normals, dim), (dim, normals)
         lines += bool(got[0]) and len(got[0]) < dim
@@ -506,35 +507,149 @@ def _ints(vectors):
     return tuple(tuple(int(x) for x in v) for v in vectors)
 
 
-def test_conversion_counts_per_construction(monkeypatch):
-    """On an empty memo, Cone(dim, gens) and Cone._canonical run the double
-    description at most once and dual_cone not at all; faces_of on the cone
-    over the 4-cube runs it at most once per face."""
-    runs = []
-    convert = geometry._dd_rays
+def test_conversion_counts_per_construction(monkeypatch, empty_table):
+    """On an empty table, building a cone by every route (Cone(dim, gens),
+    Cone._from_rows, Cone._canonical, dual_cone, intersect, as a face)
+    converts and self-checks at most once per distinct key and gives one
+    object per cone: Cone(dim, gens) and Cone._canonical run the double
+    description at most once and dual_cone not at all.  is_proper,
+    faces_of, _separation and _facet_signs compute once per key, so a second
+    round of the same calls computes nothing.  faces_of on the cone over the
+    4-cube runs the double description at most once per face."""
+    convert, fill = geometry._rays_from_halfspaces, Cone.__dict__["_fill"].__func__
+    converted, filled, calls = Counter(), Counter(), Counter()
 
-    def count(rows, r):
-        runs.append(r)
-        return convert(rows, r)
+    def spy_convert(normals, dim):
+        converted[dim, normals] += 1
+        return convert(normals, dim)
 
-    monkeypatch.setattr(geometry, "_dd_rays", count)
-    for dim, gens in _generator_ladder():
-        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
-        runs.clear()
+    def spy_fill(cls, dim, vrep, hrep, gens):
+        filled[dim, gens] += 1
+        return fill(cls, dim, vrep, hrep, gens)
+
+    def count(owner, name):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or method(*args))
+
+    monkeypatch.setattr(geometry, "_rays_from_halfspaces", spy_convert)
+    monkeypatch.setattr(Cone, "_fill", classmethod(spy_fill))
+    for owner, name in ((geometry, "_dd_rays"), (geometry, "echelon"), (geometry, "_separate"), (cutoff, "_signs")):
+        count(owner, name)
+
+    def every_route(dim, gens):
         cone = Cone(dim, gens)
-        assert len(runs) <= 1, (dim, gens)
-        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
-        runs.clear()
-        _same_cone(Cone._canonical(dim, cone._key[1], cone._key[2]), cone)
-        assert len(runs) <= 1, (dim, gens)
+        rays, lines = cone._key[1:]
+        dual = dual_cone(cone)
+        built = [Cone(dim, gens), Cone._from_rows(dim, geometry._with_lines(rays, lines)),
+                 Cone._canonical(dim, rays, lines), dual_cone(dual), intersect(cone, cone)]
+        assert all(c is cone for c in built), (dim, gens)
+        assert Cone._from_rows(dim, geometry._with_lines(*cone._hrep)) is dual and dual_cone(cone) is dual
+        intersect(cone, dual)
+        if is_proper(cone):
+            for face in faces_of(cone):
+                assert Cone._canonical(dim, *face._key[1:]) is face
+
+    for dim, gens in _generator_ladder():
+        empty_table()
+        for counter in (converted, filled, calls):
+            counter.clear()
+        cone = Cone(dim, gens)
+        assert calls["_dd_rays"] <= 1, (dim, gens)
         dual_cone(cone)
-        assert len(runs) <= 1, (dim, gens)
+        assert calls["_dd_rays"] <= 1 and len(converted) <= 1, (dim, gens)
+        every_route(dim, gens)
+        assert max(converted.values()) == max(filled.values()) == 1, (dim, gens)
+        assert calls["_dd_rays"] <= len(converted), (dim, gens)
+        before = (+converted, +filled, +calls)
+        every_route(dim, gens)
+        assert (+converted, +filled, +calls) == before, (dim, gens)
+        empty_table()
+        calls.clear()
+        _same_cone(Cone._canonical(dim, cone._key[1], cone._key[2]), cone)
+        assert calls["_dd_rays"] <= 1, (dim, gens)
+        dual_cone(cone)
+        assert calls["_dd_rays"] <= 1, (dim, gens)
+    for fan in (catalog.fan("p2"), catalog.fan("p1xp1"), stellar_fan(random.Random(3), 1)):
+        empty_table()
+        calls.clear()
+        for _ in range(2):
+            for s1 in fan.cones:
+                for s2 in fan.cones:
+                    geometry._separation(s1, s2)
+            assert cutoff.convolution_unit_check(fan)[0]
+        assert calls["_separate"] == len(fan.cones) ** 2 and calls["_signs"] == len(fan.cones), fan
     cube = Cone(5, [(1,) + p for p in product((-1, 1), repeat=4)])
-    monkeypatch.setattr(geometry, "_HREP_CACHE", {})
-    monkeypatch.setattr(geometry, "_FACES_CACHE", {})
-    runs.clear()
+    empty_table()
+    calls.clear()
     faces = faces_of(cube)
-    assert len(faces) == 82 and len(runs) <= len(faces)
+    assert len(faces) == 82 and calls["_dd_rays"] <= len(faces)
+
+
+def test_a_failed_self_check_stores_nothing(monkeypatch, empty_table):
+    """A construction or a verdict whose self-check raises leaves no entry
+    and no slot behind, so the same call raises again; once the fault is
+    gone, the same calls succeed."""
+    convert = geometry._rays_from_halfspaces
+
+    def flipped(normals, dim):
+        lin, rays = convert(normals, dim)
+        return lin, tuple(vneg(r) for r in rays)
+
+    monkeypatch.setattr(geometry, "_rays_from_halfspaces", flipped)
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailed):
+            Cone(2, [(1, 0), (1, 2)])
+        with pytest.raises(InternalCheckFailed):
+            Cone._canonical(2, ((1, 0), (1, 2)), ())
+        assert not geometry._TABLE
+    monkeypatch.setattr(geometry, "_rays_from_halfspaces", convert)
+    cone = Cone(2, [(1, 0), (1, 2)])
+    assert Cone._canonical(2, ((1, 0), (1, 2)), ()) is cone
+    monkeypatch.setattr(geometry, "echelon", lambda rows, ncols: ([], []))
+    for _ in range(2):
+        with pytest.raises(InternalCheckFailed):
+            is_proper(cone)
+        with pytest.raises(InternalCheckFailed):
+            faces_of(cone)
+    monkeypatch.setattr(geometry, "echelon", echelon)
+    assert is_proper(cone) and len(faces_of(cone)) == 4
+
+
+def _fan_answers(fan):
+    """Every cone's V- and H-rows, dual, properness, faces and membership of
+    the stratum points, the separating vectors of one maximal cone and each
+    maximal cone, and the fan's unit check."""
+    points = stratum_points(fan)
+    maximal = [fan.cones[i] for i in fan.maximal_indices()]
+    cones = [(c._key, c._hrep, dual_cone(c)._key, is_proper(c), [f._key for f in faces_of(c)],
+              [c.contains(p) for p in points]) for c in fan.cones]
+    return cones, [separating_vector(maximal[0], b) for b in maximal], convolution_unit_check(fan)
+
+
+def test_table_stays_at_its_bound_and_answers_as_when_empty(monkeypatch, empty_table):
+    """With the bound at 64 entries, a loop of 20 seeded stellar fans keeps
+    the table at the bound; every answer given after evictions equals the
+    one given on an empty table, and rays, membership and the faces of the
+    maximal cones equal the oracles'."""
+    monkeypatch.setattr(geometry, "_TABLE_BOUND", 64)
+    bounded = geometry._TABLE
+    sizes = []
+    for seed in range(20):
+        steps = 1 + seed % 2
+        monkeypatch.setattr(geometry, "_TABLE", bounded)
+        fan = stellar_fan(random.Random(seed), steps)
+        answers = _fan_answers(fan)
+        sizes.append(len(bounded))
+        points = stratum_points(fan)[seed % 4::4]
+        for c in fan.cones:
+            lines, rays = rays_by_subset_enumeration(_canonical_rows(c.halfspaces), c.dim)
+            assert (c.lineality, c.rays) == (tuple(lines), rays), (seed, c)
+            if c.cone_dim == c.dim:
+                assert faces_of(c) == faces_by_supporting_hyperplanes(c), (seed, c)
+            assert [c.contains(p) for p in points] == [contains_by_vrep(c, p) for p in points], (seed, c)
+        monkeypatch.setattr(geometry, "_TABLE", OrderedDict())
+        assert _fan_answers(stellar_fan(random.Random(seed), steps)) == answers, seed
+    assert sizes == [64] * 20, sizes
 
 
 def _seeded_cone_pairs():
@@ -609,7 +724,7 @@ def test_separating_vector_against_oracle_and_sign_identities():
         assert Cone.from_halfspaces(dim, list(s2.halfspaces) + hyperplane) == tau
 
 
-def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch):
+def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch, empty_table):
     """Cones built from other cones' rows reach the double description, and
     its memo, as sorted, distinct, nonzero rows, however often a row
     repeats among the operands."""
@@ -632,7 +747,7 @@ def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch):
         assert list(normals) == sorted(set(normals)) and all(any(r) for r in normals), normals
 
 
-def test_integer_constructions_build_no_fraction_view(monkeypatch):
+def test_integer_constructions_build_no_fraction_view(monkeypatch, empty_table):
     """intersect, separating_vector and transition_data work on the cones'
     int rows: no public Fraction view is built, of the operands or of the
     cones made on the way."""
@@ -770,13 +885,13 @@ def _homothetic(cons, lam, t):
     return [(n, lam * d - dot(n, t)) for n, d in cons]
 
 
-def test_dd_intermediate_rays_stay_far_below_the_cap(monkeypatch):
+def test_dd_intermediate_rays_stay_far_below_the_cap(monkeypatch, empty_table):
     rng = random.Random(67)
     cap = geometry._DD_RAY_CAP
     peaks = {}
 
     def record(label, build):
-        monkeypatch.setattr(geometry, "_HREP_CACHE", {})
+        empty_table()
         counter = _PeakRays()
         monkeypatch.setattr(geometry, "_DD_RAY_CAP", counter)
         build()

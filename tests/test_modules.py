@@ -310,7 +310,7 @@ def _eval_per_relation(p, a):
     """eval_at with one conversion per active relation: the relation's own
     ``integral`` over Q, one ``from_fraction`` per value over F_p."""
     n = len(p.generators)
-    top, *heights = modules._heights(p.gamma, [a, *p.generators, *(d for d, _, _ in p.rows)])
+    (top, *heights), _ = modules._heights(p.gamma, [a, *p.generators, *(d for d, _, _ in p.rows)])
     active = [all(x <= t for x, t in zip(h, top)) for h in heights]
     columns = []
     for (_, support, values), on in zip(p.rows, active[n:]):
@@ -371,6 +371,33 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
             barcode_of_presentation(p)
             per_call[field].add(calls.pop("integral"))
             assert not +calls, (m, field, calls)
+    assert per_call == {None: {2}, PrimeField(2): {1}}, per_call
+
+
+def test_eval_converts_only_the_query_grade(monkeypatch):
+    # A count, not a clock: eval_at reads the heights the presentation
+    # keeps, so at every size one integral converts the grade asked for and,
+    # over Q, one more converts the active coefficients (over F_2 they enter
+    # by numerator parity).  The answer is still the number of bars alive at
+    # each grade: at every grade for 10 and 100 relations, at every 50th of
+    # the 1000.
+    sizes = []
+    convert = modules.integral
+    monkeypatch.setattr(modules, "integral", lambda values: sizes.append(len(values)) or convert(values))
+    coefficients = (-2, -1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(9, 11))
+    per_call = {None: set(), PrimeField(2): set()}
+    for m in (10, 100, 1000):
+        base = sparse_presentation(random.Random(m), 3 * m // 2, m, coefficients)
+        grades = sorted({g[0] for g in base.generators} | {d[0] for d, _, _ in base.rows})
+        grades = [x + shift for x in grades for shift in (0, Fraction(1, 3))][::1 if m < 1000 else 50]
+        for field in (None, PrimeField(2)):
+            p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
+            bars = barcode_of_presentation(p)
+            for a in grades:
+                sizes.clear()
+                assert eval_at(p, (a,)) == barcode_eval(bars, a).get(0, 0), (m, field, a)
+                assert sizes[0] == 1, (m, field, sizes)
+                per_call[field].add(len(sizes))
     assert per_call == {None: {2}, PrimeField(2): {1}}, per_call
 
 

@@ -284,7 +284,7 @@ def test_minkowski_sum_of_general_pairs_against_sampling_oracle():
     assert checked >= 15
 
 
-def test_sums_and_inclusion_stay_on_int_rows(monkeypatch):
+def test_sums_and_inclusion_stay_on_int_rows(monkeypatch, empty_table):
     """The sums and the inclusion test build no public Fraction view of a
     cone, of the operands or of the results, and never enter Cone()."""
     rng = random.Random(47)

@@ -123,7 +123,7 @@ def test_root_ladder_examples():
         root_ladder_level(quad, (-1, 0))
 
 
-def test_transition_data_reports_a_failed_self_check(monkeypatch):
+def test_transition_data_reports_a_failed_self_check(monkeypatch, empty_table):
     quad = chart_of_cone(Cone(2, [(1, 0), (0, 1)]))
     other = chart_of_cone(Cone(2, [(0, 1), (-1, 0)]))
     overlapping = chart_of_cone(Cone(2, [(1, 0), (1, 1)]))
@@ -131,7 +131,9 @@ def test_transition_data_reports_a_failed_self_check(monkeypatch):
     with pytest.raises(NotAdjacent):
         transition_data(overlapping, quad)
     # a failed self-check inside separating_vector is a fault of the
-    # library, not a sign that the charts do not glue
+    # library, not a sign that the charts do not glue; emptied, the table
+    # holds no separation of these charts to answer from
+    empty_table()
     monkeypatch.setattr(geometry, "echelon", lambda rows, ncols: ([], []))
     with pytest.raises(InternalCheckFailed):
         transition_data(quad, other)
