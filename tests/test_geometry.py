@@ -56,16 +56,26 @@ def test_dual_halfline_fixed():
     assert dual_cone(h) == h
 
 
-def test_dual_involution_and_fm_oracle():
+def test_dual_involution_and_fm_oracle(empty_table):
+    # the oracle converts on an empty table, so that it cannot be handed
+    # the interned dual or read its V-data off the cone's H-data
     for name, cone in catalog.catalog_cones():
-        assert dual_cone(dual_cone(cone)) == cone, name
+        dual = dual_cone(cone)
+        assert dual_cone(dual) == cone, name
+        empty_table()
         oracle = Cone(cone.dim, fm_dual_generators(cone))
-        assert oracle == dual_cone(cone), name
+        assert oracle == dual, name
 
 
-def test_dual_runs_no_conversion(monkeypatch):
+def test_dual_runs_no_conversion(monkeypatch, empty_table):
+    # each reference dual converts on an empty table, and the swaps run on
+    # another, so that no dual_cone call is answered by a reference
     cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
-    duals = [Cone(cone.dim, fm_dual_generators(cone)) for cone in cones]
+    duals = []
+    for cone in cones:
+        empty_table()
+        duals.append(Cone(cone.dim, fm_dual_generators(cone)))
+    empty_table()
 
     def convert(normals, dim):
         raise AssertionError("dual_cone converted")
@@ -149,9 +159,10 @@ def oracle_cones():
     return out
 
 
-def test_faces_against_supporting_hyperplane_oracle():
+def test_faces_against_supporting_hyperplane_oracle(empty_table):
     for name, cone in oracle_cones():
         got = [f._key for f in faces_of(cone)]
+        empty_table()
         want = [f._key for f in faces_by_supporting_hyperplanes(cone)]
         assert got == want, name
 
@@ -163,9 +174,11 @@ def _same_cone(built, reference):
     assert built.span_normals == reference.span_normals
 
 
-def test_canonical_constructor_matches_generator_constructor():
+def test_canonical_constructor_matches_generator_constructor(empty_table):
     """Cone._canonical, behind faces, duals, intersections and
-    from_halfspaces, agrees with the generator constructor Cone(dim, generators)."""
+    from_halfspaces, agrees with the generator constructor Cone(dim, generators).
+    Each reference converts on an empty table: a lookup would return the
+    cone under test."""
     cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
     built = []
     for cone in cones:
@@ -182,9 +195,11 @@ def test_canonical_constructor_matches_generator_constructor():
         if a.dim == b.dim:
             built.append(intersect(a, b))
     for cone in built:
+        empty_table()
         _same_cone(cone, Cone(cone.dim, cone.generators))
     for cone in cones:
-        _same_cone(Cone._canonical(cone.dim, cone.rays, cone.lineality), cone)
+        empty_table()
+        _same_cone(Cone._canonical(cone.dim, cone._key[1], cone._key[2]), cone)
 
 
 def test_fan_faces_closed_under_intersection():
@@ -669,19 +684,22 @@ def _seeded_cone_pairs():
         yield dim, gens(dim), gens(dim)
 
 
-def test_integer_constructions_against_public_constructor_and_oracle():
+def test_integer_constructions_against_public_constructor_and_oracle(empty_table):
+    # each public-constructor reference converts on an empty table: on the
+    # operands' table it would look up the cone under test by its rows
     lines = 0
     for dim, gens_a, gens_b in _seeded_cone_pairs():
         a, b = Cone(dim, gens_a), Cone(dim, gens_b)
-        tau = intersect(a, b)
+        tau, total, cut = intersect(a, b), cone_sum(a, b), Cone.from_halfspaces(dim, gens_a)
+        empty_table()
         _same_cone(tau, Cone.from_halfspaces(dim, a.halfspaces + b.halfspaces))
         normals = _oracle_halfspaces(gens_a, dim) + _oracle_halfspaces(gens_b, dim)
         assert (tau.lineality, tau.rays) == rays_by_subset_enumeration(_canonical_rows(normals), dim)
-        total = cone_sum(a, b)
+        empty_table()
         _same_cone(total, Cone(dim, a.generators + b.generators))
         assert (total.span_normals, total.facet_normals) == rays_by_subset_enumeration(
             _canonical_rows(gens_a + gens_b), dim)
-        cut = Cone.from_halfspaces(dim, gens_a)
+        empty_table()
         _same_cone(cut, dual_cone(Cone(dim, gens_a)))
         assert (cut.lineality, cut.rays) == rays_by_subset_enumeration(_canonical_rows(gens_a), dim)
         lines += bool(tau.lineality) + bool(total.lineality)
@@ -703,7 +721,7 @@ def _fan_pairs():
             yield fan.dim, rng.choice(fan.cones), rng.choice(fan.cones)
 
 
-def test_separating_vector_against_oracle_and_sign_identities():
+def test_separating_vector_against_oracle_and_sign_identities(empty_table):
     for dim, s1, s2 in _fan_pairs():
         m = separating_vector(s1, s2)
         # m is the primitive sum of the rays of s1^dual n (-s2^dual)
@@ -720,6 +738,9 @@ def test_separating_vector_against_oracle_and_sign_identities():
             assert dot(m, r) < 0 or (dot(m, r) == 0 and r in s1.rays)
         hyperplane = [m, vneg(m)]
         tau = intersect(s1, s2)
+        # on the table the separation filled, these are the cones its own
+        # identity check built
+        empty_table()
         assert Cone.from_halfspaces(dim, list(s1.halfspaces) + hyperplane) == tau
         assert Cone.from_halfspaces(dim, list(s2.halfspaces) + hyperplane) == tau
 
