@@ -1,7 +1,8 @@
 """Frozen records on ``__slots__``: the few value classes of the library.
 
 A record's fields are its ``__slots__``, at least two of them; its own
-``__init__`` validates them and stores each with :data:`set_field`.
+``__init__`` validates them and stores each with :data:`set_field`.  Only a
+builder in a record's own module, such as ``barcodes._half_open_bar``, skips it.
 Equality and hashing go by class and field values, the repr reads
 ``Name(field=value, ...)``, fields cannot be assigned or deleted, and copy
 and pickle rebuild a record through its ``__init__``.
@@ -20,14 +21,6 @@ class Record:
     def __init_subclass__(cls):
         cls._values = attrgetter(*cls.__slots__)
         cls.__match_args__ = cls.__slots__
-
-    @classmethod
-    def _trusted(cls, *values):
-        """The record of these field values, in slot order, left unchecked."""
-        record = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            set_field(record, name, value)
-        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

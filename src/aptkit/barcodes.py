@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from ._record import Record, set_field
 from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
-from .k0 import K0Class, e
+from .k0 import K0Class
 from .rational import INF, NEG_INF, is_finite, parse_grade, q
 
 
@@ -46,13 +46,8 @@ class DecoratedInterval(Record):
         set_field(self, "right_closed", right_closed)
 
     def contains(self, a) -> bool:
-        if a > self.left and a < self.right:
-            return True
-        if a == self.left and self.left_closed:
-            return True
-        if a == self.right and self.right_closed:
-            return True
-        return False
+        return self.left < a < self.right or (a == self.left and self.left_closed) or (
+            a == self.right and self.right_closed)
 
     def length(self):
         return self.right - self.left
@@ -100,6 +95,24 @@ class Bar(Record):
         set_field(self, "interval", interval)
         set_field(self, "hdegree", hdegree)
         set_field(self, "multiplicity", multiplicity)
+
+
+_set_left, _set_right, _set_left_closed, _set_right_closed, _set_interval, _set_hdegree, _set_multiplicity = (
+    getattr(cls, name).__set__ for cls in (DecoratedInterval, Bar) for name in cls.__slots__)
+
+
+def _half_open_bar(left, right, multiplicity) -> Bar:
+    """The degree-0 bar [left, right), unchecked, set by one slot setter call per field."""
+    iv = object.__new__(DecoratedInterval)
+    _set_left(iv, left)
+    _set_right(iv, right)
+    _set_left_closed(iv, True)
+    _set_right_closed(iv, False)
+    item = object.__new__(Bar)
+    _set_interval(item, iv)
+    _set_hdegree(item, 0)
+    _set_multiplicity(item, multiplicity)
+    return item
 
 
 class Barcode:
@@ -208,8 +221,11 @@ def almostize(b: Barcode) -> Barcode:
     """Canonical representative of the almost-isomorphism class.
 
     Bars are replaced by the left-closed/right-open interval with the same
-    interior; singletons die.  Idempotent by construction.
+    interior; singletons die.  Idempotent: a barcode in that form comes back as it is.
     """
+    if all(iv.left < iv.right and not iv.right_closed and iv.left_closed == is_finite(iv.left)
+           for iv in (item.interval for item in b.bars)):
+        return b
     out = []
     for item in b.bars:
         iv = item.interval
@@ -311,10 +327,8 @@ def torsionfree_hom_dim(b1: Barcode, b2: Barcode) -> int:
     finite; we evaluate past the largest threshold and confirm stability
     one step further.
     """
-    for item in list(b1.bars) + list(b2.bars):
-        shape = classify_shape(item.interval)
-        if shape == "line":
-            raise UnsupportedShape("torsion-free hom expects [a,b) / [a,inf) bars")
+    if any(classify_shape(item.interval) == "line" for item in (*b1.bars, *b2.bars)):
+        raise UnsupportedShape("torsion-free hom expects [a,b) / [a,inf) bars")
     thresholds = [Fraction(0)]
     for x in b1.bars:
         for y in b2.bars:
@@ -330,13 +344,13 @@ def torsionfree_hom_dim(b1: Barcode, b2: Barcode) -> int:
 
 
 def k0_class(b: Barcode) -> K0Class:
-    """Euler class in Z[Q]: each bar contributes (-1)^deg . mult . (e_left - e_right)."""
-    total = K0Class.zero()
+    """Euler class in Z[Q]: each bar contributes (-1)^deg . mult . (e_left - e_right),
+    with e_inf = 0; the terms of all bars make one ``K0Class``."""
+    terms = []
     for item in b.bars:
-        shape = classify_shape(item.interval)
-        if shape == "line":
+        iv = item.interval
+        if classify_shape(iv) == "line":
             raise UnsupportedShape("full lines carry no K0 class in Z[Q]")
-        sign = -1 if item.hdegree % 2 else 1
-        contrib = e(item.interval.left) - e(item.interval.right)
-        total = total + K0Class([(g, sign * item.multiplicity * c) for g, c in contrib.terms])
-    return total
+        coef = -item.multiplicity if item.hdegree % 2 else item.multiplicity
+        terms += [(iv.left, coef), (iv.right, -coef)] if iv.right != INF else [(iv.left, coef)]
+    return K0Class(terms)

@@ -30,10 +30,6 @@ class K0Class:
     def zero(cls) -> "K0Class":
         return cls()
 
-    @classmethod
-    def generator(cls, grade) -> "K0Class":
-        return cls([(q(grade), 1)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -70,4 +66,4 @@ def e(grade) -> K0Class:
     """The basis class e_a; e_{+inf} is the zero class by convention."""
     if grade == INF:
         return K0Class.zero()
-    return K0Class.generator(grade)
+    return K0Class([(q(grade), 1)])

@@ -13,8 +13,8 @@ in one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
 gives the dimension at grade a as the number of active generators minus
 the rank of the active relations.
 The one-dimensional case bridges to barcodes through the same reduction in
-the classical persistence order, on grades scaled to ints over a common
-denominator, and stores its bars, built in canonical order, unchecked.  A
+the classical persistence order, on the int heights the presentation keeps
+(:func:`_heights`), and builds its bars in canonical order, unchecked.  A
 relation on rows the stored columns already span is skipped unreduced, as
 in clearing (Chen & Kerber 2011); over F_p, on its nonzero residues' rows.
 """
@@ -26,10 +26,10 @@ from itertools import compress, repeat
 from math import lcm
 from operator import ge, is_not, le, lt
 
-from .barcodes import Bar, Barcode, DecoratedInterval
+from .barcodes import Barcode, _half_open_bar
 from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
-from .k0 import K0Class, e
+from .k0 import K0Class
 from .linalg import PrimeField, _kernel, _rows, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
@@ -262,17 +262,18 @@ def _require_one_dimensional(p: PresentationND):
 def barcode_of_presentation(p: PresentationND) -> Barcode:
     """Barcode of a 1-dimensional presentation by column reduction.
 
-    Births and degrees enter as ints over their common denominator (one
-    ``integral``), and stable sorts on those keys order the relation columns
-    by degree and the generators by birth, ties by index.  Rows are keyed by
-    their position in (birth, index) order, so the pivot of a column, its
-    generator of latest birth (ties by generator index), is its largest key.
-    A column (:func:`_columns`) is reduced by the stored column with the
-    same pivot until its pivot is new or it vanishes.  Over F_2 a step is
-    one XOR of bit masks.  Over odd p entries are ints modulo the prime, and
-    each stored column is scaled to pivot entry 1.  Over Q a column is an
-    int dict, a reduction step is ``col <- (b/g)*col - (f/g)*other`` with b
-    the pivot entry of ``other``, f that of ``col`` and g = gcd(b, f), and
+    Births and degrees are the int heights the presentation keeps over the
+    half-line's facet normal (1,) (:func:`_heights`), and stable sorts on
+    those keys order the relation columns by degree and the generators by
+    birth, ties by index.  Rows are keyed by their position in (birth,
+    index) order, so the pivot of a column, its generator of latest birth
+    (ties by generator index), is its largest key.  A column
+    (:func:`_columns`) is reduced by the stored column with the same pivot
+    until its pivot is new or it vanishes.  Over F_2 a step is one XOR of
+    bit masks.  Over odd p entries are ints modulo the prime, and each
+    stored column is scaled to pivot entry 1.  Over Q a column is an int
+    dict, a reduction step is ``col <- (b/g)*col - (f/g)*other`` with b the
+    pivot entry of ``other``, f that of ``col`` and g = gcd(b, f), and
     before every step ``col`` is divided by its content, so no common factor
     of the scalings builds up.  Each int column is a nonzero rational
     multiple of the column a reduction over Fractions holds, so the pivots
@@ -286,13 +287,12 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     bar [birth, degree), dropped when empty; unpaired generators are
     infinite.  Bars are counted per (birth key, death key), ``INF`` the key
     of an infinite death, and built once per distinct pair in key order, the
-    canonical order, and stored unchecked.
+    canonical order, unchecked by ``barcodes._half_open_bar``.
     """
     _require_one_dimensional(p)
     field = p.field
     n = len(p.generators)
-    grades = [g[0] for g in p.generators] + [row[0][0] for row in p.rows]
-    keys = integral(grades)[0]
+    keys = [h[0] for h in p._heights]
     births = keys[:n]
     row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
@@ -322,10 +322,9 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
         if pos not in paired:
             pair = (births[gen], INF)
             counts[pair] = counts.get(pair, 0) + 1
-    grade = dict(zip(keys, grades))
+    grade = dict(zip(keys, [g[0] for g in p.generators] + [row[0][0] for row in p.rows]))
     grade[INF] = INF
-    return Barcode._canonical(Bar._trusted(DecoratedInterval._trusted(grade[b], grade[d], True, False), 0, k)
-                              for (b, d), k in sorted(counts.items()))
+    return Barcode._canonical(_half_open_bar(grade[b], grade[d], k) for (b, d), k in sorted(counts.items()))
 
 
 def _close(low, pending, open_rows, waiting):
@@ -367,12 +366,7 @@ def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:
 
 
 def k0_of_presentation(p: PresentationND) -> K0Class:
-    """Euler characteristic of the presentation complex in Z[Q]."""
+    """Euler characteristic of the presentation complex in Z[Q], as one ``K0Class``."""
     if p.dim != 1:
         raise NotOneDimensional("K0 classes are computed for 1-dimensional gradings")
-    total = K0Class.zero()
-    for g in p.generators:
-        total = total + e(g[0])
-    for degree, _, _ in p.rows:
-        total = total - e(degree[0])
-    return total
+    return K0Class([*((g[0], 1) for g in p.generators), *((degree[0], -1) for degree, _, _ in p.rows)])

@@ -9,7 +9,9 @@ with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
-brute-force matchings for the bottleneck value, a recursive Kuhn search
+brute-force matchings for the bottleneck value, a rebuild by the checking
+constructors for almostization, folds of one ``K0Class`` per bar or grade
+for K0 classes, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
@@ -31,9 +33,10 @@ from itertools import combinations
 
 from aptkit import fm
 from aptkit.barcodes import Bar, Barcode, interval
-from aptkit.errors import InvalidInput
+from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
+from aptkit.k0 import K0Class, e
 from aptkit.linalg import _int_det
 from aptkit.modules import parse_field
 from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
@@ -259,6 +262,45 @@ def faces_by_supporting_hyperplanes(cone: Cone):
         face = Cone.from_halfspaces(cone.dim, list(cone.halfspaces) + [m, vneg(m)])
         faces[face._key] = face
     return sorted(faces.values(), key=lambda f: (f.cone_dim, f._key))
+
+
+def almostize_by_rebuild(b: Barcode) -> Barcode:
+    """Almostization by rebuilding every bar with interior through the
+    checking constructors, as the left-closed (when finite), right-open
+    interval with the same ends, and sorting them again."""
+    bars = []
+    for item in b.bars:
+        iv = item.interval
+        if iv.left < iv.right:
+            bars.append(Bar(interval(iv.left, iv.right, is_finite(iv.left), False), item.hdegree, item.multiplicity))
+    return Barcode(bars)
+
+
+def k0_class_by_fold(b: Barcode) -> K0Class:
+    """The K0 class of a barcode as a fold: each bar adds (-1)^deg . mult .
+    (e_left - e_right) to a running class, one ``K0Class`` per bar, so the
+    cost is quadratic in the bars."""
+    total = K0Class.zero()
+    for item in b.bars:
+        iv = item.interval
+        if iv.left == NEG_INF and iv.right == INF:
+            raise UnsupportedShape("full lines carry no K0 class in Z[Q]")
+        sign = -1 if item.hdegree % 2 else 1
+        contrib = e(iv.left) - e(iv.right)
+        total = total + K0Class([(g, sign * item.multiplicity * c) for g, c in contrib.terms])
+    return total
+
+
+def k0_of_presentation_by_fold(p) -> K0Class:
+    """The K0 class of a 1-dimensional presentation as a fold over its
+    dense view: plus e_g per generator grade g, minus e_d per relation
+    degree d, one ``K0Class`` per step."""
+    total = K0Class.zero()
+    for g in p.generators:
+        total = total + e(g[0])
+    for degree, _ in p.relations:
+        total = total - e(degree[0])
+    return total
 
 
 def _pair_cost(iv1, iv2):

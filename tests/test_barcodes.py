@@ -30,6 +30,7 @@ from aptkit.k0 import K0Class, e
 from aptkit.rational import INF, NEG_INF, is_finite, parse_grade
 
 from generators import random_barcode, random_decorated_barcode
+from oracles import almostize_by_rebuild, k0_class_by_fold
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 LINE = bar("-inf", "inf", False, False)
@@ -251,6 +252,30 @@ def test_almostize_idempotent_and_kernel():
         assert (nb.is_empty()) == is_almost_zero(b)
 
 
+def test_almostize_returns_an_almost_normal_barcode_itself():
+    # bars with interior, right-open, left-closed exactly when the left end
+    # is finite: nothing to rebuild, so the input comes back as it is
+    rng = random.Random(16)
+    for _ in range(200):
+        b = random_barcode(rng, GRID, max_bars=6, ray_chance=0.3, degree_choices=(0, 1, 2))
+        if rng.random() < 0.3:
+            b = Barcode([*b.bars, LINE])
+        assert almostize(b) is b
+        assert b == almostize_by_rebuild(b)
+
+
+def test_almostize_of_decorated_barcodes_is_the_rebuilt_form():
+    rng = random.Random(17)
+    rebuilt = 0
+    for _ in range(300):
+        b = random_decorated_barcode(rng, GRID, max_bars=6)
+        nb = almostize(b)
+        assert nb == almostize_by_rebuild(b)
+        assert almostize(nb) is nb
+        rebuilt += nb is not b
+    assert rebuilt >= 100
+
+
 def test_almost_iso_examples():
     assert almost_iso(barcode(bar(0, 1, True, True)), barcode(bar(0, 1)))
     assert almost_iso(barcode(bar(0, 0, True, True)), Barcode())
@@ -290,6 +315,50 @@ def test_torsionfree_hom_closed_form():
         free_x = sum(b.multiplicity for b in x.bars if b.interval.right == float("inf"))
         free_y = sum(b.multiplicity for b in y.bars if b.interval.right == float("inf"))
         assert torsionfree_hom_dim(x, y) == free_x * free_y
+
+
+def _k0_ladder(rng, n):
+    """n bars on a grid of quarters: about a fifth rays, degrees 0-3,
+    multiplicities 1-3."""
+    bars = []
+    for _ in range(n):
+        left = Fraction(rng.randint(0, 400), 4)
+        right = INF if rng.random() < 0.2 else left + Fraction(rng.randint(1, 40), 4)
+        bars.append(Bar(DecoratedInterval(left, right), rng.randrange(4), rng.randint(1, 3)))
+    return Barcode(bars)
+
+
+def test_k0_class_matches_the_fold():
+    rng = random.Random(19)
+    seen = dict.fromkeys(["ray", "odd degree", "multiplicity"], 0)
+    for n in [rng.randint(0, 12) for _ in range(150)] + [60, 120]:
+        b = _k0_ladder(rng, n)
+        assert k0_class(b) == k0_class_by_fold(b)
+        seen["ray"] += any(item.interval.right == INF for item in b.bars)
+        seen["odd degree"] += any(item.hdegree % 2 for item in b.bars)
+        seen["multiplicity"] += any(item.multiplicity > 1 for item in b.bars)
+    assert min(seen.values()) >= 50, seen
+    for b in (barcode(LINE), barcode(bar(0, 1), bar("-inf", "inf", False, False, hdegree=1))):
+        with pytest.raises(UnsupportedShape):
+            k0_class(b)
+        with pytest.raises(UnsupportedShape):
+            k0_class_by_fold(b)
+
+
+def test_k0_class_builds_one_class(monkeypatch):
+    # A count, not a clock: the terms of all bars enter one K0Class, so the
+    # cost does not grow with the square of the bars.  The augmentation (sum
+    # of coefficients) of the class counts the rays with their signs.
+    built = []
+    init = K0Class.__init__
+    monkeypatch.setattr(K0Class, "__init__", lambda self, *args: built.append(len(args)) or init(self, *args))
+    for n in (0, 10, 100, 2000):
+        b = _k0_ladder(random.Random(n), n)
+        built.clear()
+        k = k0_class(b)
+        assert built == [1], (n, built)
+        rays = sum((-1) ** item.hdegree * item.multiplicity for item in b.bars if item.interval.right == INF)
+        assert sum(c for _, c in k.terms) == rays
 
 
 def test_k0_group_ring():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from aptkit import catalog, cutoff, geometry, io, linalg, modules
+from aptkit._record import Record
 from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
@@ -37,6 +38,7 @@ from oracles import (
     barcode_by_fraction_reduction,
     barcode_by_rank_invariant,
     dense_rank,
+    k0_of_presentation_by_fold,
     presentation_rows_by_dense_scan,
 )
 
@@ -203,6 +205,28 @@ def test_tensor_requires_matching_data():
         h0_tensor(p, f2)
 
 
+def test_k0_of_presentation_is_the_fold_in_one_construction(monkeypatch):
+    # the generator and relation grades enter one K0Class, equal to the old
+    # fold (one class per grade) on seeded presentations; on the Rees
+    # presentation of 2000 bars, one construction is pinned by count
+    built = []
+    init = K0Class.__init__
+    monkeypatch.setattr(K0Class, "__init__", lambda self, *args: built.append(len(args)) or init(self, *args))
+    rng = random.Random(23)
+    ladder = Barcode([bar(a, a + rng.randint(1, 9) if rng.random() < 0.8 else "inf")
+                      for a in (half_grade(rng, 0, 200) for _ in range(2000))])
+    cases = [sparse_presentation(random.Random(m), 3 * m // 2 + 3, m) for m in (0, 1, 10, 100)]
+    for p in cases + [presentation_of_barcode(ladder)]:
+        built.clear()
+        k = k0_of_presentation(p)
+        assert built == [1], (len(p.rows), built)
+        if len(p.rows) <= 100:
+            assert k == k0_of_presentation_by_fold(p)
+        assert sum(c for _, c in k.terms) == len(p.generators) - len(p.rows)
+    with pytest.raises(NotOneDimensional):
+        k0_of_presentation(PresentationND(QUADRANT, [(0, 0)]))
+
+
 def test_k0_additivity_on_exact_triples():
     from aptkit import catalog
 
@@ -346,9 +370,10 @@ def test_one_conversion_matches_oracles_in_four_fields():
 
 
 def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
-    # A count, not a clock: one integral for the grades and, over Q, one for
-    # all the coefficients at every size (over F_2 they enter by numerator
-    # parity), no per-coefficient residue, and no bar checked or sorted
+    # A count, not a clock: the grades enter as the heights the presentation
+    # keeps, so the one integral is, over Q, that of all the coefficients at
+    # every size, and over F_2 there is none (they enter by numerator
+    # parity); no per-coefficient residue, and no bar checked or sorted
     # again; construction over F_p takes no residue either.
     calls = Counter()
 
@@ -369,9 +394,34 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
             assert calls["from_fraction"] == 0
             calls.clear()
             barcode_of_presentation(p)
-            per_call[field].add(calls.pop("integral"))
+            per_call[field].add(calls.pop("integral", 0))
             assert not +calls, (m, field, calls)
-    assert per_call == {None: {2}, PrimeField(2): {1}}, per_call
+    assert per_call == {None: {1}, PrimeField(2): {0}}, per_call
+
+
+def test_pairing_builds_each_bar_once_and_checks_none(monkeypatch):
+    # A count, not a clock: in every field the pairing builds each distinct
+    # bar with one call of the unchecked builder and runs no validating
+    # __init__ of a bar, an interval or a barcode; records have no generic
+    # unchecked constructor left to call.  The bars are those the checking
+    # constructors build.
+    assert not hasattr(Record, "_trusted")
+    calls = Counter()
+    for owner in (Barcode, Bar, DecoratedInterval):
+        init = owner.__init__
+        monkeypatch.setattr(owner, "__init__", lambda *args, owner=owner, init=init, **kwargs:
+                            calls.update([owner.__name__]) or init(*args, **kwargs))
+    build = modules._half_open_bar
+    monkeypatch.setattr(modules, "_half_open_bar", lambda *args: calls.update(["built"]) or build(*args))
+    for m in (10, 100, 400):
+        base = sparse_presentation(random.Random(m), 3 * m // 2, m)
+        for field in (None, PrimeField(2), PrimeField(3)):
+            p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
+            calls.clear()
+            got = barcode_of_presentation(p)
+            assert got.bars and calls == Counter(built=len(got.bars)), (m, field, calls)
+            rebuilt = Barcode([bar(b.interval.left, b.interval.right, multiplicity=b.multiplicity) for b in got.bars])
+            assert rebuilt.bars == got.bars and repr(rebuilt) == repr(got)
 
 
 def test_eval_converts_only_the_query_grade(monkeypatch):
@@ -467,15 +517,6 @@ def _dense_tensor(p, other):
     return PresentationND(p.gamma, gens, rels, p.field)
 
 
-def _dense_k0(p):
-    total = K0Class.zero()
-    for g in p.generators:
-        total = total + e(g[0])
-    for degree, _ in p.relations:
-        total = total - e(degree[0])
-    return total
-
-
 def test_shift_tensor_and_k0_match_dense_formulas():
     rng = random.Random(22)
     cases = list(_stored_form_cases())
@@ -486,7 +527,7 @@ def test_shift_tensor_and_k0_match_dense_formulas():
         other = same[rng.randrange(len(same))]
         assert h0_tensor(p, other) == _dense_tensor(p, other)
         if p.dim == 1:
-            assert k0_of_presentation(p) == _dense_k0(p)
+            assert k0_of_presentation(p) == k0_of_presentation_by_fold(p)
 
 
 def _count_reductions(monkeypatch):
@@ -584,8 +625,9 @@ def test_f2_pairing_and_eval_match_the_oracles(monkeypatch):
 
 def test_no_f2_column_reaches_the_dict_reduction(monkeypatch):
     # A count, not a clock: over F_2 the pairing, eval_at and the stalk ranks
-    # run the mask kernel alone, and the pairing's one integral is that of
-    # the grades; F_3 still takes the dict reduction, so the spy sees calls.
+    # run the mask kernel alone, and the pairing converts nothing, as it
+    # reads the grades' kept heights; F_3 still takes the dict reduction, so
+    # the spy sees calls.
     reached = Counter()
     for name in ("_reduce_fp", "_reduce_f2"):
         reduce = getattr(linalg, name)
@@ -601,7 +643,7 @@ def test_no_f2_column_reaches_the_dict_reduction(monkeypatch):
         converted.clear()
         bars = barcode_of_presentation(p)
         if field == f2:
-            assert converted == [[g[0] for g in p.generators] + [d[0] for d, _, _ in p.rows]]
+            assert converted == []
         for a in (3, 7, 11):
             assert eval_at(p, (a,)) == barcode_eval(bars, a).get(0, 0)
         assert cutoff.convolution_unit_check(catalog.fan("p2"), field)[0]

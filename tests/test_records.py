@@ -61,6 +61,15 @@ def _hash(value):
         return str(exc)
 
 
+def _unchecked(record, values):
+    """A record of these field values, in slot order, built past its
+    validating ``__init__``."""
+    rec = object.__new__(record)
+    for name, value in zip(record.__slots__, values):
+        object.__setattr__(rec, name, value)
+    return rec
+
+
 def _error(make, args):
     try:
         make(*args)
@@ -83,7 +92,7 @@ def test_record_matches_its_dataclass(record, twin, values, other):
     assert rec != ref and rec != values
     # another record class with the same field values, built unchecked:
     # most classes reject the values of another
-    strangers = [stranger._trusted(*values) for stranger, *_ in CASES
+    strangers = [_unchecked(stranger, values) for stranger, *_ in CASES
                  if stranger is not record and len(stranger.__slots__) == len(values)]
     assert strangers
     for stranger in strangers:
