@@ -150,10 +150,6 @@ _BARCODES = {
 }
 
 
-def barcode_names():
-    return sorted(_BARCODES)
-
-
 def barcode(name: str) -> Barcode:
     return _lookup(_BARCODES, "barcode", name)()
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (including a failed validation verdict, which is
 a successful run), 1 on domain errors (structured ``{"error": ...}`` on
-stdout), 2 on usage errors (argparse).  The default coefficient field is
-Q, overridable with ``--field`` or the APTKIT_FIELD environment variable.
+stdout), 2 on usage errors (argparse).  The six commands that compute over
+a field take ``--field``, by default APTKIT_FIELD from the environment, else Q.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import modules as md
 from .errors import AptError, InvalidInput
 from .modules import parse_field
-from .rational import INF, parse_grade, q, qvec
+from .rational import parse_grade, q, qvec
 
 
 def _load_json_arg(value):
@@ -85,6 +85,10 @@ def _load_presentation(args, field, which=1):
     raise InvalidInput("provide --input/--catalog" + ("2" if which == 2 else ""))
 
 
+def _field(args):
+    return parse_field(args.field or os.environ.get("APTKIT_FIELD") or "q")
+
+
 def _load_polyhedron(args, flag="poly"):
     value = getattr(args, flag, None)
     if not value:
@@ -105,22 +109,22 @@ def _point(args, dim=None):
 # ---------------------------------------------------------------- handlers
 
 
-def _cmd_cone_dual(args, field):
+def _cmd_cone_dual(args):
     c = _load_cone(args)
     return io.cone_to_json(geo.dual_cone(c))
 
 
-def _cmd_cone_proper(args, field):
+def _cmd_cone_proper(args):
     c = _load_cone(args)
     return {"proper": geo.is_proper(c)}
 
 
-def _cmd_cone_faces(args, field):
+def _cmd_cone_faces(args):
     c = _load_cone(args)
     return {"faces": [io.cone_to_json(f) for f in geo.faces_of(c)]}
 
 
-def _cmd_fan_validate(args, field):
+def _cmd_fan_validate(args):
     try:
         fan = _load_fan(args)
     except AptError as exc:
@@ -130,11 +134,11 @@ def _cmd_fan_validate(args, field):
     return {"valid": True, "complete": fan.is_complete()}
 
 
-def _cmd_fan_complete(args, field):
+def _cmd_fan_complete(args):
     return {"complete": _load_fan(args).is_complete()}
 
 
-def _cmd_fan_separate(args, field):
+def _cmd_fan_separate(args):
     fan = _load_fan(args)
     s1 = fan.cone_by_id(args.cone1)
     s2 = fan.cone_by_id(args.cone2)
@@ -142,80 +146,79 @@ def _cmd_fan_separate(args, field):
     return {"m": io.qvec_to_json(m)}
 
 
-def _cmd_fan_support(args, field):
+def _cmd_fan_support(args):
     fan = _load_fan(args)
     return {"contains": fan.support_contains(_point(args, fan.dim))}
 
 
-def _cmd_barcode_eval(args, field):
+def _cmd_barcode_eval(args):
     b = _load_barcode(args)
     dims = bc.eval_at(b, parse_grade(args.at))
     return {"dims": {str(k): v for k, v in sorted(dims.items())}}
 
 
-def _cmd_barcode_shift(args, field):
+def _cmd_barcode_shift(args):
     b = _load_barcode(args)
     return io.barcode_to_json(bc.shift(b, parse_grade(args.by)))
 
 
-def _cmd_barcode_convolve(args, field):
+def _cmd_barcode_convolve(args):
     out = bc.convolve(_load_barcode(args, 1), _load_barcode(args, 2))
     return io.barcode_to_json(out)
 
 
-def _cmd_barcode_almostize(args, field):
+def _cmd_barcode_almostize(args):
     return io.barcode_to_json(bc.almostize(_load_barcode(args)))
 
 
-def _cmd_barcode_k0(args, field):
+def _cmd_barcode_k0(args):
     return {"k0": io.k0_to_json(bc.k0_class(_load_barcode(args)))}
 
 
-def _cmd_barcode_torsion(args, field):
+def _cmd_barcode_torsion(args):
     b = _load_barcode(args)
     return {"torsion": bc.is_c_torsion(b, parse_grade(args.scale))}
 
 
-def _cmd_barcode_quotient_loc(args, field):
+def _cmd_barcode_quotient_loc(args):
     return io.barcode_to_json(bc.quotient_by_locals(_load_barcode(args)))
 
 
-def _cmd_barcode_homdim(args, field):
+def _cmd_barcode_homdim(args):
     dim = bc.torsionfree_hom_dim(_load_barcode(args, 1), _load_barcode(args, 2))
     return {"dim": dim}
 
 
-def _cmd_dist_compute(args, field):
+def _cmd_dist_compute(args):
     x = _load_barcode(args, 1)
     y = _load_barcode(args, 2)
-    d = interleaving.interleaving_distance(x, y)
+    d, cert = interleaving.distance_with_certificate(x, y)
     out = {"distance": io.grade_to_json(d)}
-    if d != INF:
-        cert = interleaving.certificate_for(x, y, d)
+    if cert is not None:
         out["certificate"] = io.certificate_to_json(cert)
     return out
 
 
-def _cmd_dist_verify(args, field):
+def _cmd_dist_verify(args):
     x = _load_barcode(args, 1)
     y = _load_barcode(args, 2)
     cert = io.parse_certificate_json(_load_json_arg(args.cert))
     return {"valid": interleaving.verify_interleaving(x, y, cert)}
 
 
-def _cmd_cutoff_delta(args, field):
+def _cmd_cutoff_delta(args):
     fan = _load_fan(args)
     offsets = io.parse_offsets_json(_load_json_arg(args.offsets))
     return io.polyhedron_to_json(cutoff.delta_polytope(fan, offsets))
 
 
-def _cmd_cutoff_mink(args, field):
+def _cmd_cutoff_mink(args):
     poly = _load_polyhedron(args)
     cone = _load_cone(args)
     return io.polyhedron_to_json(cutoff.minkowski_with_cone(poly, geo.dual_cone(cone)))
 
 
-def _cmd_cutoff_basis_witness(args, field):
+def _cmd_cutoff_basis_witness(args):
     poly = _load_polyhedron(args)
     gamma = _load_cone(args, flag="gamma")
     x = _point(args, poly.dim)
@@ -223,8 +226,8 @@ def _cmd_cutoff_basis_witness(args, field):
     return {"a": io.qvec_to_json(a)}
 
 
-def _cmd_cutoff_star_homology(args, field):
-    fan = _load_fan(args)
+def _cmd_cutoff_star_homology(args):
+    field, fan = _field(args), _load_fan(args)
     report = cutoff.star_stalk_homology(fan, _point(args, fan.dim), field)
     return {
         "point": io.qvec_to_json(report.point),
@@ -233,20 +236,20 @@ def _cmd_cutoff_star_homology(args, field):
     }
 
 
-def _cmd_cutoff_unit_check(args, field):
-    fan = _load_fan(args)
-    ok, checked = cutoff.convolution_unit_check(fan, field)
+def _cmd_cutoff_unit_check(args):
+    field = _field(args)
+    ok, checked = cutoff.convolution_unit_check(_load_fan(args), field)
     return {"ok": ok, "strata_checked": checked}
 
 
-def _cmd_cutoff_indicator_convolve(args, field):
+def _cmd_cutoff_indicator_convolve(args):
     a = _load_polyhedron(args, "poly")
     b = _load_polyhedron(args, "poly2")
     poly, shift = cutoff.indicator_convolve(a, b)
     return {"polyhedron": io.polyhedron_to_json(poly), "shift": shift}
 
 
-def _cmd_toric_charts(args, field):
+def _cmd_toric_charts(args):
     fan = _load_fan(args)
     charts, built, boundary = [], [], []
     for cid, cone in zip(fan.ids, fan.cones):
@@ -264,7 +267,7 @@ def _cmd_toric_charts(args, field):
     return {"charts": charts, "transitions": transitions, "boundary": boundary}
 
 
-def _cmd_toric_transition(args, field):
+def _cmd_toric_transition(args):
     fan = _load_fan(args)
     t = toric.transition_data(
         toric.chart_of_cone(fan.cone_by_id(args.cone1)),
@@ -273,7 +276,7 @@ def _cmd_toric_transition(args, field):
     return {"m": io.qvec_to_json(t.m), "overlap_dual": io.cone_to_json(t.overlap)}
 
 
-def _cmd_toric_cocycle(args, field):
+def _cmd_toric_cocycle(args):
     fan = _load_fan(args)
     ok = toric.cocycle_check(
         toric.chart_of_cone(fan.cone_by_id(args.cone1)),
@@ -283,7 +286,7 @@ def _cmd_toric_cocycle(args, field):
     return {"ok": ok}
 
 
-def _cmd_toric_boundary(args, field):
+def _cmd_toric_boundary(args):
     fan = _load_fan(args)
     ids = [args.cone] if getattr(args, "cone", None) else list(fan.ids)
     out = []
@@ -293,15 +296,15 @@ def _cmd_toric_boundary(args, field):
     return {"boundary": out}
 
 
-def _cmd_toric_root_level(args, field):
+def _cmd_toric_root_level(args):
     fan = _load_fan(args)
     chart = toric.chart_of_cone(fan.cone_by_id(args.cone))
     level = toric.root_ladder_level(chart, _point(args, fan.dim))
     return {"level": level}
 
 
-def _cmd_module_eval(args, field):
-    p = _load_presentation(args, field)
+def _cmd_module_eval(args):
+    p = _load_presentation(args, _field(args))
     coords = [s for s in args.at.split(",") if s.strip()]
     grade = qvec(coords)
     if len(grade) != p.dim:
@@ -309,30 +312,33 @@ def _cmd_module_eval(args, field):
     return {"dim": md.eval_at(p, grade)}
 
 
-def _cmd_module_tensor(args, field):
+def _cmd_module_tensor(args):
+    field = _field(args)
     p = _load_presentation(args, field, 1)
     q_ = _load_presentation(args, field, 2)
     return io.presentation_to_json(md.h0_tensor(p, q_))
 
 
-def _cmd_module_barcode(args, field):
-    p = _load_presentation(args, field)
+def _cmd_module_barcode(args):
+    p = _load_presentation(args, _field(args))
     return io.barcode_to_json(md.barcode_of_presentation(p))
 
 
-def _cmd_module_present(args, field):
-    b = _load_barcode(args)
-    return io.presentation_to_json(md.presentation_of_barcode(b, field))
+def _cmd_module_present(args):
+    field = _field(args)
+    return io.presentation_to_json(md.presentation_of_barcode(_load_barcode(args), field))
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p, *, second=False, poly=False, poly2=False, cert=False):
-    p.add_argument("--field", default=None, help="coefficient field: q or f<p>")
+def _add_common(p, *, field=False, inputs=True, second=False, poly=False, poly2=False, cert=False):
+    if field:
+        p.add_argument("--field", default=None, help="coefficient field: q or f<p> (default: APTKIT_FIELD)")
     p.add_argument("--output", default=None, help="write JSON to file instead of stdout")
-    p.add_argument("--input", help="JSON input (inline or file path)")
-    p.add_argument("--catalog", help="catalog entry name")
+    if inputs:
+        p.add_argument("--input", help="JSON input (inline or file path)")
+        p.add_argument("--catalog", help="catalog entry name")
     if second:
         p.add_argument("--input2", help="second JSON input")
         p.add_argument("--catalog2", help="second catalog entry name")
@@ -390,9 +396,9 @@ def _cutoff_commands(cmds):
     p = _command(cmds, "basis-witness", _cmd_cutoff_basis_witness, poly=True)
     p.add_argument("--gamma", help="cone id of gamma within the fan input")
     p.add_argument("--point", required=True)
-    _command(cmds, "star-homology", _cmd_cutoff_star_homology, "point")
-    _command(cmds, "unit-check", _cmd_cutoff_unit_check)
-    _command(cmds, "indicator-convolve", _cmd_cutoff_indicator_convolve, poly=True, poly2=True)
+    _command(cmds, "star-homology", _cmd_cutoff_star_homology, "point", field=True)
+    _command(cmds, "unit-check", _cmd_cutoff_unit_check, field=True)
+    _command(cmds, "indicator-convolve", _cmd_cutoff_indicator_convolve, inputs=False, poly=True, poly2=True)
 
 
 def _toric_commands(cmds):
@@ -404,11 +410,11 @@ def _toric_commands(cmds):
 
 
 def _module_commands(cmds):
-    p = _command(cmds, "eval", _cmd_module_eval)
+    p = _command(cmds, "eval", _cmd_module_eval, field=True)
     p.add_argument("--at", required=True, help="comma-separated grade vector")
-    _command(cmds, "tensor", _cmd_module_tensor, second=True)
-    _command(cmds, "barcode", _cmd_module_barcode)
-    _command(cmds, "present", _cmd_module_present)
+    _command(cmds, "tensor", _cmd_module_tensor, second=True, field=True)
+    _command(cmds, "barcode", _cmd_module_barcode, field=True)
+    _command(cmds, "present", _cmd_module_present, field=True)
 
 
 _GROUPS = {
@@ -442,10 +448,8 @@ def main(argv=None) -> int:
     # a first token that names no group (--help, a typo) gets the full parser
     parser = build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
     args = parser.parse_args(argv)
-    field_tag = args.field or os.environ.get("APTKIT_FIELD") or "q"
     try:
-        field = parse_field(field_tag)
-        text = io.dumps(args.handler(args, field))
+        text = io.dumps(args.handler(args))
         if args.output:
             try:
                 with open(args.output, "w", encoding="utf-8") as fh:

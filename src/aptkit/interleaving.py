@@ -3,12 +3,15 @@
 The distance is the infimum of max(a, b) over (a, b)-isomorphisms, which
 for barcodes coincides with the classical bottleneck value; that
 identification is classical persistence theory, so it is cross-validated
-in the tests by an exhaustive matching oracle rather than assumed.  The
-computation runs the standard route: binary search over the finite set of
-candidate values, on costs that are ints at one scale (twice the common
-denominator of the endpoints).  A value is feasible when one matching of the
-bars alone, at pair cost <= value, covers every bar whose kill cost exceeds
-it; no diagonal nodes are built.
+in the tests by an exhaustive matching oracle rather than assumed.  Each
+request reads the almost-normal bars in one int form: the finite endpoints
+over one common denominator.  The distance is one binary search over the
+candidate values, on int costs at twice that denominator; a value is
+feasible when one matching of the bars alone, at pair cost <= value, covers
+every bar whose kill cost exceeds it.  The certificate is read off the
+matching found there.  The verifier checks the morphism identities on the
+int ends, apart from the search; the tests check it against the same
+identities on interval objects.
 
 Decorations are ignored by the distance: inputs are almostized first,
 consistent with almost-isomorphic barcodes being at distance zero.
@@ -19,28 +22,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .barcodes import (
-    Barcode,
-    DecoratedInterval,
-    _hom_dim_intervals,
-    almostize,
-    classify_shape,
-    interval,
-)
-from .errors import InternalCheckFailed, InvalidInput, UnsupportedShape
-from .rational import INF, integral, is_finite, q
+from .barcodes import Barcode, almostize, classify_shape
+from .errors import ComputationTooLarge, InternalCheckFailed, InvalidInput, UnsupportedShape
+from .rational import INF, NEG_INF, integral, is_finite, q
+
+# Unit bars one barcode may expand to, lines included.  The cost table has
+# one entry per pair of unit bars, so this bounds it at 2048^2 entries.
+_BAR_CAP = 2048
 
 
 def _expand(b: Barcode):
-    """Almostize, check degree-0 and shapes; return (number of lines, bars)
-    with the rays before the finite bars.
-
-    Bars are expanded to unit multiplicity so matchings index single bars.
-    """
-    lines = 0
-    rays = []
-    finite = []
-    for item in almostize(b).bars:
+    """Almostize and check the size cap (unit bars, lines included), degree 0
+    and shapes; return (number of lines, bars), one bar per unit of
+    multiplicity so that matchings index single bars, the rays first."""
+    items = almostize(b).bars
+    total = sum(item.multiplicity for item in items)
+    if total > _BAR_CAP:
+        raise ComputationTooLarge("a barcode has too many bars to match", bars=total, cap=_BAR_CAP)
+    lines, rays, finite = 0, [], []
+    for item in items:
         if item.hdegree != 0:
             raise UnsupportedShape("interleaving distance expects degree-0 barcodes")
         shape = classify_shape(item.interval)
@@ -51,11 +51,6 @@ def _expand(b: Barcode):
         else:
             finite.extend([item.interval] * item.multiplicity)
     return lines, rays + finite
-
-
-def _rays(bars):
-    """How many of the bars of :func:`_expand` are rays."""
-    return sum(not is_finite(iv.right) for iv in bars)
 
 
 def _cover(roots, allowed, match, back, light):
@@ -95,26 +90,33 @@ def _cover(roots, allowed, match, back, light):
     return match
 
 
+def _int_ends(bars, *values):
+    """The int form: ((left, right) per bar of :func:`_expand`, a ray's
+    right end INF; the values; m), with the finite ends and the values over
+    one common denominator m, from one ``integral``."""
+    finite = [is_finite(iv.right) for iv in bars]
+    ends = [e for iv, f in zip(bars, finite) for e in (iv.left, iv.right if f else iv.left)]
+    ints, m = integral(ends + list(values))
+    n = 2 * len(bars)
+    return [(ints[k], ints[k + 1] if f else INF) for k, f in zip(range(0, n, 2), finite)], ints[n:], m
+
+
+def _minus(end, c):
+    """An int end less c; an infinite end stays, so no float meets a long int."""
+    return end - c if is_finite(end) else end
+
+
 def _cost_table(bars_x, bars_y):
     """((pair costs, one list per X-bar; kill costs of the X- and of the
-    Y-bars), scale) in ints: the finite endpoints enter over one common
-    denominator m (one ``integral``), and each finite cost is its value times
-    the scale 2m, so that a kill cost, half a length, is an int too."""
-    bars = bars_x + bars_y
-    finite = [is_finite(iv.right) for iv in bars]
-    ints, m = integral([e for iv, f in zip(bars, finite) for e in (iv.left, iv.right if f else iv.left)])
-    ends = [(ints[2 * k], ints[2 * k + 1] if f else INF) for k, f in enumerate(finite)]
+    Y-bars), ends, scale) in ints: ``ends`` is the int form of the X- then
+    the Y-bars over m, and each finite cost is its value times the scale
+    2m, so that a kill cost, half a length, is an int too."""
+    ends, _, m = _int_ends(bars_x + bars_y)
+    n = len(bars_x)
     kill = [INF if right == INF else right - left for left, right in ends]
-    pair = []
-    for lx, rx in ends[: len(bars_x)]:
-        row = []
-        for ly, ry in ends[len(bars_x):]:
-            if rx == INF or ry == INF:
-                row.append(2 * abs(lx - ly) if rx == ry else INF)
-            else:
-                row.append(2 * max(abs(lx - ly), abs(rx - ry)))
-        pair.append(row)
-    return (pair, kill[: len(bars_x)], kill[len(bars_x):]), 2 * m
+    pair = [[2 * max(abs(lx - ly), abs(rx - ry)) if rx != INF != ry else 2 * abs(lx - ly) if rx == ry else INF
+             for ly, ry in ends[n:]] for lx, rx in ends[:n]]
+    return (pair, kill[:n], kill[n:]), ends, 2 * m
 
 
 def _feasible(costs, eps):
@@ -136,46 +138,54 @@ def _feasible(costs, eps):
     return {i: match.get(i) for i in range(len(kill_x))}
 
 
-def interleaving_distance(x: Barcode, y: Barcode):
-    """Exact inf over max(a, b) of (a, b)-isomorphisms; +inf when none exists.
+def _search(costs):
+    """(least feasible candidate, the matching found there) by binary search
+    over 0 and every finite cost; (INF, None) when none is feasible."""
+    pair, kill_x, kill_y = costs
+    candidates = sorted({0, *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
+    # candidates[lo] is infeasible (-1: below them all), candidates[hi] has the matching
+    lo, hi = -1, len(candidates) - 1
+    matching = _feasible(costs, candidates[hi])
+    if matching is None:
+        return INF, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = _feasible(costs, candidates[mid])
+        if found is None:
+            lo = mid
+        else:
+            hi, matching = mid, found
+    return candidates[hi], matching
 
-    The costs are computed once, as ints at the scale of :func:`_cost_table`,
-    so each binary-search step over the candidate values (0 and every finite
-    cost) compares ints; the distance is the least feasible candidate over
-    the scale.
-    """
+
+def distance_with_certificate(x: Barcode, y: Barcode):
+    """(interleaving distance, certificate at it) from one expansion, cost
+    table and search; (INF, None) when no finite interleaving exists."""
     lines_x, bars_x = _expand(x)
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:
-        return INF
-    if _rays(bars_x) != _rays(bars_y):
-        return INF
-    costs, scale = _cost_table(bars_x, bars_y)
-    pair, kill_x, kill_y = costs
-    candidates = sorted({0, *(c for row in pair for c in row), *kill_x, *kill_y} - {INF})
-    lo, hi = 0, len(candidates) - 1
-    if _feasible(costs, candidates[lo]) is not None:
-        return Fraction(candidates[lo], scale)
-    if _feasible(costs, candidates[hi]) is None:
-        return INF
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _feasible(costs, candidates[mid]) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(candidates[hi], scale)
+        return INF, None
+    costs, ends, scale = _cost_table(bars_x, bars_y)
+    eps, matching = _search(costs)
+    if matching is None:
+        return INF, None
+    d = Fraction(eps, scale)
+    return d, _certificate(d, eps, matching, ends, len(bars_x), lines_x)
+
+
+def interleaving_distance(x: Barcode, y: Barcode):
+    """Exact inf over max(a, b) of (a, b)-isomorphisms; +inf when none exists:
+    the least feasible candidate of :func:`_search` over the cost scale."""
+    return distance_with_certificate(x, y)[0]
 
 
 def distance_to_zero(x: Barcode):
     """d(x, 0): half the maximal bar length, +inf for any infinite bar; the
     largest kill cost of :func:`_cost_table` over its scale."""
     lines, bars = _expand(x)
-    if lines:
-        return INF
-    (_, kill, _), scale = _cost_table(bars, [])
+    (_, kill, _), _, scale = _cost_table(bars, [])
     worst = max(kill, default=0)
-    return INF if worst == INF else Fraction(worst, scale)
+    return INF if lines or worst == INF else Fraction(worst, scale)
 
 
 class InterleavingCertificate(Record):
@@ -195,113 +205,101 @@ class InterleavingCertificate(Record):
         set_field(self, "backward", backward)
 
 
-def _expanded_intervals(b: Barcode):
-    lines, bars = _expand(b)
-    return bars + [interval("-inf", "inf", False, False)] * lines
+def _certificate(value, eps, matching, ends, n_x, lines):
+    """The certificate at (value, value) of a matching of :func:`_feasible`
+    at eps, the floor of value on the cost scale.  A matched pair [lx, rx),
+    [ly, ry) whose maps vanish, 2 (ry - lx) <= eps or 2 (rx - ly) <= eps, is
+    killed instead (both bars are 2*value-torsion); lines pair up in order."""
+    n_y = len(ends) - n_x
+    forward, backward = [], [None] * (n_y + lines)
+    for i, (lx, rx) in enumerate(ends[:n_x]):
+        j = matching[i]
+        if j is not None:
+            ly, ry = ends[n_x + j]
+            if rx != INF and 2 * min(ry - lx, rx - ly) <= eps:
+                j = None
+            else:
+                backward[j] = i
+        forward.append(j)
+    forward += range(n_y, n_y + lines)
+    backward[n_y:] = range(n_x, n_x + lines)
+    return InterleavingCertificate(value, value, tuple(forward), tuple(backward))
 
 
 def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertificate:
     """Build a certificate at (value, value), by default at the distance
     d = interleaving_distance(x, y); a value below d is InvalidInput."""
     if value is None:
-        value = interleaving_distance(x, y)
-    lines_x, real_x = _expand(x)
-    lines_y, real_y = _expand(y)
+        cert = distance_with_certificate(x, y)[1]
+        if cert is None:
+            raise InvalidInput("no finite interleaving exists")
+        return cert
+    lines_x, bars_x = _expand(x)
+    lines_y, bars_y = _expand(y)
     if value == INF or lines_x != lines_y:
         raise InvalidInput("no finite interleaving exists")
     value = q(value)
     if value < 0:
         raise InvalidInput("an interleaving value must be nonnegative")
-    costs, scale = _cost_table(real_x, real_y)
+    costs, ends, scale = _cost_table(bars_x, bars_y)
     # the costs are ints: c <= value * scale iff c <= its floor
-    matching = _feasible(costs, value.numerator * scale // value.denominator)
+    eps = value.numerator * scale // value.denominator
+    matching = _feasible(costs, eps)
     if matching is None:
-        # a caller's value below a finite distance, or rays that cannot pair
-        # up; with equal rays the distance is finite, so INF is a fault here
-        if _rays(real_x) != _rays(real_y) or value < interleaving_distance(x, y) < INF:
+        # a value below a finite distance, or rays (infinite kill costs) that
+        # cannot pair up; with equal rays the distance is finite: INF is a fault
+        _, kill_x, kill_y = costs
+        if kill_x.count(INF) != kill_y.count(INF) or eps < _search(costs)[0] < INF:
             raise InvalidInput("no interleaving at this value: it is below the distance")
         raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
-    forward = []
-    backward = [None] * (len(real_y) + lines_y)
-    for i in range(len(real_x) + lines_x):
-        if i < len(real_x):
-            j = matching[i]
-            if j is not None and not (
-                _hom_dim_intervals(real_x[i], real_y[j].translate(value))
-                and _hom_dim_intervals(real_y[j], real_x[i].translate(value))
-            ):
-                # both bars are 2*value-torsion in this case: kill instead
-                j = None
-            forward.append(j)
-            if j is not None:
-                backward[j] = i
-        else:
-            j = len(real_y) + (i - len(real_x))
-            forward.append(j)
-            backward[j] = i
-    return InterleavingCertificate(value, value, tuple(forward), tuple(backward))
-
-
-def _tau_support(iv: DecoratedInterval, s):
-    return iv.intersect(iv.translate(q(s)))
+    return _certificate(value, eps, matching, ends, len(bars_x), lines_x)
 
 
 def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -> bool:
     """Check both composite identities of an (a, b)-isomorphism exactly.
 
-    Per matched pair the morphisms are the canonical interval maps; the
-    composite through Y must have exactly the support of tau_{a+b} on each
-    X-bar, and symmetrically.  Unmatched bars need tau_{a+b} to vanish.
-    """
+    The ends and a, b are ints over one common denominator, a line is
+    (-inf, inf), and s = a + b.  Per matched pair the morphisms are the
+    canonical interval maps: [l, r) -> T_t[l', r') is nonzero iff
+    l' - t <= l < r' - t <= r.  The composite through Y must have exactly
+    the support [l, r - s) of tau_s on each X-bar, and symmetrically;
+    unmatched bars need tau_s to vanish."""
     a, b = q(cert.a), q(cert.b)
     if a < 0 or b < 0:
         raise InvalidInput("certificate shifts must be nonnegative")
-    bars_x = _expanded_intervals(x)
-    bars_y = _expanded_intervals(y)
-    if (
-        len(cert.forward) != len(bars_x)
-        or len(cert.backward) != len(bars_y)
-        or any(j is not None and j not in range(len(bars_y)) for j in cert.forward)
-        or any(i is not None and i not in range(len(bars_x)) for i in cert.backward)
-    ):
+    lines_x, bars_x = _expand(x)
+    lines_y, bars_y = _expand(y)
+    n_x, n_y = len(bars_x) + lines_x, len(bars_y) + lines_y
+    if (len(cert.forward), len(cert.backward)) != (n_x, n_y) or not all(
+            k is None or k in range(n) for ks, n in ((cert.forward, n_y), (cert.backward, n_x)) for k in ks):
         return False
+    ends, (a, b), _ = _int_ends(bars_x + bars_y, a, b)
+    ends_x = ends[: len(bars_x)] + [(NEG_INF, INF)] * lines_x
+    ends_y = ends[len(bars_x):] + [(NEG_INF, INF)] * lines_y
     s = a + b
 
-    def side_ok(bars_src, bars_dst, fwd, bwd, first_shift):
-        for i, iv in enumerate(bars_src):
-            tau = _tau_support(iv, s)
+    def support(left, right):
+        return (left, right) if left < right else None
+
+    def side_ok(src, dst, fwd, bwd, t):
+        for i, (l, r) in enumerate(src):
+            tau = support(l, _minus(r, s))
             j = fwd[i]
-            if j is None:
-                if tau is not None:
+            i2 = None if j is None else bwd[j]
+            if j is not None:
+                l1, r1 = (_minus(e, t) for e in dst[j])
+                if not l1 <= l < r1 <= r:
                     return False
-                continue
-            ivj = bars_dst[j]
-            if not _hom_dim_intervals(iv, ivj.translate(first_shift)):
-                return False
-            i2 = bwd[j]
-            if i2 is None:
-                # second leg is zero, so the composite column vanishes
-                if tau is not None:
-                    return False
-                continue
-            # composite lands in bar i2: support = src n T_first(dst) n T_s(target)
-            comp = iv.intersect(ivj.translate(first_shift))
-            if comp is not None:
-                comp = comp.intersect(bars_src[i2].translate(s))
-            if i2 != i:
-                # off-diagonal component of the composite must be the zero map,
-                # and the diagonal one (also zero) must still equal tau
-                if comp is not None or tau is not None:
-                    return False
-                continue
-            if (comp is None) != (tau is None):
-                return False
-            if comp is not None and comp != tau:
+            # the composite lands in bar i2 with support src n T_t(dst) n T_s(bar i2),
+            # and vanishes when a leg is zero
+            comp = None
+            if i2 is not None:
+                l2, r2 = (_minus(e, s) for e in src[i2])
+                comp = support(max(l, l1, l2), min(r1, r2))
+            # its diagonal component must equal tau, and an off-diagonal one vanish
+            if (comp if i2 == i else None) != tau or (i2 != i and comp is not None):
                 return False
         return True
 
-    if not side_ok(bars_x, bars_y, cert.forward, cert.backward, a):
-        return False
-    if not side_ok(bars_y, bars_x, cert.backward, cert.forward, b):
-        return False
-    return True
+    return side_ok(ends_x, ends_y, cert.forward, cert.backward, a) and side_ok(
+        ends_y, ends_x, cert.backward, cert.forward, b)

@@ -9,9 +9,10 @@ with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
-brute-force matchings for the bottleneck value, a rebuild by the checking
-constructors for almostization, folds of one ``K0Class`` per bar or grade
-for K0 classes, a recursive Kuhn search
+brute-force matchings for the bottleneck value, the composite identities
+on ``DecoratedInterval`` maps for interleaving certificates, a rebuild by
+the checking constructors for almostization, folds of one ``K0Class`` per
+bar or grade for K0 classes, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
@@ -32,7 +33,7 @@ from functools import cache
 from itertools import combinations
 
 from aptkit import fm
-from aptkit.barcodes import Bar, Barcode, interval
+from aptkit.barcodes import Bar, Barcode, _hom_dim_intervals, interval
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
@@ -352,6 +353,68 @@ def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
 
     assign(0, frozenset(), Fraction(0))
     return best[0]
+
+
+def _expanded_intervals(b: Barcode):
+    lines, bars = _expand(b)
+    return bars + [interval("-inf", "inf", False, False)] * lines
+
+
+def verify_by_interval_maps(x: Barcode, y: Barcode, cert) -> bool:
+    """Both composite identities of an (a, b)-isomorphism, on
+    ``DecoratedInterval`` maps: the library's former verifier, the
+    reference for the int one.  Per matched pair the morphisms are the
+    canonical interval maps; the composite through Y must have exactly the
+    support of tau_{a+b} on each X-bar, and symmetrically.  Unmatched bars
+    need tau_{a+b} to vanish."""
+    a, b = q(cert.a), q(cert.b)
+    if a < 0 or b < 0:
+        raise InvalidInput("certificate shifts must be nonnegative")
+    bars_x, bars_y = _expanded_intervals(x), _expanded_intervals(y)
+    if (
+        len(cert.forward) != len(bars_x)
+        or len(cert.backward) != len(bars_y)
+        or any(j is not None and j not in range(len(bars_y)) for j in cert.forward)
+        or any(i is not None and i not in range(len(bars_x)) for i in cert.backward)
+    ):
+        return False
+    s = a + b
+
+    def side_ok(bars_src, bars_dst, fwd, bwd, first_shift):
+        for i, iv in enumerate(bars_src):
+            tau = iv.intersect(iv.translate(s))
+            j = fwd[i]
+            if j is None:
+                if tau is not None:
+                    return False
+                continue
+            ivj = bars_dst[j]
+            if not _hom_dim_intervals(iv, ivj.translate(first_shift)):
+                return False
+            i2 = bwd[j]
+            if i2 is None:
+                # second leg is zero, so the composite column vanishes
+                if tau is not None:
+                    return False
+                continue
+            # composite lands in bar i2: support = src n T_first(dst) n T_s(target)
+            comp = iv.intersect(ivj.translate(first_shift))
+            if comp is not None:
+                comp = comp.intersect(bars_src[i2].translate(s))
+            if i2 != i:
+                # off-diagonal component of the composite must be the zero map,
+                # and the diagonal one (also zero) must still equal tau
+                if comp is not None or tau is not None:
+                    return False
+                continue
+            if (comp is None) != (tau is None):
+                return False
+            if comp is not None and comp != tau:
+                return False
+        return True
+
+    return (side_ok(bars_x, bars_y, cert.forward, cert.backward, a)
+            and side_ok(bars_y, bars_x, cert.backward, cert.forward, b))
 
 
 def kuhn_matching_recursive(allowed, n_left, n_right):

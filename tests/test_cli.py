@@ -420,6 +420,74 @@ def test_usage_output_is_the_full_parsers(argv, monkeypatch):
             assert _usage(argv) == single
 
 
+HALF = '{"dim":1,"constraints":[{"normal":["1"],"offset":"0"}]}'
+SQUARE = '{"dim":2,"constraints":[{"normal":["1","0"],"offset":"2"},{"normal":["0","1"],"offset":"2"}]}'
+FIELD_FREE = {
+    ("cone", "dual"): ["--catalog", "p2", "--cone", "s12"],
+    ("cone", "proper"): ["--input", '{"dim":1,"generators":[["1"],["-1"]]}'],
+    ("cone", "faces"): ["--catalog", "quadrant", "--cone", "q"],
+    ("fan", "validate"): ["--catalog", "p1"],
+    ("fan", "complete"): ["--catalog", "halffan"],
+    ("fan", "separate"): ["--catalog", "p1", "--cone1", "pos", "--cone2", "neg"],
+    ("fan", "support"): ["--catalog", "quadrant", "--point=-1,0"],
+    ("barcode", "eval"): ["--catalog", "pair", "--at", "3/2"],
+    ("barcode", "shift"): ["--catalog", "pair", "--by", "1"],
+    ("barcode", "convolve"): ["--catalog", "basic", "--catalog2", "pair"],
+    ("barcode", "almostize"): ["--catalog", "mixed"],
+    ("barcode", "k0"): ["--catalog", "pair"],
+    ("barcode", "torsion"): ["--catalog", "basic", "--scale", "2"],
+    ("barcode", "quotient-loc"): ["--catalog", "local"],
+    ("barcode", "homdim"): ["--catalog", "free", "--catalog2", "free"],
+    ("dist", "compute"): ["--catalog", "pair", "--catalog2", "basic"],
+    ("dist", "verify"): ["--catalog", "basic", "--catalog2", "basic",
+                         "--cert", '{"a":"0","b":"0","forward":[0],"backward":[0]}'],
+    ("cutoff", "delta"): ["--catalog", "p1", "--offsets", '{"pos":"1","neg":"1"}'],
+    ("cutoff", "mink"): ["--catalog", "p1", "--cone", "pos", "--poly", HALF],
+    ("cutoff", "basis-witness"): ["--catalog", "quadrant", "--gamma", "q", "--poly", SQUARE, "--point", "0,0"],
+    ("cutoff", "indicator-convolve"): ["--poly", HALF, "--poly2", HALF],
+    ("toric", "charts"): ["--catalog", "p1"],
+    ("toric", "transition"): ["--catalog", "p2", "--cone1", "s12", "--cone2", "s23"],
+    ("toric", "cocycle"): ["--catalog", "p2", "--cone1", "s12", "--cone2", "s23", "--cone3", "s31"],
+    ("toric", "boundary"): ["--catalog", "p1"],
+    ("toric", "root-level"): ["--catalog", "p2", "--cone", "s12", "--point", "1/2,1/3"],
+}
+
+
+def test_only_commands_that_read_a_field_take_one(monkeypatch):
+    takes_field = {(group, command) for group, command, parser in COMMANDS
+                   if any("--field" in action.option_strings for action in parser._actions)}
+    assert takes_field == {("module", "eval"), ("module", "tensor"), ("module", "barcode"),
+                           ("module", "present"), ("cutoff", "star-homology"), ("cutoff", "unit-check")}
+    assert set(FIELD_FREE) == {(group, command) for group, command, _ in COMMANDS} - takes_field
+    for (group, command), flags in FIELD_FREE.items():
+        monkeypatch.delenv("APTKIT_FIELD", raising=False)
+        plain = run_cli([group, command, *flags])
+        assert plain[0] == 0 and "error" not in json.loads(plain[1]), (group, command, plain)
+        monkeypatch.setenv("APTKIT_FIELD", "f4")
+        assert run_cli([group, command, *flags]) == plain, (group, command)
+    monkeypatch.setenv("APTKIT_FIELD", "f4")  # still read where a field is
+    code, out = run_cli(["cutoff", "unit-check", "--catalog", "p1"])
+    assert code == 1 and json.loads(out)["error"] == {"code": "bad-input", "message": "4 is not prime"}
+
+
+def test_cli_dist_compute_on_a_huge_multiplicity_is_too_large():
+    # in a child limited to 1 GiB of address space: a list of 10^8 bars
+    # would end there in a MemoryError
+    argv = ["dist", "compute", "--input", '{"bars":[{"birth":"0","death":"1","multiplicity":100000000}]}',
+            "--catalog2", "basic"]
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from aptkit.cli import main\n"
+              f"sys.exit(main({argv!r}))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert time.perf_counter() - start < 1
+    assert (result.returncode, result.stderr) == (1, "")
+    assert json.loads(result.stdout)["error"]["code"] == "too-large"
+
+
 HUGE_GRADES = [
     ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1e5000"}]}'],
     ["barcode", "k0", "--input", '{"bars":[{"birth":"0","death":"1e-5000"}]}'],

@@ -9,9 +9,9 @@ from math import ceil, lcm, log2
 
 import pytest
 
-from aptkit import catalog, interleaving
-from aptkit.barcodes import Barcode, almost_iso, bar, barcode, shift
-from aptkit.errors import InternalCheckFailed, InvalidInput
+from aptkit import barcodes, catalog, cli, interleaving
+from aptkit.barcodes import Bar, Barcode, almost_iso, bar, barcode, shift
+from aptkit.errors import ComputationTooLarge, InternalCheckFailed, InvalidInput
 from aptkit.interleaving import (
     InterleavingCertificate,
     _cost_table,
@@ -26,7 +26,12 @@ from aptkit.interleaving import (
 from aptkit.rational import INF
 
 from generators import random_barcode, random_decorated_barcode
-from oracles import bottleneck_by_matching_enumeration, feasible_by_square_graph, kuhn_matching_recursive
+from oracles import (
+    bottleneck_by_matching_enumeration,
+    feasible_by_square_graph,
+    kuhn_matching_recursive,
+    verify_by_interval_maps,
+)
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 SMALL_GRID = [Fraction(n, 2) for n in range(0, 7)]  # half-integer endpoints up to 3
@@ -377,7 +382,7 @@ def test_feasibility_equals_the_square_graph():
         x, y = (random_barcode(rng, rng.choice(grids), rng.randint(0, 20), ray_chance=0.1) for _ in range(2))
         if rng.random() < 0.2:
             x, y = Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE])
-        costs, _ = _cost_table(_expand(x)[1], _expand(y)[1])
+        costs, _, _ = _cost_table(_expand(x)[1], _expand(y)[1])
         for eps in _candidates(costs):
             got = _feasible(costs, eps)
             assert (got is None) == (feasible_by_square_graph(costs, eps) is None), (x, y, eps)
@@ -405,7 +410,7 @@ def test_distance_is_a_binary_search(monkeypatch):
         x, y = (random_barcode(rng, quarters, 12, ray_chance=0) for _ in range(2))
         calls.clear()
         d = interleaving_distance(x, y)
-        costs, scale = _cost_table(_expand(x)[1], _expand(y)[1])
+        costs, _, scale = _cost_table(_expand(x)[1], _expand(y)[1])
         candidates = _candidates(costs)
         bound = ceil(log2(len(candidates))) + 2
         assert len(calls) <= bound, (len(calls), len(candidates))
@@ -422,3 +427,91 @@ def test_augmenting_path_of_5000_edges_needs_no_recursion():
         kuhn_matching_recursive(allowed, n, n)
     matching = _cover(range(n), allowed, {}, {}, [False] * n)
     assert matching == {**{i: i + 1 for i in range(n - 1)}, n - 1: 0}
+
+
+def _mutants(rng, cert, n_x, n_y):
+    """Certificates near ``cert``: other shifts (a != b among them), an index
+    killed, redirected or out of range, and a list cut short."""
+    shifts = [cert.a, cert.b, Fraction(rng.randint(0, 16), 4), Fraction(rng.randint(0, 30), 7)]
+    for _ in range(4):
+        forward, backward = list(cert.forward), list(cert.backward)
+        for side, n in ((forward, n_y), (backward, n_x)):
+            if side and rng.random() < 0.5:
+                side[rng.randrange(len(side))] = rng.choice([None, rng.randrange(n + 1), n, -1])
+        if rng.random() < 0.1 and forward:
+            forward.pop()
+        yield InterleavingCertificate(rng.choice(shifts), rng.choice(shifts), tuple(forward), tuple(backward))
+
+
+def test_int_verifier_equals_the_interval_maps():
+    rng = random.Random(64)
+    grids = (GRID, MIXED_GRID)
+    verdicts = {True: 0, False: 0}
+    seen = dict.fromkeys(["line", "ray", "decorated", "multiplicity 3", "a != b", "out of range"], 0)
+    for _ in range(400):
+        x, y = (random_decorated_barcode(rng, rng.choice(grids)) if rng.random() < 0.3
+                else random_barcode(rng, rng.choice(grids), 4, ray_chance=0.2) for _ in range(2))
+        x, y = (Barcode([Bar(b.interval, 0, rng.randint(1, 3)) for b in z.bars]) for z in (x, y))
+        if rng.random() < 0.25:
+            x, y = Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE])
+        lines_x, bars_x = _expand(x)
+        lines_y, bars_y = _expand(y)
+        n_x, n_y = len(bars_x) + lines_x, len(bars_y) + lines_y
+        d = interleaving_distance(x, y)
+        base = [InterleavingCertificate(0, 0, tuple(range(n_x)), tuple(range(n_y)))]
+        if d != INF:
+            base += [certificate_for(x, y), certificate_for(x, y, d + Fraction(rng.randint(0, 8), 4))]
+        for cert in [*base, *(m for c in base for m in _mutants(rng, c, n_x, n_y))]:
+            got = verify_interleaving(x, y, cert)
+            assert got == verify_by_interval_maps(x, y, cert), (x, y, cert)
+            verdicts[got] += 1
+            seen["line"] += lines_x > 0
+            seen["ray"] += any(iv.right == INF for iv in bars_x)
+            seen["decorated"] += x != barcodes.almostize(x)
+            seen["multiplicity 3"] += any(b.multiplicity == 3 for b in x.bars)
+            seen["a != b"] += cert.a != cert.b
+            seen["out of range"] += any(j is not None and j not in range(n_y) for j in cert.forward)
+    assert verdicts[True] >= 500 and verdicts[False] >= 500, verdicts
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(name) or original(*args))
+
+
+def test_one_expansion_table_and_search_per_request(monkeypatch, capsys):
+    x = barcode(bar(0, 4), bar(1, "inf"), bar(2, 3, multiplicity=2))
+    y = barcode(bar(1, 5), bar(0, "inf"), bar(2, 4))
+    calls = []
+    for name in ("_expand", "_cost_table", "_search"):
+        _counting(monkeypatch, interleaving, name, calls)
+    built = []
+    init = barcodes.DecoratedInterval.__init__
+    monkeypatch.setattr(barcodes.DecoratedInterval, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    cert = certificate_for(x, y)
+    assert sorted(calls) == ["_cost_table", "_expand", "_expand", "_search"]
+    calls.clear()
+    assert verify_interleaving(x, y, cert)
+    assert calls == ["_expand", "_expand"]  # and no cost table or search
+    assert built == []
+    calls.clear()
+    argv = ["dist", "compute", "--input", '{"bars":[{"birth":"0","death":"4"}]}', "--catalog2", "pair"]
+    assert cli.main(argv) == 0 and "certificate" in capsys.readouterr().out
+    assert sorted(calls) == ["_cost_table", "_expand", "_expand", "_search"]
+
+
+def test_the_bar_cap_counts_multiplicities_and_lines():
+    cap = interleaving._BAR_CAP
+    lines = bar("-inf", "inf", False, False, multiplicity=2)
+    at_cap = Barcode([bar(0, 1, multiplicity=cap - 2), lines])
+    assert interleaving_distance(at_cap, Barcode([lines])) == Fraction(1, 2)
+    assert len(certificate_for(at_cap, Barcode([lines])).forward) == cap
+    for over in (Barcode([bar(0, 1, multiplicity=cap + 1)]), Barcode([bar(0, 1, multiplicity=cap - 1), lines]),
+                 Barcode([bar(0, 1, multiplicity=10**9)])):
+        for call in (lambda: interleaving_distance(over, Barcode()), lambda: certificate_for(Barcode(), over),
+                     lambda: verify_interleaving(over, over, InterleavingCertificate(0, 0, (), ())),
+                     lambda: distance_to_zero(over)):
+            with pytest.raises(ComputationTooLarge):
+                call()
