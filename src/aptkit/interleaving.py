@@ -10,8 +10,9 @@ candidate values, on int costs at twice that denominator; a value is
 feasible when one matching of the bars alone, at pair cost <= value, covers
 every bar whose kill cost exceeds it.  The certificate is read off the
 matching found there.  The verifier checks the morphism identities on the
-int ends, apart from the search; the tests check it against the same
-identities on interval objects.
+int ends with the map and torsion predicates of ``barcodes``, apart from the
+search (it reads no cost and no matching); the tests check it against the
+same identities on interval objects.
 
 Decorations are ignored by the distance: inputs are almostized first,
 consistent with almost-isomorphic barcodes being at distance zero.
@@ -22,34 +23,30 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .barcodes import Barcode, almostize, classify_shape
-from .errors import ComputationTooLarge, InternalCheckFailed, InvalidInput, UnsupportedShape
+from .barcodes import Barcode, _calculus, _maps, _minus, _survives, almostize
+from .errors import ComputationTooLarge, InternalCheckFailed, InvalidInput
 from .rational import INF, NEG_INF, integral, is_finite, q
 
 # Unit bars one barcode may expand to, lines included.  The cost table has
 # one entry per pair of unit bars, so this bounds it at 2048^2 entries.
 _BAR_CAP = 2048
+_DEGREE0 = "interleaving distance expects degree-0 barcodes"
 
 
 def _expand(b: Barcode):
     """Almostize and check the size cap (unit bars, lines included), degree 0
     and shapes; return (number of lines, bars), one bar per unit of
     multiplicity so that matchings index single bars, the rays first."""
-    items = almostize(b).bars
-    total = sum(item.multiplicity for item in items)
+    almost = almostize(b)
+    total = sum(item.multiplicity for item in almost.bars)
     if total > _BAR_CAP:
         raise ComputationTooLarge("a barcode has too many bars to match", bars=total, cap=_BAR_CAP)
     lines, rays, finite = 0, [], []
-    for item in items:
-        if item.hdegree != 0:
-            raise UnsupportedShape("interleaving distance expects degree-0 barcodes")
-        shape = classify_shape(item.interval)
+    for (shape, *_, m), item in zip(_calculus(almost, _DEGREE0), almost.bars):
         if shape == "line":
-            lines += item.multiplicity
-        elif shape == "ray":
-            rays.extend([item.interval] * item.multiplicity)
+            lines += m
         else:
-            finite.extend([item.interval] * item.multiplicity)
+            (rays if shape == "ray" else finite).extend([item.interval] * m)
     return lines, rays + finite
 
 
@@ -99,11 +96,6 @@ def _int_ends(bars, *values):
     ints, m = integral(ends + list(values))
     n = 2 * len(bars)
     return [(ints[k], ints[k + 1] if f else INF) for k, f in zip(range(0, n, 2), finite)], ints[n:], m
-
-
-def _minus(end, c):
-    """An int end less c; an infinite end stays, so no float meets a long int."""
-    return end - c if is_finite(end) else end
 
 
 def _cost_table(bars_x, bars_y):
@@ -180,12 +172,12 @@ def interleaving_distance(x: Barcode, y: Barcode):
 
 
 def distance_to_zero(x: Barcode):
-    """d(x, 0): half the maximal bar length, +inf for any infinite bar; the
-    largest kill cost of :func:`_cost_table` over its scale."""
-    lines, bars = _expand(x)
-    (_, kill, _), _, scale = _cost_table(bars, [])
-    worst = max(kill, default=0)
-    return INF if lines or worst == INF else Fraction(worst, scale)
+    """d(x, 0): half the maximal bar length of the almost-normal form, +inf
+    for any ray or line; read off the bars, with no expansion."""
+    bars = _calculus(almostize(x), _DEGREE0)
+    if any(shape != "finite" for shape, *_ in bars):
+        return INF
+    return max((right - left for _, left, right, *_ in bars), default=Fraction(0)) / 2
 
 
 class InterleavingCertificate(Record):
@@ -260,10 +252,11 @@ def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -
 
     The ends and a, b are ints over one common denominator, a line is
     (-inf, inf), and s = a + b.  Per matched pair the morphisms are the
-    canonical interval maps: [l, r) -> T_t[l', r') is nonzero iff
-    l' - t <= l < r' - t <= r.  The composite through Y must have exactly
-    the support [l, r - s) of tau_s on each X-bar, and symmetrically;
-    unmatched bars need tau_s to vanish."""
+    canonical interval maps, nonzero by ``barcodes._maps``: each side checks
+    its first legs, the other side's pass checks the second.  With both legs
+    maps, a composite back to its own bar is tau_s; otherwise tau_s must
+    vanish (``barcodes._survives``), and so must the composite into another
+    bar."""
     a, b = q(cert.a), q(cert.b)
     if a < 0 or b < 0:
         raise InvalidInput("certificate shifts must be nonnegative")
@@ -278,26 +271,14 @@ def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -
     ends_y = ends[len(bars_x):] + [(NEG_INF, INF)] * lines_y
     s = a + b
 
-    def support(left, right):
-        return (left, right) if left < right else None
-
     def side_ok(src, dst, fwd, bwd, t):
         for i, (l, r) in enumerate(src):
-            tau = support(l, _minus(r, s))
             j = fwd[i]
             i2 = None if j is None else bwd[j]
-            if j is not None:
-                l1, r1 = (_minus(e, t) for e in dst[j])
-                if not l1 <= l < r1 <= r:
-                    return False
-            # the composite lands in bar i2 with support src n T_t(dst) n T_s(bar i2),
-            # and vanishes when a leg is zero
-            comp = None
-            if i2 is not None:
-                l2, r2 = (_minus(e, s) for e in src[i2])
-                comp = support(max(l, l1, l2), min(r1, r2))
-            # its diagonal component must equal tau, and an off-diagonal one vanish
-            if (comp if i2 == i else None) != tau or (i2 != i and comp is not None):
+            if j is not None and not _maps(l, r, *(_minus(e, t) for e in dst[j])):
+                return False
+            if i2 != i and (_survives(l, r, s, False) or i2 is not None and _maps(
+                    l, r, *(_minus(e, s) for e in src[i2]))):
                 return False
         return True
 

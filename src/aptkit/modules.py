@@ -27,7 +27,7 @@ from math import lcm
 from operator import ge, is_not, le, lt
 
 from .barcodes import Barcode, _half_open_bar
-from .errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
+from .errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class
 from .linalg import PrimeField, _kernel, _rows, rank
@@ -49,6 +49,10 @@ def parse_field(tag):
 
 
 HALFLINE = Cone(1, [(1,)])
+
+# Unit bars one barcode may present, one generator each: far above the
+# desk-scale barcodes, and far below the multiplicities an input may write.
+_PRESENTED_BARS = 65536
 
 
 class PresentationND:
@@ -347,9 +351,9 @@ def _close(low, pending, open_rows, waiting):
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:
     """Rees presentation of a degree-0 barcode of [a,b) / [a,inf) bars: one
-    generator at a per bar, and the relation of degree b on it, if finite."""
-    gens, rows = [], []
-    one = Fraction(1)
+    generator at a per unit bar, and the relation of degree b on it, if
+    finite.  The unit bars are counted, past _PRESENTED_BARS, before any list
+    is built."""
     for item in b.bars:
         if item.hdegree != 0:
             raise UnsupportedDecoration("only homological degree 0 is presentable")
@@ -358,6 +362,13 @@ def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:
             raise UnsupportedDecoration(
                 "only [a,b) and [a,inf) bars admit finite presentations"
             )
+    total = sum(item.multiplicity for item in b.bars)
+    if total > _PRESENTED_BARS:
+        raise ComputationTooLarge("a barcode has too many bars to present", bars=total, cap=_PRESENTED_BARS)
+    gens, rows = [], []
+    one = Fraction(1)
+    for item in b.bars:
+        iv = item.interval
         for _ in range(item.multiplicity):
             if is_finite(iv.right):
                 rows.append(((iv.right,), (len(gens),), (one,)))

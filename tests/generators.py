@@ -69,6 +69,37 @@ def random_decorated_barcode(rng, grid, max_bars=4):
     return Barcode(bars)
 
 
+def random_mixed_barcode(rng, grid, max_bars=4, degrees=(0, 1, 2), outside=0.3):
+    """Barcodes in and out of the [a,b) / [a,inf) / line calculus: about
+    ``outside`` of the bars decorated out of it (other closed ends,
+    singletons, open-left rays, bars from -inf), the rest finite bars, rays
+    and lines; in the given degrees, multiplicities 1-3; empty about one time
+    in (max_bars + 1)."""
+    bars = []
+    for _ in range(rng.randint(0, max_bars)):
+        roll = rng.random()
+        if roll < outside / 4:
+            a = grid_grade(rng, grid)
+            iv = DecoratedInterval(a, a, True, True)
+        elif roll < outside / 2:
+            iv = DecoratedInterval(grid_grade(rng, grid), INF, False, False)
+        elif roll < 3 * outside / 4:
+            iv = DecoratedInterval(NEG_INF, grid_grade(rng, grid), False, rng.random() < 0.5)
+        elif roll < outside:
+            base = random_finite_interval(rng, grid)
+            iv = DecoratedInterval(base.left, base.right, rng.random() < 0.5, True)
+        else:
+            roll = rng.random()
+            if roll < 0.55:
+                iv = random_finite_interval(rng, grid)
+            elif roll < 0.85:
+                iv = DecoratedInterval(grid_grade(rng, grid), INF)
+            else:
+                iv = DecoratedInterval(NEG_INF, INF, False, False)
+        bars.append(Bar(iv, rng.choice(degrees), rng.randint(1, 3)))
+    return Barcode(bars)
+
+
 def random_presentation(rng, max_gens=5, max_rels=4, field=None) -> PresentationND:
     """1-d presentations with grades in {0,...,10}/2 and homogeneous rows."""
     n_gens = rng.randint(1, max_gens)

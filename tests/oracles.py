@@ -12,7 +12,10 @@ irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, the composite identities
 on ``DecoratedInterval`` maps for interleaving certificates, a rebuild by
 the checking constructors for almostization, folds of one ``K0Class`` per
-bar or grade for K0 classes, a recursive Kuhn search
+bar or grade for K0 classes, per-pair loops on ``DecoratedInterval`` ends
+(each shape classified per pair, torsion by ``translate`` and ``intersect``,
+the torsion-free Hom as a colimit of shifted Homs asserted to stabilize) for
+the barcode calculus, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
@@ -33,7 +36,7 @@ from functools import cache
 from itertools import combinations
 
 from aptkit import fm
-from aptkit.barcodes import Bar, Barcode, _hom_dim_intervals, interval
+from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
@@ -304,6 +307,101 @@ def k0_of_presentation_by_fold(p) -> K0Class:
     return total
 
 
+def hom_dim_intervals(iv1, iv2) -> int:
+    """dim of degree-0 module maps between interval modules in the calculus,
+    on ``DecoratedInterval`` ends: nonzero exactly when target_left <=
+    source_left < target_right <= source_right."""
+    if iv2.left == NEG_INF:
+        left_ok = True
+    else:
+        left_ok = iv2.left <= iv1.left
+    return int(left_ok and iv1.left < iv2.right and iv2.right <= iv1.right)
+
+
+def hom_dim_by_pairs(b1: Barcode, b2: Barcode) -> int:
+    """The library's former ``hom_dim``: per pair of bars, both degrees
+    checked and both shapes classified, then :func:`hom_dim_intervals`."""
+    total = 0
+    for x in b1.bars:
+        if x.hdegree != 0:
+            raise UnsupportedShape("hom computation expects degree-0 barcodes")
+        for y in b2.bars:
+            if y.hdegree != 0:
+                raise UnsupportedShape("hom computation expects degree-0 barcodes")
+            classify_shape(x.interval)
+            classify_shape(y.interval)
+            total += x.multiplicity * y.multiplicity * hom_dim_intervals(x.interval, y.interval)
+    return total
+
+
+def torsionfree_hom_dim_by_colimit(b1: Barcode, b2: Barcode) -> int:
+    """The library's former ``torsionfree_hom_dim``: the colimit of
+    Hom(b1, T_c b2) over growing c, by :func:`hom_dim_by_pairs` past the
+    largest endpoint difference, asserted stable one step further."""
+    if any(classify_shape(item.interval) == "line" for item in (*b1.bars, *b2.bars)):
+        raise UnsupportedShape("torsion-free hom expects [a,b) / [a,inf) bars")
+    thresholds = [Fraction(0)]
+    for x in b1.bars:
+        for y in b2.bars:
+            for p in (y.interval.left, y.interval.right):
+                if is_finite(p) and is_finite(x.interval.left):
+                    thresholds.append(q(p) - q(x.interval.left))
+    c_star = max(thresholds) + 1
+    d1 = hom_dim_by_pairs(b1, shift(b2, c_star))
+    d2 = hom_dim_by_pairs(b1, shift(b2, c_star + 1))
+    assert d1 == d2, "the colimit stabilizes past the largest endpoint difference"
+    return d1
+
+
+def is_c_torsion_by_translates(b: Barcode, c) -> bool:
+    """The library's former ``is_c_torsion``: tau_c vanishes iff each bar's
+    ``DecoratedInterval`` misses its c-translate by ``intersect``."""
+    c = q(c)
+    if c < 0:
+        raise InvalidInput("torsion scale must be nonnegative")
+    return all(item.interval.intersect(item.interval.translate(c)) is None for item in b.bars)
+
+
+def convolve_intervals(iv1, iv2):
+    """Derived convolution of two unit-multiplicity interval modules, as
+    (interval, extra degree) pairs: 0 for the underived part, 1 for the
+    torsion part; each shape classified per call."""
+    s1, s2 = classify_shape(iv1), classify_shape(iv2)
+    if s1 == "line" or s2 == "line":
+        other = s2 if s1 == "line" else s1
+        if other == "finite":
+            return []
+        return [(FULL_LINE, 0)]
+    if s1 == "ray" or s2 == "ray":
+        if s1 == "ray":
+            base, moved = iv1, iv2
+        else:
+            base, moved = iv2, iv1
+        a = base.left
+        if classify_shape(moved) == "ray":
+            return [(interval(moved.left + a, INF), 0)]
+        return [(interval(moved.left + a, moved.right + a), 0)]
+    l1 = iv1.length()
+    l2 = iv2.length()
+    start = iv1.left + iv2.left
+    lo, hi = min(l1, l2), max(l1, l2)
+    return [
+        (interval(start, start + lo), 0),
+        (interval(start + hi, start + l1 + l2), 1),
+    ]
+
+
+def convolve_by_pairs(b1: Barcode, b2: Barcode) -> Barcode:
+    """The library's former ``convolve``: :func:`convolve_intervals` per
+    pair of bars, the torsion part one degree above the degree sum."""
+    out = []
+    for x in b1.bars:
+        for y in b2.bars:
+            for iv, extra in convolve_intervals(x.interval, y.interval):
+                out.append(Bar(iv, x.hdegree + y.hdegree + extra, x.multiplicity * y.multiplicity))
+    return Barcode(out)
+
+
 def _pair_cost(iv1, iv2):
     """Cost of matching two bars, on their ``Fraction`` endpoints: the larger
     endpoint displacement, inf when exactly one of them is a ray."""
@@ -389,7 +487,7 @@ def verify_by_interval_maps(x: Barcode, y: Barcode, cert) -> bool:
                     return False
                 continue
             ivj = bars_dst[j]
-            if not _hom_dim_intervals(iv, ivj.translate(first_shift)):
+            if not hom_dim_intervals(iv, ivj.translate(first_shift)):
                 return False
             i2 = bwd[j]
             if i2 is None:

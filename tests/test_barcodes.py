@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from aptkit import barcodes
 from aptkit.barcodes import (
     Bar,
     Barcode,
@@ -25,12 +26,19 @@ from aptkit.barcodes import (
     shift,
     torsionfree_hom_dim,
 )
-from aptkit.errors import InvalidInput, UnsupportedShape
+from aptkit.errors import AptError, InvalidInput, UnsupportedShape
 from aptkit.k0 import K0Class, e
 from aptkit.rational import INF, NEG_INF, is_finite, parse_grade
 
-from generators import random_barcode, random_decorated_barcode
-from oracles import almostize_by_rebuild, k0_class_by_fold
+from generators import ladder_barcode, random_barcode, random_decorated_barcode, random_mixed_barcode
+from oracles import (
+    almostize_by_rebuild,
+    convolve_by_pairs,
+    hom_dim_by_pairs,
+    is_c_torsion_by_translates,
+    k0_class_by_fold,
+    torsionfree_hom_dim_by_colimit,
+)
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 LINE = bar("-inf", "inf", False, False)
@@ -315,6 +323,59 @@ def test_torsionfree_hom_closed_form():
         free_x = sum(b.multiplicity for b in x.bars if b.interval.right == float("inf"))
         free_y = sum(b.multiplicity for b in y.bars if b.interval.right == float("inf"))
         assert torsionfree_hom_dim(x, y) == free_x * free_y
+
+
+def _outcome(call, *args):
+    """The value of a call, or the code of the error it raises."""
+    try:
+        return call(*args)
+    except AptError as exc:
+        return exc.code
+
+
+MIXED_GRID = [Fraction(n, 2) for n in range(0, 9)] + [Fraction(1, 3), Fraction(7, 3)]
+
+
+def test_barcode_calculus_matches_the_per_pair_references():
+    rng = random.Random(24)
+    scales = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+    calls = ((convolve, convolve_by_pairs), (hom_dim, hom_dim_by_pairs),
+             (torsionfree_hom_dim, torsionfree_hom_dim_by_colimit))
+    seen = dict.fromkeys(["empty side", "line", "decorated", "degree 2", "multiplicity 3", "error", "nonzero hom",
+                          "nonzero torsion-free hom", "torsion", "not torsion"], 0)
+    for _ in range(1200):
+        mixed = rng.random() < 0.4  # else degree 0 in the calculus
+        x, y = (random_mixed_barcode(rng, MIXED_GRID, degrees=(0, 1, 2) if mixed else (0,),
+                                     outside=0.3 if mixed else 0) for _ in range(2))
+        for call, reference in calls:
+            got = _outcome(call, x, y)
+            assert got == _outcome(reference, x, y), (call.__name__, x, y)
+            seen["error"] += isinstance(got, str)
+        c = rng.choice(scales)
+        torsion = _outcome(is_c_torsion, x, c)
+        assert torsion == _outcome(is_c_torsion_by_translates, x, c), (x, c)
+        seen["torsion" if torsion else "not torsion"] += 1
+        seen["empty side"] += x.is_empty() or y.is_empty()
+        seen["line"] += any(b.interval.left == NEG_INF and b.interval.right == INF for b in x.bars)
+        seen["decorated"] += x != almostize(x)
+        seen["degree 2"] += any(b.hdegree == 2 for b in x.bars)
+        seen["multiplicity 3"] += any(b.multiplicity == 3 for b in x.bars)
+        seen["nonzero hom"] += _outcome(hom_dim, x, y) not in (0, "unsupported-shape")
+        seen["nonzero torsion-free hom"] += _outcome(torsionfree_hom_dim, x, y) not in (0, "unsupported-shape")
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_each_bar_is_classified_once(monkeypatch):
+    classified = []
+    classify = barcodes.classify_shape
+    monkeypatch.setattr(barcodes, "classify_shape", lambda iv: classified.append(iv) or classify(iv))
+    rng = random.Random(25)
+    for n, m in ((1, 1), (5, 7), (40, 3)):
+        x, y = ladder_barcode(rng, n), Barcode([*ladder_barcode(rng, m - 1).bars, bar(1, "inf")])
+        for call in (hom_dim, convolve):
+            classified.clear()
+            call(x, y)
+            assert len(classified) <= len(x.bars) + len(y.bars), (call.__name__, n, m)
 
 
 def _k0_ladder(rng, n):

@@ -470,11 +470,10 @@ def test_only_commands_that_read_a_field_take_one(monkeypatch):
     assert code == 1 and json.loads(out)["error"] == {"code": "bad-input", "message": "4 is not prime"}
 
 
-def test_cli_dist_compute_on_a_huge_multiplicity_is_too_large():
-    # in a child limited to 1 GiB of address space: a list of 10^8 bars
-    # would end there in a MemoryError
-    argv = ["dist", "compute", "--input", '{"bars":[{"birth":"0","death":"1","multiplicity":100000000}]}',
-            "--catalog2", "basic"]
+def _too_large_within_1_gib(argv):
+    """Run the CLI in a child limited to 1 GiB of address space, where a list
+    of 10^8 bars would end in a MemoryError: it must answer too-large within
+    a second, with no traceback."""
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from aptkit.cli import main\n"
@@ -486,6 +485,17 @@ def test_cli_dist_compute_on_a_huge_multiplicity_is_too_large():
     assert time.perf_counter() - start < 1
     assert (result.returncode, result.stderr) == (1, "")
     assert json.loads(result.stdout)["error"]["code"] == "too-large"
+
+
+HUGE_MULTIPLICITY = '{"bars":[{"birth":"0","death":"1","multiplicity":100000000}]}'
+
+
+def test_cli_dist_compute_on_a_huge_multiplicity_is_too_large():
+    _too_large_within_1_gib(["dist", "compute", "--input", HUGE_MULTIPLICITY, "--catalog2", "basic"])
+
+
+def test_cli_module_present_on_a_huge_multiplicity_is_too_large():
+    _too_large_within_1_gib(["module", "present", "--input", HUGE_MULTIPLICITY])
 
 
 HUGE_GRADES = [

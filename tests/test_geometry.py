@@ -837,10 +837,6 @@ except InternalCheckFailed as exc:
             "P.OpenPolyhedron.whole_space(2).sample_point()",
         ),
         (
-            "import aptkit.barcodes as b\ndims = iter([1, 2])\nb.hom_dim = lambda x, y: next(dims)",
-            "b.torsionfree_hom_dim(b.barcode(b.bar(0, 2)), b.barcode(b.bar(0, 3)))",
-        ),
-        (
             "import aptkit.cutoff as c\nc.OpenPolyhedron.is_subset_of = lambda self, other: False",
             "c.gamma_basis_witness(c.OpenPolyhedron(1, [((1,), 2)]), (0,), g.Cone(1, [(1,)]))",
         ),
@@ -864,7 +860,7 @@ except InternalCheckFailed as exc:
         ),
     ],
     ids=["is-proper-cross-check", "cone-hrep-containment", "dual-swap-containment", "fm-projection", "minkowski-sum-open",
-         "root-ladder-minimality", "sample-point", "torsionfree-stabilization", "gamma-basis-witness",
+         "root-ladder-minimality", "sample-point", "gamma-basis-witness",
          "incidence-sign", "facet-outside-span", "chain-complex", "certificate-matching"],
 )
 def test_self_checks_survive_python_O(patch, call):

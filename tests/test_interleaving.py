@@ -511,7 +511,8 @@ def test_the_bar_cap_counts_multiplicities_and_lines():
     for over in (Barcode([bar(0, 1, multiplicity=cap + 1)]), Barcode([bar(0, 1, multiplicity=cap - 1), lines]),
                  Barcode([bar(0, 1, multiplicity=10**9)])):
         for call in (lambda: interleaving_distance(over, Barcode()), lambda: certificate_for(Barcode(), over),
-                     lambda: verify_interleaving(over, over, InterleavingCertificate(0, 0, (), ())),
-                     lambda: distance_to_zero(over)):
+                     lambda: verify_interleaving(over, over, InterleavingCertificate(0, 0, (), ()))):
             with pytest.raises(ComputationTooLarge):
                 call()
+        # half the longest bar needs no expansion; a line makes it infinite
+        assert distance_to_zero(over) == (INF if lines in over.bars else Fraction(1, 2))

@@ -15,7 +15,7 @@ from aptkit import catalog, cutoff, geometry, io, linalg, modules
 from aptkit._record import Record
 from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode
 from aptkit.barcodes import eval_at as barcode_eval
-from aptkit.errors import InvalidInput, NotOneDimensional, UnsupportedDecoration
+from aptkit.errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from aptkit.geometry import Cone
 from aptkit.k0 import K0Class, e
 from aptkit.linalg import PrimeField
@@ -147,6 +147,20 @@ def test_presentation_rejects_bad_decorations():
         presentation_of_barcode(barcode(bar(0, 1, right_closed=True)))
     with pytest.raises(UnsupportedDecoration):
         presentation_of_barcode(barcode(bar(0, 1, hdegree=1)))
+
+
+def test_presentation_counts_its_unit_bars_before_building(monkeypatch):
+    cap = modules._PRESENTED_BARS
+    for over in (Barcode([bar(0, 1, multiplicity=10**9)]), Barcode([bar(0, 1, multiplicity=cap), bar(1, "inf")])):
+        with pytest.raises(ComputationTooLarge):
+            presentation_of_barcode(over)
+    # a bar outside [a,b) / [a,inf) in degree 0 is named first, whatever the count
+    with pytest.raises(UnsupportedDecoration):
+        presentation_of_barcode(Barcode([bar(0, 1, multiplicity=10**9), bar(2, 3, right_closed=True)]))
+    monkeypatch.setattr(modules, "_PRESENTED_BARS", 3)
+    assert len(presentation_of_barcode(Barcode([bar(0, 1, multiplicity=2), bar(1, "inf")])).generators) == 3
+    with pytest.raises(ComputationTooLarge):
+        presentation_of_barcode(Barcode([bar(0, 1, multiplicity=2), bar(1, "inf", multiplicity=2)]))
 
 
 def test_rees_round_trip_random():
