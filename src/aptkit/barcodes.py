@@ -15,10 +15,12 @@ reads the same map and torsion predicates.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ._record import Record, set_field
 from .errors import InvalidInput, UnsupportedShape
 from .k0 import K0Class
-from .rational import INF, NEG_INF, is_finite, parse_grade, q
+from .rational import INF, NEG_INF, integral, is_finite, parse_grade, q
 
 
 class DecoratedInterval(Record):
@@ -299,13 +301,20 @@ _DEGREE0 = "hom computation expects degree-0 barcodes"
 
 def hom_dim(b1: Barcode, b2: Barcode) -> int:
     """Dimension of degree-0 graded module maps b1 -> b2 (degree-0 bars only),
-    by :func:`_maps` per pair; with an empty side only b1's degrees are read."""
+    by :func:`_maps` per pair on ends over one denominator (one ``integral``):
+    with b2 sorted by left end, a bisection keeps the bars with l2 <= l, and
+    l < r2 <= r is tested on them.  With an empty side only b1's degrees are read."""
     if not (b1.bars and b2.bars):
         if any(item.hdegree for item in b1.bars):
             raise UnsupportedShape(_DEGREE0)
         return 0
-    xs, ys = _calculus(b1, _DEGREE0), _calculus(b2, _DEGREE0)
-    return sum(m1 * m2 for _, l1, r1, _, m1 in xs for _, l2, r2, _, m2 in ys if _maps(l1, r1, l2, r2))
+    bars = [_calculus(b1, _DEGREE0), _calculus(b2, _DEGREE0)]
+    ints = iter(integral([e for side in bars for _, l, r, _, _ in side for e in (l, r) if is_finite(e)])[0])
+    xs, ys = ([(next(ints) if is_finite(l) else l, next(ints) if is_finite(r) else r, m) for _, l, r, _, m in side]
+              for side in bars)
+    ys.sort()
+    lefts = [l2 for l2, _, _ in ys]
+    return sum(m1 * m2 for l, r, m1 in xs for _, r2, m2 in ys[:bisect_right(lefts, l)] if l < r2 <= r)
 
 
 def torsionfree_hom_dim(b1: Barcode, b2: Barcode) -> int:

@@ -9,14 +9,15 @@ polyhedral decomposition a complete fan puts on the ambient space: one
 cell per cone, cell degree = cone dimension, each cell oriented by the
 echelon form of its integer rays, incidence signs read off with an inward
 transversal.  Restricting to the cones containing the query point (tested
-on the cones' integer H-rows) realizes the relative pair of the closed star
-against its boundary.  Each boundary map is a list of sparse int columns,
-one per cell, holding the signs of its facets; d.d = 0 is checked exactly
-per run by composing those columns, and the Betti numbers come from one
-rank of each boundary, taken by the sparse column reduction of
-:func:`aptkit.linalg.rank`.  A cone's facet signs are computed once and
-memoized in the cone table of :mod:`aptkit.geometry`, keyed by the cone, so
-every stratum point and every call on the fan shares them.
+on their integer H-rows, or for the unit check read off the face relation)
+realizes the relative pair of the closed star against its boundary.  Each
+boundary map is a list of sparse int columns, one per cell, holding the
+signs of its facets; d.d = 0 is checked exactly per run by composing those
+columns, and the Betti numbers come from one rank of each boundary, taken
+by the sparse column reduction of :func:`aptkit.linalg.rank`.  A cone's
+facet signs are computed once and memoized in the cone table of
+:mod:`aptkit.geometry`, keyed by the cone, so every stratum point and every
+call on the fan shares them.
 """
 
 from __future__ import annotations
@@ -184,18 +185,24 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
     star-complex property this routine exercises.  Reported
     degrees follow the cell dimensions (cone dimensions) of the complex.
     """
+    _require_complete(sigma_fan)
+    point = qvec(point, sigma_fan.dim)
+    x, _ = integral(point)
+    return StalkReport(point, _stalk_betti([c for c in sigma_fan.cones if c._holds(x)], field))
+
+
+def _require_complete(sigma_fan: Fan):
     if sigma_fan.dim < 1:
         raise InvalidInput("ambient dimension must be at least 1")
     if not sigma_fan.is_complete():
         raise IncompleteFan("stalk homology is computed for complete fans")
-    point = qvec(point, sigma_fan.dim)
-    x, _ = integral(point)
-    cells = [c for c in sigma_fan.cones if c._holds(x)]
+
+
+def _stalk_betti(cells, field):
+    """Nonzero Betti ranks by degree of the complex of the cones ``cells``."""
     by_degree: dict = {}
-    for c in cells:
+    for c in sorted(cells, key=lambda c: c._key):
         by_degree.setdefault(c.cone_dim, []).append(c)
-    for deg in by_degree:
-        by_degree[deg].sort(key=lambda c: c._key)
     index = {c._key: i for cones in by_degree.values() for i, c in enumerate(cones)}
     # boundary[d]: per degree-d cell, its facets' positions among the
     # degree d-1 cells, with their incidence signs
@@ -203,12 +210,8 @@ def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
                 for deg, cones in by_degree.items()}
     _assert_chain_complex(boundary)
     ranks = {deg: rank(columns, field) for deg, columns in boundary.items()}
-    betti = {}
-    for deg, cones in by_degree.items():
-        b = len(cones) - ranks[deg] - ranks.get(deg + 1, 0)
-        if b:
-            betti[deg] = b
-    return StalkReport(point, betti)
+    betti = {deg: len(cones) - ranks[deg] - ranks.get(deg + 1, 0) for deg, cones in by_degree.items()}
+    return {deg: b for deg, b in betti.items() if b}
 
 
 def _facet_signs(cone: Cone):
@@ -254,14 +257,20 @@ def stratum_points(sigma_fan: Fan):
 def convolution_unit_check(sigma_fan: Fan, field=None):
     """Total stalk rank 1 at one representative point per stratum.
 
+    The points are those of :func:`stratum_points`, one per cone and one
+    more per maximal cone of two or more rays.  A point in the relative
+    interior of a cone lies in exactly the cones that have it as a face (its
+    star in the face relation): both points of a maximal cone give one complex.
+
     Returns (ok, strata_checked).
     """
-    points = stratum_points(sigma_fan)
-    for p in points:
-        report = star_stalk_homology(sigma_fan, p, field)
-        if report.total_rank() != 1:
-            return False, len(points)
-    return True, len(points)
+    _require_complete(sigma_fan)
+    cones = sigma_fan.cones
+    stars = [[] for _ in cones]
+    for i, j in sigma_fan.face_rel:
+        stars[i].append(cones[j])
+    extra = sum(len(cones[i]._key[1]) >= 2 for i in sigma_fan.maximal_indices())
+    return all(sum(_stalk_betti(star, field).values()) == 1 for star in stars), len(cones) + extra
 
 
 def indicator_convolve(a: OpenPolyhedron, b: OpenPolyhedron, shift_a: int = 0, shift_b: int = 0):

@@ -1,10 +1,10 @@
 """Exact rational polyhedral cones and fans.
 
-A :class:`Cone` carries both representations at all times, as primitive
-``int`` tuples: the canonical V-representation (extreme rays in sorted order
-plus a sign-normalized lineality basis) in ``_key`` and the canonical
-minimal H-representation (facet normals plus span equalities) in ``_hrep``.
-The kernel works on these rows only.  The public ``Fraction`` views
+A :class:`Cone` carries both representations, as primitive ``int`` tuples:
+the canonical V-representation (extreme rays in sorted order plus a
+sign-normalized lineality basis) in ``_key`` and the canonical minimal
+H-representation (facet normals plus span equalities) in ``_hrep``.  The
+kernel works on these rows only.  The public ``Fraction`` views
 ``rays``, ``lineality``, ``facet_normals`` and ``span_normals`` are built
 from them on first read and then kept.
 
@@ -20,18 +20,19 @@ extreme ray iff no other lies on every facet it lies on.
 ``Cone(dim, generators)`` checks its rational input and hands primitive
 rows to the private ``Cone._from_rows``, through which sums, intersections
 and separating vectors build from their operands' rows.  A face, whose
-V-data is already canonical, converts once (``Cone._canonical``); the dual
-swaps the two representations and converts not at all.  Each keeps the
+V-data is already canonical, is stored with no conversion
+(``Cone._canonical``) and converts V to H when its H-data is first read.
+The dual swaps the two representations and converts not at all.  Each keeps the
 self-check that the H-representation contains every generator, and a
 failed self-check raises :class:`InternalCheckFailed`, also under
-``python -O``, and stores nothing.
+``python -O``, and leaves nothing in the table.
 
-Faces come from the ray-facet incidence: the ray sets of the faces of a
-proper cone are the intersections of the facets' zero sets, so a face list
-costs one conversion per face.  ``validate_fan`` looks each cone's apex and
-rays up by key, with no conversion, then builds the face relation, and
-then intersects only pairs of maximal cones; faces inherit the common-face
-property from the maximal cones above them.
+Faces come from the ray-facet incidence (Kaibel & Pfetsch 2002): the ray
+sets of the faces of a proper cone are the intersections of the facets'
+zero sets, so a face list converts nothing.  ``validate_fan`` looks each
+cone's apex and rays up by key, then builds the face relation from face
+keys, and then intersects only pairs of maximal cones; faces inherit the
+common-face property from the maximal cones above them.
 
 The one cache is a table of at most ``_TABLE_BOUND`` entries, least
 recently used out first.  It interns each cone under ``(dim, rows)``, rows a
@@ -224,18 +225,17 @@ def _view(slot, rows):
     return property(read)
 
 
-def _intern(dim, gens, vrep=None):
+def _intern(dim, gens):
     """The interned cone that rows in canonical input form generate.  A miss
     converts once: H-data from {v : <v, g> >= 0}, whose rays are our facet
-    normals and lineality our span equalities; V-data ``vrep`` if canonical,
-    else the interned dual's H-data, else :func:`_generated_vrep`.  Checked,
-    it is stored under ``gens`` and its own generators, an equal one kept."""
+    normals and lineality our span equalities; V-data the interned dual's
+    H-data, else :func:`_generated_vrep`.  Checked, it is stored under
+    ``gens`` and its own generators, an equal one kept."""
     cone = _lookup((dim, gens))
     if cone is None:
         hrep = _rays_from_halfspaces(gens, dim)[::-1]
-        if vrep is None:
-            dual = _lookup((dim, _with_lines(*hrep)))
-            vrep = _generated_vrep(gens, hrep, dim)[::-1] if dual is None else dual._hrep
+        dual = _lookup((dim, _with_lines(*hrep)))
+        vrep = _generated_vrep(gens, hrep, dim)[::-1] if dual is None else dual._hrep
         cone = Cone._fill(dim, vrep, hrep, gens)
         own = _with_lines(*vrep)
         if own != gens:
@@ -247,7 +247,7 @@ def _intern(dim, gens, vrep=None):
 class Cone:
     """Finitely generated rational convex cone, interned, with cached dual data."""
 
-    __slots__ = ("dim", "_key", "_hrep", "_dual", "_proper", "_faces",
+    __slots__ = ("dim", "cone_dim", "_key", "_hrep", "_dual", "_proper", "_faces",
                  "_rays", "_lineality", "_facet_normals", "_span_normals")
 
     def __new__(cls, dim: int, generators):
@@ -269,26 +269,41 @@ class Cone:
     def _canonical(cls, dim: int, rays, lineality) -> "Cone":
         """The cone over V-data that is already canonical, as ``int`` tuples:
         primitive extreme rays in sorted order and a lineality basis as
-        :func:`_lineality` returns it.  Converts V to H once; converting back
-        would only recompute ``rays``."""
-        return _intern(dim, _with_lines(rays, lineality), (rays, lineality))
+        :func:`_lineality` returns it.  Stored with no conversion: its
+        H-data is converted and checked on first read (:meth:`__getattr__`)."""
+        key = (dim, _with_lines(rays, lineality))
+        return _lookup(key) or _store(key, cls._fill(dim, (rays, lineality), None, key[1]))
 
     @classmethod
     def _fill(cls, dim, vrep, hrep, gens) -> "Cone":
         """A new cone of V-representation (rays, lineality) and
         H-representation (facet normals, span equalities), once the
-        H-representation is checked to contain every generator."""
-        halfspaces = _with_lines(*hrep)
-        if any(_idot(h, g) < 0 for g in gens for h in halfspaces):
-            raise InternalCheckFailed(
-                "H-representation does not contain a generator", check="cone-hrep"
-            )
+        H-representation is checked to contain every generator; with
+        ``hrep`` None, left to the first read (:meth:`__getattr__`)."""
         cone = object.__new__(cls)
         cone.dim = dim
         cone._key = (dim, *vrep)
-        cone._hrep = hrep
         cone._dual = cone._proper = cone._faces = None
+        if hrep is None:
+            cone.cone_dim = len(echelon(vrep[0] + vrep[1], dim)[0])
+        elif any(_idot(h, g) < 0 for h in _with_lines(*hrep) for g in gens):
+            raise InternalCheckFailed("H-representation does not contain a generator", check="cone-hrep")
+        else:
+            cone._hrep, cone.cone_dim = hrep, dim - len(hrep[1])
         return cone
+
+    def __getattr__(self, name):
+        """An unset ``_hrep``, converted and checked by :meth:`_fill`, then kept;
+        a failed check takes the key out of the table and raises on every read."""
+        if name != "_hrep":
+            raise AttributeError(name)
+        gens = _with_lines(*self._key[1:])
+        try:
+            self._hrep = Cone._fill(self.dim, self._key[1:], _rays_from_halfspaces(gens, self.dim)[::-1], gens)._hrep
+        except InternalCheckFailed:
+            _TABLE.pop((self.dim, gens), None)
+            raise
+        return self._hrep
 
     def __reduce__(self):
         return Cone._canonical, self._key
@@ -313,12 +328,8 @@ class Cone:
     def halfspaces(self):
         return self.facet_normals + tuple(v for e in self.span_normals for v in (e, vneg(e)))
 
-    @property
-    def cone_dim(self) -> int:
-        return self.dim - len(self._hrep[1])
-
     def is_full_dim(self) -> bool:
-        return not self._hrep[1]
+        return self.cone_dim == self.dim
 
     def is_zero(self) -> bool:
         return not self._key[1] and not self._key[2]
@@ -407,8 +418,8 @@ def faces_of(c: Cone):
     The rays of a face are the rays of c on which a set of facet normals
     vanishes, and every such intersection of the facets' zero sets is the
     ray set of a face.  So the closure of the full ray set under
-    intersection with each facet's zero set lists the faces, each built once
-    from its (already canonical) rays.  The list is kept on c.
+    intersection with each facet's zero set lists the faces, each named by
+    its (already canonical) rays with no conversion.  The list is kept on c.
     """
     if c._faces is not None:
         return list(c._faces)

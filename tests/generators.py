@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
@@ -216,4 +217,26 @@ def stellar_fan(rng, steps):
                    key=lambda t: (len(t), sorted(t)))
     scaled = [tuple(Fraction(x, k) for x in r) for r, k in zip(rays, (rng.choice((1, 2, 3)) for _ in rays))]
     cones = [Cone(3, [scaled[i] for i in sorted(t)]) for t in faces]
+    return validate_fan(cones)
+
+
+def complete_plane_fan(rng, extra):
+    """A complete 2-D fan: the rays +-e1, +-e2 and ``extra`` seeded
+    primitive rays, in angular order, each consecutive pair spanning a
+    maximal cone.  The order is exact: by half-plane, then by the sign of
+    the cross product."""
+    rays = {(1, 0), (0, 1), (-1, 0), (0, -1)}
+    while len(rays) < 4 + extra:
+        v = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if any(v):
+            g = gcd(*v)
+            rays.add((v[0] // g, v[1] // g))
+
+    def before(u, v):
+        half_u, half_v = (u[1] < 0 or u[1] == 0 and u[0] < 0), (v[1] < 0 or v[1] == 0 and v[0] < 0)
+        return half_u - half_v or v[0] * u[1] - u[0] * v[1]
+
+    rays = sorted(rays, key=cmp_to_key(before))
+    cones = [Cone(2, [])] + [Cone(2, [r]) for r in rays]
+    cones += [Cone(2, [r, s]) for r, s in zip(rays, rays[1:] + rays[:1])]
     return validate_fan(cones)

@@ -37,6 +37,7 @@ from itertools import combinations
 
 from aptkit import fm
 from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
+from aptkit.cutoff import star_stalk_homology, stratum_points
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.geometry import Cone, Fan, dual_cone
 from aptkit.interleaving import _expand
@@ -878,3 +879,14 @@ class AlmostContentTwin:
         ideal = self.interior_ideal_cone
         if minkowski_sum(ideal, ideal) != ideal:
             raise InvalidInput("interior ideal is not idempotent")
+
+
+def unit_check_by_point_scan(sigma_fan: Fan, field=None):
+    """The library's former ``convolution_unit_check``: the total rank of
+    :func:`star_stalk_homology`, which finds its cells by testing every
+    cone's H-rows, at every point of :func:`stratum_points`."""
+    points = stratum_points(sigma_fan)
+    for p in points:
+        if star_stalk_homology(sigma_fan, p, field).total_rank() != 1:
+            return False, len(points)
+    return True, len(points)

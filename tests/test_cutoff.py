@@ -21,14 +21,21 @@ from aptkit.cutoff import (
     star_stalk_homology,
     stratum_points,
 )
-from aptkit.errors import EmptyInterior, IncompleteFan, NotGammaOpen, PointNotInSet
-from aptkit.geometry import Cone, dual_cone
+from aptkit.errors import AptError, EmptyInterior, IncompleteFan, NotGammaOpen, PointNotInSet
+from aptkit.geometry import Cone, dual_cone, validate_fan
 from aptkit.linalg import PrimeField
 from aptkit.polyhedra import OpenPolyhedron
-from aptkit.rational import INF, vneg
+from aptkit.rational import INF, integral, vneg
 
-from generators import stellar_fan
-from oracles import check_minkowski_by_sampling, dense_rank, fm_infimum, order_complex_stalk_ranks, perturbed_point
+from generators import complete_plane_fan, stellar_fan
+from oracles import (
+    check_minkowski_by_sampling,
+    dense_rank,
+    fm_infimum,
+    order_complex_stalk_ranks,
+    perturbed_point,
+    unit_check_by_point_scan,
+)
 
 
 def random_offsets(fan, rng, lo=1, hi=8):
@@ -309,6 +316,47 @@ def test_convolution_unit_check_catalog():
         assert ok and checked >= len(fan.cones)
         ok2, _ = convolution_unit_check(fan, f2)
         assert ok2
+
+
+def _outcome(call, *args):
+    """The value of a call, or the code of the error it raises."""
+    try:
+        return call(*args)
+    except AptError as exc:
+        return exc.code
+
+
+def _unit_check_fans():
+    fans = [catalog.fan(name) for name in catalog.fan_names()] + [validate_fan([Cone(0, [])])]
+    fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((31, 1), (32, 2), (33, 3))]
+    return fans + [complete_plane_fan(random.Random(seed), seed % 5) for seed in range(8)]
+
+
+def test_unit_check_from_the_face_relation_against_the_point_scan(monkeypatch):
+    """convolution_unit_check, which reads each stratum's cells off the face
+    relation and tests no membership, returns what the scan of every
+    stratum point returns, errors included, over Q, F_2 and F_3; at every
+    stratum point the cones that have its cone as a face are those whose
+    H-rows hold it.  With every rank patched to 0 both report a failed check."""
+    fans = _unit_check_fans()
+    fields = (None, PrimeField(2), PrimeField(3))
+    expected = [[_outcome(unit_check_by_point_scan, fan, field) for field in fields] for fan in fans]
+    assert sum(isinstance(e[0], str) for e in expected) == 3
+    holds = Cone._holds
+    for fan, want in zip(fans, expected):
+        if isinstance(want[0], tuple):
+            stars = [{fan.cones[j]._key for i, j in fan.face_rel if i == k} for k in range(len(fan.cones))]
+            for p in stratum_points(fan):
+                x = integral(p)[0]
+                (i,) = [i for i, c in enumerate(fan.cones) if c._holds(x, strict=True)]
+                assert stars[i] == {c._key for c in fan.cones if c._holds(x)}, (fan, p)
+        monkeypatch.setattr(Cone, "_holds", None)
+        assert [_outcome(convolution_unit_check, fan, field) for field in fields] == want, fan
+        monkeypatch.setattr(Cone, "_holds", holds)
+        assert all(e == (True, len(stratum_points(fan))) for e in want if isinstance(e, tuple)), fan
+    monkeypatch.setattr(cutoff, "rank", lambda columns, field=None: 0)
+    for fan in fans[-3:]:
+        assert convolution_unit_check(fan) == unit_check_by_point_scan(fan) == (False, len(stratum_points(fan)))
 
 
 def test_indicator_convolve():

@@ -167,6 +167,30 @@ def test_faces_against_supporting_hyperplane_oracle(empty_table):
         assert got == want, name
 
 
+def test_faces_with_deferred_h_data_match_the_oracle(monkeypatch, empty_table):
+    """On seeded simplicial cones, cones over points of a parabola and cones
+    over cubes, faces_of, with no conversion, lists the faces that the
+    supporting hyperplanes cut out; read once the list is built, each
+    face's dimension and H-data equal the oracle's converted face."""
+    rng = random.Random(71)
+    cones = [_simplicial_cone(rng, k, d) for d in (2, 3, 4, 5) for k in range(1, d + 1)]
+    cones += [Cone(3, [(1, t, t * t) for t in sorted(rng.sample(range(-6, 7), k))]) for k in (3, 4, 5, 6)]
+    cones += [Cone(d + 1, [(1,) + p for p in product((-1, 1), repeat=d)]) for d in (1, 2, 3)]
+    convert = geometry._rays_from_halfspaces
+    for cone in cones:
+        empty_table()
+        monkeypatch.setattr(geometry, "_rays_from_halfspaces", None)
+        faces = faces_of(cone)
+        monkeypatch.setattr(geometry, "_rays_from_halfspaces", convert)
+        empty_table()
+        want = faces_by_supporting_hyperplanes(cone)
+        assert [f._key for f in faces] == [f._key for f in want], cone
+        for face, ref in zip(faces, want):
+            assert face is cone or face is not ref
+            assert face.cone_dim == ref.cone_dim and face._hrep == ref._hrep, face
+            assert face.is_full_dim() == ref.is_full_dim() and is_proper(face), face
+
+
 def _same_cone(built, reference):
     assert built.rays == reference.rays
     assert built.lineality == reference.lineality
@@ -530,7 +554,8 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
     description at most once and dual_cone not at all.  is_proper,
     faces_of, _separation and _facet_signs compute once per key, so a second
     round of the same calls computes nothing.  faces_of on the cone over the
-    4-cube runs the double description at most once per face."""
+    4-cube runs no double description, nor does validate_fan on a catalog
+    fan past its intersections of maximal cones."""
     convert, fill = geometry._rays_from_halfspaces, Cone.__dict__["_fill"].__func__
     converted, filled, calls = Counter(), Counter(), Counter()
 
@@ -597,27 +622,53 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
     empty_table()
     calls.clear()
     faces = faces_of(cube)
-    assert len(faces) == 82 and calls["_dd_rays"] <= len(faces)
+    assert len(faces) == 82 and calls["_dd_rays"] == 0
+    for name in catalog.fan_names():
+        fan = catalog.fan(name)
+        empty_table()
+        cones = [Cone._from_rows(fan.dim, geometry._with_lines(*c._key[1:])) for c in fan.cones]
+        maximal = [cones[i] for i in fan.maximal_indices()]
+        for a, c1 in enumerate(maximal):
+            for c2 in maximal[a + 1:]:
+                intersect(c1, c2)
+        calls.clear()
+        assert validate_fan(cones, fan.ids).face_rel == fan.face_rel
+        assert calls["_dd_rays"] == 0, name
 
 
 def test_a_failed_self_check_stores_nothing(monkeypatch, empty_table):
     """A construction or a verdict whose self-check raises leaves no entry
     and no slot behind, so the same call raises again; once the fault is
-    gone, the same calls succeed."""
+    gone, the same calls succeed.  Cone._canonical converts nothing, so its
+    check runs, and fails, on the first read of the H-data."""
     convert = geometry._rays_from_halfspaces
 
     def flipped(normals, dim):
         lin, rays = convert(normals, dim)
         return lin, tuple(vneg(r) for r in rays)
 
+    def first_reads(cone):
+        return [lambda: cone.facet_normals, lambda: dual_cone(cone), lambda: is_proper(cone)]
+
     monkeypatch.setattr(geometry, "_rays_from_halfspaces", flipped)
     for _ in range(2):
         with pytest.raises(InternalCheckFailed):
             Cone(2, [(1, 0), (1, 2)])
-        with pytest.raises(InternalCheckFailed):
-            Cone._canonical(2, ((1, 0), (1, 2)), ())
         assert not geometry._TABLE
+    lazy = []
+    for read in range(3):
+        face = Cone._canonical(2, ((1, 0), (1, 2)), ())
+        assert face.cone_dim == 2 and geometry._TABLE
+        lazy.append(face)
+        for _ in range(2):
+            with pytest.raises(InternalCheckFailed):
+                first_reads(face)[read]()
+            assert not geometry._TABLE and face._dual is face._proper is None
     monkeypatch.setattr(geometry, "_rays_from_halfspaces", convert)
+    for face in lazy:
+        for read in first_reads(face):
+            read()
+    assert lazy[0].facet_normals == ((0, 1), (2, -1)) and is_proper(lazy[2])
     cone = Cone(2, [(1, 0), (1, 2)])
     assert Cone._canonical(2, ((1, 0), (1, 2)), ()) is cone
     monkeypatch.setattr(geometry, "echelon", lambda rows, ncols: ([], []))
@@ -815,6 +866,13 @@ except InternalCheckFailed as exc:
             "g.Cone(2, [(1, 0), (1, 2)])",
         ),
         (
+            "convert = g._rays_from_halfspaces\n"
+            "g._rays_from_halfspaces = lambda normals, dim: "
+            "(convert(normals, dim)[0], tuple(g.vneg(r) for r in convert(normals, dim)[1]))\n"
+            "face = g.Cone._canonical(2, ((1, 0), (1, 2)), ())",
+            "face.facet_normals",
+        ),
+        (
             "c = g.Cone(2, [(1, 0), (1, 2)])\n"
             "c._key = (2, tuple(g.vneg(r) for r in c._key[1]), c._key[2])",
             "g.dual_cone(c)",
@@ -859,8 +917,8 @@ except InternalCheckFailed as exc:
             "i.certificate_for(barcode(bar(0, 2)), barcode(bar(0, 3)), 1)",
         ),
     ],
-    ids=["is-proper-cross-check", "cone-hrep-containment", "dual-swap-containment", "fm-projection", "minkowski-sum-open",
-         "root-ladder-minimality", "sample-point", "gamma-basis-witness",
+    ids=["is-proper-cross-check", "cone-hrep-containment", "cone-hrep-first-read", "dual-swap-containment",
+         "fm-projection", "minkowski-sum-open", "root-ladder-minimality", "sample-point", "gamma-basis-witness",
          "incidence-sign", "facet-outside-span", "chain-complex", "certificate-matching"],
 )
 def test_self_checks_survive_python_O(patch, call):
