@@ -8,24 +8,22 @@ kernel works on these rows only.  The public ``Fraction`` views
 ``rays``, ``lineality``, ``facet_normals`` and ``span_normals`` are built
 from them on first read and then kept.
 
-One routine converts H to V on integer rows: the lineality space from a
-fraction-free echelon form, then the double-description method (Motzkin et
-al. 1953; Fukuda & Prodon 1996) from the simplicial cone of independent
-rows, whose rays are the columns of one fraction-free inverse
-(``linalg._adjugate``).  V to H is the same routine applied to the
-generators as normals of the dual.  A cone built from generators converts
-once and reads its V-data off the generators, which need not be extreme:
-projected onto the complement of the lineality, a generator spans an
-extreme ray iff no other lies on every facet it lies on.
-``Cone(dim, generators)`` checks its rational input and hands primitive
-rows to the private ``Cone._from_rows``, through which sums, intersections
-and separating vectors build from their operands' rows.  A face, whose
-V-data is already canonical, is stored with no conversion
-(``Cone._canonical``) and converts V to H when its H-data is first read.
-The dual swaps the two representations and converts not at all.  Each keeps the
-self-check that the H-representation contains every generator, and a
-failed self-check raises :class:`InternalCheckFailed`, also under
-``python -O``, and leaves nothing in the table.
+One routine converts H to V on integer rows: one fraction-free echelon form
+gives the lineality space and the independent rows whose simplicial cone,
+the columns of one fraction-free inverse (``linalg._adjugate``), starts the
+double-description method (Motzkin et al. 1953; Fukuda & Prodon 1996).  V to
+H is the same routine applied to the generators as normals of the dual.  A
+cone built from generators converts once and reads its V-data off the
+generators, which need not be extreme: the pass that checks them against the
+H-representation gives the facets each lies on, and one spans an extreme ray
+iff no other lies on every facet it lies on.  ``Cone(dim, generators)``
+checks its rational input and hands primitive rows to ``Cone._from_rows``,
+through which sums, intersections and separating vectors build from their
+operands' rows.  A face, whose V-data is already canonical, is stored with no
+conversion (``Cone._canonical``) and converts V to H when its H-data is first
+read; the dual swaps the two representations, with no conversion.  Each keeps
+the self-check that the H-representation contains every generator; a failure
+raises :class:`InternalCheckFailed`, also under ``python -O``, storing nothing.
 
 Faces come from the ray-facet incidence (Kaibel & Pfetsch 2002): the ray
 sets of the faces of a proper cone are the intersections of the facets'
@@ -125,29 +123,25 @@ def _fractions(vectors):
 
 
 def _rays_from_halfspaces(normals, dim):
-    """Extreme rays and lineality of {x : <n, x> >= 0 for all n}.
-
-    ``normals`` must be in canonical input form (see :func:`_primitive_rows`).
-    Returns ``(lineality_basis, rays)`` as tuples of primitive ``int``
-    tuples, both canonical: each line has its first nonzero entry positive,
-    rays are sorted.
-    """
-    lin = _lineality(normals, dim)
-    # rays lie in the orthogonal complement of the lineality space: with
-    # <l, x> = 0 for each line l the cone is pointed, of rank dim
-    rows = list(lin) + [vneg(e) for e in lin] + list(normals)
-    rays = _dd_rays(rows, dim) if len(lin) < dim else ()
+    """``(lineality_basis, rays)`` of {x : <n, x> >= 0 for all n}, for normals in
+    canonical input form (:func:`_primitive_rows`): tuples of primitive ``int``
+    tuples, each line with its first nonzero entry positive, the rays sorted."""
+    reduced, chosen = echelon(normals, dim)
+    lin, k = _lineality(reduced, dim), dim - len(chosen)
+    # with <l, x> = 0 for each line l the cone is pointed, of rank dim; the lines
+    # and the chosen normals, orthogonal to them, are dim independent start rows
+    rows = [*lin, *map(vneg, lin), *normals]
+    rays = _dd_rays(rows, dim, [*range(k), *(2 * k + i for i in chosen)]) if k < dim else ()
     return lin, tuple(sorted(rays))
 
 
-def _lineality(normals, dim):
-    """Basis of {x : <n, x> = 0 for all n}: for each free column f of the
-    echelon form, the kernel vector that vanishes on the other free columns,
+def _lineality(reduced, dim):
+    """Basis of {x : <n, x> = 0 for all n} from the n's echelon form: for each
+    free column f, the kernel vector that vanishes on the other free columns,
     primitive with its first nonzero entry positive.  The pivot columns are
     those of Gauss-Jordan elimination over Q, so this is the basis that
     elimination yields.  With (d, adj) the adjugate pair of the pivot columns,
     the vector is d at f and -adj * (column f) on them."""
-    reduced, _ = echelon(normals, dim)
     pivots = [col for col, _ in reduced]
     free = [j for j in range(dim) if j not in pivots]
     if not free:
@@ -163,51 +157,77 @@ def _lineality(normals, dim):
     return tuple(basis)
 
 
-def _dd_rays(rows, r):
+def _dd_rays(rows, r, start):
     """Primitive extreme rays of the pointed cone {v : <a, v> >= 0} of integer
-    rows of rank r: the simplicial cone of r independent rows, then one row
-    at a time, joining adjacent rays across it.  A ray carries the rows on
-    which it vanishes as a bit mask; two rays are adjacent iff no third one
-    vanishes on all rows on which both vanish (at least r - 2 rows); the
-    first rays are the columns of the adjugate of the r rows, signed by d.
-    Raises ComputationTooLarge once more than ``_DD_RAY_CAP`` rays are kept."""
-    _, start = echelon(rows, r)
+    rows of rank r: the simplicial cone of the r independent rows ``start``,
+    then one row at a time, joining adjacent rays across it.  A ray carries
+    the rows on which it vanishes as a bit mask; two rays are adjacent iff no
+    third one vanishes on all rows on which both vanish (at least r - 2
+    rows); the first rays are the columns of the adjugate of the start rows,
+    signed by d.  Raises ComputationTooLarge past ``_DD_RAY_CAP`` rays."""
     d, adj = _adjugate([rows[j] for j in start])
     rays = [(_scaled(v, d > 0), sum(1 << j for j in start if j != i)) for i, v in zip(start, zip(*adj))]
+    start = set(start)
     for i, row in enumerate(rows):
         if i in start:
             continue
-        signed = [(v, zeros, _idot(row, v)) for v, zeros in rays]
-        kept = [(v, zeros if s else zeros | 1 << i) for v, zeros, s in signed if s >= 0]
-        masks = [zeros for _, zeros in rays]
-        pos = [ray for ray in signed if ray[2] > 0]
-        neg = [ray for ray in signed if ray[2] < 0]
-        for (v, zv, sv), (w, zw, sw) in product(pos, neg):
-            common = zv & zw
-            if common.bit_count() >= r - 2 and sum(z & common == common for z in masks) == 2:
-                u = [sv * b - sw * a for a, b in zip(v, w)]
-                kept.append((_scaled(u, True), common | 1 << i))
+        bit, kept, pos, neg = 1 << i, [], [], []
+        for v, zeros in rays:
+            s = _idot(row, v)
+            if s > 0:
+                pos.append((v, zeros, s))
+                kept.append((v, zeros))
+            elif s:
+                neg.append((v, zeros, s))
+            else:
+                kept.append((v, zeros | bit))
+        if pos and neg:
+            masks = [zeros for _, zeros in rays]
+            for (v, zv, sv), (w, zw, sw) in product(pos, neg):
+                common = zv & zw
+                if common.bit_count() >= r - 2 and sum(z & common == common for z in masks) == 2:
+                    u = [sv * b - sw * a for a, b in zip(v, w)]
+                    kept.append((_scaled(u, True), common | bit))
         rays = kept
         if len(rays) > _DD_RAY_CAP:
             raise ComputationTooLarge("cone conversion passed its ray cap", rays=len(rays), cap=_DD_RAY_CAP)
     return [v for v, _ in rays]
 
 
-def _generated_vrep(gens, hrep, dim):
-    """Lineality and extreme rays of the cone that the generators span and
-    ``hrep`` bounds, as :func:`_rays_from_halfspaces` gives them for its
-    halfspaces, read off the generators: their projections
-    d*g - L^T adj L g, with (d, adj) the adjugate pair of L L^T for the
-    lineality L, span the pointed part."""
-    lin = _lineality(_with_lines(*hrep), dim)
-    if lin:
+def _tight_masks(hrep, gens):
+    """Each generator's mask of the facets it lies on, bit k for facet k; all must satisfy ``hrep``."""
+    facets, span = hrep
+    masks, bad = [], any(_idot(e, g) for e in span for g in gens)
+    for g in gens:
+        m = 0
+        for k, f in enumerate(facets):
+            s = _idot(f, g)
+            if s <= 0:
+                bad |= s < 0
+                m |= 1 << k
+        masks.append(m)
+    if bad:
+        raise InternalCheckFailed("H-representation does not contain a generator", check="cone-hrep")
+    return masks
+
+
+def _generated_vrep(gens, masks, hrep, dim):
+    """``(rays, lineality)``, canonical as in :func:`_rays_from_halfspaces`, of
+    the cone that ``hrep`` bounds and the generators span, read off their
+    facet masks (:func:`_tight_masks`); in a pointed cone of rank r only one
+    on at least r - 1 facets can be extreme.  Only if one lies on every facet,
+    in the lineality L, are they projected, to d*g - L^T adj L g with (d, adj)
+    the adjugate pair of L L^T, which moves none on or off a facet."""
+    full = (1 << len(hrep[0])) - 1
+    lin, pairs = (), zip(gens, masks)
+    if full in masks:
+        lin = _lineality(echelon(_with_lines(*hrep), dim)[0], dim)
         d, adj = _adjugate([[_idot(a, b) for b in lin] for a in lin])
-        coords = [[_idot(row, lg) for row in adj] for lg in ([_idot(e, g) for e in lin] for g in gens)]
-        gens = [[d * x - _idot(c, col) for x, col in zip(g, zip(*lin))] for g, c in zip(gens, coords)]
-        gens = {_scaled(v, d > 0) for v in gens if any(v)}
-    tight = [(v, sum(1 << k for k, f in enumerate(hrep[0]) if not _idot(f, v))) for v in gens]
-    rays = tuple(sorted(v for v, m in tight if sum(n & m == m for _, n in tight) == 1))
-    return lin, rays
+        pairs = [(g, [_idot(row, [_idot(e, g) for e in lin]) for row in adj], m) for g, m in pairs if m != full]
+        pairs = {(_scaled([d * x - _idot(c, col) for x, col in zip(g, zip(*lin))], d > 0), m) for g, c, m in pairs}
+    least = dim - len(hrep[1]) - len(lin) - 1
+    pairs = [(v, m) for v, m in pairs if m.bit_count() >= least]
+    return tuple(sorted(v for v, m in pairs if sum(n & m == m for _, n in pairs) == 1)), lin
 
 
 def _view(slot, rows):
@@ -229,15 +249,15 @@ def _intern(dim, gens):
     """The interned cone that rows in canonical input form generate.  A miss
     converts once: H-data from {v : <v, g> >= 0}, whose rays are our facet
     normals and lineality our span equalities; V-data the interned dual's
-    H-data, else :func:`_generated_vrep`.  Checked, it is stored under
+    H-data, else read off the facets on which each generator lies, which
+    the self-check finds (:meth:`Cone._fill`).  Checked, it is stored under
     ``gens`` and its own generators, an equal one kept."""
     cone = _lookup((dim, gens))
     if cone is None:
         hrep = _rays_from_halfspaces(gens, dim)[::-1]
         dual = _lookup((dim, _with_lines(*hrep)))
-        vrep = _generated_vrep(gens, hrep, dim)[::-1] if dual is None else dual._hrep
-        cone = Cone._fill(dim, vrep, hrep, gens)
-        own = _with_lines(*vrep)
+        cone = Cone._fill(dim, None if dual is None else dual._hrep, hrep, gens)
+        own = _with_lines(*cone._key[1:])
         if own != gens:
             cone = _lookup((dim, own)) or _store((dim, own), cone)
         _store((dim, gens), cone)
@@ -278,18 +298,19 @@ class Cone:
     def _fill(cls, dim, vrep, hrep, gens) -> "Cone":
         """A new cone of V-representation (rays, lineality) and
         H-representation (facet normals, span equalities), once the
-        H-representation is checked to contain every generator; with
-        ``hrep`` None, left to the first read (:meth:`__getattr__`)."""
+        H-representation is checked to contain every generator; with ``vrep``
+        None, read off the generators; with ``hrep`` None, left to the first
+        read (:meth:`__getattr__`)."""
         cone = object.__new__(cls)
         cone.dim = dim
-        cone._key = (dim, *vrep)
         cone._dual = cone._proper = cone._faces = None
         if hrep is None:
             cone.cone_dim = len(echelon(vrep[0] + vrep[1], dim)[0])
-        elif any(_idot(h, g) < 0 for h in _with_lines(*hrep) for g in gens):
-            raise InternalCheckFailed("H-representation does not contain a generator", check="cone-hrep")
         else:
+            masks = _tight_masks(hrep, gens)
+            vrep = vrep or _generated_vrep(gens, masks, hrep, dim)
             cone._hrep, cone.cone_dim = hrep, dim - len(hrep[1])
+        cone._key = (dim, *vrep)
         return cone
 
     def __getattr__(self, name):
@@ -405,9 +426,7 @@ def is_proper(c: Cone) -> bool:
     p = [sum(col) for col in zip(*c._hrep[0])]
     interior_ok = no_lines and all(_idot(p, r) > 0 for r in c._key[1])
     if not no_lines == dual_full_dim == interior_ok:
-        raise InternalCheckFailed(
-            "properness characterizations disagree", check="is-proper"
-        )
+        raise InternalCheckFailed("properness characterizations disagree", check="is-proper")
     c._proper = no_lines
     return no_lines
 
@@ -430,10 +449,8 @@ def faces_of(c: Cone):
     for normal in c._hrep[0]:
         zeros = frozenset(i for i, r in enumerate(rays) if not _idot(normal, r))
         closed |= {zeros & s for s in closed}
-    faces = [
-        c if len(s) == len(rays) else Cone._canonical(c.dim, tuple(rays[i] for i in sorted(s)), ())
-        for s in closed
-    ]
+    faces = [c if len(s) == len(rays) else Cone._canonical(c.dim, tuple(rays[i] for i in sorted(s)), ())
+             for s in closed]
     faces.sort(key=lambda f: (f.cone_dim, f._key))
     c._faces = tuple(faces)
     return faces
@@ -452,9 +469,8 @@ class Fan:
         self._complete = None
 
     def cone_by_id(self, cid: str) -> Cone:
-        for i, name in enumerate(self.ids):
-            if name == cid:
-                return self.cones[i]
+        if cid in self.ids:
+            return self.cones[self.ids.index(cid)]
         raise InvalidInput(f"no cone with id {cid!r}", available=list(self.ids))
 
     def rays(self):
@@ -470,9 +486,8 @@ class Fan:
         return any(c._holds(x) for c in self.cones)
 
     def is_complete(self) -> bool:
-        """Exact combinatorial completeness: facet pairing plus connectivity.
-
-        Computed on the first call and kept: a fan never changes."""
+        """Exact combinatorial completeness: facet pairing plus connectivity,
+        computed on the first call and kept, as a fan never changes."""
         if self._complete is None:
             self._complete = self._facets_paired_and_connected()
         return self._complete
@@ -480,11 +495,8 @@ class Fan:
     def _facets_paired_and_connected(self) -> bool:
         n = self.dim
         full = [i for i, c in enumerate(self.cones) if c.cone_dim == n]
-        if not full:
+        if not full or any(self.cones[i].cone_dim != n for i in self.maximal_indices()):
             return False
-        for i in self.maximal_indices():
-            if self.cones[i].cone_dim != n:
-                return False
         facet_owners = {}
         for i in full:
             for face in faces_of(self.cones[i]):
@@ -494,12 +506,10 @@ class Fan:
             return False
         # connectivity of the dual graph on full-dimensional cones
         adj = {i: set() for i in full}
-        for owners in facet_owners.values():
-            a, b = owners
+        for a, b in facet_owners.values():
             adj[a].add(b)
             adj[b].add(a)
-        seen = {full[0]}
-        stack = [full[0]]
+        seen, stack = {full[0]}, [full[0]]
         while stack:
             for j in adj[stack.pop()]:
                 if j not in seen:

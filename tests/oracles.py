@@ -5,7 +5,9 @@ the library: Gauss-Jordan elimination over Q on ``Fraction`` entries
 (the reference for the library's one fraction-free echelon) for ranks, row
 spaces and kernel bases, Fourier-Motzkin V-to-H conversion for duals,
 kernel lines (signed maximal minors) of all (rank-1)-subsets of the normals for H-to-V conversion,
-with the lineality from the Gauss-Jordan kernel basis, Fourier-Motzkin
+with the lineality from the Gauss-Jordan kernel basis, a projection along a
+Gram-Schmidt basis and a second pass of facet dot products for the V-data
+read off a cone's generators, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
 supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
@@ -165,6 +167,36 @@ def rays_by_subset_enumeration(normals, dim):
             ray = vadd(ray, vscale(coef, w))
         rays.add(primitive(ray))
     return lin, tuple(sorted(rays))
+
+
+def generated_vrep_by_second_pass(gens, hrep, dim):
+    """Lineality basis and extreme rays of the cone that the integer rows
+    ``gens`` span and ``hrep`` (facet normals, span equalities) bounds, as
+    ``geometry._rays_from_halfspaces`` returns them but with ``Fraction``
+    entries.  The generators are projected onto the orthogonal complement of
+    the lineality (:func:`kernel_basis` of the H-rows) along a Gram-Schmidt
+    basis, each projection's facets are found by a second pass of dot products,
+    and a projection is kept when no other lies on every facet it lies on.
+    The library reads those facets off its containment self-check instead,
+    and compares only generators on at least rank - 1 facets."""
+    facets, span = hrep
+    lin = kernel_basis(list(facets) + list(span), dim)
+    orthogonal = []  # integer multiples of the Gram-Schmidt basis of lin
+    for e in lin:
+        e = integral(e)[0]
+        for o in orthogonal:
+            e = [_idot(o, o) * a - _idot(e, o) * b for a, b in zip(e, o)]
+        orthogonal.append(e)
+    projected = set()
+    for g in gens:
+        for o in orthogonal:
+            g = [_idot(o, o) * a - _idot(g, o) * b for a, b in zip(g, o)]
+        if any(g):
+            projected.add(tuple(map(int, primitive(g))))
+    facets = [integral(f)[0] for f in facets]
+    tight = [(v, {k for k, f in enumerate(facets) if not _idot(f, v)}) for v in projected]
+    rays = [v for v, zeros in tight if sum(zeros <= other for _, other in tight) == 1]
+    return tuple(lin), tuple(sorted(map(primitive, rays)))
 
 
 def fm_irredundant_constraints(dim, constraints):

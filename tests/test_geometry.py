@@ -36,6 +36,8 @@ from oracles import (
     contains_by_vrep,
     faces_by_supporting_hyperplanes,
     fm_dual_generators,
+    generated_vrep_by_second_pass,
+    kernel_basis,
     rays_by_subset_enumeration,
 )
 
@@ -492,19 +494,21 @@ def _oracle_halfspaces(gens, dim):
     return list(rays) + list(lines) + [vneg(e) for e in lines]
 
 
-def _generator_ladder():
+def _generator_ladder(per_dim=60):
     """Seeded generator sets in dims 1-5: lines, opposite pairs, parallel
     multiples, interior generators (sums of others), generators in a
-    hyperplane or a plane (cones that are not full-dimensional), and the
-    zero cone, given as no generators and as the zero vector."""
+    hyperplane or a plane (cones that are not full-dimensional), generators
+    equal modulo a line, half-spaces, the whole space, single rays and
+    half-lines plus lines (pointed part of rank 1), and the zero cone, given
+    as no generators and as the zero vector."""
     rng = random.Random(41)
     for dim in range(1, 6):
         yield dim, []
         yield dim, [zero_vec(dim)]
-        for _ in range(60):
+        for _ in range(per_dim):
             gens = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(dim))
                     for _ in range(rng.randint(1, 6))]
-            shape = rng.randrange(5)
+            shape = rng.randrange(9)
             if shape == 0:
                 gens.append(vneg(gens[0]))
             elif shape == 1:
@@ -514,32 +518,65 @@ def _generator_ladder():
             elif shape == 3:
                 flat = rng.randrange(1, dim + 1)
                 gens = [g[:dim - flat] + (Fraction(0),) * flat for g in gens]
-            else:
+            elif shape == 4:
                 gens += [vneg(g) for g in gens[:rng.randint(1, 2)]] + [vadd(gens[0], gens[-1])]
+            elif shape == 5:
+                # generators equal modulo the line through gens[0]
+                k = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+                gens += [vneg(gens[0])] + [vadd(g, vscale(k, gens[0])) for g in gens[1:3]]
+            elif shape == 6:
+                # the half-space {<n, x> >= 0}: both directions of a basis
+                # of n's orthogonal complement, n, and a few points inside
+                n = gens[0] if any(gens[0]) else (Fraction(1),) * dim
+                lines = kernel_basis([n], dim)
+                inside = [g if dot(n, g) >= 0 else vneg(g) for g in gens[1:]]
+                gens = lines + [vneg(e) for e in lines] + [n] + inside
+            elif shape == 7:
+                # the whole space, with or without spare generators
+                unit = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+                gens = unit + [tuple(Fraction(-1) for _ in range(dim))] + gens[:rng.randint(0, 2)]
+            else:
+                # one ray's positive multiples, plus lines half the time
+                gens = [vscale(Fraction(rng.randint(1, 4), rng.randint(1, 3)), gens[0]) for _ in range(3)]
+                if rng.random() < 0.5 and dim > 1:
+                    line = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
+                    gens += [line, vneg(line)]
             yield dim, gens
 
 
 def test_generated_v_data_against_subset_enumeration():
-    """Cone(dim, gens) reads its rays and lineality off the generators; the
-    oracle converts the oracle's halfspaces of the same generators.  A
+    """Cone(dim, gens) reads its rays and lineality off the generators and
+    the facet masks of its containment self-check.  Its V-data equals the
+    oracle's conversion of the oracle's halfspaces of the same generators
+    and the second-pass reference (projection, then fresh facet dot
+    products) on those halfspaces; its H-data equals the oracle's
+    halfspaces, and the reference on the dual, over 3 000 seeded sets.  A
     second generating set of a cone already in the memo gives the same key."""
     rng = random.Random(43)
-    shapes = {"lines": 0, "pointed": 0, "flat": 0}
-    for dim, gens in _generator_ladder():
-        halfspaces = _oracle_halfspaces(gens, dim)
-        lin, rays = rays_by_subset_enumeration(_canonical_rows(halfspaces), dim)
+    shapes = {"lines": 0, "pointed": 0, "flat": 0, "rank 1": 0, "whole space": 0, "zero": 0}
+    for dim, gens in _generator_ladder(per_dim=620):
+        rows = _canonical_rows(gens)
+        span, facets = rays_by_subset_enumeration(rows, dim)
+        halfspaces = _canonical_rows(list(facets) + list(span) + [vneg(e) for e in span])
+        lin, rays = rays_by_subset_enumeration(halfspaces, dim)
         cone = Cone(dim, gens)
         assert cone._key[1:] == (_ints(rays), _ints(lin)), (dim, gens)
-        assert _canonical_rows(cone.halfspaces) == _canonical_rows(halfspaces), (dim, gens)
+        assert generated_vrep_by_second_pass(rows, (facets, span), dim) == (lin, rays), (dim, gens)
+        assert cone._hrep == (_ints(facets), _ints(span)), (dim, gens)
+        assert generated_vrep_by_second_pass(halfspaces, (rays, lin), dim) == (span, facets), (dim, gens)
         shapes["lines" if lin else "pointed"] += 1
         shapes["flat"] += not cone.is_full_dim()
+        shapes["rank 1"] += cone.cone_dim - len(lin) == 1
+        shapes["whole space"] += len(lin) == dim
+        shapes["zero"] += cone.is_zero()
         others = [vscale(Fraction(rng.randint(1, 3)), r) for r in cone.rays]
         others += [vscale(Fraction(rng.choice((-2, -1, 1, 2))), e) for e in cone.lineality for _ in range(2)]
         others += [vadd(a, b) for a, b in zip(others, others[1:])] + list(cone.lineality)
         others += [vneg(e) for e in cone.lineality]
         rng.shuffle(others)
         assert Cone(dim, others)._key == cone._key, (dim, gens, others)
-    assert min(shapes.values()) >= 40, shapes
+    assert sum(shapes[k] for k in ("lines", "pointed")) >= 3000, shapes
+    assert min(shapes.values()) >= 10, shapes
 
 
 def _ints(vectors):
@@ -551,17 +588,23 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
     Cone._from_rows, Cone._canonical, dual_cone, intersect, as a face)
     converts and self-checks at most once per distinct key and gives one
     object per cone: Cone(dim, gens) and Cone._canonical run the double
-    description at most once and dual_cone not at all.  is_proper,
+    description at most once and dual_cone not at all.  A table miss of
+    Cone(dim, gens) runs one echelon form inside the conversion, and one
+    more only for a cone with lines, whose lineality it reads off the
+    H-rows.  is_proper,
     faces_of, _separation and _facet_signs compute once per key, so a second
     round of the same calls computes nothing.  faces_of on the cone over the
     4-cube runs no double description, nor does validate_fan on a catalog
     fan past its intersections of maximal cones."""
     convert, fill = geometry._rays_from_halfspaces, Cone.__dict__["_fill"].__func__
-    converted, filled, calls = Counter(), Counter(), Counter()
+    converted, filled, calls, echelons = Counter(), Counter(), Counter(), []
 
     def spy_convert(normals, dim):
         converted[dim, normals] += 1
-        return convert(normals, dim)
+        before = calls["echelon"]
+        result = convert(normals, dim)
+        echelons.append(calls["echelon"] - before)
+        return result
 
     def spy_fill(cls, dim, vrep, hrep, gens):
         filled[dim, gens] += 1
@@ -591,10 +634,11 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
 
     for dim, gens in _generator_ladder():
         empty_table()
-        for counter in (converted, filled, calls):
+        for counter in (converted, filled, calls, echelons):
             counter.clear()
         cone = Cone(dim, gens)
-        assert calls["_dd_rays"] <= 1, (dim, gens)
+        assert calls["_dd_rays"] <= 1 and echelons == [1], (dim, gens)
+        assert calls["echelon"] == 1 + bool(cone._key[2]), (dim, gens)
         dual_cone(cone)
         assert calls["_dd_rays"] <= 1 and len(converted) <= 1, (dim, gens)
         every_route(dim, gens)
@@ -647,14 +691,19 @@ def test_a_failed_self_check_stores_nothing(monkeypatch, empty_table):
         lin, rays = convert(normals, dim)
         return lin, tuple(vneg(r) for r in rays)
 
+    def tilted(normals, dim):  # span equalities that a generator breaks
+        lin, rays = convert(normals, dim)
+        return tuple(vadd(e, rays[0]) for e in lin), rays
+
     def first_reads(cone):
         return [lambda: cone.facet_normals, lambda: dual_cone(cone), lambda: is_proper(cone)]
 
-    monkeypatch.setattr(geometry, "_rays_from_halfspaces", flipped)
-    for _ in range(2):
-        with pytest.raises(InternalCheckFailed):
-            Cone(2, [(1, 0), (1, 2)])
-        assert not geometry._TABLE
+    for fault, gens in ((tilted, [(1, 0, 0), (0, 1, 0)]), (flipped, [(1, 0), (1, 2)])):
+        monkeypatch.setattr(geometry, "_rays_from_halfspaces", fault)
+        for _ in range(2):
+            with pytest.raises(InternalCheckFailed):
+                Cone(len(gens[0]), gens)
+            assert not geometry._TABLE
     lazy = []
     for read in range(3):
         face = Cone._canonical(2, ((1, 0), (1, 2)), ())
