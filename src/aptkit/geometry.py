@@ -27,10 +27,12 @@ raises :class:`InternalCheckFailed`, also under ``python -O``, storing nothing.
 
 Faces come from the ray-facet incidence (Kaibel & Pfetsch 2002): the ray
 sets of the faces of a proper cone are the intersections of the facets'
-zero sets, so a face list converts nothing.  ``validate_fan`` looks each
-cone's apex and rays up by key, then builds the face relation from face
-keys, and then intersects only pairs of maximal cones; faces inherit the
-common-face property from the maximal cones above them.
+zero sets, so a face list converts nothing.  Pointed cones that meet in a
+face of both intersect with no conversion: their own halfspaces cut it out
+(the separation lemma: Fulton 1993, §1.2; Cox, Little & Schenck 2011, Lemma
+1.2.13).  So ``validate_fan`` converts nothing on a fan: it looks each
+cone's apex and rays up by key, lists only the faces of cones that are no
+face of another member, and intersects only pairs of maximal cones.
 
 The one cache is a table of at most ``_TABLE_BOUND`` entries, least
 recently used out first.  It interns each cone under ``(dim, rows)``, rows a
@@ -249,14 +251,16 @@ def _intern(dim, gens):
     """The interned cone that rows in canonical input form generate.  A miss
     converts once: H-data from {v : <v, g> >= 0}, whose rays are our facet
     normals and lineality our span equalities; V-data the interned dual's
-    H-data, else read off the facets on which each generator lies, which
-    the self-check finds (:meth:`Cone._fill`).  Checked, it is stored under
-    ``gens`` and its own generators, an equal one kept."""
+    H-data, its facet normals checked with the generators, else read off
+    the facets on which each generator lies, which the self-check finds
+    (:meth:`Cone._fill`).  Checked, it is stored under ``gens`` and its own
+    generators, an equal one kept."""
     cone = _lookup((dim, gens))
     if cone is None:
         hrep = _rays_from_halfspaces(gens, dim)[::-1]
         dual = _lookup((dim, _with_lines(*hrep)))
-        cone = Cone._fill(dim, None if dual is None else dual._hrep, hrep, gens)
+        vrep = None if dual is None else dual._hrep
+        cone = Cone._fill(dim, vrep, hrep, gens if vrep is None else gens + vrep[0])
         own = _with_lines(*cone._key[1:])
         if own != gens:
             cone = _lookup((dim, own)) or _store((dim, own), cone)
@@ -295,19 +299,19 @@ class Cone:
         return _lookup(key) or _store(key, cls._fill(dim, (rays, lineality), None, key[1]))
 
     @classmethod
-    def _fill(cls, dim, vrep, hrep, gens) -> "Cone":
+    def _fill(cls, dim, vrep, hrep, gens, check=True) -> "Cone":
         """A new cone of V-representation (rays, lineality) and
         H-representation (facet normals, span equalities), once the
-        H-representation is checked to contain every generator; with ``vrep``
-        None, read off the generators; with ``hrep`` None, left to the first
-        read (:meth:`__getattr__`)."""
+        H-representation is checked (if ``check``) to contain every
+        generator; with ``vrep`` None, read off the generators; with ``hrep``
+        None, left to the first read (:meth:`__getattr__`)."""
         cone = object.__new__(cls)
         cone.dim = dim
         cone._dual = cone._proper = cone._faces = None
         if hrep is None:
             cone.cone_dim = len(echelon(vrep[0] + vrep[1], dim)[0])
         else:
-            masks = _tight_masks(hrep, gens)
+            masks = _tight_masks(hrep, gens) if check else None
             vrep = vrep or _generated_vrep(gens, masks, hrep, dim)
             cone._hrep, cone.cone_dim = hrep, dim - len(hrep[1])
         cone._key = (dim, *vrep)
@@ -386,19 +390,43 @@ class Cone:
 def dual_cone(c: Cone) -> Cone:
     """Polar dual {v : <v, w> >= 0 for all w in c}: c's two representations
     swapped, rays with facet normals and lineality with span equalities,
-    interned under c's halfspaces, its generators, and kept on both cones."""
+    interned under c's halfspaces, its generators, and kept on both cones;
+    its self-check is c's, transposed, but for a c with lines (projected rays)."""
     dual = c._dual
     if dual is None:
         key = (c.dim, _with_lines(*c._hrep))
-        dual = _lookup(key) or _store(key, Cone._fill(c.dim, c._hrep, c._key[1:], key[1]))
+        dual = _lookup(key) or _store(key, Cone._fill(c.dim, c._hrep, c._key[1:], key[1], bool(c._key[2])))
         c._dual, dual._dual = dual, c
     return dual
 
 
 def intersect(c1: Cone, c2: Cone) -> Cone:
+    """c1 n c2: the common face that :func:`_common_face` finds with no
+    conversion (memoized on the pair of cone keys), else the cone that both
+    sets of halfspaces bound."""
     if c1.dim != c2.dim:
         raise InvalidInput("ambient dimension mismatch")
-    return dual_cone(Cone._from_rows(c1.dim, _with_lines(*c1._hrep) + _with_lines(*c2._hrep)))
+    face = not (c1._key[2] or c2._key[2]) and _memo(("common face", c1._key, c2._key), _common_face, c1, c2)
+    return face or dual_cone(Cone._from_rows(c1.dim, _with_lines(*c1._hrep) + _with_lines(*c2._hrep)))
+
+
+def _common_face(c1: Cone, c2: Cone):
+    """c1 n c2 for pointed cones if their halfspaces cut it out as a face of
+    both, else False.  Rays A of c1 and B of c2, c1 n c2 = cone(A) n cone(B),
+    start as all rays.  A halfspace row n of c1 with <n, b> <= 0 on B, or of
+    c2 with <n, a> <= 0 on A, holds c1 n c2 in n's zero set: A and B keep
+    their rays on it, each the rays of a face.  When A = B, cone(A) is it."""
+    sides = (set(c1._key[1]), set(c2._key[1]))
+    rows = [(n, 1 - k) for k, c in enumerate((c1, c2)) for n in _with_lines(*c._hrep)]
+    i = stalled = 0  # rows in turn, until all have failed since the last cut
+    while sides[0] != sides[1] and stalled < len(rows):
+        n, other = rows[i % len(rows)]
+        i, stalled = i + 1, stalled + 1
+        if all(_idot(n, v) <= 0 for v in sides[other]):
+            cut = tuple({v for v in side if not _idot(n, v)} for side in sides)
+            if cut != sides:
+                sides, stalled = cut, 0
+    return Cone._canonical(c1.dim, tuple(sorted(sides[0])), ()) if sides[0] == sides[1] else False
 
 
 def cone_sum(c1: Cone, c2: Cone) -> Cone:
@@ -452,6 +480,8 @@ def faces_of(c: Cone):
     faces = [c if len(s) == len(rays) else Cone._canonical(c.dim, tuple(rays[i] for i in sorted(s)), ())
              for s in closed]
     faces.sort(key=lambda f: (f.cone_dim, f._key))
+    for face in faces:
+        face._proper = True  # a face of a proper cone is proper
     c._faces = tuple(faces)
     return faces
 
@@ -526,11 +556,13 @@ def validate_fan(cones, ids=None) -> Fan:
 
     Raises ImproperCone, MissingFace or BadIntersection, each carrying the
     offending cone ids in ``details``.  The face relation is checked first,
-    each cone's apex and rays by key before its face list is built;
-    with every face a member, it suffices to intersect pairs of maximal
-    cones (if s <= s' and t <= t', then s n t is a face of the common face
-    s' n t', hence of both s and t), so BadIntersection's ``pair`` names two
-    maximal cones.
+    each cone's apex and rays by key before its face list is built.  A face
+    of a higher member holding its rays lists that member's faces within its
+    rays: its own face list, in its order, so every face of every member is
+    still looked up and the same missing face found first.  With every face
+    a member, it suffices to intersect pairs of maximal cones (if s <= s'
+    and t <= t', then s n t is a face of the common face s' n t', hence of
+    both s and t), so BadIntersection's ``pair`` names two maximal cones.
     """
     cones = list(cones)
     if not cones:
@@ -543,28 +575,39 @@ def validate_fan(cones, ids=None) -> Fan:
     ids = [str(s) for s in ids]
     if len(ids) != len(cones) or len(set(ids)) != len(ids):
         raise InvalidInput("cone ids must be unique and match the cone list")
-    member = {}
+    member, holders = {}, {}
     for i, c in enumerate(cones):
         if c._key in member:
             raise InvalidInput(f"duplicate cone: {ids[i]!r} equals {ids[member[c._key]]!r}")
         member[c._key] = i
+        for r in c._key[1]:
+            holders.setdefault(r, set()).add(i)
     for cid, c in zip(ids, cones):
         if not is_proper(c):
             raise ImproperCone(f"cone {cid!r} is not proper", cone=cid)
-    all_faces, face_rel = [], set()
+
+    def face_list(c):  # kept, else read off the highest member holding c's rays, a face of no other
+        if c._faces is None:
+            rays = set(c._key[1])
+            top = cones[max(set.intersection(*(holders[r] for r in rays)) if rays else range(len(cones)),
+                            key=lambda j: cones[j].cone_dim)]
+            inside = [f for f in faces_of(top) if rays.issuperset(f._key[1])] if top.cone_dim > c.cone_dim else ()
+            if inside and inside[-1]._key == c._key:
+                c._faces = tuple(inside)
+        return faces_of(c)
+
+    face_rel = set()
     for i, c in enumerate(cones):
-        # the apex and the rays lead faces_of's order and need no conversion
+        # the apex and the rays lead faces_of's order and need no face list
         for key in [(dim, (), ())] + [(dim, (r,), ()) for r in c._key[1]]:
             _member_index(member, key, ids[i])
-        all_faces.append(faces_of(c))
-        face_rel.update((_member_index(member, f._key, ids[i]), i) for f in all_faces[-1])
+        face_rel.update((_member_index(member, f._key, ids[i]), i) for f in face_list(c))
     fan = Fan(dim, cones, ids, face_rel)
-    face_sets = [{f._key for f in faces} for faces in all_faces]
     maximal = fan.maximal_indices()
     for a, i in enumerate(maximal):
         for j in maximal[a + 1:]:
-            tau = intersect(cones[i], cones[j])
-            if tau._key not in face_sets[i] or tau._key not in face_sets[j]:
+            k = member.get(intersect(cones[i], cones[j])._key)
+            if (k, i) not in face_rel or (k, j) not in face_rel:
                 raise BadIntersection(
                     f"intersection of {ids[i]!r} and {ids[j]!r} is not a common face",
                     pair=[ids[i], ids[j]],
@@ -606,16 +649,16 @@ def _separate(s1: Cone, s2: Cone):
     if not (is_proper(s1) and is_proper(s2)):
         raise NotSeparable("separating vectors need proper cones")
     # K = s1^dual n (-s2^dual) = {v : <v, g1> >= 0, <v, g2> <= 0}.  The
-    # verified hyperplane identities below certify that tau is a common
-    # face, so no separate face enumeration is needed.
+    # hyperplane identities below certify that tau is a common face: with
+    # m >= 0 on s1 and m <= 0 on s2, s n H_m is the face on s's rays in H_m.
     neg2 = tuple(vneg(g) for g in _with_lines(*s2._key[1:]))
     k_cone = dual_cone(Cone._from_rows(s1.dim, _with_lines(*s1._key[1:]) + neg2))
     m = [sum(r[j] for r in k_cone._key[1]) for j in range(s1.dim)]
     m = _scaled(m, True) if any(m) else tuple(m)
     if not k_cone._holds(m, strict=True):
         raise NotSeparable("constructed vector is not in the relative interior")
-    hyperplane = (m, vneg(m))
-    for s in (s1, s2):
-        if dual_cone(Cone._from_rows(s.dim, _with_lines(*s._hrep) + hyperplane)) != tau:
+    for s, sign in ((s1, 1), (s2, -1)):
+        dots = [sign * _idot(m, r) for r in s._key[1]]
+        if min(dots, default=0) < 0 or (tuple(r for r, d in zip(s._key[1], dots) if not d), ()) != tau._key[1:]:
             raise NotSeparable("hyperplane identities failed")
     return m, tau

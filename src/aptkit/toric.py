@@ -21,7 +21,7 @@ from .errors import (
     NotInDualCone,
     NotSeparable,
 )
-from .geometry import Cone, _separation, _with_lines, cone_sum, dual_cone, intersect, is_proper
+from .geometry import Cone, _idot, _memo, _separation, _with_lines, cone_sum, dual_cone, intersect, is_proper
 from .polyhedra import OpenPolyhedron, minkowski_sum
 from .rational import integral, qvec, vneg
 
@@ -78,20 +78,45 @@ class Transition(Record):
 def transition_data(c1: Chart, c2: Chart) -> Transition:
     """Overlap monoid and separating monomial for two charts of one fan.
 
-    Verifies the exact cone identities overlap = dual1 + ray(-m) and
-    overlap = dual1 + dual2 before returning.
+    The overlap is the dual of the common face that m cuts out; the
+    identities overlap = dual1 + ray(-m) = dual1 + dual2 are verified
+    exactly, on dot products (:func:`_localization_fault`).
     """
     try:
         m, tau = _separation(c1.cone, c2.cone)
     except NotSeparable as exc:
         raise NotAdjacent(f"charts do not glue: {exc}") from exc
     overlap = dual_cone(tau)
-    # for m = 0 the zero row is dropped and the sum is dual1 itself
-    if Cone._from_rows(tau.dim, _with_lines(*c1.dual._key[1:]) + (vneg(m),)) != overlap:
-        raise NotAdjacent("overlap dual is not the expected localization")
-    if cone_sum(c1.dual, c2.dual) != overlap:
-        raise NotAdjacent("overlap dual is not the sum of the chart duals")
+    key = ("localization", c1.dual._key, c2.dual._key, m, overlap._key)
+    if fault := _memo(key, _localization_fault, c1.dual, c2.dual, m, overlap):
+        raise NotAdjacent(fault)
     return Transition(c1, c2, tuple(map(Fraction, m)), overlap)
+
+
+def _localization_fault(dual1: Cone, dual2: Cone, m, overlap: Cone):
+    """The identity of overlap = dual1 + ray(-m) = dual1 + dual2 that fails,
+    else "".  The sum's generators must satisfy overlap's H-rows.  For m
+    in dual1, h lies in the sum iff h + lam*m lies in dual1, lam = max(0,
+    ceil(-<h, f> / <m, f>)) over dual1's facet normals f with <m, f> > 0
+    (Fulton 1993, §1.2 (2)); then -m in dual2 and dual2 in overlap give the
+    second identity.  Otherwise the cones are converted and compared."""
+    neg, sum1 = vneg(m), _with_lines(*dual1._key[1:]) + (vneg(m),)
+    if dual1._holds(m):
+        facets = [(f, _idot(m, f)) for f in dual1._hrep[0]]
+
+        def lifts(h):
+            lam = max([0] + [-(_idot(h, f) // d) for f, d in facets if d > 0])
+            return dual1._holds([x + lam * y for x, y in zip(h, m)])
+
+        same = all(map(overlap._holds, sum1)) and all(map(lifts, _with_lines(*overlap._key[1:])))
+    else:
+        same = Cone._from_rows(overlap.dim, sum1) == overlap
+    if not same:
+        return "overlap dual is not the expected localization"
+    if not (dual2._holds(neg) and all(map(overlap._holds, _with_lines(*dual2._key[1:])))):
+        if cone_sum(dual1, dual2) != overlap:
+            return "overlap dual is not the sum of the chart duals"
+    return ""
 
 
 def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
@@ -100,6 +125,8 @@ def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
     Both iterated localizations must cut out the dual of the triple
     intersection, and the two composite localizing monomials must differ
     by a unit monomial of the triple overlap (a vector of its lineality).
+    On a fan the intersections are common faces and the transitions check
+    dot products, so only the faces' H-data and separating vectors convert.
     """
     tau123 = intersect(intersect(c1.cone, c2.cone), c3.cone)
     expected = dual_cone(tau123)

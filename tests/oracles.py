@@ -9,7 +9,10 @@ with the lineality from the Gauss-Jordan kernel basis, a projection along a
 Gram-Schmidt basis and a second pass of facet dot products for the V-data
 read off a cone's generators, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
-supporting hyperplane sweeps for faces, Fourier-Motzkin feasibility for the
+supporting hyperplane sweeps for faces, a conversion of both cones'
+halfspaces for intersections, converted and compared cones for the
+localization identities of a transition, a face list per member and
+converted intersections for fan validation, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, the composite identities
 on ``DecoratedInterval`` maps for interleaving certificates, a rebuild by
@@ -41,7 +44,8 @@ from aptkit import fm
 from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
 from aptkit.cutoff import star_stalk_homology, stratum_points
 from aptkit.errors import InvalidInput, UnsupportedShape
-from aptkit.geometry import Cone, Fan, dual_cone
+from aptkit.errors import BadIntersection, ImproperCone, MissingFace
+from aptkit.geometry import Cone, Fan, _with_lines, cone_sum, dual_cone, faces_of, is_proper
 from aptkit.interleaving import _expand
 from aptkit.k0 import K0Class, e
 from aptkit.linalg import _int_det
@@ -299,6 +303,61 @@ def faces_by_supporting_hyperplanes(cone: Cone):
         face = Cone.from_halfspaces(cone.dim, list(cone.halfspaces) + [m, vneg(m)])
         faces[face._key] = face
     return sorted(faces.values(), key=lambda f: (f.cone_dim, f._key))
+
+
+def intersect_by_conversion(c1: Cone, c2: Cone) -> Cone:
+    """The library's former ``intersect``: the dual of the cone that both
+    cones' halfspaces generate, converted."""
+    if c1.dim != c2.dim:
+        raise InvalidInput("ambient dimension mismatch")
+    return dual_cone(Cone._from_rows(c1.dim, _with_lines(*c1._hrep) + _with_lines(*c2._hrep)))
+
+
+def localization_by_conversion(dual1: Cone, dual2: Cone, m, overlap: Cone):
+    """The library's former transition identities, for an ``int`` vector m:
+    dual1 + ray(-m) and dual1 + dual2, each converted and compared with
+    ``overlap``.  The message of the first that fails, else ""."""
+    if Cone._from_rows(overlap.dim, _with_lines(*dual1._key[1:]) + (vneg(m),)) != overlap:
+        return "overlap dual is not the expected localization"
+    if cone_sum(dual1, dual2) != overlap:
+        return "overlap dual is not the sum of the chart duals"
+    return ""
+
+
+def validate_fan_by_face_lists(cones, ids):
+    """The library's former ``validate_fan`` on a list of cones of one
+    dimension with unique ids: properness of each cone, then per cone in
+    order its apex, its rays and its own face list (``faces_of``) looked up
+    among the members, then every pair of maximal cones intersected by
+    :func:`intersect_by_conversion` and checked to meet in a common face.
+    Returns the face relation, or raises as the library does."""
+    member = {c._key: i for i, c in enumerate(cones)}
+
+    def index(key, cid):
+        if key not in member:
+            raise MissingFace(f"face of cone {cid!r} is not a member of the fan", cone=cid,
+                              face_rays=[[str(x) for x in ray] for ray in key[1]])
+        return member[key]
+
+    for cid, c in zip(ids, cones):
+        if not is_proper(c):
+            raise ImproperCone(f"cone {cid!r} is not proper", cone=cid)
+    face_lists, face_rel = [], set()
+    for i, c in enumerate(cones):
+        for key in [(c.dim, (), ())] + [(c.dim, (r,), ()) for r in c._key[1]]:
+            index(key, ids[i])
+        faces = faces_of(c)
+        face_lists.append({f._key for f in faces})
+        face_rel.update((index(f._key, ids[i]), i) for f in faces)
+    below = {i for i, j in face_rel if i != j}
+    maximal = [i for i in range(len(cones)) if i not in below]
+    for a, i in enumerate(maximal):
+        for j in maximal[a + 1:]:
+            tau = intersect_by_conversion(cones[i], cones[j])
+            if tau._key not in face_lists[i] or tau._key not in face_lists[j]:
+                raise BadIntersection(f"intersection of {ids[i]!r} and {ids[j]!r} is not a common face",
+                                      pair=[ids[i], ids[j]])
+    return face_rel
 
 
 def almostize_by_rebuild(b: Barcode) -> Barcode:

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from aptkit import catalog, cutoff, geometry
+from aptkit import catalog, cutoff, geometry, polyhedra
 from aptkit.cutoff import convolution_unit_check, stratum_points
 from aptkit.errors import BadIntersection, ImproperCone, InternalCheckFailed, InvalidInput, MissingFace, NotSeparable
 from aptkit.geometry import (
@@ -31,14 +31,16 @@ from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 from aptkit.rational import dot, primitive, vadd, vneg, vscale, zero_vec
 from aptkit.toric import chart_of_cone, transition_data
 
-from generators import stellar_fan
+from generators import complete_plane_fan, random_open_constraints, stellar_fan
 from oracles import (
     contains_by_vrep,
     faces_by_supporting_hyperplanes,
     fm_dual_generators,
     generated_vrep_by_second_pass,
+    intersect_by_conversion,
     kernel_basis,
     rays_by_subset_enumeration,
+    validate_fan_by_face_lists,
 )
 
 
@@ -268,9 +270,11 @@ def _first_missing_face(members, faces):
 
 def test_validate_fan_reports_the_first_missing_face(monkeypatch):
     """Fans of a proper cone and a seeded part of its faces: validate_fan
-    names the face that the oracle's face order finds first, and it builds
-    the faces of no member after the one it names, nor of that member when
-    the missing face is its apex or a ray."""
+    names the face that the oracle's face order finds first.  On members
+    with no face list kept, it builds the cone's alone, once, the others'
+    being its faces within their rays, and only once a member's face list
+    is looked at: not if the face it names is the first member's apex or a
+    ray."""
     rng = random.Random(31)
     cases = []
     for name, cone in oracle_cones():
@@ -285,11 +289,14 @@ def test_validate_fan_reports_the_first_missing_face(monkeypatch):
     build = geometry.faces_of
 
     def spy(c):
-        built.append(c)
+        if c._faces is None:  # a list built, not one kept
+            built.append(c)
         return build(c)
 
     monkeypatch.setattr(geometry, "faces_of", spy)
     for name, members, found in cases:
+        for c in members:
+            c._faces = None
         built.clear()
         if found is None:
             validate_fan(members)
@@ -299,7 +306,7 @@ def test_validate_fan_reports_the_first_missing_face(monkeypatch):
         i, face = found
         assert exc.value.details == {
             "cone": f"c{i}", "face_rays": [[str(x) for x in ray] for ray in face.rays]}, name
-        assert built == members[:i + (face.cone_dim >= 2)], name
+        assert built == members[-1:] * (i + (face.cone_dim >= 2) > 0), name
 
 
 def test_validate_fan_finds_a_missing_apex_or_ray_without_conversion(monkeypatch):
@@ -420,6 +427,144 @@ def test_separating_vector_rejects_non_face_intersections():
     wide = Cone(2, [(1, 0), (0, 1)])
     with pytest.raises(NotSeparable):
         separating_vector(overlapping, wide)
+
+
+def _orthant_cones(n):
+    """The cones of the fan of the coordinate orthants of Q^n, 3^n of them."""
+    return [Cone(n, [tuple(s * (i == j) for j in range(n)) for i, s in enumerate(signs) if s])
+            for signs in product((1, -1, 0), repeat=n)]
+
+
+def _oracle_fans():
+    """The catalog fans, the orthant fans of dims 2 and 3, stellar_fan after
+    1, 2 and 3 steps, and six seeded complete plane fans."""
+    fans = [catalog.fan(name) for name in catalog.fan_names()]
+    fans += [validate_fan(_orthant_cones(n)) for n in (2, 3)]
+    fans += [stellar_fan(random.Random(s), s) for s in (1, 2, 3)]
+    return fans + [complete_plane_fan(random.Random(s), s) for s in range(6)]
+
+
+def test_common_faces_against_conversion(empty_table):
+    """intersect equals intersect_by_conversion, the former conversion of
+    both cones' halfspaces, on: every pair of cones of the oracle fans and
+    of the faces of each catalog cone, all of which meet in a common face
+    that _common_face finds; the zero cone with each; and seeded pairs, some
+    with lines, among which the pointed pairs that meet in no common face
+    must fall back."""
+    groups = [fan.cones for fan in _oracle_fans()]
+    groups += [faces_of(cone) for _, cone in catalog.catalog_cones() if is_proper(cone)]
+    for cones in groups:
+        empty_table()
+        for a in cones:
+            for b in cones:
+                face = geometry._common_face(a, b)
+                assert face and intersect(a, b) is face, (a, b)
+                assert face._key == intersect_by_conversion(a, b)._key, (a, b)
+            zero = Cone(a.dim, [])
+            assert intersect(zero, a) is geometry._common_face(a, zero) is zero
+    square = [(1, 1, 1), (1, -1, 1), (-1, -1, 1), (-1, 1, 1)]
+    overlapping = [(2, [(1, 0), (1, 1)], [(1, 0), (0, 1)]), (2, [(1, 1), (-1, 2)], [(0, 1), (1, 0)]),
+                   (3, square[::2], square), (3, square[:2], [(0, 0, 1), (1, 0, 0)])]
+    kinds = Counter()
+    for dim, gens_a, gens_b in overlapping + list(_seeded_cone_pairs()):
+        empty_table()
+        a, b = Cone(dim, gens_a), Cone(dim, gens_b)
+        tau = intersect(a, b)
+        assert tau._key == intersect_by_conversion(a, b)._key, (a, b)
+        if a._key[2] or b._key[2]:
+            kinds["lines"] += 1
+            continue
+        common = tau._key in {f._key for f in faces_of(a)} and tau._key in {f._key for f in faces_of(b)}
+        face = geometry._common_face(a, b)
+        assert face is False or (common and face is tau), (a, b)
+        kinds["common face" if face else "common, fallback" if common else "no common face"] += 1
+    assert kinds["lines"] >= 20 and kinds["common face"] >= 20 and kinds["no common face"] >= 12, kinds
+
+
+def _separates(s1, s2, m, tau):
+    """The definition, by conversion: m >= 0 on s1, m <= 0 on s2, and the
+    hyperplane <m, .> = 0 cuts tau out of each."""
+    cut = [m, vneg(m)]
+    return (all(dot(m, r) >= 0 for r in s1.rays) and all(dot(m, r) <= 0 for r in s2.rays)
+            and all(Cone.from_halfspaces(s.dim, list(s.halfspaces) + cut) == tau for s in (s1, s2)))
+
+
+def test_separation_identities_against_conversion(monkeypatch, empty_table):
+    """The hyperplane identities of separating_vector, read off the rays in
+    m's zero set, agree with their definition checked by conversion on
+    planted separating vectors (a planted cone K, whose relative interior m
+    then comes from) and planted common faces: both say yes to the true ones
+    and no to the others."""
+    rng, common_face = random.Random(41), geometry._common_face
+    pairs = [(fan, a, b) for fan in _oracle_fans()[:9] for a in fan.cones for b in fan.cones
+             if a.cone_dim == b.cone_dim == fan.dim]
+    verdicts = Counter()
+    for fan, s1, s2 in rng.sample(pairs, 60):
+        tau, true_m = intersect(s1, s2), geometry._separation(s1, s2)[0]
+        gens = geometry._with_lines(*s1._key[1:]) + tuple(vneg(g) for g in geometry._with_lines(*s2._key[1:]))
+        for m in [true_m] + [tuple(rng.randint(-2, 2) for _ in range(fan.dim)) for _ in range(3)]:
+            empty_table()
+            ray = Cone(fan.dim, [m])
+            geometry._TABLE[fan.dim, tuple(sorted(set(gens)))] = dual_cone(ray)
+            expected = _separates(s1, s2, m, tau)
+            try:
+                assert geometry._separation(s1, s2) == (primitive(m) if any(m) else m, tau)
+                verdicts["yes"] += 1
+                assert expected, (s1, s2, m)
+            except NotSeparable as exc:
+                verdicts["no"] += 1
+                assert not expected and str(exc) == "hyperplane identities failed", (s1, s2, m)
+        others = [f for f in faces_of(s1) + faces_of(s2) if f != tau]
+        monkeypatch.setattr(geometry, "_common_face", lambda a, b: rng.choice(others))
+        empty_table()
+        with pytest.raises(NotSeparable, match="hyperplane identities failed"):
+            geometry._separation(s1, s2)
+        monkeypatch.setattr(geometry, "_common_face", common_face)
+        assert not any(_separates(s1, s2, true_m, f) for f in others[:3])
+    assert verdicts["yes"] >= 60 and verdicts["no"] >= 60, verdicts
+
+
+def test_validate_fan_against_face_list_oracle(empty_table):
+    """validate_fan returns the face relation of validate_fan_by_face_lists,
+    the former per-member face lists and converted intersections, or raises
+    the same violation with the same details: on the oracle fans, on face
+    lists of catalog cones, and on seeded broken fans (a member dropped, a
+    seeded cone added, a maximal cone swapped for a seeded one, the order
+    shuffled)."""
+    rng = random.Random(43)
+    fans = _oracle_fans()
+    cases = [fan.cones for fan in fans] + [faces_of(cone) for _, cone in catalog.catalog_cones() if is_proper(cone)]
+    for fan in fans:
+        cones = list(fan.cones)
+        for _ in range(4):
+            broken = list(cones)
+            kind = rng.randrange(4)
+            if kind == 0:
+                broken.pop(rng.randrange(len(broken)))
+            rays = [r for c in cones for r in c.rays]
+            seeded = Cone(fan.dim, rng.sample(rays, min(len(rays), rng.randint(2, fan.dim + 1))))
+            if kind == 1 and is_proper(seeded):  # with its faces: an overlap, if not a member
+                broken += [f for f in faces_of(seeded) if f not in broken]
+            if kind == 2 and seeded not in broken:
+                broken[fan.maximal_indices()[0]] = seeded
+            rng.shuffle(broken)
+            cases.append(broken)
+    outcomes = Counter()
+    for cones in cases:
+        ids = [f"c{i}" for i in range(len(cones))]
+        empty_table()
+        try:
+            expected = validate_fan_by_face_lists(cones, ids)
+        except (ImproperCone, MissingFace, BadIntersection) as exc:
+            expected = (type(exc), exc.details)
+        empty_table()
+        try:
+            got = validate_fan(cones, ids).face_rel
+        except (ImproperCone, MissingFace, BadIntersection) as exc:
+            got = (type(exc), exc.details)
+        assert got == expected, ids
+        outcomes[expected[0] if isinstance(expected, tuple) else "fan"] += 1
+    assert outcomes["fan"] >= 20 and outcomes[MissingFace] >= 10 and outcomes[BadIntersection] >= 5, outcomes
 
 
 def test_membership_consistency_vrep_hrep():
@@ -594,8 +739,10 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
     H-rows.  is_proper,
     faces_of, _separation and _facet_signs compute once per key, so a second
     round of the same calls computes nothing.  faces_of on the cone over the
-    4-cube runs no double description, nor does validate_fan on a catalog
-    fan past its intersections of maximal cones."""
+    4-cube runs no double description, nor does validate_fan on the oracle
+    fans.  On their adjacent maximal cones separating_vector converts at
+    most K and transition_data at most the common face's H-data.  A pointed
+    homogenisation cone of an open polyhedron runs one containment pass."""
     convert, fill = geometry._rays_from_halfspaces, Cone.__dict__["_fill"].__func__
     converted, filled, calls, echelons = Counter(), Counter(), Counter(), []
 
@@ -606,9 +753,9 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
         echelons.append(calls["echelon"] - before)
         return result
 
-    def spy_fill(cls, dim, vrep, hrep, gens):
+    def spy_fill(cls, dim, vrep, hrep, gens, *check):
         filled[dim, gens] += 1
-        return fill(cls, dim, vrep, hrep, gens)
+        return fill(cls, dim, vrep, hrep, gens, *check)
 
     def count(owner, name):
         method = getattr(owner, name)
@@ -667,17 +814,38 @@ def test_conversion_counts_per_construction(monkeypatch, empty_table):
     calls.clear()
     faces = faces_of(cube)
     assert len(faces) == 82 and calls["_dd_rays"] == 0
-    for name in catalog.fan_names():
-        fan = catalog.fan(name)
+    for fan in _oracle_fans():
         empty_table()
         cones = [Cone._from_rows(fan.dim, geometry._with_lines(*c._key[1:])) for c in fan.cones]
-        maximal = [cones[i] for i in fan.maximal_indices()]
-        for a, c1 in enumerate(maximal):
-            for c2 in maximal[a + 1:]:
-                intersect(c1, c2)
         calls.clear()
         assert validate_fan(cones, fan.ids).face_rel == fan.face_rel
-        assert calls["_dd_rays"] == 0, name
+        assert calls["_dd_rays"] == 0, fan
+        charts, full = [chart_of_cone(c) for c in cones], [c for c in cones if c.cone_dim == fan.dim]
+        for s1, s2 in product(full, full):
+            tau = intersect(s1, s2)
+            if tau.cone_dim != fan.dim - 1:
+                continue
+            # adjacent: the separation converts at most K, the transition at most tau's H-data
+            converted.clear()
+            separating_vector(s1, s2)
+            gens = geometry._with_lines(*s1._key[1:]) + tuple(vneg(g) for g in geometry._with_lines(*s2._key[1:]))
+            assert set(converted) <= {(fan.dim, tuple(sorted(set(gens))))}, (s1, s2)
+            converted.clear()
+            transition_data(charts[cones.index(s1)], charts[cones.index(s2)])
+            assert set(converted) <= {(fan.dim, geometry._with_lines(*tau._key[1:]))}, (s1, s2)
+    # a pointed homogenisation cone runs one containment pass: its dual's is the same, transposed
+    passes, masks, kinds = [], geometry._tight_masks, Counter()
+    monkeypatch.setattr(geometry, "_tight_masks", lambda hrep, gens: passes.append(gens) or masks(hrep, gens))
+    rng = random.Random(47)
+    for dim, count in product(range(1, 5), range(7)):
+        rows = geometry._primitive_rows([n + (d,) for n, d in random_open_constraints(rng, dim, count) if any(n)])
+        empty_table()
+        passes.clear()
+        polyhedra._homogenisation(dim, rows)
+        lines = Cone._from_rows(dim + 1, [(0,) * dim + (1,), *rows])._key[2]
+        assert len(passes) == 1 + bool(lines), (dim, rows)
+        kinds[bool(lines)] += 1
+    assert kinds[False] >= 10 and kinds[True] >= 3, kinds
 
 
 def test_a_failed_self_check_stores_nothing(monkeypatch, empty_table):
@@ -838,8 +1006,7 @@ def test_separating_vector_against_oracle_and_sign_identities(empty_table):
             assert dot(m, r) < 0 or (dot(m, r) == 0 and r in s1.rays)
         hyperplane = [m, vneg(m)]
         tau = intersect(s1, s2)
-        # on the table the separation filled, these are the cones its own
-        # identity check built
+        # the references convert on an empty table
         empty_table()
         assert Cone.from_halfspaces(dim, list(s1.halfspaces) + hyperplane) == tau
         assert Cone.from_halfspaces(dim, list(s2.halfspaces) + hyperplane) == tau
@@ -922,8 +1089,8 @@ except InternalCheckFailed as exc:
             "face.facet_normals",
         ),
         (
-            "c = g.Cone(2, [(1, 0), (1, 2)])\n"
-            "c._key = (2, tuple(g.vneg(r) for r in c._key[1]), c._key[2])",
+            "c = g.Cone(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1), (0, 0, -1)])\n"
+            "c._key = (3, tuple(g.vneg(r) for r in c._key[1]), c._key[2])",
             "g.dual_cone(c)",
         ),
         (
@@ -979,6 +1146,47 @@ def test_self_checks_survive_python_O(patch, call):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "internal-check-failed"
+
+
+GLUING_CHECK_UNDER_O = """
+import aptkit.geometry as g
+import aptkit.toric as t
+from aptkit.errors import NotAdjacent, NotSeparable
+assert_stripped = True
+assert not assert_stripped  # stripped under -O: the test needs -O to mean something
+s12, s23 = g.Cone(2, [(1, 0), (0, 1)]), g.Cone(2, [(0, 1), (-1, -1)])
+c12, c23 = t.chart_of_cone(s12), t.chart_of_cone(s23)
+{patch}
+try:
+    {call}
+except (NotAdjacent, NotSeparable) as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, call, expected",
+    [
+        ("g._common_face = lambda a, b: g.Cone._canonical(2, (), ())", "g.separating_vector(s12, s23)",
+         "NotSeparable hyperplane identities failed"),
+        ("g.dual_cone = lambda c: g.Cone(2, [(1, 1)])", "g.separating_vector(s12, s23)",
+         "NotSeparable hyperplane identities failed"),
+        ("t._separation = lambda a, b: ((1, 1), g.intersect(a, b))", "t.transition_data(c12, c23)",
+         "NotAdjacent overlap dual is not the expected localization"),
+        ("t.dual_cone = lambda c: g.Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])", "t.transition_data(c12, c23)",
+         "NotAdjacent overlap dual is not the expected localization"),
+    ],
+    ids=["planted-face", "planted-m", "planted-transition-m", "planted-overlap"],
+)
+def test_gluing_checks_survive_python_O(patch, call, expected):
+    """A planted wrong common face or separating vector, and a planted wrong
+    m or overlap in a transition, raise with the same message under -O."""
+    script = GLUING_CHECK_UNDER_O.format(patch=patch, call=call)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == expected
 
 
 class _PeakRays:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from aptkit import catalog, geometry
+from aptkit import catalog, geometry, toric
 from aptkit.errors import ImproperCone, InternalCheckFailed, NotAdjacent, NotInDualCone
 from aptkit.geometry import Cone, cone_sum, dual_cone, intersect
 from aptkit.polyhedra import OpenPolyhedron
@@ -23,7 +24,8 @@ from aptkit.toric import (
     transition_data,
 )
 
-from oracles import perturbed_point
+from generators import complete_plane_fan, stellar_fan
+from oracles import localization_by_conversion, perturbed_point
 
 
 def test_chart_examples():
@@ -87,6 +89,40 @@ def test_transition_identities_catalog_wide():
                 assert cone_sum(c1.dual, c2.dual) == t.overlap
                 back = transition_data(c2, c1)
                 assert back.m == vneg(t.m)
+
+
+def test_localization_identities_against_conversion(empty_table):
+    """The transition identities checked on dot products agree with
+    localization_by_conversion, the former conversions and comparisons, on
+    every chart pair of the catalog fans, a stellar fan and two plane fans:
+    on the true (m, overlap), where both say yes, on planted vectors m (the
+    true one doubled, seeded ones, some outside dual1, where the check
+    converts), and on planted overlaps (the duals of other faces, the whole
+    space, cones with lines), where both say no but for the rare planted
+    value that is right."""
+    rng = random.Random(53)
+    fans = [catalog.fan(name) for name in catalog.fan_names()]
+    fans += [stellar_fan(random.Random(2), 2)] + [complete_plane_fan(random.Random(s), s + 1) for s in (1, 2)]
+    verdicts = Counter()
+    for fan in fans:
+        charts = [chart_of_cone(c) for c in fan.cones]
+        whole = dual_cone(Cone(fan.dim, []))
+        for c1 in charts:
+            for c2 in rng.sample(charts, min(4, len(charts))):
+                m, tau = geometry._separation(c1.cone, c2.cone)
+                overlap = dual_cone(tau)
+                planted = [(m, overlap), (tuple(2 * x for x in m), overlap)]
+                planted += [(tuple(rng.randint(-2, 2) for _ in m), overlap) for _ in range(3)]
+                lines = Cone(fan.dim, list(c1.dual.generators) + [vneg(g) for g in c1.dual.generators[:1]])
+                planted += [(m, dual_cone(rng.choice(charts).cone)), (m, whole), (m, lines)]
+                for vector, cone in planted:
+                    empty_table()
+                    expected = localization_by_conversion(c1.dual, c2.dual, vector, cone)
+                    empty_table()
+                    assert toric._localization_fault(c1.dual, c2.dual, vector, cone) == expected, (vector, cone)
+                    verdicts[not expected, c1.dual._holds(vector)] += 1
+                assert toric._localization_fault(c1.dual, c2.dual, m, overlap) == ""
+    assert verdicts[True, True] >= 100 and verdicts[False, True] >= 100 and verdicts[False, False] >= 50, verdicts
 
 
 def test_cocycle_catalog_wide():
