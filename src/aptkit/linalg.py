@@ -1,19 +1,19 @@
 """Exact linear algebra over Q and over prime fields.
 
 Every rank is the sparse column reduction of persistence (Zomorodian &
-Carlsson 2005): a column is reduced by the stored column with the same
-pivot, its largest row, until its pivot is new or it vanishes.  Over F_2 a
-column is an int bit mask, bit k for row k, as in PHAT (Bauer, Kerber,
-Reininghaus & Wagner 2017), a step one XOR; else a sparse int dict, over F_p
-of ints modulo p, over Q divided by its content before every step, so no
-common factor of the scalings builds up.  :func:`rank` counts the columns
-left nonzero; the barcode pairing of :mod:`aptkit.modules` runs the same
+Carlsson 2005): a column is reduced by the stored column with the same pivot,
+its largest row, until its pivot is new or it vanishes.  Over F_2 a column is
+an int bit mask, bit k for row k, as in PHAT (Bauer, Kerber, Reininghaus &
+Wagner 2017), a step one XOR; else a sparse int dict, over F_p of ints modulo
+p, over Q divided by its content after every step that scaled it, so no common
+factor of the scalings builds up.  :func:`rank` counts the columns left
+nonzero; the barcode pairing of :mod:`aptkit.modules` runs the same
 reductions.  The integer geometry (cone conversion, lineality spaces and the
 orientation of the cells of the stalk complex) reads pivots and reduced rows
 from :func:`echelon`, fraction-free elimination (Bareiss 1968) on dense
-integer rows of a few coordinates.  Determinants, and the adjugates from
-which the cone conversion reads its kernel vectors, use Bareiss elimination
-on square integer matrices, since the conversion needs them by the thousand.
+integer rows of a few coordinates.  Determinants, and the adjugates from which
+the cone conversion reads its kernel vectors, use Bareiss elimination on
+square integer matrices, since the conversion needs them by the thousand.
 """
 
 from __future__ import annotations
@@ -78,28 +78,18 @@ def _kernel(field):
     return (lambda col, paired: _reduce_fp(col, paired, field.p)), max
 
 
-def _rows(mask):
-    """The rows of the set bits of a mask."""
-    rows = []
-    while mask:
-        bit = mask & -mask
-        rows.append(bit.bit_length() - 1)
-        mask ^= bit
-    return rows
-
-
 def _reduce_q(col, paired):
-    """Reduce an int column by the stored ones, dividing it by its content
-    before every step; returns it primitive with a positive pivot entry, so
-    that b > 0 and b/g = 1 whenever b divides f."""
+    """Reduce an int column by the stored ones, a step ``col <- (b/g)*col -
+    (f/g)*other`` (b, f the pivot entries of ``other``, ``col``; g = gcd(b,
+    f)), dividing it by its content after every step that scaled it (on
+    return alone, the entries grow) and on return; returns it primitive with
+    a positive pivot entry, so that b > 0 and b/g = 1 whenever b divides f."""
     while col:
-        g = gcd(*col.values())
-        if g > 1:
-            col = {i: v // g for i, v in col.items()}
         low = max(col)
         other = paired.get(low)
         if other is None:
-            return col if col[low] > 0 else {i: -v for i, v in col.items()}
+            g = gcd(*col.values()) if col[low] > 0 else -gcd(*col.values())
+            return col if g == 1 else {i: v // g for i, v in col.items()}
         f, b = col[low], other[low]
         g = gcd(f, b)
         scale, factor = b // g, f // g
@@ -111,6 +101,8 @@ def _reduce_q(col, paired):
                 col[i] = new
             else:
                 del col[i]
+        if scale != 1 and col and (g := gcd(*col.values())) > 1:
+            col = {i: v // g for i, v in col.items()}
     return col
 
 

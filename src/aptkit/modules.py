@@ -15,8 +15,9 @@ the rank of the active relations.
 The one-dimensional case bridges to barcodes through the same reduction in
 the classical persistence order, on the int heights the presentation keeps
 (:func:`_heights`), and builds its bars in canonical order, unchecked.  A
-relation on rows the stored columns already span is skipped unreduced, as
-in clearing (Chen & Kerber 2011); over F_p, on its nonzero residues' rows.
+relation on rows the stored columns span is skipped, as in clearing (Chen
+& Kerber 2011), over F_p on its nonzero residues' rows; one watched row per
+open pivot keeps those rows, as SAT solvers watch literals (Chaff, 2001).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .barcodes import Barcode, _half_open_bar
 from .errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class
-from .linalg import PrimeField, _kernel, _rows, rank
+from .linalg import PrimeField, _kernel, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
 
@@ -267,31 +268,29 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     """Barcode of a 1-dimensional presentation by column reduction.
 
     Births and degrees are the int heights the presentation keeps over the
-    half-line's facet normal (1,) (:func:`_heights`), and stable sorts on
-    those keys order the relation columns by degree and the generators by
-    birth, ties by index.  Rows are keyed by their position in (birth,
-    index) order, so the pivot of a column, its generator of latest birth
-    (ties by generator index), is its largest key.  A column
-    (:func:`_columns`) is reduced by the stored column with the same pivot
-    until its pivot is new or it vanishes.  Over F_2 a step is one XOR of
-    bit masks.  Over odd p entries are ints modulo the prime, and each
-    stored column is scaled to pivot entry 1.  Over Q a column is an int
-    dict, a reduction step is ``col <- (b/g)*col - (f/g)*other`` with b the
-    pivot entry of ``other``, f that of ``col`` and g = gcd(b, f), and
-    before every step ``col`` is divided by its content, so no common factor
-    of the scalings builds up.  Each int column is a nonzero rational
-    multiple of the column a reduction over Fractions holds, so the pivots
-    and the pairing are the same.  A row is closed when it holds a stored
-    pivot and every other row of that column is closed: the columns of the
-    closed rows are triangular with distinct pivots, so they span every
-    vector on those rows, and a relation on closed rows, which would reduce
-    to zero, is skipped before any column operation (see ``_close``).  Over
-    F_p its rows are those of its nonzero residues: a coefficient that
-    vanishes mod p holds no row.  A paired (generator, relation) yields the
-    bar [birth, degree), dropped when empty; unpaired generators are
-    infinite.  Bars are counted per (birth key, death key), ``INF`` the key
-    of an infinite death, and built once per distinct pair in key order, the
-    canonical order, unchecked by ``barcodes._half_open_bar``.
+    half-line's facet normal (1,) (:func:`_heights`), and stable sorts on those
+    keys order the relation columns by degree and the generators by birth, ties
+    by index.  Rows are keyed by their position in (birth, index) order, so the
+    pivot of a column, its generator of latest birth (ties by generator index),
+    is its largest key.  A column (:func:`_columns`) is reduced by the stored
+    column with the same pivot until its pivot is new or it vanishes, by the
+    kernels of :mod:`aptkit.linalg`: over F_2 one XOR of bit masks a step, over
+    odd p ints modulo the prime, over Q fraction-free int columns, each a
+    nonzero rational multiple of the column a reduction over Fractions holds,
+    so the pivots and the pairing are the same.  A row is closed when it holds
+    a stored pivot and every other row of that column is closed: the columns of
+    the closed rows are triangular with distinct pivots, so they span every
+    vector on those rows, and a relation on closed rows (over F_p, the rows of
+    its nonzero residues), which would reduce to zero, is skipped before any
+    column operation.  Each open pivot watches the highest open row of its
+    column other than itself (``_open_top``) and is rechecked when that row
+    closes: it closes, and its watchers are rechecked in turn, or it watches
+    its new highest open row, which is lower, so it moves at most once per row
+    of its column.  A paired (generator, relation) yields the bar [birth,
+    degree), dropped when empty; unpaired generators are infinite.  Bars are
+    counted per (birth key, death key), ``INF`` the key of an infinite death,
+    and built once per distinct pair in key order, the canonical order,
+    unchecked by ``barcodes._half_open_bar``.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -303,10 +302,10 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     columns = _columns(p.rows, field, position)
     reduce, lowest = _kernel(field)
     f2 = field is not None and field.p == 2
+    watch = _open_top_f2 if f2 else _open_top
     paired = {}  # pivot position -> its reduced column
     closed = 0 if f2 else set()  # positions on which the stored columns span every vector
-    open_rows = {}  # pivot position -> rows of its column not yet closed
-    waiting = {}  # open row -> pivot positions whose columns hold it
+    watchers = {}  # open row -> the open pivots whose highest other open row it is
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
         if not columns[r] & ~closed if f2 else closed.issuperset(columns[r]):
@@ -314,11 +313,17 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
         if col := reduce(columns[r], paired):
             low = lowest(col)
             paired[low] = col
-            if f2:
-                for row in _close(low, _rows(col & ~(closed | 1 << low)), open_rows, waiting):
-                    closed |= 1 << row
-            else:
-                closed.update(_close(low, [i for i in col if i != low and i not in closed], open_rows, waiting))
+            stack = [low]  # pivots to recheck: the new one, then the watchers of each that closes
+            while stack:
+                pivot = stack.pop()
+                if (row := watch(paired[pivot], pivot, closed)) >= 0:
+                    watchers.setdefault(row, []).append(pivot)
+                    continue
+                if f2:
+                    closed |= 1 << pivot
+                else:
+                    closed.add(pivot)
+                stack += watchers.pop(pivot, ())
             pair = (births[row_order[low]], keys[n + r])
             if pair[0] < pair[1]:
                 counts[pair] = counts.get(pair, 0) + 1
@@ -331,22 +336,14 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     return Barcode._canonical(_half_open_bar(grade[b], grade[d], k) for (b, d), k in sorted(counts.items()))
 
 
-def _close(low, pending, open_rows, waiting):
-    """Record the new pivot ``low`` of a stored column whose other open rows
-    are ``pending``, and return the rows that close: the pivot closes once
-    each of them is closed, and closing a row counts down the pivots waiting
-    on it, which may close in turn; amortised O(support)."""
-    for i in pending:
-        waiting.setdefault(i, []).append(low)
-    open_rows[low] = len(pending)
-    stack, closing = [] if pending else [low], []
-    while stack:
-        closing.append(row := stack.pop())
-        for pivot in waiting.pop(row, ()):
-            open_rows[pivot] -= 1
-            if not open_rows[pivot]:
-                stack.append(pivot)
-    return closing
+def _open_top_f2(col, pivot, closed):
+    """The highest open row of a stored mask other than its open pivot, or -1."""
+    return ((col & ~closed) ^ 1 << pivot).bit_length() - 1
+
+
+def _open_top(col, pivot, closed):
+    """The highest open row of a stored dict column other than its pivot, or -1."""
+    return max((i for i in col if i < pivot and i not in closed), default=-1)
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

@@ -24,7 +24,8 @@ the barcode calculus, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
-elimination for barcodes over Q and F_p, a dense scan with one
+elimination for barcodes over Q and F_p, closing by counted-down
+propagation for the relations that clearing skips, a dense scan with one
 ``Cone.contains`` per nonzero coefficient for the stored rows of a
 presentation, the order-complex derived limit for stalk ranks, point
 sampling for Minkowski sums, and frozen dataclass twins of the library's
@@ -690,13 +691,14 @@ def presentation_rows_by_dense_scan(gamma: Cone, generators, relations=(), field
     return gens, tuple(rows)
 
 
-def barcode_by_fraction_reduction(p) -> Barcode:
-    """Barcode of a 1-dimensional presentation by the persistence column
-    reduction on ``Fraction`` entries: relation columns in increasing
-    degree, rows in (birth, index) order, each stored column scaled to pivot
-    entry 1 and subtracted times the pivot entry of the column it reduces.
-    Over F_p every entry is the residue of its own coefficient, numerator
-    times the inverse of its denominator, and the same steps run mod p."""
+def _fraction_columns(p, row_order):
+    """The persistence column reduction on ``Fraction`` entries: relation
+    columns in increasing degree, ties by index, rows keyed by position in
+    ``row_order``, each stored column scaled to pivot entry 1 and subtracted
+    times the pivot entry of the column it reduces.  Over F_p every entry is
+    the residue of its own coefficient, numerator times the inverse of its
+    denominator, and the same steps run mod p.  Yields (relation index,
+    degree, rows of its nonzero entries, reduced column) for every relation."""
     if p.field is None:
         entry = reduce = lambda x: x
         inverse = lambda x: 1 / x
@@ -705,15 +707,13 @@ def barcode_by_fraction_reduction(p) -> Barcode:
         entry = lambda c: c.numerator * pow(c.denominator, -1, prime) % prime
         reduce = lambda x: x % prime
         inverse = lambda x: pow(x, -1, prime)
-    births = [g[0] for g in p.generators]
-    row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     position = {gen: pos for pos, gen in enumerate(row_order)}
     relations = p.relations  # a view built on every read
     paired = {}
-    bars = []
     for r in sorted(range(len(relations)), key=lambda r: (relations[r][0][0], r)):
         degree, coeffs = relations[r]
         col = {position[i]: e for i, c in enumerate(coeffs) if (e := entry(c)) != 0}
+        support = set(col)
         while col:
             low = max(col)
             if low not in paired:
@@ -728,13 +728,68 @@ def barcode_by_fraction_reduction(p) -> Barcode:
         if col:
             low = max(col)
             paired[low] = {i: reduce(v * inverse(col[low])) for i, v in col.items()}
+        yield r, degree[0], support, col
+
+
+def barcode_by_fraction_reduction(p) -> Barcode:
+    """Barcode of a 1-dimensional presentation by the persistence column
+    reduction on ``Fraction`` entries (:func:`_fraction_columns`), rows in
+    (birth, index) order."""
+    births = [g[0] for g in p.generators]
+    row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
+    paired = set()
+    bars = []
+    for _, degree, _, col in _fraction_columns(p, row_order):
+        if col:
+            low = max(col)
+            paired.add(low)
             birth = births[row_order[low]]
-            if birth < degree[0]:
-                bars.append(Bar(interval(birth, degree[0])))
-    for i, birth in enumerate(births):
-        if position[i] not in paired:
-            bars.append(Bar(interval(birth, INF)))
+            if birth < degree:
+                bars.append(Bar(interval(birth, degree)))
+    for pos, gen in enumerate(row_order):
+        if pos not in paired:
+            bars.append(Bar(interval(births[gen], INF)))
     return Barcode(bars)
+
+
+def closed_rows_by_propagation(p) -> set:
+    """The relations that clearing skips in the pairing of a 1-dimensional
+    presentation, by propagation (Chen & Kerber 2011): a row is closed when
+    it holds a stored pivot and every other row of that column is closed,
+    and a relation is skipped when every row of its nonzero entries (over
+    F_p, of its nonzero residues) is closed at its turn.  After each store,
+    :func:`_close` files the new pivot under each of its column's open rows
+    and counts them down.  Returns the indices of the skipped relations,
+    each of which the reduction takes to zero."""
+    births = [g[0] for g in p.generators]
+    row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
+    closed, open_rows, waiting, skipped = set(), {}, {}, set()
+    for r, _, support, col in _fraction_columns(p, row_order):
+        if closed.issuperset(support):
+            assert not col, "a relation on closed rows reduces to zero"
+            skipped.add(r)
+        elif col:
+            low = max(col)
+            closed.update(_close(low, [i for i in col if i != low and i not in closed], open_rows, waiting))
+    return skipped
+
+
+def _close(low, pending, open_rows, waiting):
+    """Record the new pivot ``low`` of a stored column whose other open rows
+    are ``pending``, and return the rows that close: the pivot closes once
+    each of them is closed, and closing a row counts down the pivots waiting
+    on it, which may close in turn."""
+    for i in pending:
+        waiting.setdefault(i, []).append(low)
+    open_rows[low] = len(pending)
+    stack, closing = [] if pending else [low], []
+    while stack:
+        closing.append(row := stack.pop())
+        for pivot in waiting.pop(row, ()):
+            open_rows[pivot] -= 1
+            if not open_rows[pivot]:
+                stack.append(pivot)
+    return closing
 
 
 def dense_rank(rows, ncols: int, p=None) -> int:

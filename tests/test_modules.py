@@ -37,6 +37,7 @@ from generators import edge_presentation, half_grade, random_barcode, random_pre
 from oracles import (
     barcode_by_fraction_reduction,
     barcode_by_rank_invariant,
+    closed_rows_by_propagation,
     dense_rank,
     k0_of_presentation_by_fold,
     presentation_rows_by_dense_scan,
@@ -601,6 +602,60 @@ def test_clearing_matches_oracles_on_dependent_presentations(monkeypatch):
         assert got == barcode_by_rank_invariant(p) == barcode_by_fraction_reduction(p)
         relations += len(p.rows)
     assert len(reduced) < relations * 3 // 4, (len(reduced), relations)
+
+
+def _clearing_cases():
+    """Edge presentations, square and tall (m = 4n) sparse ones, direct sums,
+    generators in no relation, and coefficients 2 and 6 (no row over F_2)
+    or +-3 (vanishing mod 3), over Q, F_2 and F_3."""
+    rng = random.Random(33)
+    for field in FIELDS:
+        for _ in range(40):
+            yield edge_presentation(rng, field)
+        shapes = [(n, m, c) for n in (4, 6, 12, 24) for m in (n, 4 * n)
+                  for c in ((-3, -2, -1, 1, 2, 3), (-1, 1, 2, 6), (-3, -1, 1, 3))]
+        for n, m, coefficients in shapes:
+            base = sparse_presentation(rng, n, m, coefficients)
+            yield PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
+            idle = tuple((half_grade(rng),) for _ in range(n // 3))
+            yield PresentationND._from_rows(HALFLINE, base.generators + idle, base.rows, field)
+        for _ in range(4):
+            a, b = (sparse_presentation(rng, n, 4 * n, (-1, 1, 2, 3)) for n in (rng.randint(3, 8), rng.randint(3, 8)))
+            yield _direct_sum(PresentationND(HALFLINE, a.generators, a.relations, field), b)
+
+
+def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
+    # the pairing reduces exactly the relations that closing by propagation
+    # leaves open, its bars are the oracles' (the rank invariant's on at most
+    # 10 relations, where its dense ranks stay quick), and each stored pivot
+    # moves its watch at most once per row of its column
+    stored, filed = [], []
+    for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"):
+        reduce = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda col, *args, reduce=reduce: stored.append(reduce(col, *args))
+                            or stored[-1])
+    for name in ("_open_top", "_open_top_f2"):
+        watch = getattr(modules, name)
+        monkeypatch.setattr(modules, name, lambda col, pivot, closed, watch=watch:
+                            filed.append((pivot, watch(col, pivot, closed))) or filed[-1][1])
+    seen = Counter()
+    for p in _clearing_cases():
+        stored.clear()
+        filed.clear()
+        got = barcode_of_presentation(p)
+        assert got == barcode_by_fraction_reduction(p)
+        if len(p.rows) <= 10:
+            assert got == barcode_by_rank_invariant(p)
+        skipped = closed_rows_by_propagation(p)
+        assert len(stored) == len(p.rows) - len(skipped), (p.field, len(stored), len(p.rows), len(skipped))
+        support = sum(col.bit_count() if type(col) is int else len(col) for col in stored if col)
+        assert sum(row >= 0 for _, row in filed) <= support
+        watched = set()
+        for pivot, row in filed:
+            seen["moved"] += pivot in watched and row >= 0
+            watched.add(pivot)
+        seen["skipped"] += len(skipped)
+    assert seen["skipped"] >= 1000 and seen["moved"] >= 50, seen
 
 
 def _f2_cases():
