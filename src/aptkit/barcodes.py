@@ -9,13 +9,14 @@ presented Rees modules.
 Grades are exact rationals with ``+-inf`` sentinels.  Convolution, Homs and
 K0 classes are computed in closed form on the shape calculus ``[a,b) /
 [a,inf) / (-inf,inf)``, each bar classified once, and rejected elsewhere; the
-torsion-free Hom is the product of the ray counts.  The interleaving verifier
-reads the same map and torsion predicates.
+torsion-free Hom is the product of the ray counts.  Homs, convolution (each
+output bar built once) and interleavings read ends in one int form, ``_int_ends``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 
 from ._record import Record, set_field
 from .errors import InvalidInput, UnsupportedShape
@@ -103,8 +104,8 @@ _set_left, _set_right, _set_left_closed, _set_right_closed, _set_interval, _set_
     getattr(cls, name).__set__ for cls in (DecoratedInterval, Bar) for name in cls.__slots__)
 
 
-def _half_open_bar(left, right, multiplicity) -> Bar:
-    """The degree-0 bar [left, right), unchecked, set by one slot setter call per field."""
+def _half_open_bar(left, right, hdegree, multiplicity) -> Bar:
+    """The bar [left, right), unchecked, set by one slot setter call per field."""
     iv = object.__new__(DecoratedInterval)
     _set_left(iv, left)
     _set_right(iv, right)
@@ -112,7 +113,7 @@ def _half_open_bar(left, right, multiplicity) -> Bar:
     _set_right_closed(iv, False)
     item = object.__new__(Bar)
     _set_interval(item, iv)
-    _set_hdegree(item, 0)
+    _set_hdegree(item, hdegree)
     _set_multiplicity(item, multiplicity)
     return item
 
@@ -182,10 +183,9 @@ def classify_shape(iv: DecoratedInterval) -> str:
 
 
 def _calculus(b: Barcode, degree0=None):
-    """One pass over the bars of b: (shape, left, right, hdegree,
-    multiplicity) per bar, the shape from one :func:`classify_shape` call.
-    With a message ``degree0``, a bar of nonzero degree raises
-    UnsupportedShape with it."""
+    """One pass over the bars of b: (shape, left, right, hdegree, multiplicity)
+    per bar, the shape from one :func:`classify_shape` call.  With a message
+    ``degree0``, a bar of nonzero degree raises UnsupportedShape with it."""
     out = []
     for item in b.bars:
         if degree0 and item.hdegree:
@@ -193,6 +193,16 @@ def _calculus(b: Barcode, degree0=None):
         iv = item.interval
         out.append((classify_shape(iv), iv.left, iv.right, item.hdegree, item.multiplicity))
     return out
+
+
+def _int_ends(pairs, *values):
+    """The int form: ((left, right) per pair, the values, D), every finite end
+    and value times D, their least common denominator, from one ``integral``;
+    an infinite end, a line's included, stays as it is."""
+    ints, d = integral([e for pair in pairs for e in pair if is_finite(e)] + list(values))
+    it = iter(ints)
+    ends = [(next(it) if is_finite(l) else l, next(it) if is_finite(r) else r) for l, r in pairs]
+    return ends, list(it), d
 
 
 def eval_at(b: Barcode, a) -> dict:
@@ -276,24 +286,28 @@ def convolve(b1: Barcode, b2: Barcode) -> Barcode:
     finite bar and absorbs the rest, a ray [a, inf) translates the other bar
     by a, and two finite bars give [l1 + l2, min(r1 + l2, l1 + r2)) and the
     torsion part [max(r1 + l2, l1 + r2), r1 + r2) one degree above the sum of
-    the degrees.  With an empty side nothing is classified."""
+    the degrees.  With an empty side nothing is classified.  Each output bar is
+    counted on an int key (:func:`_int_ends`), then built once in canonical order."""
     if not (b1.bars and b2.bars):
         return Barcode()
     xs, ys = _calculus(b1), _calculus(b2)
-    out = []
-    for s1, l1, r1, d1, m1 in xs:
-        for s2, l2, r2, d2, m2 in ys:
+    ends, _, den = _int_ends([(l, r) for _, l, r, _, _ in xs + ys])
+    ys = list(zip(ys, ends[len(xs):]))
+    counts = {}  # (left, right, degree), ends over den -> multiplicity; sorted, in canonical order
+    for (s1, _, _, d1, m1), (l1, r1) in zip(xs, ends):
+        for (s2, _, _, d2, m2), (l2, r2) in ys:
             d, m = d1 + d2, m1 * m2
             if s1 == "line" or s2 == "line":
-                if "finite" not in (s1, s2):
-                    out.append(Bar(FULL_LINE, d, m))
-            elif s1 == s2 == "finite":
-                low, high = sorted((r1 + l2, l1 + r2))
-                out += [Bar(interval(l1 + l2, low), d, m), Bar(interval(high, r1 + r2), d + 1, m)]
-            else:
-                right, a = (r2, l1) if s1 == "ray" else (r1, l2)
-                out.append(Bar(interval(l1 + l2, right + a if is_finite(right) else INF), d, m))
-    return Barcode(out)
+                keys = [] if "finite" in (s1, s2) else [(NEG_INF, INF, d)]
+            else:  # a ray's end stays INF, so with a ray the least sum is the translate's end
+                low, high = sorted(r + l if is_finite(r) else INF for r, l in ((r1, l2), (r2, l1)))
+                keys = [(l1 + l2, low, d)] + [(high, r1 + r2, d + 1)] * (s1 == s2 == "finite")
+            for key in keys:
+                counts[key] = counts.get(key, 0) + m
+    return Barcode._canonical(
+        Bar(FULL_LINE, d, m) if l == NEG_INF
+        else _half_open_bar(Fraction(l, den), Fraction(r, den) if is_finite(r) else r, d, m)
+        for (l, r, d), m in sorted(counts.items()))
 
 
 _DEGREE0 = "hom computation expects degree-0 barcodes"
@@ -301,18 +315,17 @@ _DEGREE0 = "hom computation expects degree-0 barcodes"
 
 def hom_dim(b1: Barcode, b2: Barcode) -> int:
     """Dimension of degree-0 graded module maps b1 -> b2 (degree-0 bars only),
-    by :func:`_maps` per pair on ends over one denominator (one ``integral``):
+    by :func:`_maps` per pair on the int form of both sides (:func:`_int_ends`):
     with b2 sorted by left end, a bisection keeps the bars with l2 <= l, and
     l < r2 <= r is tested on them.  With an empty side only b1's degrees are read."""
     if not (b1.bars and b2.bars):
         if any(item.hdegree for item in b1.bars):
             raise UnsupportedShape(_DEGREE0)
         return 0
-    bars = [_calculus(b1, _DEGREE0), _calculus(b2, _DEGREE0)]
-    ints = iter(integral([e for side in bars for _, l, r, _, _ in side for e in (l, r) if is_finite(e)])[0])
-    xs, ys = ([(next(ints) if is_finite(l) else l, next(ints) if is_finite(r) else r, m) for _, l, r, _, m in side]
-              for side in bars)
-    ys.sort()
+    xs, ys = _calculus(b1, _DEGREE0), _calculus(b2, _DEGREE0)
+    ends, _, _ = _int_ends([(l, r) for _, l, r, _, _ in xs + ys])
+    rows = [(l, r, m) for (l, r), (*_, m) in zip(ends, xs + ys)]
+    xs, ys = rows[:len(xs)], sorted(rows[len(xs):])
     lefts = [l2 for l2, _, _ in ys]
     return sum(m1 * m2 for l, r, m1 in xs for _, r2, m2 in ys[:bisect_right(lefts, l)] if l < r2 <= r)
 

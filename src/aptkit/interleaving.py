@@ -4,15 +4,15 @@ The distance is the infimum of max(a, b) over (a, b)-isomorphisms, which
 for barcodes coincides with the classical bottleneck value; that
 identification is classical persistence theory, so it is cross-validated
 in the tests by an exhaustive matching oracle rather than assumed.  Each
-request reads the almost-normal bars in one int form: the finite endpoints
-over one common denominator.  The distance is one binary search over the
-candidate values, on int costs at twice that denominator; a value is
-feasible when one matching of the bars alone, at pair cost <= value, covers
-every bar whose kill cost exceeds it.  The certificate is read off the
-matching found there.  The verifier checks the morphism identities on the
-int ends with the map and torsion predicates of ``barcodes``, apart from the
-search (it reads no cost and no matching); the tests check it against the
-same identities on interval objects.
+request reads the almost-normal bars in the int form of ``barcodes``: the
+finite ends over one common denominator.  The distance is one binary search
+over the candidate values, on int costs at twice that denominator; a value
+is feasible when one matching of the bars alone, at pair cost <= value,
+covers every bar whose kill cost exceeds it.  The certificate is read off
+the matching found there.  The verifier checks the morphism identities on
+the int ends with the map and torsion predicates of ``barcodes``, apart from
+the search (it reads no cost and no matching); the tests check it against
+the same identities on interval objects.
 
 Decorations are ignored by the distance: inputs are almostized first,
 consistent with almost-isomorphic barcodes being at distance zero.
@@ -23,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record, set_field
-from .barcodes import Barcode, _calculus, _maps, _minus, _survives, almostize
+from .barcodes import Barcode, _calculus, _int_ends, _maps, _minus, _survives, almostize
 from .errors import ComputationTooLarge, InternalCheckFailed, InvalidInput
-from .rational import INF, NEG_INF, integral, is_finite, q
+from .rational import INF, NEG_INF, q
 
 # Unit bars one barcode may expand to, lines included.  The cost table has
 # one entry per pair of unit bars, so this bounds it at 2048^2 entries.
@@ -35,18 +35,18 @@ _DEGREE0 = "interleaving distance expects degree-0 barcodes"
 
 def _expand(b: Barcode):
     """Almostize and check the size cap (unit bars, lines included), degree 0
-    and shapes; return (number of lines, bars), one bar per unit of
-    multiplicity so that matchings index single bars, the rays first."""
+    and shapes; return (number of lines, (left, right) per bar), one bar per
+    unit of multiplicity so that matchings index single bars, the rays first."""
     almost = almostize(b)
     total = sum(item.multiplicity for item in almost.bars)
     if total > _BAR_CAP:
         raise ComputationTooLarge("a barcode has too many bars to match", bars=total, cap=_BAR_CAP)
     lines, rays, finite = 0, [], []
-    for (shape, *_, m), item in zip(_calculus(almost, _DEGREE0), almost.bars):
+    for shape, left, right, _, m in _calculus(almost, _DEGREE0):
         if shape == "line":
             lines += m
         else:
-            (rays if shape == "ray" else finite).extend([item.interval] * m)
+            (rays if shape == "ray" else finite).extend([(left, right)] * m)
     return lines, rays + finite
 
 
@@ -85,17 +85,6 @@ def _cover(roots, allowed, match, back, light):
         else:
             return None
     return match
-
-
-def _int_ends(bars, *values):
-    """The int form: ((left, right) per bar of :func:`_expand`, a ray's
-    right end INF; the values; m), with the finite ends and the values over
-    one common denominator m, from one ``integral``."""
-    finite = [is_finite(iv.right) for iv in bars]
-    ends = [e for iv, f in zip(bars, finite) for e in (iv.left, iv.right if f else iv.left)]
-    ints, m = integral(ends + list(values))
-    n = 2 * len(bars)
-    return [(ints[k], ints[k + 1] if f else INF) for k, f in zip(range(0, n, 2), finite)], ints[n:], m
 
 
 def _cost_table(bars_x, bars_y):
@@ -184,8 +173,8 @@ class InterleavingCertificate(Record):
     """Bar matchings realizing an (a, b)-isomorphism.
 
     ``forward`` maps expanded X-bar indices to Y-bar indices (None = killed),
-    ``backward`` the reverse.  Bars are expanded by multiplicity in canonical
-    barcode order; lines are listed after rays and finite bars.
+    ``backward`` the reverse.  Bars are expanded by multiplicity and indexed
+    rays first, then finite bars, each in canonical barcode order, then lines.
     """
 
     __slots__ = ("a", "b", "forward", "backward")
@@ -250,25 +239,23 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
 def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -> bool:
     """Check both composite identities of an (a, b)-isomorphism exactly.
 
-    The ends and a, b are ints over one common denominator, a line is
-    (-inf, inf), and s = a + b.  Per matched pair the morphisms are the
-    canonical interval maps, nonzero by ``barcodes._maps``: each side checks
-    its first legs, the other side's pass checks the second.  With both legs
-    maps, a composite back to its own bar is tau_s; otherwise tau_s must
-    vanish (``barcodes._survives``), and so must the composite into another
-    bar."""
+    The bars in index order, a line as (-inf, inf), and a, b are read in one
+    int form (``barcodes._int_ends``), and s = a + b.  Per matched pair the
+    morphisms are the canonical interval maps, nonzero by ``barcodes._maps``:
+    each side checks its first legs, the other side's pass checks the second.
+    With both legs maps, a composite back to its own bar is tau_s; otherwise
+    tau_s must vanish (``barcodes._survives``), and so must the composite into
+    another bar."""
     a, b = q(cert.a), q(cert.b)
     if a < 0 or b < 0:
         raise InvalidInput("certificate shifts must be nonnegative")
-    lines_x, bars_x = _expand(x)
-    lines_y, bars_y = _expand(y)
-    n_x, n_y = len(bars_x) + lines_x, len(bars_y) + lines_y
+    xs, ys = (bars + [(NEG_INF, INF)] * lines for lines, bars in (_expand(x), _expand(y)))
+    n_x, n_y = len(xs), len(ys)
     if (len(cert.forward), len(cert.backward)) != (n_x, n_y) or not all(
             k is None or k in range(n) for ks, n in ((cert.forward, n_y), (cert.backward, n_x)) for k in ks):
         return False
-    ends, (a, b), _ = _int_ends(bars_x + bars_y, a, b)
-    ends_x = ends[: len(bars_x)] + [(NEG_INF, INF)] * lines_x
-    ends_y = ends[len(bars_x):] + [(NEG_INF, INF)] * lines_y
+    ends, (a, b), _ = _int_ends(xs + ys, a, b)
+    ends_x, ends_y = ends[:n_x], ends[n_x:]
     s = a + b
 
     def side_ok(src, dst, fwd, bwd, t):

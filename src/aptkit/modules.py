@@ -333,7 +333,7 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
             counts[pair] = counts.get(pair, 0) + 1
     grade = dict(zip(keys, [g[0] for g in p.generators] + [row[0][0] for row in p.rows]))
     grade[INF] = INF
-    return Barcode._canonical(_half_open_bar(grade[b], grade[d], k) for (b, d), k in sorted(counts.items()))
+    return Barcode._canonical(_half_open_bar(grade[b], grade[d], 0, k) for (b, d), k in sorted(counts.items()))
 
 
 def _open_top_f2(col, pivot, closed):

@@ -15,7 +15,8 @@ localization identities of a transition, a face list per member and
 converted intersections for fan validation, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
 brute-force matchings for the bottleneck value, the composite identities
-on ``DecoratedInterval`` maps for interleaving certificates, a rebuild by
+on ``DecoratedInterval`` maps for interleaving certificates (both on an
+expansion of their own, from the almostization by rebuild), a rebuild by
 the checking constructors for almostization, folds of one ``K0Class`` per
 bar or grade for K0 classes, per-pair loops on ``DecoratedInterval`` ends
 (each shape classified per pair, torsion by ``translate`` and ``intersect``,
@@ -47,7 +48,6 @@ from aptkit.cutoff import star_stalk_homology, stratum_points
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.errors import BadIntersection, ImproperCone, MissingFace
 from aptkit.geometry import Cone, Fan, _with_lines, cone_sum, dual_cone, faces_of, is_proper
-from aptkit.interleaving import _expand
 from aptkit.k0 import K0Class, e
 from aptkit.linalg import _int_det
 from aptkit.modules import parse_field
@@ -509,11 +509,31 @@ def _kill_cost(iv):
     return INF if iv.right == INF else (iv.right - iv.left) / 2
 
 
+def expand_by_rebuild(b: Barcode):
+    """(number of lines, intervals): the bars of :func:`almostize_by_rebuild`,
+    one ``DecoratedInterval`` per unit of multiplicity, the rays first, then
+    the finite bars, each in canonical order; lines counted apart.  A bar of
+    nonzero degree or outside the [a,b) / [a,inf) / line calculus raises
+    UnsupportedShape."""
+    lines, rays, finite = 0, [], []
+    for item in almostize_by_rebuild(b).bars:
+        iv = item.interval
+        if item.hdegree != 0:
+            raise UnsupportedShape("interleaving distance expects degree-0 barcodes")
+        if iv.left == NEG_INF and iv.right != INF:
+            raise UnsupportedShape(f"interval not in the [a,b) / [a,inf) / line calculus: {iv}")
+        if iv.left == NEG_INF:
+            lines += item.multiplicity
+        else:
+            (rays if iv.right == INF else finite).extend([iv] * item.multiplicity)
+    return lines, rays + finite
+
+
 def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
     """Bottleneck value by exhaustive enumeration of partial matchings, on
     ``Fraction`` costs of its own."""
-    lines_x, bars_x = _expand(x)
-    lines_y, bars_y = _expand(y)
+    lines_x, bars_x = expand_by_rebuild(x)
+    lines_y, bars_y = expand_by_rebuild(y)
     if lines_x != lines_y:
         return INF
 
@@ -547,7 +567,7 @@ def bottleneck_by_matching_enumeration(x: Barcode, y: Barcode):
 
 
 def _expanded_intervals(b: Barcode):
-    lines, bars = _expand(b)
+    lines, bars = expand_by_rebuild(b)
     return bars + [interval("-inf", "inf", False, False)] * lines
 
 

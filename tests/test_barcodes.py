@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from aptkit import barcodes
+from aptkit import barcodes, interleaving
 from aptkit.barcodes import (
     Bar,
     Barcode,
@@ -363,6 +364,58 @@ def test_barcode_calculus_matches_the_per_pair_references():
         seen["nonzero hom"] += _outcome(hom_dim, x, y) not in (0, "unsupported-shape")
         seen["nonzero torsion-free hom"] += _outcome(torsionfree_hom_dim, x, y) not in (0, "unsupported-shape")
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_int_ends_keep_infinite_ends_over_the_least_denominator():
+    pairs = [(NEG_INF, INF), (Fraction(1, 3), INF), (Fraction(-1, 2), Fraction(5, 6)), (Fraction(2), Fraction(9, 4))]
+    ends, values, d = barcodes._int_ends(pairs, Fraction(3, 4), Fraction(-7))
+    assert d == 12
+    assert ends == [(NEG_INF, INF), (4, INF), (-6, 10), (24, 27)] and values == [9, -84]
+    assert ends[0][0] is NEG_INF and ends[0][1] is INF and ends[1][1] is INF
+    assert all(type(e) is int for pair in ends[2:] for e in pair) and all(type(v) is int for v in values)
+    assert barcodes._int_ends([]) == ([], [], 1)
+    assert barcodes._int_ends([(NEG_INF, INF)]) == ([(NEG_INF, INF)], [], 1)
+    assert barcodes._int_ends([], Fraction(2, 3)) == ([], [2], 3)
+
+
+def test_one_integral_per_request(monkeypatch):
+    calls = []
+    integral = barcodes.integral
+    monkeypatch.setattr(barcodes, "integral", lambda u: calls.append(len(u)) or integral(u))
+    x = barcode(bar(0, Fraction(4, 3)), bar(Fraction(1, 2), "inf"), bar(2, 3, multiplicity=2), LINE)
+    y = barcode(bar(1, Fraction(11, 6)), bar(0, "inf"), bar(2, 4), LINE)
+    cert = interleaving.certificate_for(x, y)
+    for call in (hom_dim, convolve, interleaving.interleaving_distance,
+                 lambda x, y: interleaving.verify_interleaving(x, y, cert)):
+        calls.clear()
+        call(x, y)
+        assert len(calls) == 1, (call, calls)
+
+
+def test_convolve_builds_each_bar_once(monkeypatch):
+    # ends over thirds and sixths (sums such as 1/3 + 1/6 = 1/2 come back in
+    # lowest terms), a line, rays, degree 1 and multiplicity 3
+    x = barcode(bar(0, Fraction(1, 3)), bar(Fraction(1, 6), "inf", hdegree=1), LINE,
+                bar(Fraction(2, 3), Fraction(7, 6), multiplicity=3))
+    y = barcode(bar(Fraction(1, 6), Fraction(1, 2)), bar(Fraction(1, 3), "inf"),
+                bar("-inf", "inf", False, False, hdegree=1), bar(0, Fraction(5, 6), hdegree=1, multiplicity=3))
+    calls = []
+    for owner in (Barcode, DecoratedInterval):
+        init = owner.__init__
+        monkeypatch.setattr(owner, "__init__", lambda self, *args, owner=owner, init=init:
+                            calls.append(owner.__name__) or init(self, *args))
+    got = convolve(x, y)
+    assert calls == []
+    monkeypatch.undo()
+    rebuilt = Barcode([Bar(DecoratedInterval(iv.left, iv.right, iv.left_closed, iv.right_closed),
+                           item.hdegree, item.multiplicity) for item in got.bars for iv in [item.interval]])
+    for twin in (Barcode(list(got.bars)), rebuilt, pickle.loads(pickle.dumps(got)), pickle.loads(pickle.dumps(rebuilt))):
+        assert twin == got and twin.bars == got.bars and hash(twin) == hash(got) and repr(twin) == repr(got)
+    assert got == convolve_by_pairs(x, y)
+    shapes = {(item.interval.left == NEG_INF, item.interval.right == INF) for item in got.bars}
+    assert shapes == {(True, True), (False, True), (False, False)}
+    assert {item.hdegree for item in got.bars} == {0, 1, 2} and max(item.multiplicity for item in got.bars) >= 9
+    assert "Fraction(1, 2)" in repr(got)
 
 
 def test_each_bar_is_classified_once(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from aptkit import barcodes, catalog, cli, interleaving
 from aptkit.barcodes import Bar, Barcode, almost_iso, bar, barcode, shift
-from aptkit.errors import ComputationTooLarge, InternalCheckFailed, InvalidInput
+from aptkit.errors import ComputationTooLarge, InternalCheckFailed, InvalidInput, UnsupportedShape
 from aptkit.interleaving import (
     InterleavingCertificate,
     _cost_table,
@@ -28,6 +28,7 @@ from aptkit.rational import INF
 from generators import random_barcode, random_decorated_barcode
 from oracles import (
     bottleneck_by_matching_enumeration,
+    expand_by_rebuild,
     feasible_by_square_graph,
     kuhn_matching_recursive,
     verify_by_interval_maps,
@@ -466,7 +467,7 @@ def test_int_verifier_equals_the_interval_maps():
             assert got == verify_by_interval_maps(x, y, cert), (x, y, cert)
             verdicts[got] += 1
             seen["line"] += lines_x > 0
-            seen["ray"] += any(iv.right == INF for iv in bars_x)
+            seen["ray"] += any(right == INF for _, right in bars_x)
             seen["decorated"] += x != barcodes.almostize(x)
             seen["multiplicity 3"] += any(b.multiplicity == 3 for b in x.bars)
             seen["a != b"] += cert.a != cert.b
@@ -500,6 +501,37 @@ def test_one_expansion_table_and_search_per_request(monkeypatch, capsys):
     argv = ["dist", "compute", "--input", '{"bars":[{"birth":"0","death":"4"}]}', "--catalog2", "pair"]
     assert cli.main(argv) == 0 and "certificate" in capsys.readouterr().out
     assert sorted(calls) == ["_cost_table", "_expand", "_expand", "_search"]
+
+
+def test_certificate_indexes_rays_then_finite_bars_then_lines():
+    # canonical order alone would put [0, 1) first: forward == (None, 0)
+    x, y = barcode(bar(0, 1), bar(2, "inf")), barcode(bar(2, "inf"))
+    cert = certificate_for(x, y)
+    assert (cert.forward, cert.backward) == ((0, None), (0,))
+    cert = certificate_for(Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE]))
+    assert (cert.forward, cert.backward) == ((0, None, 1), (0, 2))
+
+
+def test_expansion_matches_the_rebuilt_one():
+    rng = random.Random(66)
+    seen = dict.fromkeys(["line", "ray", "finite", "decorated", "multiplicity 3"], 0)
+    for _ in range(300):
+        x = (random_decorated_barcode(rng, MIXED_GRID) if rng.random() < 0.5
+             else random_barcode(rng, MIXED_GRID, 5, ray_chance=0.3))
+        x = Barcode([Bar(b.interval, 0, rng.randint(1, 3)) for b in x.bars] + [LINE] * (rng.random() < 0.2))
+        lines, bars = _expand(x)
+        ref_lines, ivs = expand_by_rebuild(x)
+        assert (lines, bars) == (ref_lines, [(iv.left, iv.right) for iv in ivs]), x
+        seen["line"] += lines > 0
+        seen["ray"] += any(right == INF for _, right in bars)
+        seen["finite"] += any(right != INF for _, right in bars)
+        seen["decorated"] += x != barcodes.almostize(x)
+        seen["multiplicity 3"] += any(b.multiplicity == 3 for b in x.bars)
+    assert all(count >= 30 for count in seen.values()), seen
+    for bad in (barcode(bar(0, 1, hdegree=1)), barcode(bar("-inf", 1, False, False))):
+        for expand in (_expand, expand_by_rebuild):
+            with pytest.raises(UnsupportedShape):
+                expand(bad)
 
 
 def test_the_bar_cap_counts_multiplicities_and_lines():
