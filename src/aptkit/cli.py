@@ -39,50 +39,49 @@ def _load_json_arg(value):
         raise InvalidInput("JSON input is nested too deeply") from None
 
 
+def _load(args, parse, named, which=""):
+    """The ``--input<which>`` JSON read by ``parse``, else the ``--catalog<which>``
+    entry read by ``named``: the one way in for every input pair."""
+    text, name = getattr(args, "input" + which), getattr(args, "catalog" + which)
+    if text:
+        return parse(_load_json_arg(text))
+    if name:
+        return named(name)
+    raise InvalidInput(f"provide --input{which} or --catalog{which}")
+
+
 def _load_fan(args):
-    if getattr(args, "input", None):
-        return io.parse_fan_json(_load_json_arg(args.input))
-    if getattr(args, "catalog", None):
-        return catalog.fan(args.catalog)
-    raise InvalidInput("provide --input or --catalog")
+    return _load(args, io.parse_fan_json, catalog.fan)
 
 
 def _load_cone(args, flag="cone"):
-    cid = getattr(args, flag.replace("-", "_"), None)
-    if getattr(args, "input", None):
-        data = _load_json_arg(args.input)
-        if cid is None and "generators" in data:
-            return io.parse_cone_json(data)
-        fan = io.parse_fan_json(data)
-        if cid is None:
-            raise InvalidInput(f"--{flag} is required with a fan input")
-        return fan.cone_by_id(cid)
-    if getattr(args, "catalog", None):
-        fan = catalog.fan(args.catalog)
-        if cid is None:
-            raise InvalidInput(f"--{flag} is required with --catalog")
-        return fan.cone_by_id(cid)
-    raise InvalidInput("provide --input or --catalog")
+    """A cone input, or the cone ``--<flag>`` names in a fan input or catalog fan."""
+    cid = getattr(args, flag)
+
+    def parse(data):
+        return io.parse_cone_json(data) if cid is None and "generators" in data else io.parse_fan_json(data)
+
+    found = _load(args, parse, catalog.fan)
+    if isinstance(found, geo.Cone):
+        return found
+    if cid is None:
+        raise InvalidInput(f"--{flag} is required with " + ("a fan input" if args.input else "--catalog"))
+    return found.cone_by_id(cid)
 
 
-def _load_barcode(args, which=1):
-    inp = getattr(args, "input" if which == 1 else "input2", None)
-    cat = getattr(args, "catalog" if which == 1 else "catalog2", None)
-    if inp:
-        return io.parse_barcode_json(_load_json_arg(inp))
-    if cat:
-        return catalog.barcode(cat)
-    raise InvalidInput("provide --input/--catalog" + ("2" if which == 2 else ""))
+def _fan_cones(args, *flags):
+    """The cones of the fan input that the ``--<flag>`` values name, in order."""
+    fan = _load_fan(args)
+    return [fan.cone_by_id(getattr(args, flag)) for flag in flags]
 
 
-def _load_presentation(args, field, which=1):
-    inp = getattr(args, "input" if which == 1 else "input2", None)
-    cat = getattr(args, "catalog" if which == 1 else "catalog2", None)
-    if inp:
-        return io.parse_presentation_json(_load_json_arg(inp), field)
-    if cat:
-        return catalog.presentation(cat, field)
-    raise InvalidInput("provide --input/--catalog" + ("2" if which == 2 else ""))
+def _load_barcode(args, which=""):
+    return _load(args, io.parse_barcode_json, catalog.barcode, which)
+
+
+def _load_presentation(args, field, which=""):
+    return _load(args, lambda data: io.parse_presentation_json(data, field),
+                 lambda name: catalog.presentation(name, field), which)
 
 
 def _field(args):
@@ -96,13 +95,11 @@ def _load_polyhedron(args, flag="poly"):
     return io.parse_polyhedron_json(_load_json_arg(value))
 
 
-def _point(args, dim=None):
-    if getattr(args, "point", None) is None:
-        raise InvalidInput("provide --point")
-    coords = [s for s in args.point.split(",") if s.strip()]
-    v = qvec(coords)
-    if dim is not None and len(v) != dim:
-        raise InvalidInput(f"point must have {dim} coordinates")
+def _vector(text, dim, what):
+    """The comma-separated rationals of ``text``, which must number ``dim``."""
+    v = qvec([s for s in text.split(",") if s.strip()])
+    if len(v) != dim:
+        raise InvalidInput(f"{what} must have {dim} coordinates")
     return v
 
 
@@ -139,16 +136,13 @@ def _cmd_fan_complete(args):
 
 
 def _cmd_fan_separate(args):
-    fan = _load_fan(args)
-    s1 = fan.cone_by_id(args.cone1)
-    s2 = fan.cone_by_id(args.cone2)
-    m = geo.separating_vector(s1, s2)
-    return {"m": io.qvec_to_json(m)}
+    s1, s2 = _fan_cones(args, "cone1", "cone2")
+    return {"m": io.qvec_to_json(geo.separating_vector(s1, s2))}
 
 
 def _cmd_fan_support(args):
     fan = _load_fan(args)
-    return {"contains": fan.support_contains(_point(args, fan.dim))}
+    return {"contains": fan.support_contains(_vector(args.point, fan.dim, "point"))}
 
 
 def _cmd_barcode_eval(args):
@@ -163,7 +157,7 @@ def _cmd_barcode_shift(args):
 
 
 def _cmd_barcode_convolve(args):
-    out = bc.convolve(_load_barcode(args, 1), _load_barcode(args, 2))
+    out = bc.convolve(_load_barcode(args), _load_barcode(args, "2"))
     return io.barcode_to_json(out)
 
 
@@ -185,13 +179,12 @@ def _cmd_barcode_quotient_loc(args):
 
 
 def _cmd_barcode_homdim(args):
-    dim = bc.torsionfree_hom_dim(_load_barcode(args, 1), _load_barcode(args, 2))
+    dim = bc.torsionfree_hom_dim(_load_barcode(args), _load_barcode(args, "2"))
     return {"dim": dim}
 
 
 def _cmd_dist_compute(args):
-    x = _load_barcode(args, 1)
-    y = _load_barcode(args, 2)
+    x, y = _load_barcode(args), _load_barcode(args, "2")
     d, cert = interleaving.distance_with_certificate(x, y)
     out = {"distance": io.grade_to_json(d)}
     if cert is not None:
@@ -200,8 +193,7 @@ def _cmd_dist_compute(args):
 
 
 def _cmd_dist_verify(args):
-    x = _load_barcode(args, 1)
-    y = _load_barcode(args, 2)
+    x, y = _load_barcode(args), _load_barcode(args, "2")
     cert = io.parse_certificate_json(_load_json_arg(args.cert))
     return {"valid": interleaving.verify_interleaving(x, y, cert)}
 
@@ -221,14 +213,14 @@ def _cmd_cutoff_mink(args):
 def _cmd_cutoff_basis_witness(args):
     poly = _load_polyhedron(args)
     gamma = _load_cone(args, flag="gamma")
-    x = _point(args, poly.dim)
+    x = _vector(args.point, poly.dim, "point")
     a = cutoff.gamma_basis_witness(poly, x, gamma)
     return {"a": io.qvec_to_json(a)}
 
 
 def _cmd_cutoff_star_homology(args):
     field, fan = _field(args), _load_fan(args)
-    report = cutoff.star_stalk_homology(fan, _point(args, fan.dim), field)
+    report = cutoff.star_stalk_homology(fan, _vector(args.point, fan.dim, "point"), field)
     return {
         "point": io.qvec_to_json(report.point),
         "betti": {str(k): v for k, v in sorted(report.betti.items())},
@@ -249,6 +241,11 @@ def _cmd_cutoff_indicator_convolve(args):
     return {"polyhedron": io.polyhedron_to_json(poly), "shift": shift}
 
 
+def _boundary(cid, chart):
+    """The ``toric charts`` and ``toric boundary`` entry of one chart."""
+    return {"id": cid, "idempotent": toric.boundary_idempotent_check(toric.almost_content(chart))}
+
+
 def _cmd_toric_charts(args):
     fan = _load_fan(args)
     charts, built, boundary = [], [], []
@@ -256,8 +253,7 @@ def _cmd_toric_charts(args):
         chart = toric.chart_of_cone(cone)
         built.append(chart)
         charts.append({"id": cid, "cone": io.cone_to_json(cone), "dual": io.cone_to_json(chart.dual)})
-        content = toric.almost_content(chart)
-        boundary.append({"id": cid, "idempotent": toric.boundary_idempotent_check(content)})
+        boundary.append(_boundary(cid, chart))
     transitions = [
         {"source": cid1, "target": cid2, "m": io.qvec_to_json(toric.transition_data(c1, c2).m)}
         for cid1, c1 in zip(fan.ids, built)
@@ -268,54 +264,38 @@ def _cmd_toric_charts(args):
 
 
 def _cmd_toric_transition(args):
-    fan = _load_fan(args)
-    t = toric.transition_data(
-        toric.chart_of_cone(fan.cone_by_id(args.cone1)),
-        toric.chart_of_cone(fan.cone_by_id(args.cone2)),
-    )
+    cones = _fan_cones(args, "cone1", "cone2")
+    t = toric.transition_data(*map(toric.chart_of_cone, cones))
     return {"m": io.qvec_to_json(t.m), "overlap_dual": io.cone_to_json(t.overlap)}
 
 
 def _cmd_toric_cocycle(args):
-    fan = _load_fan(args)
-    ok = toric.cocycle_check(
-        toric.chart_of_cone(fan.cone_by_id(args.cone1)),
-        toric.chart_of_cone(fan.cone_by_id(args.cone2)),
-        toric.chart_of_cone(fan.cone_by_id(args.cone3)),
-    )
-    return {"ok": ok}
+    cones = _fan_cones(args, "cone1", "cone2", "cone3")
+    return {"ok": toric.cocycle_check(*map(toric.chart_of_cone, cones))}
 
 
 def _cmd_toric_boundary(args):
     fan = _load_fan(args)
-    ids = [args.cone] if getattr(args, "cone", None) else list(fan.ids)
-    out = []
-    for cid in ids:
-        content = toric.almost_content(toric.chart_of_cone(fan.cone_by_id(cid)))
-        out.append({"id": cid, "idempotent": toric.boundary_idempotent_check(content)})
-    return {"boundary": out}
+    ids = [args.cone] if args.cone else fan.ids
+    cones = [fan.cone_by_id(cid) for cid in ids]
+    return {"boundary": [_boundary(cid, toric.chart_of_cone(cone)) for cid, cone in zip(ids, cones)]}
 
 
 def _cmd_toric_root_level(args):
-    fan = _load_fan(args)
-    chart = toric.chart_of_cone(fan.cone_by_id(args.cone))
-    level = toric.root_ladder_level(chart, _point(args, fan.dim))
+    (cone,) = _fan_cones(args, "cone")
+    level = toric.root_ladder_level(toric.chart_of_cone(cone), _vector(args.point, cone.dim, "point"))
     return {"level": level}
 
 
 def _cmd_module_eval(args):
     p = _load_presentation(args, _field(args))
-    coords = [s for s in args.at.split(",") if s.strip()]
-    grade = qvec(coords)
-    if len(grade) != p.dim:
-        raise InvalidInput(f"grade must have {p.dim} coordinates")
-    return {"dim": md.eval_at(p, grade)}
+    return {"dim": md.eval_at(p, _vector(args.at, p.dim, "grade"))}
 
 
 def _cmd_module_tensor(args):
     field = _field(args)
-    p = _load_presentation(args, field, 1)
-    q_ = _load_presentation(args, field, 2)
+    p = _load_presentation(args, field)
+    q_ = _load_presentation(args, field, "2")
     return io.presentation_to_json(md.h0_tensor(p, q_))
 
 

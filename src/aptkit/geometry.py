@@ -268,6 +268,12 @@ def _intern(dim, gens):
     return cone
 
 
+def _check_dim(dim):
+    """Refuse an ambient dimension that is not an ``int`` >= 0."""
+    if not isinstance(dim, int) or dim < 0:
+        raise InvalidInput(f"dim must be a nonnegative integer, got {dim!r}")
+
+
 class Cone:
     """Finitely generated rational convex cone, interned, with cached dual data."""
 
@@ -275,6 +281,7 @@ class Cone:
                  "_rays", "_lineality", "_facet_normals", "_span_normals")
 
     def __new__(cls, dim: int, generators):
+        _check_dim(dim)
         gens = []
         for g in generators:
             g = qvec(g)

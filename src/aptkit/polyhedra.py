@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyInput, InternalCheckFailed, InvalidInput
-from .geometry import Cone, _idot, _primitive_rows, _scaled, _with_lines, dual_cone
+from .geometry import Cone, _check_dim, _idot, _primitive_rows, _scaled, _with_lines, dual_cone
 from .rational import integral, is_zero_vec, q, qvec, zero_vec
 
 
@@ -27,6 +27,7 @@ class OpenPolyhedron:
     __slots__ = ("dim", "constraints", "is_empty", "_key", "_cone")
 
     def __init__(self, dim: int, constraints):
+        _check_dim(dim)
         rows = []
         empty = False
         for normal, offset in constraints:

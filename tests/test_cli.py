@@ -385,6 +385,12 @@ COMMANDS = [(group, command, command_parser)
             for command, command_parser in _choices(group_parser).items()]
 
 
+def _required_flags(command_parser):
+    """The required flags of a command, each set to "1"."""
+    return [word for action in command_parser._actions if action.required
+            for word in (action.option_strings[0], "1")]
+
+
 @pytest.mark.parametrize("group, command, command_parser", COMMANDS,
                          ids=[f"{group}-{command}" for group, command, _ in COMMANDS])
 def test_single_group_parser_agrees_with_the_full_parser(group, command, command_parser):
@@ -392,8 +398,7 @@ def test_single_group_parser_agrees_with_the_full_parser(group, command, command
     assert list(_choices(parser)) == list(_choices(FULL_PARSER))
     options = [action for action in command_parser._actions if action.option_strings[0] != "-h"]
     every_flag = [word for action in options for word in (action.option_strings[0], "1")]
-    required = [word for action in options if action.required for word in (action.option_strings[0], "1")]
-    for argv in ([group, command, *every_flag], [group, command, *required]):
+    for argv in ([group, command, *every_flag], [group, command, *_required_flags(command_parser)]):
         assert vars(parser.parse_args(argv)) == vars(FULL_PARSER.parse_args(argv))
 
 
@@ -468,6 +473,87 @@ def test_only_commands_that_read_a_field_take_one(monkeypatch):
     monkeypatch.setenv("APTKIT_FIELD", "f4")  # still read where a field is
     code, out = run_cli(["cutoff", "unit-check", "--catalog", "p1"])
     assert code == 1 and json.loads(out)["error"] == {"code": "bad-input", "message": "4 is not prime"}
+
+
+@pytest.mark.parametrize("group, command, command_parser", COMMANDS,
+                         ids=[f"{group}-{command}" for group, command, _ in COMMANDS])
+def test_a_missing_input_is_bad_input_naming_its_flags(group, command, command_parser, monkeypatch, capsys):
+    monkeypatch.delenv("APTKIT_FIELD", raising=False)
+    argv = [group, command, *_required_flags(command_parser)]
+    code, out = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "bad-input"
+    assert error["message"] in ("provide --input or --catalog", "provide --poly")
+    if any("--catalog2" in action.option_strings for action in command_parser._actions):
+        assert (group, command) in {("barcode", "convolve"), ("barcode", "homdim"), ("dist", "compute"),
+                                    ("dist", "verify"), ("module", "tensor")}
+        first = "interval01" if group == "module" else "basic"
+        code, out = run_cli([*argv, "--catalog", first])
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "bad-input", "message": "provide --input2 or --catalog2"}
+    assert capsys.readouterr().err == ""
+
+
+NEGATIVE_CONE = '{"dim":-1,"generators":[]}'
+NEGATIVE_FAN = '{"dim":-1,"cones":[{"id":"a","generators":[]}]}'
+NEGATIVE_POLY = '{"dim":-1,"constraints":[]}'
+NEGATIVE_PRESENTATION = '{"gamma":{"dim":-1,"generators":[]},"generators":[]}'
+NEGATIVE_DIM = {
+    "cone-dual": ["cone", "dual", "--input", NEGATIVE_CONE],
+    "cone-dual-fan": ["cone", "dual", "--input", NEGATIVE_FAN, "--cone", "a"],
+    "cone-proper": ["cone", "proper", "--input", NEGATIVE_CONE],
+    "cone-faces": ["cone", "faces", "--input", NEGATIVE_CONE],
+    "fan-validate": ["fan", "validate", "--input", NEGATIVE_FAN],
+    "fan-complete": ["fan", "complete", "--input", NEGATIVE_FAN],
+    "fan-separate": ["fan", "separate", "--input", NEGATIVE_FAN, "--cone1", "a", "--cone2", "a"],
+    "fan-support": ["fan", "support", "--input", NEGATIVE_FAN, "--point", "0"],
+    "cutoff-delta": ["cutoff", "delta", "--input", NEGATIVE_FAN, "--offsets", "{}"],
+    "cutoff-mink-poly": ["cutoff", "mink", "--catalog", "p1", "--cone", "pos", "--poly", NEGATIVE_POLY],
+    "cutoff-mink-fan": ["cutoff", "mink", "--input", NEGATIVE_FAN, "--cone", "a", "--poly", HALF],
+    "cutoff-basis-witness-poly": ["cutoff", "basis-witness", "--catalog", "quadrant", "--gamma", "q",
+                                  "--poly", NEGATIVE_POLY, "--point", "0,0"],
+    "cutoff-basis-witness-cone": ["cutoff", "basis-witness", "--input", NEGATIVE_CONE, "--poly", SQUARE,
+                                  "--point", "0,0"],
+    "cutoff-star-homology": ["cutoff", "star-homology", "--input", NEGATIVE_FAN, "--point", "0"],
+    "cutoff-unit-check": ["cutoff", "unit-check", "--input", NEGATIVE_FAN],
+    "cutoff-indicator-convolve": ["cutoff", "indicator-convolve", "--poly", NEGATIVE_POLY,
+                                  "--poly2", NEGATIVE_POLY],
+    "cutoff-indicator-convolve-empty": ["cutoff", "indicator-convolve", "--poly", HALF,
+                                        "--poly2", '{"dim":-1,"empty":true}'],
+    "toric-charts": ["toric", "charts", "--input", NEGATIVE_FAN],
+    "toric-transition": ["toric", "transition", "--input", NEGATIVE_FAN, "--cone1", "a", "--cone2", "a"],
+    "toric-cocycle": ["toric", "cocycle", "--input", NEGATIVE_FAN, "--cone1", "a", "--cone2", "a",
+                      "--cone3", "a"],
+    "toric-boundary": ["toric", "boundary", "--input", NEGATIVE_FAN],
+    "toric-root-level": ["toric", "root-level", "--input", NEGATIVE_FAN, "--cone", "a", "--point", "0"],
+    "module-eval": ["module", "eval", "--input", NEGATIVE_PRESENTATION, "--at", "0"],
+    "module-tensor": ["module", "tensor", "--catalog", "interval01", "--input2", NEGATIVE_PRESENTATION],
+    "module-barcode": ["module", "barcode", "--input", NEGATIVE_PRESENTATION],
+}
+
+
+def test_every_command_that_reads_a_dimension_is_covered():
+    reads_one = {(group, command) for group, command, _ in COMMANDS
+                 if group not in ("barcode", "dist") and (group, command) != ("module", "present")}
+    assert {tuple(argv[:2]) for argv in NEGATIVE_DIM.values()} == reads_one
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_DIM.values(), ids=NEGATIVE_DIM)
+def test_cli_negative_dimension_is_bad_input(argv, monkeypatch, capsys):
+    monkeypatch.delenv("APTKIT_FIELD", raising=False)
+    code, out = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "bad-input", "message": "dim must be a nonnegative integer, got -1"}
+    assert capsys.readouterr().err == ""
+
+
+def test_constructors_refuse_a_dimension_that_is_not_a_nonnegative_int():
+    for build in (lambda: Cone(-1, []), lambda: Cone(2.5, []), lambda: OpenPolyhedron(-1, []),
+                  lambda: OpenPolyhedron.empty(-1)):
+        with pytest.raises(InvalidInput):
+            build()
+    assert Cone(0, []).dim == OpenPolyhedron(0, []).dim == 0
 
 
 def _too_large_within_1_gib(argv):
