@@ -10,99 +10,29 @@ from .geometry import Cone, Fan, validate_fan
 from .modules import HALFLINE, PresentationND
 
 
-def _fan(dim, entries):
-    cones = [Cone(dim, gens) for _, gens in entries]
-    ids = [name for name, _ in entries]
-    return validate_fan(cones, ids)
-
-
-def _p1():
-    return _fan(1, [("0", []), ("neg", [(-1,)]), ("pos", [(1,)])])
-
-
-def _p2():
-    e1, e2, e3 = (1, 0), (0, 1), (-1, -1)
-    return _fan(
-        2,
-        [
-            ("0", []),
-            ("e1", [e1]),
-            ("e2", [e2]),
-            ("e3", [e3]),
-            ("s12", [e1, e2]),
-            ("s23", [e2, e3]),
-            ("s31", [e3, e1]),
-        ],
-    )
-
-
-def _p1xp1():
-    e1, e2 = (1, 0), (0, 1)
-    w1, w2 = (-1, 0), (0, -1)
-    return _fan(
-        2,
-        [
-            ("0", []),
-            ("e1", [e1]),
-            ("e2", [e2]),
-            ("-e1", [w1]),
-            ("-e2", [w2]),
-            ("q1", [e1, e2]),
-            ("q2", [e2, w1]),
-            ("q3", [w1, w2]),
-            ("q4", [w2, e1]),
-        ],
-    )
+def _fan(dim, rays, cones):
+    """The validated fan of, in this order, the apex "0", one cone per named
+    ray, and each named cone, spanned by the rays named in its string."""
+    entries = [("0", ()), *((name, (ray,)) for name, ray in rays.items()),
+               *((name, [rays[r] for r in names.split()]) for name, names in cones.items())]
+    return validate_fan([Cone(dim, gens) for _, gens in entries], [name for name, _ in entries])
 
 
 def _hirzebruch(a: int):
-    u1 = (-1, a)
-    u2 = (0, 1)
-    u3 = (1, 0)
-    u4 = (0, -1)
-    return _fan(
-        2,
-        [
-            ("0", []),
-            ("u1", [u1]),
-            ("u2", [u2]),
-            ("u3", [u3]),
-            ("u4", [u4]),
-            ("s12", [u1, u2]),
-            ("s23", [u2, u3]),
-            ("s34", [u3, u4]),
-            ("s41", [u4, u1]),
-        ],
-    )
-
-
-def _quadrant():
-    return _fan(2, [("0", []), ("e1", [(1, 0)]), ("e2", [(0, 1)]), ("q", [(1, 0), (0, 1)])])
-
-
-def _halffan():
-    e1, e2, w1 = (1, 0), (0, 1), (-1, 0)
-    return _fan(
-        2,
-        [
-            ("0", []),
-            ("e1", [e1]),
-            ("e2", [e2]),
-            ("-e1", [w1]),
-            ("q1", [e1, e2]),
-            ("q2", [e2, w1]),
-        ],
-    )
+    return _fan(2, {"u1": (-1, a), "u2": (0, 1), "u3": (1, 0), "u4": (0, -1)},
+                {"s12": "u1 u2", "s23": "u2 u3", "s34": "u3 u4", "s41": "u4 u1"})
 
 
 _FAN_BUILDERS = {
-    "p1": _p1,
-    "p2": _p2,
-    "p1xp1": _p1xp1,
+    "p1": lambda: _fan(1, {"neg": (-1,), "pos": (1,)}, {}),
+    "p2": lambda: _fan(2, {"e1": (1, 0), "e2": (0, 1), "e3": (-1, -1)},
+                       {"s12": "e1 e2", "s23": "e2 e3", "s31": "e3 e1"}),
+    "p1xp1": lambda: _fan(2, {"e1": (1, 0), "e2": (0, 1), "-e1": (-1, 0), "-e2": (0, -1)},
+                          {"q1": "e1 e2", "q2": "e2 -e1", "q3": "-e1 -e2", "q4": "-e2 e1"}),
     "hirzebruch-1": lambda: _hirzebruch(1),
     "hirzebruch-2": lambda: _hirzebruch(2),
-    "quadrant": _quadrant,
-    "halffan": _halffan,
+    "quadrant": lambda: _fan(2, {"e1": (1, 0), "e2": (0, 1)}, {"q": "e1 e2"}),
+    "halffan": lambda: _fan(2, {"e1": (1, 0), "e2": (0, 1), "-e1": (-1, 0)}, {"q1": "e1 e2", "q2": "e2 -e1"}),
 }
 
 COMPLETE_FANS = ("p1", "p2", "p1xp1", "hirzebruch-1", "hirzebruch-2")

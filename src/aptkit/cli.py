@@ -1,5 +1,7 @@
 """Command-line interface: JSON in, canonical JSON out.
 
+The whole command line is one table, ``_COMMANDS``: group -> command ->
+(handler, flags), which :func:`build_parser` turns into subparsers.
 Exit codes: 0 on success (including a failed validation verdict, which is
 a successful run), 1 on domain errors (structured ``{"error": ...}`` on
 stdout), 2 on usage errors (argparse).  The six commands that compute over
@@ -107,18 +109,15 @@ def _vector(text, dim, what):
 
 
 def _cmd_cone_dual(args):
-    c = _load_cone(args)
-    return io.cone_to_json(geo.dual_cone(c))
+    return io.cone_to_json(geo.dual_cone(_load_cone(args)))
 
 
 def _cmd_cone_proper(args):
-    c = _load_cone(args)
-    return {"proper": geo.is_proper(c)}
+    return {"proper": geo.is_proper(_load_cone(args))}
 
 
 def _cmd_cone_faces(args):
-    c = _load_cone(args)
-    return {"faces": [io.cone_to_json(f) for f in geo.faces_of(c)]}
+    return {"faces": [io.cone_to_json(f) for f in geo.faces_of(_load_cone(args))]}
 
 
 def _cmd_fan_validate(args):
@@ -157,8 +156,7 @@ def _cmd_barcode_shift(args):
 
 
 def _cmd_barcode_convolve(args):
-    out = bc.convolve(_load_barcode(args), _load_barcode(args, "2"))
-    return io.barcode_to_json(out)
+    return io.barcode_to_json(bc.convolve(_load_barcode(args), _load_barcode(args, "2")))
 
 
 def _cmd_barcode_almostize(args):
@@ -179,8 +177,7 @@ def _cmd_barcode_quotient_loc(args):
 
 
 def _cmd_barcode_homdim(args):
-    dim = bc.torsionfree_hom_dim(_load_barcode(args), _load_barcode(args, "2"))
-    return {"dim": dim}
+    return {"dim": bc.torsionfree_hom_dim(_load_barcode(args), _load_barcode(args, "2"))}
 
 
 def _cmd_dist_compute(args):
@@ -235,9 +232,7 @@ def _cmd_cutoff_unit_check(args):
 
 
 def _cmd_cutoff_indicator_convolve(args):
-    a = _load_polyhedron(args, "poly")
-    b = _load_polyhedron(args, "poly2")
-    poly, shift = cutoff.indicator_convolve(a, b)
+    poly, shift = cutoff.indicator_convolve(_load_polyhedron(args), _load_polyhedron(args, "poly2"))
     return {"polyhedron": io.polyhedron_to_json(poly), "shift": shift}
 
 
@@ -312,99 +307,71 @@ def _cmd_module_present(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p, *, field=False, inputs=True, second=False, poly=False, poly2=False, cert=False):
-    if field:
-        p.add_argument("--field", default=None, help="coefficient field: q or f<p> (default: APTKIT_FIELD)")
-    p.add_argument("--output", default=None, help="write JSON to file instead of stdout")
-    if inputs:
-        p.add_argument("--input", help="JSON input (inline or file path)")
-        p.add_argument("--catalog", help="catalog entry name")
-    if second:
-        p.add_argument("--input2", help="second JSON input")
-        p.add_argument("--catalog2", help="second catalog entry name")
-    if poly:
-        p.add_argument("--poly", help="open polyhedron JSON (inline or file)")
-    if poly2:
-        p.add_argument("--poly2", help="second open polyhedron JSON")
-    if cert:
-        p.add_argument("--cert", required=True, help="certificate JSON (inline or file)")
+# The help of the flags that many commands share; a flag the table writes as
+# "name!" is required, and one written "name:help" carries its own help.
+_HELP = {
+    "field": "coefficient field: q or f<p> (default: APTKIT_FIELD)",
+    "output": "write JSON to file instead of stdout",
+    "input": "JSON input (inline or file path)",
+    "catalog": "catalog entry name",
+    "input2": "second JSON input",
+    "catalog2": "second catalog entry name",
+    "poly": "open polyhedron JSON (inline or file)",
+    "poly2": "second open polyhedron JSON",
+}
+_IN = ("output", "input", "catalog")
+_IN2 = (*_IN, "input2", "catalog2")
+_FIELD = ("field", *_IN)
+_CONE_ID = "cone:cone id within a fan input"
 
-
-def _command(commands, name, handler, *required, **common):
-    """Add one command: the common flags, then ``--<flag>`` for each required name."""
-    p = commands.add_parser(name)
-    _add_common(p, **common)
-    for flag in required:
-        p.add_argument(f"--{flag}", required=True)
-    p.set_defaults(handler=handler)
-    return p
-
-
-def _cone_commands(cmds):
-    for name, fn in [("dual", _cmd_cone_dual), ("proper", _cmd_cone_proper), ("faces", _cmd_cone_faces)]:
-        _command(cmds, name, fn).add_argument("--cone", help="cone id within a fan input")
-
-
-def _fan_commands(cmds):
-    _command(cmds, "validate", _cmd_fan_validate)
-    _command(cmds, "complete", _cmd_fan_complete)
-    _command(cmds, "separate", _cmd_fan_separate, "cone1", "cone2")
-    _command(cmds, "support", _cmd_fan_support, "point")
-
-
-def _barcode_commands(cmds):
-    _command(cmds, "eval", _cmd_barcode_eval, "at")
-    _command(cmds, "shift", _cmd_barcode_shift, "by")
-    _command(cmds, "convolve", _cmd_barcode_convolve, second=True)
-    _command(cmds, "almostize", _cmd_barcode_almostize)
-    _command(cmds, "k0", _cmd_barcode_k0)
-    _command(cmds, "torsion", _cmd_barcode_torsion, "scale")
-    _command(cmds, "quotient-loc", _cmd_barcode_quotient_loc)
-    _command(cmds, "homdim", _cmd_barcode_homdim, second=True)
-
-
-def _dist_commands(cmds):
-    _command(cmds, "compute", _cmd_dist_compute, second=True)
-    _command(cmds, "verify", _cmd_dist_verify, second=True, cert=True)
-
-
-def _cutoff_commands(cmds):
-    p = _command(cmds, "delta", _cmd_cutoff_delta)
-    p.add_argument("--offsets", required=True, help="ray-id to offset map (JSON)")
-    p = _command(cmds, "mink", _cmd_cutoff_mink, poly=True)
-    p.add_argument("--cone", required=True, help="fan cone id; its dual interior is added")
-    p = _command(cmds, "basis-witness", _cmd_cutoff_basis_witness, poly=True)
-    p.add_argument("--gamma", help="cone id of gamma within the fan input")
-    p.add_argument("--point", required=True)
-    _command(cmds, "star-homology", _cmd_cutoff_star_homology, "point", field=True)
-    _command(cmds, "unit-check", _cmd_cutoff_unit_check, field=True)
-    _command(cmds, "indicator-convolve", _cmd_cutoff_indicator_convolve, inputs=False, poly=True, poly2=True)
-
-
-def _toric_commands(cmds):
-    _command(cmds, "charts", _cmd_toric_charts)
-    _command(cmds, "transition", _cmd_toric_transition, "cone1", "cone2")
-    _command(cmds, "cocycle", _cmd_toric_cocycle, "cone1", "cone2", "cone3")
-    _command(cmds, "boundary", _cmd_toric_boundary).add_argument("--cone", help="restrict to one cone id")
-    _command(cmds, "root-level", _cmd_toric_root_level, "cone", "point")
-
-
-def _module_commands(cmds):
-    p = _command(cmds, "eval", _cmd_module_eval, field=True)
-    p.add_argument("--at", required=True, help="comma-separated grade vector")
-    _command(cmds, "tensor", _cmd_module_tensor, second=True, field=True)
-    _command(cmds, "barcode", _cmd_module_barcode, field=True)
-    _command(cmds, "present", _cmd_module_present, field=True)
-
-
-_GROUPS = {
-    "cone": _cone_commands,
-    "fan": _fan_commands,
-    "barcode": _barcode_commands,
-    "dist": _dist_commands,
-    "cutoff": _cutoff_commands,
-    "toric": _toric_commands,
-    "module": _module_commands,
+_COMMANDS = {
+    "cone": {
+        "dual": (_cmd_cone_dual, (*_IN, _CONE_ID)),
+        "proper": (_cmd_cone_proper, (*_IN, _CONE_ID)),
+        "faces": (_cmd_cone_faces, (*_IN, _CONE_ID)),
+    },
+    "fan": {
+        "validate": (_cmd_fan_validate, _IN),
+        "complete": (_cmd_fan_complete, _IN),
+        "separate": (_cmd_fan_separate, (*_IN, "cone1!", "cone2!")),
+        "support": (_cmd_fan_support, (*_IN, "point!")),
+    },
+    "barcode": {
+        "eval": (_cmd_barcode_eval, (*_IN, "at!")),
+        "shift": (_cmd_barcode_shift, (*_IN, "by!")),
+        "convolve": (_cmd_barcode_convolve, _IN2),
+        "almostize": (_cmd_barcode_almostize, _IN),
+        "k0": (_cmd_barcode_k0, _IN),
+        "torsion": (_cmd_barcode_torsion, (*_IN, "scale!")),
+        "quotient-loc": (_cmd_barcode_quotient_loc, _IN),
+        "homdim": (_cmd_barcode_homdim, _IN2),
+    },
+    "dist": {
+        "compute": (_cmd_dist_compute, _IN2),
+        "verify": (_cmd_dist_verify, (*_IN2, "cert!:certificate JSON (inline or file)")),
+    },
+    "cutoff": {
+        "delta": (_cmd_cutoff_delta, (*_IN, "offsets!:ray-id to offset map (JSON)")),
+        "mink": (_cmd_cutoff_mink, (*_IN, "poly", "cone!:fan cone id; its dual interior is added")),
+        "basis-witness": (_cmd_cutoff_basis_witness,
+                          (*_IN, "poly", "gamma:cone id of gamma within the fan input", "point!")),
+        "star-homology": (_cmd_cutoff_star_homology, (*_FIELD, "point!")),
+        "unit-check": (_cmd_cutoff_unit_check, _FIELD),
+        "indicator-convolve": (_cmd_cutoff_indicator_convolve, ("output", "poly", "poly2")),
+    },
+    "toric": {
+        "charts": (_cmd_toric_charts, _IN),
+        "transition": (_cmd_toric_transition, (*_IN, "cone1!", "cone2!")),
+        "cocycle": (_cmd_toric_cocycle, (*_IN, "cone1!", "cone2!", "cone3!")),
+        "boundary": (_cmd_toric_boundary, (*_IN, "cone:restrict to one cone id")),
+        "root-level": (_cmd_toric_root_level, (*_IN, "cone!", "point!")),
+    },
+    "module": {
+        "eval": (_cmd_module_eval, (*_FIELD, "at!:comma-separated grade vector")),
+        "tensor": (_cmd_module_tensor, (*_FIELD, "input2", "catalog2")),
+        "barcode": (_cmd_module_barcode, _FIELD),
+        "present": (_cmd_module_present, _FIELD),
+    },
 }
 
 
@@ -416,17 +383,24 @@ def build_parser(group=None) -> argparse.ArgumentParser:
         description="Exact barcode / Novikov-module / fan toolkit",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for name, add_commands in _GROUPS.items():
+    for name, table in _COMMANDS.items():
         commands = groups.add_parser(name)
-        if group in (None, name):
-            add_commands(commands.add_subparsers(dest="command", required=True))
+        if group not in (None, name):
+            continue
+        commands = commands.add_subparsers(dest="command", required=True)
+        for command, (handler, flags) in table.items():
+            p = commands.add_parser(command)
+            for flag in flags:
+                key, _, text = flag.partition(":")
+                p.add_argument("--" + key.rstrip("!"), required=key[-1] == "!", help=text or _HELP.get(key))
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a first token that names no group (--help, a typo) gets the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in _GROUPS else None)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         text = io.dumps(args.handler(args))

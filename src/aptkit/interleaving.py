@@ -89,15 +89,15 @@ def _cover(roots, allowed, match, back, light):
 
 def _cost_table(bars_x, bars_y):
     """((pair costs, one list per X-bar; kill costs of the X- and of the
-    Y-bars), ends, scale) in ints: ``ends`` is the int form of the X- then
-    the Y-bars over m, and each finite cost is its value times the scale
-    2m, so that a kill cost, half a length, is an int too."""
+    Y-bars), scale) in ints: each finite cost, read off the int form of the
+    X- then the Y-bars over m, is its value times the scale 2m, so that a
+    kill cost, half a length, is an int too."""
     ends, _, m = _int_ends(bars_x + bars_y)
     n = len(bars_x)
     kill = [INF if right == INF else right - left for left, right in ends]
     pair = [[2 * max(abs(lx - ly), abs(rx - ry)) if rx != INF != ry else 2 * abs(lx - ly) if rx == ry else INF
              for ly, ry in ends[n:]] for lx, rx in ends[:n]]
-    return (pair, kill[:n], kill[n:]), ends, 2 * m
+    return (pair, kill[:n], kill[n:]), 2 * m
 
 
 def _feasible(costs, eps):
@@ -146,12 +146,12 @@ def distance_with_certificate(x: Barcode, y: Barcode):
     lines_y, bars_y = _expand(y)
     if lines_x != lines_y:
         return INF, None
-    costs, ends, scale = _cost_table(bars_x, bars_y)
+    costs, scale = _cost_table(bars_x, bars_y)
     eps, matching = _search(costs)
     if matching is None:
         return INF, None
     d = Fraction(eps, scale)
-    return d, _certificate(d, eps, matching, ends, len(bars_x), lines_x)
+    return d, _certificate(d, matching, len(bars_y), lines_x)
 
 
 def interleaving_distance(x: Barcode, y: Barcode):
@@ -186,22 +186,18 @@ class InterleavingCertificate(Record):
         set_field(self, "backward", backward)
 
 
-def _certificate(value, eps, matching, ends, n_x, lines):
+def _certificate(value, matching, n_y, lines):
     """The certificate at (value, value) of a matching of :func:`_feasible`
-    at eps, the floor of value on the cost scale.  A matched pair [lx, rx),
-    [ly, ry) whose maps vanish, 2 (ry - lx) <= eps or 2 (rx - ly) <= eps, is
-    killed instead (both bars are 2*value-torsion); lines pair up in order."""
-    n_y = len(ends) - n_x
-    forward, backward = [], [None] * (n_y + lines)
-    for i, (lx, rx) in enumerate(ends[:n_x]):
-        j = matching[i]
+    at eps, the floor of value on the cost scale; lines pair up in order.
+    :func:`_cover` augments only from and through heavy bars, so each matched
+    pair [lx, rx), [ly, ry) has a side of kill cost > eps; at pair cost <= eps
+    that gives 2 (ry - lx) > eps and 2 (rx - ly) > eps, and the pair's maps
+    do not vanish."""
+    n_x = len(matching)
+    forward, backward = [matching[i] for i in range(n_x)], [None] * (n_y + lines)
+    for i, j in enumerate(forward):
         if j is not None:
-            ly, ry = ends[n_x + j]
-            if rx != INF and 2 * min(ry - lx, rx - ly) <= eps:
-                j = None
-            else:
-                backward[j] = i
-        forward.append(j)
+            backward[j] = i
     forward += range(n_y, n_y + lines)
     backward[n_y:] = range(n_x, n_x + lines)
     return InterleavingCertificate(value, value, tuple(forward), tuple(backward))
@@ -222,7 +218,7 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
     value = q(value)
     if value < 0:
         raise InvalidInput("an interleaving value must be nonnegative")
-    costs, ends, scale = _cost_table(bars_x, bars_y)
+    costs, scale = _cost_table(bars_x, bars_y)
     # the costs are ints: c <= value * scale iff c <= its floor
     eps = value.numerator * scale // value.denominator
     matching = _feasible(costs, eps)
@@ -233,7 +229,7 @@ def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertifica
         if kill_x.count(INF) != kill_y.count(INF) or eps < _search(costs)[0] < INF:
             raise InvalidInput("no interleaving at this value: it is below the distance")
         raise InternalCheckFailed("no matching at the distance", check="certificate-matching")
-    return _certificate(value, eps, matching, ends, len(bars_x), lines_x)
+    return _certificate(value, matching, len(bars_y), lines_x)
 
 
 def verify_interleaving(x: Barcode, y: Barcode, cert: InterleavingCertificate) -> bool:

@@ -53,7 +53,13 @@ HALFLINE = Cone(1, [(1,)])
 
 # Unit bars one barcode may present, one generator each: far above the
 # desk-scale barcodes, and far below the multiplicities an input may write.
+# It is counted before any list is built, so 10^9 bars are refused at once.
 _PRESENTED_BARS = 65536
+# Entries, generators times relations, of the dense ``relations`` view.  Its
+# one writer, the JSON output, takes about 84 bytes an entry on 64-bit
+# CPython: a Rees presentation of 3 000 bars (9 * 10^6 entries) is written in
+# under 800 MB, and one at the cap within 1 GiB.
+_DENSE_ENTRIES = 10**7
 
 
 class PresentationND:
@@ -134,7 +140,12 @@ class PresentationND:
 
     @property
     def relations(self):
-        """The dense ``(degree, coeffs)`` rows, built from ``rows``."""
+        """The dense ``(degree, coeffs)`` rows, built from ``rows``; past
+        _DENSE_ENTRIES entries ComputationTooLarge, before any row is built."""
+        entries = len(self.generators) * len(self.rows)
+        if entries > _DENSE_ENTRIES:
+            raise ComputationTooLarge("a presentation has too many entries to write densely",
+                                      entries=entries, cap=_DENSE_ENTRIES)
         zero = Fraction(0)
         dense = []
         for degree, support, values in self.rows:

@@ -6,6 +6,8 @@ import io as std_io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -20,8 +22,10 @@ from aptkit.cli import build_parser, main
 from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone
 from aptkit.interleaving import InterleavingCertificate
-from aptkit.modules import HALFLINE, PresentationND
+from aptkit.modules import HALFLINE, PresentationND, presentation_of_barcode
 from aptkit.polyhedra import OpenPolyhedron
+
+from generators import ladder_barcode
 
 
 def run_cli(argv):
@@ -402,6 +406,27 @@ def test_single_group_parser_agrees_with_the_full_parser(group, command, command
         assert vars(parser.parse_args(argv)) == vars(FULL_PARSER.parse_args(argv))
 
 
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"),
+          encoding="utf-8") as _readme:
+    COMMAND_LINE = _readme.read().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+README_EXAMPLES = [shlex.split(line) for line in COMMAND_LINE.split("```sh\n", 1)[1].split("```", 1)[0].splitlines()]
+
+
+def test_readme_subcommand_map_is_the_command_table():
+    listed = re.findall(r"^- `(\S+) (\S+)`$", COMMAND_LINE, re.MULTILINE)
+    assert [(group, commands.split("|")) for group, commands in listed] == [
+        (group, list(commands)) for group, commands in cli._COMMANDS.items()]
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=[" ".join(argv[1:3]) for argv in README_EXAMPLES])
+def test_readme_command_line_examples_run(argv, monkeypatch, capsys):
+    monkeypatch.delenv("APTKIT_FIELD", raising=False)
+    assert argv[0] == "aptkit"
+    code, out = run_cli(argv[1:])
+    assert code == 0 and "error" not in json.loads(out), out
+    assert capsys.readouterr().err == ""
+
+
 def _usage(argv):
     out, err = std_io.StringIO(), std_io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
@@ -492,6 +517,32 @@ def test_a_missing_input_is_bad_input_naming_its_flags(group, command, command_p
         code, out = run_cli([*argv, "--catalog", first])
         assert code == 1
         assert json.loads(out)["error"] == {"code": "bad-input", "message": "provide --input2 or --catalog2"}
+    if group == "cone":  # a catalog fan names no cone by itself
+        code, out = run_cli([*argv, "--catalog", "p1"])
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "bad-input", "message": "--cone is required with --catalog"}
+    assert capsys.readouterr().err == ""
+
+
+P2_JSON = io.dumps(io.fan_to_json(catalog.fan("p2")))
+INPUT_ERRORS = {
+    "malformed-json": (["barcode", "k0", "--input", '{"bars": [}'], "malformed JSON input: Expecting value"),
+    "fan-input-without-cone": (["cone", "faces", "--input", P2_JSON], "--cone is required with a fan input"),
+    "catalog-without-gamma": (["cutoff", "basis-witness", "--catalog", "p2", "--poly", SQUARE, "--point", "0,0"],
+                              "--gamma is required with --catalog"),
+    "short-point": (["fan", "support", "--catalog", "p2", "--point", "1"], "point must have 2 coordinates"),
+    "long-point": (["toric", "root-level", "--catalog", "p1", "--cone", "pos", "--point", "1,2"],
+                   "point must have 1 coordinates"),
+    "long-at": (["module", "eval", "--catalog", "interval01", "--at", "1,2"], "grade must have 1 coordinates"),
+}
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+def test_cli_input_errors_name_the_input(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "bad-input" and error["message"].startswith(message), error
     assert capsys.readouterr().err == ""
 
 
@@ -558,8 +609,8 @@ def test_constructors_refuse_a_dimension_that_is_not_a_nonnegative_int():
 
 def _too_large_within_1_gib(argv):
     """Run the CLI in a child limited to 1 GiB of address space, where a list
-    of 10^8 bars would end in a MemoryError: it must answer too-large within
-    a second, with no traceback."""
+    of 10^8 bars, or a dense presentation of 10^8 entries, would end in a
+    MemoryError: it must answer too-large within a second, with no traceback."""
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from aptkit.cli import main\n"
@@ -582,6 +633,25 @@ def test_cli_dist_compute_on_a_huge_multiplicity_is_too_large():
 
 def test_cli_module_present_on_a_huge_multiplicity_is_too_large():
     _too_large_within_1_gib(["module", "present", "--input", HUGE_MULTIPLICITY])
+
+
+def test_cli_module_present_of_a_long_ladder_is_too_large(tmp_path):
+    # 6000 generators and 6000 relations: 3.6 * 10^7 dense entries
+    path = tmp_path / "ladder.json"
+    path.write_text(io.dumps(io.barcode_to_json(ladder_barcode(random.Random(6000), 6000))))
+    _too_large_within_1_gib(["module", "present", "--input", str(path)])
+
+
+def test_cli_module_tensor_of_two_ladders_is_too_large(tmp_path):
+    # the Rees presentations of two 100-bar ladders: 10^4 generators and
+    # 2 * 10^4 relations, 2 * 10^8 dense entries
+    argv = ["module", "tensor"]
+    for flag, seed in (("--input", 100), ("--input2", 101)):
+        path = tmp_path / f"rees{seed}.json"
+        path.write_text(io.dumps(io.presentation_to_json(presentation_of_barcode(
+            ladder_barcode(random.Random(seed), 100)))))
+        argv += [flag, str(path)]
+    _too_large_within_1_gib(argv)
 
 
 HUGE_GRADES = [

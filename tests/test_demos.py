@@ -18,12 +18,16 @@ def test_every_demo_has_expected_output():
     assert sorted(f[:-4] for f in os.listdir(os.path.join(DEMOS, "expected"))) == NAMES
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_demo_output_is_unchanged(name):
+# each demo as it is and under -O, whose stripped asserts must not change a byte
+RUNS = [(name, flags) for name in NAMES for flags in ((), ("-O",))]
+
+
+@pytest.mark.parametrize("name, flags", RUNS, ids=[name + "".join(flags) for name, flags in RUNS])
+def test_demo_output_is_unchanged(name, flags):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, f"{name}.py")], capture_output=True, text=True, env=env
+        [sys.executable, *flags, os.path.join(DEMOS, f"{name}.py")], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
     with open(os.path.join(DEMOS, "expected", f"{name}.txt"), encoding="utf-8") as fh:

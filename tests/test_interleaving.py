@@ -361,13 +361,16 @@ def test_matching_equals_recursive_kuhn_on_seeded_graphs():
 
 def _check_matching(matching, costs, eps):
     """A matching of :func:`_feasible` read directly: each pair within eps,
-    no Y-bar used twice, and every bar left out killable within eps."""
+    no Y-bar used twice, and every bar left out killable within eps.  Each
+    pair has a heavy side (kill cost > eps), as augmenting paths start at and
+    pass through heavy bars only: so no pair of a certificate is a kill."""
     pair, kill_x, kill_y = costs
     assert sorted(matching) == list(range(len(kill_x)))
     used = [j for j in matching.values() if j is not None]
     assert len(used) == len(set(used))
     assert all(kill_x[i] <= eps if j is None else pair[i][j] <= eps for i, j in matching.items())
     assert all(kill_y[j] <= eps for j in set(range(len(kill_y))) - set(used))
+    assert all(kill_x[i] > eps or kill_y[j] > eps for i, j in matching.items() if j is not None)
 
 
 def _candidates(costs):
@@ -383,7 +386,7 @@ def test_feasibility_equals_the_square_graph():
         x, y = (random_barcode(rng, rng.choice(grids), rng.randint(0, 20), ray_chance=0.1) for _ in range(2))
         if rng.random() < 0.2:
             x, y = Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE])
-        costs, _, _ = _cost_table(_expand(x)[1], _expand(y)[1])
+        costs, _ = _cost_table(_expand(x)[1], _expand(y)[1])
         for eps in _candidates(costs):
             got = _feasible(costs, eps)
             assert (got is None) == (feasible_by_square_graph(costs, eps) is None), (x, y, eps)
@@ -411,7 +414,7 @@ def test_distance_is_a_binary_search(monkeypatch):
         x, y = (random_barcode(rng, quarters, 12, ray_chance=0) for _ in range(2))
         calls.clear()
         d = interleaving_distance(x, y)
-        costs, _, scale = _cost_table(_expand(x)[1], _expand(y)[1])
+        costs, scale = _cost_table(_expand(x)[1], _expand(y)[1])
         candidates = _candidates(costs)
         bound = ceil(log2(len(candidates))) + 2
         assert len(calls) <= bound, (len(calls), len(candidates))

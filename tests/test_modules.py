@@ -164,6 +164,16 @@ def test_presentation_counts_its_unit_bars_before_building(monkeypatch):
         presentation_of_barcode(Barcode([bar(0, 1, multiplicity=2), bar(1, "inf", multiplicity=2)]))
 
 
+def test_dense_relations_are_counted_before_building(monkeypatch):
+    p = presentation_of_barcode(Barcode([bar(0, 1, multiplicity=3), bar(1, "inf")]))  # 4 gens x 3 rels
+    monkeypatch.setattr(modules, "_DENSE_ENTRIES", 12)
+    assert len(p.relations) == 3
+    monkeypatch.setattr(modules, "_DENSE_ENTRIES", 11)
+    with pytest.raises(ComputationTooLarge) as caught:
+        p.relations
+    assert caught.value.as_report()["details"] == {"entries": 12, "cap": 11}
+
+
 def test_rees_round_trip_random():
     for field in (None, PrimeField(2), PrimeField(3)):
         rng = random.Random(12)
