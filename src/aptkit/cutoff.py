@@ -36,8 +36,8 @@ from .errors import (
 )
 from .geometry import Cone, Fan, _idot, _memo, dual_cone, faces_of
 from .linalg import _int_det, echelon, rank
-from .polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
-from .rational import INF, dot, integral, l1norm, q, qvec, vadd, vneg, vscale, vsub, zero_vec
+from .polyhedra import OpenPolyhedron, _homogenisation, _polyhedron, minkowski_sum, minkowski_with_relint_cone
+from .rational import INF, integral, l1norm, q, qvec, vadd, vneg, vscale, vsub, zero_vec
 
 
 def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
@@ -58,9 +58,11 @@ def is_theta_dual_open(u: OpenPolyhedron, theta: Cone) -> bool:
 def gamma_basis_witness(u: OpenPolyhedron, x, gamma: Cone):
     """A shift a with x in int(gamma) - a, a subset of u; verified exactly.
 
-    Construction: an exact rational radius bound r with the l1-norm of the
-    constraint normals, an interior point of gamma scaled below r, and
-    a = d - x.  Raises PointNotInSet / NotGammaOpen / EmptyInterior.
+    Construction: an exact rational radius r, the least
+    (<n, x_int> + m*d) / (m*|n|_1) over u's int rows (n, d), with
+    x = x_int/m, which is x's l-infinity distance to u's boundary; an
+    interior point p of gamma scaled to l1-norm r/2; and a = p - x.
+    Raises PointNotInSet / NotGammaOpen / EmptyInterior.
     """
     x = qvec(x)
     if len(x) != u.dim or gamma.dim != u.dim:
@@ -71,7 +73,9 @@ def gamma_basis_witness(u: OpenPolyhedron, x, gamma: Cone):
         raise PointNotInSet("witness point is not in the set")
     if not is_gamma_open(u, gamma):
         raise NotGammaOpen("the set is not gamma-open")
-    radius = min(((dot(n, x) + d) / l1norm(n) for n, d in u.constraints), default=Fraction(1))
+    x_int, m = integral(x)
+    radius = min((Fraction(_idot(f[:-1], x_int) + m * f[-1], m * sum(map(abs, f[:-1]))) for f in u._key[1]),
+                 default=Fraction(1))
     interior = gamma.interior_point()  # zero when gamma is the whole space
     a = vsub(vscale(radius / (2 * l1norm(interior)) if any(interior) else 0, interior), x)
     # exact verification of both memberships
@@ -86,20 +90,22 @@ def delta_polytope(theta: Fan, offsets) -> OpenPolyhedron:
 
     ``offsets`` maps ray ids to rationals or +inf (missing entries count
     as +inf, meaning the constraint is omitted); primitive ray generators
-    are the constraint normals.
+    are the constraint normals.  Each finite offset d on the int ray n gives
+    the primitive int row (d.denominator * n, d.numerator) of the
+    homogenisation, with no ``Fraction`` built.
     """
-    constraints = []
     known = dict(offsets)
-    ray_ids = {rid for rid, _ in theta.rays()}
+    rays = {rid: c._key[1][0] for rid, c in theta._ray_cones()}
     for key in known:
-        if key not in ray_ids:
+        if key not in rays:
             raise InvalidInput(f"offset given for unknown ray {key!r}")
-    for rid, generator in theta.rays():
+    rows = []
+    for rid, ray in rays.items():
         d = known.get(rid, INF)
-        if d == INF:
-            continue
-        constraints.append((generator, q(d)))
-    return OpenPolyhedron(theta.dim, constraints)
+        if d != INF:
+            d = q(d)
+            rows.append(tuple(d.denominator * c for c in ray) + (d.numerator,))
+    return _polyhedron(theta.dim, _homogenisation(theta.dim, rows))
 
 
 def restrict_offsets(theta: Fan, offsets, cone: Cone):

@@ -232,16 +232,17 @@ def _generated_vrep(gens, masks, hrep, dim):
     return tuple(sorted(v for v, m in pairs if sum(n & m == m for _, n in pairs) == 1)), lin
 
 
-def _view(slot, rows):
-    """A public ``Fraction`` view of one of a cone's ``int`` row tuples,
-    built on its first read and then kept in ``slot``."""
+def _view(slot, build):
+    """A public ``Fraction`` view of an object's ``int`` rows, such as a
+    cone's rays or a polyhedron's constraints: ``build(obj)``, called on its
+    first read and then kept in ``slot``."""
 
-    def read(cone):
+    def read(obj):
         try:
-            return getattr(cone, slot)
+            return getattr(obj, slot)
         except AttributeError:
-            value = _fractions(rows(cone))
-            setattr(cone, slot, value)
+            value = build(obj)
+            setattr(obj, slot, value)
             return value
 
     return property(read)
@@ -340,10 +341,10 @@ class Cone:
     def __reduce__(self):
         return Cone._canonical, self._key
 
-    rays = _view("_rays", lambda c: c._key[1])
-    lineality = _view("_lineality", lambda c: c._key[2])
-    facet_normals = _view("_facet_normals", lambda c: c._hrep[0])
-    span_normals = _view("_span_normals", lambda c: c._hrep[1])
+    rays = _view("_rays", lambda c: _fractions(c._key[1]))
+    lineality = _view("_lineality", lambda c: _fractions(c._key[2]))
+    facet_normals = _view("_facet_normals", lambda c: _fractions(c._hrep[0]))
+    span_normals = _view("_span_normals", lambda c: _fractions(c._hrep[1]))
 
     @classmethod
     def from_halfspaces(cls, dim: int, normals) -> "Cone":
@@ -512,7 +513,11 @@ class Fan:
 
     def rays(self):
         """The 1-dimensional cones, as (id, primitive generator), in fan order."""
-        return [(cid, c.rays[0]) for cid, c in zip(self.ids, self.cones) if c.cone_dim == 1 and not c._key[2]]
+        return [(cid, c.rays[0]) for cid, c in self._ray_cones()]
+
+    def _ray_cones(self):
+        """The 1-dimensional cones, as (id, cone), in fan order."""
+        return ((cid, c) for cid, c in zip(self.ids, self.cones) if c.cone_dim == 1 and not c._key[2])
 
     def maximal_indices(self):
         below = {i for (i, j) in self.face_rel if i != j}

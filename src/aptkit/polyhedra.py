@@ -11,7 +11,9 @@ Polyhedra build and test on C's primitive ``int`` rows: each constraint
 becomes one int row (normal, offset) with a single ``integral``, C is built
 from such rows by ``Cone._from_rows``, a Minkowski sum joins the operands'
 int rays, and membership, inclusion, translation and infima read C's int
-H- and V-rows.  Only the public ``constraints`` are ``Fraction`` tuples.
+H- and V-rows.  The public ``constraints``, ``Fraction`` tuples, are a
+view of the int rows built on first read and then kept, as a cone's
+``rays`` are: a polyhedron that nobody prints builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyInput, InternalCheckFailed, InvalidInput
-from .geometry import Cone, _check_dim, _idot, _primitive_rows, _scaled, _with_lines, dual_cone
+from .geometry import Cone, _check_dim, _idot, _primitive_rows, _scaled, _view, _with_lines, dual_cone
 from .rational import integral, is_zero_vec, q, qvec, zero_vec
 
 
 class OpenPolyhedron:
-    __slots__ = ("dim", "constraints", "is_empty", "_key", "_cone")
+    __slots__ = ("dim", "is_empty", "_key", "_cone", "_constraints")
 
     def __init__(self, dim: int, constraints):
         _check_dim(dim)
@@ -44,17 +46,14 @@ class OpenPolyhedron:
 
     def _fill(self, dim, cone):
         """Set the canonical data from C: its facet rows other than t >= 0,
-        as ints in ``_key`` and as ``Fraction`` pairs in ``constraints``."""
+        as ints in ``_key``; ``constraints`` reads them on first use."""
         self.dim = dim
         self.is_empty = cone is None or not cone.is_full_dim()
         self._cone = None if self.is_empty else cone
-        if self.is_empty:
-            rows = "empty"
-            self.constraints = ((zero_vec(dim), Fraction(-1)),)
-        else:
-            rows = tuple(f for f in cone._hrep[0] if any(f[:-1]))
-            self.constraints = tuple((tuple(map(Fraction, f[:-1])), Fraction(f[-1])) for f in rows)
-        self._key = (dim, rows)
+        self._key = (dim, "empty" if self.is_empty else tuple(f for f in cone._hrep[0] if any(f[:-1])))
+
+    constraints = _view("_constraints", lambda p: ((zero_vec(p.dim), Fraction(-1)),) if p.is_empty
+                        else tuple((tuple(map(Fraction, f[:-1])), Fraction(f[-1])) for f in p._key[1]))
 
     @classmethod
     def whole_space(cls, dim: int) -> "OpenPolyhedron":
@@ -62,7 +61,8 @@ class OpenPolyhedron:
 
     @classmethod
     def empty(cls, dim: int) -> "OpenPolyhedron":
-        return cls(dim, [(zero_vec(dim), Fraction(-1))])
+        _check_dim(dim)
+        return _polyhedron(dim, None)
 
     @classmethod
     def cone_interior(cls, cone: Cone) -> "OpenPolyhedron":
@@ -128,7 +128,7 @@ class OpenPolyhedron:
     def __repr__(self):
         if self.is_empty:
             return f"OpenPolyhedron(dim={self.dim}, empty)"
-        return f"OpenPolyhedron(dim={self.dim}, constraints={len(self.constraints)})"
+        return f"OpenPolyhedron(dim={self.dim}, constraints={len(self._key[1])})"
 
 
 def _homogenisation(dim, rows):

@@ -29,8 +29,11 @@ elimination for barcodes over Q and F_p, closing by counted-down
 propagation for the relations that clearing skips, a dense scan with one
 ``Cone.contains`` per nonzero coefficient for the stored rows of a
 presentation, the order-complex derived limit for stalk ranks, point
-sampling for Minkowski sums, and frozen dataclass twins of the library's
-records for their equality, hashing, repr and validation.
+sampling for Minkowski sums, the former eager ``Fraction`` tuple for a
+polyhedron's constraints, the public constructor over ``Fan.rays()`` for
+fan open sets, the ``Fraction`` radius for gamma basis witnesses, a product
+of denominators per row for primitive rows, and frozen dataclass twins of
+the library's records for their equality, hashing, repr and validation.
 Expected values in the tests were produced (or are recomputed live) by
 these, never by the code under test.
 """
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 
 from aptkit import fm
 from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
@@ -957,6 +961,58 @@ def perturbed_point(poly: OpenPolyhedron, rng):
         if poly.contains(candidate):
             return candidate
     return base
+
+
+def eager_constraints(poly: OpenPolyhedron):
+    """The ``constraints`` tuple as it was built eagerly with every
+    polyhedron: the homogenisation's facet rows other than t >= 0, read off
+    its H-data, as ``Fraction`` (normal, offset) pairs; the empty set as
+    the one pair (0, -1)."""
+    if poly.is_empty:
+        return ((zero_vec(poly.dim), Fraction(-1)),)
+    rows = [f for f in poly._cone._hrep[0] if any(f[:-1])]
+    return tuple((tuple(map(Fraction, f[:-1])), Fraction(f[-1])) for f in rows)
+
+
+def delta_polytope_by_constructor(theta: Fan, offsets) -> OpenPolyhedron:
+    """The fan open set through the public constructor: one (ray, offset)
+    constraint per ray of ``Fan.rays()`` with a finite offset."""
+    known = dict(offsets)
+    ray_ids = {rid for rid, _ in theta.rays()}
+    for key in known:
+        if key not in ray_ids:
+            raise InvalidInput(f"offset given for unknown ray {key!r}")
+    return OpenPolyhedron(theta.dim, [(g, q(known[rid])) for rid, g in theta.rays() if known.get(rid, INF) != INF])
+
+
+def gamma_basis_witness_by_fraction_radius(u: OpenPolyhedron, x, gamma: Cone):
+    """The shift a of a gamma basis witness, with the radius read off the
+    public ``Fraction`` constraints: min (<n, x> + d) / |n|_1, 1 with no
+    constraint; then an interior point of gamma scaled to l1-norm r/2,
+    minus x.  No membership or openness check."""
+    x = qvec(x)
+    radius = min(((dot(n, x) + d) / sum(map(abs, n)) for n, d in u.constraints), default=Fraction(1))
+    interior = gamma.interior_point()
+    scale = radius / (2 * sum(map(abs, interior))) if any(interior) else 0
+    return vsub(vscale(scale, interior), x)
+
+
+def primitive_rows_by_product(constraints):
+    """Each constraint (normal, offset) scaled to a primitive integer row:
+    times the product of its entries' denominators, then divided by the gcd
+    of the entries.  Zero normals are dropped."""
+    rows = []
+    for normal, offset in constraints:
+        v = (*qvec(normal), q(offset))
+        if not any(v[:-1]):
+            continue
+        scale = 1
+        for c in v:
+            scale *= c.denominator
+        ints = [int(c * scale) for c in v]
+        g = gcd(*ints)
+        rows.append(tuple(c // g for c in ints))
+    return rows
 
 
 # ------------------------------------------------------- dataclass twins

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from aptkit import catalog, cutoff, geometry
+from aptkit import catalog, cutoff, geometry, polyhedra
 from aptkit.cutoff import (
     tighten_offsets,
     convolution_unit_check,
@@ -21,17 +21,20 @@ from aptkit.cutoff import (
     star_stalk_homology,
     stratum_points,
 )
-from aptkit.errors import AptError, EmptyInterior, IncompleteFan, NotGammaOpen, PointNotInSet
+from aptkit.errors import AptError, EmptyInterior, IncompleteFan, InvalidInput, NotGammaOpen, PointNotInSet
 from aptkit.geometry import Cone, dual_cone, validate_fan
 from aptkit.linalg import PrimeField
 from aptkit.polyhedra import OpenPolyhedron
-from aptkit.rational import INF, integral, vneg
+from aptkit.rational import INF, integral, vneg, vscale
 
 from generators import complete_plane_fan, stellar_fan
 from oracles import (
     check_minkowski_by_sampling,
+    delta_polytope_by_constructor,
     dense_rank,
+    eager_constraints,
     fm_infimum,
+    gamma_basis_witness_by_fraction_radius,
     order_complex_stalk_ranks,
     perturbed_point,
     unit_check_by_point_scan,
@@ -118,6 +121,83 @@ def test_gamma_basis_witness_random_instances():
         assert shifted.contains(x)
         assert shifted.is_subset_of(u)
         count += 1
+
+
+def test_gamma_basis_witness_against_the_fraction_radius():
+    """The radius read off the int rows gives the shift of the Fraction
+    formula, on the random instances above and on constraints with mixed and
+    600-digit denominators; the witness builds no constraints view."""
+    rng = random.Random(31)
+    gammas = [
+        Cone(1, [(1,)]),
+        Cone(2, [(1, 0), (0, 1)]),
+        Cone(2, [(2, 1), (-1, 3)]),
+        Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        Cone(3, [(1, 0, 0), (1, 2, 0), (1, 0, 3)]),
+    ]
+    cases = []
+    for _ in range(60):
+        gamma = gammas[rng.randrange(len(gammas))]
+        u = gamma_open_instance(rng, gamma)
+        cases.append((u, perturbed_point(u, rng), gamma))
+    for gamma in gammas:
+        for _ in range(4):
+            cons = [(vscale(Fraction(rng.randint(1, 9), rng.randint(1, 7)), n),
+                     Fraction(rng.randint(1, 10 ** 6), rng.randrange(10 ** 599, 10 ** 600)))
+                    for n in dual_cone(gamma).generators]
+            u = OpenPolyhedron(gamma.dim, cons)
+            cases.append((u, perturbed_point(u, rng), gamma))
+    assert max(c.denominator for u, _, _ in cases for c in u.sample_point()) > 10 ** 599
+    for u, x, gamma in cases:
+        a = gamma_basis_witness(u, x, gamma)
+        assert not hasattr(u, "_constraints")
+        assert a == gamma_basis_witness_by_fraction_radius(u, x, gamma), (u, x)
+
+
+def _offset_cases(fan, rng):
+    """Integer, negative, mixed-denominator (some written as strings), some
+    infinite, all infinite and no offsets."""
+    ids = [rid for rid, _ in fan.rays()]
+    yield {rid: rng.randint(-3, 5) for rid in ids}
+    yield {rid: Fraction(rng.randint(-6, 9), rng.randint(1, 7)) for rid in ids}
+    yield {rid: f"{rng.randint(1, 9)}/{rng.randint(1, 5)}" for rid in ids}
+    yield {rid: rng.choice((INF, Fraction(rng.randint(-2, 9), rng.randint(1, 4)))) for rid in ids}
+    yield {rid: INF for rid in ids}
+    yield {}
+
+
+def test_delta_polytope_against_the_constructor_path(monkeypatch):
+    """Delta(d) and its sum with a dual cone build no ``Fraction`` in the
+    polyhedra module and equal the constructor's set, errors included."""
+    rng = random.Random(36)
+    fans = [catalog.fan(name) for name in catalog.fan_names()]
+    fans += [complete_plane_fan(rng, rng.randint(0, 5)) for _ in range(10)]
+    kinds = dict.fromkeys(("empty", "whole", "other"), 0)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for fan in fans:
+        for offsets in _offset_cases(fan, rng):
+            with monkeypatch.context() as patched:
+                patched.setattr(polyhedra, "Fraction", refuse)
+                got = delta_polytope(fan, offsets)
+                summed = None if got.is_empty else minkowski_with_cone(got, dual_cone(fan.cones[-1]))
+            expected = delta_polytope_by_constructor(fan, offsets)
+            assert got == expected, (fan.ids, offsets)
+            if all(d == INF for d in offsets.values()):
+                assert got == OpenPolyhedron.whole_space(fan.dim)
+            kinds["empty" if got.is_empty else "other" if got._key[1] else "whole"] += 1
+            assert not hasattr(got, "_constraints") and not hasattr(summed, "_constraints")
+            assert got.constraints == eager_constraints(expected)
+        bad = {**offsets, "no-such-ray": 1}
+        with pytest.raises(InvalidInput) as raised:
+            delta_polytope(fan, bad)
+        with pytest.raises(InvalidInput) as former:
+            delta_polytope_by_constructor(fan, bad)
+        assert raised.value.as_report() == former.value.as_report()
+        assert raised.value.code == "bad-input"
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_delta_polytope_examples():

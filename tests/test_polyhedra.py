@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
-from aptkit import geometry
+from aptkit import geometry, polyhedra
 from aptkit.geometry import Cone, dual_cone
 from aptkit.polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
 
 from generators import random_open_constraints
 from oracles import (
     check_minkowski_by_sampling,
+    eager_constraints,
     fm_infimum,
     fm_irredundant_constraints,
     fm_is_subset,
     perturbed_point,
+    primitive_rows_by_product,
 )
 
 
@@ -310,3 +315,79 @@ def test_sums_and_inclusion_stay_on_int_rows(monkeypatch, empty_table):
         cones = [cone] + [s._cone for s in (p, q, results[0], results[-1]) if not s.is_empty]
         assert not any(hasattr(c, view) for c in cones for view in views)
     assert nonempty >= 10
+
+
+def _seeded_polyhedra(rng):
+    """The ladder polytopes, then sums of neighbours, translates and cone
+    interiors of some of them, the whole space and the empty set."""
+    ladder = [OpenPolyhedron(dim, cons) for dim, cons in _ladder(rng)]
+    yield from ladder
+    for p, q in zip(ladder[::4], ladder[1::4]):
+        if p.dim == q.dim and p.dim < 4:
+            yield minkowski_sum(p, q)
+        if not p.is_empty:  # the empty set translates to itself
+            yield p.translate(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p.dim)))
+        yield OpenPolyhedron.cone_interior(Cone(p.dim, [tuple(rng.randint(-1, 2) for _ in range(p.dim))
+                                                        for _ in range(p.dim + rng.randint(-1, 1))]))
+    for dim in (0, 1, 3):
+        yield OpenPolyhedron.whole_space(dim)
+        yield OpenPolyhedron.empty(dim)
+
+
+def test_constraints_is_a_view_built_on_first_read(monkeypatch):
+    """Building, summing, translating, comparing and printing polyhedra build
+    no ``Fraction`` in the polyhedra module; they and an infimum leave
+    ``constraints`` unset.  Its first read equals the tuple that was built
+    eagerly, and a second read returns it again."""
+    rng = random.Random(48)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(polyhedra, "Fraction", refuse)
+        polys = list(_seeded_polyhedra(rng))
+        for p, q in zip(polys, polys[1:] + polys[:1]):
+            repr(p)
+            if not p.is_empty:
+                p.translate((1,) * p.dim)
+            if p.dim == q.dim:
+                p.is_subset_of(q)
+                if p.dim < 4:
+                    minkowski_sum(p, q)
+    for p in polys:
+        if not p.is_empty:
+            p.infimum(tuple(rng.randint(-2, 2) for _ in range(p.dim)))
+        assert not hasattr(p, "_constraints"), p
+        view = p.constraints
+        assert view == eager_constraints(p), p
+        assert p.constraints is view
+    kinds = Counter("empty" if p.is_empty else "whole" if not p.constraints else "other" for p in polys)
+    assert min(kinds.values()) >= 3, kinds
+
+
+def test_copy_and_pickle_with_the_view_unset():
+    rng = random.Random(49)
+    polys = list(_seeded_polyhedra(rng))
+    polys = polys[:-6:10] + polys[-6:]  # the whole spaces and empty sets last
+    for p in polys:
+        for twin in (copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert not hasattr(twin, "_constraints")
+            assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+            assert twin.constraints == eager_constraints(p) == p.constraints
+    assert len(polys) >= 20
+
+
+def test_rows_with_distinct_600_digit_denominators_give_their_primitive_rows():
+    """Sixty constraints, each over its own 600-digit denominator, of the
+    polar of the points (k, k^2): each row is made primitive on its own, so
+    the rows stay small and every one is a facet."""
+    rng = random.Random(600)
+    cons = []
+    for k in range(1, 61):
+        den = rng.randrange(10 ** 599, 10 ** 600)
+        cons.append(((Fraction(-k, den), Fraction(-k * k, den)), Fraction(1, den)))
+    rows = primitive_rows_by_product(cons)
+    p = OpenPolyhedron(2, cons)
+    assert p._key == OpenPolyhedron(2, [(r[:-1], r[-1]) for r in rows])._key
+    assert sorted(p._key[1]) == sorted(rows)
