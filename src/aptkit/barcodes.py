@@ -287,7 +287,8 @@ def convolve(b1: Barcode, b2: Barcode) -> Barcode:
     by a, and two finite bars give [l1 + l2, min(r1 + l2, l1 + r2)) and the
     torsion part [max(r1 + l2, l1 + r2), r1 + r2) one degree above the sum of
     the degrees.  With an empty side nothing is classified.  Each output bar is
-    counted on an int key (:func:`_int_ends`), then built once in canonical order."""
+    counted on an int key (:func:`_int_ends`), then built once in canonical
+    order, on one ``Fraction`` per distinct end."""
     if not (b1.bars and b2.bars):
         return Barcode()
     xs, ys = _calculus(b1), _calculus(b2)
@@ -304,9 +305,9 @@ def convolve(b1: Barcode, b2: Barcode) -> Barcode:
                 keys = [(l1 + l2, low, d)] + [(high, r1 + r2, d + 1)] * (s1 == s2 == "finite")
             for key in keys:
                 counts[key] = counts.get(key, 0) + m
+    fraction = {e: Fraction(e, den) if is_finite(e) else e for e in {e for l, r, _ in counts for e in (l, r)}}
     return Barcode._canonical(
-        Bar(FULL_LINE, d, m) if l == NEG_INF
-        else _half_open_bar(Fraction(l, den), Fraction(r, den) if is_finite(r) else r, d, m)
+        Bar(FULL_LINE, d, m) if l == NEG_INF else _half_open_bar(fraction[l], fraction[r], d, m)
         for (l, r, d), m in sorted(counts.items()))
 
 

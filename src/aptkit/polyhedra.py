@@ -89,7 +89,8 @@ class OpenPolyhedron:
     def infimum(self, u):
         """Exact infimum of <u, x> over a nonempty polyhedron, None when it is
         unbounded below: the least <u, x> / t over C's rays (x, t) with t > 0,
-        unless <u, x> falls along a ray with t = 0 or varies along a line."""
+        unless <u, x> falls along a ray with t = 0 or varies along a line; the
+        int ratios are compared crosswise, and the least alone is a ``Fraction``."""
         if self.is_empty:
             raise EmptyInput("the empty polyhedron has no infimum")
         u, m = integral(qvec(u, self.dim))
@@ -97,7 +98,12 @@ class OpenPolyhedron:
         # u is one entry shorter than C's rows, so _idot reads <u, x> only
         if any(_idot(u, r) < 0 for r in rays if not r[-1]) or any(_idot(u, e) for e in lines):
             return None
-        return min(Fraction(_idot(u, r), r[-1]) for r in rays if r[-1]) / m
+        ratios = [(_idot(u, r), r[-1]) for r in rays if r[-1]]
+        a, t = ratios[0]
+        for b, s in ratios[1:]:
+            if b * t < a * s:
+                a, t = b, s
+        return Fraction(a, t * m)
 
     def translate(self, a) -> "OpenPolyhedron":
         """The set self + a: each row (n, d) becomes (n, d - <n, a>), times

@@ -25,8 +25,10 @@ the barcode calculus, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
-elimination for barcodes over Q and F_p, closing by counted-down
-propagation for the relations that clearing skips, a dense scan with one
+elimination for barcodes over Q and F_p, the former Q kernel, which divides
+out the content after every scaled step, for the columns of the Q kernel,
+closing by counted-down propagation for the relations that clearing skips,
+a dense scan with one
 ``Cone.contains`` per nonzero coefficient for the stored rows of a
 presentation, the order-complex derived limit for stalk ranks, point
 sampling for Minkowski sums, the former eager ``Fraction`` tuple for a
@@ -835,6 +837,30 @@ def dense_rank(rows, ncols: int, p=None) -> int:
             mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
         r += 1
     return r
+
+
+def reduce_q_dividing_every_step(col, paired):
+    """The former Q kernel of ``linalg``: reduce an int column by the stored
+    ones, a step ``col <- (b/g)*col - (f/g)*other``, divided by its content
+    after every step that scaled it and on return; returns it primitive with
+    a positive pivot entry."""
+    while col:
+        low = max(col)
+        other = paired.get(low)
+        if other is None:
+            g = gcd(*col.values()) if col[low] > 0 else -gcd(*col.values())
+            return {i: v // g for i, v in col.items()}
+        f, b = col[low], other[low]
+        g = gcd(f, b)
+        scale, factor = b // g, f // g
+        col = {i: scale * v for i, v in col.items()}
+        for i, v in other.items():
+            col[i] = col.get(i, 0) - factor * v
+        col = {i: v for i, v in col.items() if v}
+        if scale != 1 and col:
+            g = gcd(*col.values())
+            col = {i: v // g for i, v in col.items()}
+    return col
 
 
 def barcode_by_rank_invariant(p) -> Barcode:

@@ -392,20 +392,26 @@ def test_one_integral_per_request(monkeypatch):
         assert len(calls) == 1, (call, calls)
 
 
+def _finite_ends(b: Barcode):
+    return {e for item in b.bars for e in (item.interval.left, item.interval.right) if is_finite(e)}
+
+
 def test_convolve_builds_each_bar_once(monkeypatch):
     # ends over thirds and sixths (sums such as 1/3 + 1/6 = 1/2 come back in
-    # lowest terms), a line, rays, degree 1 and multiplicity 3
+    # lowest terms), a line, rays, degree 1 and multiplicity 3; one Fraction
+    # is built per distinct finite end
     x = barcode(bar(0, Fraction(1, 3)), bar(Fraction(1, 6), "inf", hdegree=1), LINE,
                 bar(Fraction(2, 3), Fraction(7, 6), multiplicity=3))
     y = barcode(bar(Fraction(1, 6), Fraction(1, 2)), bar(Fraction(1, 3), "inf"),
                 bar("-inf", "inf", False, False, hdegree=1), bar(0, Fraction(5, 6), hdegree=1, multiplicity=3))
-    calls = []
+    calls, ends = [], []
     for owner in (Barcode, DecoratedInterval):
         init = owner.__init__
         monkeypatch.setattr(owner, "__init__", lambda self, *args, owner=owner, init=init:
                             calls.append(owner.__name__) or init(self, *args))
+    monkeypatch.setattr(barcodes, "Fraction", lambda *args: ends.append(args) or Fraction(*args))
     got = convolve(x, y)
-    assert calls == []
+    assert calls == [] and len(ends) == len(_finite_ends(got)), ends
     monkeypatch.undo()
     rebuilt = Barcode([Bar(DecoratedInterval(iv.left, iv.right, iv.left_closed, iv.right_closed),
                            item.hdegree, item.multiplicity) for item in got.bars for iv in [item.interval]])
@@ -416,6 +422,13 @@ def test_convolve_builds_each_bar_once(monkeypatch):
     assert shapes == {(True, True), (False, True), (False, False)}
     assert {item.hdegree for item in got.bars} == {0, 1, 2} and max(item.multiplicity for item in got.bars) >= 9
     assert "Fraction(1, 2)" in repr(got)
+    for n in (1, 20, 60):
+        x, y = ladder_barcode(random.Random(n), n), ladder_barcode(random.Random(n + 1), n)
+        ends.clear()
+        monkeypatch.setattr(barcodes, "Fraction", lambda *args: ends.append(args) or Fraction(*args))
+        got = convolve(x, y)
+        monkeypatch.undo()
+        assert len(ends) == len(_finite_ends(got)) and got == convolve_by_pairs(x, y), n
 
 
 def test_each_bar_is_classified_once(monkeypatch):

@@ -8,6 +8,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -41,6 +42,7 @@ from oracles import (
     dense_rank,
     k0_of_presentation_by_fold,
     presentation_rows_by_dense_scan,
+    reduce_q_dividing_every_step,
 )
 
 QUADRANT = Cone(2, [(1, 0), (0, 1)])
@@ -666,6 +668,65 @@ def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
             watched.add(pivot)
         seen["skipped"] += len(skipped)
     assert seen["skipped"] >= 1000 and seen["moved"] >= 50, seen
+
+
+def _q_kernel_cases():
+    """Seeded square sparse presentations up to n = 400, the clearing cases
+    over Q, and two whose coefficients carry 200- to 300-digit factors, so
+    that one scaled step passes ``linalg._CONTENT_BITS``."""
+    for n in (25, 50, 100, 200, 400):
+        p = sparse_presentation(random.Random(n), n, n)
+        yield PresentationND._from_rows(HALFLINE, p.generators, p.rows, None)
+    yield from (p for p in _clearing_cases() if p.field is None)
+    rng = random.Random(300)
+    big = [rng.randrange(10 ** (d - 1), 10 ** d) for d in (200, 240, 270, 300)]
+    coefficients = (-1, 1, 2, 3 * big[0], -big[1], 6 * big[2], -2 * big[3], big[0] * big[1])
+    for n, m in ((12, 12), (16, 40)):
+        yield sparse_presentation(rng, n, m, coefficients)
+
+
+def test_q_kernel_returns_the_columns_of_dividing_every_step(monkeypatch):
+    # every column the Q pairing reduces comes back exactly as the former
+    # kernel returns it, primitive with a positive pivot entry; the content
+    # divisions inside the loop are the kernel's gcds less its lookups of a
+    # stored column (one per step, one more for a column left nonzero), and
+    # they run on the cases with large factors
+    kernel, real_gcd = linalg._reduce_q, linalg.gcd
+    counts = Counter()
+
+    def gcd_spy(*args):
+        counts["gcd"] += 1
+        return real_gcd(*args)
+
+    class Lookups:
+        def __init__(self, paired):
+            self.paired = paired
+
+        def get(self, low):
+            counts["lookups"] += 1
+            return self.paired.get(low)
+
+    def checked(col, paired):
+        expected = reduce_q_dividing_every_step(dict(col), paired)
+        got = kernel(col, Lookups(paired))
+        assert got == expected
+        assert not got or (got[max(got)] > 0 and gcd(*got.values()) == 1)
+        return got
+
+    monkeypatch.setattr(linalg, "gcd", gcd_spy)
+    monkeypatch.setattr(linalg, "_reduce_q", checked)
+    for p in _q_kernel_cases():
+        counts.clear()
+        got = barcode_of_presentation(p)
+        assert got == barcode_by_fraction_reduction(p)
+        if len(p.rows) <= 10:
+            assert got == barcode_by_rank_invariant(p)
+        if max((abs(c) for _, _, values in p.rows for c in values), default=0) > 10 ** 100:
+            assert counts["gcd"] > counts["lookups"], counts
+        if len(p.generators) <= 50:
+            rows = [row for _, row in p.relations]
+            vectors = [dict(zip(support, integral(values)[0])) for _, support, values in p.rows]
+            assert linalg.rank(vectors) == dense_rank(rows, len(p.generators))
 
 
 def _f2_cases():

@@ -164,9 +164,13 @@ def test_inclusion_against_fm_oracle():
     assert min(agree.values()) >= 20
 
 
-def test_infimum_against_fm_oracle():
+def test_infimum_against_fm_oracle(monkeypatch):
+    # the ratios are compared as ints: a bounded infimum builds one Fraction
+    # in the polyhedra module, an unbounded one none
     rng = random.Random(43)
-    bounded = 0
+    built = []
+    monkeypatch.setattr(polyhedra, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    seen = Counter()
     for _ in range(120):
         dim = rng.randint(1, 3)
         cons = random_open_constraints(rng, dim, rng.randint(0, 6))
@@ -175,9 +179,11 @@ def test_infimum_against_fm_oracle():
             continue
         u = tuple(rng.randint(-2, 2) for _ in range(dim))
         expected = fm_infimum(dim, cons, u)
+        built.clear()
         assert p.infimum(u) == expected, (cons, u)
-        bounded += expected is not None
-    assert bounded >= 20
+        assert len(built) == (expected is not None), (cons, u, built)
+        seen["bounded" if expected is not None else "line" if p._cone.lineality else "unbounded"] += 1
+    assert seen["bounded"] >= 20 and seen["line"] >= 5 and seen["unbounded"] >= 5, seen
 
 
 def _doubled(dim, cons):
