@@ -301,7 +301,8 @@ def convolve(b1: Barcode, b2: Barcode) -> Barcode:
             if s1 == "line" or s2 == "line":
                 keys = [] if "finite" in (s1, s2) else [(NEG_INF, INF, d)]
             else:  # a ray's end stays INF, so with a ray the least sum is the translate's end
-                low, high = sorted(r + l if is_finite(r) else INF for r, l in ((r1, l2), (r2, l1)))
+                e1, e2 = r1 + l2 if is_finite(r1) else INF, r2 + l1 if is_finite(r2) else INF
+                low, high = (e1, e2) if e1 <= e2 else (e2, e1)
                 keys = [(l1 + l2, low, d)] + [(high, r1 + r2, d + 1)] * (s1 == s2 == "finite")
             for key in keys:
                 counts[key] = counts.get(key, 0) + m

@@ -157,14 +157,9 @@ def parse_barcode_json(data) -> Barcode:
 
 
 def presentation_to_json(p: PresentationND) -> dict:
-    return {
-        "gamma": cone_to_json(p.gamma),
-        "generators": [qvec_to_json(g) for g in p.generators],
-        "relations": [
-            {"degree": qvec_to_json(d), "coeffs": qvec_to_json(coeffs)}
-            for d, coeffs in p.relations
-        ],
-    }
+    """Each relation written from its sparse row, one shared ``"0"`` off its support."""
+    return {"gamma": cone_to_json(p.gamma), "generators": [qvec_to_json(g) for g in p.generators],
+            "relations": [{"degree": qvec_to_json(d), "coeffs": coeffs} for d, coeffs in p._dense("0", _rational)]}
 
 
 def parse_presentation_json(data, field=None) -> PresentationND:

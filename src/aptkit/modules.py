@@ -13,11 +13,11 @@ in one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
 gives the dimension at grade a as the number of active generators minus
 the rank of the active relations.
 The one-dimensional case bridges to barcodes through the same reduction in
-the classical persistence order, on the int heights the presentation keeps
-(:func:`_heights`), and builds its bars in canonical order, unchecked.  A
-relation on rows the stored columns span is skipped, as in clearing (Chen
-& Kerber 2011), over F_p on its nonzero residues' rows; one watched row per
-open pivot keeps those rows, as SAT solvers watch literals (Chaff, 2001).
+the classical persistence order, on the int heights (:func:`_heights`), and
+builds its bars in canonical order, unchecked.  Rows the stored columns span
+close: a relation on them is skipped, as in clearing (Chen & Kerber 2011),
+and over Q and odd p they leave every column, as in compression (Bauer,
+Kerber & Reininghaus 2014); over F_2 one watched row per open pivot keeps them.
 """
 
 from __future__ import annotations
@@ -140,20 +140,23 @@ class PresentationND:
 
     @property
     def relations(self):
-        """The dense ``(degree, coeffs)`` rows, built from ``rows``; past
-        _DENSE_ENTRIES entries ComputationTooLarge, before any row is built."""
+        """The dense ``(degree, coeffs)`` rows, built from ``rows`` (:meth:`_dense`)."""
+        return tuple((degree, tuple(coeffs)) for degree, coeffs in self._dense(Fraction(0), q))
+
+    def _dense(self, zero, entry):
+        """The rows as dense ``(degree, coeffs)`` lists, ``entry`` of each value, one shared ``zero``
+        elsewhere; past _DENSE_ENTRIES entries ComputationTooLarge, before any row is built."""
         entries = len(self.generators) * len(self.rows)
         if entries > _DENSE_ENTRIES:
             raise ComputationTooLarge("a presentation has too many entries to write densely",
                                       entries=entries, cap=_DENSE_ENTRIES)
-        zero = Fraction(0)
         dense = []
         for degree, support, values in self.rows:
             coeffs = [zero] * len(self.generators)
             for i, c in zip(support, values):
-                coeffs[i] = c
-            dense.append((degree, tuple(coeffs)))
-        return tuple(dense)
+                coeffs[i] = entry(c)
+            dense.append((degree, coeffs))
+        return dense
 
     def __eq__(self, other):
         return (
@@ -283,25 +286,25 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     keys order the relation columns by degree and the generators by birth, ties
     by index.  Rows are keyed by their position in (birth, index) order, so the
     pivot of a column, its generator of latest birth (ties by generator index),
-    is its largest key.  A column (:func:`_columns`) is reduced by the stored
-    column with the same pivot until its pivot is new or it vanishes, by the
-    kernels of :mod:`aptkit.linalg`: over F_2 one XOR of bit masks a step, over
-    odd p ints modulo the prime, over Q fraction-free int columns, each a
-    nonzero rational multiple of the column a reduction over Fractions holds,
-    so the pivots and the pairing are the same.  A row is closed when it holds
-    a stored pivot and every other row of that column is closed: the columns of
-    the closed rows are triangular with distinct pivots, so they span every
-    vector on those rows, and a relation on closed rows (over F_p, the rows of
-    its nonzero residues), which would reduce to zero, is skipped before any
-    column operation.  Each open pivot watches the highest open row of its
-    column other than itself (``_open_top``) and is rechecked when that row
-    closes: it closes, and its watchers are rechecked in turn, or it watches
-    its new highest open row, which is lower, so it moves at most once per row
-    of its column.  A paired (generator, relation) yields the bar [birth,
-    degree), dropped when empty; unpaired generators are infinite.  Bars are
-    counted per (birth key, death key), ``INF`` the key of an infinite death,
-    and built once per distinct pair in key order, the canonical order,
-    unchecked by ``barcodes._half_open_bar``.
+    is its largest key.  A column is reduced by the stored column with the same
+    pivot until its pivot is new or it vanishes, by the kernels of
+    :mod:`aptkit.linalg`: over F_2 one XOR of bit masks a step, over odd p ints
+    modulo the prime, over Q fraction-free int columns, each a nonzero rational
+    multiple of the column a reduction over Fractions holds, so the pivots and
+    the pairing are the same.  A row is closed when it holds a stored pivot and
+    every other row of that column is closed: those columns, triangular with
+    distinct pivots, span every vector on the closed rows, so a relation enters
+    on its open rows alone (over F_p, those of nonzero residues) with the same
+    reduced pivot, and is skipped when none is left.  Over F_2 it is its mask
+    (:func:`_columns`) less the closed rows, and each open pivot watches its
+    highest other open row (``_open_top_f2``), rechecked when that row closes.
+    Over Q and odd p its int column is built then, from its own coefficients
+    times the lcm of their denominators, and a row that closes leaves every
+    stored column: a pivot left alone in its column closes in turn.  A paired
+    (generator, relation) yields the bar [birth, degree), dropped when empty;
+    unpaired generators are infinite.  Bars are counted per (birth key, death
+    key), ``INF`` the key of an infinite death, and built once per distinct
+    pair in key order, the canonical order, unchecked by ``_half_open_bar``.
     """
     _require_one_dimensional(p)
     field = p.field
@@ -310,31 +313,52 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     births = keys[:n]
     row_order = sorted(range(n), key=births.__getitem__)
     position = {gen: pos for pos, gen in enumerate(row_order)}
-    columns = _columns(p.rows, field, position)
     reduce, lowest = _kernel(field)
-    f2 = field is not None and field.p == 2
-    watch = _open_top_f2 if f2 else _open_top
+    mod = field and field.p
+    masks = _columns(p.rows, field, position) if mod == 2 else None
     paired = {}  # pivot position -> its reduced column
-    closed = 0 if f2 else set()  # positions on which the stored columns span every vector
-    watchers = {}  # open row -> the open pivots whose highest other open row it is
+    closed = 0 if mod == 2 else set()  # positions on which the stored columns span every vector
+    filed = {}  # open row -> the open pivots watching it (F_2), or the stored columns holding it
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
-        if not columns[r] & ~closed if f2 else closed.issuperset(columns[r]):
+        if mod == 2:
+            col = masks[r] & ~closed
+        else:  # the values on open rows, times the lcm of the relation's denominators
+            _, support, values = p.rows[r]
+            at = list(map(position.__getitem__, support))
+            if closed.issuperset(at):
+                continue  # it would reduce to zero
+            d = lcm(*[c.denominator for c in values])
+            if mod:
+                col = {i: e for i, c in zip(at, values)
+                       if i not in closed and (e := c.numerator * (d // c.denominator) % mod)}
+            else:
+                col = {i: c.numerator * (d // c.denominator) for i, c in zip(at, values) if i not in closed}
+        if not col:
             continue  # it would reduce to zero
-        if col := reduce(columns[r], paired):
+        if col := reduce(col, paired):
             low = lowest(col)
             paired[low] = col
-            stack = [low]  # pivots to recheck: the new one, then the watchers of each that closes
-            while stack:
-                pivot = stack.pop()
-                if (row := watch(paired[pivot], pivot, closed)) >= 0:
-                    watchers.setdefault(row, []).append(pivot)
-                    continue
-                if f2:
-                    closed |= 1 << pivot
-                else:
-                    closed.add(pivot)
-                stack += watchers.pop(pivot, ())
+            if mod == 2:
+                stack = [low]  # pivots to recheck: the new one, then the watchers of each that closes
+                while stack:
+                    pivot = stack.pop()
+                    if (row := _open_top_f2(paired[pivot], pivot, closed)) >= 0:
+                        filed.setdefault(row, []).append(pivot)
+                    else:
+                        closed |= 1 << pivot
+                        stack += filed.pop(pivot, ())
+            else:
+                for i in col:
+                    if i != low:
+                        filed.setdefault(i, []).append(low)
+                stack = [] if len(col) > 1 else [low]  # rows that close
+                while stack:
+                    closed.add(row := stack.pop())
+                    for pivot in filed.pop(row, ()):
+                        del paired[pivot][row]
+                        if len(paired[pivot]) == 1:
+                            stack.append(pivot)
             pair = (births[row_order[low]], keys[n + r])
             if pair[0] < pair[1]:
                 counts[pair] = counts.get(pair, 0) + 1
@@ -350,11 +374,6 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
 def _open_top_f2(col, pivot, closed):
     """The highest open row of a stored mask other than its open pivot, or -1."""
     return ((col & ~closed) ^ 1 << pivot).bit_length() - 1
-
-
-def _open_top(col, pivot, closed):
-    """The highest open row of a stored dict column other than its pivot, or -1."""
-    return max((i for i in col if i < pivot and i not in closed), default=-1)
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

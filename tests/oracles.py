@@ -778,15 +778,16 @@ def barcode_by_fraction_reduction(p) -> Barcode:
     return Barcode(bars)
 
 
-def closed_rows_by_propagation(p) -> set:
+def closed_rows_by_propagation(p):
     """The relations that clearing skips in the pairing of a 1-dimensional
     presentation, by propagation (Chen & Kerber 2011): a row is closed when
     it holds a stored pivot and every other row of that column is closed,
     and a relation is skipped when every row of its nonzero entries (over
     F_p, of its nonzero residues) is closed at its turn.  After each store,
     :func:`_close` files the new pivot under each of its column's open rows
-    and counts them down.  Returns the indices of the skipped relations,
-    each of which the reduction takes to zero."""
+    and counts them down.  Returns ``(skipped, closed)``: the indices of the
+    skipped relations, each of which the reduction takes to zero, and the
+    rows closed at the end, as positions in (birth, index) order."""
     births = [g[0] for g in p.generators]
     row_order = sorted(range(len(births)), key=lambda i: (births[i], i))
     closed, open_rows, waiting, skipped = set(), {}, {}, set()
@@ -797,7 +798,7 @@ def closed_rows_by_propagation(p) -> set:
         elif col:
             low = max(col)
             closed.update(_close(low, [i for i in col if i != low and i not in closed], open_rows, waiting))
-    return skipped
+    return skipped, closed
 
 
 def _close(low, pending, open_rows, waiting):

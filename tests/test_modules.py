@@ -398,32 +398,42 @@ def test_one_conversion_matches_oracles_in_four_fields():
 
 def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
     # A count, not a clock: the grades enter as the heights the presentation
-    # keeps, so the one integral is, over Q, that of all the coefficients at
-    # every size, and over F_2 there is none (they enter by numerator
-    # parity); no per-coefficient residue, and no bar checked or sorted
-    # again; construction over F_p takes no residue either.
+    # keeps, and no integral of all the coefficients is taken.  Over Q each
+    # relation that reaches the kernel takes one lcm of its own denominators,
+    # and a skipped one none; over F_3 so does each relation with an open
+    # row, which may still be skipped for its zero residues; over F_2 there
+    # is none (they enter by numerator parity).  No bar is checked or sorted
+    # again, and construction over F_p takes no residue either.
     calls = Counter()
 
     def spy(owner, name):
         method = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or method(*args))
 
-    spy(modules, "integral")
+    for name in ("integral", "lcm"):
+        spy(modules, name)
+    for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"):
+        spy(linalg, name)
     for owner, name in [(PrimeField, "from_fraction"), (Barcode, "__init__"), (Bar, "__init__"),
                         (DecoratedInterval, "__init__")]:
         spy(owner, name)
     coefficients = (-2, -1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(9, 11))
-    per_call = {None: set(), PrimeField(2): set()}
     for m in (10, 100, 1000):
         base = sparse_presentation(random.Random(m), 3 * m // 2, m, coefficients)
-        for field in (None, PrimeField(2)):
+        for field in (None, PrimeField(2), PrimeField(3)):
             p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
             assert calls["from_fraction"] == 0
             calls.clear()
             barcode_of_presentation(p)
-            per_call[field].add(calls.pop("integral", 0))
+            reduced = sum(calls.pop(name, 0) for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"))
+            lcms = calls.pop("lcm", 0)
             assert not +calls, (m, field, calls)
-    assert per_call == {None: {1}, PrimeField(2): {0}}, per_call
+            if field is None:
+                assert 0 < lcms == reduced, (m, lcms, reduced)
+            elif field.p == 2:
+                assert lcms == 0 < reduced, (m, reduced)
+            else:
+                assert lcms >= reduced > 0, (m, lcms, reduced)
 
 
 def test_pairing_builds_each_bar_once_and_checks_none(monkeypatch):
@@ -506,6 +516,30 @@ def test_dense_view_round_trips():
         assert io.parse_presentation_json(wire, p.field) == p
         for _, coeffs in p.relations:
             assert len(coeffs) == len(p.generators) and all(type(c) is Fraction for c in coeffs)
+
+
+def test_presentation_json_is_written_from_the_sparse_rows(monkeypatch):
+    # byte for byte what the writer of the dense rows printed, over Q, F_2 and
+    # F_3, with fractional, negative and 700-digit coefficients, no relation
+    # or no generator, and without a read of the dense view
+    huge = 10**700 + 1
+    cases = [_stored_form_cases()]
+    for seed, field in enumerate((None, PrimeField(2), PrimeField(3))):
+        rng = random.Random(40 + seed)
+        for n, m in ((1, 0), (6, 9), (30, 20), (50, 80)):
+            base = sparse_presentation(rng, n, m, (-2, 1, Fraction(-3, 7), Fraction(9, 11), huge, Fraction(1, huge)))
+            cases.append([PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)])
+        cases.append([PresentationND._from_rows(HALFLINE, [], [], field)])
+    cases = [p for group in cases for p in group]
+
+    def dense_writer(p):
+        return {"gamma": io.cone_to_json(p.gamma), "generators": [io.qvec_to_json(g) for g in p.generators],
+                "relations": [{"degree": io.qvec_to_json(d), "coeffs": io.qvec_to_json(c)} for d, c in p.relations]}
+
+    expected = [io.dumps(dense_writer(p)) for p in cases]
+    monkeypatch.setattr(PresentationND, "relations", property(lambda p: pytest.fail("the dense view was read")))
+    assert [io.dumps(io.presentation_to_json(p)) for p in cases] == expected
+    assert sum(len(p.rows) for p in cases) >= 300
 
 
 def test_only_sparse_rows_are_stored():
@@ -639,17 +673,24 @@ def _clearing_cases():
 def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
     # the pairing reduces exactly the relations that closing by propagation
     # leaves open, its bars are the oracles' (the rank invariant's on at most
-    # 10 relations, where its dense ranks stay quick), and each stored pivot
-    # moves its watch at most once per row of its column
-    stored, filed = [], []
+    # 10 relations, where its dense ranks stay quick), and once it returns no
+    # stored Q or F_3 column holds a closed row but its own pivot, and a
+    # closed pivot's column holds that pivot alone; over F_2 each stored
+    # pivot moves its watch at most once per row of its mask
+    stored, filed = [], []  # (a column a kernel returned, its size then); (pivot, watched row)
+
+    def spy(reduce):
+        def reduced(col, *args):
+            out = reduce(col, *args)
+            stored.append((out, len(out) if type(out) is dict else out.bit_count()))
+            return out
+        return reduced
+
     for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"):
-        reduce = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda col, *args, reduce=reduce: stored.append(reduce(col, *args))
-                            or stored[-1])
-    for name in ("_open_top", "_open_top_f2"):
-        watch = getattr(modules, name)
-        monkeypatch.setattr(modules, name, lambda col, pivot, closed, watch=watch:
-                            filed.append((pivot, watch(col, pivot, closed))) or filed[-1][1])
+        monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
+    watch = modules._open_top_f2
+    monkeypatch.setattr(modules, "_open_top_f2", lambda col, pivot, closed:
+                        filed.append((pivot, watch(col, pivot, closed))) or filed[-1][1])
     seen = Counter()
     for p in _clearing_cases():
         stored.clear()
@@ -658,16 +699,24 @@ def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
         assert got == barcode_by_fraction_reduction(p)
         if len(p.rows) <= 10:
             assert got == barcode_by_rank_invariant(p)
-        skipped = closed_rows_by_propagation(p)
+        skipped, closed = closed_rows_by_propagation(p)
         assert len(stored) == len(p.rows) - len(skipped), (p.field, len(stored), len(p.rows), len(skipped))
-        support = sum(col.bit_count() if type(col) is int else len(col) for col in stored if col)
-        assert sum(row >= 0 for _, row in filed) <= support
-        watched = set()
-        for pivot, row in filed:
-            seen["moved"] += pivot in watched and row >= 0
-            watched.add(pivot)
         seen["skipped"] += len(skipped)
-    assert seen["skipped"] >= 1000 and seen["moved"] >= 50, seen
+        if p.field == PrimeField(2):
+            assert sum(row >= 0 for _, row in filed) <= sum(size for _, size in stored)
+            watched = set()
+            for pivot, row in filed:
+                seen["moved"] += pivot in watched and row >= 0
+                watched.add(pivot)
+            continue
+        for col, size in stored:
+            if col:
+                pivot = max(col)
+                assert closed.isdisjoint(col.keys() - {pivot}), (p.field, col, closed)
+                assert pivot not in closed or len(col) == 1, (p.field, col)
+                seen["closed pivots"] += pivot in closed
+                seen["shed"] += size - len(col)
+    assert all(seen[key] >= 1000 for key in ("skipped", "closed pivots", "shed")) and seen["moved"] >= 20, seen
 
 
 def _q_kernel_cases():
