@@ -72,6 +72,10 @@ _TABLE: OrderedDict = OrderedDict()
 # conversion stops with ComputationTooLarge instead of running on.
 _DD_RAY_CAP = 10000
 
+# Largest ambient dimension, far above desk scale.  The whole space's dual has 2 * dim generators of dim
+# entries: on CPython 3.11, 0.3 s and 33 MB to write at 256, 8 s and 526 MB at 1400, out of 1 GiB at 2000.
+_DIM_CAP = 256
+
 
 def _lookup(key):
     """The table's entry under ``key``, marked as just used, or None."""
@@ -270,9 +274,11 @@ def _intern(dim, gens):
 
 
 def _check_dim(dim):
-    """Refuse an ambient dimension that is not an ``int`` >= 0."""
+    """Refuse an ambient dimension that is not an ``int`` >= 0, or is past ``_DIM_CAP``."""
     if not isinstance(dim, int) or dim < 0:
         raise InvalidInput(f"dim must be a nonnegative integer, got {dim!r}")
+    if dim > _DIM_CAP:
+        raise ComputationTooLarge("dim is past the cap", dim=dim, cap=_DIM_CAP)
 
 
 class Cone:

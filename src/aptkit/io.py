@@ -1,9 +1,11 @@
-"""JSON wire formats.
+"""JSON wire formats: only the forms that a command reads or writes.
 
 Rationals travel as strings ``"p/q"`` (plain integers are accepted on
 input), grades additionally as ``"inf"`` / ``"-inf"``; nothing is ever
 represented in floating point.  Serialization is canonical: keys sorted,
-entries in library order, so identical values print identically.
+entries in library order, so identical values print identically.  A relation
+travels as its sparse row, ``{"degree": [...], "terms": [[index, "coeff"], ...]}``
+with ascending indices; a dense ``"coeffs"`` list is read as well.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import InvalidInput
 from .geometry import Cone, Fan, validate_fan
 from .interleaving import InterleavingCertificate
 from .k0 import K0Class
-from .modules import PresentationND
+from .modules import PresentationND, _sparse
 from .polyhedra import OpenPolyhedron
 from .rational import NEG_INF, is_finite, parse_grade, q, qvec
 
@@ -36,11 +38,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(value, what) -> int:
-    """A JSON integer or a string of digits; never a bool, float or other string."""
+    """A JSON integer or a string of at most 600 digits (:func:`q`); never a bool, float or other string."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and _INTEGER.fullmatch(value):
-        return int(value)
+        return int(q(value))
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
@@ -91,13 +93,6 @@ def parse_cone_json(data) -> Cone:
     dim = _integer(data["dim"], "dim")
     gens = [parse_qvec_json(g, dim) for g in _expect(data["generators"], list, "generators")]
     return Cone(dim, gens)
-
-
-def fan_to_json(f: Fan) -> dict:
-    return {
-        "dim": f.dim,
-        "cones": [cone_to_json(c, cid) for cid, c in zip(f.ids, f.cones)],
-    }
 
 
 def parse_fan_json(data) -> Fan:
@@ -157,24 +152,29 @@ def parse_barcode_json(data) -> Barcode:
 
 
 def presentation_to_json(p: PresentationND) -> dict:
-    """Each relation written from its sparse row, one shared ``"0"`` off its support."""
     return {"gamma": cone_to_json(p.gamma), "generators": [qvec_to_json(g) for g in p.generators],
-            "relations": [{"degree": qvec_to_json(d), "coeffs": coeffs} for d, coeffs in p._dense("0", _rational)]}
+            "relations": [{"degree": qvec_to_json(d), "terms": [[i, _rational(c)] for i, c in zip(support, values)]}
+                          for d, support, values in p.rows]}
 
 
 def parse_presentation_json(data, field=None) -> PresentationND:
+    """Each relation read into its sparse row, from ``terms`` or dense ``coeffs``; ``_check`` validates them."""
     _require(isinstance(data, dict), "presentation must be an object")
     _require("gamma" in data and "generators" in data, "presentation needs 'gamma' and 'generators'")
     gamma = parse_cone_json(data["gamma"])
     gens = [parse_qvec_json(g, gamma.dim) for g in _expect(data["generators"], list, "generators")]
-    rels = []
+    rows = []
     for entry in _expect(data.get("relations", []), list, "relations"):
-        _require(isinstance(entry, dict) and "degree" in entry and "coeffs" in entry,
-                 "each relation needs 'degree' and 'coeffs'")
-        degree = parse_qvec_json(entry["degree"], gamma.dim)
-        coeffs = [q(c) for c in _expect(entry["coeffs"], list, "coeffs")]
-        rels.append((degree, coeffs))
-    return PresentationND(gamma, gens, rels, field)
+        _require(isinstance(entry, dict) and "degree" in entry, "each relation needs a 'degree'")
+        _require(("terms" in entry) != ("coeffs" in entry), "each relation needs one of 'terms' and 'coeffs'")
+        if "coeffs" in entry:
+            terms = _sparse(_expect(entry["coeffs"], list, "coeffs"), len(gens))
+        else:
+            pairs = _expect(entry["terms"], list, "terms")
+            _require(all(isinstance(t, list) and len(t) == 2 for t in pairs), "a term is an [index, coeff] pair")
+            terms = tuple(_integer(i, "term index") for i, _ in pairs), tuple(q(c) for _, c in pairs)
+        rows.append((parse_qvec_json(entry["degree"], gamma.dim), *terms))
+    return PresentationND._from_rows(gamma, gens, rows, field)
 
 
 def polyhedron_to_json(p: OpenPolyhedron) -> dict:
@@ -206,21 +206,9 @@ def k0_to_json(k: K0Class) -> list:
     return [{"grade": _rational(g), "coef": c} for g, c in k.terms]
 
 
-def parse_k0_json(data) -> K0Class:
-    _require(isinstance(data, list), "K0 classes are lists of {grade, coef} terms")
-    for entry in data:
-        _require(isinstance(entry, dict) and "grade" in entry and "coef" in entry,
-                 "each K0 term needs 'grade' and 'coef'")
-    return K0Class([(q(entry["grade"]), _integer(entry["coef"], "coef")) for entry in data])
-
-
 def parse_offsets_json(data) -> dict:
     _require(isinstance(data, dict), "offsets must map ray ids to rationals or 'inf'")
     return {str(k): parse_grade(v) for k, v in data.items()}
-
-
-def offsets_to_json(offsets) -> dict:
-    return {str(k): grade_to_json(v) for k, v in offsets.items()}
 
 
 def certificate_to_json(cert: InterleavingCertificate) -> dict:

@@ -3,15 +3,15 @@
 A presentation lists generator grades and homogeneous relation rows over a
 full-dimensional grading cone gamma; each relation is stored once, sparse.
 Every construction ends in one check of the sparse rows, in time linear in
-their nonzeros: homogeneity compares int heights of the grades over
-gamma's facets, all grades scaled by one common denominator, and over F_p
-every coefficient must be invertible.  The public constructor parses dense
-rows in one pass; shift, tensor products, Rees presentations and free
-modules build sparse rows directly.  Every rank is one sparse column
-reduction, that of :mod:`aptkit.linalg`, on relations turned into columns
-in one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
-gives the dimension at grade a as the number of active generators minus
-the rank of the active relations.
+their nonzeros: homogeneity compares int heights of the grades over gamma's
+facets, all grades scaled by one common denominator, and over F_p every
+coefficient must be invertible.  The public constructor parses dense rows in
+one pass; shift, tensor products, Rees presentations, free modules and the
+JSON reader build sparse rows directly.  Every rank is one sparse column
+reduction, that of :mod:`aptkit.linalg`, on relations turned into columns in
+one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
+gives the dimension at grade a as the number of active generators minus the
+rank of the active relations.
 The one-dimensional case bridges to barcodes through the same reduction in
 the classical persistence order, on the int heights (:func:`_heights`), and
 builds its bars in canonical order, unchecked.  Rows the stored columns span
@@ -55,36 +55,24 @@ HALFLINE = Cone(1, [(1,)])
 # desk-scale barcodes, and far below the multiplicities an input may write.
 # It is counted before any list is built, so 10^9 bars are refused at once.
 _PRESENTED_BARS = 65536
-# Entries, generators times relations, of the dense ``relations`` view.  Its
-# one writer, the JSON output, takes about 84 bytes an entry on 64-bit
-# CPython: a Rees presentation of 3 000 bars (9 * 10^6 entries) is written in
-# under 800 MB, and one at the cap within 1 GiB.
-_DENSE_ENTRIES = 10**7
 
 
 class PresentationND:
     """Generators, homogeneous relations, and the grading cone gamma.
 
-    Relations come in as dense ``(degree, coeffs)`` rows and are stored only
-    as ``rows``: ``(degree, support, values)``, ``support`` the ascending
-    indices of the nonzero coefficients.  ``relations`` is a dense view.
-    Each dense row is parsed in one pass, and the sparse rows are then
-    checked by :meth:`_check`, the one validation of every construction:
-    the transforms (``shift``, ``h0_tensor``, ``presentation_of_barcode``,
-    ``free_module``) build sparse rows themselves and enter it through
-    :meth:`_from_rows`, with no dense row on the way.
+    Relations are stored only as ``rows``: ``(degree, support, values)``,
+    ``support`` the ascending indices of the nonzero coefficients, checked
+    by :meth:`_check`, the one validation.  The public constructor parses
+    dense ``(degree, coeffs)`` rows in one pass; the transforms and the JSON
+    reader build sparse rows and enter through :meth:`_from_rows`, with no
+    dense row on the way.  ``relations`` is a dense view the library never reads.
     """
 
     __slots__ = ("gamma", "generators", "rows", "field", "_heights", "_scale")
 
     def __init__(self, gamma: Cone, generators, relations=(), field=None):
         gens = tuple(qvec(g) for g in generators)
-        rows = []
-        for degree, coeffs in relations:
-            coeffs = tuple(coeffs)
-            if len(coeffs) != len(gens):
-                raise InvalidInput("relation row length must match generator count")
-            rows.append((qvec(degree), *_sparse(coeffs)))
+        rows = [(qvec(degree), *_sparse(tuple(coeffs), len(gens))) for degree, coeffs in relations]
         self._check(gamma, gens, rows, field)
 
     @classmethod
@@ -140,23 +128,14 @@ class PresentationND:
 
     @property
     def relations(self):
-        """The dense ``(degree, coeffs)`` rows, built from ``rows`` (:meth:`_dense`)."""
-        return tuple((degree, tuple(coeffs)) for degree, coeffs in self._dense(Fraction(0), q))
-
-    def _dense(self, zero, entry):
-        """The rows as dense ``(degree, coeffs)`` lists, ``entry`` of each value, one shared ``zero``
-        elsewhere; past _DENSE_ENTRIES entries ComputationTooLarge, before any row is built."""
-        entries = len(self.generators) * len(self.rows)
-        if entries > _DENSE_ENTRIES:
-            raise ComputationTooLarge("a presentation has too many entries to write densely",
-                                      entries=entries, cap=_DENSE_ENTRIES)
-        dense = []
+        """The dense ``(degree, coeffs)`` rows, one ``Fraction`` zero off each support."""
+        zero, dense = Fraction(0), []
         for degree, support, values in self.rows:
             coeffs = [zero] * len(self.generators)
             for i, c in zip(support, values):
-                coeffs[i] = entry(c)
-            dense.append((degree, coeffs))
-        return dense
+                coeffs[i] = c
+            dense.append((degree, tuple(coeffs)))
+        return tuple(dense)
 
     def __eq__(self, other):
         return (
@@ -174,12 +153,14 @@ class PresentationND:
         )
 
 
-def _sparse(coeffs):
-    """``(support, values)`` of a dense tuple of rationals in one pass.  A
+def _sparse(coeffs, n):
+    """``(support, values)`` of a dense row of ``n`` rationals in one pass.  A
     dense row usually repeats one zero object: entries that are the row's
     first ``Fraction`` zero are passed over by identity, and only the
     others go through ``q`` (when not a ``Fraction`` already) and a truth
     test."""
+    if len(coeffs) != n:
+        raise InvalidInput("relation row length must match generator count")
     zero = next((c for c in coeffs if type(c) is Fraction and not c), None)
     support, values = [], []
     for i in compress(range(len(coeffs)), map(is_not, coeffs, repeat(zero))):

@@ -19,10 +19,10 @@ import pytest
 from aptkit import catalog, cli, geometry, io, toric
 from aptkit.barcodes import Barcode, bar, barcode
 from aptkit.cli import build_parser, main
-from aptkit.errors import InvalidInput
+from aptkit.errors import ComputationTooLarge, InvalidInput
 from aptkit.geometry import Cone
 from aptkit.interleaving import InterleavingCertificate
-from aptkit.modules import HALFLINE, PresentationND, presentation_of_barcode
+from aptkit.modules import HALFLINE, PresentationND, barcode_of_presentation, h0_tensor, presentation_of_barcode
 from aptkit.polyhedra import OpenPolyhedron
 
 from generators import ladder_barcode
@@ -40,9 +40,6 @@ def test_json_round_trips():
     assert io.parse_barcode_json(io.barcode_to_json(b)) == b
     c = Cone(2, [(1, 0), (1, 2)])
     assert io.parse_cone_json(io.cone_to_json(c)) == c
-    fan = catalog.fan("p2")
-    round_tripped = io.parse_fan_json(io.fan_to_json(fan))
-    assert round_tripped.ids == fan.ids and round_tripped.cones == fan.cones
     p = PresentationND(HALFLINE, [(0,), (1,)], [((2,), [1, Fraction(-1, 3)])])
     assert io.parse_presentation_json(io.presentation_to_json(p)) == p
     poly = OpenPolyhedron(2, [((1, 0), Fraction(1, 2)), ((0, 1), 1)])
@@ -51,12 +48,6 @@ def test_json_round_trips():
     cert = InterleavingCertificate(Fraction(1, 2), Fraction(1, 2), (0, None), (0,))
     parsed = io.parse_certificate_json(json.loads(io.dumps(io.certificate_to_json(cert))))
     assert parsed == cert
-    from aptkit.barcodes import k0_class
-
-    k = k0_class(Barcode([bar(0, 2), bar(1, 3)]))
-    assert io.parse_k0_json(io.k0_to_json(k)) == k
-    offsets = {"pos": Fraction(1, 2), "neg": float("inf")}
-    assert io.parse_offsets_json(io.offsets_to_json(offsets)) == offsets
     # serialize -> parse -> serialize is byte-stable
     text = io.dumps(io.barcode_to_json(b))
     again = io.dumps(io.barcode_to_json(io.parse_barcode_json(json.loads(text))))
@@ -360,15 +351,6 @@ def test_cli_verify_out_of_range_index_is_invalid():
     assert code == 0 and json.loads(out) == {"valid": False}
 
 
-def test_k0_terms_need_grade_and_integer_coef():
-    assert io.parse_k0_json([{"grade": "1/2", "coef": "-3"}]) == io.parse_k0_json(
-        [{"grade": "1/2", "coef": -3}]
-    )
-    for bad in ([{"grade": "0"}], [{"coef": 1}], [{"grade": "0", "coef": 1.5}], [{"grade": "0", "coef": False}]):
-        with pytest.raises(InvalidInput):
-            io.parse_k0_json(bad)
-
-
 def test_cli_conversion_past_the_ray_cap_is_structured(monkeypatch, capsys, empty_table):
     monkeypatch.setattr(geometry, "_DD_RAY_CAP", 2)
     square = '{"dim":3,"generators":[["1","1","1"],["1","-1","1"],["-1","-1","1"],["-1","1","1"]]}'
@@ -524,7 +506,8 @@ def test_a_missing_input_is_bad_input_naming_its_flags(group, command, command_p
     assert capsys.readouterr().err == ""
 
 
-P2_JSON = io.dumps(io.fan_to_json(catalog.fan("p2")))
+P2 = catalog.fan("p2")
+P2_JSON = io.dumps({"dim": 2, "cones": [io.cone_to_json(c, cid) for cid, c in zip(P2.ids, P2.cones)]})
 INPUT_ERRORS = {
     "malformed-json": (["barcode", "k0", "--input", '{"bars": [}'], "malformed JSON input: Expecting value"),
     "fan-input-without-cone": (["cone", "faces", "--input", P2_JSON], "--cone is required with a fan input"),
@@ -534,6 +517,13 @@ INPUT_ERRORS = {
     "long-point": (["toric", "root-level", "--catalog", "p1", "--cone", "pos", "--point", "1,2"],
                    "point must have 1 coordinates"),
     "long-at": (["module", "eval", "--catalog", "interval01", "--at", "1,2"], "grade must have 1 coordinates"),
+    "relation-in-both-forms": (["module", "eval", "--input", '{"gamma": {"dim": 1, "generators": [["1"]]}, '
+                                '"generators": [["0"]], "relations": [{"degree": ["1"], "coeffs": ["1"], '
+                                '"terms": [[0, "1"]]}]}', "--at", "0"],
+                               "each relation needs one of 'terms' and 'coeffs'"),
+    # a digit string past int()'s default limit of 4300 digits ended in a ValueError
+    "long-dim": (["cone", "dual", "--input", '{"dim": "%s", "generators": []}' % ("7" * 5000)],
+                 "a rational may have at most 600 digits"),
 }
 
 
@@ -607,10 +597,10 @@ def test_constructors_refuse_a_dimension_that_is_not_a_nonnegative_int():
     assert Cone(0, []).dim == OpenPolyhedron(0, []).dim == 0
 
 
-def _too_large_within_1_gib(argv):
+def _cli_within_1_gib(argv, seconds=1):
     """Run the CLI in a child limited to 1 GiB of address space, where a list
-    of 10^8 bars, or a dense presentation of 10^8 entries, would end in a
-    MemoryError: it must answer too-large within a second, with no traceback."""
+    of 10^8 bars would end in a MemoryError: it must exit within ``seconds``,
+    with no traceback.  Its exit code and stdout."""
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from aptkit.cli import main\n"
@@ -619,9 +609,14 @@ def _too_large_within_1_gib(argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert time.perf_counter() - start < 1
-    assert (result.returncode, result.stderr) == (1, "")
-    assert json.loads(result.stdout)["error"]["code"] == "too-large"
+    assert time.perf_counter() - start < seconds
+    assert result.stderr == ""
+    return result.returncode, result.stdout
+
+
+def _too_large_within_1_gib(argv):
+    code, out = _cli_within_1_gib(argv)
+    assert code == 1 and json.loads(out)["error"]["code"] == "too-large"
 
 
 HUGE_MULTIPLICITY = '{"bars":[{"birth":"0","death":"1","multiplicity":100000000}]}'
@@ -635,23 +630,48 @@ def test_cli_module_present_on_a_huge_multiplicity_is_too_large():
     _too_large_within_1_gib(["module", "present", "--input", HUGE_MULTIPLICITY])
 
 
-def test_cli_module_present_of_a_long_ladder_is_too_large(tmp_path):
-    # 6000 generators and 6000 relations: 3.6 * 10^7 dense entries
+def test_cli_module_present_of_a_long_ladder_answers_within_1_gib(tmp_path):
+    # 6000 generators and 6000 relations, 3.6 * 10^7 entries if written densely
     path = tmp_path / "ladder.json"
     path.write_text(io.dumps(io.barcode_to_json(ladder_barcode(random.Random(6000), 6000))))
-    _too_large_within_1_gib(["module", "present", "--input", str(path)])
+    code, out = _cli_within_1_gib(["module", "present", "--input", str(path)], seconds=5)
+    written = json.loads(out)
+    assert code == 0 and (len(written["generators"]), len(written["relations"])) == (6000, 6000)
+    assert len(out) < 2 * 10**6
 
 
-def test_cli_module_tensor_of_two_ladders_is_too_large(tmp_path):
+def test_cli_module_tensor_of_two_ladders_answers_within_1_gib(tmp_path):
     # the Rees presentations of two 100-bar ladders: 10^4 generators and
-    # 2 * 10^4 relations, 2 * 10^8 dense entries
-    argv = ["module", "tensor"]
+    # 2 * 10^4 relations, 2 * 10^8 entries if written densely
+    argv, factors = ["module", "tensor"], []
     for flag, seed in (("--input", 100), ("--input2", 101)):
+        factors.append(presentation_of_barcode(ladder_barcode(random.Random(seed), 100)))
         path = tmp_path / f"rees{seed}.json"
-        path.write_text(io.dumps(io.presentation_to_json(presentation_of_barcode(
-            ladder_barcode(random.Random(seed), 100)))))
+        path.write_text(io.dumps(io.presentation_to_json(factors[-1])))
         argv += [flag, str(path)]
-    _too_large_within_1_gib(argv)
+    code, out = _cli_within_1_gib(argv, seconds=5)
+    written = json.loads(out)
+    assert code == 0 and (len(written["generators"]), len(written["relations"])) == (10**4, 2 * 10**4)
+    assert len(out) < 2 * 10**6
+    path = tmp_path / "tensor.json"
+    path.write_text(out)
+    code, bars = run_cli(["module", "barcode", "--input", str(path)])
+    assert code == 0
+    assert json.loads(bars) == io.barcode_to_json(barcode_of_presentation(h0_tensor(*factors)))
+
+
+def test_cli_whole_space_past_the_dim_cap_is_too_large():
+    # the dual of the whole space of dim 2000 ended in a MemoryError within 1 GiB
+    _too_large_within_1_gib(["cone", "dual", "--input", '{"dim": 2000, "generators": []}'])
+
+
+def test_constructors_refuse_a_dimension_past_the_cap():
+    cap = geometry._DIM_CAP
+    for build in (lambda: Cone(cap + 1, []), lambda: OpenPolyhedron(cap + 1, [])):
+        with pytest.raises(ComputationTooLarge) as caught:
+            build()
+        assert caught.value.as_report()["details"] == {"dim": cap + 1, "cap": cap}
+    assert Cone(cap, []).dim == cap
 
 
 HUGE_GRADES = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -164,16 +165,6 @@ def test_presentation_counts_its_unit_bars_before_building(monkeypatch):
     assert len(presentation_of_barcode(Barcode([bar(0, 1, multiplicity=2), bar(1, "inf")])).generators) == 3
     with pytest.raises(ComputationTooLarge):
         presentation_of_barcode(Barcode([bar(0, 1, multiplicity=2), bar(1, "inf", multiplicity=2)]))
-
-
-def test_dense_relations_are_counted_before_building(monkeypatch):
-    p = presentation_of_barcode(Barcode([bar(0, 1, multiplicity=3), bar(1, "inf")]))  # 4 gens x 3 rels
-    monkeypatch.setattr(modules, "_DENSE_ENTRIES", 12)
-    assert len(p.relations) == 3
-    monkeypatch.setattr(modules, "_DENSE_ENTRIES", 11)
-    with pytest.raises(ComputationTooLarge) as caught:
-        p.relations
-    assert caught.value.as_report()["details"] == {"entries": 12, "cap": 11}
 
 
 def test_rees_round_trip_random():
@@ -518,28 +509,81 @@ def test_dense_view_round_trips():
             assert len(coeffs) == len(p.generators) and all(type(c) is Fraction for c in coeffs)
 
 
-def test_presentation_json_is_written_from_the_sparse_rows(monkeypatch):
-    # byte for byte what the writer of the dense rows printed, over Q, F_2 and
-    # F_3, with fractional, negative and 700-digit coefficients, no relation
-    # or no generator, and without a read of the dense view
-    huge = 10**700 + 1
-    cases = [_stored_form_cases()]
-    for seed, field in enumerate((None, PrimeField(2), PrimeField(3))):
+def _written_cases(digits):
+    """Seeded presentations over Q, F_2 and F_3 with fractional, negative and
+    ``digits``-digit coefficients, tensor products, and ones with no relation
+    or no generator."""
+    huge, cases = 10**(digits - 1) + 1, []
+    for seed, field in enumerate(FIELDS):
         rng = random.Random(40 + seed)
         for n, m in ((1, 0), (6, 9), (30, 20), (50, 80)):
             base = sparse_presentation(rng, n, m, (-2, 1, Fraction(-3, 7), Fraction(9, 11), huge, Fraction(1, huge)))
-            cases.append([PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)])
-        cases.append([PresentationND._from_rows(HALFLINE, [], [], field)])
-    cases = [p for group in cases for p in group]
+            cases.append(PresentationND._from_rows(HALFLINE, base.generators, base.rows, field))
+        cases.append(PresentationND._from_rows(HALFLINE, [], [], field))
+        cases += [h0_tensor(random_presentation(rng, field=field), random_presentation(rng, field=field))
+                  for _ in range(5)]
+    return cases
 
-    def dense_writer(p):
-        return {"gamma": io.cone_to_json(p.gamma), "generators": [io.qvec_to_json(g) for g in p.generators],
-                "relations": [{"degree": io.qvec_to_json(d), "coeffs": io.qvec_to_json(c)} for d, c in p.relations]}
 
-    expected = [io.dumps(dense_writer(p)) for p in cases]
+def test_presentation_json_is_written_from_the_sparse_rows(monkeypatch):
+    # each relation's terms are its sparse row, and the dense view is never
+    # read; the text reads back as the same presentation and prints the same
+    # bytes again when no coefficient is written with over 600 characters,
+    # the most a rational may have on input
+    readable, long = [*_stored_form_cases(), *_written_cases(500)], _written_cases(700)
     monkeypatch.setattr(PresentationND, "relations", property(lambda p: pytest.fail("the dense view was read")))
-    assert [io.dumps(io.presentation_to_json(p)) for p in cases] == expected
-    assert sum(len(p.rows) for p in cases) >= 300
+    for group in (readable, long):
+        for p in group:
+            text = io.dumps(io.presentation_to_json(p))
+            wire = json.loads(text)
+            assert p.rows == tuple((io.parse_qvec_json(r["degree"]), tuple(i for i, _ in r["terms"]),
+                                    tuple(Fraction(c) for _, c in r["terms"])) for r in wire["relations"])
+            if group is readable:
+                back = io.parse_presentation_json(wire, p.field)
+                assert back == p and io.dumps(io.presentation_to_json(back)) == text
+        assert sum(len(p.rows) for p in group) >= 300
+    for group, digits in ((readable, 500), (long, 700)):
+        assert any(str(10**(digits - 1) + 1) in io.dumps(io.presentation_to_json(p)) for p in group)
+
+
+def test_dense_relations_read_as_their_sparse_rewrite():
+    for p in _stored_form_cases():
+        wire = io.presentation_to_json(p)
+        dense = dict(wire, relations=[{"degree": io.qvec_to_json(d), "coeffs": io.qvec_to_json(c)}
+                                      for d, c in p.relations])
+        assert io.parse_presentation_json(json.loads(io.dumps(dense)), p.field) == p
+        assert io.parse_presentation_json(wire, p.field) == p
+    # an index may be a JSON integer or a string of digits, as every integer of the wire
+    data = {"gamma": {"dim": 1, "generators": [["1"]]}, "generators": [["0"], ["1"]],
+            "relations": [{"degree": ["2"], "terms": [[0, "1"], ["1", "-1/3"]]}]}
+    assert io.parse_presentation_json(data) == PresentationND(HALFLINE, [(0,), (1,)], [((2,), [1, Fraction(-1, 3)])])
+
+
+MALFORMED_RELATIONS = {
+    "both-keys": ({"coeffs": ["1", "1"], "terms": [[0, "1"]]}, "one of 'terms' and 'coeffs'"),
+    "neither-key": ({}, "one of 'terms' and 'coeffs'"),
+    "unsorted": ({"terms": [[1, "1"], [0, "1"]]}, "ascending generator indices"),
+    "duplicate": ({"terms": [[0, "1"], [0, "2"]]}, "ascending generator indices"),
+    "out-of-range": ({"terms": [[2, "1"]]}, "ascending generator indices"),
+    "negative": ({"terms": [[-1, "1"]]}, "ascending generator indices"),
+    "bool-index": ({"terms": [[True, "1"]]}, "term index must be an integer"),
+    "string-float-index": ({"terms": [["1.0", "1"]]}, "term index must be an integer"),
+    "float-index": ({"terms": [[1.0, "1"]]}, "term index must be an integer"),
+    "long-index": ({"terms": [["7" * 5000, "1"]]}, "at most 600 digits"),
+    "zero": ({"terms": [[0, "0"]]}, "one nonzero value"),
+    "triple": ({"terms": [[0, "1", "1"]]}, "[index, coeff] pair"),
+    "not-a-list": ({"terms": [{"0": "1"}]}, "[index, coeff] pair"),
+    "terms-not-a-list": ({"terms": {"0": "1"}}, "terms must be a JSON list"),
+    "short-coeffs": ({"coeffs": ["1"]}, "row length must match"),
+}
+
+
+@pytest.mark.parametrize("relation, message", MALFORMED_RELATIONS.values(), ids=MALFORMED_RELATIONS)
+def test_malformed_relations_are_bad_input(relation, message):
+    data = {"gamma": {"dim": 1, "generators": [["1"]]}, "generators": [["0"], ["1"]],
+            "relations": [dict(relation, degree=["2"])]}
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        io.parse_presentation_json(json.loads(json.dumps(data)))
 
 
 def test_only_sparse_rows_are_stored():
