@@ -52,9 +52,6 @@ class DecoratedInterval(Record):
         return self.left < a < self.right or (a == self.left and self.left_closed) or (
             a == self.right and self.right_closed)
 
-    def length(self):
-        return self.right - self.left
-
     def has_interior(self) -> bool:
         return self.left < self.right
 
@@ -301,7 +298,7 @@ def convolve(b1: Barcode, b2: Barcode) -> Barcode:
             if s1 == "line" or s2 == "line":
                 keys = [] if "finite" in (s1, s2) else [(NEG_INF, INF, d)]
             else:  # a ray's end stays INF, so with a ray the least sum is the translate's end
-                e1, e2 = r1 + l2 if is_finite(r1) else INF, r2 + l1 if is_finite(r2) else INF
+                e1, e2 = r1 + l2 if s1 == "finite" else INF, r2 + l1 if s2 == "finite" else INF
                 low, high = (e1, e2) if e1 <= e2 else (e2, e1)
                 keys = [(l1 + l2, low, d)] + [(high, r1 + r2, d + 1)] * (s1 == s2 == "finite")
             for key in keys:

@@ -1,4 +1,4 @@
-"""Named fans, cones, barcodes and presentations used across tests and the CLI."""
+"""Named fans, barcodes, presentations and towers, read by the CLI and the demos."""
 
 from __future__ import annotations
 
@@ -35,8 +35,6 @@ _FAN_BUILDERS = {
     "halffan": lambda: _fan(2, {"e1": (1, 0), "e2": (0, 1), "-e1": (-1, 0)}, {"q1": "e1 e2", "q2": "e2 -e1"}),
 }
 
-COMPLETE_FANS = ("p1", "p2", "p1xp1", "hirzebruch-1", "hirzebruch-2")
-
 
 def fan_names():
     return sorted(_FAN_BUILDERS)
@@ -52,21 +50,6 @@ def _lookup(table, kind, name):
 
 def fan(name: str) -> Fan:
     return _lookup(_FAN_BUILDERS, "fan", name)()
-
-
-def catalog_cones():
-    """Representative cones, as (name, cone), for property sweeps."""
-    out = [
-        ("zero1", Cone(1, [])),
-        ("halfline", Cone(1, [(1,)])),
-        ("zero2", Cone(2, [])),
-        ("quadrant", Cone(2, [(1, 0), (0, 1)])),
-        ("ray2", Cone(2, [(1, 2)])),
-        ("skew2", Cone(2, [(2, 1), (-1, 3)])),
-        ("octant", Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
-        ("wedge3", Cone(3, [(1, 0, 0), (1, 2, 0), (1, 0, 3)])),
-    ]
-    return out
 
 
 _BARCODES = {
@@ -104,42 +87,8 @@ _PRESENTATIONS = {
 }
 
 
-def presentation_names():
-    return sorted(_PRESENTATIONS)
-
-
 def presentation(name: str, field=None) -> PresentationND:
     return _lookup(_PRESENTATIONS, "presentation", name)(field)
-
-
-def exact_triples(field=None):
-    """Short exact triples (sub, total, quotient) of 1-d presentations.
-
-    Each encodes 0 -> sub -> total -> quotient -> 0 at the barcode level,
-    for the K0 additivity checks.
-    """
-    mk = PresentationND
-    triples = [
-        # [1,2) -> [0,2) -> [0,1)
-        (
-            mk(HALFLINE, [(1,)], [((2,), [1])], field),
-            mk(HALFLINE, [(0,)], [((2,), [1])], field),
-            mk(HALFLINE, [(0,)], [((1,), [1])], field),
-        ),
-        # [1,inf) -> [0,inf) -> [0,1)
-        (
-            mk(HALFLINE, [(1,)], [], field),
-            mk(HALFLINE, [(0,)], [], field),
-            mk(HALFLINE, [(0,)], [((1,), [1])], field),
-        ),
-        # direct sum: [0,1) -> [0,1)+[2,3) -> [2,3)
-        (
-            mk(HALFLINE, [(0,)], [((1,), [1])], field),
-            mk(HALFLINE, [(0,), (2,)], [((1,), [1, 0]), ((3,), [0, 1])], field),
-            mk(HALFLINE, [(2,)], [((3,), [1])], field),
-        ),
-    ]
-    return triples
 
 
 def geometric_towers():

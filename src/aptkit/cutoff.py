@@ -1,8 +1,8 @@
 """Combinatorial substrate of the microlocal cut-off theorem.
 
 Covers the gamma-topology predicates and basis witnesses, the fan open
-sets Delta(d) with their Minkowski identity, dual-cone openness, the
-star-complex stalk homology of complete fans, and indicator convolution.
+sets Delta(d) with their Minkowski identity, the star-complex stalk
+homology of complete fans, and indicator convolution.
 
 Stalk homology builds the cellular (Borel-Moore) chain complex of the
 polyhedral decomposition a complete fan puts on the ambient space: one
@@ -34,10 +34,10 @@ from .errors import (
     NotGammaOpen,
     PointNotInSet,
 )
-from .geometry import Cone, Fan, _idot, _memo, dual_cone, faces_of
+from .geometry import Cone, Fan, _idot, _memo, _with_lines, dual_cone, faces_of
 from .linalg import _int_det, echelon, rank
-from .polyhedra import OpenPolyhedron, _homogenisation, _polyhedron, minkowski_sum, minkowski_with_relint_cone
-from .rational import INF, integral, l1norm, q, qvec, vadd, vneg, vscale, vsub, zero_vec
+from .polyhedra import OpenPolyhedron, _homogenisation, _polyhedron, _sum, minkowski_sum
+from .rational import INF, integral, l1norm, q, qvec, vneg, vscale, vsub
 
 
 def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
@@ -48,11 +48,6 @@ def is_gamma_open(u: OpenPolyhedron, gamma: Cone) -> bool:
         return True
     dual = dual_cone(gamma)
     return all(dual._holds(f[:-1]) for f in u._key[1])
-
-
-def is_theta_dual_open(u: OpenPolyhedron, theta: Cone) -> bool:
-    """U + theta^dual = U."""
-    return is_gamma_open(u, dual_cone(theta))
 
 
 def gamma_basis_witness(u: OpenPolyhedron, x, gamma: Cone):
@@ -133,7 +128,10 @@ def tighten_offsets(theta: Fan, offsets) -> dict:
 
 
 def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
-    """Exact H-representation of u + relint(cone).
+    """Exact H-representation of u + relint(cone).  For open u it is
+    u + cone, as u + k = (u - e*k0) + (k + e*k0) for k0 in relint(cone) and
+    small e > 0: its homogenisation is spanned by u's and by the cone's
+    generators at t = 0.
 
     For the dual cone of a fan member and a support-tight Delta(d) this
     drops exactly the constraints whose normals are not rays of the
@@ -143,7 +141,9 @@ def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
     """
     if u.is_empty:
         raise EmptyInput("Minkowski sum with an empty set")
-    return minkowski_with_relint_cone(u, cone)
+    if u.dim != cone.dim:
+        raise InvalidInput("ambient dimension mismatch")
+    return _sum(u.dim, _with_lines(*u._cone._key[1:]) + tuple(g + (0,) for g in _with_lines(*cone._key[1:])))
 
 
 class StalkReport(Record):
@@ -245,28 +245,13 @@ def _assert_chain_complex(boundary):
                 raise InternalCheckFailed("incidence signs failed d.d = 0", check="chain-complex")
 
 
-def stratum_points(sigma_fan: Fan):
-    """One canonical relative-interior point per cone, plus one extra
-    generically weighted point per maximal cone."""
-    points = [c.interior_point() for c in sigma_fan.cones]
-    for i in sigma_fan.maximal_indices():
-        c = sigma_fan.cones[i]
-        if c.is_zero():
-            continue
-        p = zero_vec(sigma_fan.dim)
-        for k, r in enumerate(c.rays):
-            p = vadd(p, vscale(k + 1, r))
-        points.append(p)
-    return list(dict.fromkeys(points))  # dedupe, preserving order
-
-
 def convolution_unit_check(sigma_fan: Fan, field=None):
     """Total stalk rank 1 at one representative point per stratum.
 
-    The points are those of :func:`stratum_points`, one per cone and one
-    more per maximal cone of two or more rays.  A point in the relative
-    interior of a cone lies in exactly the cones that have it as a face (its
-    star in the face relation): both points of a maximal cone give one complex.
+    The strata counted are one per cone and one more per maximal cone of
+    two or more rays.  A point in the relative interior of a cone lies in
+    exactly the cones that have it as a face (its star in the face
+    relation): both points of a maximal cone give one complex.
 
     Returns (ok, strata_checked).
     """

@@ -352,12 +352,6 @@ class Cone:
     facet_normals = _view("_facet_normals", lambda c: _fractions(c._hrep[0]))
     span_normals = _view("_span_normals", lambda c: _fractions(c._hrep[1]))
 
-    @classmethod
-    def from_halfspaces(cls, dim: int, normals) -> "Cone":
-        """The cone {x : <n, x> >= 0 for all n}: the dual of the cone that
-        the normals generate."""
-        return dual_cone(cls(dim, normals))
-
     @property
     def generators(self):
         gens = self.rays + tuple(v for e in self.lineality for v in (e, vneg(e)))
@@ -370,16 +364,9 @@ class Cone:
     def is_full_dim(self) -> bool:
         return self.cone_dim == self.dim
 
-    def is_zero(self) -> bool:
-        return not self._key[1] and not self._key[2]
-
     def contains(self, x) -> bool:
         """H-representation membership: every halfspace inequality holds."""
         return self._holds(integral(qvec(x, self.dim))[0])
-
-    def relint_contains(self, x) -> bool:
-        """Relative interior membership: equalities on the span, strict on facets."""
-        return self._holds(integral(qvec(x, self.dim))[0], strict=True)
 
     def _holds(self, x, strict=False) -> bool:
         """Membership of an ``int`` vector: every span equality, and every

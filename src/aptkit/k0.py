@@ -30,9 +30,6 @@ class K0Class:
     def zero(cls) -> "K0Class":
         return cls()
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other: "K0Class") -> "K0Class":
         return K0Class(list(self.terms) + list(other.terms))
 

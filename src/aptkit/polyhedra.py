@@ -56,10 +56,6 @@ class OpenPolyhedron:
                         else tuple((tuple(map(Fraction, f[:-1])), Fraction(f[-1])) for f in p._key[1]))
 
     @classmethod
-    def whole_space(cls, dim: int) -> "OpenPolyhedron":
-        return cls(dim, [])
-
-    @classmethod
     def empty(cls, dim: int) -> "OpenPolyhedron":
         _check_dim(dim)
         return _polyhedron(dim, None)
@@ -165,16 +161,6 @@ def minkowski_sum(p: OpenPolyhedron, other: OpenPolyhedron) -> OpenPolyhedron:
         for v in gens_p if v[-1] for w in gens_q if w[-1]
     ]
     return _sum(p.dim, rows)
-
-
-def minkowski_with_relint_cone(p: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
-    """The set p + relint(cone), exactly.  For open p it is p + cone, as
-    p + k = (p - e*k0) + (k + e*k0) for k0 in relint(cone) and small e > 0."""
-    if p.dim != cone.dim:
-        raise InvalidInput("ambient dimension mismatch")
-    if p.is_empty:
-        return p
-    return _sum(p.dim, _with_lines(*p._cone._key[1:]) + tuple(g + (0,) for g in _with_lines(*cone._key[1:])))
 
 
 def _sum(dim, rows) -> OpenPolyhedron:

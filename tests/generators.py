@@ -1,4 +1,5 @@
-"""Seeded pseudorandom generators for property sweeps."""
+"""Seeded pseudorandom generators for property sweeps, and the fixed cones,
+fans, presentations and points the sweeps run over."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
+from aptkit import catalog
 from aptkit.barcodes import Bar, Barcode, DecoratedInterval
 from aptkit.geometry import Cone, validate_fan
 from aptkit.modules import HALFLINE, PresentationND
-from aptkit.rational import INF, NEG_INF
+from aptkit.rational import INF, NEG_INF, vadd, vscale, zero_vec
 
 
 def half_grade(rng, lo=0, hi=10) -> Fraction:
@@ -240,3 +242,69 @@ def complete_plane_fan(rng, extra):
     cones = [Cone(2, [])] + [Cone(2, [r]) for r in rays]
     cones += [Cone(2, [r, s]) for r, s in zip(rays, rays[1:] + rays[:1])]
     return validate_fan(cones)
+
+
+COMPLETE_FANS = ("p1", "p2", "p1xp1", "hirzebruch-1", "hirzebruch-2")
+
+
+def catalog_cones():
+    """Representative cones, as (name, cone), for property sweeps."""
+    return [
+        ("zero1", Cone(1, [])),
+        ("halfline", Cone(1, [(1,)])),
+        ("zero2", Cone(2, [])),
+        ("quadrant", Cone(2, [(1, 0), (0, 1)])),
+        ("ray2", Cone(2, [(1, 2)])),
+        ("skew2", Cone(2, [(2, 1), (-1, 3)])),
+        ("octant", Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+        ("wedge3", Cone(3, [(1, 0, 0), (1, 2, 0), (1, 0, 3)])),
+    ]
+
+
+def presentation_names():
+    """The names of the catalog presentations."""
+    return sorted(catalog._PRESENTATIONS)
+
+
+def exact_triples(field=None):
+    """Short exact triples (sub, total, quotient) of 1-d presentations.
+
+    Each encodes 0 -> sub -> total -> quotient -> 0 at the barcode level,
+    for the K0 additivity checks.
+    """
+    mk = PresentationND
+    return [
+        # [1,2) -> [0,2) -> [0,1)
+        (
+            mk(HALFLINE, [(1,)], [((2,), [1])], field),
+            mk(HALFLINE, [(0,)], [((2,), [1])], field),
+            mk(HALFLINE, [(0,)], [((1,), [1])], field),
+        ),
+        # [1,inf) -> [0,inf) -> [0,1)
+        (
+            mk(HALFLINE, [(1,)], [], field),
+            mk(HALFLINE, [(0,)], [], field),
+            mk(HALFLINE, [(0,)], [((1,), [1])], field),
+        ),
+        # direct sum: [0,1) -> [0,1)+[2,3) -> [2,3)
+        (
+            mk(HALFLINE, [(0,)], [((1,), [1])], field),
+            mk(HALFLINE, [(0,), (2,)], [((1,), [1, 0]), ((3,), [0, 1])], field),
+            mk(HALFLINE, [(2,)], [((3,), [1])], field),
+        ),
+    ]
+
+
+def stratum_points(sigma_fan):
+    """One canonical relative-interior point per cone, plus one extra
+    generically weighted point per maximal cone."""
+    points = [c.interior_point() for c in sigma_fan.cones]
+    for i in sigma_fan.maximal_indices():
+        c = sigma_fan.cones[i]
+        if c.cone_dim == 0:
+            continue
+        p = zero_vec(sigma_fan.dim)
+        for k, r in enumerate(c.rays):
+            p = vadd(p, vscale(k + 1, r))
+        points.append(p)
+    return list(dict.fromkeys(points))  # dedupe, preserving order

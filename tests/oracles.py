@@ -9,8 +9,9 @@ with the lineality from the Gauss-Jordan kernel basis, a projection along a
 Gram-Schmidt basis and a second pass of facet dot products for the V-data
 read off a cone's generators, Fourier-Motzkin
 feasibility of nonnegative combinations for V-representation membership,
-supporting hyperplane sweeps for faces, a conversion of both cones'
-halfspaces for intersections, converted and compared cones for the
+the ``Fraction`` H-rows for relative interior membership, supporting
+hyperplane sweeps for faces, a conversion of both cones' halfspaces for
+intersections, converted and compared cones for the
 localization identities of a transition, a face list per member and
 converted intersections for fan validation, Fourier-Motzkin feasibility for the
 irredundant form, inclusion and support values of open polyhedra,
@@ -25,7 +26,9 @@ the barcode calculus, a recursive Kuhn search
 for perfect matchings and, on it, the square graph with its diagonal block
 for interleaving feasibility, the column reduction on ``Fraction`` entries
 (over F_p on each entry's own residue) and the rank invariant by dense
-elimination for barcodes over Q and F_p, the former Q kernel, which divides
+elimination for barcodes over Q and F_p, the homology of the tensor of
+two free resolutions, by dense ranks, for Tor against the convolution of
+barcodes, the former Q kernel, which divides
 out the content after every scaled step, for the columns of the Q kernel,
 closing by counted-down propagation for the relations that clearing skips,
 a dense scan with one
@@ -50,7 +53,7 @@ from math import gcd
 
 from aptkit import fm
 from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
-from aptkit.cutoff import star_stalk_homology, stratum_points
+from aptkit.cutoff import star_stalk_homology
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.errors import BadIntersection, ImproperCone, MissingFace
 from aptkit.geometry import Cone, Fan, _with_lines, cone_sum, dual_cone, faces_of, is_proper
@@ -75,6 +78,7 @@ from aptkit.rational import (
     vsub,
     zero_vec,
 )
+from generators import stratum_points
 
 
 def _idot(u, v):
@@ -140,6 +144,13 @@ def contains_by_vrep(cone: Cone, x) -> bool:
         coeffs[i] = Fraction(1)
         cons.append((tuple(coeffs), Fraction(0), fm.GE))
     return fm.feasible(cons, k)
+
+
+def relint_contains_by_hrep(cone: Cone, x) -> bool:
+    """Relative interior membership on the ``Fraction`` H-representation:
+    x lies on every span equation and strictly inside every facet."""
+    x = qvec(x, cone.dim)
+    return all(dot(e, x) == 0 for e in cone.span_normals) and all(dot(f, x) > 0 for f in cone.facet_normals)
 
 
 def kernel_line(rows, ncols):
@@ -307,7 +318,7 @@ def faces_by_supporting_hyperplanes(cone: Cone):
             candidates.add(m)
     faces = {}
     for m in candidates:
-        face = Cone.from_halfspaces(cone.dim, list(cone.halfspaces) + [m, vneg(m)])
+        face = dual_cone(Cone(cone.dim, list(cone.halfspaces) + [m, vneg(m)]))
         faces[face._key] = face
     return sorted(faces.values(), key=lambda f: (f.cone_dim, f._key))
 
@@ -480,8 +491,8 @@ def convolve_intervals(iv1, iv2):
         if classify_shape(moved) == "ray":
             return [(interval(moved.left + a, INF), 0)]
         return [(interval(moved.left + a, moved.right + a), 0)]
-    l1 = iv1.length()
-    l2 = iv2.length()
+    l1 = iv1.right - iv1.left
+    l2 = iv2.right - iv2.left
     start = iv1.left + iv2.left
     lo, hi = min(l1, l2), max(l1, l2)
     return [
@@ -838,6 +849,43 @@ def dense_rank(rows, ncols: int, p=None) -> int:
             mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
         r += 1
     return r
+
+
+def tor_at(p, other, s) -> dict:
+    """Tor_i(M, N) at the grade s, for 1-D presentations M of ``p`` and N of
+    ``other`` whose relations are independent, so that each is a free
+    resolution 0 -> F_R -> F_G: the homology at s of the tensor of the two,
+    R(x)R' -> R(x)G' + G(x)R' -> G(x)G', with d(r (x) r') =
+    r (x) dr' - dr (x) r'.  A free summand of grade at most s is one basis
+    vector there, each map is its coefficients on those, and the three
+    dimensions come from the ranks of the two maps (:func:`dense_rank`).
+    The nonzero ones by degree, as ``barcodes.eval_at`` gives them."""
+    s, prime = q(s), p.field.p if p.field else None
+    gens, gens2 = ([a for (a,) in m.generators] for m in (p, other))
+    rels, rels2 = ([(b, c) for (b,), c in m.relations] for m in (p, other))
+    c0 = {(i, j): k for k, (i, j) in enumerate(
+        (i, j) for i, a in enumerate(gens) for j, a2 in enumerate(gens2) if a + a2 <= s)}
+    c1 = [("rg", r, j) for r, (b, _) in enumerate(rels) for j, a2 in enumerate(gens2) if b + a2 <= s]
+    c1 += [("gr", i, r) for i, a in enumerate(gens) for r, (b2, _) in enumerate(rels2) if a + b2 <= s]
+    c2 = [(r, r2) for r, (b, _) in enumerate(rels) for r2, (b2, _) in enumerate(rels2) if b + b2 <= s]
+    index1 = {key: k for k, key in enumerate(c1)}
+
+    def row(n, entries):
+        out = [Fraction(0)] * n
+        for k, c in entries:
+            out[k] += c
+        return out
+
+    # homogeneity: a summand of grade <= s maps into summands of grade <= s
+    d1 = [row(len(c0), [(c0[i, y], c) for i, c in enumerate(rels[x][1]) if c]) if kind == "rg"  # dr (x) g'
+          else row(len(c0), [(c0[x, j], c) for j, c in enumerate(rels2[y][1]) if c])  # g (x) dr'
+          for kind, x, y in c1]
+    d2 = [row(len(c1), [(index1["rg", r, j], c) for j, c in enumerate(rels2[r2][1]) if c]
+              + [(index1["gr", i, r2], -c) for i, c in enumerate(rels[r][1]) if c])
+          for r, r2 in c2]
+    rank1, rank2 = dense_rank(d1, len(c0), prime), dense_rank(d2, len(c1), prime)
+    dims = {0: len(c0) - rank1, 1: len(c1) - rank1 - rank2, 2: len(c2) - rank2}
+    return {degree: dim for degree, dim in dims.items() if dim}
 
 
 def reduce_q_dividing_every_step(col, paired):

@@ -30,7 +30,7 @@ from aptkit.cutoff import (
     convolution_unit_check,
     delta_polytope,
     gamma_basis_witness,
-    is_theta_dual_open,
+    is_gamma_open,
     minkowski_with_cone,
     restrict_offsets,
     tighten_offsets,
@@ -55,7 +55,14 @@ from aptkit.toric import (
     transition_data,
 )
 
-from generators import half_grade, random_barcode, random_decorated_barcode, random_presentation
+from generators import (
+    catalog_cones,
+    exact_triples,
+    half_grade,
+    random_barcode,
+    random_decorated_barcode,
+    random_presentation,
+)
 from oracles import bottleneck_by_matching_enumeration, perturbed_point
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
@@ -115,7 +122,7 @@ def test_criterion_3_monoidal():
         assert convolve(x, y) == convolve(y, x)
         assert convolve(convolve(x, y), z) == convolve(x, convolve(y, z))
         assert k0_class(convolve(x, y)) == k0_class(x) * k0_class(y)
-    for sub, total, quotient in catalog.exact_triples():
+    for sub, total, quotient in exact_triples():
         assert k0_of_presentation(total) == k0_of_presentation(sub) + k0_of_presentation(quotient)
 
 
@@ -204,11 +211,11 @@ def test_criterion_6_cutoff():
             for sigma in sub.cones:
                 if not all(theta.contains(g) for g in sigma.generators):
                     continue
-                assert is_theta_dual_open(
-                    delta_polytope(full, restrict_offsets(full, d, sigma)), theta
+                assert is_gamma_open(
+                    delta_polytope(full, restrict_offsets(full, d, sigma)), dual_cone(theta)
                 )
-                assert is_theta_dual_open(
-                    delta_polytope(full, restrict_offsets(full, d, theta)), theta
+                assert is_gamma_open(
+                    delta_polytope(full, restrict_offsets(full, d, theta)), dual_cone(theta)
                 )
 
 
@@ -282,7 +289,7 @@ def test_criterion_9_toric():
 @criterion(10, "root ladder levels and divisibility-monotone membership")
 def test_criterion_10_root_ladder():
     rng = random.Random(110)
-    for name, cone in catalog.catalog_cones():
+    for name, cone in catalog_cones():
         chart = chart_of_cone(cone)
         interior = OpenPolyhedron.cone_interior(chart.dual)
         base = interior.sample_point()

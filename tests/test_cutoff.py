@@ -15,11 +15,9 @@ from aptkit.cutoff import (
     gamma_basis_witness,
     indicator_convolve,
     is_gamma_open,
-    is_theta_dual_open,
     minkowski_with_cone,
     restrict_offsets,
     star_stalk_homology,
-    stratum_points,
 )
 from aptkit.errors import AptError, EmptyInterior, IncompleteFan, InvalidInput, NotGammaOpen, PointNotInSet
 from aptkit.geometry import Cone, dual_cone, validate_fan
@@ -27,7 +25,7 @@ from aptkit.linalg import PrimeField
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import INF, integral, vneg, vscale
 
-from generators import complete_plane_fan, stellar_fan
+from generators import COMPLETE_FANS, complete_plane_fan, stellar_fan, stratum_points
 from oracles import (
     check_minkowski_by_sampling,
     delta_polytope_by_constructor,
@@ -64,7 +62,7 @@ def test_gamma_open_examples():
     assert is_gamma_open(OpenPolyhedron(1, [((1,), 2)]), gamma)
     box = OpenPolyhedron(2, [((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)])
     assert not is_gamma_open(box, Cone(2, [(1, 0)]))
-    assert is_gamma_open(OpenPolyhedron.whole_space(2), Cone(2, [(1, 0), (0, 1)]))
+    assert is_gamma_open(OpenPolyhedron(2, []), Cone(2, [(1, 0), (0, 1)]))
     # interior of gamma minus a shift is gamma-open
     quad = Cone(2, [(1, 0), (0, 1)])
     shifted = OpenPolyhedron.cone_interior(quad).translate((-1, 2))
@@ -83,7 +81,7 @@ def test_gamma_basis_witness_examples():
     a = gamma_basis_witness(interior, (1, 1), quad)
     assert quad.contains(vneg(a))
     # whole space accepts any point
-    a = gamma_basis_witness(OpenPolyhedron.whole_space(2), (3, -4), quad)
+    a = gamma_basis_witness(OpenPolyhedron(2, []), (3, -4), quad)
     assert len(a) == 2
 
 
@@ -98,7 +96,7 @@ def test_gamma_basis_witness_errors():
     line = Cone(2, [(1, 0), (-1, 0)])
     with pytest.raises(EmptyInterior):
         gamma_basis_witness(
-            OpenPolyhedron.whole_space(2), (0, 0), dual_cone(line)
+            OpenPolyhedron(2, []), (0, 0), dual_cone(line)
         )
 
 
@@ -186,7 +184,7 @@ def test_delta_polytope_against_the_constructor_path(monkeypatch):
             expected = delta_polytope_by_constructor(fan, offsets)
             assert got == expected, (fan.ids, offsets)
             if all(d == INF for d in offsets.values()):
-                assert got == OpenPolyhedron.whole_space(fan.dim)
+                assert got == OpenPolyhedron(fan.dim, [])
             kinds["empty" if got.is_empty else "other" if got._key[1] else "whole"] += 1
             assert not hasattr(got, "_constraints") and not hasattr(summed, "_constraints")
             assert got.constraints == eager_constraints(expected)
@@ -269,7 +267,7 @@ def test_minkowski_identity_against_sampling():
     d = random_offsets(fan, rng)
     base = delta_polytope(fan, d)
     for cone in fan.cones:
-        if cone.is_zero():
+        if cone.cone_dim == 0:
             continue
         summand = OpenPolyhedron.cone_interior(dual_cone(cone))
         result = minkowski_with_cone(base, dual_cone(cone))
@@ -295,8 +293,8 @@ def test_theta_dual_openness_of_deltas():
                         continue
                     d_sigma = delta_polytope(full, restrict_offsets(full, d, sigma))
                     d_theta = delta_polytope(full, restrict_offsets(full, d, theta))
-                    assert is_theta_dual_open(d_sigma, theta)
-                    assert is_theta_dual_open(d_theta, theta)
+                    assert is_gamma_open(d_sigma, dual_cone(theta))
+                    assert is_gamma_open(d_theta, dual_cone(theta))
 
 
 def test_bounded_delta_not_theta_open():
@@ -304,7 +302,7 @@ def test_bounded_delta_not_theta_open():
     d = {rid: Fraction(1) for rid, _ in fan.rays()}
     bounded = delta_polytope(fan, d)
     theta = fan.cone_by_id("s12")
-    assert not is_theta_dual_open(bounded, theta)
+    assert not is_gamma_open(bounded, dual_cone(theta))
 
 
 def test_star_stalk_examples():
@@ -323,7 +321,7 @@ def test_star_stalk_requires_complete():
 
 
 def test_star_stalk_against_order_complex_oracle():
-    for name in catalog.COMPLETE_FANS:
+    for name in COMPLETE_FANS:
         fan = catalog.fan(name)
         for p in stratum_points(fan):
             cellular = star_stalk_homology(fan, p)
@@ -349,7 +347,7 @@ def _dense_stalk_betti(fan, point, prime):
 
 
 def test_stalk_betti_numbers_match_dense_ranks():
-    fans = [catalog.fan(name) for name in catalog.COMPLETE_FANS]
+    fans = [catalog.fan(name) for name in COMPLETE_FANS]
     fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((0, 1), (1, 2))]
     for fan in fans:
         for p in stratum_points(fan):
@@ -375,7 +373,7 @@ def test_shared_incidences_against_single_stalks_and_order_complex(empty_table):
     the fan and shared by every stratum point and both fields, give the
     reports of star_stalk_homology calls on an empty table, and their total
     rank is that of the order complex oracle."""
-    fans = [catalog.fan(name) for name in catalog.COMPLETE_FANS]
+    fans = [catalog.fan(name) for name in COMPLETE_FANS]
     fans += [stellar_fan(random.Random(seed), steps) for seed, steps in ((0, 1), (1, 2))]
     for fan in fans:
         empty_table()

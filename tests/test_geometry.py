@@ -13,7 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from aptkit import catalog, cutoff, geometry, polyhedra
-from aptkit.cutoff import convolution_unit_check, stratum_points
+from aptkit.cutoff import convolution_unit_check
 from aptkit.errors import BadIntersection, ImproperCone, InternalCheckFailed, InvalidInput, MissingFace, NotSeparable
 from aptkit.geometry import (
     Cone,
@@ -31,7 +31,7 @@ from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 from aptkit.rational import dot, primitive, vadd, vneg, vscale, zero_vec
 from aptkit.toric import chart_of_cone, transition_data
 
-from generators import complete_plane_fan, random_open_constraints, stellar_fan
+from generators import catalog_cones, complete_plane_fan, random_open_constraints, stellar_fan, stratum_points
 from oracles import (
     contains_by_vrep,
     faces_by_supporting_hyperplanes,
@@ -40,6 +40,7 @@ from oracles import (
     intersect_by_conversion,
     kernel_basis,
     rays_by_subset_enumeration,
+    relint_contains_by_hrep,
     validate_fan_by_face_lists,
 )
 
@@ -63,7 +64,7 @@ def test_dual_halfline_fixed():
 def test_dual_involution_and_fm_oracle(empty_table):
     # the oracle converts on an empty table, so that it cannot be handed
     # the interned dual or read its V-data off the cone's H-data
-    for name, cone in catalog.catalog_cones():
+    for name, cone in catalog_cones():
         dual = dual_cone(cone)
         assert dual_cone(dual) == cone, name
         empty_table()
@@ -74,7 +75,7 @@ def test_dual_involution_and_fm_oracle(empty_table):
 def test_dual_runs_no_conversion(monkeypatch, empty_table):
     # each reference dual converts on an empty table, and the swaps run on
     # another, so that no dual_cone call is answered by a reference
-    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
+    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog_cones()]
     duals = []
     for cone in cones:
         empty_table()
@@ -94,23 +95,21 @@ def test_dual_runs_no_conversion(monkeypatch, empty_table):
     "call",
     [
         lambda: Cone(2, [(1, 0)]).contains((1, 0, 0)),
-        lambda: Cone(2, [(1, 0)]).relint_contains((1,)),
         lambda: OpenPolyhedron(2, [((1, 0), 1)]).contains((0, 0, 0)),
         lambda: OpenPolyhedron(2, [((1, 0), 1)]).infimum((1,)),
         lambda: OpenPolyhedron(2, [((1, 0), 1)]).translate((1, 2, 3)),
-        lambda: Cone.from_halfspaces(2, [(1, 0, 0)]),
+        lambda: Cone(2, [(1, 0, 0)]),
         lambda: Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]).contains((1, 2, 3)),
-        lambda: Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]).relint_contains((1, 2, 3)),
-        lambda: OpenPolyhedron.whole_space(2).contains((1, 2, 3)),
-        lambda: OpenPolyhedron.whole_space(2).translate((1, 2, 3)),
+        lambda: OpenPolyhedron(2, []).contains((1, 2, 3)),
+        lambda: OpenPolyhedron(2, []).translate((1, 2, 3)),
         lambda: shift(PresentationND(HALFLINE, [(0,)]), ()),
         lambda: shift(PresentationND(HALFLINE, [(0,)], [((1,), (1,))]), (1, 2)),
         lambda: catalog.fan("p2").support_contains((1, 2, 3)),
         lambda: catalog.fan("quadrant").support_contains((1,)),
     ],
-    ids=["Cone.contains", "Cone.relint_contains", "OpenPolyhedron.contains",
-         "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone.from_halfspaces",
-         "whole-plane-Cone.contains", "whole-plane-Cone.relint_contains",
+    ids=["Cone.contains", "OpenPolyhedron.contains",
+         "OpenPolyhedron.infimum", "OpenPolyhedron.translate", "Cone",
+         "whole-plane-Cone.contains",
          "whole-space-OpenPolyhedron.contains", "whole-space-OpenPolyhedron.translate",
          "shift-short", "shift-long", "Fan.support_contains-long", "Fan.support_contains-short"],
 )
@@ -148,7 +147,7 @@ def oracle_cones():
     """Proper cones beyond the catalog: cubes, polygons, seeded simplicial
     cones and cones that are not full-dimensional."""
     rng = random.Random(5)
-    out = [(name, cone) for name, cone in catalog.catalog_cones() if is_proper(cone)]
+    out = [(name, cone) for name, cone in catalog_cones() if is_proper(cone)]
     out.append(("cube3", Cone(4, [(1,) + p for p in product((-1, 1), repeat=3)])))
     out.append(("cube4", Cone(5, [(1,) + p for p in product((-1, 1), repeat=4)])))
     out.append(("pentagon", Cone(3, [(1, t, t * t) for t in (-2, -1, 0, 1, 2)])))
@@ -203,22 +202,22 @@ def _same_cone(built, reference):
 
 
 def test_canonical_constructor_matches_generator_constructor(empty_table):
-    """Cone._canonical, behind faces, duals, intersections and
-    from_halfspaces, agrees with the generator constructor Cone(dim, generators).
+    """Cone._canonical, behind faces, duals and intersections, agrees with
+    the generator constructor Cone(dim, generators).
     Each reference converts on an empty table: a lookup would return the
     cone under test."""
-    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog.catalog_cones()]
+    cones = [cone for _, cone in oracle_cones()] + [cone for _, cone in catalog_cones()]
     built = []
     for cone in cones:
         built.append(dual_cone(cone))
         if is_proper(cone):
             built.extend(faces_of(cone))
-        built.append(Cone.from_halfspaces(cone.dim, cone.halfspaces))
+        built.append(dual_cone(Cone(cone.dim, cone.halfspaces)))
     rng = random.Random(13)
     for _ in range(40):
         d = rng.randint(1, 4)
         normals = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, 5))]
-        built.append(Cone.from_halfspaces(d, normals))
+        built.append(dual_cone(Cone(d, normals)))
         a, b = rng.sample(cones, 2)
         if a.dim == b.dim:
             built.append(intersect(a, b))
@@ -416,8 +415,8 @@ def test_separating_vector_relint_and_identities():
             for c2 in fan.cones:
                 m = separating_vector(c1, c2)
                 tau = intersect(c1, c2)
-                cut1 = Cone.from_halfspaces(fan.dim, list(c1.halfspaces) + [m, vneg(m)])
-                cut2 = Cone.from_halfspaces(fan.dim, list(c2.halfspaces) + [m, vneg(m)])
+                cut1 = dual_cone(Cone(fan.dim, list(c1.halfspaces) + [m, vneg(m)]))
+                cut2 = dual_cone(Cone(fan.dim, list(c2.halfspaces) + [m, vneg(m)]))
                 assert cut1 == tau and cut2 == tau
                 assert separating_vector(c2, c1) == vneg(m)
 
@@ -452,7 +451,7 @@ def test_common_faces_against_conversion(empty_table):
     with lines, among which the pointed pairs that meet in no common face
     must fall back."""
     groups = [fan.cones for fan in _oracle_fans()]
-    groups += [faces_of(cone) for _, cone in catalog.catalog_cones() if is_proper(cone)]
+    groups += [faces_of(cone) for _, cone in catalog_cones() if is_proper(cone)]
     for cones in groups:
         empty_table()
         for a in cones:
@@ -486,7 +485,7 @@ def _separates(s1, s2, m, tau):
     hyperplane <m, .> = 0 cuts tau out of each."""
     cut = [m, vneg(m)]
     return (all(dot(m, r) >= 0 for r in s1.rays) and all(dot(m, r) <= 0 for r in s2.rays)
-            and all(Cone.from_halfspaces(s.dim, list(s.halfspaces) + cut) == tau for s in (s1, s2)))
+            and all(dual_cone(Cone(s.dim, list(s.halfspaces) + cut)) == tau for s in (s1, s2)))
 
 
 def test_separation_identities_against_conversion(monkeypatch, empty_table):
@@ -533,7 +532,7 @@ def test_validate_fan_against_face_list_oracle(empty_table):
     shuffled)."""
     rng = random.Random(43)
     fans = _oracle_fans()
-    cases = [fan.cones for fan in fans] + [faces_of(cone) for _, cone in catalog.catalog_cones() if is_proper(cone)]
+    cases = [fan.cones for fan in fans] + [faces_of(cone) for _, cone in catalog_cones() if is_proper(cone)]
     for fan in fans:
         cones = list(fan.cones)
         for _ in range(4):
@@ -570,7 +569,7 @@ def test_validate_fan_against_face_list_oracle(empty_table):
 def test_membership_consistency_vrep_hrep():
     # relative interior: in the cone and in none of its proper faces
     rng = random.Random(11)
-    for name, cone in catalog.catalog_cones():
+    for name, cone in catalog_cones():
         gens = cone.generators
         proper_faces = [f for f in faces_by_supporting_hyperplanes(cone) if f != cone]
         for _ in range(1000):
@@ -585,14 +584,14 @@ def test_membership_consistency_vrep_hrep():
             inside = contains_by_vrep(cone, point)
             assert cone.contains(point) == inside, (name, point)
             relint = inside and not any(contains_by_vrep(f, point) for f in proper_faces)
-            assert cone.relint_contains(point) == relint, (name, point)
+            assert relint_contains_by_hrep(cone, point) == relint, (name, point)
 
 
 def test_cone_sum_and_double_dual():
     a = Cone(2, [(1, 0)])
     b = Cone(2, [(0, 1)])
     assert cone_sum(a, b) == Cone(2, [(1, 0), (0, 1)])
-    for name, cone in catalog.catalog_cones():
+    for name, cone in catalog_cones():
         # duality swaps intersection and sum on the catalog
         d = dual_cone(cone)
         assert dual_cone(d) == cone
@@ -713,7 +712,7 @@ def test_generated_v_data_against_subset_enumeration():
         shapes["flat"] += not cone.is_full_dim()
         shapes["rank 1"] += cone.cone_dim - len(lin) == 1
         shapes["whole space"] += len(lin) == dim
-        shapes["zero"] += cone.is_zero()
+        shapes["zero"] += cone.cone_dim == 0
         others = [vscale(Fraction(rng.randint(1, 3)), r) for r in cone.rays]
         others += [vscale(Fraction(rng.choice((-2, -1, 1, 2))), e) for e in cone.lineality for _ in range(2)]
         others += [vadd(a, b) for a, b in zip(others, others[1:])] + list(cone.lineality)
@@ -958,9 +957,9 @@ def test_integer_constructions_against_public_constructor_and_oracle(empty_table
     lines = 0
     for dim, gens_a, gens_b in _seeded_cone_pairs():
         a, b = Cone(dim, gens_a), Cone(dim, gens_b)
-        tau, total, cut = intersect(a, b), cone_sum(a, b), Cone.from_halfspaces(dim, gens_a)
+        tau, total, cut = intersect(a, b), cone_sum(a, b), dual_cone(Cone(dim, gens_a))
         empty_table()
-        _same_cone(tau, Cone.from_halfspaces(dim, a.halfspaces + b.halfspaces))
+        _same_cone(tau, dual_cone(Cone(dim, a.halfspaces + b.halfspaces)))
         normals = _oracle_halfspaces(gens_a, dim) + _oracle_halfspaces(gens_b, dim)
         assert (tau.lineality, tau.rays) == rays_by_subset_enumeration(_canonical_rows(normals), dim)
         empty_table()
@@ -1008,8 +1007,8 @@ def test_separating_vector_against_oracle_and_sign_identities(empty_table):
         tau = intersect(s1, s2)
         # the references convert on an empty table
         empty_table()
-        assert Cone.from_halfspaces(dim, list(s1.halfspaces) + hyperplane) == tau
-        assert Cone.from_halfspaces(dim, list(s2.halfspaces) + hyperplane) == tau
+        assert dual_cone(Cone(dim, list(s1.halfspaces) + hyperplane)) == tau
+        assert dual_cone(Cone(dim, list(s2.halfspaces) + hyperplane)) == tau
 
 
 def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch, empty_table):
@@ -1098,7 +1097,7 @@ except InternalCheckFailed as exc:
             "fm.project([((1, 1), 0, fm.GT)], 2, [0])",
         ),
         (
-            "import aptkit.polyhedra as P\nW = P.OpenPolyhedron.whole_space(2)\n"
+            "import aptkit.polyhedra as P\nW = P.OpenPolyhedron(2, [])\n"
             "P.Cone._from_rows = classmethod(lambda cls, dim, rows: g.Cone(dim, []))",
             "P.minkowski_sum(W, W)",
         ),
@@ -1108,7 +1107,7 @@ except InternalCheckFailed as exc:
         ),
         (
             "import aptkit.polyhedra as P\nP.OpenPolyhedron.contains = lambda self, x: False",
-            "P.OpenPolyhedron.whole_space(2).sample_point()",
+            "P.OpenPolyhedron(2, []).sample_point()",
         ),
         (
             "import aptkit.cutoff as c\nc.OpenPolyhedron.is_subset_of = lambda self, other: False",

@@ -25,7 +25,7 @@ CHECKS = {
     "separating-vector-dims": (lambda: geometry.separating_vector(LINE, PLANE), "bad-input"),
     "constraint-dims": (lambda: OpenPolyhedron(2, [((1,), 1)]), "bad-input"),
     "minkowski-sum-dims": (lambda: polyhedra.minkowski_sum(R1, R2), "bad-input"),
-    "minkowski-relint-dims": (lambda: polyhedra.minkowski_with_relint_cone(R1, PLANE), "bad-input"),
+    "minkowski-relint-dims": (lambda: cutoff.minkowski_with_cone(R1, PLANE), "bad-input"),
     "gamma-open-dims": (lambda: cutoff.is_gamma_open(R1, PLANE), "bad-input"),
     "basis-witness-dims": (lambda: cutoff.gamma_basis_witness(R2, (0,), PLANE), "bad-input"),
     "indicator-convolve-dims": (lambda: cutoff.indicator_convolve(R1, R2), "bad-input"),
@@ -58,7 +58,6 @@ def test_early_returns_on_empty_and_thin_operands():
     empty = OpenPolyhedron.empty(2)
     assert OpenPolyhedron.cone_interior(RAY).is_empty
     assert empty.translate((1, 2)) is empty
-    assert polyhedra.minkowski_with_relint_cone(empty, PLANE) is empty
     assert cutoff.is_gamma_open(empty, PLANE)
     with pytest.raises(EmptyInput):
         cutoff.minkowski_with_cone(empty, PLANE)

@@ -15,7 +15,7 @@ import pytest
 
 from aptkit import catalog, cutoff, geometry, io, linalg, modules
 from aptkit._record import Record
-from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode
+from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode, convolve
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from aptkit.geometry import Cone
@@ -35,7 +35,16 @@ from aptkit.modules import (
 
 from aptkit.rational import INF, integral, vadd, vsub
 
-from generators import edge_presentation, half_grade, random_barcode, random_presentation, sparse_presentation
+from generators import (
+    edge_presentation,
+    exact_triples,
+    half_grade,
+    ladder_barcode,
+    presentation_names,
+    random_barcode,
+    random_presentation,
+    sparse_presentation,
+)
 from oracles import (
     barcode_by_fraction_reduction,
     barcode_by_rank_invariant,
@@ -44,6 +53,7 @@ from oracles import (
     k0_of_presentation_by_fold,
     presentation_rows_by_dense_scan,
     reduce_q_dividing_every_step,
+    tor_at,
 )
 
 QUADRANT = Cone(2, [(1, 0), (0, 1)])
@@ -181,6 +191,45 @@ def test_rees_round_trip_random():
                 assert dims.get(0, 0) == eval_at(p, (a,))
 
 
+def _independent_presentations(rng, count, field):
+    """Seeded 1-D presentations whose relations are linearly independent,
+    so that each is a free resolution of its module."""
+    out = []
+    while len(out) < count:
+        p = random_presentation(rng, max_gens=3, max_rels=3, field=field)
+        if dense_rank([c for _, c in p.relations], len(p.generators), field and field.p) == len(p.rows):
+            out.append(p)
+    return out
+
+
+def test_convolve_is_tor_of_the_presentations():
+    # the module side of the derived tensor: Tor_0 and Tor_1 of two
+    # presentations, at every sum of their grades and between and beyond
+    # them, are the degree-0 and degree-1 dimensions of the convolution of
+    # their barcodes; Tor_2 vanishes
+    rng = random.Random(37)
+    grid = [Fraction(n, 2) for n in range(0, 9)]
+    pairs = []
+    for field in (None, PrimeField(2)):
+        rees = [presentation_of_barcode(random_barcode(rng, grid, max_bars=3, ray_chance=0.3), field)
+                for _ in range(25)]
+        rees += [presentation_of_barcode(ladder_barcode(rng, rng.randint(1, 3)), field) for _ in range(15)]
+        drawn = _independent_presentations(rng, 40, field)
+        pairs += list(zip(rees, rees[1:] + rees[:1])) + list(zip(drawn, rees)) + list(zip(drawn, drawn[1:]))
+    checks = Counter()
+    for p, other in pairs:
+        product = convolve(barcode_of_presentation(p), barcode_of_presentation(other))
+        grades = [a + b for (a,) in p.generators + tuple(d for d, _ in p.relations)
+                  for (b,) in other.generators + tuple(d for d, _ in other.relations)]
+        grades = sorted(set(grades)) or [Fraction(0)]
+        grades += [(a + b) / 2 for a, b in zip(grades, grades[1:])] + [grades[0] - 1, grades[-1] + 1]
+        for s in grades:
+            tor = tor_at(p, other, s)
+            assert tor == barcode_eval(product, s), (p.generators, p.relations, other.generators, other.relations, s)
+            checks.update(tor)
+    assert checks[0] > 1000 and checks[1] > 100, checks
+
+
 def test_k0_of_presentation():
     assert k0_of_presentation(free_module(HALFLINE, (Fraction(3, 2),))) == e(Fraction(3, 2))
     p = presentation_of_barcode(barcode(bar(0, 1)))
@@ -197,7 +246,7 @@ def test_field_choice_does_not_change_catalog_ranks():
 
     rng = random.Random(13)
     f2 = PrimeField(2)
-    sources = [catalog.presentation(n) for n in catalog.presentation_names()]
+    sources = [catalog.presentation(n) for n in presentation_names()]
     from generators import random_barcode
 
     grid = [Fraction(n, 2) for n in range(0, 13)]
@@ -246,9 +295,7 @@ def test_k0_of_presentation_is_the_fold_in_one_construction(monkeypatch):
 
 
 def test_k0_additivity_on_exact_triples():
-    from aptkit import catalog
-
-    for sub, total, quotient in catalog.exact_triples():
+    for sub, total, quotient in exact_triples():
         assert k0_of_presentation(total) == k0_of_presentation(sub) + k0_of_presentation(quotient)
         # dimension count of the short exact sequence, degreewise
         for num in range(0, 14):
@@ -486,7 +533,7 @@ def _stored_form_cases():
             yield edge_presentation(rng, field)
             yield random_presentation(rng, field=field)
             yield _quadrant_presentation(rng, field)
-    for name in catalog.presentation_names():
+    for name in presentation_names():
         yield catalog.presentation(name)
 
 

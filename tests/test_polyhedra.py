@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from aptkit import geometry, polyhedra
 from aptkit.geometry import Cone, dual_cone
-from aptkit.polyhedra import OpenPolyhedron, minkowski_sum, minkowski_with_relint_cone
+from aptkit.cutoff import minkowski_with_cone
+from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
 
 from generators import random_open_constraints
 from oracles import (
@@ -50,7 +51,7 @@ def test_empty_normalization():
 
 
 def test_whole_space():
-    w = OpenPolyhedron.whole_space(3)
+    w = OpenPolyhedron(3, [])
     assert not w.is_empty and w.constraints == ()
     assert w.contains((0, 0, 0))
 
@@ -76,7 +77,7 @@ def test_sample_point():
         box(2, 1),
         OpenPolyhedron(2, [((1, 0), 0)]),
         OpenPolyhedron(3, [((1, 1, 1), Fraction(-2))]),
-        OpenPolyhedron.whole_space(2),
+        OpenPolyhedron(2, []),
         box(1, Fraction(1, 7)),
     ]
     for p in polys:
@@ -110,13 +111,13 @@ def test_minkowski_against_sampling_oracle():
 
 def test_minkowski_with_relint_of_zero_cone_is_identity():
     b = box(2, 1)
-    assert minkowski_with_relint_cone(b, Cone(2, [])) == b
+    assert minkowski_with_cone(b, Cone(2, [])) == b
 
 
 def test_minkowski_with_relint_of_ray():
     b = box(2, 1)
     ray = Cone(2, [(1, 0)])
-    s = minkowski_with_relint_cone(b, ray)
+    s = minkowski_with_cone(b, ray)
     # adding the open ray direction removes the x-upper constraint
     assert s.contains((100, 0))
     assert not s.contains((0, 2))
@@ -127,7 +128,7 @@ def test_minkowski_with_full_dual_of_origin_gives_whole_space():
     b = box(2, 1)
     everything = dual_cone(Cone(2, []))
     # quadrant-interior style input + R^n = whole space
-    assert minkowski_with_relint_cone(b, everything) == OpenPolyhedron.whole_space(2)
+    assert minkowski_with_cone(b, everything) == OpenPolyhedron(2, [])
 
 
 def test_constraints_and_emptiness_against_fm_oracle():
@@ -316,7 +317,7 @@ def test_sums_and_inclusion_stay_on_int_rows(monkeypatch, empty_table):
     for (p, q), cone in operands:
         results = [minkowski_sum(p, q), p.is_subset_of(q), q.is_subset_of(p)]
         if not p.is_empty:
-            results.append(minkowski_with_relint_cone(p, cone))
+            results.append(minkowski_with_cone(p, cone))
         nonempty += not results[0].is_empty
         cones = [cone] + [s._cone for s in (p, q, results[0], results[-1]) if not s.is_empty]
         assert not any(hasattr(c, view) for c in cones for view in views)
@@ -336,7 +337,7 @@ def _seeded_polyhedra(rng):
         yield OpenPolyhedron.cone_interior(Cone(p.dim, [tuple(rng.randint(-1, 2) for _ in range(p.dim))
                                                         for _ in range(p.dim + rng.randint(-1, 1))]))
     for dim in (0, 1, 3):
-        yield OpenPolyhedron.whole_space(dim)
+        yield OpenPolyhedron(dim, [])
         yield OpenPolyhedron.empty(dim)
 
 

@@ -12,13 +12,13 @@ from pathlib import Path
 import aptkit
 from aptkit.barcodes import Barcode, bar, barcode, convolve
 from aptkit.barcodes import eval_at as bc_eval
-from aptkit.cutoff import convolution_unit_check, star_stalk_homology, stratum_points
+from aptkit.cutoff import convolution_unit_check, star_stalk_homology
 from aptkit.geometry import Cone, dual_cone, faces_of, intersect, separating_vector, validate_fan
 from aptkit.linalg import PrimeField
 from aptkit.modules import barcode_of_presentation, h0_tensor, presentation_of_barcode
 from aptkit.rational import vneg
 
-from generators import random_barcode
+from generators import random_barcode, stratum_points
 from oracles import fm_dual_generators, order_complex_stalk_ranks
 
 
@@ -64,7 +64,7 @@ def test_octant_fan_separating_vectors():
         m = separating_vector(c1, c2)
         assert separating_vector(c2, c1) == vneg(m)
         tau = intersect(c1, c2)
-        cut = Cone.from_halfspaces(3, list(c1.halfspaces) + [m, vneg(m)])
+        cut = dual_cone(Cone(3, list(c1.halfspaces) + [m, vneg(m)]))
         assert cut == tau
 
 

@@ -24,7 +24,7 @@ from aptkit.toric import (
     transition_data,
 )
 
-from generators import complete_plane_fan, stellar_fan
+from generators import catalog_cones, complete_plane_fan, stellar_fan
 from oracles import localization_by_conversion, perturbed_point
 
 
@@ -188,7 +188,7 @@ def test_root_ladder_membership_chain():
 
 def test_root_ladder_random_points():
     rng = random.Random(41)
-    for name, cone in catalog.catalog_cones():
+    for name, cone in catalog_cones():
         chart = chart_of_cone(cone)
         interior = OpenPolyhedron.cone_interior(chart.dual)
         if interior.is_empty:
