@@ -61,25 +61,6 @@ class DecoratedInterval(Record):
         right = self.right if not is_finite(self.right) else self.right - c
         return DecoratedInterval(left, right, self.left_closed, self.right_closed)
 
-    def intersect(self, other):
-        if self.left > other.left:
-            left, left_closed = self.left, self.left_closed
-        elif other.left > self.left:
-            left, left_closed = other.left, other.left_closed
-        else:
-            left, left_closed = self.left, self.left_closed and other.left_closed
-        if self.right < other.right:
-            right, right_closed = self.right, self.right_closed
-        elif other.right < self.right:
-            right, right_closed = other.right, other.right_closed
-        else:
-            right, right_closed = self.right, self.right_closed and other.right_closed
-        if left > right:
-            return None
-        if left == right and not (left_closed and right_closed):
-            return None
-        return DecoratedInterval(left, right, left_closed, right_closed)
-
     def sort_key(self):
         return (self.left, not self.left_closed, self.right, self.right_closed)
 

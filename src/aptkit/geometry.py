@@ -357,10 +357,6 @@ class Cone:
         gens = self.rays + tuple(v for e in self.lineality for v in (e, vneg(e)))
         return gens or (zero_vec(self.dim),)
 
-    @property
-    def halfspaces(self):
-        return self.facet_normals + tuple(v for e in self.span_normals for v in (e, vneg(e)))
-
     def is_full_dim(self) -> bool:
         return self.cone_dim == self.dim
 

@@ -4,20 +4,21 @@ A presentation lists generator grades and homogeneous relation rows over a
 full-dimensional grading cone gamma; each relation is stored once, sparse.
 Every construction ends in one check of the sparse rows, in time linear in
 their nonzeros: homogeneity compares int heights of the grades over gamma's
-facets, all grades scaled by one common denominator, and over F_p every
-coefficient must be invertible.  The public constructor parses dense rows in
-one pass; shift, tensor products, Rees presentations, free modules and the
-JSON reader build sparse rows directly.  Every rank is one sparse column
-reduction, that of :mod:`aptkit.linalg`, on relations turned into columns in
-one pass (:func:`_columns`), over F_2 bit masks.  Degree-wise evaluation
-gives the dimension at grade a as the number of active generators minus the
-rank of the active relations.
-The one-dimensional case bridges to barcodes through the same reduction in
-the classical persistence order, on the int heights (:func:`_heights`), and
-builds its bars in canonical order, unchecked.  Rows the stored columns span
-close: a relation on them is skipped, as in clearing (Chen & Kerber 2011),
-and over Q and odd p they leave every column, as in compression (Bauer,
-Kerber & Reininghaus 2014); over F_2 one watched row per open pivot keeps them.
+facets, all grades scaled by one common denominator, and over F_p p divides
+no denominator (a numerator it divides is a zero residue).  The public
+constructor parses dense rows in one pass; shift, tensor products, Rees
+presentations, free modules and the JSON reader build sparse rows directly.
+Every rank is one sparse column reduction, that of :mod:`aptkit.linalg`, over
+F_2 on bit masks built in one pass (:func:`_columns`), else on one int column
+per relation (:func:`_column`).  Degree-wise evaluation gives the dimension
+at grade a as the number of active generators minus the rank of the active
+relations.  The one-dimensional case bridges to barcodes through the same
+reduction in the classical persistence order, on the int heights
+(:func:`_heights`), and builds its bars in canonical order, unchecked.  Over
+F_2 it reduces every relation.  Over Q and odd p, rows the stored columns
+span close: a relation on them is skipped, as in clearing (Chen & Kerber
+2011), and they leave every column, as in compression (Bauer, Kerber &
+Reininghaus 2014).
 """
 
 from __future__ import annotations
@@ -193,39 +194,43 @@ def free_module(gamma: Cone, grade=None, field=None) -> PresentationND:
 
 def eval_at(p: PresentationND, a) -> int:
     """dim_k of the degree-a piece: the number of active generators minus the
-    rank of the active relations as sparse int columns (:func:`_columns`).  A
+    rank of the active relations as sparse int columns, over F_2 masks
+    (:func:`_columns`), else one column per relation (:func:`_column`).  A
     grade g is active when it lies below a in gamma's order: each of its
     heights h over D, as the presentation keeps them (:func:`_heights`), is
     at most a's height t/m (one ``integral``), that is h <= floor(t*D/m)."""
     a = qvec(a)
     if len(a) != p.dim:
         raise InvalidInput("grade has wrong dimension")
-    n = len(p.generators)
+    n, mod = len(p.generators), p.field and p.field.p
     ints, m = integral(a)
     top = [_idot(f, ints) * p._scale // m for f in p.gamma._hrep[0]]
     active = [all(map(le, h, top)) for h in p._heights]
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
-    return sum(active[:n]) - rank(_columns(list(compress(p.rows, active[n:])), p.field, range(n)), p.field)
+    rows = list(compress(p.rows, active[n:]))
+    cols = _columns(rows, range(n)) if mod == 2 else [_column(support, values, mod) for _, support, values in rows]
+    return sum(active[:n]) - rank(cols, p.field)
 
 
-def _columns(rows, field, key):
-    """The sparse rows as columns on rows ``key[i]``: over F_2 the mask of
-    the odd numerators, since construction rejects an even denominator.
-    Else ``{key[i]: value}``, every value times the common denominator D of
-    all of them (one ``integral``), over F_p mod p.  D is a unit mod p, as p
-    divides no denominator: each column is a unit multiple of its row, over
-    F_p with the same support, and over Q the reduction divides it by its
-    content."""
-    # compress and zip draw from ``odd`` and ``ints`` only while the support lasts
-    if field is not None and field.p == 2:
-        bits = [1 << key[i] for i in range(len(key))]
-        odd = iter([c.numerator & 1 for row in rows for c in row[2]])
-        return [sum(compress(map(bits.__getitem__, support), odd)) for _, support, _ in rows]
-    ints = iter(integral([c for row in rows for c in row[2]])[0])
-    if field is None:
-        return [dict(zip(map(key.__getitem__, support), ints)) for _, support, _ in rows]
-    p = field.p
-    return [{key[i]: r for i, v in zip(support, ints) if (r := v % p)} for _, support, _ in rows]
+def _columns(rows, key):
+    """The sparse rows as F_2 masks on rows ``key[i]``: the bits of the odd
+    numerators, since construction rejects an even denominator."""
+    # compress draws from ``odd`` only while the support lasts
+    bits = [1 << key[i] for i in range(len(key))]
+    odd = iter([c.numerator & 1 for row in rows for c in row[2]])
+    return [sum(compress(map(bits.__getitem__, support), odd)) for _, support, _ in rows]
+
+
+def _column(at, values, mod, closed=()):
+    """The relation with these values on rows ``at`` as an int column on the
+    rows not in ``closed``: each value times the lcm d of the relation's
+    denominators, over F_p mod p, nonzero residues only.  d is a unit mod p,
+    as p divides no denominator: the column is a unit multiple of the
+    relation, and over Q the reduction divides it by its content."""
+    d = lcm(*[c.denominator for c in values])
+    if mod:
+        return {i: e for i, c in zip(at, values) if i not in closed and (e := c.numerator * (d // c.denominator) % mod)}
+    return {i: c.numerator * (d // c.denominator) for i, c in zip(at, values) if i not in closed}
 
 
 def shift(p: PresentationND, b) -> PresentationND:
@@ -272,19 +277,17 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     :mod:`aptkit.linalg`: over F_2 one XOR of bit masks a step, over odd p ints
     modulo the prime, over Q fraction-free int columns, each a nonzero rational
     multiple of the column a reduction over Fractions holds, so the pivots and
-    the pairing are the same.  A row is closed when it holds a stored pivot and
-    every other row of that column is closed: those columns, triangular with
-    distinct pivots, span every vector on the closed rows, so a relation enters
-    on its open rows alone (over F_p, those of nonzero residues) with the same
-    reduced pivot, and is skipped when none is left.  Over F_2 it is its mask
-    (:func:`_columns`) less the closed rows, and each open pivot watches its
-    highest other open row (``_open_top_f2``), rechecked when that row closes.
-    Over Q and odd p its int column is built then, from its own coefficients
-    times the lcm of their denominators, and a row that closes leaves every
-    stored column: a pivot left alone in its column closes in turn.  A paired
-    (generator, relation) yields the bar [birth, degree), dropped when empty;
-    unpaired generators are infinite.  Bars are counted per (birth key, death
-    key), ``INF`` the key of an infinite death, and built once per distinct
+    the pairing are the same.  Over F_2 every relation enters as its mask
+    (:func:`_columns`), as an XOR costs less than closing rows.  Over Q and odd
+    p a row is closed when it holds a stored pivot and every other row of that
+    column is closed: those columns, triangular with distinct pivots, span
+    every vector on the closed rows, so a relation enters on its open rows
+    alone (:func:`_column`; over F_p, those of nonzero residues) with the same
+    reduced pivot, and is skipped when none is left.  A row that closes leaves
+    every stored column: a pivot left alone in its column closes in turn.  A
+    paired (generator, relation) yields the bar [birth, degree), dropped when
+    empty; unpaired generators are infinite.  Bars are counted per (birth key,
+    death key), ``INF`` the key of an infinite death, and built once per distinct
     pair in key order, the canonical order, unchecked by ``_half_open_bar``.
     """
     _require_one_dimensional(p)
@@ -296,40 +299,26 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     position = {gen: pos for pos, gen in enumerate(row_order)}
     reduce, lowest = _kernel(field)
     mod = field and field.p
-    masks = _columns(p.rows, field, position) if mod == 2 else None
+    masks = _columns(p.rows, position) if mod == 2 else None
     paired = {}  # pivot position -> its reduced column
-    closed = 0 if mod == 2 else set()  # positions on which the stored columns span every vector
-    filed = {}  # open row -> the open pivots watching it (F_2), or the stored columns holding it
+    closed = set()  # positions on which the stored columns span every vector (Q and odd p)
+    filed = {}  # open row -> the stored columns holding it
     counts = {}  # (birth key, death key) -> multiplicity
     for r in sorted(range(len(p.rows)), key=keys[n:].__getitem__):
         if mod == 2:
-            col = masks[r] & ~closed
-        else:  # the values on open rows, times the lcm of the relation's denominators
+            col = masks[r]
+        else:
             _, support, values = p.rows[r]
             at = list(map(position.__getitem__, support))
             if closed.issuperset(at):
                 continue  # it would reduce to zero
-            d = lcm(*[c.denominator for c in values])
-            if mod:
-                col = {i: e for i, c in zip(at, values)
-                       if i not in closed and (e := c.numerator * (d // c.denominator) % mod)}
-            else:
-                col = {i: c.numerator * (d // c.denominator) for i, c in zip(at, values) if i not in closed}
+            col = _column(at, values, mod, closed)
         if not col:
             continue  # it would reduce to zero
         if col := reduce(col, paired):
             low = lowest(col)
             paired[low] = col
-            if mod == 2:
-                stack = [low]  # pivots to recheck: the new one, then the watchers of each that closes
-                while stack:
-                    pivot = stack.pop()
-                    if (row := _open_top_f2(paired[pivot], pivot, closed)) >= 0:
-                        filed.setdefault(row, []).append(pivot)
-                    else:
-                        closed |= 1 << pivot
-                        stack += filed.pop(pivot, ())
-            else:
+            if mod != 2:
                 for i in col:
                     if i != low:
                         filed.setdefault(i, []).append(low)
@@ -350,11 +339,6 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     grade = dict(zip(keys, [g[0] for g in p.generators] + [row[0][0] for row in p.rows]))
     grade[INF] = INF
     return Barcode._canonical(_half_open_bar(grade[b], grade[d], 0, k) for (b, d), k in sorted(counts.items()))
-
-
-def _open_top_f2(col, pivot, closed):
-    """The highest open row of a stored mask other than its open pivot, or -1."""
-    return ((col & ~closed) ^ 1 << pivot).bit_length() - 1
 
 
 def presentation_of_barcode(b: Barcode, field=None) -> PresentationND:

@@ -52,7 +52,7 @@ from itertools import combinations
 from math import gcd
 
 from aptkit import fm
-from aptkit.barcodes import FULL_LINE, Bar, Barcode, classify_shape, interval, shift
+from aptkit.barcodes import FULL_LINE, Bar, Barcode, DecoratedInterval, classify_shape, interval, shift
 from aptkit.cutoff import star_stalk_homology
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.errors import BadIntersection, ImproperCone, MissingFace
@@ -318,9 +318,15 @@ def faces_by_supporting_hyperplanes(cone: Cone):
             candidates.add(m)
     faces = {}
     for m in candidates:
-        face = dual_cone(Cone(cone.dim, list(cone.halfspaces) + [m, vneg(m)]))
+        face = dual_cone(Cone(cone.dim, list(halfspaces(cone)) + [m, vneg(m)]))
         faces[face._key] = face
     return sorted(faces.values(), key=lambda f: (f.cone_dim, f._key))
+
+
+def halfspaces(cone: Cone):
+    """The library's former ``Cone.halfspaces``: the facet normals and both
+    signs of each span normal, the inequalities that cut the cone out."""
+    return cone.facet_normals + tuple(v for e in cone.span_normals for v in (e, vneg(e)))
 
 
 def intersect_by_conversion(c1: Cone, c2: Cone) -> Cone:
@@ -465,11 +471,27 @@ def torsionfree_hom_dim_by_colimit(b1: Barcode, b2: Barcode) -> int:
 
 def is_c_torsion_by_translates(b: Barcode, c) -> bool:
     """The library's former ``is_c_torsion``: tau_c vanishes iff each bar's
-    ``DecoratedInterval`` misses its c-translate by ``intersect``."""
+    ``DecoratedInterval`` misses its c-translate (:func:`intersect_intervals`)."""
     c = q(c)
     if c < 0:
         raise InvalidInput("torsion scale must be nonnegative")
-    return all(item.interval.intersect(item.interval.translate(c)) is None for item in b.bars)
+    return all(intersect_intervals(item.interval, item.interval.translate(c)) is None for item in b.bars)
+
+
+def intersect_intervals(a, b):
+    """The library's former ``DecoratedInterval.intersect``: the interval
+    both decorated intervals hold, or None when it is empty."""
+    if a.left != b.left:
+        left, left_closed = max((a.left, a.left_closed), (b.left, b.left_closed))
+    else:
+        left, left_closed = a.left, a.left_closed and b.left_closed
+    if a.right != b.right:
+        right, right_closed = min((a.right, a.right_closed), (b.right, b.right_closed))
+    else:
+        right, right_closed = a.right, a.right_closed and b.right_closed
+    if left > right or (left == right and not (left_closed and right_closed)):
+        return None
+    return DecoratedInterval(left, right, left_closed, right_closed)
 
 
 def convolve_intervals(iv1, iv2):
@@ -610,7 +632,7 @@ def verify_by_interval_maps(x: Barcode, y: Barcode, cert) -> bool:
 
     def side_ok(bars_src, bars_dst, fwd, bwd, first_shift):
         for i, iv in enumerate(bars_src):
-            tau = iv.intersect(iv.translate(s))
+            tau = intersect_intervals(iv, iv.translate(s))
             j = fwd[i]
             if j is None:
                 if tau is not None:
@@ -626,9 +648,9 @@ def verify_by_interval_maps(x: Barcode, y: Barcode, cert) -> bool:
                     return False
                 continue
             # composite lands in bar i2: support = src n T_first(dst) n T_s(target)
-            comp = iv.intersect(ivj.translate(first_shift))
+            comp = intersect_intervals(iv, ivj.translate(first_shift))
             if comp is not None:
-                comp = comp.intersect(bars_src[i2].translate(s))
+                comp = intersect_intervals(comp, bars_src[i2].translate(s))
             if i2 != i:
                 # off-diagonal component of the composite must be the zero map,
                 # and the diagonal one (also zero) must still equal tau

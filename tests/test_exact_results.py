@@ -23,7 +23,7 @@ def _floats(value, path):
         return [path]
     if isinstance(value, Cone):
         vectors = {name: getattr(value, name) for name in
-                   ("rays", "lineality", "facet_normals", "span_normals", "generators", "halfspaces")}
+                   ("rays", "lineality", "facet_normals", "span_normals", "generators")}
         vectors["interior_point"] = (value.interior_point(),)
         return [f"{path}.{name}" for name, vs in vectors.items()
                 if any(type(x) is not Fraction for v in vs for x in v)]

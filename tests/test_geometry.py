@@ -37,6 +37,7 @@ from oracles import (
     faces_by_supporting_hyperplanes,
     fm_dual_generators,
     generated_vrep_by_second_pass,
+    halfspaces,
     intersect_by_conversion,
     kernel_basis,
     rays_by_subset_enumeration,
@@ -212,7 +213,7 @@ def test_canonical_constructor_matches_generator_constructor(empty_table):
         built.append(dual_cone(cone))
         if is_proper(cone):
             built.extend(faces_of(cone))
-        built.append(dual_cone(Cone(cone.dim, cone.halfspaces)))
+        built.append(dual_cone(Cone(cone.dim, halfspaces(cone))))
     rng = random.Random(13)
     for _ in range(40):
         d = rng.randint(1, 4)
@@ -415,8 +416,8 @@ def test_separating_vector_relint_and_identities():
             for c2 in fan.cones:
                 m = separating_vector(c1, c2)
                 tau = intersect(c1, c2)
-                cut1 = dual_cone(Cone(fan.dim, list(c1.halfspaces) + [m, vneg(m)]))
-                cut2 = dual_cone(Cone(fan.dim, list(c2.halfspaces) + [m, vneg(m)]))
+                cut1 = dual_cone(Cone(fan.dim, list(halfspaces(c1)) + [m, vneg(m)]))
+                cut2 = dual_cone(Cone(fan.dim, list(halfspaces(c2)) + [m, vneg(m)]))
                 assert cut1 == tau and cut2 == tau
                 assert separating_vector(c2, c1) == vneg(m)
 
@@ -485,7 +486,7 @@ def _separates(s1, s2, m, tau):
     hyperplane <m, .> = 0 cuts tau out of each."""
     cut = [m, vneg(m)]
     return (all(dot(m, r) >= 0 for r in s1.rays) and all(dot(m, r) <= 0 for r in s2.rays)
-            and all(dual_cone(Cone(s.dim, list(s.halfspaces) + cut)) == tau for s in (s1, s2)))
+            and all(dual_cone(Cone(s.dim, list(halfspaces(s)) + cut)) == tau for s in (s1, s2)))
 
 
 def test_separation_identities_against_conversion(monkeypatch, empty_table):
@@ -924,7 +925,7 @@ def test_table_stays_at_its_bound_and_answers_as_when_empty(monkeypatch, empty_t
         sizes.append(len(bounded))
         points = stratum_points(fan)[seed % 4::4]
         for c in fan.cones:
-            lines, rays = rays_by_subset_enumeration(_canonical_rows(c.halfspaces), c.dim)
+            lines, rays = rays_by_subset_enumeration(_canonical_rows(halfspaces(c)), c.dim)
             assert (c.lineality, c.rays) == (tuple(lines), rays), (seed, c)
             if c.cone_dim == c.dim:
                 assert faces_of(c) == faces_by_supporting_hyperplanes(c), (seed, c)
@@ -959,7 +960,7 @@ def test_integer_constructions_against_public_constructor_and_oracle(empty_table
         a, b = Cone(dim, gens_a), Cone(dim, gens_b)
         tau, total, cut = intersect(a, b), cone_sum(a, b), dual_cone(Cone(dim, gens_a))
         empty_table()
-        _same_cone(tau, dual_cone(Cone(dim, a.halfspaces + b.halfspaces)))
+        _same_cone(tau, dual_cone(Cone(dim, halfspaces(a) + halfspaces(b))))
         normals = _oracle_halfspaces(gens_a, dim) + _oracle_halfspaces(gens_b, dim)
         assert (tau.lineality, tau.rays) == rays_by_subset_enumeration(_canonical_rows(normals), dim)
         empty_table()
@@ -1007,8 +1008,8 @@ def test_separating_vector_against_oracle_and_sign_identities(empty_table):
         tau = intersect(s1, s2)
         # the references convert on an empty table
         empty_table()
-        assert dual_cone(Cone(dim, list(s1.halfspaces) + hyperplane)) == tau
-        assert dual_cone(Cone(dim, list(s2.halfspaces) + hyperplane)) == tau
+        assert dual_cone(Cone(dim, list(halfspaces(s1)) + hyperplane)) == tau
+        assert dual_cone(Cone(dim, list(halfspaces(s2)) + hyperplane)) == tau
 
 
 def test_integer_constructions_hand_the_conversion_canonical_rows(monkeypatch, empty_table):

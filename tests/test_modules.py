@@ -501,14 +501,15 @@ def test_pairing_builds_each_bar_once_and_checks_none(monkeypatch):
 
 def test_eval_converts_only_the_query_grade(monkeypatch):
     # A count, not a clock: eval_at reads the heights the presentation
-    # keeps, so at every size one integral converts the grade asked for and,
-    # over Q, one more converts the active coefficients (over F_2 they enter
-    # by numerator parity).  The answer is still the number of bars alive at
-    # each grade: at every grade for 10 and 100 relations, at every 50th of
-    # the 1000.
-    sizes = []
-    convert = modules.integral
+    # keeps, so at every size one integral converts the grade asked for, and
+    # nothing else does: over Q each active relation takes one lcm of its own
+    # denominators, and over F_2 none (they enter by numerator parity).  The
+    # answer is still the number of bars alive at each grade: at every grade
+    # for 10 and 100 relations, at every 50th of the 1000.
+    sizes, lcms = [], []
+    convert, common = modules.integral, modules.lcm
     monkeypatch.setattr(modules, "integral", lambda values: sizes.append(len(values)) or convert(values))
+    monkeypatch.setattr(modules, "lcm", lambda *args: lcms.append(args) or common(*args))
     coefficients = (-2, -1, 1, Fraction(1, 5), Fraction(-3, 7), Fraction(9, 11))
     per_call = {None: set(), PrimeField(2): set()}
     for m in (10, 100, 1000):
@@ -520,10 +521,13 @@ def test_eval_converts_only_the_query_grade(monkeypatch):
             bars = barcode_of_presentation(p)
             for a in grades:
                 sizes.clear()
+                lcms.clear()
                 assert eval_at(p, (a,)) == barcode_eval(bars, a).get(0, 0), (m, field, a)
                 assert sizes[0] == 1, (m, field, sizes)
                 per_call[field].add(len(sizes))
-    assert per_call == {None: {2}, PrimeField(2): {1}}, per_call
+                active = sum(d[0] <= a for d, _, _ in p.rows)
+                assert len(lcms) == (active if field is None else 0), (m, field, a, len(lcms))
+    assert per_call == {None: {1}, PrimeField(2): {1}}, per_call
 
 
 def _stored_form_cases():
@@ -691,6 +695,12 @@ def _count_reductions(monkeypatch):
     return calls
 
 
+def _odd_relations(p):
+    """The relations with an odd coefficient: over F_2 the pairing skips
+    none of them, and reduces no other (its mask is zero)."""
+    return sum(any(c.numerator & 1 for c in values) for _, _, values in p.rows)
+
+
 def test_a_pivot_row_is_not_closed_before_its_column():
     # e2 holds the pivot of e0 + e2, but that column does not span e2: the
     # relation e2 still reduces, to -e0, and pairs row 0
@@ -702,14 +712,15 @@ def test_a_pivot_row_is_not_closed_before_its_column():
 
 def test_closing_propagates_and_skips_exactly(monkeypatch):
     # e0 + e1 leaves row 1 open on row 0; e0 closes row 0 and with it row 1,
-    # so e1 + 2e0 lies on closed rows and is never reduced
+    # so over Q and F_3 e1 + 2e0 lies on closed rows and is never reduced;
+    # over F_2 no row closes, and each of the three relations is reduced once
     calls = _count_reductions(monkeypatch)
     rels = [((1,), [1, 1]), ((2,), [1, 0]), ((3,), [2, 1])]
     for field in FIELDS:
         calls.clear()
         p = PresentationND(HALFLINE, [(0,), (0,)], rels, field)
         assert barcode_of_presentation(p) == barcode(bar(0, 1), bar(0, 2))
-        assert len(calls) == 2, field
+        assert len(calls) == (3 if field == PrimeField(2) else 2), field
 
 
 def _direct_sum(p, other):
@@ -761,14 +772,14 @@ def _clearing_cases():
             yield _direct_sum(PresentationND(HALFLINE, a.generators, a.relations, field), b)
 
 
-def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
-    # the pairing reduces exactly the relations that closing by propagation
-    # leaves open, its bars are the oracles' (the rank invariant's on at most
-    # 10 relations, where its dense ranks stay quick), and once it returns no
-    # stored Q or F_3 column holds a closed row but its own pivot, and a
-    # closed pivot's column holds that pivot alone; over F_2 each stored
-    # pivot moves its watch at most once per row of its mask
-    stored, filed = [], []  # (a column a kernel returned, its size then); (pivot, watched row)
+def test_clearing_skips_exactly_the_propagated_closures(monkeypatch):
+    # over Q and F_3 the pairing reduces exactly the relations that closing
+    # by propagation leaves open, and once it returns no stored column holds
+    # a closed row but its own pivot, and a closed pivot's column holds that
+    # pivot alone; over F_2 it reduces each relation with an odd coefficient
+    # once; its bars are the oracles' (the rank invariant's on at most 10
+    # relations, where its dense ranks stay quick)
+    stored = []  # (a column a kernel returned, its size then)
 
     def spy(reduce):
         def reduced(col, *args):
@@ -779,27 +790,20 @@ def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
 
     for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"):
         monkeypatch.setattr(linalg, name, spy(getattr(linalg, name)))
-    watch = modules._open_top_f2
-    monkeypatch.setattr(modules, "_open_top_f2", lambda col, pivot, closed:
-                        filed.append((pivot, watch(col, pivot, closed))) or filed[-1][1])
     seen = Counter()
     for p in _clearing_cases():
         stored.clear()
-        filed.clear()
         got = barcode_of_presentation(p)
         assert got == barcode_by_fraction_reduction(p)
         if len(p.rows) <= 10:
             assert got == barcode_by_rank_invariant(p)
+        if p.field == PrimeField(2):
+            assert len(stored) == _odd_relations(p), (len(stored), len(p.rows))
+            seen["odd relations"] += len(stored)
+            continue
         skipped, closed = closed_rows_by_propagation(p)
         assert len(stored) == len(p.rows) - len(skipped), (p.field, len(stored), len(p.rows), len(skipped))
         seen["skipped"] += len(skipped)
-        if p.field == PrimeField(2):
-            assert sum(row >= 0 for _, row in filed) <= sum(size for _, size in stored)
-            watched = set()
-            for pivot, row in filed:
-                seen["moved"] += pivot in watched and row >= 0
-                watched.add(pivot)
-            continue
         for col, size in stored:
             if col:
                 pivot = max(col)
@@ -807,7 +811,7 @@ def test_watched_rows_skip_exactly_the_propagated_closures(monkeypatch):
                 assert pivot not in closed or len(col) == 1, (p.field, col)
                 seen["closed pivots"] += pivot in closed
                 seen["shed"] += size - len(col)
-    assert all(seen[key] >= 1000 for key in ("skipped", "closed pivots", "shed")) and seen["moved"] >= 20, seen
+    assert all(seen[key] >= 1000 for key in ("skipped", "closed pivots", "shed", "odd relations")), seen
 
 
 def _q_kernel_cases():
@@ -882,14 +886,12 @@ def _f2_cases():
 
 def test_f2_pairing_and_eval_match_the_oracles(monkeypatch):
     # the masks take their bits from the odd numerators (coefficients 2 and
-    # 6 hold no row), and the clearing of the masks still skips columns
+    # 6 hold no row), and the pairing reduces each nonzero mask once
     reduced = _count_reductions(monkeypatch)
-    relations = pairing_reductions = 0
     for p in _f2_cases():
         reduced.clear()
         got = barcode_of_presentation(p)
-        relations += len(p.rows)
-        pairing_reductions += len(reduced)
+        assert len(reduced) == _odd_relations(p), (len(reduced), len(p.rows))
         if len(p.generators) < 150:
             assert got == barcode_by_rank_invariant(p)
         assert got == barcode_by_fraction_reduction(p)
@@ -900,7 +902,6 @@ def test_f2_pairing_and_eval_match_the_oracles(monkeypatch):
             rows = [[c[i] for i in active] for d, c in p.relations if d[0] <= a]
             dim = len(active) - dense_rank(rows, len(active), 2)
             assert eval_at(p, (a,)) == dim == barcode_eval(got, a).get(0, 0), a
-    assert pairing_reductions < relations * 3 // 4, (pairing_reductions, relations)
 
 
 def test_no_f2_column_reaches_the_dict_reduction(monkeypatch):
@@ -1006,13 +1007,14 @@ def test_fp_coefficients_are_checked_at_construction():
 
 
 def test_fp_clearing_reads_the_residue_support(monkeypatch):
-    # e0 at 1 closes row 0; e0 + 2e1 at 2 lies on row 0 alone mod 2, so it
-    # is skipped unreduced over F_2, and pairs row 1 over Q and F_3
+    # e0 at 1 closes row 0; e0 + 2e1 at 2 lies on row 0 alone mod 2, so over
+    # F_2 it reduces to zero (the pairing skips no relation with an odd
+    # coefficient), and it pairs row 1 over Q and F_3
     calls = _count_reductions(monkeypatch)
     rels = [((1,), [1, 0]), ((2,), [1, 2])]
     for field, reduced, expected in [(None, 2, barcode(bar(0, 1), bar(0, 2))),
                                      (PrimeField(3), 2, barcode(bar(0, 1), bar(0, 2))),
-                                     (PrimeField(2), 1, barcode(bar(0, 1), bar(0, "inf")))]:
+                                     (PrimeField(2), 2, barcode(bar(0, 1), bar(0, "inf")))]:
         calls.clear()
         p = PresentationND(HALFLINE, [(0,), (0,)], rels, field)
         assert barcode_of_presentation(p) == expected == barcode_by_rank_invariant(p)

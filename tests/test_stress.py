@@ -19,7 +19,7 @@ from aptkit.modules import barcode_of_presentation, h0_tensor, presentation_of_b
 from aptkit.rational import vneg
 
 from generators import random_barcode, stratum_points
-from oracles import fm_dual_generators, order_complex_stalk_ranks
+from oracles import fm_dual_generators, halfspaces, order_complex_stalk_ranks
 
 
 def octant_fan():
@@ -64,7 +64,7 @@ def test_octant_fan_separating_vectors():
         m = separating_vector(c1, c2)
         assert separating_vector(c2, c1) == vneg(m)
         tau = intersect(c1, c2)
-        cut = dual_cone(Cone(3, list(c1.halfspaces) + [m, vneg(m)]))
+        cut = dual_cone(Cone(3, list(halfspaces(c1)) + [m, vneg(m)]))
         assert cut == tau
 
 
