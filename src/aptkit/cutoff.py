@@ -23,6 +23,7 @@ call on the fan shares them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from ._record import Record, set_field
 from .errors import (
@@ -35,7 +36,7 @@ from .errors import (
     PointNotInSet,
 )
 from .geometry import Cone, Fan, _idot, _memo, _with_lines, dual_cone, faces_of
-from .linalg import _int_det, echelon, rank
+from .linalg import _adjugate, echelon, rank
 from .polyhedra import OpenPolyhedron, _homogenisation, _polyhedron, _sum, minkowski_sum
 from .rational import INF, integral, l1norm, q, qvec, vneg, vscale, vsub
 
@@ -163,7 +164,10 @@ def _incidence_sign(cone: Cone, facet: Cone) -> int:
     A cell is oriented by the echelon form of its integer rays.  With B_c
     the cone's basis, P its pivot columns and M the facet's basis plus the
     inward vector, M = C B_c for the change of basis C, so the sign of
-    det C is sign det M[:, P] * sign det B_c[:, P].  The inward transversal
+    det C is sign det M[:, P] * sign det B_c[:, P].  The first is the one
+    general minor, taken by :func:`aptkit.linalg._adjugate`; B_c[:, P] is
+    triangular (each echelon row vanishes on the pivots before its own), so
+    the second is the product of the pivot entries.  The inward transversal
     is the sum of the cone's rays outside the facet, which lies in the cone
     strictly off the facet's span.
     """
@@ -174,14 +178,10 @@ def _incidence_sign(cone: Cone, facet: Cone) -> int:
     basis_c, _ = echelon(rays, cone.dim)
     basis_f, _ = echelon(facet_rays, cone.dim)
     pivots = [col for col, _ in basis_c]
-
-    def minor(rows):
-        return _int_det([[row[j] for j in pivots] for row in rows])
-
-    d = minor([e for _, e in basis_f] + [inward])
+    d, _ = _adjugate([[row[j] for j in pivots] for row in [*(e for _, e in basis_f), inward]])
     if d == 0:
         raise InternalCheckFailed("inward vector in the facet's span", check="incidence-sign")
-    return 1 if (d > 0) == (minor([e for _, e in basis_c]) > 0) else -1
+    return 1 if (d > 0) == (prod(e[col] for col, e in basis_c) > 0) else -1
 
 
 def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:

@@ -426,13 +426,6 @@ def _common_face(c1: Cone, c2: Cone):
     return Cone._canonical(c1.dim, tuple(sorted(sides[0])), ()) if sides[0] == sides[1] else False
 
 
-def cone_sum(c1: Cone, c2: Cone) -> Cone:
-    """Minkowski sum of cones (join): generated by both generator sets."""
-    if c1.dim != c2.dim:
-        raise InvalidInput("ambient dimension mismatch")
-    return Cone._from_rows(c1.dim, _with_lines(*c1._key[1:]) + _with_lines(*c2._key[1:]))
-
-
 def is_proper(c: Cone) -> bool:
     """True iff c meets -c only in the origin.
 

@@ -203,14 +203,10 @@ def _certificate(value, matching, n_y, lines):
     return InterleavingCertificate(value, value, tuple(forward), tuple(backward))
 
 
-def certificate_for(x: Barcode, y: Barcode, value=None) -> InterleavingCertificate:
-    """Build a certificate at (value, value), by default at the distance
-    d = interleaving_distance(x, y); a value below d is InvalidInput."""
-    if value is None:
-        cert = distance_with_certificate(x, y)[1]
-        if cert is None:
-            raise InvalidInput("no finite interleaving exists")
-        return cert
+def certificate_for(x: Barcode, y: Barcode, value) -> InterleavingCertificate:
+    """Build a certificate at (value, value); a value below the distance
+    d = interleaving_distance(x, y) is InvalidInput.  The certificate at d
+    itself comes with d from :func:`distance_with_certificate`."""
     lines_x, bars_x = _expand(x)
     lines_y, bars_y = _expand(y)
     if value == INF or lines_x != lines_y:

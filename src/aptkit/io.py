@@ -72,19 +72,15 @@ def qvec_to_json(v):
     return [_rational(x) for x in v]
 
 
-def parse_qvec_json(data, dim=None):
+def parse_qvec_json(data, dim):
     _require(isinstance(data, list), "expected a list of rationals")
     v = qvec(data)
-    if dim is not None:
-        _require(len(v) == dim, f"expected a vector of length {dim}")
+    _require(len(v) == dim, f"expected a vector of length {dim}")
     return v
 
 
-def cone_to_json(c: Cone, cid=None) -> dict:
-    out = {"dim": c.dim, "generators": [qvec_to_json(g) for g in c.generators]}
-    if cid is not None:
-        out["id"] = cid
-    return out
+def cone_to_json(c: Cone) -> dict:
+    return {"dim": c.dim, "generators": [qvec_to_json(g) for g in c.generators]}
 
 
 def parse_cone_json(data) -> Cone:

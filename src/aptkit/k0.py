@@ -8,7 +8,7 @@ the group-ring convolution e_a . e_b = e_{a+b}.
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .rational import INF, is_finite, q
+from .rational import is_finite, q
 
 
 class K0Class:
@@ -16,8 +16,7 @@ class K0Class:
 
     def __init__(self, terms=()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for grade, coef in items:
+        for grade, coef in terms:
             if not is_finite(grade):
                 raise InvalidInput("K0 classes have finite rational support")
             if type(coef) is not int:
@@ -25,10 +24,6 @@ class K0Class:
             grade = q(grade)
             acc[grade] = acc.get(grade, 0) + coef
         self.terms = tuple(sorted((g, c) for g, c in acc.items() if c != 0))
-
-    @classmethod
-    def zero(cls) -> "K0Class":
-        return cls()
 
     def __add__(self, other: "K0Class") -> "K0Class":
         return K0Class(list(self.terms) + list(other.terms))
@@ -57,10 +52,3 @@ class K0Class:
             return "K0Class(0)"
         body = " + ".join(f"{c}*e[{g}]" for g, c in self.terms)
         return f"K0Class({body})"
-
-
-def e(grade) -> K0Class:
-    """The basis class e_a; e_{+inf} is the zero class by convention."""
-    if grade == INF:
-        return K0Class.zero()
-    return K0Class([(q(grade), 1)])

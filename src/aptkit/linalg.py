@@ -13,9 +13,11 @@ more than it saves, and the bound keeps the entries from growing without end.
 conversion, lineality spaces and the orientation of the cells of the stalk
 complex) reads pivots and reduced rows from :func:`echelon`, fraction-free
 elimination (Bareiss 1968) on dense integer rows of a few coordinates.
-Determinants, and the adjugates from which the cone conversion reads its
-kernel vectors, use Bareiss elimination on square integer matrices, since the
-conversion needs them by the thousand.
+The one determinant is :func:`_adjugate`'s: fraction-free Gauss-Jordan
+elimination on a square integer matrix gives det A and det A * A^-1
+together, the adjugate from which the cone conversion reads its kernel
+vectors by the thousand and the determinant that orients the cells of the
+stalk complex.
 """
 
 from __future__ import annotations
@@ -145,36 +147,20 @@ def _reduce_f2(col, paired):
     return col
 
 
-def _int_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination: every
-    division is exact, so entries stay integers of bounded size."""
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if n else 1
-
-
 def _adjugate(rows):
-    """``(d, d * A^-1)`` for a nonsingular square integer matrix A: fraction-free
-    Gauss-Jordan elimination on [A | I] (Bareiss 1968), d is det A up to sign."""
+    """``(det A, det A * A^-1)`` for a square integer matrix A, ``(0, None)``
+    when A is singular: fraction-free Gauss-Jordan elimination on [A | I]
+    (Bareiss 1968).  A row swap negates the row it moves, a step of
+    determinant 1, so the last pivot is det A itself."""
     n = len(rows)
     m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
     prev = 1
     for k in range(n):
         if not m[k][k]:
-            swap = next(i for i in range(k + 1, n) if m[i][k])
-            m[k], m[swap] = m[swap], m[k]
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0, None
+            m[k], m[swap] = [-a for a in m[swap]], m[k]
         pivot, p = m[k], m[k][k]
         for i, row in enumerate(m):
             if i != k:

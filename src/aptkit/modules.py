@@ -43,7 +43,7 @@ def parse_field(tag):
     if isinstance(tag, PrimeField):
         return tag
     s = str(tag).strip().lower()
-    if s in ("q", "qq", "rational", "rationals"):
+    if s == "q":
         return None
     if s.startswith("f") and s[1:].isdigit():
         return PrimeField(int(s[1:]))

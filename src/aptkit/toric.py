@@ -3,7 +3,10 @@
 Everything is carried at the cone/monoid level: a chart is the dual-cone
 monoid of a fan cone, a transition is the localization datum produced by a
 separating vector, and the cocycle condition reduces to exact cone
-equalities plus a unit-monomial comparison on the triple overlap.
+equalities plus a unit-monomial comparison on the triple overlap.  A chart
+refuses a dual that is not its cone's, and a boundary ideal one that is not
+the interior of its chart's dual, so the gluing identities of two charts are
+checked on dot products alone (Fulton 1993, §1.2), with no conversion.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     NotInDualCone,
     NotSeparable,
 )
-from .geometry import Cone, _idot, _memo, _separation, _with_lines, cone_sum, dual_cone, intersect, is_proper
+from .geometry import Cone, _idot, _separation, _with_lines, dual_cone, intersect, is_proper
 from .polyhedra import OpenPolyhedron, minkowski_sum
 from .rational import integral, qvec, vneg
 
@@ -43,6 +46,8 @@ class Chart(Record):
     __slots__ = ("cone", "dual", "grading")
 
     def __init__(self, cone, dual, grading=GRADING_RATIONAL):
+        if dual != dual_cone(cone):
+            raise InvalidInput("a chart's dual must be the dual of its cone")
         set_field(self, "cone", cone)
         set_field(self, "dual", dual)
         set_field(self, "grading", grading)
@@ -87,35 +92,31 @@ def transition_data(c1: Chart, c2: Chart) -> Transition:
     except NotSeparable as exc:
         raise NotAdjacent(f"charts do not glue: {exc}") from exc
     overlap = dual_cone(tau)
-    key = ("localization", c1.dual._key, c2.dual._key, m, overlap._key)
-    if fault := _memo(key, _localization_fault, c1.dual, c2.dual, m, overlap):
+    if fault := _localization_fault(c1.dual, c2.dual, m, overlap):
         raise NotAdjacent(fault)
     return Transition(c1, c2, tuple(map(Fraction, m)), overlap)
 
 
 def _localization_fault(dual1: Cone, dual2: Cone, m, overlap: Cone):
     """The identity of overlap = dual1 + ray(-m) = dual1 + dual2 that fails,
-    else "".  The sum's generators must satisfy overlap's H-rows.  For m
-    in dual1, h lies in the sum iff h + lam*m lies in dual1, lam = max(0,
-    ceil(-<h, f> / <m, f>)) over dual1's facet normals f with <m, f> > 0
-    (Fulton 1993, §1.2 (2)); then -m in dual2 and dual2 in overlap give the
-    second identity.  Otherwise the cones are converted and compared."""
-    neg, sum1 = vneg(m), _with_lines(*dual1._key[1:]) + (vneg(m),)
-    if dual1._holds(m):
-        facets = [(f, _idot(m, f)) for f in dual1._hrep[0]]
+    else "", on dot products alone.  With m in dual1, h lies in dual1 +
+    ray(-m) iff h + lam*m lies in dual1, lam = max(0, ceil(-<h, f> / <m, f>))
+    over dual1's facet normals f with <m, f> > 0 (Fulton 1993, §1.2 (2));
+    then -m in dual2 and dual2 in overlap give the second identity.  The
+    separating vector of two charts puts m in dual1 and -m in dual2
+    (``geometry._separate``), since a chart's dual is its cone's; an m that
+    fails either is a fault."""
+    neg, facets = vneg(m), [(f, _idot(m, f)) for f in dual1._hrep[0]]
 
-        def lifts(h):
-            lam = max([0] + [-(_idot(h, f) // d) for f, d in facets if d > 0])
-            return dual1._holds([x + lam * y for x, y in zip(h, m)])
+    def lifts(h):
+        lam = max([0] + [-(_idot(h, f) // d) for f, d in facets if d > 0])
+        return dual1._holds([x + lam * y for x, y in zip(h, m)])
 
-        same = all(map(overlap._holds, sum1)) and all(map(lifts, _with_lines(*overlap._key[1:])))
-    else:
-        same = Cone._from_rows(overlap.dim, sum1) == overlap
-    if not same:
+    sum1 = _with_lines(*dual1._key[1:]) + (neg,)
+    if not (dual1._holds(m) and all(map(overlap._holds, sum1)) and all(map(lifts, _with_lines(*overlap._key[1:])))):
         return "overlap dual is not the expected localization"
     if not (dual2._holds(neg) and all(map(overlap._holds, _with_lines(*dual2._key[1:])))):
-        if cone_sum(dual1, dual2) != overlap:
-            return "overlap dual is not the sum of the chart duals"
+        return "overlap dual is not the sum of the chart duals"
     return ""
 
 
@@ -154,10 +155,10 @@ class AlmostContent(Record):
     __slots__ = ("chart", "interior_ideal_cone")
 
     def __init__(self, chart, interior_ideal_cone):
+        if interior_ideal_cone != OpenPolyhedron.cone_interior(chart.dual):
+            raise InvalidInput("the ideal must be the interior of the chart's dual")
         set_field(self, "chart", chart)
         set_field(self, "interior_ideal_cone", interior_ideal_cone)
-        if not boundary_idempotent_check(self):
-            raise InvalidInput("interior ideal is not idempotent")
 
 
 def almost_content(chart: Chart) -> AlmostContent:

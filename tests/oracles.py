@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along a different algorithmic route than
 the library: Gauss-Jordan elimination over Q on ``Fraction`` entries
 (the reference for the library's one fraction-free echelon) for ranks, row
 spaces and kernel bases, Fourier-Motzkin V-to-H conversion for duals,
-kernel lines (signed maximal minors) of all (rank-1)-subsets of the normals for H-to-V conversion,
+kernel lines (signed maximal minors, each a determinant by Gaussian
+elimination on ``Fraction`` entries) of all (rank-1)-subsets of the normals for H-to-V conversion,
 with the lineality from the Gauss-Jordan kernel basis, a projection along a
 Gram-Schmidt basis and a second pass of facet dot products for the V-data
 read off a cone's generators, Fourier-Motzkin
@@ -56,11 +57,10 @@ from aptkit.barcodes import FULL_LINE, Bar, Barcode, DecoratedInterval, classify
 from aptkit.cutoff import star_stalk_homology
 from aptkit.errors import InvalidInput, UnsupportedShape
 from aptkit.errors import BadIntersection, ImproperCone, MissingFace
-from aptkit.geometry import Cone, Fan, _with_lines, cone_sum, dual_cone, faces_of, is_proper
-from aptkit.k0 import K0Class, e
-from aptkit.linalg import _int_det
+from aptkit.geometry import Cone, Fan, _with_lines, dual_cone, faces_of, is_proper
+from aptkit.k0 import K0Class
 from aptkit.modules import parse_field
-from aptkit.polyhedra import OpenPolyhedron, minkowski_sum
+from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import (
     INF,
     NEG_INF,
@@ -153,12 +153,30 @@ def relint_contains_by_hrep(cone: Cone, x) -> bool:
     return all(dot(e, x) == 0 for e in cone.span_normals) and all(dot(f, x) > 0 for f in cone.facet_normals)
 
 
+def det(rows):
+    """Determinant of a square matrix over Q by Gaussian elimination on
+    ``Fraction`` entries, each row swap negating it; the library's one
+    determinant, fraction-free on integers, is ``linalg._adjugate``'s."""
+    mat = [[q(x) for x in row] for row in rows]
+    n, result = len(mat), Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            result = -result
+        result *= mat[col][col]
+        for i in range(col + 1, n):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return result
+
+
 def kernel_line(rows, ncols):
     """A vector spanning the kernel of ``ncols - 1`` integer rows, or None when
-    the kernel is not a line: the vector of signed maximal minors."""
-    v = tuple(
-        (-1) ** j * _int_det([row[:j] + row[j + 1:] for row in rows]) for j in range(ncols)
-    )
+    the kernel is not a line: the vector of signed maximal minors (:func:`det`)."""
+    v = tuple((-1) ** j * int(det([row[:j] + row[j + 1:] for row in rows])) for j in range(ncols))
     return v if any(v) else None
 
 
@@ -337,6 +355,15 @@ def intersect_by_conversion(c1: Cone, c2: Cone) -> Cone:
     return dual_cone(Cone._from_rows(c1.dim, _with_lines(*c1._hrep) + _with_lines(*c2._hrep)))
 
 
+def cone_sum(c1: Cone, c2: Cone) -> Cone:
+    """The library's former ``geometry.cone_sum``: the Minkowski sum (join)
+    of two cones, generated by both generator sets, built from their
+    integer rows."""
+    if c1.dim != c2.dim:
+        raise InvalidInput("ambient dimension mismatch")
+    return Cone._from_rows(c1.dim, _with_lines(*c1._key[1:]) + _with_lines(*c2._key[1:]))
+
+
 def localization_by_conversion(dual1: Cone, dual2: Cone, m, overlap: Cone):
     """The library's former transition identities, for an ``int`` vector m:
     dual1 + ray(-m) and dual1 + dual2, each converted and compared with
@@ -396,11 +423,19 @@ def almostize_by_rebuild(b: Barcode) -> Barcode:
     return Barcode(bars)
 
 
+def e(grade) -> K0Class:
+    """The library's former ``k0.e``: the basis class e_a; e_{+inf} is the
+    zero class by convention."""
+    if grade == INF:
+        return K0Class()
+    return K0Class([(q(grade), 1)])
+
+
 def k0_class_by_fold(b: Barcode) -> K0Class:
     """The K0 class of a barcode as a fold: each bar adds (-1)^deg . mult .
     (e_left - e_right) to a running class, one ``K0Class`` per bar, so the
     cost is quadratic in the bars."""
-    total = K0Class.zero()
+    total = K0Class()
     for item in b.bars:
         iv = item.interval
         if iv.left == NEG_INF and iv.right == INF:
@@ -415,7 +450,7 @@ def k0_of_presentation_by_fold(p) -> K0Class:
     """The K0 class of a 1-dimensional presentation as a fold over its
     dense view: plus e_g per generator grade g, minus e_d per relation
     degree d, one ``K0Class`` per step."""
-    total = K0Class.zero()
+    total = K0Class()
     for g in p.generators:
         total = total + e(g[0])
     for degree, _ in p.relations:
@@ -1194,10 +1229,8 @@ class AlmostContentTwin:
     interior_ideal_cone: object
 
     def __post_init__(self):
-        # int + int = int, as toric.boundary_idempotent_check asks
-        ideal = self.interior_ideal_cone
-        if minkowski_sum(ideal, ideal) != ideal:
-            raise InvalidInput("interior ideal is not idempotent")
+        if self.interior_ideal_cone != OpenPolyhedron.cone_interior(self.chart.dual):
+            raise InvalidInput("the ideal must be the interior of the chart's dual")
 
 
 def unit_check_by_point_scan(sigma_fan: Fan, field=None):

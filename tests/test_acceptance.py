@@ -35,7 +35,7 @@ from aptkit.cutoff import (
     restrict_offsets,
     tighten_offsets,
 )
-from aptkit.geometry import Cone, cone_sum, dual_cone, intersect
+from aptkit.geometry import Cone, dual_cone, intersect
 from aptkit.interleaving import distance_to_zero, interleaving_distance
 from aptkit.linalg import PrimeField
 from aptkit.modules import (
@@ -63,7 +63,7 @@ from generators import (
     random_decorated_barcode,
     random_presentation,
 )
-from oracles import bottleneck_by_matching_enumeration, perturbed_point
+from oracles import bottleneck_by_matching_enumeration, cone_sum, perturbed_point
 
 GRID = [Fraction(n, 2) for n in range(0, 13)]
 SPEC_GRID = [Fraction(n, 2) for n in range(0, 7)]

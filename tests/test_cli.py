@@ -507,7 +507,7 @@ def test_a_missing_input_is_bad_input_naming_its_flags(group, command, command_p
 
 
 P2 = catalog.fan("p2")
-P2_JSON = io.dumps({"dim": 2, "cones": [io.cone_to_json(c, cid) for cid, c in zip(P2.ids, P2.cones)]})
+P2_JSON = io.dumps({"dim": 2, "cones": [{**io.cone_to_json(c), "id": cid} for cid, c in zip(P2.ids, P2.cones)]})
 INPUT_ERRORS = {
     "malformed-json": (["barcode", "k0", "--input", '{"bars": [}'], "malformed JSON input: Expecting value"),
     "fan-input-without-cone": (["cone", "faces", "--input", P2_JSON], "--cone is required with a fan input"),

@@ -62,7 +62,6 @@ def test_integer_inputs_give_exact_results():
         "Cone.is_full_dim": skew.is_full_dim(),
         "dual_cone": geometry.dual_cone(skew),
         "intersect": geometry.intersect(skew, quad),
-        "cone_sum": geometry.cone_sum(skew, Cone(2, [(-1, 1)])),
         "is_proper": geometry.is_proper(skew),
         "faces_of": geometry.faces_of(skew),
         "validate_fan": fan,

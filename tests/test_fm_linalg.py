@@ -12,10 +12,10 @@ import pytest
 
 from aptkit import fm
 from aptkit.errors import InvalidInput
-from aptkit.linalg import PrimeField, _adjugate, _int_det, _kernel, _reduce_fp, rank
+from aptkit.linalg import PrimeField, _adjugate, _kernel, _reduce_fp, rank
 from aptkit.rational import dot, integral, primitive
 
-from oracles import dense_rank, kernel_basis, row_space_basis, rref
+from oracles import dense_rank, det, kernel_basis, row_space_basis, rref
 
 
 def dense_rows_rank(rows, field=None):
@@ -164,9 +164,11 @@ def test_dense_integer_rank_is_fast():
 
 
 def test_det_by_permutation_expansion():
+    # the oracle's determinant and the adjugate's, singular matrices included
     rng = random.Random(65)
     from itertools import permutations
 
+    singular = 0
     for _ in range(60):
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
@@ -178,7 +180,9 @@ def test_det_by_permutation_expansion():
             for i in range(n):
                 term *= m[i][perm[i]]
             expected += term
-        assert _int_det(m) == expected
+        assert det(m) == expected and _adjugate(m)[0] == expected, m
+        singular += expected == 0
+    assert singular >= 3
 
 
 def test_prime_field_rank_matches_q_on_unimodular():
@@ -194,30 +198,33 @@ def test_prime_field_rank_matches_q_on_unimodular():
 
 
 def test_adjugate_inverts_nonsingular_matrices():
-    # A * adj = d * I with |d| = |det A|, on seeded nonsingular matrices of
-    # sizes 1-6; a zero leading entry, sometimes also below it, forces swaps
+    # A * adj = d * I with d = det A, the oracle's, on seeded matrices of
+    # sizes 1-6; a zero leading entry, sometimes also below it, forces swaps,
+    # each of which negates the row it moves; a singular A gives (0, None)
     rng = random.Random(17)
-    swaps = 0
+    swaps = singular = 0
     for _ in range(400):
         n = rng.randint(1, 6)
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         if n > 1 and rng.random() < 0.4:
             for row in a[:rng.randint(1, n - 1)]:
                 row[0] = 0
-        if _int_det(a) == 0:
+        if det(a) == 0:
+            singular += 1
+            assert _adjugate(a) == (0, None), a
             continue
         swaps += a[0][0] == 0
         d, adj = _adjugate(a)
-        assert abs(d) == abs(_int_det(a)), a
+        assert d == det(a), a
         for i in range(n):
             for j in range(n):
                 assert sum(a[i][k] * adj[k][j] for k in range(n)) == d * (i == j), a
-    assert swaps >= 40
+    assert swaps >= 40 and singular >= 20
 
 
 def test_prime_field_rank_by_minors():
     # independent route: the rank is the largest k with a k x k minor whose
-    # (Bareiss) determinant is nonzero mod p
+    # determinant (the oracle's, on Fraction entries) is nonzero mod p
     rng = random.Random(67)
     for p in (2, 3, 5):
         field = PrimeField(p)
@@ -231,7 +238,7 @@ def test_prime_field_rank_by_minors():
                     for k in range(1, min(nrows, ncols) + 1)
                     for rs in combinations(ints, k)
                     for cs in combinations(range(ncols), k)
-                    if _int_det([[row[c] for c in cs] for row in rs]) % p != 0
+                    if int(det([[row[c] for c in cs] for row in rs])) % p != 0
                 ),
                 default=0,
             )

@@ -17,7 +17,6 @@ from aptkit.cutoff import convolution_unit_check
 from aptkit.errors import BadIntersection, ImproperCone, InternalCheckFailed, InvalidInput, MissingFace, NotSeparable
 from aptkit.geometry import (
     Cone,
-    cone_sum,
     dual_cone,
     faces_of,
     intersect,
@@ -33,6 +32,7 @@ from aptkit.toric import chart_of_cone, transition_data
 
 from generators import catalog_cones, complete_plane_fan, random_open_constraints, stellar_fan, stratum_points
 from oracles import (
+    cone_sum,
     contains_by_vrep,
     faces_by_supporting_hyperplanes,
     fm_dual_generators,
@@ -1115,7 +1115,7 @@ except InternalCheckFailed as exc:
             "c.gamma_basis_witness(c.OpenPolyhedron(1, [((1,), 2)]), (0,), g.Cone(1, [(1,)]))",
         ),
         (
-            "import aptkit.cutoff as c\nfrom aptkit import catalog\nc._int_det = lambda rows: 0",
+            "import aptkit.cutoff as c\nfrom aptkit import catalog\nc._adjugate = lambda rows: (0, None)",
             "c.star_stalk_homology(catalog.fan('p2'), (0, 0))",
         ),
         (

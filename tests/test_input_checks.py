@@ -18,10 +18,10 @@ from aptkit.rational import INF
 LINE, PLANE = Cone(1, [(1,)]), Cone(2, [(1, 0), (0, 1)])
 R1, R2 = OpenPolyhedron(1, []), OpenPolyhedron(2, [])
 RAY = Cone(2, [(1, 0)])
+HALF = Cone(2, [(1, 0), (-1, 0), (0, 1)])  # a chart of a cone with a line has a thin dual
 
 CHECKS = {
     "intersect-dims": (lambda: geometry.intersect(LINE, PLANE), "bad-input"),
-    "cone-sum-dims": (lambda: geometry.cone_sum(LINE, PLANE), "bad-input"),
     "separating-vector-dims": (lambda: geometry.separating_vector(LINE, PLANE), "bad-input"),
     "constraint-dims": (lambda: OpenPolyhedron(2, [((1,), 1)]), "bad-input"),
     "minkowski-sum-dims": (lambda: polyhedra.minkowski_sum(R1, R2), "bad-input"),
@@ -43,7 +43,9 @@ CHECKS = {
     "unknown-field": (lambda: modules.parse_field("x"), "bad-input"),
     "grading-cone-not-full": (lambda: PresentationND(RAY, []), "bad-input"),
     "grading-tag": (lambda: toric.chart_of_cone(LINE, grading=0), "bad-input"),
-    "chart-of-thin-dual": (lambda: toric.almost_content(toric.Chart(PLANE, RAY)), "empty-interior"),
+    "chart-of-foreign-dual": (lambda: toric.Chart(PLANE, RAY), "bad-input"),
+    "almost-content-of-foreign-ideal": (lambda: toric.AlmostContent(toric.chart_of_cone(PLANE), R2), "bad-input"),
+    "chart-of-thin-dual": (lambda: toric.almost_content(toric.Chart(HALF, geometry.dual_cone(HALF))), "empty-interior"),
 }
 
 

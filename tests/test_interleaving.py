@@ -20,6 +20,7 @@ from aptkit.interleaving import (
     _feasible,
     certificate_for,
     distance_to_zero,
+    distance_with_certificate,
     interleaving_distance,
     verify_interleaving,
 )
@@ -464,7 +465,7 @@ def test_int_verifier_equals_the_interval_maps():
         d = interleaving_distance(x, y)
         base = [InterleavingCertificate(0, 0, tuple(range(n_x)), tuple(range(n_y)))]
         if d != INF:
-            base += [certificate_for(x, y), certificate_for(x, y, d + Fraction(rng.randint(0, 8), 4))]
+            base += [distance_with_certificate(x, y)[1], certificate_for(x, y, d + Fraction(rng.randint(0, 8), 4))]
         for cert in [*base, *(m for c in base for m in _mutants(rng, c, n_x, n_y))]:
             got = verify_interleaving(x, y, cert)
             assert got == verify_by_interval_maps(x, y, cert), (x, y, cert)
@@ -494,7 +495,7 @@ def test_one_expansion_table_and_search_per_request(monkeypatch, capsys):
     init = barcodes.DecoratedInterval.__init__
     monkeypatch.setattr(barcodes.DecoratedInterval, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    cert = certificate_for(x, y)
+    cert = distance_with_certificate(x, y)[1]
     assert sorted(calls) == ["_cost_table", "_expand", "_expand", "_search"]
     calls.clear()
     assert verify_interleaving(x, y, cert)
@@ -509,9 +510,9 @@ def test_one_expansion_table_and_search_per_request(monkeypatch, capsys):
 def test_certificate_indexes_rays_then_finite_bars_then_lines():
     # canonical order alone would put [0, 1) first: forward == (None, 0)
     x, y = barcode(bar(0, 1), bar(2, "inf")), barcode(bar(2, "inf"))
-    cert = certificate_for(x, y)
+    cert = distance_with_certificate(x, y)[1]
     assert (cert.forward, cert.backward) == ((0, None), (0,))
-    cert = certificate_for(Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE]))
+    cert = distance_with_certificate(Barcode([*x.bars, LINE]), Barcode([*y.bars, LINE]))[1]
     assert (cert.forward, cert.backward) == ((0, None, 1), (0, 2))
 
 
@@ -542,10 +543,10 @@ def test_the_bar_cap_counts_multiplicities_and_lines():
     lines = bar("-inf", "inf", False, False, multiplicity=2)
     at_cap = Barcode([bar(0, 1, multiplicity=cap - 2), lines])
     assert interleaving_distance(at_cap, Barcode([lines])) == Fraction(1, 2)
-    assert len(certificate_for(at_cap, Barcode([lines])).forward) == cap
+    assert len(distance_with_certificate(at_cap, Barcode([lines]))[1].forward) == cap
     for over in (Barcode([bar(0, 1, multiplicity=cap + 1)]), Barcode([bar(0, 1, multiplicity=cap - 1), lines]),
                  Barcode([bar(0, 1, multiplicity=10**9)])):
-        for call in (lambda: interleaving_distance(over, Barcode()), lambda: certificate_for(Barcode(), over),
+        for call in (lambda: interleaving_distance(over, Barcode()), lambda: certificate_for(Barcode(), over, 1),
                      lambda: verify_interleaving(over, over, InterleavingCertificate(0, 0, (), ()))):
             with pytest.raises(ComputationTooLarge):
                 call()

@@ -19,7 +19,7 @@ from aptkit.barcodes import Bar, Barcode, DecoratedInterval, bar, barcode, convo
 from aptkit.barcodes import eval_at as barcode_eval
 from aptkit.errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from aptkit.geometry import Cone
-from aptkit.k0 import K0Class, e
+from aptkit.k0 import K0Class
 from aptkit.linalg import PrimeField
 from aptkit.modules import (
     HALFLINE,
@@ -50,6 +50,7 @@ from oracles import (
     barcode_by_rank_invariant,
     closed_rows_by_propagation,
     dense_rank,
+    e,
     k0_of_presentation_by_fold,
     presentation_rows_by_dense_scan,
     reduce_q_dividing_every_step,
@@ -587,7 +588,7 @@ def test_presentation_json_is_written_from_the_sparse_rows(monkeypatch):
         for p in group:
             text = io.dumps(io.presentation_to_json(p))
             wire = json.loads(text)
-            assert p.rows == tuple((io.parse_qvec_json(r["degree"]), tuple(i for i, _ in r["terms"]),
+            assert p.rows == tuple((io.parse_qvec_json(r["degree"], p.gamma.dim), tuple(i for i, _ in r["terms"]),
                                     tuple(Fraction(c) for _, c in r["terms"])) for r in wire["relations"])
             if group is readable:
                 back = io.parse_presentation_json(wire, p.field)

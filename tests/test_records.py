@@ -152,7 +152,7 @@ def test_record_validation_errors_are_unchanged(record, twin, values):
     [
         (K0Class, ([(0, 2.5)],)),
         (K0Class, ([(0, True)],)),
-        (K0Class, ({0: Fraction(2)},)),
+        (K0Class, ([(0, Fraction(2))],)),
         (Bar, (interval(0, 1), 0, 1.5)),
         (Bar, (interval(0, 1), 0, True)),
         (Bar, (interval(0, 1), 0.0, 1)),

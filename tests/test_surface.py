@@ -9,31 +9,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _defined(node):
+    """The names a statement defines: a function's or class's own, or the
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    return []
+
+
 def _public_names(path):
     """The public top-level functions, classes and constants (module-level
-    assignments) of a module, and the public methods of its classes, as
-    ``module.name`` and ``module.Class.method``."""
+    assignments) of a module, and the public methods and class-level
+    attributes of its classes, as ``module.name`` and ``module.Class.member``."""
     for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (f"{path.stem}.{name}" for name in names if not name.startswith("_"))
+        yield from (f"{path.stem}.{name}" for name in _defined(node) if not name.startswith("_"))
         for item in node.body if isinstance(node, ast.ClassDef) else ():
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                yield f"{path.stem}.{node.name}.{item.name}"
+            yield from (f"{path.stem}.{node.name}.{name}" for name in _defined(item) if not name.startswith("_"))
 
 
 def _reads():
     """What the code of src/, demos/ and perfbench/ reads: the attributes it
-    loads and its strings that are identifiers (looked up by name), as bare
-    names, and the top-level names it reads as ``module.name``: loaded in
-    their defining module, imported from it, or loaded as its attribute.  An
-    assignment is no read, and neither is a read of another definition that
-    shares the name."""
+    loads and, outside src/, its strings that are identifiers (perfbench's
+    tracer looks names up by them), as bare names, and the top-level names
+    it reads as ``module.name``: loaded in their defining module, imported
+    from it, or loaded as its attribute.  An assignment is no read, and
+    neither is a read of another definition that shares the name, nor a
+    string of the library's own, such as a digit or a message."""
     attributes, strings, qualified = set(), set(), set()
     for folder in ("src", "demos", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
@@ -48,7 +52,8 @@ def _reads():
                 elif isinstance(node, ast.ImportFrom) and node.module:
                     source = node.module.rsplit(".", 1)[-1]
                     qualified.update(f"{source}.{alias.name}" for alias in node.names)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier() \
+                        and folder != "src":
                     strings.add(node.value)
     return attributes, strings, qualified
 
@@ -87,3 +92,13 @@ def test_a_name_read_only_by_another_definition_is_unread():
     assert _is_read("geometry.intersect", *reads)
     assert _is_read("modules.eval_at", *reads)
     assert _is_read("barcodes.DecoratedInterval.translate", *reads)
+
+
+def test_class_attributes_are_scanned_and_library_strings_are_no_reads():
+    # Cone's H-views are class-level ``_view`` attributes, not methods; the
+    # "e" digit of rational._written_digits reads no name k0.e
+    names = set(_public_names(ROOT / "src" / "aptkit" / "geometry.py"))
+    assert {"geometry.Cone.facet_normals", "geometry.Cone.span_normals"} <= names
+    reads = _reads()
+    assert not _is_read("geometry.Cone.facet_normals", *reads)
+    assert not _is_read("k0.e", *reads)

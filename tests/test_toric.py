@@ -12,7 +12,7 @@ import pytest
 
 from aptkit import catalog, geometry, toric
 from aptkit.errors import ImproperCone, InternalCheckFailed, NotAdjacent, NotInDualCone
-from aptkit.geometry import Cone, cone_sum, dual_cone, intersect
+from aptkit.geometry import Cone, dual_cone, intersect
 from aptkit.polyhedra import OpenPolyhedron
 from aptkit.rational import vneg
 from aptkit.toric import (
@@ -25,7 +25,7 @@ from aptkit.toric import (
 )
 
 from generators import catalog_cones, complete_plane_fan, stellar_fan
-from oracles import localization_by_conversion, perturbed_point
+from oracles import cone_sum, localization_by_conversion, perturbed_point
 
 
 def test_chart_examples():
@@ -92,14 +92,15 @@ def test_transition_identities_catalog_wide():
 
 
 def test_localization_identities_against_conversion(empty_table):
-    """The transition identities checked on dot products agree with
+    """The transition identities, checked on dot products, agree with
     localization_by_conversion, the former conversions and comparisons, on
-    every chart pair of the catalog fans, a stellar fan and two plane fans:
-    on the true (m, overlap), where both say yes, on planted vectors m (the
-    true one doubled, seeded ones, some outside dual1, where the check
-    converts), and on planted overlaps (the duals of other faces, the whole
-    space, cones with lines), where both say no but for the rare planted
-    value that is right."""
+    every planted (m, overlap) with m in dual1 and -m in dual2, the only
+    vectors that a separation of two charts gives; on any other m the check
+    reports a fault.  Pairs: every chart pair of the catalog fans, a stellar
+    fan and two plane fans; planted are the true (m, overlap), where both
+    say yes, the true m doubled, seeded vectors m, and planted overlaps (the
+    duals of other faces, the whole space, cones with lines), where both
+    say no but for the rare planted value that is right."""
     rng = random.Random(53)
     fans = [catalog.fan(name) for name in catalog.fan_names()]
     fans += [stellar_fan(random.Random(2), 2)] + [complete_plane_fan(random.Random(s), s + 1) for s in (1, 2)]
@@ -117,10 +118,14 @@ def test_localization_identities_against_conversion(empty_table):
                 planted += [(m, dual_cone(rng.choice(charts).cone)), (m, whole), (m, lines)]
                 for vector, cone in planted:
                     empty_table()
-                    expected = localization_by_conversion(c1.dual, c2.dual, vector, cone)
-                    empty_table()
-                    assert toric._localization_fault(c1.dual, c2.dual, vector, cone) == expected, (vector, cone)
-                    verdicts[not expected, c1.dual._holds(vector)] += 1
+                    fault = toric._localization_fault(c1.dual, c2.dual, vector, cone)
+                    separating = c1.dual._holds(vector) and c2.dual._holds(vneg(vector))
+                    if separating:
+                        empty_table()
+                        assert fault == localization_by_conversion(c1.dual, c2.dual, vector, cone), (vector, cone)
+                    else:
+                        assert fault, (vector, cone)
+                    verdicts[not fault, separating] += 1
                 assert toric._localization_fault(c1.dual, c2.dual, m, overlap) == ""
     assert verdicts[True, True] >= 100 and verdicts[False, True] >= 100 and verdicts[False, False] >= 50, verdicts
 
