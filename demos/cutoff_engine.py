@@ -53,8 +53,8 @@ print("Delta(d(theta)) = Delta(d) + int(theta^dual) for every P2 cone:", holds)
 print()
 print("== star-complex stalk ranks (total rank one everywhere) ==")
 for point in [(0, 0), (1, 0), (2, 1)]:
-    report = star_stalk_homology(p2, point)
-    print(f"  stalk at {point}: betti {report.betti}  total {report.total_rank()}")
+    betti = star_stalk_homology(p2, point)
+    print(f"  stalk at {point}: betti {betti}  total {sum(betti.values())}")
 for name in ("p1", "p2", "p1xp1", "hirzebruch-1"):
     ok, strata = convolution_unit_check(catalog.fan(name))
     print(f"  unit check on {name:<13} ok={ok}  strata checked={strata}")

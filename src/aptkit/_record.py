@@ -1,4 +1,5 @@
-"""Frozen records on ``__slots__``: the few value classes of the library.
+"""Frozen records on ``__slots__``: the value classes of the library, each
+holding what it was given or computed and nothing it can derive.
 
 A record's fields are its ``__slots__``, at least two of them; its own
 ``__init__`` validates them and stores each with :data:`set_field`.  Only a

@@ -33,6 +33,8 @@ def _load_json_arg(value):
                 text = fh.read()
         except OSError as exc:
             raise InvalidInput(f"cannot read input file {value!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"cannot read input file {value!r}: not UTF-8") from exc
     try:
         return json.loads(text, parse_int=lambda digits: int(q(digits)))
     except json.JSONDecodeError as exc:
@@ -217,11 +219,12 @@ def _cmd_cutoff_basis_witness(args):
 
 def _cmd_cutoff_star_homology(args):
     field, fan = _field(args), _load_fan(args)
-    report = cutoff.star_stalk_homology(fan, _vector(args.point, fan.dim, "point"), field)
+    point = _vector(args.point, fan.dim, "point")
+    betti = cutoff.star_stalk_homology(fan, point, field)
     return {
-        "point": io.qvec_to_json(report.point),
-        "betti": {str(k): v for k, v in sorted(report.betti.items())},
-        "total_rank": report.total_rank(),
+        "point": io.qvec_to_json(point),
+        "betti": {str(k): v for k, v in sorted(betti.items())},
+        "total_rank": sum(betti.values()),
     }
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from ._record import Record, set_field
 from .errors import (
     EmptyInput,
     EmptyInterior,
@@ -147,17 +146,6 @@ def minkowski_with_cone(u: OpenPolyhedron, cone: Cone) -> OpenPolyhedron:
     return _sum(u.dim, _with_lines(*u._cone._key[1:]) + tuple(g + (0,) for g in _with_lines(*cone._key[1:])))
 
 
-class StalkReport(Record):
-    __slots__ = ("point", "betti")
-
-    def __init__(self, point, betti):
-        set_field(self, "point", point)
-        set_field(self, "betti", betti)
-
-    def total_rank(self) -> int:
-        return sum(self.betti.values())
-
-
 def _incidence_sign(cone: Cone, facet: Cone) -> int:
     """Sign comparing (facet basis, inward vector) with the cone's basis.
 
@@ -184,17 +172,16 @@ def _incidence_sign(cone: Cone, facet: Cone) -> int:
     return 1 if (d > 0) == (prod(e[col] for col, e in basis_c) > 0) else -1
 
 
-def star_stalk_homology(sigma_fan: Fan, point, field=None) -> StalkReport:
-    """Betti ranks of the stalk complex of the fan limit diagram at a point.
+def star_stalk_homology(sigma_fan: Fan, point, field=None) -> dict:
+    """The nonzero Betti ranks {degree: rank} of the fan limit diagram's stalk complex at a point.
 
     The total rank is 1 for every point of a complete fan; that is the
     star-complex property this routine exercises.  Reported
     degrees follow the cell dimensions (cone dimensions) of the complex.
     """
     _require_complete(sigma_fan)
-    point = qvec(point, sigma_fan.dim)
-    x, _ = integral(point)
-    return StalkReport(point, _stalk_betti([c for c in sigma_fan.cones if c._holds(x)], field))
+    x, _ = integral(qvec(point, sigma_fan.dim))
+    return _stalk_betti([c for c in sigma_fan.cones if c._holds(x)], field)
 
 
 def _require_complete(sigma_fan: Fan):

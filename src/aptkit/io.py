@@ -188,7 +188,7 @@ def polyhedron_to_json(p: OpenPolyhedron) -> dict:
 def parse_polyhedron_json(data) -> OpenPolyhedron:
     _require(isinstance(data, dict) and "dim" in data, "polyhedron needs 'dim'")
     dim = _integer(data["dim"], "dim")
-    if data.get("empty"):
+    if _expect(data.get("empty", False), bool, "empty"):
         return OpenPolyhedron.empty(dim)
     cons = []
     for entry in _expect(data.get("constraints", []), list, "constraints"):

@@ -32,7 +32,7 @@ from .barcodes import Barcode, _half_open_bar
 from .errors import ComputationTooLarge, InvalidInput, NotOneDimensional, UnsupportedDecoration
 from .geometry import Cone, _idot
 from .k0 import K0Class
-from .linalg import PrimeField, _kernel, rank
+from .linalg import _MR_LIMIT, PrimeField, _kernel, rank
 from .rational import INF, integral, is_finite, q, qvec, vadd, vsub
 
 
@@ -45,7 +45,9 @@ def parse_field(tag):
     s = str(tag).strip().lower()
     if s == "q":
         return None
-    if s.startswith("f") and s[1:].isdigit():
+    if s.startswith("f") and s[1:].isascii() and s[1:].isdigit():
+        if len(s) - 1 > len(str(_MR_LIMIT)):
+            raise InvalidInput(f"prime fields need p < {_MR_LIMIT}")
         return PrimeField(int(s[1:]))
     raise InvalidInput(f"unknown field tag {tag!r} (use 'q' or 'f<p>')")
 

@@ -4,8 +4,8 @@ Everything is carried at the cone/monoid level: a chart is the dual-cone
 monoid of a fan cone, a transition is the localization datum produced by a
 separating vector, and the cocycle condition reduces to exact cone
 equalities plus a unit-monomial comparison on the triple overlap.  A chart
-refuses a dual that is not its cone's, and a boundary ideal one that is not
-the interior of its chart's dual, so the gluing identities of two charts are
+is fixed by its proper cone: its dual is read off the cone, and its boundary
+ideal is that dual's interior, so the gluing identities of two charts are
 checked on dot products alone (Fulton 1993, §1.2), with no conversion.
 """
 
@@ -16,7 +16,6 @@ from math import gcd
 
 from ._record import Record, set_field
 from .errors import (
-    EmptyInterior,
     ImproperCone,
     InternalCheckFailed,
     InvalidInput,
@@ -41,16 +40,19 @@ def _check_grading(tag):
 
 
 class Chart(Record):
-    """Monoid-algebra chart attached to the dual of a proper cone."""
+    """Monoid-algebra chart of a proper cone: the dual-cone monoid in a grading group."""
 
-    __slots__ = ("cone", "dual", "grading")
+    __slots__ = ("cone", "grading")
 
-    def __init__(self, cone, dual, grading=GRADING_RATIONAL):
-        if dual != dual_cone(cone):
-            raise InvalidInput("a chart's dual must be the dual of its cone")
+    def __init__(self, cone, grading=GRADING_RATIONAL):
+        if not is_proper(cone):
+            raise ImproperCone("charts are attached to proper cones")
         set_field(self, "cone", cone)
-        set_field(self, "dual", dual)
-        set_field(self, "grading", grading)
+        set_field(self, "grading", _check_grading(grading))
+
+    @property
+    def dual(self) -> Cone:
+        return dual_cone(self.cone)
 
     def monoid_contains(self, grade) -> bool:
         """Membership of a grade in dual-cone intersect grading group."""
@@ -63,19 +65,15 @@ class Chart(Record):
 
 
 def chart_of_cone(cone: Cone, grading=GRADING_RATIONAL) -> Chart:
-    if not is_proper(cone):
-        raise ImproperCone("charts are attached to proper cones")
-    return Chart(cone, dual_cone(cone), _check_grading(grading))
+    return Chart(cone, grading)
 
 
 class Transition(Record):
     """Localization datum gluing two charts over their common face."""
 
-    __slots__ = ("source", "target", "m", "overlap")
+    __slots__ = ("m", "overlap")
 
-    def __init__(self, source, target, m, overlap):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
+    def __init__(self, m, overlap):
         set_field(self, "m", m)
         set_field(self, "overlap", overlap)
 
@@ -94,7 +92,7 @@ def transition_data(c1: Chart, c2: Chart) -> Transition:
     overlap = dual_cone(tau)
     if fault := _localization_fault(c1.dual, c2.dual, m, overlap):
         raise NotAdjacent(fault)
-    return Transition(c1, c2, tuple(map(Fraction, m)), overlap)
+    return Transition(tuple(map(Fraction, m)), overlap)
 
 
 def _localization_fault(dual1: Cone, dual2: Cone, m, overlap: Cone):
@@ -149,27 +147,14 @@ def cocycle_check(c1: Chart, c2: Chart, c3: Chart) -> bool:
     return expected.contains(diff) and expected.contains(vneg(diff))
 
 
-class AlmostContent(Record):
-    """Chart with its idempotent boundary ideal: the dual-cone interior."""
-
-    __slots__ = ("chart", "interior_ideal_cone")
-
-    def __init__(self, chart, interior_ideal_cone):
-        if interior_ideal_cone != OpenPolyhedron.cone_interior(chart.dual):
-            raise InvalidInput("the ideal must be the interior of the chart's dual")
-        set_field(self, "chart", chart)
-        set_field(self, "interior_ideal_cone", interior_ideal_cone)
+def almost_content(chart: Chart) -> OpenPolyhedron:
+    """The chart's boundary ideal: the interior of its dual, full-dimensional
+    since the chart's cone is proper."""
+    return OpenPolyhedron.cone_interior(chart.dual)
 
 
-def almost_content(chart: Chart) -> AlmostContent:
-    if not chart.dual.is_full_dim():
-        raise EmptyInterior("boundary ideal needs a full-dimensional dual cone")
-    return AlmostContent(chart, OpenPolyhedron.cone_interior(chart.dual))
-
-
-def boundary_idempotent_check(content: AlmostContent) -> bool:
+def boundary_idempotent_check(ideal: OpenPolyhedron) -> bool:
     """Exact Minkowski idempotency int + int = int of the ideal cone."""
-    ideal = content.interior_ideal_cone
     return minkowski_sum(ideal, ideal) == ideal
 
 

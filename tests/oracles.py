@@ -1190,13 +1190,6 @@ class BarTwin:
 
 
 @dataclass(frozen=True)
-class StalkReportTwin:
-    __qualname__ = "StalkReport"
-    point: tuple
-    betti: dict
-
-
-@dataclass(frozen=True)
 class CertificateTwin:
     __qualname__ = "InterleavingCertificate"
     a: object
@@ -1209,28 +1202,14 @@ class CertificateTwin:
 class ChartTwin:
     __qualname__ = "Chart"
     cone: object
-    dual: object
     grading: object = "Q"
 
 
 @dataclass(frozen=True)
 class TransitionTwin:
     __qualname__ = "Transition"
-    source: object
-    target: object
     m: tuple
     overlap: object
-
-
-@dataclass(frozen=True)
-class AlmostContentTwin:
-    __qualname__ = "AlmostContent"
-    chart: object
-    interior_ideal_cone: object
-
-    def __post_init__(self):
-        if self.interior_ideal_cone != OpenPolyhedron.cone_interior(self.chart.dual):
-            raise InvalidInput("the ideal must be the interior of the chart's dual")
 
 
 def unit_check_by_point_scan(sigma_fan: Fan, field=None):
@@ -1239,6 +1218,6 @@ def unit_check_by_point_scan(sigma_fan: Fan, field=None):
     cone's H-rows, at every point of :func:`stratum_points`."""
     points = stratum_points(sigma_fan)
     for p in points:
-        if star_stalk_homology(sigma_fan, p, field).total_rank() != 1:
+        if sum(star_stalk_homology(sigma_fan, p, field).values()) != 1:
             return False, len(points)
     return True, len(points)

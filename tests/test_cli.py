@@ -317,6 +317,11 @@ HALFLINE_JSON = '"gamma":{"dim":1,"generators":[["1"]]}'
         ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":null,"generators":[["1"]]}]}'],
         ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":[1],"generators":[["-1"]]}]}'],
         ["fan", "validate", "--input", '{"dim":1,"cones":[{"id":{"a":1},"generators":[]}]}'],
+        ["cutoff", "indicator-convolve", "--poly",
+         '{"dim":1,"empty":"false","constraints":[{"normal":["1"],"offset":"0"}]}',
+         "--poly2", '{"dim":1,"constraints":[]}'],
+        ["module", "eval", "--catalog", "interval01", "--at", "0", "--field", "f\u00b2"],
+        ["module", "eval", "--catalog", "interval01", "--at", "0", "--field", "f" + "7" * 5000],
     ],
     ids=["non-prime-field", "denominator-not-invertible", "bar-without-birth", "grade-not-rational",
          "missing-input-file", "float-grade", "bool-grade", "float-degree", "non-integer-multiplicity",
@@ -325,7 +330,7 @@ HALFLINE_JSON = '"gamma":{"dim":1,"generators":[["1"]]}'
          "fan-generators-not-a-list", "bars-not-a-list", "module-generators-not-a-list",
          "relations-not-a-list", "coeffs-not-a-list", "constraints-not-a-list", "forward-not-a-list",
          "birth-closed-string", "death-closed-integer", "null-cone-id", "list-cone-id",
-         "object-cone-id"],
+         "object-cone-id", "empty-string", "field-of-non-ascii-digits", "field-of-too-many-digits"],
 )
 def test_cli_malformed_input_is_structured(argv):
     code, out = run_cli(argv)
@@ -343,6 +348,15 @@ def test_cli_deeply_nested_json_is_bad_input(tmp_path, from_file):
     code, out = run_cli(["fan", "validate", "--input", text])
     assert code == 1
     assert json.loads(out)["error"]["code"] == "bad-input"
+
+
+def test_cli_input_file_that_is_not_utf8_is_bad_input(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out = run_cli(["fan", "validate", "--input", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "bad-input" and repr(str(path)) in error["message"]
 
 
 def test_cli_verify_out_of_range_index_is_invalid():

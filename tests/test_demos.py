@@ -1,4 +1,5 @@
-"""The demos print exactly the output recorded in ``demos/expected``."""
+"""The demos print exactly the output recorded in ``demos/expected``, and
+nothing on stderr."""
 
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ def test_every_demo_has_expected_output():
     assert sorted(f[:-4] for f in os.listdir(os.path.join(DEMOS, "expected"))) == NAMES
 
 
-# each demo as it is and under -O, whose stripped asserts must not change a byte
+# each demo as it is and under -O, whose stripped asserts must not change a
+# byte; neither run may write to stderr, so a warning fails the test
 RUNS = [(name, flags) for name in NAMES for flags in ((), ("-O",))]
 
 
@@ -30,5 +32,6 @@ def test_demo_output_is_unchanged(name, flags):
         [sys.executable, *flags, os.path.join(DEMOS, f"{name}.py")], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
     with open(os.path.join(DEMOS, "expected", f"{name}.txt"), encoding="utf-8") as fh:
         assert result.stdout == fh.read()

@@ -18,7 +18,7 @@ from aptkit.rational import INF
 LINE, PLANE = Cone(1, [(1,)]), Cone(2, [(1, 0), (0, 1)])
 R1, R2 = OpenPolyhedron(1, []), OpenPolyhedron(2, [])
 RAY = Cone(2, [(1, 0)])
-HALF = Cone(2, [(1, 0), (-1, 0), (0, 1)])  # a chart of a cone with a line has a thin dual
+HALF = Cone(2, [(1, 0), (-1, 0), (0, 1)])  # a cone with a line has a thin dual and no chart
 
 CHECKS = {
     "intersect-dims": (lambda: geometry.intersect(LINE, PLANE), "bad-input"),
@@ -43,9 +43,10 @@ CHECKS = {
     "unknown-field": (lambda: modules.parse_field("x"), "bad-input"),
     "grading-cone-not-full": (lambda: PresentationND(RAY, []), "bad-input"),
     "grading-tag": (lambda: toric.chart_of_cone(LINE, grading=0), "bad-input"),
-    "chart-of-foreign-dual": (lambda: toric.Chart(PLANE, RAY), "bad-input"),
-    "almost-content-of-foreign-ideal": (lambda: toric.AlmostContent(toric.chart_of_cone(PLANE), R2), "bad-input"),
-    "chart-of-thin-dual": (lambda: toric.almost_content(toric.Chart(HALF, geometry.dual_cone(HALF))), "empty-interior"),
+    "chart-of-float-grading": (lambda: toric.Chart(PLANE, 0.5), "bad-input"),
+    "chart-of-thin-dual": (lambda: toric.Chart(HALF), "improper-cone"),
+    "field-of-non-ascii-digits": (lambda: modules.parse_field("f\u00b2"), "bad-input"),
+    "field-of-too-many-digits": (lambda: modules.parse_field("f" + "7" * 5000), "bad-input"),
 }
 
 

@@ -16,40 +16,26 @@ import pytest
 
 from aptkit import toric
 from aptkit.barcodes import Bar, DecoratedInterval, interval
-from aptkit.cutoff import StalkReport
 from aptkit.errors import InvalidInput
 from aptkit.geometry import Cone
 from aptkit.interleaving import InterleavingCertificate
 from aptkit.k0 import K0Class
-from aptkit.polyhedra import OpenPolyhedron
-from aptkit.toric import AlmostContent, Chart, Transition
+from aptkit.toric import Chart, Transition
 
-from oracles import (
-    AlmostContentTwin,
-    BarTwin,
-    CertificateTwin,
-    ChartTwin,
-    IntervalTwin,
-    StalkReportTwin,
-    TransitionTwin,
-)
+from oracles import BarTwin, CertificateTwin, ChartTwin, IntervalTwin, TransitionTwin
 
 QUAD = Cone(2, [(1, 0), (0, 1)])
 CHART = toric.chart_of_cone(QUAD)
 SKEW_CHART = toric.chart_of_cone(Cone(2, [(1, 0), (1, 2)]))
-IDEAL = OpenPolyhedron.cone_interior(CHART.dual)
 HALF = Fraction(1, 2)
 
 # (record, twin, field values, other field values)
 CASES = [
     (DecoratedInterval, IntervalTwin, (Fraction(0), HALF, True, True), (Fraction(0), HALF, True, False)),
     (Bar, BarTwin, (interval(0, 1), 1, 2), (interval(0, 1), 1, 3)),
-    (StalkReport, StalkReportTwin, ((HALF,), {0: 1}), ((HALF,), {0: 2})),
     (InterleavingCertificate, CertificateTwin, (HALF, HALF, (0, None), (0,)), (HALF, HALF, (0, None), (None,))),
-    (Chart, ChartTwin, (QUAD, CHART.dual, 2), (QUAD, CHART.dual, "Q")),
-    (Transition, TransitionTwin, (CHART, SKEW_CHART, (HALF, HALF), CHART.dual),
-     (CHART, SKEW_CHART, (HALF, HALF), SKEW_CHART.dual)),
-    (AlmostContent, AlmostContentTwin, (CHART, IDEAL), (SKEW_CHART, OpenPolyhedron.cone_interior(SKEW_CHART.dual))),
+    (Chart, ChartTwin, (QUAD, 2), (QUAD, "Q")),
+    (Transition, TransitionTwin, ((HALF, HALF), CHART.dual), ((HALF, HALF), SKEW_CHART.dual)),
 ]
 IDS = [record.__name__ for record, *_ in CASES]
 
@@ -62,8 +48,8 @@ def _hash(value):
 
 
 def _unchecked(record, values):
-    """A record of these field values, in slot order, built past its
-    validating ``__init__``."""
+    """A record of the leading field values, one per slot in slot order,
+    built past its validating ``__init__``."""
     rec = object.__new__(record)
     for name, value in zip(record.__slots__, values):
         object.__setattr__(rec, name, value)
@@ -90,10 +76,10 @@ def test_record_matches_its_dataclass(record, twin, values, other):
         assert (record(*left) == record(*right)) == (twin(*left) == twin(*right))
         assert (record(*left) != record(*right)) == (twin(*left) != twin(*right))
     assert rec != ref and rec != values
-    # another record class with the same field values, built unchecked:
+    # another record class with the leading field values, built unchecked:
     # most classes reject the values of another
     strangers = [_unchecked(stranger, values) for stranger, *_ in CASES
-                 if stranger is not record and len(stranger.__slots__) == len(values)]
+                 if stranger is not record and len(stranger.__slots__) <= len(values)]
     assert strangers
     for stranger in strangers:
         assert rec != stranger and not rec == stranger
@@ -139,7 +125,6 @@ def test_record_copies_and_pickles(record, twin, values, other):
         (DecoratedInterval, IntervalTwin, (0, "1e5000")),
         (Bar, BarTwin, (interval(0, 1), 0, 0)),
         (Bar, BarTwin, (interval(0, 1), 0, -1)),
-        (AlmostContent, AlmostContentTwin, (CHART, OpenPolyhedron(2, [((1, 0), 1)]))),
     ],
 )
 def test_record_validation_errors_are_unchanged(record, twin, values):

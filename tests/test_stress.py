@@ -72,11 +72,11 @@ def test_octant_fan_stalk_ranks_3d():
     fan = octant_fan()
     f2 = PrimeField(2)
     for p in stratum_points(fan):
-        report = star_stalk_homology(fan, p)
-        assert report.total_rank() == 1, p
+        betti = star_stalk_homology(fan, p)
+        assert sum(betti.values()) == 1, p
         oracle = order_complex_stalk_ranks(fan, p)
         assert sum(oracle.values()) == 1, p
-        assert star_stalk_homology(fan, p, f2).total_rank() == 1, p
+        assert sum(star_stalk_homology(fan, p, f2).values()) == 1, p
     ok, checked = convolution_unit_check(fan)
     assert ok and checked == 35
 
@@ -119,7 +119,7 @@ def test_random_complete_fans_2d():
         fan = validate_fan(cones)
         assert fan.is_complete()
         for p in stratum_points(fan):
-            assert star_stalk_homology(fan, p).total_rank() == 1
+            assert sum(star_stalk_homology(fan, p).values()) == 1
 
 
 def test_convolution_h0_matches_presentation_tensor():
@@ -167,8 +167,8 @@ def test_cube_face_fan_stalks():
     assert len(fan.cones) == 27  # 1 + 8 rays + 12 wedges + 6 squares
     f3 = PrimeField(3)
     for p in stratum_points(fan):
-        assert star_stalk_homology(fan, p).total_rank() == 1, p
-        assert star_stalk_homology(fan, p, f3).total_rank() == 1, p
+        assert sum(star_stalk_homology(fan, p).values()) == 1, p
+        assert sum(star_stalk_homology(fan, p, f3).values()) == 1, p
         oracle = order_complex_stalk_ranks(fan, p)
         assert sum(oracle.values()) == 1, p
 

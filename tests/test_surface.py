@@ -10,10 +10,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _defined(node):
-    """The names a statement defines: a function's or class's own, or the
-    targets of an assignment."""
+    """The names a statement defines: a function's or class's own, the
+    fields a ``__slots__`` assignment lists, or the targets of an assignment."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         return [node.name]
+    if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+        return [n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     if isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
@@ -22,8 +24,8 @@ def _defined(node):
 
 def _public_names(path):
     """The public top-level functions, classes and constants (module-level
-    assignments) of a module, and the public methods and class-level
-    attributes of its classes, as ``module.name`` and ``module.Class.member``."""
+    assignments) of a module, and the public methods, class-level attributes
+    and slot fields of its classes, as ``module.name`` and ``module.Class.member``."""
     for node in ast.parse(path.read_text()).body:
         yield from (f"{path.stem}.{name}" for name in _defined(node) if not name.startswith("_"))
         for item in node.body if isinstance(node, ast.ClassDef) else ():
@@ -99,6 +101,8 @@ def test_class_attributes_are_scanned_and_library_strings_are_no_reads():
     # "e" digit of rational._written_digits reads no name k0.e
     names = set(_public_names(ROOT / "src" / "aptkit" / "geometry.py"))
     assert {"geometry.Cone.facet_normals", "geometry.Cone.span_normals"} <= names
+    # a slot field is a member some code must read, as a method is
+    assert {"geometry.Cone.dim", "geometry.Cone.cone_dim", "geometry.Fan.ids"} <= names
     reads = _reads()
     assert not _is_read("geometry.Cone.facet_normals", *reads)
     assert not _is_read("k0.e", *reads)
