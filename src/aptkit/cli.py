@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import catalog, cutoff, interleaving, io, toric
@@ -393,6 +394,8 @@ def build_parser(group=None) -> argparse.ArgumentParser:
         commands = commands.add_subparsers(dest="command", required=True)
         for command, (handler, flags) in table.items():
             p = commands.add_parser(command)
+            # argparse passes only plain negative numbers as values; no flag starts "-<digit>", so -1/2 is one too
+            p._negative_number_matcher = re.compile(r"-\.?\d")
             for flag in flags:
                 key, _, text = flag.partition(":")
                 p.add_argument("--" + key.rstrip("!"), required=key[-1] == "!", help=text or _HELP.get(key))

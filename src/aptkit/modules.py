@@ -5,14 +5,15 @@ full-dimensional grading cone gamma; each relation is stored once, sparse.
 Every construction ends in one check of the sparse rows, in time linear in
 their nonzeros: homogeneity compares int heights of the grades over gamma's
 facets, all grades scaled by one common denominator, and over F_p p divides
-no denominator (a numerator it divides is a zero residue).  The public
+no denominator (a numerator it divides is a zero residue); over F_2 it keeps
+each relation's odd support, read off the numerators once.  The public
 constructor parses dense rows in one pass; shift, tensor products, Rees
 presentations, free modules and the JSON reader build sparse rows directly.
 Every rank is one sparse column reduction, that of :mod:`aptkit.linalg`, over
-F_2 on bit masks built in one pass (:func:`_columns`), else on one int column
-per relation (:func:`_column`).  Degree-wise evaluation gives the dimension
-at grade a as the number of active generators minus the rank of the active
-relations.  The one-dimensional case bridges to barcodes through the same
+F_2 on bit masks of the kept odd supports (:func:`_columns`), which reads no
+coefficient, else on one int column per relation (:func:`_column`).
+Degree-wise evaluation gives the dimension at grade a as the number of active
+generators minus the rank of the active relations.  The one-dimensional case bridges to barcodes through the same
 reduction in the classical persistence order, on the int heights
 (:func:`_heights`), and builds its bars in canonical order, unchecked.  Over
 F_2 it reduces every relation.  Over Q and odd p, rows the stored columns
@@ -71,7 +72,7 @@ class PresentationND:
     dense row on the way.  ``relations`` is a dense view the library never reads.
     """
 
-    __slots__ = ("gamma", "generators", "rows", "field", "_heights", "_scale")
+    __slots__ = ("gamma", "generators", "rows", "field", "_heights", "_scale", "_odd")
 
     def __init__(self, gamma: Cone, generators, relations=(), field=None):
         gens = tuple(qvec(g) for g in generators)
@@ -92,7 +93,8 @@ class PresentationND:
         nonzero values (over F_p, p divides no denominator), and homogeneity,
         degree - g in gamma for every generator g in a row's support, read
         off the heights of the grades over gamma's facets (:func:`_heights`),
-        which are kept with their common denominator."""
+        which are kept with their common denominator.  Over F_2 it keeps, per
+        row, the ascending indices of its odd coefficients in ``_odd``."""
         if not gamma.is_full_dim():
             raise InvalidInput("grading cone must have nonempty interior")
         field = parse_field(field)
@@ -124,6 +126,10 @@ class PresentationND:
         self.generators = gens
         self.rows = rows
         self._heights, self._scale = heights, scale
+        self._odd = None
+        if field is not None and field.p == 2:  # compress draws parities only while a support lasts
+            parity = iter([c.numerator & 1 for row in rows for c in row[2]])
+            self._odd = [tuple(compress(support, parity)) for _, support, _ in rows]
 
     @property
     def dim(self) -> int:
@@ -209,18 +215,17 @@ def eval_at(p: PresentationND, a) -> int:
     top = [_idot(f, ints) * p._scale // m for f in p.gamma._hrep[0]]
     active = [all(map(le, h, top)) for h in p._heights]
     # an active relation's support is active: a - g = (a - degree) + (degree - g)
-    rows = list(compress(p.rows, active[n:]))
-    cols = _columns(rows, range(n)) if mod == 2 else [_column(support, values, mod) for _, support, values in rows]
+    on = active[n:]
+    cols = (_columns(compress(p._odd, on), range(n)) if mod == 2
+            else [_column(support, values, mod) for _, support, values in compress(p.rows, on)])
     return sum(active[:n]) - rank(cols, p.field)
 
 
-def _columns(rows, key):
-    """The sparse rows as F_2 masks on rows ``key[i]``: the bits of the odd
-    numerators, since construction rejects an even denominator."""
-    # compress draws from ``odd`` only while the support lasts
+def _columns(odd, key):
+    """The F_2 masks on rows ``key[i]`` of relations with these odd supports,
+    as construction keeps them: no coefficient is read."""
     bits = [1 << key[i] for i in range(len(key))]
-    odd = iter([c.numerator & 1 for row in rows for c in row[2]])
-    return [sum(compress(map(bits.__getitem__, support), odd)) for _, support, _ in rows]
+    return [sum(map(bits.__getitem__, support)) for support in odd]
 
 
 def _column(at, values, mod, closed=()):
@@ -301,7 +306,7 @@ def barcode_of_presentation(p: PresentationND) -> Barcode:
     position = {gen: pos for pos, gen in enumerate(row_order)}
     reduce, lowest = _kernel(field)
     mod = field and field.p
-    masks = _columns(p.rows, position) if mod == 2 else None
+    masks = _columns(p._odd, position) if mod == 2 else None
     paired = {}  # pivot position -> its reduced column
     closed = set()  # positions on which the stored columns span every vector (Q and odd p)
     filed = {}  # open row -> the stored columns holding it

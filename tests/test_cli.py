@@ -106,8 +106,9 @@ def test_cli_cone_and_fan_commands():
     assert len(json.loads(out)["faces"]) == 4
     code, out = run_cli(["fan", "complete", "--catalog", "halffan"])
     assert json.loads(out) == {"complete": False}
-    code, out = run_cli(["fan", "support", "--catalog", "quadrant", "--point=-1,0"])
-    assert json.loads(out) == {"contains": False}
+    for point in (["--point=-1,0"], ["--point", "-1,0"]):
+        code, out = run_cli(["fan", "support", "--catalog", "quadrant", *point])
+        assert code == 0 and json.loads(out) == {"contains": False}, point
     code, out = run_cli(["fan", "separate", "--catalog", "p1", "--cone1", "pos", "--cone2", "neg"])
     assert json.loads(out) == {"m": ["1"]}
 
@@ -455,9 +456,9 @@ FIELD_FREE = {
     ("fan", "validate"): ["--catalog", "p1"],
     ("fan", "complete"): ["--catalog", "halffan"],
     ("fan", "separate"): ["--catalog", "p1", "--cone1", "pos", "--cone2", "neg"],
-    ("fan", "support"): ["--catalog", "quadrant", "--point=-1,0"],
+    ("fan", "support"): ["--catalog", "quadrant", "--point", "-1,0"],
     ("barcode", "eval"): ["--catalog", "pair", "--at", "3/2"],
-    ("barcode", "shift"): ["--catalog", "pair", "--by", "1"],
+    ("barcode", "shift"): ["--catalog", "pair", "--by", "-1/2"],
     ("barcode", "convolve"): ["--catalog", "basic", "--catalog2", "pair"],
     ("barcode", "almostize"): ["--catalog", "mixed"],
     ("barcode", "k0"): ["--catalog", "pair"],
@@ -479,6 +480,31 @@ FIELD_FREE = {
 }
 
 
+def _joined(flags):
+    """The same flags and values in the ``--flag=value`` form."""
+    return [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+
+
+SIGNED_VALUES = [["barcode", "shift", "--catalog", "basic", "--by", "-1/2"],
+                 ["fan", "support", "--catalog", "quadrant", "--point", "-1,0"],
+                 ["module", "eval", "--catalog", "interval01", "--at", "-1/2"]]
+
+
+@pytest.mark.parametrize("argv", SIGNED_VALUES, ids=[" ".join(argv[:2] + argv[-2:]) for argv in SIGNED_VALUES])
+def test_a_value_that_starts_with_a_minus_is_a_value(argv, monkeypatch):
+    # argparse reads only plain negative numbers such as -1 as values: the
+    # space form of these once exited 2 with "expected one argument"
+    monkeypatch.delenv("APTKIT_FIELD", raising=False)
+    spaced = run_cli(argv)
+    assert spaced[0] == 0 and "error" not in json.loads(spaced[1]), spaced
+    assert run_cli([argv[0], argv[1], *_joined(argv[2:])]) == spaced
+    code, out, err = _usage([*argv, "-h"])
+    assert code == 0 and out.startswith(f"usage: aptkit {argv[0]} {argv[1]}") and err == ""
+    for unknown in ("--no-such-flag", "-x"):
+        code, out, err = _usage([*argv, unknown])
+        assert code == 2 and out == "" and f"unrecognized arguments: {unknown}" in err
+
+
 def test_only_commands_that_read_a_field_take_one(monkeypatch):
     takes_field = {(group, command) for group, command, parser in COMMANDS
                    if any("--field" in action.option_strings for action in parser._actions)}
@@ -489,6 +515,7 @@ def test_only_commands_that_read_a_field_take_one(monkeypatch):
         monkeypatch.delenv("APTKIT_FIELD", raising=False)
         plain = run_cli([group, command, *flags])
         assert plain[0] == 0 and "error" not in json.loads(plain[1]), (group, command, plain)
+        assert run_cli([group, command, *_joined(flags)]) == plain, (group, command)
         monkeypatch.setenv("APTKIT_FIELD", "f4")
         assert run_cli([group, command, *flags]) == plain, (group, command)
     monkeypatch.setenv("APTKIT_FIELD", "f4")  # still read where a field is

@@ -441,9 +441,14 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
     # relation that reaches the kernel takes one lcm of its own denominators,
     # and a skipped one none; over F_3 so does each relation with an open
     # row, which may still be skipped for its zero residues; over F_2 there
-    # is none (they enter by numerator parity).  No bar is checked or sorted
-    # again, and construction over F_p takes no residue either.
+    # is none, and no Fraction is read at all: the relations enter by the odd
+    # supports that construction keeps, and eval_at reads only its grade.  No
+    # bar is checked or sorted again, and construction over F_p takes no
+    # residue either.
     calls = Counter()
+    reads = []  # the Fractions whose numerator is read
+    numerator = Fraction.numerator
+    monkeypatch.setattr(Fraction, "numerator", property(lambda c: reads.append(c) or numerator.fget(c)))
 
     def spy(owner, name):
         method = getattr(owner, name)
@@ -463,6 +468,7 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
             p = PresentationND._from_rows(HALFLINE, base.generators, base.rows, field)
             assert calls["from_fraction"] == 0
             calls.clear()
+            reads.clear()
             barcode_of_presentation(p)
             reduced = sum(calls.pop(name, 0) for name in ("_reduce_q", "_reduce_fp", "_reduce_f2"))
             lcms = calls.pop("lcm", 0)
@@ -470,7 +476,11 @@ def test_pairing_makes_a_fixed_number_of_conversions(monkeypatch):
             if field is None:
                 assert 0 < lcms == reduced, (m, lcms, reduced)
             elif field.p == 2:
-                assert lcms == 0 < reduced, (m, reduced)
+                assert lcms == 0 < reduced and not reads, (m, reduced, len(reads))
+                for grade in (Fraction(5, 2), Fraction(7), Fraction(23, 3)):
+                    reads.clear()
+                    eval_at(p, (grade,))
+                    assert len(reads) == 1 and reads[0] is grade, (m, grade, len(reads))
             else:
                 assert lcms >= reduced > 0, (m, lcms, reduced)
 
@@ -648,6 +658,53 @@ def test_only_sparse_rows_are_stored():
         assert list(support) == sorted(set(support)) and all(values)
         assert [coeffs[i] for i in support] == list(values)
         assert sum(1 for c in coeffs if c) == 3
+
+
+def _odd_by_dense_scan(p):
+    """Per relation, the indices of its odd coefficients, read off the rows
+    the dense scan of the oracle stores for the dense ``relations`` view."""
+    _, rows = presentation_rows_by_dense_scan(p.gamma, p.generators, p.relations, p.field)
+    return [tuple(i for i, c in zip(support, values) if c.numerator % 2) for _, support, values in rows]
+
+
+def test_f2_presentations_keep_their_odd_supports_on_every_path():
+    f2, f3 = PrimeField(2), PrimeField(3)
+    seen = dict.fromkeys(["even coefficient", "odd coefficient", "empty row"], 0)
+    for seed in range(20):
+        rng = random.Random(seed)
+        p = edge_presentation(rng, f2, MIXED_COEFFICIENTS)
+        q2 = PresentationND(QUADRANT, [(0, 0), (1, 0), (0, 1)],
+                            [((1, 1), [rng.choice(MIXED_COEFFICIENTS) for _ in range(3)]), ((2, 0), [2, 1, 0])], f2)
+        t = io.presentation_to_json(p)
+        dense = {"gamma": t["gamma"], "generators": t["generators"],
+                 "relations": [{"degree": io.qvec_to_json(d), "coeffs": [str(c) for c in coeffs]}
+                               for d, coeffs in p.relations]}
+        paths = {
+            "constructor": p,
+            "2-D constructor": q2,
+            "_from_rows": PresentationND._from_rows(HALFLINE, p.generators, p.rows, f2),
+            "shift": shift(p, (Fraction(-1, 3),)),
+            "h0_tensor": h0_tensor(p, edge_presentation(rng, f2, MIXED_COEFFICIENTS)),
+            "2-D h0_tensor": h0_tensor(q2, q2),
+            "presentation_of_barcode": presentation_of_barcode(
+                barcode(*ladder_barcode(rng, 5).bars, bar(1, "inf", multiplicity=2)), f2),
+            "terms": io.parse_presentation_json(t, f2),
+            "coeffs": io.parse_presentation_json(dense, f2),
+        }
+        for name, got in paths.items():
+            assert got.field == f2 and got._odd == _odd_by_dense_scan(got), (seed, name)
+            values = [c for _, _, row in got.rows for c in row]
+            seen["even coefficient"] += any(c.numerator % 2 == 0 for c in values)
+            seen["odd coefficient"] += any(c.numerator % 2 for c in values)
+            seen["empty row"] += any(not support for _, support, _ in got.rows)
+        assert paths["terms"] == paths["coeffs"] == paths["_from_rows"] == p
+        for field in (None, f3):  # kept over F_2 alone, and out of equality
+            other = PresentationND._from_rows(HALFLINE, p.generators, p.rows, field)
+            assert other._odd is None and other != p
+            assert PresentationND._from_rows(HALFLINE, p.generators, p.rows, field) == other
+    assert all(v >= 10 for v in seen.values()), seen
+    with pytest.raises(TypeError):  # presentations stay unhashable
+        hash(p)
 
 
 def _dense_shift(p, b):
